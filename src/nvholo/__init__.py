@@ -74,7 +74,17 @@ from nvholo.config import (
     render_config,
     write_csv,
 )
-from nvholo.cli import run_cli
+
+
+def __getattr__(name):
+    # nvholo.cli is imported on first use, so that `python -m nvholo.cli`
+    # does not find it already in sys.modules (runpy warns about that)
+    if name == "run_cli":
+        from nvholo.cli import run_cli
+
+        return run_cli
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ConfigError",

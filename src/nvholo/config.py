@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from nvholo.core import ConfigError
+from nvholo.core import ConfigError, NumericalError
 from nvholo.evolve import NoiseModel
 from nvholo.gates import GateParams
 from nvholo.hamiltonians import HERMITICITY_MODES
@@ -392,6 +392,9 @@ class CsvTable:
                 raise ConfigError(
                     f"csv row {i} has {len(row)} cells, header has {width}"
                 )
+            for column, cell in zip(self.header, row):
+                if not isinstance(cell, str) and not math.isfinite(float(cell)):
+                    raise NumericalError(f"csv row {i} column {column!r} is {cell}")
         object.__setattr__(self, "header", tuple(str(h) for h in self.header))
         object.__setattr__(self, "rows", rows)
 

@@ -31,6 +31,7 @@ import numpy as np
 from nvholo.core import (
     ConfigError,
     DensityMatrix,
+    NumericalError,
     StateVector,
     eig_hermitian,
     state_density_fidelity,
@@ -235,7 +236,9 @@ class SweepResult:
                     f"series {name!r} has {arr.shape[0] if arr.ndim == 1 else '?'} "
                     f"values for {axis.shape[0]} axis points"
                 )
-            if arr.min(initial=0.0) < -POPULATION_TOL or arr.max(initial=0.0) > 1.0 + POPULATION_TOL:
+            if not np.all(np.isfinite(arr)):
+                raise NumericalError(f"series {name!r} holds a non-finite value")
+            if not (arr.min(initial=0.0) >= -POPULATION_TOL and arr.max(initial=0.0) <= 1.0 + POPULATION_TOL):
                 raise ConfigError(f"series {name!r} leaves [0, 1]")
             arr.setflags(write=False)
             frozen[name] = arr

@@ -2,10 +2,13 @@
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nvholo
 from nvholo.cli import run_cli
 from nvholo.config import (
     CsvTable,
@@ -16,7 +19,7 @@ from nvholo.config import (
     render_config,
     write_csv,
 )
-from nvholo.core import ConfigError
+from nvholo.core import ConfigError, NumericalError
 from nvholo.evolve import NoiseModel
 from nvholo.gates import GateParams
 from nvholo.scenarios import ScenarioConfig, SweepSpec
@@ -216,6 +219,12 @@ def test_csv_rejects_ragged_rows():
         columns_to_rows([1.0, 2.0], [3.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_csv_rejects_non_finite_cells(bad):
+    with pytest.raises(NumericalError, match="row 1 column 'y'"):
+        CsvTable(("x", "y"), ((0.0, 1.0), (0.5, bad)))
+
+
 def test_write_csv_round_trip(tmp_path):
     path = tmp_path / "out.csv"
     write_csv(path, CsvTable(("x",), ((0.5,), (1.0,))))
@@ -318,3 +327,25 @@ def test_cli_three_qubit_sweep_columns(tmp_path):
     assert float(first[5]) == 1.0
     assert float(last[5]) < 1e-12
     assert float(last[4]) == pytest.approx(math.pi, abs=1e-9)
+
+
+def test_python_dash_m_cli_writes_nothing_to_stderr():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nvholo.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nvholo.cli", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert "usage" in proc.stdout
+    assert proc.stderr == ""
+
+
+def test_package_exposes_run_cli():
+    assert nvholo.run_cli is run_cli
+    with pytest.raises(AttributeError):
+        nvholo.no_such_name

@@ -168,6 +168,141 @@ class TestSchrodinger:
         assert np.max(np.abs(whole.populations - chunked.populations)) < 1e-13
 
 
+
+def random_hamiltonian(rng, dim):
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return np.pi * (raw + raw.conj().T)
+
+
+def sequential_reference(transfer, y0, n_steps, stride, renormalize, norm_of):
+    """Records and pre-renormalisation norms of a plain y <- T y loop."""
+    record_at = set(range(0, n_steps + 1, stride)) | {n_steps}
+    y = y0.copy()
+    records, norms = [y.copy()], [norm_of(y)]
+    for step in range(1, n_steps + 1):
+        y = transfer @ y
+        if step in record_at:
+            norm = norm_of(y)
+            if renormalize:
+                y = y / norm
+            records.append(y.copy())
+            norms.append(norm)
+    return np.array(records), np.array(norms)
+
+
+class TestConstantPropagation:
+    """The constant-H path against a sequential loop over the same RK4 T."""
+
+    N_STEPS = 60
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    @pytest.mark.parametrize("renormalize", [True, False])
+    @pytest.mark.parametrize("stride", [1, 7, N_STEPS])
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    @pytest.mark.parametrize("kind", ["schrodinger", "lindblad"])
+    def test_matches_sequential_loop(
+        self, monkeypatch, kind, dim, stride, renormalize, chunked
+    ):
+        if chunked:  # 5-step chunks: boundaries both on and off the record grid
+            monkeypatch.setattr(evolve_module, "MAX_CHUNK_STEPS", 5)
+            monkeypatch.setattr(evolve_module, "TRANSFER_CHUNK_BYTES", 1)
+        rng = np.random.default_rng(dim * 100 + stride)
+        h = random_hamiltonian(rng, dim)
+        psi0 = StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        dt = 0.02 / float(np.max(np.abs(h)))
+        cfg = EvolutionConfig(
+            t_start_us=0.0,
+            t_end_us=self.N_STEPS * dt,
+            dt_us=dt,
+            record_stride=stride,
+            renormalize=renormalize,
+        )
+        dt = (cfg.t_end_us - cfg.t_start_us) / self.N_STEPS
+        if kind == "schrodinger":
+            traj = evolve_schrodinger(h, psi0, cfg)
+            a = -1j * h
+            y0 = psi0.amps.astype(complex)
+            recorded = traj.amplitudes
+
+            def norm_of(y):
+                return float(np.linalg.norm(y))
+
+            def populations(records):
+                return np.abs(records) ** 2
+
+        else:
+            noise = NoiseModel(t1_us=40.0, t2_us=30.0)
+            traj = evolve_lindblad(h, DensityMatrix.from_state(psi0), noise, cfg)
+            eye = np.eye(dim)
+            a = -1j * (np.kron(h, eye) - np.kron(eye, h.T)) + noise.dissipator(dim)
+            y0 = DensityMatrix.from_state(psi0).entries.flatten()
+            recorded = traj.densities.reshape(len(traj.times), -1)
+
+            def norm_of(y):
+                return float(np.real(np.trace(y.reshape(dim, dim))))
+
+            def populations(records):
+                return np.real(np.diagonal(records.reshape(-1, dim, dim), axis1=1, axis2=2))
+
+        transfer = evolve_module._transfer_stack(a[None], a[None], a[None], dt)[0]
+        records, norms = sequential_reference(
+            transfer, y0, self.N_STEPS, stride, renormalize, norm_of
+        )
+        assert recorded.shape == records.shape
+        assert np.max(np.abs(recorded - records)) < 1e-12
+        assert np.max(np.abs(traj.populations - populations(records))) < 1e-12
+        assert np.max(np.abs(traj.norms - norms)) < 1e-12
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_drift_failure_names_first_offending_step(self, monkeypatch, stride, chunked):
+        if chunked:
+            monkeypatch.setattr(evolve_module, "MAX_CHUNK_STEPS", 5)
+            monkeypatch.setattr(evolve_module, "TRANSFER_CHUNK_BYTES", 1)
+        h = rabi_hamiltonian(15.0)
+        dt = 0.008  # coarse enough that the unrenormalised norm decays
+        cfg = EvolutionConfig(
+            t_start_us=0.0, t_end_us=2.0, dt_us=dt, record_stride=stride, renormalize=False
+        )
+        transfer = evolve_module._transfer_stack(
+            -1j * h[None], -1j * h[None], -1j * h[None], dt
+        )[0]
+        chunk = evolve_module._chunk_steps(2)
+        y = np.array([1.0, 0.0], dtype=complex)
+        first = None
+        for step in range(1, 251):
+            y = transfer @ y
+            checked = step % stride == 0 or step % chunk == 0
+            if checked and abs(np.linalg.norm(y) - 1.0) > evolve_module.MAX_NORM_DRIFT:
+                first = step
+                break
+        assert first is not None
+        with pytest.raises(NumericalError, match=f"at step {first} "):
+            evolve_schrodinger(h, StateVector.basis(2, 0), cfg)
+
+    def test_overflow_between_records_raises(self):
+        # the state overflows to inf/NaN long before the only record at step
+        # 5000; NaN must fail the drift gate, not slip past it
+        h = 1000.0 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        cfg = EvolutionConfig(t_start_us=0.0, t_end_us=50.0, dt_us=0.01, record_stride=5000)
+        with pytest.raises(NumericalError, match="at step 5000 "):
+            evolve_schrodinger(h, StateVector.basis(2, 0), cfg)
+
+    def test_overflow_inside_a_chunk_raises_at_its_boundary(self, monkeypatch):
+        monkeypatch.setattr(evolve_module, "MAX_CHUNK_STEPS", 300)
+        h = 1000.0 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        cfg = EvolutionConfig(t_start_us=0.0, t_end_us=50.0, dt_us=0.01, record_stride=5000)
+        with pytest.raises(NumericalError, match="at step 300 "):
+            evolve_schrodinger(h, StateVector.basis(2, 0), cfg)
+
+    def test_overflow_raises_for_lindblad(self):
+        h = 1000.0 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        rho0 = DensityMatrix.from_state(StateVector.basis(2, 0))
+        cfg = EvolutionConfig(t_start_us=0.0, t_end_us=50.0, dt_us=0.01, record_stride=5000)
+        with pytest.raises(NumericalError):
+            evolve_lindblad(h, rho0, NoiseModel(), cfg)
+
+
 class TestNoiseModel:
     def test_rejects_unphysical_t2(self):
         with pytest.raises(ConfigError):
@@ -329,6 +464,12 @@ class TestTrajectory:
         pops = np.abs(amps) ** 2
         with pytest.raises(NumericalError):
             Trajectory(times=times, populations=pops, amplitudes=amps)
+
+    def test_rejects_non_finite_records(self):
+        times = np.array([0.0, 1.0])
+        amps = np.array([[1.0, 0.0], [np.nan, 0.0]], dtype=complex)
+        with pytest.raises(NumericalError):
+            Trajectory(times=times, populations=np.abs(amps) ** 2, amplitudes=amps)
 
     def test_rejects_non_monotonic_times(self):
         times = np.array([0.0, 0.0])

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from nvholo.core import ConfigError
+from nvholo.core import ConfigError, NumericalError
 from nvholo.evolve import NoiseModel
 from nvholo.gates import GateParams
 from nvholo.scenarios import (
@@ -122,6 +122,12 @@ def test_sweep_result_rejects_out_of_range_series():
         SweepResult(axis_values=[0.0], series={"p1": [1.5]})
     with pytest.raises(ConfigError):
         SweepResult(axis_values=[0.0], series={"p1": [-0.2]})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sweep_result_rejects_non_finite_series(bad):
+    with pytest.raises(NumericalError):
+        SweepResult(axis_values=[0.0, 1.0], series={"p1": [0.5, bad]})
 
 
 def test_sweep_result_series_are_read_only():
