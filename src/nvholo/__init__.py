@@ -9,10 +9,7 @@ from nvholo.core import (
     OperatorMatrix,
     StateVector,
     eig_hermitian,
-    fidelity,
     inner_product,
-    matrix_exponential,
-    partial_population,
     state_density_fidelity,
 )
 from nvholo.evolve import (
@@ -31,7 +28,6 @@ from nvholo.hamiltonians import (
     PulseChannel,
     PulseSet,
     PulsedHamiltonian,
-    build_interaction_4,
     build_interaction_8,
     build_rotating_frame_4,
     build_rotating_frame_8,
@@ -41,8 +37,6 @@ from nvholo.gates import (
     DarkStateParams,
     GateParams,
     PhaseEstimate,
-    RotationPath,
-    concatenate_paths,
     dark_states,
     holonomic_unitary,
     orthogonal_dark_state,
@@ -104,32 +98,26 @@ __all__ = [
     "PulseChannel",
     "PulseSet",
     "PulsedHamiltonian",
-    "RotationPath",
     "RunManifest",
     "ScenarioConfig",
     "StateVector",
     "SweepResult",
     "SweepSpec",
     "Trajectory",
-    "build_interaction_4",
     "build_interaction_8",
     "build_rotating_frame_4",
     "build_rotating_frame_8",
     "compare_resonant_fidelity",
-    "concatenate_paths",
     "convergence_check",
     "dark_states",
     "eig_hermitian",
     "evolve_lindblad",
     "evolve_schrodinger",
-    "fidelity",
     "holonomic_unitary",
     "inner_product",
-    "matrix_exponential",
     "orthogonal_dark_state",
     "parse_config",
     "parse_manifest",
-    "partial_population",
     "phase_from_discrepancy",
     "recommended_dt",
     "render_config",

@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from nvholo.core import ConfigError, NumericalError
 from nvholo.config import (
     CsvTable,
     RunManifest,
-    apply_overrides,
     columns_to_rows,
     parse_config,
     write_csv,
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=f"run the {name} scenario")
         sub.add_argument("--config", help="config file; defaults are built in")
         sub.add_argument("--out", required=True, help="output directory")
-        sub.add_argument("--threads", type=int, help="worker threads for sweeps")
+        sub.add_argument("--threads", type=int, help="accepted and ignored; sweeps run serially")
         sub.add_argument("--seed", type=int, help="accepted for interface parity")
         sub.add_argument(
             "--dt-override", type=float, dest="dt_override", help="integrator step, us"
@@ -104,7 +104,9 @@ def _load_config(args) -> ScenarioConfig:
             f"config is for scenario {cfg.scenario_id!r}, "
             f"but the {args.command!r} subcommand was invoked"
         )
-    return apply_overrides(cfg, threads=args.threads, dt_us=args.dt_override)
+    if args.dt_override is not None:
+        cfg = replace(cfg, dt_us=args.dt_override)
+    return cfg
 
 
 def _table_theta_sweep(cfg):
@@ -271,6 +273,10 @@ def _dispatch(args) -> int:
 
     if args.seed is not None:
         print("randomness is not used; ignoring --seed", file=sys.stderr)
+    if args.threads is not None:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        print("sweeps run serially; ignoring --threads", file=sys.stderr)
 
     cfg = _load_config(args)
     started = time.monotonic()

@@ -10,7 +10,7 @@ errors, reported with the line they appear on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,8 +201,11 @@ def parse_config(text: str) -> ScenarioConfig:
             line_no = scenario["sweep"][0]
             raise ConfigError(f"line {line_no}: sweep must be start:stop:step")
         kwargs["sweep"] = value
-    if "threads" in scenario:
-        kwargs["threads"] = _int(scenario["threads"], "threads")
+    # sweeps run serially, so threads is ignored; it stays a known, validated
+    # key so that manifests written with it still parse
+    if "threads" in scenario and _int(scenario["threads"], "threads") < 1:
+        line_no = scenario["threads"][0]
+        raise ConfigError(f"line {line_no}: threads must be an integer >= 1")
 
     pulses = sections.get("pulses", {})
     for key, target in (
@@ -283,7 +286,6 @@ def render_config(cfg: ScenarioConfig) -> str:
         lines.append(f"initial_rotation_rad = {_fmt(float(value))}")
     if cfg.sweep is not None:
         lines.append(f"sweep = {_fmt(cfg.sweep)}")
-    lines.append(f"threads = {cfg.threads}")
 
     lines.append("")
     lines.append("[pulses]")
@@ -351,14 +353,6 @@ def parse_manifest(text: str) -> RunManifest:
     run = _parse_sections(text).get("run", {})
     info = tuple((key, value) for key, (_, value) in run.items())
     return RunManifest(cfg=cfg, run_info=info)
-
-
-def apply_overrides(cfg: ScenarioConfig, threads=None, dt_us=None) -> ScenarioConfig:
-    if threads is not None:
-        cfg = replace(cfg, threads=int(threads))
-    if dt_us is not None:
-        cfg = replace(cfg, dt_us=float(dt_us))
-    return cfg
 
 
 # --- CSV output -------------------------------------------------------------

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 ATOL_NORM = 1e-9
 ATOL_HERMITIAN = 1e-12
@@ -91,7 +90,10 @@ class StateVector:
         return np.abs(self.amps) ** 2
 
     def population(self, level: int) -> float:
-        return partial_population(self, level)
+        """Population |amps[level]|^2 of a single basis level."""
+        if not 0 <= level < self.dim:
+            raise IndexError(f"level {level} out of range for dim {self.dim}")
+        return float(abs(self.amps[level]) ** 2)
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
@@ -99,19 +101,6 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
     if a.dim != b.dim:
         raise ConfigError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return complex(np.vdot(a.amps, b.amps))
-
-
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2, symmetric in its arguments, clipped to [0, 1]."""
-    value = abs(inner_product(a, b)) ** 2
-    return min(value, 1.0)
-
-
-def partial_population(psi: StateVector, level: int) -> float:
-    """Population |amps[level]|^2 of a single basis level."""
-    if not 0 <= level < psi.dim:
-        raise IndexError(f"level {level} out of range for dim {psi.dim}")
-    return float(abs(psi.amps[level]) ** 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,10 +133,6 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @classmethod
-    def identity(cls, dim: int) -> "OperatorMatrix":
-        return cls(np.eye(dim, dtype=np.complex128), hermitian=True, unitary=True)
-
 
 def eig_hermitian(m: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a
@@ -162,23 +147,6 @@ def eig_hermitian(m: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError("eig_hermitian requires a Hermitian matrix")
     values, vectors = np.linalg.eigh(arr)
     return values, vectors
-
-
-def matrix_exponential(m: OperatorMatrix, scale: complex = 1.0) -> OperatorMatrix:
-    """exp(scale * m).
-
-    Hermitian inputs go through the eigendecomposition, which keeps the
-    result unitary to near machine precision when scale is purely imaginary;
-    everything else falls back to scaling-and-squaring.
-    """
-    arr = m.entries
-    tol = ATOL_HERMITIAN * max(1.0, float(np.max(np.abs(arr))))
-    if hermitian_deviation(arr) <= tol:
-        values, vectors = np.linalg.eigh(arr)
-        result = (vectors * np.exp(scale * values)) @ vectors.conj().T
-    else:
-        result = scipy.linalg.expm(scale * arr)
-    return OperatorMatrix(result)
 
 
 @dataclass(frozen=True, eq=False)

@@ -181,14 +181,6 @@ class Trajectory:
     def final_state(self) -> StateVector:
         return self.state(-1)
 
-    @property
-    def final_density(self) -> DensityMatrix:
-        if self.densities is None:
-            raise ConfigError("trajectory holds no density records")
-        rho = self.densities[-1]
-        rho = 0.5 * (rho + rho.conj().T)
-        return DensityMatrix(rho / np.trace(rho).real)
-
     def population_series(self, level: int) -> np.ndarray:
         return self.populations[:, level]
 

@@ -16,30 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ConfigError,
-    NumericalError,
-    OperatorMatrix,
-    StateVector,
-    inner_product,
-    unitary_deviation,
-)
+from .core import ConfigError, OperatorMatrix, StateVector, inner_product
 from .evolve import Trajectory
 
-ATOL_CLOSED_PATH = 1e-12
 ATOL_ORTHOGONAL = 1e-10
 MIN_OVERLAP = 1e-6
 MIN_COLUMN_NORM = 1e-9
-
-# measured transfer-map entries, retained for regression comparison only;
-# the matrix is not unitary and must never be used to build a gate
-REFERENCE_PHASE_MATRIX = np.array(
-    [
-        [0.99 + 0.47j, -0.82 + 0.12j],
-        [0.93 + 0.82j, 0.65 + 0.33j],
-    ]
-)
-REFERENCE_PHASE_TOLERANCE = 0.35
 
 
 @dataclass(frozen=True)
@@ -73,19 +55,6 @@ class GateParams:
                     f"got lam={self.lam!r} but ratio {implied!r}"
                 )
 
-    @classmethod
-    def from_drive(cls, theta, phi, detuning_mhz, rabi_mhz, gamma=0.0):
-        if rabi_mhz is None or rabi_mhz <= 0:
-            raise ConfigError("deriving lam requires a positive rabi_mhz")
-        return cls(
-            theta=theta,
-            phi=phi,
-            lam=detuning_mhz / rabi_mhz,
-            gamma=gamma,
-            detuning_mhz=detuning_mhz,
-            rabi_mhz=rabi_mhz,
-        )
-
 
 @dataclass(frozen=True)
 class DarkStateParams:
@@ -97,32 +66,6 @@ class DarkStateParams:
     def __post_init__(self):
         if not (math.isfinite(self.beta) and math.isfinite(self.varphi)):
             raise ConfigError("beta and varphi must be finite")
-
-
-@dataclass(frozen=True, eq=False)
-class RotationPath:
-    """Sequence of (theta, phi) waypoints traced by the rotation axis."""
-
-    waypoints: tuple = ()
-    closed: bool = False
-
-    def __post_init__(self):
-        points = tuple((float(t), float(p)) for t, p in self.waypoints)
-        object.__setattr__(self, "waypoints", points)
-        if len(points) < 2:
-            raise ConfigError("a rotation path needs at least two waypoints")
-        for t, p in points:
-            if not (math.isfinite(t) and math.isfinite(p)):
-                raise ConfigError("waypoints must be finite")
-        if self.closed:
-            gap = max(
-                abs(points[0][0] - points[-1][0]), abs(points[0][1] - points[-1][1])
-            )
-            if gap > ATOL_CLOSED_PATH:
-                raise ConfigError(
-                    "closed path must end where it starts; "
-                    f"got {points[0]} vs {points[-1]}"
-                )
 
 
 @dataclass(frozen=True)
@@ -250,59 +193,6 @@ def single_qubit_unitary(params: GateParams) -> OperatorMatrix:
     return OperatorMatrix(rz_post @ rx @ rz_pre, unitary=True)
 
 
-def concatenate_paths(ops) -> OperatorMatrix:
-    """Compose gate segments, first element applied first.
-
-    The result is the right-to-left matrix product of the sequence.
-    """
-    mats = [
-        np.asarray(op.entries if isinstance(op, OperatorMatrix) else op, dtype=complex)
-        for op in ops
-    ]
-    if not mats:
-        raise ConfigError("need at least one segment to concatenate")
-    dim = mats[0].shape[0]
-    total = np.eye(dim, dtype=complex)
-    for m in mats:
-        if m.shape != (dim, dim):
-            raise ConfigError(f"segment shapes disagree: {m.shape} vs {(dim, dim)}")
-        total = m @ total
-    return OperatorMatrix(total, unitary=unitary_deviation(total) <= 1e-10)
-
-
-def effective_phase_matrix(path_a: Trajectory, path_b: Trajectory):
-    """Measured 2x2 transfer map between the qubit levels.
-
-    path_a and path_b must be amplitude trajectories started from the
-    two qubit basis levels.  Column k holds the final amplitudes on
-    levels 0 and 1 of the run that started in level k.  The map
-    reflects leakage and decay, so it is generally not unitary; it is
-    returned together with its deviation from unitarity and must never
-    be used as a gate.
-    """
-    columns = []
-    for traj in (path_a, path_b):
-        if traj.amplitudes is None:
-            raise ConfigError("phase matrix extraction needs amplitude records")
-        columns.append(np.asarray(traj.amplitudes[-1, :2]))
-    span_a = path_a.times[-1] - path_a.times[0]
-    span_b = path_b.times[-1] - path_b.times[0]
-    if abs(span_a - span_b) > 1e-9:
-        raise ConfigError(f"durations disagree: {span_a!r} vs {span_b!r}")
-    for col in columns:
-        if np.linalg.norm(col) < MIN_COLUMN_NORM:
-            raise NumericalError("population fully left the qubit levels")
-    matrix = np.stack(columns, axis=1)
-    return OperatorMatrix(matrix), float(unitary_deviation(matrix))
-
-
-def close_to_reference_phase_matrix(
-    matrix, tol: float = REFERENCE_PHASE_TOLERANCE
-) -> bool:
-    entries = matrix.entries if isinstance(matrix, OperatorMatrix) else matrix
-    return bool(np.max(np.abs(entries - REFERENCE_PHASE_MATRIX)) <= tol)
-
-
 def phase_from_discrepancy(
     reference: Trajectory,
     actual: Trajectory,
@@ -338,9 +228,3 @@ def phase_from_discrepancy(
         discrepancy=discrepancy,
         reference_label=reference_label,
     )
-
-
-def dark_alignment(gate_dark: StateVector, initial: StateVector) -> float:
-    """Overlap probability between the gate's dark state and the input."""
-    value = abs(inner_product(gate_dark, initial)) ** 2
-    return float(min(value, 1.0))

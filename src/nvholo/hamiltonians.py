@@ -58,10 +58,6 @@ def envelope_values(envelope, times, t_center_us: float, t_width_us: float) -> n
     return np.where(np.abs(x) <= t_width_us / 2.0, values, 0.0)
 
 
-def envelope_value(envelope, t: float, t_center_us: float, t_width_us: float) -> float:
-    return float(envelope_values(envelope, np.asarray([t]), t_center_us, t_width_us)[0])
-
-
 @dataclass(frozen=True)
 class PulseChannel:
     """One drive tone: Rabi amplitude, carrier, envelope, timing, phase."""
@@ -263,38 +259,6 @@ def build_interaction_8(spec: LevelSpec, rabi_mhz, mode: str = HERMITIZED) -> Op
     m[7, 0] = -0.5j * np.conj(r[2])
     m[7, 1] = 0.5j * np.conj(r[3])
     m[7, 7] = d3
-    if mode == HERMITIZED:
-        return OperatorMatrix((m + m.conj().T) / 2.0, hermitian=True)
-    return OperatorMatrix(m)
-
-
-def build_interaction_4(spec: LevelSpec, rabi_mhz, mode: str = HERMITIZED) -> OperatorMatrix:
-    """4x4 interaction-picture matrix over (pump1, pump2, stokes1, stokes2).
-
-    The published layout is already Hermitian for real drive amplitudes, so
-    literal and hermitized modes coincide there.
-    """
-    if spec.dim != 4:
-        raise ConfigError(f"expected dim 4, got {spec.dim}")
-    _check_mode(mode)
-    r = np.asarray(rabi_mhz, dtype=np.complex128)
-    if r.shape != (4,):
-        raise ConfigError(f"expected 4 drive amplitudes, got shape {r.shape}")
-    if not np.all(np.isfinite(r)):
-        raise ConfigError("drive amplitudes must be finite")
-    p1, p2, s1, s2 = TWO_PI * r
-    d1, d2 = (TWO_PI * d for d in spec.detunings_mhz[:2])
-    m = np.zeros((4, 4), dtype=np.complex128)
-    m[0, 2] = 0.5j * p1
-    m[0, 3] = 0.5j * p2
-    m[1, 2] = -0.5j * s1
-    m[1, 3] = -0.5j * s2
-    m[2, 0] = -0.5j * np.conj(p1)
-    m[2, 1] = 0.5j * np.conj(s1)
-    m[3, 0] = -0.5j * np.conj(p2)
-    m[3, 1] = 0.5j * np.conj(s2)
-    m[2, 2] = d1
-    m[3, 3] = -d2
     if mode == HERMITIZED:
         return OperatorMatrix((m + m.conj().T) / 2.0, hermitian=True)
     return OperatorMatrix(m)

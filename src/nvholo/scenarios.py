@@ -23,7 +23,6 @@ wrapped magnitude saturates at pi where the loop tilt reaches a quarter turn.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +91,9 @@ TIME_EVOLUTION_SAMPLES = 201
 
 MIN_SEGMENT_STEPS = 16
 POPULATION_TOL = 1e-9
+# far above the sweeps in use (121 points at most), far below a count whose
+# axis would exhaust memory when allocated
+MAX_SWEEP_POINTS = 100_000
 
 CARDINAL_STATES = (
     np.array([1.0, 0.0], dtype=np.complex128),
@@ -121,6 +123,10 @@ class SweepSpec:
             raise ConfigError(f"sweep step must be > 0, got {self.step}")
         if self.stop < self.start:
             raise ConfigError("sweep stop must be >= start")
+        # checked before values() allocates; the count is floor(intervals) + 1
+        intervals = (self.stop - self.start) / self.step + 1e-9
+        if not intervals < MAX_SWEEP_POINTS:
+            raise ConfigError(f"sweep has more than {MAX_SWEEP_POINTS} points")
 
     def values(self) -> np.ndarray:
         count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
@@ -154,7 +160,6 @@ class ScenarioConfig:
     hermiticity: str = HERMITIZED
     dt_us: float | None = None
     renormalize: bool = True
-    threads: int = 1
 
     def __post_init__(self):
         if self.scenario_id not in SCENARIO_IDS:
@@ -204,8 +209,6 @@ class ScenarioConfig:
             raise ConfigError(f"unknown hermiticity mode {self.hermiticity!r}")
         if self.dt_us is not None and not self.dt_us > 0:
             raise ConfigError("dt override must be > 0 us")
-        if self.threads != int(self.threads) or self.threads < 1:
-            raise ConfigError(f"threads must be an integer >= 1, got {self.threads}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,13 +292,6 @@ def _scalar_detuning(value, name: str) -> float:
     return float(value)
 
 
-def _map_points(fn, values, threads: int):
-    if threads <= 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        return list(pool.map(fn, values))
-
-
 def _rx(angle: float) -> np.ndarray:
     h = 0.5 * angle
     return np.array(
@@ -315,6 +311,14 @@ def _prep_state_2(initial_state) -> np.ndarray:
             raise ConfigError(f"two-level scenarios need initial level 0 or 1, got {value}")
         return np.eye(2, dtype=np.complex128)[int(value)]
     return _rx(float(value)) @ np.array([1.0, 0.0], dtype=np.complex128)
+
+
+def _basis_state(initial_state, dim: int) -> StateVector:
+    kind, value = initial_state
+    level = int(value) if kind == "level" else 0
+    if level >= dim:
+        raise ConfigError(f"initial level must be below {dim} here, got {level}")
+    return StateVector.basis(dim, level)
 
 
 def _drive_matrix(rabi_mhz: float, delta_mhz: float) -> np.ndarray:
@@ -355,7 +359,7 @@ def run_single_qubit_theta_sweep(cfg: ScenarioConfig) -> SweepResult:
             traj = _pulsed_lindblad_gate(theta, psi0, cfg)
             return traj.populations[-1]
 
-        noisy = np.asarray(_map_points(noisy_point, thetas, cfg.threads))
+        noisy = np.asarray([noisy_point(theta) for theta in thetas])
         series["p1_noisy"] = noisy[:, 0]
         series["p2_noisy"] = noisy[:, 1]
 
@@ -407,7 +411,7 @@ def run_single_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
             row.append(float(np.max(np.abs(noisy.populations - traj.populations))))
         return row
 
-    rows = _map_points(sweep_point, deltas, cfg.threads)
+    rows = [sweep_point(delta) for delta in deltas]
     finals = np.asarray([r[0] for r in rows])
     series = {"p1": finals[:, 0], "p2": finals[:, 1]}
     estimates = tuple(r[1] for r in rows)
@@ -448,13 +452,13 @@ def run_composite_gate_scenario(cfg: ScenarioConfig) -> SweepResult:
         theta = float(theta)
         legs = [(theta / 3.0, 0.0, theta / 3.0)] * 3
         single = [(theta, 0.0, theta)]
-        ideal_comp = _segment_schrodinger(legs, psi0, cfg)
+        ideal_comp = _run_segments(legs, psi0, cfg, noisy=False)
         p1_final = ideal_comp.pops[-1]
         if not cfg.noise.enabled:
             return p1_final, 0.0, 0.0, 1.0
-        ideal_single = _segment_schrodinger(single, psi0, cfg)
-        noisy_comp = _segment_lindblad(legs, psi0, cfg)
-        noisy_single = _segment_lindblad(single, psi0, cfg)
+        ideal_single = _run_segments(single, psi0, cfg, noisy=False)
+        noisy_comp = _run_segments(legs, psi0, cfg, noisy=True)
+        noisy_single = _run_segments(single, psi0, cfg, noisy=True)
         disc_comp = float(np.max(np.abs(ideal_comp.pops[:, 0] - noisy_comp.pops[:, 0])))
         disc_single = float(
             np.max(np.abs(ideal_single.pops[:, 0] - noisy_single.pops[:, 0]))
@@ -462,7 +466,7 @@ def run_composite_gate_scenario(cfg: ScenarioConfig) -> SweepResult:
         fid = _cardinal_fidelity(legs, cfg)
         return p1_final, disc_comp, disc_single, fid
 
-    rows = _map_points(sweep_point, thetas, cfg.threads)
+    rows = [sweep_point(theta) for theta in thetas]
     finals = np.asarray([r[0] for r in rows])
     disc_comp = np.asarray([r[1] for r in rows])
     disc_single = np.asarray([r[2] for r in rows])
@@ -493,7 +497,7 @@ def _fixed_sequence_result(cfg: ScenarioConfig) -> SweepResult:
         )
     psi0 = _prep_state_2(cfg.initial_state)
     legs = [_gate_legs(p) for p in cfg.gate_params]
-    ideal = _segment_schrodinger(legs, psi0, cfg)
+    ideal = _run_segments(legs, psi0, cfg, noisy=False)
     product = np.eye(2, dtype=np.complex128)
     for p in cfg.gate_params:
         product = single_qubit_unitary(p).entries @ product
@@ -503,7 +507,7 @@ def _fixed_sequence_result(cfg: ScenarioConfig) -> SweepResult:
     series = {"p1": np.asarray([pops[0]]), "p2": np.asarray([pops[1]])}
     fidelities = {"sequence_overlap_deficit": float(deficit)}
     if cfg.noise.enabled:
-        noisy = _segment_lindblad(legs, psi0, cfg)
+        noisy = _run_segments(legs, psi0, cfg, noisy=True)
         disc = float(np.max(np.abs(ideal.pops[:, 0] - noisy.pops[:, 0])))
         fidelities["composite_max_discrepancy"] = disc
         fidelities["cardinal_fidelity_mean"] = _cardinal_fidelity(legs, cfg)
@@ -531,52 +535,52 @@ def _segment_plan(theta: float, cfg: ScenarioConfig):
     return EvolutionConfig(0.0, span, dt, renormalize=cfg.renormalize)
 
 
-def _segment_schrodinger(segments, psi0: np.ndarray, cfg: ScenarioConfig) -> _Stitched:
-    psi = psi0.copy()
+def _kick(state: np.ndarray, angle: float) -> np.ndarray:
+    rz = _rz(angle)
+    if state.ndim == 1:
+        return rz @ state
+    return rz @ state @ rz.conj().T
+
+
+def _run_segments(segments, psi0: np.ndarray, cfg: ScenarioConfig, noisy: bool) -> _Stitched:
+    """Stitch (theta, pre_kick, post_kick) x pulses with instantaneous z kicks.
+
+    noisy carries the density matrix through the master equation with
+    cfg.noise; otherwise the amplitudes go through the Schrodinger equation.
+    """
+    if noisy:
+        state = np.outer(psi0, psi0.conj())
+        pops0 = np.real(np.diag(state))
+    else:
+        state = psi0.copy()
+        pops0 = np.abs(state) ** 2
     times = [np.asarray([0.0])]
-    pops = [np.abs(psi)[None, :] ** 2]
+    pops = [pops0[None, :]]
     offset = 0.0
     for theta, pre_kick, post_kick in segments:
-        psi = _rz(pre_kick) @ psi
+        state = _kick(state, pre_kick)
         evo = _segment_plan(theta, cfg)
         if evo is not None:
             h = _drive_matrix(math.copysign(cfg.rabi_mhz, theta), 0.0)
-            traj = evolve_schrodinger(h, StateVector.normalized(psi), evo)
+            if noisy:
+                traj = evolve_lindblad(h, DensityMatrix(state), cfg.noise, evo)
+                rho = np.asarray(traj.densities[-1])
+                state = 0.5 * (rho + rho.conj().T)
+            else:
+                traj = evolve_schrodinger(h, StateVector.normalized(state), evo)
+                state = traj.amplitudes[-1]
             times.append(offset + traj.times[1:])
             pops.append(traj.populations[1:])
             offset += traj.times[-1]
-            psi = traj.amplitudes[-1]
-        psi = _rz(post_kick) @ psi
-    return _Stitched(np.concatenate(times), np.concatenate(pops), psi)
-
-
-def _segment_lindblad(segments, psi0: np.ndarray, cfg: ScenarioConfig) -> _Stitched:
-    rho = np.outer(psi0, psi0.conj())
-    times = [np.asarray([0.0])]
-    pops = [np.real(np.diag(rho))[None, :]]
-    offset = 0.0
-    for theta, pre_kick, post_kick in segments:
-        pre = _rz(pre_kick)
-        rho = pre @ rho @ pre.conj().T
-        evo = _segment_plan(theta, cfg)
-        if evo is not None:
-            h = _drive_matrix(math.copysign(cfg.rabi_mhz, theta), 0.0)
-            traj = evolve_lindblad(h, DensityMatrix(rho), cfg.noise, evo)
-            times.append(offset + traj.times[1:])
-            pops.append(traj.populations[1:])
-            offset += traj.times[-1]
-            rho = np.asarray(traj.densities[-1])
-            rho = 0.5 * (rho + rho.conj().T)
-        post = _rz(post_kick)
-        rho = post @ rho @ post.conj().T
-    return _Stitched(np.concatenate(times), np.concatenate(pops), rho)
+        state = _kick(state, post_kick)
+    return _Stitched(np.concatenate(times), np.concatenate(pops), state)
 
 
 def _cardinal_fidelity(segments, cfg: ScenarioConfig) -> float:
     total = 0.0
     for state in CARDINAL_STATES:
-        ideal = _segment_schrodinger(segments, state, cfg).final
-        noisy = _segment_lindblad(segments, state, cfg).final
+        ideal = _run_segments(segments, state, cfg, noisy=False).final
+        noisy = _run_segments(segments, state, cfg, noisy=True).final
         total += state_density_fidelity(
             StateVector.normalized(ideal), DensityMatrix(noisy)
         )
@@ -609,9 +613,7 @@ def run_two_qubit_pi2(cfg: ScenarioConfig) -> Trajectory:
     pulses = PulseSet(pump=(tone, silent_channel()), stokes=(tone, silent_channel()))
     h = PulsedHamiltonian(spec, pulses)
 
-    kind, value = cfg.initial_state
-    level = int(value) if kind == "level" else 0
-    psi0 = StateVector.basis(4, level)
+    psi0 = _basis_state(cfg.initial_state, 4)
     dt = cfg.dt_us or TWO_QUBIT_DT_SCALE * recommended_dt(h, 0.0, span)
     n_steps = max(1, int(round(span / dt)))
     evo = EvolutionConfig(
@@ -741,7 +743,7 @@ def run_three_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
         estimate = phase_from_discrepancy(reference, traj, level=0, reference_label=label)
         return float(traj.populations[-1, 0]), estimate
 
-    rows = _map_points(sweep_point, grid, cfg.threads)
+    rows = [sweep_point(delta1) for delta1 in grid]
     series = {
         "p1_final": np.asarray([r[0] for r in rows]),
         "p1_reference": reference.population_series(0),
@@ -790,9 +792,7 @@ def run_pi3_rotation(cfg: ScenarioConfig) -> Trajectory:
     h[0, 4] = h[4, 0] = 2.0 * math.pi * rabi / 2.0
     span = 1.0 / (3.0 * rabi)
     dt = cfg.dt_us or recommended_dt(h, 0.0, span)
-    kind, value = cfg.initial_state
-    level = int(value) if kind == "level" else 0
-    psi0 = StateVector.basis(8, level)
+    psi0 = _basis_state(cfg.initial_state, 8)
     evo = EvolutionConfig(0.0, span, dt, renormalize=False)
     return evolve_schrodinger(h, psi0, evo)
 
@@ -870,44 +870,37 @@ def _qubit_kraus(dt_us: float, noise: NoiseModel) -> list:
     return ops
 
 
-def _lifted_kraus(dt_us: float, noise: NoiseModel) -> list:
-    """Per-qubit channels on the register, in the frame of the preparations."""
-    eye = np.eye(2, dtype=np.complex128)
-    channels = []
-    for q in range(3):
-        v = _rx(LOOP_PREP_RAD[q])
-        mats = []
-        for op in _qubit_kraus(dt_us, noise):
-            parts = [eye, eye, eye]
-            parts[q] = v.conj().T @ op @ v
-            mats.append(np.kron(np.kron(parts[0], parts[1]), parts[2]))
-        channels.append(mats)
-    return channels
+def _qubit_loop_fidelity(frames: np.ndarray, kraus: list) -> float:
+    """<ideal|rho|ideal> of one qubit after the sliced noisy loop."""
+    ket0 = np.array([1.0, 0.0], dtype=np.complex128)
+    psi0 = frames[0] @ ket0
+    rho = np.outer(psi0, psi0.conj())
+    steps = frames[1:] @ frames[:-1].conj().transpose(0, 2, 1)
+    for u in steps:
+        rho = u @ rho @ u.conj().T
+        rho = sum(m @ rho @ m.conj().T for m in kraus)
+    ideal = frames[-1] @ ket0
+    return float(np.real(np.vdot(ideal, rho @ ideal)))
 
 
 def _loop_fidelity(deltas, base_us: float, noise: NoiseModel, n_slices: int) -> float:
+    """Register fidelity as the product of the three qubits' fidelities.
+
+    Each slice applies per-qubit unitaries and per-qubit channels to a
+    product state, so the register state stays a product and its overlap
+    with the (product) ideal state factorises qubit by qubit.
+    """
     common = _common_mode(deltas)
     s_grid = np.linspace(0.0, 1.0, n_slices + 1)
-    frames = [
-        _qubit_propagators(q, float(deltas[q]) - common, s_grid) for q in range(3)
-    ]
-    ket0 = np.array([1.0, 0.0], dtype=np.complex128)
-    psi0 = np.kron(
-        np.kron(frames[0][0] @ ket0, frames[1][0] @ ket0), frames[2][0] @ ket0
-    )
-    rho = np.outer(psi0, psi0.conj())
-    duration = _loop_duration_us(deltas, base_us)
-    channels = _lifted_kraus(duration / n_slices, noise)
-    for k in range(n_slices):
-        per = [frames[q][k + 1] @ frames[q][k].conj().T for q in range(3)]
-        u = np.kron(np.kron(per[0], per[1]), per[2])
-        rho = u @ rho @ u.conj().T
-        for mats in channels:
-            rho = sum(m @ rho @ m.conj().T for m in mats)
-    ideal = np.kron(
-        np.kron(frames[0][-1] @ ket0, frames[1][-1] @ ket0), frames[2][-1] @ ket0
-    )
-    return float(np.real(np.vdot(ideal, rho @ ideal)))
+    ops = _qubit_kraus(_loop_duration_us(deltas, base_us) / n_slices, noise)
+    fidelity = 1.0
+    for q in range(3):
+        frames = _qubit_propagators(q, float(deltas[q]) - common, s_grid)
+        # channels act in the frame of the preparation rotation
+        v = _rx(LOOP_PREP_RAD[q])
+        kraus = [v.conj().T @ op @ v for op in ops]
+        fidelity *= _qubit_loop_fidelity(frames, kraus)
+    return fidelity
 
 
 def compare_resonant_fidelity(cfg: ScenarioConfig) -> tuple:

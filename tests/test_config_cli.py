@@ -127,6 +127,23 @@ def test_parse_rejects_bad_sweep_step():
         parse_config(text)
 
 
+def test_parse_rejects_oversized_sweep():
+    text = "[scenario]\nid = theta-sweep\nsweep = 0:1e18:1\n"
+    with pytest.raises(ConfigError, match="line 3: sweep has more than"):
+        parse_config(text)
+
+
+def test_parse_accepts_and_ignores_threads_key():
+    # manifests written before sweeps went serial carry a threads key
+    cfg = parse_config("[scenario]\nid = pi3\nthreads = 3\n")
+    assert cfg == parse_config(MINIMAL)
+    assert "threads" not in render_config(cfg)
+    with pytest.raises(ConfigError, match="line 3: threads must be an integer >= 1"):
+        parse_config("[scenario]\nid = pi3\nthreads = 0\n")
+    with pytest.raises(ConfigError, match="line 3: threads must be an integer"):
+        parse_config("[scenario]\nid = pi3\nthreads = two\n")
+
+
 def test_parse_accepts_run_section():
     text = MINIMAL + "\n[run]\nartifact_version = 9.9.9\nanything = goes\n"
     cfg = parse_config(text)
@@ -148,7 +165,6 @@ ROUND_TRIP_CONFIGS = [
         scenario_id="theta-sweep",
         sweep=SweepSpec(0.0, 2.0 * math.pi, math.pi / 8.0),
         noise=NoiseModel(t1_us=120.0, t2_us=60.0, enabled=True),
-        threads=4,
     ),
     ScenarioConfig(
         scenario_id="three-qubit-sweep",
@@ -300,6 +316,33 @@ def test_cli_seed_warns_and_runs(tmp_path, capsys):
     assert "ignoring --seed" in capsys.readouterr().err
 
 
+def test_cli_threads_is_ignored(tmp_path, capsys):
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert run_cli(["detune-sweep", "--out", str(out_a)]) == 0
+    capsys.readouterr()
+    assert run_cli(["detune-sweep", "--out", str(out_b), "--threads", "4"]) == 0
+    assert "ignoring --threads" in capsys.readouterr().err
+    assert (out_a / "result.csv").read_bytes() == (out_b / "result.csv").read_bytes()
+    assert run_cli(["pi3", "--out", str(tmp_path / "c"), "--threads", "0"]) == 2
+
+
+@pytest.mark.parametrize("scenario,level", [("two-qubit-pi2", 7), ("pi3", 9)])
+def test_cli_out_of_range_initial_level_exits_two(tmp_path, capsys, scenario, level):
+    config = tmp_path / "cfg"
+    config.write_text(f"[scenario]\nid = {scenario}\ninitial_level = {level}\n")
+    code = run_cli([scenario, "--config", str(config), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "initial level must be below" in capsys.readouterr().err
+
+
+def test_cli_oversized_sweep_exits_two(tmp_path, capsys):
+    config = tmp_path / "cfg"
+    config.write_text("[scenario]\nid = theta-sweep\nsweep = 0:1e18:1\n")
+    code = run_cli(["theta-sweep", "--config", str(config), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_cli_dt_override_lands_in_manifest(tmp_path):
     out = tmp_path / "run"
     assert run_cli(["pi3", "--out", str(out), "--dt-override", "5e-05"]) == 0
@@ -343,6 +386,21 @@ def test_python_dash_m_cli_writes_nothing_to_stderr():
     assert proc.returncode == 0
     assert "usage" in proc.stdout
     assert proc.stderr == ""
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nvholo.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, nvholo.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_package_exposes_run_cli():

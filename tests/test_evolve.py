@@ -57,7 +57,7 @@ class TestSchrodinger:
     def test_identity_hamiltonian_only_rotates_phase(self):
         psi0 = StateVector.normalized([1.0, 1.0])
         cfg = EvolutionConfig(t_start_us=0.0, t_end_us=0.5, dt_us=1e-3)
-        traj = evolve_schrodinger(OperatorMatrix.identity(2), psi0, cfg)
+        traj = evolve_schrodinger(OperatorMatrix(np.eye(2)), psi0, cfg)
         assert np.max(np.abs(traj.populations - 0.5)) < 1e-9
 
     def test_rabi_oracle_resonant(self):

@@ -3,25 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from nvholo.core import (
-    ConfigError,
-    NumericalError,
-    OperatorMatrix,
-    StateVector,
-    unitary_deviation,
-)
+from nvholo.core import ConfigError, StateVector, unitary_deviation
 from nvholo.evolve import Trajectory
 from nvholo.gates import (
-    REFERENCE_PHASE_MATRIX,
     DarkStateParams,
     GateParams,
     PhaseEstimate,
-    RotationPath,
-    close_to_reference_phase_matrix,
-    concatenate_paths,
-    dark_alignment,
     dark_states,
-    effective_phase_matrix,
     holonomic_unitary,
     orthogonal_dark_state,
     phase_from_discrepancy,
@@ -191,12 +179,6 @@ class TestGateParams:
         with pytest.raises(ConfigError):
             GateParams(rabi_mhz=0.0)
 
-    def test_from_drive_derives_ratio(self):
-        params = GateParams.from_drive(
-            theta=0.1, phi=0.2, detuning_mhz=3.0, rabi_mhz=12.0
-        )
-        assert params.lam == pytest.approx(0.25, abs=1e-15)
-
 
 class TestSingleQubitUnitary:
     def test_identity(self):
@@ -225,97 +207,6 @@ class TestSingleQubitUnitary:
             )
             u = single_qubit_unitary(params)
             assert unitary_deviation(u.entries) < 1e-12
-
-
-class TestConcatenatePaths:
-    def test_identity_chain(self):
-        total = concatenate_paths([np.eye(2)] * 3)
-        assert np.max(np.abs(total.entries - np.eye(2))) < 1e-15
-
-    def test_inverse_pair_cancels(self):
-        u = single_qubit_unitary(GateParams(theta=0.7, phi=0.3, lam=0.2))
-        total = concatenate_paths([u, u.entries.conj().T])
-        assert np.max(np.abs(total.entries - np.eye(2))) < 1e-12
-
-    def test_double_flip_is_identity_up_to_phase(self):
-        x_like = single_qubit_unitary(GateParams(theta=np.pi))
-        total = concatenate_paths([x_like, x_like])
-        assert np.max(np.abs(total.entries + np.eye(2))) < 1e-12
-
-    def test_execution_order(self):
-        rx = single_qubit_unitary(GateParams(theta=np.pi / 2)).entries
-        rz = single_qubit_unitary(GateParams(phi=np.pi / 2)).entries
-        total = concatenate_paths([rx, rz])
-        assert np.max(np.abs(total.entries - rz @ rx)) < 1e-15
-
-    def test_preserves_unitarity(self):
-        u = single_qubit_unitary(GateParams(theta=1.0, phi=0.5))
-        assert concatenate_paths([u, u]).unitary
-
-    def test_rejects_mismatched_dims(self):
-        with pytest.raises(ConfigError):
-            concatenate_paths([np.eye(2), np.eye(4)])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ConfigError):
-            concatenate_paths([])
-
-
-class TestRotationPath:
-    def test_closed_path_endpoints(self):
-        RotationPath(
-            waypoints=((np.pi / 3, 0.0), (0.0, np.pi / 3), (np.pi / 3, 0.0)),
-            closed=True,
-        )
-        with pytest.raises(ConfigError):
-            RotationPath(
-                waypoints=((np.pi / 3, 0.0), (0.0, np.pi / 3)), closed=True
-            )
-
-    def test_needs_two_waypoints(self):
-        with pytest.raises(ConfigError):
-            RotationPath(waypoints=((0.0, 0.0),))
-
-
-class TestEffectivePhaseMatrix:
-    def test_identity_evolution(self):
-        traj_a = amplitude_trajectory([[1.0, 0.0], [1.0, 0.0]])
-        traj_b = amplitude_trajectory([[0.0, 1.0], [0.0, 1.0]])
-        matrix, deviation = effective_phase_matrix(traj_a, traj_b)
-        assert np.max(np.abs(matrix.entries - np.eye(2))) < 1e-12
-        assert deviation < 1e-12
-
-    def test_diagonal_phase_map(self):
-        traj_a = amplitude_trajectory([[1.0, 0.0], [np.exp(1j * np.pi / 3), 0.0]])
-        traj_b = amplitude_trajectory([[0.0, 1.0], [0.0, np.exp(-1j * np.pi / 5)]])
-        matrix, deviation = effective_phase_matrix(traj_a, traj_b)
-        assert matrix.entries[0, 0] == pytest.approx(
-            np.exp(1j * np.pi / 3), abs=1e-12
-        )
-        assert matrix.entries[1, 1] == pytest.approx(
-            np.exp(-1j * np.pi / 5), abs=1e-12
-        )
-        assert abs(matrix.entries[0, 1]) == 0.0
-        assert deviation < 1e-12
-
-    def test_reference_data_comparison(self):
-        assert close_to_reference_phase_matrix(REFERENCE_PHASE_MATRIX)
-        assert not close_to_reference_phase_matrix(np.eye(2))
-        # the stored map is far from unitary and must stay diagnostic-only
-        assert unitary_deviation(REFERENCE_PHASE_MATRIX) > 0.1
-        assert np.linalg.norm(REFERENCE_PHASE_MATRIX[0]) > 1.0
-
-    def test_rejects_mismatched_duration(self):
-        traj_a = amplitude_trajectory([[1.0, 0.0], [1.0, 0.0]], times=[0.0, 1.0])
-        traj_b = amplitude_trajectory([[0.0, 1.0], [0.0, 1.0]], times=[0.0, 2.0])
-        with pytest.raises(ConfigError):
-            effective_phase_matrix(traj_a, traj_b)
-
-    def test_rejects_total_leakage(self):
-        traj_a = amplitude_trajectory([[1, 0, 0, 0], [0, 0, 1, 0]])
-        traj_b = amplitude_trajectory([[0, 1, 0, 0], [0, 1, 0, 0]])
-        with pytest.raises(NumericalError):
-            effective_phase_matrix(traj_a, traj_b)
 
 
 class TestPhaseFromDiscrepancy:
@@ -355,19 +246,3 @@ class TestPhaseFromDiscrepancy:
         with pytest.raises(ConfigError):
             PhaseEstimate(magnitude_rad=0.0, discrepancy=-0.1)
 
-
-class TestDarkAlignment:
-    def test_identical_and_orthogonal(self):
-        a = StateVector.basis(8, 0)
-        assert dark_alignment(a, a) == pytest.approx(1.0, abs=1e-15)
-        assert dark_alignment(a, StateVector.basis(8, 1)) == 0.0
-
-    def test_matches_projection(self):
-        d_prime, _, _ = dark_states(DarkStateParams(beta=np.pi / 2, varphi=0.0))
-        assert dark_alignment(d_prime, StateVector.basis(8, 0)) == pytest.approx(
-            1.0, abs=1e-12
-        )
-
-    def test_rejects_dim_mismatch(self):
-        with pytest.raises(ConfigError):
-            dark_alignment(StateVector.basis(4, 0), StateVector.basis(8, 0))

@@ -11,11 +11,10 @@ from nvholo.hamiltonians import (
     PulseChannel,
     PulsedHamiltonian,
     PulseSet,
-    build_interaction_4,
     build_interaction_8,
     build_rotating_frame_4,
     build_rotating_frame_8,
-    envelope_value,
+    envelope_values,
     silent_channel,
 )
 
@@ -58,38 +57,36 @@ def random_channel(rng):
 
 class TestEnvelopes:
     def test_constant_support(self):
-        assert envelope_value(CONST, 0.0, 0.0, 2.0) == 1.0
-        assert envelope_value(CONST, 1.0, 0.0, 2.0) == 1.0
-        assert envelope_value(CONST, 1.0001, 0.0, 2.0) == 0.0
+        values = envelope_values(CONST, [0.0, 1.0, 1.0001], 0.0, 2.0)
+        assert values.tolist() == [1.0, 1.0, 0.0]
 
     def test_gaussian_center_and_width(self):
-        assert envelope_value(GAUSS, 3.0, 3.0, 0.5) == 1.0
-        assert envelope_value(GAUSS, 3.5, 3.0, 0.5) == pytest.approx(
-            EXP_MINUS_HALF, abs=1e-12
-        )
+        center, one_width = envelope_values(GAUSS, [3.0, 3.5], 3.0, 0.5)
+        assert center == 1.0
+        assert one_width == pytest.approx(EXP_MINUS_HALF, abs=1e-12)
 
     def test_gaussian_truncated_at_four_widths(self):
-        assert envelope_value(GAUSS, 4.001, 0.0, 1.0) == 0.0
-        assert envelope_value(GAUSS, 3.999, 0.0, 1.0) > 0.0
+        outside, inside = envelope_values(GAUSS, [4.001, 3.999], 0.0, 1.0)
+        assert outside == 0.0
+        assert inside > 0.0
 
     def test_sin_squared_profile(self):
-        assert envelope_value(SIN2, 0.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
-        assert envelope_value(SIN2, 0.5, 0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
-        assert envelope_value(SIN2, -0.5, 0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
-        assert envelope_value(SIN2, 0.6, 0.0, 1.0) == 0.0
+        values = envelope_values(SIN2, [0.0, 0.5, -0.5, 0.6], 0.0, 1.0)
+        assert values[:3] == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
+        assert values[3] == 0.0
 
     def test_all_kinds_bounded(self):
         rng = np.random.default_rng(31)
         times = rng.uniform(-10, 10, size=500)
         for kind in ENVELOPE_KINDS:
-            values = [envelope_value(EnvelopeShape(kind), t, 0.3, 0.7) for t in times]
-            assert all(0.0 <= v <= 1.0 for v in values)
+            values = envelope_values(EnvelopeShape(kind), times, 0.3, 0.7)
+            assert np.all((0.0 <= values) & (values <= 1.0))
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ConfigError):
             EnvelopeShape("triangle")
         with pytest.raises(ConfigError):
-            envelope_value("triangle", 0.0, 0.0, 1.0)
+            envelope_values("triangle", [0.0], 0.0, 1.0)
 
 
 class TestPulseTypes:
@@ -287,30 +284,3 @@ class TestInteraction8:
         with pytest.raises(ConfigError):
             build_interaction_8(self.SPEC, np.zeros(6), mode="other")
 
-
-class TestInteraction4:
-    SPEC = LevelSpec(dim=4, energies_mhz=(0.0,) * 4, detunings_mhz=(3.0, 5.0, 0.0))
-
-    def test_zero_drives_diagonal(self):
-        h = build_interaction_4(self.SPEC, np.zeros(4), mode=LITERAL).entries
-        expected = np.diag([0.0, 0.0, 2 * np.pi * 3.0, -2 * np.pi * 5.0])
-        assert np.allclose(h, expected, atol=1e-15)
-
-    def test_layout(self):
-        m = build_interaction_4(self.SPEC, [1, 2, 3, 4], mode=LITERAL).entries
-        pi = np.pi
-        assert m[0, 2] == pytest.approx(1j * pi * 1, abs=1e-12)
-        assert m[0, 3] == pytest.approx(1j * pi * 2, abs=1e-12)
-        assert m[1, 2] == pytest.approx(-1j * pi * 3, abs=1e-12)
-        assert m[1, 3] == pytest.approx(-1j * pi * 4, abs=1e-12)
-        assert m[2, 0] == pytest.approx(-1j * pi * 1, abs=1e-12)
-        assert m[2, 1] == pytest.approx(1j * pi * 3, abs=1e-12)
-
-    def test_real_drives_already_hermitian(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            rabi = rng.uniform(0, 10, size=4)
-            literal = build_interaction_4(self.SPEC, rabi, mode=LITERAL)
-            hermitized = build_interaction_4(self.SPEC, rabi, mode=HERMITIZED)
-            assert hermitian_deviation(literal.entries) <= 1e-12
-            assert np.allclose(literal.entries, hermitized.entries, atol=1e-15)

@@ -18,6 +18,8 @@ from nvholo.evolve import NoiseModel
 from nvholo.gates import GateParams
 from nvholo.scenarios import (
     LOOP_DURATION_US,
+    LOOP_PREP_RAD,
+    MAX_SWEEP_POINTS,
     ScenarioConfig,
     SweepResult,
     SweepSpec,
@@ -31,6 +33,14 @@ from nvholo.scenarios import (
     run_three_qubit_detuning_sweep,
     run_three_qubit_time_evolution,
     run_two_qubit_pi2,
+)
+from nvholo.scenarios import (
+    _common_mode,
+    _loop_duration_us,
+    _loop_fidelity,
+    _qubit_kraus,
+    _qubit_propagators,
+    _rx,
 )
 
 NOISE = NoiseModel(t1_us=100.0, t2_us=50.0, enabled=True)
@@ -65,6 +75,15 @@ def test_sweep_spec_rejects_bad_steps():
         SweepSpec(1.0, 0.0, 0.5)
 
 
+def test_sweep_spec_rejects_oversized_axis():
+    assert SweepSpec(0.0, MAX_SWEEP_POINTS - 1.0, 1.0).values().shape == (MAX_SWEEP_POINTS,)
+    with pytest.raises(ConfigError, match="more than"):
+        SweepSpec(0.0, float(MAX_SWEEP_POINTS), 1.0)
+    # the span itself overflows to inf
+    with pytest.raises(ConfigError, match="more than"):
+        SweepSpec(-1e308, 1e308, 1.0)
+
+
 def test_sweep_spec_single_point():
     values = SweepSpec(2.5, 2.5, 1.0).values()
     assert values.shape == (1,)
@@ -96,8 +115,6 @@ def test_config_rejects_bad_detunings():
 def test_config_rejects_bad_scalars():
     with pytest.raises(ConfigError):
         ScenarioConfig(scenario_id="pi3", rabi_mhz=0.0)
-    with pytest.raises(ConfigError):
-        ScenarioConfig(scenario_id="pi3", threads=0)
     with pytest.raises(ConfigError):
         ScenarioConfig(scenario_id="pi3", dt_us=-1e-4)
     with pytest.raises(ConfigError):
@@ -212,17 +229,6 @@ def test_detuning_sweep_noisy_discrepancy_peaks_on_resonance():
     idx = int(np.argmax(disc))
     assert result.axis_values[idx] == 0.0
     assert disc[idx] > 0.0
-
-
-def test_detuning_sweep_threads_do_not_change_values():
-    base = run_single_qubit_detuning_sweep(ScenarioConfig(scenario_id="detune-sweep"))
-    threaded = run_single_qubit_detuning_sweep(
-        ScenarioConfig(scenario_id="detune-sweep", threads=4)
-    )
-    assert np.array_equal(base.series["p1"], threaded.series["p1"])
-    mags_a = [e.magnitude_rad for e in base.phase_estimates]
-    mags_b = [e.magnitude_rad for e in threaded.phase_estimates]
-    assert mags_a == mags_b
 
 
 # --- composite ------------------------------------------------------------
@@ -366,12 +372,6 @@ def test_loop_sweep_needs_axis_and_scalar_held_detunings():
         )
 
 
-def test_loop_sweep_threads_match_serial():
-    serial = run_three_qubit_detuning_sweep(loop_sweep_config())
-    threaded = run_three_qubit_detuning_sweep(loop_sweep_config(threads=3))
-    assert np.array_equal(serial.series["p1_final"], threaded.series["p1_final"])
-
-
 # --- three-qubit time evolution -------------------------------------------
 
 
@@ -478,6 +478,52 @@ def test_fidelity_compare_ordering_holds(t1_us):
     )
     off, on = compare_resonant_fidelity(cfg)
     assert off > on
+
+
+def kron_loop_fidelity(deltas, base_us, noise, n_slices):
+    """Reference: the whole 8-level register through Kronecker-lifted steps.
+
+    Each slice applies the three per-qubit step unitaries as one 8x8 product,
+    then each qubit's Kraus channel lifted to the register with identities on
+    the other two qubits.
+    """
+    common = _common_mode(deltas)
+    s_grid = np.linspace(0.0, 1.0, n_slices + 1)
+    frames = [_qubit_propagators(q, float(deltas[q]) - common, s_grid) for q in range(3)]
+    ket0 = np.array([1.0, 0.0], dtype=np.complex128)
+    eye = np.eye(2, dtype=np.complex128)
+    channels = []
+    for q in range(3):
+        v = _rx(LOOP_PREP_RAD[q])
+        mats = []
+        for op in _qubit_kraus(_loop_duration_us(deltas, base_us) / n_slices, noise):
+            parts = [eye, eye, eye]
+            parts[q] = v.conj().T @ op @ v
+            mats.append(np.kron(np.kron(parts[0], parts[1]), parts[2]))
+        channels.append(mats)
+    psi0 = np.kron(np.kron(frames[0][0] @ ket0, frames[1][0] @ ket0), frames[2][0] @ ket0)
+    rho = np.outer(psi0, psi0.conj())
+    for k in range(n_slices):
+        per = [frames[q][k + 1] @ frames[q][k].conj().T for q in range(3)]
+        u = np.kron(np.kron(per[0], per[1]), per[2])
+        rho = u @ rho @ u.conj().T
+        for mats in channels:
+            rho = sum(m @ rho @ m.conj().T for m in mats)
+    ideal = np.kron(np.kron(frames[0][-1] @ ket0, frames[1][-1] @ ket0), frames[2][-1] @ ket0)
+    return float(np.real(np.vdot(ideal, rho @ ideal)))
+
+
+@pytest.mark.parametrize("t1_us,t2_us", [(100.0, 50.0), (20.0, 35.0)])
+@pytest.mark.parametrize(
+    "deltas",
+    [(450.0, 450.0, 450.0), (651.22, 651.22, 248.78), (300.0, 450.0, 600.0)],
+)
+def test_loop_fidelity_factorises_per_qubit(deltas, t1_us, t2_us):
+    noise = NoiseModel(t1_us=t1_us, t2_us=t2_us, enabled=True)
+    reference = kron_loop_fidelity(deltas, LOOP_DURATION_US, noise, 20)
+    product = _loop_fidelity(deltas, LOOP_DURATION_US, noise, 20)
+    assert 0.0 < reference < 1.0
+    assert product == pytest.approx(reference, abs=1e-12)
 
 
 # --- step resolution helper -------------------------------------------------
