@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from nvholo.config import parse_config, render_config
 from nvholo.core import ConfigError, NumericalError
 from nvholo.evolve import NoiseModel
 from nvholo.gates import GateParams
@@ -44,6 +45,15 @@ from nvholo.scenarios import (
 )
 
 NOISE = NoiseModel(t1_us=100.0, t2_us=50.0, enabled=True)
+
+
+def with_threads_key(cfg, threads):
+    """Round-trip cfg through config text that carries a threads key."""
+    text = render_config(cfg).replace(
+        f"id = {cfg.scenario_id}\n", f"id = {cfg.scenario_id}\nthreads = {threads}\n", 1
+    )
+    assert f"threads = {threads}" in text
+    return parse_config(text)
 
 
 def loop_sweep_config(**kw):
@@ -231,6 +241,16 @@ def test_detuning_sweep_noisy_discrepancy_peaks_on_resonance():
     assert disc[idx] > 0.0
 
 
+def test_detuning_sweep_threads_do_not_change_values():
+    cfg = ScenarioConfig(scenario_id="detune-sweep")
+    base = run_single_qubit_detuning_sweep(cfg)
+    threaded = run_single_qubit_detuning_sweep(with_threads_key(cfg, 4))
+    assert np.array_equal(base.series["p1"], threaded.series["p1"])
+    mags_a = [e.magnitude_rad for e in base.phase_estimates]
+    mags_b = [e.magnitude_rad for e in threaded.phase_estimates]
+    assert mags_a == mags_b
+
+
 # --- composite ------------------------------------------------------------
 
 
@@ -370,6 +390,12 @@ def test_loop_sweep_needs_axis_and_scalar_held_detunings():
                 detunings=(SweepSpec(0.0, 600.0, 15.0), SweepSpec(0.0, 1.0, 1.0), 450.0)
             )
         )
+
+
+def test_loop_sweep_threads_match_serial():
+    serial = run_three_qubit_detuning_sweep(loop_sweep_config())
+    threaded = run_three_qubit_detuning_sweep(with_threads_key(loop_sweep_config(), 3))
+    assert np.array_equal(serial.series["p1_final"], threaded.series["p1_final"])
 
 
 # --- three-qubit time evolution -------------------------------------------
