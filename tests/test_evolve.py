@@ -190,8 +190,13 @@ def sequential_reference(transfer, y0, n_steps, stride, renormalize, norm_of):
     return np.array(records), np.array(norms)
 
 
+# the matrix takes the constant-H fill, the callable the time-dependent one
+SOURCES = {"matrix": lambda h: h, "callable": lambda h: (lambda t: h)}
+
+
 class TestConstantPropagation:
-    """The constant-H path against a sequential loop over the same RK4 T."""
+    """Both fills of _integrate against a sequential loop over the same RK4 T;
+    each test runs the Hamiltonian once per entry of SOURCES."""
 
     N_STEPS = 60
 
@@ -219,10 +224,12 @@ class TestConstantPropagation:
         )
         dt = (cfg.t_end_us - cfg.t_start_us) / self.N_STEPS
         if kind == "schrodinger":
-            traj = evolve_schrodinger(h, psi0, cfg)
             a = -1j * h
             y0 = psi0.amps.astype(complex)
-            recorded = traj.amplitudes
+
+            def run(source):
+                traj = evolve_schrodinger(source, psi0, cfg)
+                return traj, traj.amplitudes
 
             def norm_of(y):
                 return float(np.linalg.norm(y))
@@ -232,11 +239,13 @@ class TestConstantPropagation:
 
         else:
             noise = NoiseModel(t1_us=40.0, t2_us=30.0)
-            traj = evolve_lindblad(h, DensityMatrix.from_state(psi0), noise, cfg)
             eye = np.eye(dim)
             a = -1j * (np.kron(h, eye) - np.kron(eye, h.T)) + noise.dissipator(dim)
             y0 = DensityMatrix.from_state(psi0).entries.flatten()
-            recorded = traj.densities.reshape(len(traj.times), -1)
+
+            def run(source):
+                traj = evolve_lindblad(source, DensityMatrix.from_state(psi0), noise, cfg)
+                return traj, traj.densities.reshape(len(traj.times), -1)
 
             def norm_of(y):
                 return float(np.real(np.trace(y.reshape(dim, dim))))
@@ -248,10 +257,12 @@ class TestConstantPropagation:
         records, norms = sequential_reference(
             transfer, y0, self.N_STEPS, stride, renormalize, norm_of
         )
-        assert recorded.shape == records.shape
-        assert np.max(np.abs(recorded - records)) < 1e-12
-        assert np.max(np.abs(traj.populations - populations(records))) < 1e-12
-        assert np.max(np.abs(traj.norms - norms)) < 1e-12
+        for name, wrap in SOURCES.items():
+            traj, recorded = run(wrap(h))
+            assert recorded.shape == records.shape, name
+            assert np.max(np.abs(recorded - records)) < 1e-12, name
+            assert np.max(np.abs(traj.populations - populations(records))) < 1e-12, name
+            assert np.max(np.abs(traj.norms - norms)) < 1e-12, name
 
     @pytest.mark.parametrize("chunked", [False, True])
     @pytest.mark.parametrize("stride", [1, 7])
@@ -277,8 +288,9 @@ class TestConstantPropagation:
                 first = step
                 break
         assert first is not None
-        with pytest.raises(NumericalError, match=f"at step {first} "):
-            evolve_schrodinger(h, StateVector.basis(2, 0), cfg)
+        for wrap in SOURCES.values():
+            with pytest.raises(NumericalError, match=f"at step {first} "):
+                evolve_schrodinger(wrap(h), StateVector.basis(2, 0), cfg)
 
     def test_overflow_between_records_raises(self):
         # the state overflows to inf/NaN long before the only record at step
