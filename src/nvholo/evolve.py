@@ -2,14 +2,17 @@
 
 The stepper is classical fourth order with the Hamiltonian sampled at the
 substage times t, t + dt/2, t + dt. Both equations are linear, so every step
-is a transfer matrix T, and the steps are propagated in chunks:
+is a transfer matrix T, and _integrate propagates the steps in chunks. A
+chunk's states are filled in one of two ways:
 
-- constant H: T is built once, and a chunk's states T^j y come from powers
-  of T by doubling, a handful of array products instead of a step loop;
-- time-dependent H: each chunk's transfer matrices are assembled with
-  vectorized batch products, then a sequential pass applies them in order.
+- constant H: T is built once, and the states T^j y come from powers of T by
+  doubling, a handful of array products instead of a step loop;
+- time-dependent H: the chunk is sampled and its transfer matrices are
+  assembled with batched products, then applied one after another.
 
-Fixed steps keep runs bit-for-bit reproducible.
+Either way, one checkpoint pass over the filled states checks the norm drift,
+renormalises and stores the records. Fixed steps keep runs bit-for-bit
+reproducible.
 
 The requested dt is snapped to an integer number of steps spanning exactly
 [t_start, t_end], so endpoints are hit without a fractional step.
@@ -185,54 +188,28 @@ class Trajectory:
         return self.populations[:, level]
 
 
-class _ConstantSource:
-    constant = True
-
-    def __init__(self, entries):
-        arr = np.asarray(entries, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ConfigError("constant Hamiltonian must be a square matrix")
-        self.entries = arr
-
-    def sample(self, times):
-        return np.broadcast_to(self.entries, (len(times),) + self.entries.shape)
-
-
-class _CallableSource:
-    constant = False
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def sample(self, times):
-        frames = []
-        for t in times:
-            h = self._fn(float(t))
-            if isinstance(h, OperatorMatrix):
-                h = h.entries
-            frames.append(np.asarray(h, dtype=np.complex128))
-        return np.stack(frames)
-
-
-class _SamplerSource:
-    constant = False
-
-    def __init__(self, sampler):
-        self._sampler = sampler
-
-    def sample(self, times):
-        return np.asarray(self._sampler.sample(times), dtype=np.complex128)
-
-
 def _as_source(h_of_t):
+    """(sample, constant): sample maps an array of times to the stack of
+    Hamiltonian frames at those times; constant says every frame is equal."""
     if isinstance(h_of_t, OperatorMatrix):
-        return _ConstantSource(h_of_t.entries)
+        h_of_t = h_of_t.entries
     if isinstance(h_of_t, np.ndarray):
-        return _ConstantSource(h_of_t)
+        entries = np.asarray(h_of_t, dtype=np.complex128)
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+            raise ConfigError("constant Hamiltonian must be a square matrix")
+        return (lambda times: np.broadcast_to(entries, (len(times),) + entries.shape)), True
     if hasattr(h_of_t, "sample"):
-        return _SamplerSource(h_of_t)
+        return (lambda times: np.asarray(h_of_t.sample(times), dtype=np.complex128)), False
     if callable(h_of_t):
-        return _CallableSource(h_of_t)
+
+        def sample(times):
+            frames = []
+            for t in times:
+                h = h_of_t(float(t))
+                frames.append(h.entries if isinstance(h, OperatorMatrix) else h)
+            return np.asarray(frames, dtype=np.complex128)
+
+        return sample, False
     raise ConfigError(
         "Hamiltonian must be a matrix, a sampler with .sample(times), "
         "or a callable of time"
@@ -291,7 +268,21 @@ def _transfer_stack(a_start, a_mid, a_end, dt: float) -> np.ndarray:
     return out
 
 
-def _integrate(source, lift, y0, cfg, dim_protect, measure):
+def _fill_by_doubling(states: np.ndarray, powers: list, m: int):
+    """Rows 1..m of states = T^j times row 0, from powers = [T, T^2, T^4, ...]:
+    rows n..2n-1 are T^n times rows 0..n-1. The products go through einsum's
+    own loop, because OpenBLAS splits a gemm this tall across threads and
+    their start-up dwarfs the product."""
+    filled = 1
+    for power in powers:
+        if filled > m:
+            break
+        take = min(filled, m + 1 - filled)
+        np.einsum("kj,ij->ki", states[:take], power, out=states[filled : filled + take])
+        filled += take
+
+
+def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure):
     """Shared chunked integrator for the linear system y' = A(t) y.
 
     lift maps a validated Hamiltonian sample stack to the A(t) stack of the
@@ -299,121 +290,94 @@ def _integrate(source, lift, y0, cfg, dim_protect, measure):
     scalars, populations); dim_protect is the Hamiltonian dimension used for
     sample validation.
 
-    Both paths cut the steps into chunks of _chunk_steps and check the norm
-    at every record and at every chunk boundary. A constant H has a single
-    RK4 transfer matrix T, so a chunk's states T^j y are built by doubling:
-    with T^n from repeated squaring, rows n..2n-1 of the chunk are T^n times
-    rows 0..n-1, which takes ceil(log2(m + 1)) products for m steps. A scalar
-    commutes with the linear map, so records are renormalised afterwards and
-    each reported norm is the ratio of its raw norm to that of the record
-    before it. A time-dependent H samples each chunk, builds its stack of
-    transfer matrices and applies them one after another.
+    The steps are cut into chunks of _chunk_steps. Each chunk fills a buffer
+    whose row j is the state j steps past the chunk start, in one of two ways:
+    a constant H has a single RK4 transfer matrix T, and the rows come from
+    powers of T by doubling (_fill_by_doubling); a time-dependent H is sampled
+    over the chunk, lifted to its stack of transfer matrices, and the rows are
+    filled one matrix-vector product at a time.
+
+    One checkpoint block then reads the filled rows at the chunk's records
+    and at its end: it checks the norm drift of each, renormalises, stores
+    the records, and carries the last row into the next chunk. No row is
+    renormalised while the chunk is filled; a scalar commutes with the linear
+    map, so each reported norm is the ratio of its raw norm to that of the
+    record before it, as a step-by-step renormalising loop would report it.
     """
+    sample, constant = _as_source(h_of_t)
     n_steps, dt = _plan_steps(cfg)
     record_at = _record_steps(n_steps, int(cfg.record_stride))
     n_records = record_at.shape[0]
-    y = y0.copy()
-    y_dim = y.shape[0]
+    y_dim = y0.shape[0]
 
     times = cfg.t_start_us + dt * record_at.astype(float)
     records = np.empty((n_records, y_dim), dtype=np.complex128)
     norms = np.empty(n_records, dtype=float)
     pops = np.empty((n_records, dim_protect), dtype=float)
 
-    norm0, pop0 = measure(y)
-    records[0] = y
+    norm0, pop0 = measure(y0)
+    records[0] = y0
     norms[0] = norm0
     pops[0] = pop0
     next_record = 1
-
     max_drift = abs(norm0 - 1.0)
-    chunk = _chunk_steps(y_dim)
 
-    def check_drift(norm: float, step: int) -> float:
-        drift = abs(norm - 1.0)
-        if not drift <= MAX_NORM_DRIFT:  # NaN fails too
-            raise NumericalError(
-                f"norm drifted to {norm:.6g} at step {step} "
-                f"(t={cfg.t_start_us + step * dt:.6g} us); reduce dt"
-            )
-        return drift
-
-    if source.constant:
-        stack = source.sample(np.asarray([cfg.t_start_us]))
-        _check_samples(stack, dim_protect, "t_start")
+    def transfers(k0: int, k1: int) -> np.ndarray:
+        sub = cfg.t_start_us + (dt / 2.0) * np.arange(2 * k0, 2 * k1 + 1)
+        stack = sample(sub)
+        _check_samples(stack, dim_protect, f"t={sub[0]:.6g} us")
         a = lift(stack)
-        powers = [_transfer_stack(a, a, a, dt)[0]]  # T, T^2, T^4, ...
-        chunk = min(chunk, n_steps)
-        states = np.empty((chunk + 1, y_dim), dtype=np.complex128)
-        # powers and states may overflow; check_drift rejects the NaN and Inf
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _transfer_stack(a[0:-1:2], a[1::2], a[2::2], dt)
+
+    chunk = min(_chunk_steps(y_dim), n_steps)
+    states = np.empty((chunk + 1, y_dim), dtype=np.complex128)
+    states[0] = y0
+    # transfers and states may overflow; the drift check rejects NaN and Inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if constant:
+            powers = [transfers(0, 1)[0]]  # T, T^2, T^4, ...
             while (1 << len(powers)) <= chunk:
                 powers.append(powers[-1] @ powers[-1])
-            for k0 in range(0, n_steps, chunk):
-                k1 = min(k0 + chunk, n_steps)
-                states[0] = y
-                filled = 1
-                # rows filled..filled+take-1 = T^filled times rows 0..take-1;
-                # einsum's own loop, because OpenBLAS splits a gemm this tall
-                # across threads and their start-up dwarfs the product
-                for power in powers:
-                    if filled > k1 - k0:
-                        break
-                    take = min(filled, k1 - k0 + 1 - filled)
-                    np.einsum("kj,ij->ki", states[:take], power, out=states[filled : filled + take])
-                    filled += take
-                last_record = int(np.searchsorted(record_at, k1, side="right"))
-                checked = record_at[next_record:last_record]
-                if checked.shape[0] == 0 or checked[-1] != k1:
-                    checked = np.append(checked, k1)
-                raw = states[checked - k0]
-                raw_norms, _ = measure(raw)
-                divisors = np.ones_like(raw_norms)
-                if cfg.renormalize:
-                    divisors[1:] = raw_norms[:-1]
-                reported = raw_norms / divisors
-                drifts = np.abs(reported - 1.0)
-                # the first point that fails, or any point when none does
-                first = int(np.argmax(~(drifts <= MAX_NORM_DRIFT)))
-                check_drift(float(reported[first]), int(checked[first]))
-                max_drift = max(max_drift, float(np.max(drifts)))
-                if cfg.renormalize:
-                    raw /= raw_norms[:, None]
-                n_new = last_record - next_record
-                records[next_record:last_record] = raw[:n_new]
-                norms[next_record:last_record] = reported[:n_new]
-                pops[next_record:last_record] = measure(raw[:n_new])[1]
-                next_record = last_record
-                scale = 1.0
-                if cfg.renormalize:
-                    scale = raw_norms[-1] if n_new == checked.shape[0] else divisors[-1]
-                y = states[k1 - k0] / scale
-    else:
-        # norms are inspected at record points and chunk boundaries only;
-        # the hot loop between them is a bare matrix-vector product
         for k0 in range(0, n_steps, chunk):
             k1 = min(k0 + chunk, n_steps)
-            sub = cfg.t_start_us + (dt / 2.0) * np.arange(2 * k0, 2 * k1 + 1)
-            stack = source.sample(sub)
-            _check_samples(stack, dim_protect, f"t={sub[0]:.6g} us")
-            a = lift(stack)
-            transfer = _transfer_stack(a[0:-1:2], a[1::2], a[2::2], dt)
-            for j in range(k1 - k0):
-                step = k0 + j + 1
-                y = transfer[j] @ y
-                if next_record < n_records and step == record_at[next_record]:
-                    norm, pop = measure(y)
-                    max_drift = max(max_drift, check_drift(norm, step))
-                    if cfg.renormalize and norm > 0.0:
-                        y = y / norm
-                        _, pop = measure(y)
-                    records[next_record] = y
-                    norms[next_record] = norm
-                    pops[next_record] = pop
-                    next_record += 1
-            if k1 < n_steps and (next_record >= n_records or record_at[next_record] != k1):
-                norm, _ = measure(y)
-                max_drift = max(max_drift, check_drift(norm, k1))
+            if constant:
+                _fill_by_doubling(states, powers, k1 - k0)
+            else:
+                transfer = transfers(k0, k1)
+                for j in range(k1 - k0):
+                    np.matmul(transfer[j], states[j], out=states[j + 1])
+
+            last_record = int(np.searchsorted(record_at, k1, side="right"))
+            checked = record_at[next_record:last_record]
+            if checked.shape[0] == 0 or checked[-1] != k1:
+                checked = np.append(checked, k1)
+            raw = states[checked - k0]
+            raw_norms, _ = measure(raw)
+            divisors = np.ones_like(raw_norms)
+            if cfg.renormalize:
+                divisors[1:] = raw_norms[:-1]
+            reported = raw_norms / divisors
+            drifts = np.abs(reported - 1.0)
+            failed = ~(drifts <= MAX_NORM_DRIFT)  # NaN fails too
+            if failed.any():
+                first = int(np.argmax(failed))
+                step = int(checked[first])
+                raise NumericalError(
+                    f"norm drifted to {reported[first]:.6g} at step {step} "
+                    f"(t={cfg.t_start_us + step * dt:.6g} us); reduce dt"
+                )
+            max_drift = max(max_drift, float(np.max(drifts)))
+            if cfg.renormalize:
+                raw /= raw_norms[:, None]
+            n_new = last_record - next_record
+            records[next_record:last_record] = raw[:n_new]
+            norms[next_record:last_record] = reported[:n_new]
+            pops[next_record:last_record] = measure(raw[:n_new])[1]
+            next_record = last_record
+            scale = 1.0
+            if cfg.renormalize:
+                scale = raw_norms[-1] if n_new == checked.shape[0] else divisors[-1]
+            states[0] = states[k1 - k0] / scale
 
     LOG.debug(
         "integrated %d steps of dt=%.3g us; max norm drift %.3e",
@@ -426,7 +390,6 @@ def _integrate(source, lift, y0, cfg, dim_protect, measure):
 
 def evolve_schrodinger(h_of_t, psi0: StateVector, cfg: EvolutionConfig) -> Trajectory:
     """Integrate i dpsi/dt = H(t) psi (hbar = 1, angular units)."""
-    source = _as_source(h_of_t)
     dim = psi0.dim
 
     def lift(stack):
@@ -437,7 +400,7 @@ def evolve_schrodinger(h_of_t, psi0: StateVector, cfg: EvolutionConfig) -> Traje
         return np.sqrt(pops.sum(axis=-1)), pops
 
     times, records, norms, pops = _integrate(
-        source, lift, psi0.amps.astype(np.complex128), cfg, dim, measure
+        h_of_t, lift, psi0.amps.astype(np.complex128), cfg, dim, measure
     )
     return Trajectory(
         times=times, populations=pops, amplitudes=records, norms=norms
@@ -450,7 +413,6 @@ def evolve_lindblad(
     """Integrate the master equation with the configured noise channels."""
     if not noise.enabled:
         raise ConfigError("noise model is disabled; use evolve_schrodinger instead")
-    source = _as_source(h_of_t)
     dim = rho0.dim
     dissipator = noise.dissipator(dim)
     eye = np.eye(dim)
@@ -472,7 +434,7 @@ def evolve_lindblad(
         return diag.sum(axis=-1), diag
 
     times, records, norms, pops = _integrate(
-        source, lift, rho0.entries.flatten(), cfg, dim, measure
+        h_of_t, lift, rho0.entries.flatten(), cfg, dim, measure
     )
     return Trajectory(
         times=times,
@@ -505,9 +467,9 @@ def recommended_dt(h_of_t, t_start_us: float, t_end_us: float, probe_points: int
     (max matrix entry magnitude, rad/us) seen on a dense probe grid."""
     if t_end_us <= t_start_us:
         raise ConfigError("t_end must exceed t_start")
-    source = _as_source(h_of_t)
-    times = np.linspace(t_start_us, t_end_us, probe_points)
-    stack = source.sample(times)
+    sample, constant = _as_source(h_of_t)
+    # a constant H needs one frame, not the whole probe grid
+    stack = sample(np.linspace(t_start_us, t_end_us, 1 if constant else probe_points))
     f_max = max(float(np.max(np.abs(stack))), 1.0)
     dt = 1.0 / (SAMPLES_PER_ANGULAR_UNIT * f_max)
     return min(dt, (t_end_us - t_start_us) / 2.0)

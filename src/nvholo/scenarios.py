@@ -304,21 +304,19 @@ def _rz(angle: float) -> np.ndarray:
     return np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])
 
 
-def _prep_state_2(initial_state) -> np.ndarray:
+def _initial_state(initial_state, dim: int) -> StateVector:
+    """The configured start state: basis level k < dim, or, in a two-level
+    scenario only, level 0 rotated about x by the given angle."""
     kind, value = initial_state
-    if kind == "level":
-        if int(value) not in (0, 1):
-            raise ConfigError(f"two-level scenarios need initial level 0 or 1, got {value}")
-        return np.eye(2, dtype=np.complex128)[int(value)]
-    return _rx(float(value)) @ np.array([1.0, 0.0], dtype=np.complex128)
-
-
-def _basis_state(initial_state, dim: int) -> StateVector:
-    kind, value = initial_state
-    level = int(value) if kind == "level" else 0
-    if level >= dim:
-        raise ConfigError(f"initial level must be below {dim} here, got {level}")
-    return StateVector.basis(dim, level)
+    if kind == "rotation":
+        if dim != 2:
+            raise ConfigError(
+                f"initial_rotation_rad needs a two-level scenario, this one has {dim} levels"
+            )
+        return StateVector(_rx(float(value)) @ np.array([1.0, 0.0], dtype=np.complex128))
+    if int(value) >= dim:
+        raise ConfigError(f"initial level must be below {dim} here, got {int(value)}")
+    return StateVector.basis(dim, int(value))
 
 
 def _drive_matrix(rabi_mhz: float, delta_mhz: float) -> np.ndarray:
@@ -336,6 +334,12 @@ def _gate_time_us(theta: float, rabi_mhz: float) -> float:
     return theta / (2.0 * math.pi * rabi_mhz)
 
 
+def _pulse_dt(h: np.ndarray, span: float, cfg: ScenarioConfig) -> float:
+    """Step for the constant drive h over span: the configured dt, else
+    recommended_dt, capped so the pulse takes at least MIN_SEGMENT_STEPS."""
+    return cfg.dt_us or min(recommended_dt(h, 0.0, span), span / MIN_SEGMENT_STEPS)
+
+
 # ---------------------------------------------------------------------------
 # single-qubit sweeps
 
@@ -344,7 +348,7 @@ def run_single_qubit_theta_sweep(cfg: ScenarioConfig) -> SweepResult:
     """Rotation-angle sweep of one x-axis gate applied to the prepared state."""
     _require_scenario(cfg, "theta-sweep")
     thetas = (cfg.sweep or THETA_SWEEP_DEFAULT).values()
-    psi0 = _prep_state_2(cfg.initial_state)
+    psi0 = _initial_state(cfg.initial_state, 2).amps
 
     finals = np.empty((thetas.shape[0], 2))
     for i, theta in enumerate(thetas):
@@ -369,7 +373,7 @@ def run_single_qubit_theta_sweep(cfg: ScenarioConfig) -> SweepResult:
 def _pulsed_lindblad_gate(theta: float, psi0: np.ndarray, cfg: ScenarioConfig) -> Trajectory:
     h = _drive_matrix(cfg.rabi_mhz, 0.0)
     span = _gate_time_us(theta, cfg.rabi_mhz)
-    dt = cfg.dt_us or min(recommended_dt(h, 0.0, span), span / MIN_SEGMENT_STEPS)
+    dt = _pulse_dt(h, span, cfg)
     evo = EvolutionConfig(0.0, span, dt, record_stride=max(1, int(span / dt) // 64))
     rho0 = DensityMatrix.from_state(StateVector.normalized(psi0))
     return evolve_lindblad(h, rho0, cfg.noise, evo)
@@ -384,15 +388,13 @@ def run_single_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
     """
     _require_scenario(cfg, "detune-sweep")
     deltas = (cfg.sweep or DETUNE_SWEEP_DEFAULT).values()
-    psi0 = _prep_state_2(cfg.initial_state)
+    psi0 = _initial_state(cfg.initial_state, 2).amps
     span = _gate_time_us(math.pi / 2.0, cfg.rabi_mhz)
 
-    # one shared step size so every trajectory lands on the same record grid
-    f_max = max(cfg.rabi_mhz / 2.0, float(np.max(np.abs(deltas))))
-    dt = cfg.dt_us or min(
-        1.0 / (200.0 * 2.0 * math.pi * f_max), span / MIN_SEGMENT_STEPS
-    )
-    evo = EvolutionConfig(0.0, span, dt, renormalize=cfg.renormalize)
+    # one shared step size so every trajectory lands on the same record grid:
+    # the step of the drive at the largest |delta|, the fastest one
+    widest = _drive_matrix(cfg.rabi_mhz, float(deltas[np.argmax(np.abs(deltas))]))
+    evo = EvolutionConfig(0.0, span, _pulse_dt(widest, span, cfg), renormalize=cfg.renormalize)
     state0 = StateVector.normalized(psi0)
     reference = evolve_schrodinger(_drive_matrix(cfg.rabi_mhz, 0.0), state0, evo)
 
@@ -446,7 +448,7 @@ def run_composite_gate_scenario(cfg: ScenarioConfig) -> SweepResult:
     if cfg.gate_params:
         return _fixed_sequence_result(cfg)
     thetas = (cfg.sweep or THETA_SWEEP_DEFAULT).values()
-    psi0 = _prep_state_2(cfg.initial_state)
+    psi0 = _initial_state(cfg.initial_state, 2).amps
 
     def sweep_point(theta: float):
         theta = float(theta)
@@ -495,7 +497,7 @@ def _fixed_sequence_result(cfg: ScenarioConfig) -> SweepResult:
         raise ConfigError(
             f"composite sequence needs exactly 3 gates, got {len(cfg.gate_params)}"
         )
-    psi0 = _prep_state_2(cfg.initial_state)
+    psi0 = _initial_state(cfg.initial_state, 2).amps
     legs = [_gate_legs(p) for p in cfg.gate_params]
     ideal = _run_segments(legs, psi0, cfg, noisy=False)
     product = np.eye(2, dtype=np.complex128)
@@ -525,16 +527,6 @@ class _Stitched:
         self.final = final
 
 
-def _segment_plan(theta: float, cfg: ScenarioConfig):
-    span = _gate_time_us(abs(theta), cfg.rabi_mhz)
-    if span <= 0.0:
-        return None
-    dt = cfg.dt_us or min(
-        1.0 / (200.0 * math.pi * cfg.rabi_mhz), span / MIN_SEGMENT_STEPS
-    )
-    return EvolutionConfig(0.0, span, dt, renormalize=cfg.renormalize)
-
-
 def _kick(state: np.ndarray, angle: float) -> np.ndarray:
     rz = _rz(angle)
     if state.ndim == 1:
@@ -559,9 +551,10 @@ def _run_segments(segments, psi0: np.ndarray, cfg: ScenarioConfig, noisy: bool) 
     offset = 0.0
     for theta, pre_kick, post_kick in segments:
         state = _kick(state, pre_kick)
-        evo = _segment_plan(theta, cfg)
-        if evo is not None:
+        span = _gate_time_us(abs(theta), cfg.rabi_mhz)
+        if span > 0.0:
             h = _drive_matrix(math.copysign(cfg.rabi_mhz, theta), 0.0)
+            evo = EvolutionConfig(0.0, span, _pulse_dt(h, span, cfg), renormalize=cfg.renormalize)
             if noisy:
                 traj = evolve_lindblad(h, DensityMatrix(state), cfg.noise, evo)
                 rho = np.asarray(traj.densities[-1])
@@ -613,7 +606,7 @@ def run_two_qubit_pi2(cfg: ScenarioConfig) -> Trajectory:
     pulses = PulseSet(pump=(tone, silent_channel()), stokes=(tone, silent_channel()))
     h = PulsedHamiltonian(spec, pulses)
 
-    psi0 = _basis_state(cfg.initial_state, 4)
+    psi0 = _initial_state(cfg.initial_state, 4)
     dt = cfg.dt_us or TWO_QUBIT_DT_SCALE * recommended_dt(h, 0.0, span)
     n_steps = max(1, int(round(span / dt)))
     evo = EvolutionConfig(
@@ -792,7 +785,7 @@ def run_pi3_rotation(cfg: ScenarioConfig) -> Trajectory:
     h[0, 4] = h[4, 0] = 2.0 * math.pi * rabi / 2.0
     span = 1.0 / (3.0 * rabi)
     dt = cfg.dt_us or recommended_dt(h, 0.0, span)
-    psi0 = _basis_state(cfg.initial_state, 8)
+    psi0 = _initial_state(cfg.initial_state, 8)
     evo = EvolutionConfig(0.0, span, dt, renormalize=False)
     return evolve_schrodinger(h, psi0, evo)
 

@@ -333,6 +333,11 @@ def test_cli_out_of_range_initial_level_exits_two(tmp_path, capsys, scenario, le
     code = run_cli([scenario, "--config", str(config), "--out", str(tmp_path / "x")])
     assert code == 2
     assert "initial level must be below" in capsys.readouterr().err
+    # a rotation is defined on two levels only; it must not fall back to level 0
+    config.write_text(f"[scenario]\nid = {scenario}\ninitial_rotation_rad = 1.0\n")
+    code = run_cli([scenario, "--config", str(config), "--out", str(tmp_path / "y")])
+    assert code == 2
+    assert "initial_rotation_rad needs a two-level scenario" in capsys.readouterr().err
 
 
 def test_cli_oversized_sweep_exits_two(tmp_path, capsys):

@@ -115,6 +115,12 @@ def test_config_rejects_bad_initial_state():
         ScenarioConfig(scenario_id="pi3", initial_state=("level", -2))
 
 
+def test_two_level_runners_bound_the_initial_level():
+    cfg = ScenarioConfig(scenario_id="theta-sweep", initial_state=("level", 2))
+    with pytest.raises(ConfigError, match="initial level must be below 2"):
+        run_single_qubit_theta_sweep(cfg)
+
+
 def test_config_rejects_bad_detunings():
     with pytest.raises(ConfigError):
         ScenarioConfig(scenario_id="pi3", detunings=(0.0, 0.0))
