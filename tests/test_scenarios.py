@@ -9,18 +9,26 @@ detuning triple (x, d, d) leaves only the first qubit tilted.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nvholo.config import parse_config, render_config
 from nvholo.core import ConfigError, NumericalError
-from nvholo.evolve import NoiseModel
-from nvholo.gates import GateParams
+from nvholo.evolve import NoiseModel, Trajectory
+from nvholo.gates import GateParams, phase_from_discrepancy
 from nvholo.scenarios import (
+    DIAMOND_HALF_RAD,
+    FIDELITY_SLICES,
+    LOOP_AREAS_RAD,
     LOOP_DURATION_US,
     LOOP_PREP_RAD,
+    LOOP_SENSES,
     MAX_SWEEP_POINTS,
+    OFF_RESONANT_OFFSET_MHZ,
+    TILT_SCALE_MHZ,
+    TIME_EVOLUTION_SAMPLES,
     ScenarioConfig,
     SweepResult,
     SweepSpec,
@@ -37,6 +45,7 @@ from nvholo.scenarios import (
 )
 from nvholo.scenarios import (
     _common_mode,
+    _diamond_azimuth,
     _loop_duration_us,
     _loop_fidelity,
     _qubit_kraus,
@@ -556,6 +565,160 @@ def test_loop_fidelity_factorises_per_qubit(deltas, t1_us, t2_us):
     product = _loop_fidelity(deltas, LOOP_DURATION_US, noise, 20)
     assert 0.0 < reference < 1.0
     assert product == pytest.approx(reference, abs=1e-12)
+
+
+# --- register model against a point-by-point reference ---------------------
+#
+# The runners evaluate the loop model over arrays of sweep points and slices.
+# The reference below is the model one point at a time: 2x2 propagators per
+# tilt, one Trajectory and one phase probe per sweep point, and the noisy
+# fidelity loop as one Kraus sandwich per slice and operator.
+
+
+def point_loop_rotations(qubit, chi, s):
+    rate = 1.0 / math.cos(chi)
+    beta = LOOP_SENSES[qubit] * LOOP_AREAS_RAD[qubit] * rate * s
+    azimuth = DIAMOND_HALF_RAD * _diamond_azimuth(s) if qubit == 2 else np.zeros_like(s)
+    nx = math.cos(chi) * np.cos(azimuth)
+    ny = math.cos(chi) * np.sin(azimuth)
+    nz = math.sin(chi) * np.ones_like(s)
+    c, d = np.cos(beta / 2.0), np.sin(beta / 2.0)
+    u = np.empty(s.shape + (2, 2), dtype=np.complex128)
+    u[:, 0, 0] = c - 1j * nz * d
+    u[:, 0, 1] = (-1j * nx - ny) * d
+    u[:, 1, 0] = (-1j * nx + ny) * d
+    u[:, 1, 1] = c + 1j * nz * d
+    return u
+
+
+def point_qubit_propagators(qubit, dtilde_mhz, s):
+    chi = math.atan2(dtilde_mhz, TILT_SCALE_MHZ)
+    v = _rx(LOOP_PREP_RAD[qubit])
+    ket0 = np.array([1.0, 0.0], dtype=np.complex128)
+    end = np.ones(1)
+    ref = v.conj().T @ point_loop_rotations(qubit, 0.0, end)[0] @ v @ ket0
+    act = v.conj().T @ point_loop_rotations(qubit, chi, end)[0] @ v @ ket0
+    overlap = np.vdot(ref, act)
+    echo = 0.0 if abs(overlap) < 1e-12 else float(np.angle(overlap))
+    dispersive = -math.pi * (math.sin(chi) ** 2 - LOOP_SENSES[qubit] * math.sin(2.0 * chi) / 2.0)
+    mats = np.einsum("ij,njk,kl->nil", v.conj().T, point_loop_rotations(qubit, chi, s), v)
+    return mats * np.exp(1j * (dispersive - echo) * s)[:, None, None]
+
+
+def point_loop_trajectory(deltas, n_time, duration_us):
+    s = np.linspace(0.0, 1.0, n_time)
+    common = 0.5 * (deltas[1] + deltas[2])
+    ket0 = np.array([1.0, 0.0], dtype=np.complex128)
+    parts = [point_qubit_propagators(q, deltas[q] - common, s) @ ket0 for q in range(3)]
+    amps = np.einsum("si,sj,sk->sijk", *parts).reshape(n_time, 8)
+    return Trajectory(times=s * duration_us, populations=np.abs(amps) ** 2, amplitudes=amps)
+
+
+def point_loop_fidelity(deltas, base_us, noise, n_slices):
+    common = 0.5 * (deltas[1] + deltas[2])
+    s = np.linspace(0.0, 1.0, n_slices + 1)
+    ops = _qubit_kraus(_loop_duration_us(deltas, base_us) / n_slices, noise)
+    ket0 = np.array([1.0, 0.0], dtype=np.complex128)
+    fidelity = 1.0
+    for q in range(3):
+        frames = point_qubit_propagators(q, deltas[q] - common, s)
+        v = _rx(LOOP_PREP_RAD[q])
+        kraus = [v.conj().T @ op @ v for op in ops]
+        psi0 = frames[0] @ ket0
+        rho = np.outer(psi0, psi0.conj())
+        for u in frames[1:] @ frames[:-1].conj().transpose(0, 2, 1):
+            rho = u @ rho @ u.conj().T
+            rho = sum(m @ rho @ m.conj().T for m in kraus)
+        ideal = frames[-1] @ ket0
+        fidelity *= float(np.real(np.vdot(ideal, rho @ ideal)))
+    return fidelity
+
+
+def wrapped_gap(a, b):
+    return abs(np.angle(np.exp(1j * (a - b))))
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        SweepSpec(300.0, 450.0, 150.0),
+        SweepSpec(330.0, 570.0, 15.0),
+        SweepSpec(0.0, 600.0, 15.0),
+        SweepSpec(0.0, 600.0, 5.0),
+    ],
+    ids=["2pt", "17pt", "41pt", "121pt"],
+)
+def test_loop_sweep_matches_point_by_point_reference(sweep):
+    grid = sweep.values()
+    result = run_three_qubit_detuning_sweep(loop_sweep_config(detunings=(sweep, 450.0, 450.0)))
+    n = grid.shape[0]
+    reference = point_loop_trajectory((450.0, 450.0, 450.0), n, LOOP_DURATION_US)
+    assert np.max(np.abs(result.series["p1_reference"] - reference.population_series(0))) < 1e-12
+    for i, delta1 in enumerate(grid):
+        traj = point_loop_trajectory((float(delta1), 450.0, 450.0), n, LOOP_DURATION_US)
+        expected = phase_from_discrepancy(reference, traj, level=0)
+        got = result.phase_estimates[i]
+        assert abs(result.series["p1_final"][i] - traj.populations[-1, 0]) < 1e-12
+        assert abs(got.discrepancy - expected.discrepancy) < 1e-12
+        assert got.undefined == expected.undefined
+        assert wrapped_gap(got.magnitude_rad, expected.magnitude_rad) < 1e-12
+    held = list(grid).index(450.0)
+    assert result.series["p1_final"][held] == result.series["p1_reference"][-1]
+
+
+@pytest.mark.parametrize(
+    "triples",
+    [
+        ((300.0, 450.0, 450.0),),
+        ((300.0, 450.0, 450.0), (12.5, 598.0, 240.0), (450.0, 450.0, 450.0), (0.0, 0.0, 600.0)),
+    ],
+    ids=["1triple", "4triples"],
+)
+def test_time_evolution_matches_point_by_point_reference(triples):
+    trajs = run_three_qubit_time_evolution(
+        ScenarioConfig(scenario_id="three-qubit-time", detuning_sets=triples)
+    )
+    common = _common_mode(triples[0])
+    expected = [point_loop_trajectory((common,) * 3, TIME_EVOLUTION_SAMPLES, LOOP_DURATION_US)]
+    for triple in triples:
+        duration = _loop_duration_us(triple, LOOP_DURATION_US)
+        expected.append(point_loop_trajectory(triple, TIME_EVOLUTION_SAMPLES, duration))
+    assert len(trajs) == len(expected)
+    for got, want in zip(trajs, expected):
+        assert np.max(np.abs(got.times - want.times)) < 1e-12
+        assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-12
+        assert np.max(np.abs(got.populations - want.populations)) < 1e-12
+
+
+@pytest.mark.parametrize("t1_us,t2_us", [(100.0, 50.0), (20.0, 35.0)])
+@pytest.mark.parametrize(
+    "deltas",
+    [
+        (450.0, 450.0, 450.0),
+        (450.0 + OFF_RESONANT_OFFSET_MHZ, 450.0 + OFF_RESONANT_OFFSET_MHZ, 450.0 - OFF_RESONANT_OFFSET_MHZ),
+    ],
+    ids=["on", "off"],
+)
+def test_loop_fidelity_matches_per_slice_kraus_loop(deltas, t1_us, t2_us):
+    noise = NoiseModel(t1_us=t1_us, t2_us=t2_us, enabled=True)
+    reference = point_loop_fidelity(deltas, LOOP_DURATION_US, noise, FIDELITY_SLICES)
+    got = _loop_fidelity(deltas, LOOP_DURATION_US, noise, FIDELITY_SLICES)
+    assert 0.0 < reference < 1.0
+    assert got == pytest.approx(reference, abs=1e-12)
+
+
+def test_loop_sweep_memory_stays_bounded():
+    # 121 points: the time grid has as many samples as the sweep has points,
+    # so a sweep evaluated in one piece would hold every point's trajectory
+    cfg = loop_sweep_config(detunings=(SweepSpec(0.0, 600.0, 5.0), 450.0, 450.0))
+    run_three_qubit_detuning_sweep(cfg)
+    tracemalloc.start()
+    try:
+        run_three_qubit_detuning_sweep(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
 
 
 # --- step resolution helper -------------------------------------------------
