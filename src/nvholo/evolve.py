@@ -132,7 +132,9 @@ class NoiseModel:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Recorded time series of one evolution.
+    """Recorded time series of one evolution, or of a batch of evolutions on
+    one time grid: populations, amplitudes and densities may carry leading
+    batch axes before the time axis, and every run's records are checked.
 
     norms holds the state norm (or density trace) at each recorded step as
     it was before any renormalization, so it documents integrator drift
@@ -148,14 +150,14 @@ class Trajectory:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         pops = np.asarray(self.populations, dtype=float)
-        if times.ndim != 1 or pops.ndim != 2 or pops.shape[0] != times.shape[0]:
+        if times.ndim != 1 or pops.ndim < 2 or pops.shape[-2] != times.shape[0]:
             raise ConfigError("trajectory arrays have inconsistent shapes")
         if times.shape[0] > 1 and not np.all(np.diff(times) > 0):
             raise ConfigError("trajectory times must be strictly increasing")
         if self.amplitudes is not None:
-            actual = np.linalg.norm(np.asarray(self.amplitudes), axis=1)
+            actual = np.linalg.norm(np.asarray(self.amplitudes), axis=-1)
         elif self.densities is not None:
-            actual = np.real(np.trace(np.asarray(self.densities), axis1=1, axis2=2))
+            actual = np.real(np.trace(np.asarray(self.densities), axis1=-2, axis2=-1))
         else:
             actual = None
         if actual is not None:
@@ -173,9 +175,10 @@ class Trajectory:
 
     @property
     def dim(self) -> int:
-        return self.populations.shape[1]
+        return self.populations.shape[-1]
 
     def state(self, index: int) -> StateVector:
+        """State at record index of an unbatched trajectory."""
         if self.amplitudes is None:
             raise ConfigError("trajectory holds no state-vector records")
         return StateVector.normalized(self.amplitudes[index])
@@ -185,7 +188,7 @@ class Trajectory:
         return self.state(-1)
 
     def population_series(self, level: int) -> np.ndarray:
-        return self.populations[:, level]
+        return self.populations[..., level]
 
 
 def _as_source(h_of_t):

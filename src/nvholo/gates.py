@@ -206,25 +206,43 @@ def phase_from_discrepancy(
     overlap.  When the overlap is too small to carry a phase the
     estimate is flagged undefined and the magnitude pinned to zero.
     """
+    (estimate,) = phase_estimates(reference, actual, level, reference_label)
+    return estimate
+
+
+def phase_estimates(
+    reference: Trajectory,
+    actual: Trajectory,
+    level: int,
+    reference_label: str = "",
+) -> tuple:
+    """phase_from_discrepancy for every run of actual against one reference.
+
+    actual may be a batch of runs on the reference's grid (leading axes on
+    its records); the estimates come back in row-major order of those axes,
+    and an unbatched actual gives a tuple of one.
+    """
     if reference.times.shape != actual.times.shape or np.max(
         np.abs(reference.times - actual.times)
     ) > 1e-12:
         raise ConfigError("trajectories must share the sampling grid")
     ref = reference.population_series(level)
-    act = actual.population_series(level)
-    discrepancy = float(min(np.max(np.abs(ref - act)), 1.0))
+    act = actual.population_series(level).reshape(-1, ref.shape[0])
+    discrepancy = np.minimum(np.max(np.abs(ref - act), axis=1), 1.0)
     if reference.amplitudes is None or actual.amplitudes is None:
         raise ConfigError("phase extraction needs amplitude records")
-    overlap = inner_product(reference.final_state, actual.final_state)
-    if abs(overlap) < MIN_OVERLAP:
-        return PhaseEstimate(
-            magnitude_rad=0.0,
-            discrepancy=discrepancy,
+    # both records passed the recorded-norm check, so the norms are near 1
+    finals = actual.amplitudes[..., -1, :].reshape(-1, actual.dim)
+    ref_final = reference.final_state.amps
+    overlap = (finals @ ref_final.conj()) / np.linalg.norm(finals, axis=1)
+    undefined = np.abs(overlap) < MIN_OVERLAP
+    magnitude = np.where(undefined, 0.0, np.angle(overlap))
+    return tuple(
+        PhaseEstimate(
+            magnitude_rad=float(m),
+            discrepancy=float(d),
             reference_label=reference_label,
-            undefined=True,
+            undefined=bool(u),
         )
-    return PhaseEstimate(
-        magnitude_rad=float(np.angle(overlap)),
-        discrepancy=discrepancy,
-        reference_label=reference_label,
+        for m, d, u in zip(magnitude, discrepancy, undefined)
     )

@@ -43,7 +43,13 @@ from nvholo.evolve import (
     evolve_schrodinger,
     recommended_dt,
 )
-from nvholo.gates import GateParams, PhaseEstimate, phase_from_discrepancy, single_qubit_unitary
+from nvholo.gates import (
+    GateParams,
+    PhaseEstimate,
+    phase_estimates,
+    phase_from_discrepancy,
+    single_qubit_unitary,
+)
 from nvholo.hamiltonians import (
     HERMITICITY_MODES,
     HERMITIZED,
@@ -88,6 +94,9 @@ LOOP_DURATION_US = 8.9719
 OFF_RESONANT_OFFSET_MHZ = 201.22
 FIDELITY_SLICES = 400
 TIME_EVOLUTION_SAMPLES = 201
+# the detuning sweep holds at most this many bytes of (points, time, 8)
+# register amplitudes at a time: 16 points on a 121-sample grid
+LOOP_BLOCK_BYTES = 256 * 1024
 
 MIN_SEGMENT_STEPS = 16
 POPULATION_TOL = 1e-9
@@ -621,6 +630,10 @@ def run_two_qubit_pi2(cfg: ScenarioConfig) -> Trajectory:
 
 # ---------------------------------------------------------------------------
 # closed-loop register model (three qubits, analytic)
+#
+# Every function below takes an array of tilts (or detuning triples) and
+# returns one row per entry, so a sweep or a set of triples is evaluated in a
+# handful of array operations instead of a Python loop over points.
 
 
 def _diamond_azimuth(s: np.ndarray) -> np.ndarray:
@@ -628,87 +641,81 @@ def _diamond_azimuth(s: np.ndarray) -> np.ndarray:
     return np.where(s <= 0.5, 1.0 - np.abs(4.0 * s - 1.0), np.abs(4.0 * s - 3.0) - 1.0)
 
 
-def _loop_rotations(qubit: int, chi: float, s_grid: np.ndarray) -> np.ndarray:
-    """Axis-rotation factor of one qubit's loop, stacked over path fractions."""
+def _loop_rotations(qubit: int, chi, s_grid) -> np.ndarray:
+    """One qubit's loop rotation seen from its preparation frame, V^dag U V,
+    over the path fractions, one row per tilt: shape chi.shape + (len(s_grid),
+    2, 2).
+
+    U turns by beta(s) about the tilted axis n; the preparation rotation
+    V = Rx(prep) carries n to Rx(-prep) n, since V^dag (n.sigma) V is the
+    Pauli vector of that rotated axis.
+    """
     s = np.atleast_1d(np.asarray(s_grid, dtype=float))
-    rate = 1.0 / math.cos(chi)
+    chi = np.asarray(chi, dtype=float)[..., None]
+    rate = 1.0 / np.cos(chi)
     beta = LOOP_SENSES[qubit] * LOOP_AREAS_RAD[qubit] * rate * s
     azimuth = (
         DIAMOND_HALF_RAD * _diamond_azimuth(s) if qubit == 2 else np.zeros_like(s)
     )
-    nx = math.cos(chi) * np.cos(azimuth)
-    ny = math.cos(chi) * np.sin(azimuth)
-    nz = math.sin(chi) * np.ones_like(s)
+    nx = np.cos(chi) * np.cos(azimuth)
+    ny = np.cos(chi) * np.sin(azimuth)
+    nz = np.sin(chi) * np.ones_like(s)
+    cp, sp = math.cos(LOOP_PREP_RAD[qubit]), math.sin(LOOP_PREP_RAD[qubit])
+    ny, nz = ny * cp + nz * sp, nz * cp - ny * sp
     c, d = np.cos(beta / 2.0), np.sin(beta / 2.0)
-    u = np.empty(s.shape + (2, 2), dtype=np.complex128)
-    u[:, 0, 0] = c - 1j * nz * d
-    u[:, 0, 1] = (-1j * nx - ny) * d
-    u[:, 1, 0] = (-1j * nx + ny) * d
-    u[:, 1, 1] = c + 1j * nz * d
+    u = np.empty(beta.shape + (2, 2), dtype=np.complex128)
+    u[..., 0, 0] = c - 1j * nz * d
+    u[..., 0, 1] = (-1j * nx - ny) * d
+    u[..., 1, 0] = (-1j * nx + ny) * d
+    u[..., 1, 1] = c + 1j * nz * d
     return u
 
 
-def _dispersive_phase(qubit: int, chi: float) -> float:
-    return -math.pi * (
-        math.sin(chi) ** 2 - LOOP_SENSES[qubit] * math.sin(2.0 * chi) / 2.0
-    )
+def _dispersive_phase(qubit: int, chi) -> np.ndarray:
+    return -math.pi * (np.sin(chi) ** 2 - LOOP_SENSES[qubit] * np.sin(2.0 * chi) / 2.0)
 
 
-def _echo_offset(qubit: int, chi: float) -> float:
-    """Kinematic phase the tilted loop would add on its own; echoed away."""
-    v = _rx(LOOP_PREP_RAD[qubit])
-    ket0 = np.array([1.0, 0.0], dtype=np.complex128)
-    ref = v.conj().T @ _loop_rotations(qubit, 0.0, 1.0)[0] @ v @ ket0
-    act = v.conj().T @ _loop_rotations(qubit, chi, 1.0)[0] @ v @ ket0
-    overlap = np.vdot(ref, act)
-    if abs(overlap) < 1e-12:
-        return 0.0
-    return float(np.angle(overlap))
+def _echo_offset(qubit: int, chi) -> np.ndarray:
+    """Kinematic phase each tilted loop would add on its own; echoed away."""
+    ref = _loop_rotations(qubit, 0.0, 1.0)[0, :, 0]
+    act = _loop_rotations(qubit, chi, 1.0)[..., 0, :, 0]
+    overlap = np.sum(ref.conj() * act, axis=-1)
+    return np.where(np.abs(overlap) < 1e-12, 0.0, np.angle(overlap))
 
 
-def _qubit_propagators(qubit: int, dtilde_mhz: float, s_grid: np.ndarray) -> np.ndarray:
-    """Frame-of-preparation propagators V^dag U(s) V over the path."""
-    chi = math.atan2(dtilde_mhz, TILT_SCALE_MHZ)
-    u = _loop_rotations(qubit, chi, s_grid)
-    v = _rx(LOOP_PREP_RAD[qubit])
-    mats = np.einsum("ij,njk,kl->nil", v.conj().T, u, v)
+def _qubit_propagators(qubit: int, dtilde_mhz, s_grid) -> np.ndarray:
+    """Frame-of-preparation propagators V^dag U(s) V over the path, one row
+    per differential detuning: shape dtilde.shape + (len(s_grid), 2, 2)."""
+    chi = np.arctan2(dtilde_mhz, TILT_SCALE_MHZ)
     phase = _dispersive_phase(qubit, chi) - _echo_offset(qubit, chi)
-    return mats * np.exp(1j * phase * np.atleast_1d(s_grid))[:, None, None]
+    s = np.atleast_1d(np.asarray(s_grid, dtype=float))
+    return _loop_rotations(qubit, chi, s) * np.exp(1j * phase[..., None] * s)[..., None, None]
 
 
-def _common_mode(deltas) -> float:
-    return 0.5 * (float(deltas[1]) + float(deltas[2]))
+def _common_mode(deltas) -> np.ndarray:
+    """Common mode of the held detunings, per triple (last axis of deltas)."""
+    deltas = np.asarray(deltas, dtype=float)
+    return 0.5 * (deltas[..., 1] + deltas[..., 2])
 
 
-def _register_amplitudes(deltas, s_grid: np.ndarray) -> np.ndarray:
-    common = _common_mode(deltas)
-    ket0 = np.array([1.0, 0.0], dtype=np.complex128)
-    parts = [
-        _qubit_propagators(q, float(deltas[q]) - common, s_grid) @ ket0
-        for q in range(3)
-    ]
-    return np.einsum("si,sj,sk->sijk", parts[0], parts[1], parts[2]).reshape(
-        len(np.atleast_1d(s_grid)), 8
-    )
+def _differential(deltas) -> np.ndarray:
+    deltas = np.asarray(deltas, dtype=float)
+    return deltas - _common_mode(deltas)[..., None]
 
 
-def _loop_duration_us(deltas, base_us: float) -> float:
-    common = _common_mode(deltas)
-    rate = max(
-        1.0 / math.cos(math.atan2(float(deltas[q]) - common, TILT_SCALE_MHZ))
-        for q in range(3)
-    )
+def _register_amplitudes(deltas: np.ndarray, s_grid: np.ndarray) -> np.ndarray:
+    """Register amplitudes over the path for each detuning triple (row of
+    deltas): shape (triples, len(s_grid), 8)."""
+    dtilde = _differential(deltas)
+    a, b, c = (_qubit_propagators(q, dtilde[:, q], s_grid)[..., 0] for q in range(3))
+    return np.einsum("psi,psj,psk->psijk", a, b, c).reshape(a.shape[:2] + (8,))
+
+
+def _loop_duration_us(deltas, base_us: float):
+    """Wall-clock duration of the loop per triple: the fastest-turning qubit
+    sets it."""
+    rate = np.max(1.0 / np.cos(np.arctan2(_differential(deltas), TILT_SCALE_MHZ)), axis=-1)
     return base_us / rate
-
-
-def _loop_trajectory(deltas, n_time: int, duration_us: float) -> Trajectory:
-    s_grid = np.linspace(0.0, 1.0, n_time)
-    amps = _register_amplitudes(deltas, s_grid)
-    return Trajectory(
-        times=s_grid * duration_us,
-        populations=np.abs(amps) ** 2,
-        amplitudes=amps,
-    )
 
 
 def run_three_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
@@ -717,7 +724,9 @@ def run_three_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
     The held detunings define the common mode; their slice of the sweep is
     the on-resonant reference, and every other point is scored against it by
     the population-discrepancy phase probe. All points share one wall-clock
-    window so the record grids line up.
+    window so the record grids line up. That grid has as many samples as the
+    sweep has points, so the points are evaluated in blocks that hold at most
+    LOOP_BLOCK_BYTES of register amplitudes.
     """
     _require_scenario(cfg, "three-qubit-sweep")
     grid = _sweep_values(cfg.detunings[0])
@@ -726,32 +735,40 @@ def run_three_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
     d2 = _scalar_detuning(cfg.detunings[1], "delta2")
     d3 = _scalar_detuning(cfg.detunings[2], "delta3")
     common = 0.5 * (d2 + d3)
-    duration = cfg.duration_us or LOOP_DURATION_US
     n_time = grid.shape[0]
-    reference = _loop_trajectory((common, d2, d3), n_time, duration)
+    s_grid = np.linspace(0.0, 1.0, n_time)
+    times = s_grid * (cfg.duration_us or LOOP_DURATION_US)
+
+    def records(delta1: np.ndarray) -> tuple:
+        held = np.broadcast_to([d2, d3], (delta1.shape[0], 2))
+        amps = _register_amplitudes(np.column_stack([delta1, held]), s_grid)
+        return np.abs(amps) ** 2, amps
+
+    # the same batched call as the sweep points, so the held-detuning point
+    # reproduces the reference bit for bit
+    pops, amps = records(np.array([common]))
+    reference = Trajectory(times=times, populations=pops[0], amplitudes=amps[0])
     label = f"delta1={common:g}MHz"
-
-    def sweep_point(delta1: float):
-        traj = _loop_trajectory((float(delta1), d2, d3), n_time, duration)
-        estimate = phase_from_discrepancy(reference, traj, level=0, reference_label=label)
-        return float(traj.populations[-1, 0]), estimate
-
-    rows = [sweep_point(delta1) for delta1 in grid]
+    block = max(1, LOOP_BLOCK_BYTES // (n_time * 8 * amps.itemsize))
+    p1_final = np.empty(grid.shape[0])
+    estimates = []
+    for start in range(0, grid.shape[0], block):
+        pops, amps = records(grid[start:start + block])
+        batch = Trajectory(times=times, populations=pops, amplitudes=amps)
+        p1_final[start:start + block] = pops[:, -1, 0]
+        estimates.extend(phase_estimates(reference, batch, level=0, reference_label=label))
     series = {
-        "p1_final": np.asarray([r[0] for r in rows]),
+        "p1_final": p1_final,
         "p1_reference": reference.population_series(0),
     }
-    return SweepResult(
-        axis_values=grid,
-        series=series,
-        phase_estimates=tuple(r[1] for r in rows),
-    )
+    return SweepResult(axis_values=grid, series=series, phase_estimates=tuple(estimates))
 
 
 def run_three_qubit_time_evolution(cfg: ScenarioConfig) -> tuple:
     """Loop trajectories for each requested detuning triple.
 
-    Returns the on-resonant reference first, then one trajectory per triple.
+    Returns the on-resonant reference first, then one trajectory per triple,
+    all evaluated in one batched call on a shared grid of path fractions.
     Detuned loops complete faster, so their time axes are shorter.
     """
     _require_scenario(cfg, "three-qubit-time")
@@ -759,14 +776,13 @@ def run_three_qubit_time_evolution(cfg: ScenarioConfig) -> tuple:
         raise ConfigError("three-qubit time evolution needs at least one detuning triple")
     base = cfg.duration_us or LOOP_DURATION_US
     common = _common_mode(cfg.detuning_sets[0])
-    ref_deltas = (common, common, common)
-    out = [_loop_trajectory(ref_deltas, TIME_EVOLUTION_SAMPLES, base)]
-    for triple in cfg.detuning_sets:
-        deltas = tuple(float(d) for d in triple)
-        out.append(
-            _loop_trajectory(deltas, TIME_EVOLUTION_SAMPLES, _loop_duration_us(deltas, base))
-        )
-    return tuple(out)
+    deltas = np.array([(common, common, common), *cfg.detuning_sets], dtype=float)
+    s_grid = np.linspace(0.0, 1.0, TIME_EVOLUTION_SAMPLES)
+    amps = _register_amplitudes(deltas, s_grid)
+    return tuple(
+        Trajectory(times=s_grid * duration, populations=np.abs(a) ** 2, amplitudes=a)
+        for duration, a in zip(_loop_duration_us(deltas, base), amps)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -863,17 +879,30 @@ def _qubit_kraus(dt_us: float, noise: NoiseModel) -> list:
     return ops
 
 
-def _qubit_loop_fidelity(frames: np.ndarray, kraus: list) -> float:
-    """<ideal|rho|ideal> of one qubit after the sliced noisy loop."""
+def _ordered_product(mats: np.ndarray) -> np.ndarray:
+    """mats[-1] @ ... @ mats[0], multiplied pairwise in log2(len) batched rounds."""
+    while mats.shape[0] > 1:
+        paired = mats[1::2] @ mats[:-1:2]
+        mats = np.concatenate([paired, mats[-1:]]) if mats.shape[0] % 2 else paired
+    return mats[0]
+
+
+def _qubit_loop_fidelity(frames: np.ndarray, kraus: np.ndarray) -> float:
+    """<ideal|rho|ideal> of one qubit after the sliced noisy loop.
+
+    rho travels as its row-major vector, on which rho -> A rho B^dag is the
+    4x4 matrix A (x) B*. A slice, the step unitary U and then the channel
+    with Kraus operators M_m, is K (U (x) U*) with K = sum_m M_m (x) M_m*,
+    and the loop is the ordered product of its slices.
+    """
     ket0 = np.array([1.0, 0.0], dtype=np.complex128)
-    psi0 = frames[0] @ ket0
-    rho = np.outer(psi0, psi0.conj())
     steps = frames[1:] @ frames[:-1].conj().transpose(0, 2, 1)
-    for u in steps:
-        rho = u @ rho @ u.conj().T
-        rho = sum(m @ rho @ m.conj().T for m in kraus)
+    channel = np.einsum("mij,mab->iajb", kraus, kraus.conj()).reshape(4, 4)
+    slices = channel @ np.einsum("kij,kab->kiajb", steps, steps.conj()).reshape(-1, 4, 4)
+    psi0 = frames[0] @ ket0
+    rho = _ordered_product(slices) @ np.outer(psi0, psi0.conj()).reshape(4)
     ideal = frames[-1] @ ket0
-    return float(np.real(np.vdot(ideal, rho @ ideal)))
+    return float(np.real(np.vdot(ideal, rho.reshape(2, 2) @ ideal)))
 
 
 def _loop_fidelity(deltas, base_us: float, noise: NoiseModel, n_slices: int) -> float:
@@ -883,16 +912,15 @@ def _loop_fidelity(deltas, base_us: float, noise: NoiseModel, n_slices: int) -> 
     product state, so the register state stays a product and its overlap
     with the (product) ideal state factorises qubit by qubit.
     """
-    common = _common_mode(deltas)
+    dtilde = _differential(deltas)
     s_grid = np.linspace(0.0, 1.0, n_slices + 1)
-    ops = _qubit_kraus(_loop_duration_us(deltas, base_us) / n_slices, noise)
+    ops = np.array(_qubit_kraus(_loop_duration_us(deltas, base_us) / n_slices, noise))
     fidelity = 1.0
     for q in range(3):
-        frames = _qubit_propagators(q, float(deltas[q]) - common, s_grid)
+        frames = _qubit_propagators(q, dtilde[q], s_grid)
         # channels act in the frame of the preparation rotation
         v = _rx(LOOP_PREP_RAD[q])
-        kraus = [v.conj().T @ op @ v for op in ops]
-        fidelity *= _qubit_loop_fidelity(frames, kraus)
+        fidelity *= _qubit_loop_fidelity(frames, v.conj().T @ ops @ v)
     return fidelity
 
 

@@ -483,6 +483,21 @@ class TestTrajectory:
         with pytest.raises(NumericalError):
             Trajectory(times=times, populations=np.abs(amps) ** 2, amplitudes=amps)
 
+    def test_batch_checks_every_run(self):
+        times = np.array([0.0, 1.0])
+        good = np.array([[1.0, 0.0], [0.6, 0.8]], dtype=complex)
+        batch = np.stack([good, good, good])
+        traj = Trajectory(times=times, populations=np.abs(batch) ** 2, amplitudes=batch)
+        assert traj.dim == 2
+        assert traj.population_series(1).shape == (3, 2)
+        for bad in (1.001, np.nan):
+            drifted = batch.copy()
+            drifted[2, 1, 0] = bad
+            with pytest.raises(NumericalError):
+                Trajectory(times=times, populations=np.abs(drifted) ** 2, amplitudes=drifted)
+        with pytest.raises(ConfigError):
+            Trajectory(times=np.array([0.0, 0.5, 1.0]), populations=np.abs(batch) ** 2)
+
     def test_rejects_non_monotonic_times(self):
         times = np.array([0.0, 0.0])
         amps = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)

@@ -12,6 +12,7 @@ from nvholo.gates import (
     dark_states,
     holonomic_unitary,
     orthogonal_dark_state,
+    phase_estimates,
     phase_from_discrepancy,
     rotation_axis,
     single_qubit_unitary,
@@ -239,6 +240,29 @@ class TestPhaseFromDiscrepancy:
         act = amplitude_trajectory([[1.0, 0.0], [1.0, 0.0]], times=[0.0, 0.5])
         with pytest.raises(ConfigError):
             phase_from_discrepancy(ref, act, level=0)
+
+    def test_batch_matches_each_run(self):
+        ref = amplitude_trajectory([[1.0, 0.0], [0.6, 0.8]])
+        runs = [
+            [[1.0, 0.0], [0.6, 0.8]],
+            np.exp(1j * np.pi / 4) * np.array([[1.0, 0.0], [0.8, 0.6]]),
+            [[1.0, 0.0], [0.8, -0.6j]],
+            [[0.0, 1.0], [0.8, -0.6]],
+        ]
+        batch = amplitude_trajectory(
+            np.stack([np.asarray(r, dtype=complex) for r in runs]), times=[0.0, 1.0]
+        )
+        estimates = phase_estimates(ref, batch, level=0, reference_label="b")
+        assert len(estimates) == len(runs)
+        for run, got in zip(runs, estimates):
+            assert got == phase_from_discrepancy(ref, amplitude_trajectory(run), 0, "b")
+        assert [e.undefined for e in estimates] == [False, False, False, True]
+
+    def test_batch_rejects_grid_mismatch(self):
+        ref = amplitude_trajectory([[1.0, 0.0], [1.0, 0.0]], times=[0.0, 1.0])
+        batch = amplitude_trajectory([[[1.0, 0.0], [1.0, 0.0]]] * 3, times=[0.0, 0.5])
+        with pytest.raises(ConfigError):
+            phase_estimates(ref, batch, level=0)
 
     def test_estimate_validation(self):
         with pytest.raises(ConfigError):
