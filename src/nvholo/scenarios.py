@@ -18,6 +18,11 @@ axis by chi = arctan(dtilde / 150 MHz), speeds the traversal up by
 relative to the untilted loop. The kinematic phase the tilt itself would add
 is echoed away inside the loop, so Phi is the whole detuning response; its
 wrapped magnitude saturates at pi where the loop tilt reaches a quarter turn.
+
+The register model is evaluated as arrays, never point by point: the loop
+propagators of every sweep point or detuning triple come from one batched
+call, the sweep axis in blocks of bounded size, and the noisy fidelity loop
+is an ordered product of 4x4 superoperators, one per slice.
 """
 
 from __future__ import annotations
@@ -95,8 +100,9 @@ OFF_RESONANT_OFFSET_MHZ = 201.22
 FIDELITY_SLICES = 400
 TIME_EVOLUTION_SAMPLES = 201
 # the detuning sweep holds at most this many bytes of (points, time, 8)
-# register amplitudes at a time: 16 points on a 121-sample grid
-LOOP_BLOCK_BYTES = 256 * 1024
+# register amplitudes at a time, 8 points on a 121-sample grid; its time grid
+# grows with the point count, so whole-sweep arrays would grow with its square
+LOOP_BLOCK_BYTES = 128 * 1024
 
 MIN_SEGMENT_STEPS = 16
 POPULATION_TOL = 1e-9
@@ -631,9 +637,8 @@ def run_two_qubit_pi2(cfg: ScenarioConfig) -> Trajectory:
 # ---------------------------------------------------------------------------
 # closed-loop register model (three qubits, analytic)
 #
-# Every function below takes an array of tilts (or detuning triples) and
-# returns one row per entry, so a sweep or a set of triples is evaluated in a
-# handful of array operations instead of a Python loop over points.
+# The functions below take an array of tilts (or detuning triples) and return
+# one row per entry.
 
 
 def _diamond_azimuth(s: np.ndarray) -> np.ndarray:
@@ -703,12 +708,17 @@ def _differential(deltas) -> np.ndarray:
     return deltas - _common_mode(deltas)[..., None]
 
 
-def _register_amplitudes(deltas: np.ndarray, s_grid: np.ndarray) -> np.ndarray:
-    """Register amplitudes over the path for each detuning triple (row of
-    deltas): shape (triples, len(s_grid), 8)."""
-    dtilde = _differential(deltas)
-    a, b, c = (_qubit_propagators(q, dtilde[:, q], s_grid)[..., 0] for q in range(3))
-    return np.einsum("psi,psj,psk->psijk", a, b, c).reshape(a.shape[:2] + (8,))
+def _qubit_kets(qubit: int, dtilde_mhz, s_grid) -> np.ndarray:
+    """The qubit's state over the path from |0>, the first column of its
+    propagators: shape dtilde.shape + (len(s_grid), 2)."""
+    return _qubit_propagators(qubit, dtilde_mhz, s_grid)[..., 0]
+
+
+def _kron_kets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tensor product of two state stacks sample by sample, the first factor
+    most significant; leading axes broadcast."""
+    out = a[..., :, None] * b[..., None, :]
+    return out.reshape(out.shape[:-2] + (-1,))
 
 
 def _loop_duration_us(deltas, base_us: float):
@@ -739,9 +749,11 @@ def run_three_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
     s_grid = np.linspace(0.0, 1.0, n_time)
     times = s_grid * (cfg.duration_us or LOOP_DURATION_US)
 
+    # only the first qubit's tilt moves across the sweep
+    held = _kron_kets(_qubit_kets(1, d2 - common, s_grid), _qubit_kets(2, d3 - common, s_grid))
+
     def records(delta1: np.ndarray) -> tuple:
-        held = np.broadcast_to([d2, d3], (delta1.shape[0], 2))
-        amps = _register_amplitudes(np.column_stack([delta1, held]), s_grid)
+        amps = _kron_kets(_qubit_kets(0, delta1 - common, s_grid), held)
         return np.abs(amps) ** 2, amps
 
     # the same batched call as the sweep points, so the held-detuning point
@@ -778,7 +790,9 @@ def run_three_qubit_time_evolution(cfg: ScenarioConfig) -> tuple:
     common = _common_mode(cfg.detuning_sets[0])
     deltas = np.array([(common, common, common), *cfg.detuning_sets], dtype=float)
     s_grid = np.linspace(0.0, 1.0, TIME_EVOLUTION_SAMPLES)
-    amps = _register_amplitudes(deltas, s_grid)
+    dtilde = _differential(deltas)
+    kets = [_qubit_kets(q, dtilde[:, q], s_grid) for q in range(3)]
+    amps = _kron_kets(_kron_kets(kets[0], kets[1]), kets[2])
     return tuple(
         Trajectory(times=s_grid * duration, populations=np.abs(a) ** 2, amplitudes=a)
         for duration, a in zip(_loop_duration_us(deltas, base), amps)
