@@ -205,6 +205,7 @@ def phase_from_discrepancy(
     the monitored level; the magnitude is the phase of the final-state
     overlap.  When the overlap is too small to carry a phase the
     estimate is flagged undefined and the magnitude pinned to zero.
+    actual is one run; phase_estimates takes a batch.
     """
     (estimate,) = phase_estimates(reference, actual, level, reference_label)
     return estimate

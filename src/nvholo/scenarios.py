@@ -637,8 +637,8 @@ def run_two_qubit_pi2(cfg: ScenarioConfig) -> Trajectory:
 # ---------------------------------------------------------------------------
 # closed-loop register model (three qubits, analytic)
 #
-# The functions below take an array of tilts (or detuning triples) and return
-# one row per entry.
+# The propagator functions below take an array of tilts (or detunings) and
+# return one row per entry.
 
 
 def _diamond_azimuth(s: np.ndarray) -> np.ndarray:
