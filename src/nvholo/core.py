@@ -23,7 +23,13 @@ class ConfigError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """Numerical failure during integration. CLI exit code 3."""
+    """Numerical failure during integration. CLI exit code 3. member is the
+    failing run of a batched integration (else None), and detail the message
+    without it, for a runner to name the run by its sweep point."""
+
+    def __init__(self, detail: str, member: int | None = None):
+        super().__init__(detail if member is None else f"run {member}: {detail}")
+        self.detail, self.member = detail, member
 
 
 def _frozen_complex_array(values, label, ndim):
@@ -37,8 +43,37 @@ def _frozen_complex_array(values, label, ndim):
 
 
 def hermitian_deviation(entries: np.ndarray) -> float:
-    """max|M - M^dag|, zero for exactly Hermitian matrices."""
-    return float(np.max(np.abs(entries - entries.conj().T)))
+    """max|M - M^dag| over a matrix or a stack of them (last two axes)."""
+    return float(np.max(np.abs(entries - np.swapaxes(entries, -1, -2).conj())))
+
+
+def checked_amplitudes(values, ndim: int) -> np.ndarray:
+    """Frozen normalized amplitudes over 2, 4 or 8 levels; one state per row
+    when ndim is 2."""
+    arr = _frozen_complex_array(values, "state amplitudes", ndim)
+    if arr.shape[-1] not in STATE_DIMS or arr.size == 0:
+        raise ConfigError(f"state dimension must be one of {STATE_DIMS}, got {arr.shape[-1]}")
+    drift = float(np.max(np.abs(np.linalg.norm(arr, axis=-1) - 1.0)))
+    if drift > ATOL_NORM:
+        raise ConfigError(f"state norm is off 1 by {drift:.3g} (> {ATOL_NORM})")
+    return arr
+
+
+def checked_densities(values, ndim: int) -> np.ndarray:
+    """Frozen Hermitian, unit-trace, positive-semidefinite matrix; one per
+    leading index when ndim is 3."""
+    arr = _frozen_complex_array(values, "density entries", ndim)
+    if arr.shape[-1] != arr.shape[-2] or arr.shape[-1] not in STATE_DIMS or arr.size == 0:
+        raise ConfigError(f"density matrix must be square with dim in {STATE_DIMS}")
+    if hermitian_deviation(arr) > ATOL_HERMITIAN:
+        raise ConfigError("density matrix is not Hermitian within 1e-12")
+    drift = float(np.max(np.abs(np.trace(arr, axis1=-2, axis2=-1).real - 1.0)))
+    if drift > ATOL_NORM:
+        raise ConfigError(f"density trace is off 1 by {drift:.3g} (> {ATOL_NORM})")
+    min_eig = float(np.min(np.linalg.eigvalsh(arr)[..., 0]))
+    if min_eig < MIN_DENSITY_EIGENVALUE:
+        raise ConfigError(f"density matrix has eigenvalue {min_eig:.3g} < 0")
+    return arr
 
 
 def unitary_deviation(entries: np.ndarray) -> float:
@@ -54,15 +89,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_complex_array(self.amps, "state amplitudes", ndim=1)
-        if arr.shape[0] not in STATE_DIMS:
-            raise ConfigError(
-                f"state dimension must be one of {STATE_DIMS}, got {arr.shape[0]}"
-            )
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > ATOL_NORM:
-            raise ConfigError(f"state norm is {norm:.12g}, not 1 within {ATOL_NORM}")
-        object.__setattr__(self, "amps", arr)
+        object.__setattr__(self, "amps", checked_amplitudes(self.amps, ndim=1))
 
     @property
     def dim(self) -> int:
@@ -156,20 +183,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_complex_array(self.entries, "density entries", ndim=2)
-        if arr.shape[0] != arr.shape[1] or arr.shape[0] not in STATE_DIMS:
-            raise ConfigError(
-                f"density matrix must be square with dim in {STATE_DIMS}"
-            )
-        if hermitian_deviation(arr) > ATOL_HERMITIAN:
-            raise ConfigError("density matrix is not Hermitian within 1e-12")
-        trace = float(np.trace(arr).real)
-        if abs(trace - 1.0) > ATOL_NORM:
-            raise ConfigError(f"density trace is {trace:.12g}, not 1 within {ATOL_NORM}")
-        min_eig = float(np.linalg.eigvalsh(arr)[0])
-        if min_eig < MIN_DENSITY_EIGENVALUE:
-            raise ConfigError(f"density matrix has eigenvalue {min_eig:.3g} < 0")
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", checked_densities(self.entries, ndim=2))
 
     @property
     def dim(self) -> int:

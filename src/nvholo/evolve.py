@@ -14,12 +14,18 @@ Either way, one checkpoint pass over the filled states checks the norm drift,
 renormalises and stores the records. Fixed steps keep runs bit-for-bit
 reproducible.
 
+One call integrates a batch of runs on one time grid: start states with a
+leading run axis, or a stack of constant H's, one per run, broadcast against
+a single other. An unbatched call is a batch of one on the same path, and
+every run keeps its own drift gate and renormalisation.
+
 The requested dt is snapped to an integer number of steps spanning exactly
 [t_start, t_end], so endpoints are hit without a fractional step.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -32,6 +38,8 @@ from nvholo.core import (
     NumericalError,
     OperatorMatrix,
     StateVector,
+    checked_amplitudes,
+    checked_densities,
 )
 
 LOG = logging.getLogger(__name__)
@@ -42,7 +50,7 @@ SAMPLES_PER_ANGULAR_UNIT = 200.0
 ATOL_SAMPLE_HERMITIAN = 1e-10
 MAX_NORM_DRIFT = 1e-3
 ATOL_RECORDED_NORM = 1e-6
-TRANSFER_CHUNK_BYTES = 32_000_000
+TRANSFER_CHUNK_BYTES = 1_000_000
 MAX_CHUNK_STEPS = 8192
 
 
@@ -118,15 +126,17 @@ class NoiseModel:
                 ops.append(math.sqrt(gamma_phi / 2.0) * np.diag(zdiag).astype(np.complex128))
         return tuple(ops)
 
+    @functools.lru_cache(maxsize=8)  # bounded: models come and go with T1, T2
     def dissipator(self, dim: int) -> np.ndarray:
         """Time-independent dissipative part of the master equation, acting
-        on row-major vectorized density matrices."""
+        on row-major vectorized density matrices; cached, so read-only."""
         eye = np.eye(dim)
         total = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
         for op in self.lindblad_operators(dim):
             ldl = op.conj().T @ op
             total += np.kron(op, op.conj())
             total -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+        total.setflags(write=False)
         return total
 
 
@@ -193,13 +203,14 @@ class Trajectory:
 
 def _as_source(h_of_t):
     """(sample, constant): sample maps an array of times to the stack of
-    Hamiltonian frames at those times; constant says every frame is equal."""
+    Hamiltonian frames at those times (a run axis after the time axis for a
+    stack of constant H's); constant says every frame is equal."""
     if isinstance(h_of_t, OperatorMatrix):
         h_of_t = h_of_t.entries
     if isinstance(h_of_t, np.ndarray):
         entries = np.asarray(h_of_t, dtype=np.complex128)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ConfigError("constant Hamiltonian must be a square matrix")
+        if entries.ndim not in (2, 3) or entries.shape[-1] != entries.shape[-2]:
+            raise ConfigError("constant Hamiltonian must be a square matrix or a stack of them")
         return (lambda times: np.broadcast_to(entries, (len(times),) + entries.shape)), True
     if hasattr(h_of_t, "sample"):
         return (lambda times: np.asarray(h_of_t.sample(times), dtype=np.complex128)), False
@@ -232,19 +243,22 @@ def _record_steps(n_steps: int, stride: int) -> np.ndarray:
     return np.asarray(steps, dtype=int)
 
 
-def _chunk_steps(dim: int) -> int:
-    per_step = dim * dim * 16 * 10
+def _chunk_steps(y_dim: int, runs: int = 1, transfers: int = 1) -> int:
+    """Steps per chunk within TRANSFER_CHUNK_BYTES: a step holds one state per
+    run and, for a time-dependent H, transfers RK4 matrices with their
+    temporaries (about ten y_dim^2 arrays each)."""
+    per_step = 16 * y_dim * (runs + 10 * y_dim * transfers)
     return int(min(MAX_CHUNK_STEPS, max(16, TRANSFER_CHUNK_BYTES // per_step)))
 
 
 def _check_samples(stack: np.ndarray, dim: int, where: str):
-    if stack.shape[1:] != (dim, dim):
+    if stack.shape[-2:] != (dim, dim):
         raise ConfigError(
-            f"Hamiltonian samples have shape {stack.shape[1:]}, expected ({dim}, {dim})"
+            f"Hamiltonian samples have shape {stack.shape[-2:]}, expected ({dim}, {dim})"
         )
     if not np.all(np.isfinite(stack)):
         raise NumericalError(f"non-finite Hamiltonian sample near {where}")
-    deviation = float(np.max(np.abs(stack - np.conj(np.transpose(stack, (0, 2, 1))))))
+    deviation = float(np.max(np.abs(stack - np.conj(np.swapaxes(stack, -1, -2)))))
     tolerance = ATOL_SAMPLE_HERMITIAN * max(1.0, float(np.max(np.abs(stack))))
     if deviation > tolerance:
         raise NumericalError(
@@ -267,21 +281,23 @@ def _transfer_stack(a_start, a_mid, a_end, dt: float) -> np.ndarray:
     out += (dt**4 / 24.0) * m4321
     dim = out.shape[-1]
     idx = np.arange(dim)
-    out[:, idx, idx] += 1.0
+    out[..., idx, idx] += 1.0
     return out
 
 
 def _fill_by_doubling(states: np.ndarray, powers: list, m: int):
     """Rows 1..m of states = T^j times row 0, from powers = [T, T^2, T^4, ...]:
-    rows n..2n-1 are T^n times rows 0..n-1. The products go through einsum's
-    own loop, because OpenBLAS splits a gemm this tall across threads and
-    their start-up dwarfs the product."""
+    rows n..2n-1 are T^n times rows 0..n-1, one state per run in each row
+    and T one matrix or one per run. The products go through einsum's own
+    loop, because OpenBLAS splits a gemm this tall across threads and their
+    start-up dwarfs the product."""
+    subscripts = "kbj,ij->kbi" if powers[0].ndim == 2 else "kbj,bij->kbi"
     filled = 1
     for power in powers:
         if filled > m:
             break
         take = min(filled, m + 1 - filled)
-        np.einsum("kj,ij->ki", states[:take], power, out=states[filled : filled + take])
+        np.einsum(subscripts, states[:take], power, out=states[filled : filled + take])
         filled += take
 
 
@@ -289,41 +305,36 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure):
     """Shared chunked integrator for the linear system y' = A(t) y.
 
     lift maps a validated Hamiltonian sample stack to the A(t) stack of the
-    system; measure maps vectors with a leading batch axis to (norm-like
-    scalars, populations); dim_protect is the Hamiltonian dimension used for
-    sample validation.
+    system; measure maps vectors with leading axes to (norm-like scalars,
+    populations); dim_protect is the Hamiltonian dimension used for sample
+    validation. y0 may carry a leading run axis and h_of_t be a stack of
+    constant H's; a batched call returns its arrays with the run axis first.
 
     The steps are cut into chunks of _chunk_steps. Each chunk fills a buffer
-    whose row j is the state j steps past the chunk start, in one of two ways:
-    a constant H has a single RK4 transfer matrix T, and the rows come from
-    powers of T by doubling (_fill_by_doubling); a time-dependent H is sampled
-    over the chunk, lifted to its stack of transfer matrices, and the rows are
-    filled one matrix-vector product at a time.
+    whose row j holds every run's state j steps past the chunk start, in one
+    of two ways: a constant H has a single RK4 transfer matrix T (or one per
+    run), and the rows come from powers of T by doubling (_fill_by_doubling);
+    a time-dependent H is sampled over the chunk, lifted to its stack of
+    transfer matrices, and the rows are filled one product at a time.
 
     One checkpoint block then reads the filled rows at the chunk's records
-    and at its end: it checks the norm drift of each, renormalises, stores
+    and at its end: it checks the norm drift of each run, renormalises, stores
     the records, and carries the last row into the next chunk. No row is
     renormalised while the chunk is filled; a scalar commutes with the linear
     map, so each reported norm is the ratio of its raw norm to that of the
     record before it, as a step-by-step renormalising loop would report it.
+    A drift failure names the earliest failing step and, in a batch, the
+    lowest run that fails there.
     """
     sample, constant = _as_source(h_of_t)
     n_steps, dt = _plan_steps(cfg)
     record_at = _record_steps(n_steps, int(cfg.record_stride))
     n_records = record_at.shape[0]
-    y_dim = y0.shape[0]
-
+    y0 = np.asarray(y0, dtype=np.complex128)
+    batched = y0.ndim == 2 or (isinstance(h_of_t, np.ndarray) and h_of_t.ndim == 3)
+    y0 = y0.reshape(-1, y0.shape[-1])
+    runs, y_dim = y0.shape
     times = cfg.t_start_us + dt * record_at.astype(float)
-    records = np.empty((n_records, y_dim), dtype=np.complex128)
-    norms = np.empty(n_records, dtype=float)
-    pops = np.empty((n_records, dim_protect), dtype=float)
-
-    norm0, pop0 = measure(y0)
-    records[0] = y0
-    norms[0] = norm0
-    pops[0] = pop0
-    next_record = 1
-    max_drift = abs(norm0 - 1.0)
 
     def transfers(k0: int, k1: int) -> np.ndarray:
         sub = cfg.t_start_us + (dt / 2.0) * np.arange(2 * k0, 2 * k1 + 1)
@@ -332,23 +343,37 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure):
         a = lift(stack)
         return _transfer_stack(a[0:-1:2], a[1::2], a[2::2], dt)
 
-    chunk = min(_chunk_steps(y_dim), n_steps)
-    states = np.empty((chunk + 1, y_dim), dtype=np.complex128)
-    states[0] = y0
     # transfers and states may overflow; the drift check rejects NaN and Inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if constant:
-            powers = [transfers(0, 1)[0]]  # T, T^2, T^4, ...
+            powers = [transfers(0, 1)[0]]  # T, T^2, T^4, ...; a stack per run
+            if powers[0].ndim == 3:
+                if runs not in (1, powers[0].shape[0]):
+                    raise ConfigError(f"{runs} start states for {powers[0].shape[0]} H's")
+                runs = powers[0].shape[0]
+        chunk = min(_chunk_steps(y_dim, runs, 0 if constant else 1), n_steps)
+        if constant:
             while (1 << len(powers)) <= chunk:
                 powers.append(powers[-1] @ powers[-1])
+        states = np.empty((chunk + 1, runs, y_dim), dtype=np.complex128)
+        states[0] = y0
+        records = np.empty((runs, n_records, y_dim), dtype=np.complex128)
+        norms = np.empty((runs, n_records), dtype=float)
+        pops = np.empty((runs, n_records, dim_protect), dtype=float)
+        records[:, 0] = states[0]
+        norms[:, 0], pops[:, 0] = measure(states[0])
+        next_record = 1
+        max_drift = float(np.max(np.abs(norms[:, 0] - 1.0)))
+
         for k0 in range(0, n_steps, chunk):
             k1 = min(k0 + chunk, n_steps)
             if constant:
                 _fill_by_doubling(states, powers, k1 - k0)
             else:
-                transfer = transfers(k0, k1)
+                # each run's row times T^T is T times its state
+                transfer = np.swapaxes(transfers(k0, k1), -1, -2)
                 for j in range(k1 - k0):
-                    np.matmul(transfer[j], states[j], out=states[j + 1])
+                    np.matmul(states[j], transfer[j], out=states[j + 1])
 
             last_record = int(np.searchsorted(record_at, k1, side="right"))
             checked = record_at[next_record:last_record]
@@ -363,37 +388,42 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure):
             drifts = np.abs(reported - 1.0)
             failed = ~(drifts <= MAX_NORM_DRIFT)  # NaN fails too
             if failed.any():
-                first = int(np.argmax(failed))
-                step = int(checked[first])
+                row, run = np.unravel_index(np.argmax(failed), failed.shape)
+                step = int(checked[row])
                 raise NumericalError(
-                    f"norm drifted to {reported[first]:.6g} at step {step} "
-                    f"(t={cfg.t_start_us + step * dt:.6g} us); reduce dt"
+                    f"norm drifted to {reported[row, run]:.6g} at step {step} "
+                    f"(t={cfg.t_start_us + step * dt:.6g} us); reduce dt",
+                    member=int(run) if runs > 1 else None,
                 )
             max_drift = max(max_drift, float(np.max(drifts)))
             if cfg.renormalize:
-                raw /= raw_norms[:, None]
+                raw /= raw_norms[..., None]
             n_new = last_record - next_record
-            records[next_record:last_record] = raw[:n_new]
-            norms[next_record:last_record] = reported[:n_new]
-            pops[next_record:last_record] = measure(raw[:n_new])[1]
+            records[:, next_record:last_record] = np.swapaxes(raw[:n_new], 0, 1)
+            norms[:, next_record:last_record] = reported[:n_new].T
+            pops[:, next_record:last_record] = np.swapaxes(measure(raw[:n_new])[1], 0, 1)
             next_record = last_record
             scale = 1.0
             if cfg.renormalize:
-                scale = raw_norms[-1] if n_new == checked.shape[0] else divisors[-1]
+                scale = (raw_norms[-1] if n_new == checked.shape[0] else divisors[-1])[:, None]
             states[0] = states[k1 - k0] / scale
 
     LOG.debug(
-        "integrated %d steps of dt=%.3g us; max norm drift %.3e",
-        n_steps,
-        dt,
-        max_drift,
+        "integrated %d runs of %d steps of dt=%.3g us; max norm drift %.3e",
+        runs, n_steps, dt, max_drift,
     )
-    return times, records, norms, pops
+    return (times, records, norms, pops) if batched else (times, records[0], norms[0], pops[0])
 
 
-def evolve_schrodinger(h_of_t, psi0: StateVector, cfg: EvolutionConfig) -> Trajectory:
-    """Integrate i dpsi/dt = H(t) psi (hbar = 1, angular units)."""
-    dim = psi0.dim
+def evolve_schrodinger(h_of_t, psi0, cfg: EvolutionConfig) -> Trajectory:
+    """Integrate i dpsi/dt = H(t) psi (hbar = 1, angular units).
+
+    psi0 is a StateVector or a (runs, dim) array of normalized amplitudes,
+    and h_of_t may be a (runs, dim, dim) stack of constant Hamiltonians; a
+    batched call returns a Trajectory with a leading run axis.
+    """
+    y0 = psi0.amps if isinstance(psi0, StateVector) else checked_amplitudes(psi0, 2)
+    dim = y0.shape[-1]
 
     def lift(stack):
         return -1j * stack
@@ -402,49 +432,36 @@ def evolve_schrodinger(h_of_t, psi0: StateVector, cfg: EvolutionConfig) -> Traje
         pops = np.real(y) ** 2 + np.imag(y) ** 2
         return np.sqrt(pops.sum(axis=-1)), pops
 
-    times, records, norms, pops = _integrate(
-        h_of_t, lift, psi0.amps.astype(np.complex128), cfg, dim, measure
-    )
-    return Trajectory(
-        times=times, populations=pops, amplitudes=records, norms=norms
-    )
+    times, records, norms, pops = _integrate(h_of_t, lift, y0, cfg, dim, measure)
+    return Trajectory(times=times, populations=pops, amplitudes=records, norms=norms)
 
 
-def evolve_lindblad(
-    h_of_t, rho0: DensityMatrix, noise: NoiseModel, cfg: EvolutionConfig
-) -> Trajectory:
-    """Integrate the master equation with the configured noise channels."""
+def evolve_lindblad(h_of_t, rho0, noise: NoiseModel, cfg: EvolutionConfig) -> Trajectory:
+    """Integrate the master equation with the configured noise channels; rho0
+    may be a (runs, dim, dim) array, batched as in evolve_schrodinger."""
     if not noise.enabled:
         raise ConfigError("noise model is disabled; use evolve_schrodinger instead")
-    dim = rho0.dim
+    entries = rho0.entries if isinstance(rho0, DensityMatrix) else checked_densities(rho0, 3)
+    dim = entries.shape[-1]
     dissipator = noise.dissipator(dim)
     eye = np.eye(dim)
     diag_slice = slice(0, dim * dim, dim + 1)
 
     def lift(stack):
-        n = stack.shape[0]
-        kron_hi = (
-            stack[:, :, None, :, None] * eye[None, None, :, None, :]
-        ).reshape(n, dim * dim, dim * dim)
-        ht = np.transpose(stack, (0, 2, 1))
-        kron_iht = (
-            eye[None, :, None, :, None] * ht[:, None, :, None, :]
-        ).reshape(n, dim * dim, dim * dim)
+        shape = stack.shape[:-2] + (dim * dim, dim * dim)
+        kron_hi = (stack[..., :, None, :, None] * eye[None, :, None, :]).reshape(shape)
+        ht = np.swapaxes(stack, -1, -2)
+        kron_iht = (eye[:, None, :, None] * ht[..., None, :, None, :]).reshape(shape)
         return -1j * (kron_hi - kron_iht) + dissipator
 
     def measure(y):
         diag = np.real(y[..., diag_slice])
         return diag.sum(axis=-1), diag
 
-    times, records, norms, pops = _integrate(
-        h_of_t, lift, rho0.entries.flatten(), cfg, dim, measure
-    )
-    return Trajectory(
-        times=times,
-        populations=pops,
-        densities=records.reshape(-1, dim, dim),
-        norms=norms,
-    )
+    y0 = entries.reshape(entries.shape[:-2] + (dim * dim,))
+    times, records, norms, pops = _integrate(h_of_t, lift, y0, cfg, dim, measure)
+    densities = records.reshape(records.shape[:-1] + (dim, dim))
+    return Trajectory(times=times, populations=pops, densities=densities, norms=norms)
 
 
 def convergence_check(h_of_t, psi0: StateVector, cfg: EvolutionConfig) -> float:
@@ -472,7 +489,7 @@ def recommended_dt(h_of_t, t_start_us: float, t_end_us: float, probe_points: int
         raise ConfigError("t_end must exceed t_start")
     sample, constant = _as_source(h_of_t)
     # a constant H needs one frame, not the whole probe grid
-    stack = sample(np.linspace(t_start_us, t_end_us, 1 if constant else probe_points))
+    stack = sample((t_start_us,) if constant else np.linspace(t_start_us, t_end_us, probe_points))
     f_max = max(float(np.max(np.abs(stack))), 1.0)
     dt = 1.0 / (SAMPLES_PER_ANGULAR_UNIT * f_max)
     return min(dt, (t_end_us - t_start_us) / 2.0)

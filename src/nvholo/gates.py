@@ -22,6 +22,7 @@ from .evolve import Trajectory
 ATOL_ORTHOGONAL = 1e-10
 MIN_OVERLAP = 1e-6
 MIN_COLUMN_NORM = 1e-9
+PHASE_TIE_ULPS = 8  # |imag| within this many ulps of |real| counts as on the real axis
 
 
 @dataclass(frozen=True)
@@ -221,7 +222,9 @@ def phase_estimates(
 
     actual may be a batch of runs on the reference's grid (leading axes on
     its records); the estimates come back in row-major order of those axes,
-    and an unbatched actual gives a tuple of one.
+    and an unbatched actual gives a tuple of one. Magnitudes lie in
+    [-pi, pi): an overlap on the negative real axis, up to a few ulps of
+    rounding either way, reads -pi.
     """
     if reference.times.shape != actual.times.shape or np.max(
         np.abs(reference.times - actual.times)
@@ -237,7 +240,9 @@ def phase_estimates(
     ref_final = reference.final_state.amps
     overlap = (finals @ ref_final.conj()) / np.linalg.norm(finals, axis=1)
     undefined = np.abs(overlap) < MIN_OVERLAP
-    magnitude = np.where(undefined, 0.0, np.angle(overlap))
+    residue = PHASE_TIE_ULPS * np.finfo(float).eps * np.abs(overlap.real)
+    tie = (overlap.real < 0.0) & (np.abs(overlap.imag) <= residue)
+    magnitude = np.where(undefined, 0.0, np.where(tie, -math.pi, np.angle(overlap)))
     return tuple(
         PhaseEstimate(
             magnitude_rad=float(m),

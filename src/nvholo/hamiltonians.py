@@ -146,13 +146,6 @@ class LevelSpec:
         object.__setattr__(self, "detunings_mhz", detunings)
 
 
-def _check_mode(mode: str):
-    if mode not in HERMITICITY_MODES:
-        raise ConfigError(
-            f"unknown hermiticity mode {mode!r}, expected one of {HERMITICITY_MODES}"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class PulsedHamiltonian:
     """Time-dependent rotating-frame Hamiltonian over a pulse set.
@@ -232,7 +225,8 @@ def build_interaction_8(spec: LevelSpec, rabi_mhz, mode: str = HERMITIZED) -> Op
     """
     if spec.dim != 8:
         raise ConfigError(f"expected dim 8, got {spec.dim}")
-    _check_mode(mode)
+    if mode not in HERMITICITY_MODES:
+        raise ConfigError(f"unknown hermiticity mode {mode!r}, expected one of {HERMITICITY_MODES}")
     r = np.asarray(rabi_mhz, dtype=np.complex128)
     if r.shape != (6,):
         raise ConfigError(f"expected 6 drive amplitudes, got shape {r.shape}")

@@ -28,7 +28,9 @@ is an ordered product of 4x4 superoperators, one per slice.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +40,6 @@ from nvholo.core import (
     NumericalError,
     StateVector,
     eig_hermitian,
-    state_density_fidelity,
 )
 from nvholo.evolve import (
     EvolutionConfig,
@@ -52,7 +53,6 @@ from nvholo.gates import (
     GateParams,
     PhaseEstimate,
     phase_estimates,
-    phase_from_discrepancy,
     single_qubit_unitary,
 )
 from nvholo.hamiltonians import (
@@ -118,6 +118,8 @@ CARDINAL_STATES = (
     np.array([1.0, 1.0j], dtype=np.complex128) / math.sqrt(2.0),
     np.array([1.0, -1.0j], dtype=np.complex128) / math.sqrt(2.0),
 )
+# composite integrates its configured start, then the cardinal states
+START_NAMES = ("initial", "|0>", "|1>", "|+x>", "|-x>", "|+y>", "|-y>")
 
 _NOISE_OFF = NoiseModel(enabled=False)
 
@@ -150,8 +152,6 @@ class SweepSpec:
 
 THETA_SWEEP_DEFAULT = SweepSpec(0.0, 2.0 * math.pi, math.pi / 16.0)
 DETUNE_SWEEP_DEFAULT = SweepSpec(-30.0, 30.0, 2.0)
-LOOP_SWEEP_DEFAULT = SweepSpec(0.0, 600.0, 15.0)
-LOOP_HELD_DETUNING_MHZ = 450.0
 
 
 @dataclass(frozen=True)
@@ -355,6 +355,18 @@ def _pulse_dt(h: np.ndarray, span: float, cfg: ScenarioConfig) -> float:
     return cfg.dt_us or min(recommended_dt(h, 0.0, span), span / MIN_SEGMENT_STEPS)
 
 
+@contextmanager
+def _naming(scenario: str, points: list):
+    """Re-raise a NumericalError of a batched integration under the scenario
+    and the sweep point of its failing run, points[run]."""
+    try:
+        yield
+    except NumericalError as err:
+        known = err.member is not None or len(points) == 1
+        where = f"{scenario} {points[err.member or 0]}" if known else scenario
+        raise NumericalError(f"{where}: {err.detail}") from err
+
+
 # ---------------------------------------------------------------------------
 # single-qubit sweeps
 
@@ -375,8 +387,8 @@ def run_single_qubit_theta_sweep(cfg: ScenarioConfig) -> SweepResult:
         def noisy_point(theta: float) -> np.ndarray:
             if theta <= 0.0:
                 return np.abs(psi0) ** 2
-            traj = _pulsed_lindblad_gate(theta, psi0, cfg)
-            return traj.populations[-1]
+            with _naming("theta-sweep", [f"theta={theta:g}"]):
+                return _pulsed_lindblad_gate(theta, psi0, cfg).populations[-1]
 
         noisy = np.asarray([noisy_point(theta) for theta in thetas])
         series["p1_noisy"] = noisy[:, 0]
@@ -411,32 +423,24 @@ def run_single_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
     widest = _drive_matrix(cfg.rabi_mhz, float(deltas[np.argmax(np.abs(deltas))]))
     evo = EvolutionConfig(0.0, span, _pulse_dt(widest, span, cfg), renormalize=cfg.renormalize)
     state0 = StateVector.normalized(psi0)
-    reference = evolve_schrodinger(_drive_matrix(cfg.rabi_mhz, 0.0), state0, evo)
-
-    def sweep_point(delta: float):
-        h = _drive_matrix(cfg.rabi_mhz, float(delta))
-        traj = evolve_schrodinger(h, state0, evo)
-        estimate = phase_from_discrepancy(
-            reference, traj, level=0, reference_label="delta=0MHz"
-        )
-        row = [traj.populations[-1], estimate]
-        if cfg.noise.enabled:
-            noisy = evolve_lindblad(
-                h, DensityMatrix.from_state(state0), cfg.noise, evo
-            )
-            row.append(noisy.populations[-1])
-            row.append(float(np.max(np.abs(noisy.populations - traj.populations))))
-        return row
-
-    rows = [sweep_point(delta) for delta in deltas]
-    finals = np.asarray([r[0] for r in rows])
+    # the resonant reference, then every sweep point: one stack of drives
+    drives = np.stack([_drive_matrix(cfg.rabi_mhz, float(d)) for d in np.append(0.0, deltas)])
+    points = ["reference delta=0 MHz"] + [f"delta={d:g} MHz" for d in deltas]
+    with _naming("detune-sweep", points):
+        ideal = evolve_schrodinger(drives, state0, evo)
+    reference = Trajectory(
+        times=ideal.times, populations=ideal.populations[0], amplitudes=ideal.amplitudes[0]
+    )
+    estimates = phase_estimates(reference, ideal, level=0, reference_label="delta=0MHz")[1:]
+    finals = ideal.populations[1:, -1]
     series = {"p1": finals[:, 0], "p2": finals[:, 1]}
-    estimates = tuple(r[1] for r in rows)
     if cfg.noise.enabled:
-        noisy_finals = np.asarray([r[2] for r in rows])
-        series["p1_noisy"] = noisy_finals[:, 0]
-        series["p2_noisy"] = noisy_finals[:, 1]
-        series["discrepancy_noisy"] = np.asarray([r[3] for r in rows])
+        with _naming("detune-sweep", points[1:]):
+            noisy = evolve_lindblad(drives[1:], DensityMatrix.from_state(state0), cfg.noise, evo)
+        series["p1_noisy"] = noisy.populations[:, -1, 0]
+        series["p2_noisy"] = noisy.populations[:, -1, 1]
+        gap = np.abs(noisy.populations - ideal.populations[1:])
+        series["discrepancy_noisy"] = np.max(gap, axis=(1, 2))
     return SweepResult(axis_values=deltas, series=series, phase_estimates=estimates)
 
 
@@ -463,25 +467,23 @@ def run_composite_gate_scenario(cfg: ScenarioConfig) -> SweepResult:
     if cfg.gate_params:
         return _fixed_sequence_result(cfg)
     thetas = (cfg.sweep or THETA_SWEEP_DEFAULT).values()
-    psi0 = _initial_state(cfg.initial_state, 2).amps
+    starts = _composite_starts(cfg)
 
     def sweep_point(theta: float):
         theta = float(theta)
         legs = [(theta / 3.0, 0.0, theta / 3.0)] * 3
         single = [(theta, 0.0, theta)]
-        ideal_comp = _run_segments(legs, psi0, cfg, noisy=False)
-        p1_final = ideal_comp.pops[-1]
+        where = f"theta={theta:g}"
+        ideal_comp = _run_segments(legs, starts, cfg, False, where)
+        p1_final = ideal_comp.pops[0, -1]
         if not cfg.noise.enabled:
             return p1_final, 0.0, 0.0, 1.0
-        ideal_single = _run_segments(single, psi0, cfg, noisy=False)
-        noisy_comp = _run_segments(legs, psi0, cfg, noisy=True)
-        noisy_single = _run_segments(single, psi0, cfg, noisy=True)
-        disc_comp = float(np.max(np.abs(ideal_comp.pops[:, 0] - noisy_comp.pops[:, 0])))
-        disc_single = float(
-            np.max(np.abs(ideal_single.pops[:, 0] - noisy_single.pops[:, 0]))
-        )
-        fid = _cardinal_fidelity(legs, cfg)
-        return p1_final, disc_comp, disc_single, fid
+        noisy_comp = _run_segments(legs, starts, cfg, True, where)
+        ideal_single = _run_segments(single, starts[:1], cfg, False, where)
+        noisy_single = _run_segments(single, starts[:1], cfg, True, where)
+        fid = _cardinal_fidelity(ideal_comp.final[1:], noisy_comp.final[1:])
+        disc_comp = _discrepancy(ideal_comp, noisy_comp)
+        return p1_final, disc_comp, _discrepancy(ideal_single, noisy_single), fid
 
     rows = [sweep_point(theta) for theta in thetas]
     finals = np.asarray([r[0] for r in rows])
@@ -512,87 +514,98 @@ def _fixed_sequence_result(cfg: ScenarioConfig) -> SweepResult:
         raise ConfigError(
             f"composite sequence needs exactly 3 gates, got {len(cfg.gate_params)}"
         )
-    psi0 = _initial_state(cfg.initial_state, 2).amps
+    starts = _composite_starts(cfg)
     legs = [_gate_legs(p) for p in cfg.gate_params]
-    ideal = _run_segments(legs, psi0, cfg, noisy=False)
+    ideal = _run_segments(legs, starts, cfg, False, "sequence")
     product = np.eye(2, dtype=np.complex128)
     for p in cfg.gate_params:
         product = single_qubit_unitary(p).entries @ product
-    one_shot = product @ psi0
-    deficit = 1.0 - abs(np.vdot(one_shot, ideal.final))
-    pops = np.abs(ideal.final) ** 2
+    one_shot = product @ starts[0]
+    deficit = 1.0 - abs(np.vdot(one_shot, ideal.final[0]))
+    pops = np.abs(ideal.final[0]) ** 2
     series = {"p1": np.asarray([pops[0]]), "p2": np.asarray([pops[1]])}
     fidelities = {"sequence_overlap_deficit": float(deficit)}
     if cfg.noise.enabled:
-        noisy = _run_segments(legs, psi0, cfg, noisy=True)
-        disc = float(np.max(np.abs(ideal.pops[:, 0] - noisy.pops[:, 0])))
-        fidelities["composite_max_discrepancy"] = disc
-        fidelities["cardinal_fidelity_mean"] = _cardinal_fidelity(legs, cfg)
+        noisy = _run_segments(legs, starts, cfg, True, "sequence")
+        fidelities["composite_max_discrepancy"] = _discrepancy(ideal, noisy)
+        fidelities["cardinal_fidelity_mean"] = _cardinal_fidelity(ideal.final[1:], noisy.final[1:])
     return SweepResult(axis_values=np.asarray([0.0]), series=series, fidelities=fidelities)
 
 
-class _Stitched:
-    """Record grid and final carried state of a piecewise run."""
+def _composite_starts(cfg: ScenarioConfig) -> np.ndarray:
+    """The configured start and, with noise on, the six cardinal states."""
+    psi0 = _initial_state(cfg.initial_state, 2).amps
+    return np.stack([psi0, *CARDINAL_STATES] if cfg.noise.enabled else [psi0])
 
-    __slots__ = ("times", "pops", "final")
 
-    def __init__(self, times, pops, final):
-        self.times = times
-        self.pops = pops
-        self.final = final
+class _Stitched(NamedTuple):
+    """Record grid, populations (runs, records, 2) and final states of a batch."""
+
+    times: np.ndarray
+    pops: np.ndarray
+    final: np.ndarray
 
 
 def _kick(state: np.ndarray, angle: float) -> np.ndarray:
+    if angle == 0.0:  # the identity; skipping it changes no value
+        return state
     rz = _rz(angle)
-    if state.ndim == 1:
-        return rz @ state
+    if state.ndim == 2:  # amplitudes, one row per run
+        return state @ rz.T
     return rz @ state @ rz.conj().T
 
 
-def _run_segments(segments, psi0: np.ndarray, cfg: ScenarioConfig, noisy: bool) -> _Stitched:
-    """Stitch (theta, pre_kick, post_kick) x pulses with instantaneous z kicks.
+def _run_segments(segments, starts, cfg: ScenarioConfig, noisy: bool, where: str) -> _Stitched:
+    """Stitch (theta, pre_kick, post_kick) x pulses with instantaneous z kicks,
+    one integration per pulse for the whole batch of starts (rows).
 
-    noisy carries the density matrix through the master equation with
+    noisy carries the density matrices through the master equation with
     cfg.noise; otherwise the amplitudes go through the Schrodinger equation.
+    A failure names the sweep point, where, and the start (START_NAMES).
     """
     if noisy:
-        state = np.outer(psi0, psi0.conj())
-        pops0 = np.real(np.diag(state))
+        state = starts[:, :, None] * starts[:, None, :].conj()
+        pops0 = np.real(np.diagonal(state, axis1=1, axis2=2))
     else:
-        state = psi0.copy()
+        state = starts.copy()
         pops0 = np.abs(state) ** 2
     times = [np.asarray([0.0])]
-    pops = [pops0[None, :]]
+    pops = [pops0[:, None, :]]
     offset = 0.0
+    names = [f"{where} start={name}" for name in START_NAMES]
     for theta, pre_kick, post_kick in segments:
         state = _kick(state, pre_kick)
         span = _gate_time_us(abs(theta), cfg.rabi_mhz)
         if span > 0.0:
             h = _drive_matrix(math.copysign(cfg.rabi_mhz, theta), 0.0)
             evo = EvolutionConfig(0.0, span, _pulse_dt(h, span, cfg), renormalize=cfg.renormalize)
-            if noisy:
-                traj = evolve_lindblad(h, DensityMatrix(state), cfg.noise, evo)
-                rho = np.asarray(traj.densities[-1])
-                state = 0.5 * (rho + rho.conj().T)
-            else:
-                traj = evolve_schrodinger(h, StateVector.normalized(state), evo)
-                state = traj.amplitudes[-1]
+            with _naming("composite", names[: state.shape[0]]):
+                if noisy:
+                    traj = evolve_lindblad(h, state, cfg.noise, evo)
+                    rho = traj.densities[:, -1]
+                    state = 0.5 * (rho + np.swapaxes(rho, 1, 2).conj())
+                else:
+                    norms = np.linalg.norm(state, axis=1, keepdims=True)
+                    traj = evolve_schrodinger(h, state / norms, evo)
+                    state = traj.amplitudes[:, -1]
             times.append(offset + traj.times[1:])
-            pops.append(traj.populations[1:])
+            pops.append(traj.populations[:, 1:])
             offset += traj.times[-1]
         state = _kick(state, post_kick)
-    return _Stitched(np.concatenate(times), np.concatenate(pops), state)
+    return _Stitched(np.concatenate(times), np.concatenate(pops, axis=1), state)
 
 
-def _cardinal_fidelity(segments, cfg: ScenarioConfig) -> float:
-    total = 0.0
-    for state in CARDINAL_STATES:
-        ideal = _run_segments(segments, state, cfg, noisy=False).final
-        noisy = _run_segments(segments, state, cfg, noisy=True).final
-        total += state_density_fidelity(
-            StateVector.normalized(ideal), DensityMatrix(noisy)
-        )
-    return total / len(CARDINAL_STATES)
+def _discrepancy(ideal: _Stitched, noisy: _Stitched) -> float:
+    """Largest gap in the first run's ground population along the pulses."""
+    return float(np.max(np.abs(ideal.pops[0, :, 0] - noisy.pops[0, :, 0])))
+
+
+def _cardinal_fidelity(ideal: np.ndarray, noisy: np.ndarray) -> float:
+    """Mean <psi|rho|psi> over the cardinal starts: psi each one's ideal
+    final amplitudes (rows of ideal), rho its noisy final density."""
+    psi = ideal / np.linalg.norm(ideal, axis=1, keepdims=True)
+    overlaps = np.real(np.einsum("bi,bij,bj->b", psi.conj(), noisy, psi))
+    return float(np.mean(np.clip(overlaps, 0.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -856,17 +869,19 @@ def run_dark_state_spectrum(cfg: ScenarioConfig) -> DarkSpectrum:
     dt = cfg.dt_us or recommended_dt(matrix.entries, 0.0, span)
     n_steps = max(1, int(round(span / dt)))
     evo = EvolutionConfig(0.0, span, dt, record_stride=max(1, n_steps // 128))
-    leakages = []
-    for i in dark_indices:
-        vec = eigenvectors[:, i]
-        traj = evolve_schrodinger(matrix.entries, StateVector.normalized(vec), evo)
-        stay = np.abs(traj.amplitudes @ vec.conj()) ** 2
-        leakages.append(float(np.max(1.0 - stay)))
+    leakages = ()
+    if dark_indices:
+        dark = eigenvectors[:, dark_indices].T  # one dark state per row
+        starts = dark / np.linalg.norm(dark, axis=1, keepdims=True)
+        with _naming("dark-states", [f"dark state {i}" for i in dark_indices]):
+            traj = evolve_schrodinger(matrix.entries, starts, evo)
+        stay = np.abs(traj.amplitudes @ dark.conj()[:, :, None])[..., 0] ** 2
+        leakages = tuple(float(x) for x in np.max(1.0 - stay, axis=1))
     return DarkSpectrum(
         eigenvalues_mhz=eigenvalues / (2.0 * math.pi),
         eigenvectors=eigenvectors,
         dark_indices=dark_indices,
-        leakages=tuple(leakages),
+        leakages=leakages,
     )
 
 

@@ -412,3 +412,17 @@ def test_package_exposes_run_cli():
     assert nvholo.run_cli is run_cli
     with pytest.raises(AttributeError):
         nvholo.no_such_name
+
+
+def test_cli_nan_between_checks_exits_three(tmp_path, capsys):
+    # dt = 1 us puts |lambda| dt near 100 on the default interaction matrix:
+    # the RK4 map grows the state by ~1e6 per step, so it overflows to inf
+    # and NaN long before the first record check at step 78
+    config = tmp_path / "cfg"
+    config.write_text("[scenario]\nid = dark-states\n\n[pulses]\nduration_us = 10000.0\n")
+    out = tmp_path / "x"
+    code = run_cli(["dark-states", "--config", str(config), "--out", str(out), "--dt-override", "1.0"])
+    assert code == 3
+    assert "norm drifted to nan at step 78 " in capsys.readouterr().err
+    assert not (out / "result.csv").exists()
+    assert not (out / "manifest").exists()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -315,6 +316,146 @@ class TestConstantPropagation:
             evolve_lindblad(h, rho0, NoiseModel(), cfg)
 
 
+class TestBatchedPropagation:
+    """A batched call against one unbatched call per run: one Hamiltonian with
+    several starts (as a matrix or a callable), or a stack of constant
+    Hamiltonians with one start."""
+
+    N_STEPS = 40
+    RUNS = 3
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    @pytest.mark.parametrize("renormalize", [True, False])
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    @pytest.mark.parametrize("kind", ["schrodinger", "lindblad"])
+    @pytest.mark.parametrize("axis", ["starts", "starts-callable", "hamiltonians"])
+    def test_batch_matches_per_run(
+        self, monkeypatch, axis, kind, dim, stride, renormalize, chunked
+    ):
+        if chunked:
+            monkeypatch.setattr(evolve_module, "MAX_CHUNK_STEPS", 5)
+            monkeypatch.setattr(evolve_module, "TRANSFER_CHUNK_BYTES", 1)
+        rng = np.random.default_rng(dim * 10 + stride)
+        hs = [random_hamiltonian(rng, dim) for _ in range(self.RUNS)]
+        starts = [
+            StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+            for _ in range(self.RUNS)
+        ]
+        dt = 0.02 / max(float(np.max(np.abs(h))) for h in hs)
+        cfg = EvolutionConfig(
+            t_start_us=0.0,
+            t_end_us=self.N_STEPS * dt,
+            dt_us=dt,
+            record_stride=stride,
+            renormalize=renormalize,
+        )
+        noise = NoiseModel(t1_us=40.0, t2_us=30.0)
+        if kind == "schrodinger":
+            def run(h, start):
+                traj = evolve_schrodinger(h, start, cfg)
+                return traj, traj.amplitudes
+
+            def state(psi):
+                return psi
+
+            def stack(psis):
+                return np.stack([psi.amps for psi in psis])
+        else:
+            def run(h, start):
+                traj = evolve_lindblad(h, start, noise, cfg)
+                return traj, traj.densities
+
+            def state(psi):
+                return DensityMatrix.from_state(psi)
+
+            def stack(psis):
+                return np.stack([state(psi).entries for psi in psis])
+
+        if axis == "hamiltonians":
+            batched, records = run(np.stack(hs), state(starts[0]))
+            runs = [(h, state(starts[0])) for h in hs]
+        else:
+            source = hs[0] if axis == "starts" else (lambda t: hs[0])
+            batched, records = run(source, stack(starts))
+            runs = [(source, state(psi)) for psi in starts]
+        n_records = len(batched.times)
+        assert records.shape[:2] == (self.RUNS, n_records)
+        assert batched.populations.shape == (self.RUNS, n_records, dim)
+        assert batched.norms.shape == (self.RUNS, n_records)
+        for b, (h, start) in enumerate(runs):
+            single, single_records = run(h, start)
+            assert np.array_equal(single.times, batched.times)
+            assert np.max(np.abs(records[b] - single_records)) < 1e-12
+            assert np.max(np.abs(batched.populations[b] - single.populations)) < 1e-12
+            assert np.max(np.abs(batched.norms[b] - single.norms)) < 1e-12
+
+    def test_drift_failure_names_member_and_its_step(self):
+        cfg = EvolutionConfig(
+            t_start_us=0.0, t_end_us=2.0, dt_us=0.008, renormalize=False
+        )
+        calm, drifting, faster = (rabi_hamiltonian(f) for f in (1.0, 15.0, 25.0))
+        start = StateVector.basis(2, 0)
+        steps = {}
+        for name, h in (("drifting", drifting), ("faster", faster)):
+            with pytest.raises(NumericalError) as single:
+                evolve_schrodinger(h, start, cfg)
+            steps[name] = int(re.search(r"at step (\d+) ", str(single.value)).group(1))
+        assert steps["faster"] < steps["drifting"]
+        with pytest.raises(NumericalError, match=f"run 2: .*at step {steps['drifting']} ") as err:
+            evolve_schrodinger(np.stack([calm, calm, drifting, calm]), start, cfg)
+        assert err.value.member == 2
+        # the earliest failing step wins, whichever member it belongs to
+        with pytest.raises(NumericalError, match=f"run 3: .*at step {steps['faster']} ") as err:
+            evolve_schrodinger(np.stack([calm, drifting, calm, faster]), start, cfg)
+        assert err.value.member == 3
+        starts = np.stack([start.amps, start.amps])
+        with pytest.raises(NumericalError, match=f"run 0: .*at step {steps['drifting']} "):
+            evolve_schrodinger(drifting, starts, cfg)
+
+    def test_unbatched_failure_names_no_member(self):
+        cfg = EvolutionConfig(t_start_us=0.0, t_end_us=2.0, dt_us=0.008, renormalize=False)
+        with pytest.raises(NumericalError) as err:
+            evolve_schrodinger(rabi_hamiltonian(15.0), StateVector.basis(2, 0), cfg)
+        assert err.value.member is None
+        assert str(err.value).startswith("norm drifted")
+
+    def test_rejects_mismatched_batches(self):
+        cfg = EvolutionConfig(t_start_us=0.0, t_end_us=0.1, dt_us=0.01)
+        hs = np.stack([rabi_hamiltonian(1.0)] * 3)
+        starts = np.stack([StateVector.basis(2, 0).amps] * 2)
+        with pytest.raises(ConfigError):
+            evolve_schrodinger(hs, starts, cfg)
+
+    @pytest.mark.parametrize(
+        "starts",
+        [
+            [[1.0, 0.0], [0.6, 0.7]],  # second row not normalised
+            [[1.0, 0.0], [np.nan, 0.0]],
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],  # no register has 3 levels
+        ],
+    )
+    def test_rejects_invalid_start_rows(self, starts):
+        cfg = EvolutionConfig(t_start_us=0.0, t_end_us=0.1, dt_us=0.01)
+        with pytest.raises(ConfigError):
+            evolve_schrodinger(np.zeros((2, 2)), np.asarray(starts, dtype=complex), cfg)
+
+    def test_rejects_invalid_density_rows(self):
+        cfg = EvolutionConfig(t_start_us=0.0, t_end_us=0.1, dt_us=0.01)
+        good = DensityMatrix.from_state(StateVector.basis(2, 0)).entries
+        for bad in (np.diag([1.5, -0.5]), np.array([[0.5, 0.5], [0.0, 0.5]]), 2.0 * good):
+            with pytest.raises(ConfigError):
+                evolve_lindblad(np.zeros((2, 2)), np.stack([good, bad]), NoiseModel(), cfg)
+
+    def test_chunk_budget_counts_the_batch(self):
+        budget = evolve_module.TRANSFER_CHUNK_BYTES
+        for y_dim in (2, 4, 16, 64):
+            for batch in (1, 7, 32):
+                steps = evolve_module._chunk_steps(y_dim, batch)
+                assert steps * batch * y_dim * 16 <= budget
+                assert steps <= evolve_module._chunk_steps(y_dim, 1)
+
+
 class TestNoiseModel:
     def test_rejects_unphysical_t2(self):
         with pytest.raises(ConfigError):
@@ -503,3 +644,21 @@ class TestTrajectory:
         amps = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
         with pytest.raises(ConfigError):
             Trajectory(times=times, populations=np.abs(amps) ** 2, amplitudes=amps)
+
+
+class TestDissipatorCache:
+    def test_equal_models_share_one_read_only_entry(self):
+        a = NoiseModel(t1_us=70.0, t2_us=40.0).dissipator(4)
+        b = NoiseModel(t1_us=70.0, t2_us=40.0).dissipator(4)
+        assert a is b
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+        assert NoiseModel(t1_us=70.0, t2_us=41.0).dissipator(4) is not a
+
+    def test_cache_is_bounded(self):
+        info = NoiseModel.dissipator.cache_info()
+        assert info.maxsize is not None and info.maxsize <= 16
+        for k in range(3 * info.maxsize):
+            NoiseModel(t1_us=100.0 + k, t2_us=50.0).dissipator(2)
+        assert NoiseModel.dissipator.cache_info().currsize <= info.maxsize

@@ -270,3 +270,24 @@ class TestPhaseFromDiscrepancy:
         with pytest.raises(ConfigError):
             PhaseEstimate(magnitude_rad=0.0, discrepancy=-0.1)
 
+
+
+class TestPhaseBranch:
+    """Phases land in [-pi, pi); an overlap on the negative real axis, up to
+    a rounding residue of either sign, reads -pi."""
+
+    @pytest.mark.parametrize("residue", [3.7e-16, -3.7e-16, 0.0])
+    def test_negative_real_overlap_reads_minus_pi(self, residue):
+        ref = amplitude_trajectory([[1.0, 0.0], [1.0, 0.0]])
+        final = np.array([-0.629 + 1j * residue, math.sqrt(1.0 - 0.629**2)])
+        act = amplitude_trajectory([[1.0, 0.0], final])
+        (estimate,) = phase_estimates(ref, act, level=0)
+        assert estimate.magnitude_rad == -math.pi
+
+    def test_phases_away_from_the_tie_are_unchanged(self):
+        ref = amplitude_trajectory([[1.0, 0.0], [1.0, 0.0]])
+        for angle in (3.0, -3.0, math.pi - 1e-9, 0.5):
+            final = np.array([0.6 * np.exp(1j * angle), 0.8])
+            act = amplitude_trajectory([[1.0, 0.0], final])
+            (estimate,) = phase_estimates(ref, act, level=0)
+            assert estimate.magnitude_rad == pytest.approx(angle, abs=1e-12)

@@ -9,15 +9,30 @@ detuning triple (x, d, d) leaves only the first qubit tilted.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from nvholo.config import parse_config, render_config
-from nvholo.core import ConfigError, NumericalError
-from nvholo.evolve import NoiseModel, Trajectory
+from nvholo.core import (
+    ConfigError,
+    DensityMatrix,
+    NumericalError,
+    StateVector,
+    state_density_fidelity,
+)
+from nvholo.evolve import (
+    EvolutionConfig,
+    NoiseModel,
+    Trajectory,
+    evolve_lindblad,
+    evolve_schrodinger,
+    recommended_dt,
+)
 from nvholo.gates import GateParams, phase_from_discrepancy
+from nvholo.hamiltonians import LevelSpec, build_interaction_8
 from nvholo.scenarios import (
     DIAMOND_HALF_RAD,
     FIDELITY_SLICES,
@@ -44,13 +59,18 @@ from nvholo.scenarios import (
     run_two_qubit_pi2,
 )
 from nvholo.scenarios import (
+    CARDINAL_STATES,
     _common_mode,
     _diamond_azimuth,
+    _drive_matrix,
+    _initial_state,
     _loop_duration_us,
     _loop_fidelity,
     _qubit_kraus,
+    _pulse_dt,
     _qubit_propagators,
     _rx,
+    _rz,
 )
 
 NOISE = NoiseModel(t1_us=100.0, t2_us=50.0, enabled=True)
@@ -734,3 +754,194 @@ def test_resolved_dt_honors_override():
     cfg = ScenarioConfig(scenario_id="pi3", dt_us=1e-5)
     assert resolved_dt_us(cfg) == 1e-5
     assert resolved_dt_us(loop_sweep_config()) is None
+
+
+# --- batched runners against a per-run loop --------------------------------
+#
+# composite, detune-sweep and dark-states integrate their runs as one batch
+# per pulse segment. The references below run the same physics one run at a
+# time through unbatched evolve_schrodinger / evolve_lindblad calls.
+
+
+def per_run_segments(segments, psi0, cfg, noisy):
+    """(record populations, final state) of one start through the legs."""
+    state = np.outer(psi0, psi0.conj()) if noisy else psi0.copy()
+    pops = [np.real(np.diag(state)) if noisy else np.abs(state) ** 2]
+    for theta, pre_kick, post_kick in segments:
+        rz = _rz(pre_kick)
+        state = rz @ state @ rz.conj().T if noisy else rz @ state
+        span = abs(theta) / (2.0 * math.pi * cfg.rabi_mhz)
+        if span > 0.0:
+            h = _drive_matrix(math.copysign(cfg.rabi_mhz, theta), 0.0)
+            evo = EvolutionConfig(0.0, span, _pulse_dt(h, span, cfg), renormalize=cfg.renormalize)
+            if noisy:
+                traj = evolve_lindblad(h, DensityMatrix(state), cfg.noise, evo)
+                rho = np.asarray(traj.densities[-1])
+                state = 0.5 * (rho + rho.conj().T)
+            else:
+                traj = evolve_schrodinger(h, StateVector.normalized(state), evo)
+                state = traj.amplitudes[-1]
+            pops.extend(traj.populations[1:])
+        rz = _rz(post_kick)
+        state = rz @ state @ rz.conj().T if noisy else rz @ state
+    return np.asarray(pops), state
+
+
+def per_run_cardinal_fidelity(segments, cfg):
+    total = 0.0
+    for start in CARDINAL_STATES:
+        _, ideal = per_run_segments(segments, start, cfg, noisy=False)
+        _, noisy = per_run_segments(segments, start, cfg, noisy=True)
+        total += state_density_fidelity(StateVector.normalized(ideal), DensityMatrix(noisy))
+    return total / len(CARDINAL_STATES)
+
+
+def per_run_discrepancy(segments, psi0, cfg):
+    ideal, _ = per_run_segments(segments, psi0, cfg, noisy=False)
+    noisy, _ = per_run_segments(segments, psi0, cfg, noisy=True)
+    return float(np.max(np.abs(ideal[:, 0] - noisy[:, 0])))
+
+
+@pytest.mark.parametrize(
+    "initial_state,renormalize",
+    [(("level", 0), True), (("rotation", 0.7), True), (("level", 1), False)],
+)
+def test_composite_sweep_matches_per_run_loop(initial_state, renormalize):
+    cfg = ScenarioConfig(
+        scenario_id="composite",
+        sweep=SweepSpec(0.0, 2.5, 1.25),
+        initial_state=initial_state,
+        rabi_mhz=12.0,
+        noise=NoiseModel(t1_us=60.0, t2_us=45.0),
+        renormalize=renormalize,
+    )
+    result = run_composite_gate_scenario(cfg)
+    psi0 = _initial_state(initial_state, 2).amps
+    for i, theta in enumerate(result.axis_values):
+        legs = [(theta / 3.0, 0.0, theta / 3.0)] * 3
+        single = [(theta, 0.0, theta)]
+        pops, _ = per_run_segments(legs, psi0, cfg, noisy=False)
+        assert abs(result.series["p1"][i] - pops[-1, 0]) < 1e-12
+        assert abs(result.series["p2"][i] - pops[-1, 1]) < 1e-12
+        comp = per_run_discrepancy(legs, psi0, cfg)
+        assert abs(result.series["discrepancy_composite"][i] - comp) < 1e-12
+        assert abs(result.series["discrepancy_single"][i] - per_run_discrepancy(single, psi0, cfg)) < 1e-12
+        fid = per_run_cardinal_fidelity(legs, cfg)
+        assert abs(result.series["fidelity_cardinal"][i] - fid) < 1e-12
+
+
+def test_composite_fixed_sequence_matches_per_run_loop():
+    gates = (
+        GateParams(theta=0.7, phi=0.4, lam=0.3),
+        GateParams(theta=-1.1, phi=0.2, lam=-0.5),
+        GateParams(theta=0.5, phi=-0.3, lam=0.1),
+    )
+    noise = NoiseModel(t1_us=40.0, t2_us=30.0)
+    cfg = ScenarioConfig(scenario_id="composite", gate_params=gates, noise=noise)
+    result = run_composite_gate_scenario(cfg)
+    legs = [(p.theta, 2.0 * math.atan(p.lam), p.phi) for p in gates]
+    psi0 = np.array([1.0, 0.0], dtype=np.complex128)
+    pops, final = per_run_segments(legs, psi0, cfg, noisy=False)
+    assert abs(result.series["p1"][0] - abs(final[0]) ** 2) < 1e-12
+    disc = per_run_discrepancy(legs, psi0, cfg)
+    assert abs(result.fidelities["composite_max_discrepancy"] - disc) < 1e-12
+    fid = per_run_cardinal_fidelity(legs, cfg)
+    assert abs(result.fidelities["cardinal_fidelity_mean"] - fid) < 1e-12
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("renormalize", [True, False])
+def test_detuning_sweep_matches_per_run_loop(noisy, renormalize):
+    cfg = ScenarioConfig(
+        scenario_id="detune-sweep",
+        sweep=SweepSpec(-24.0, 24.0, 8.0),
+        initial_state=("rotation", 0.4),
+        rabi_mhz=12.0,
+        noise=NoiseModel(t1_us=70.0, t2_us=40.0) if noisy else NoiseModel(enabled=False),
+        renormalize=renormalize,
+    )
+    result = run_single_qubit_detuning_sweep(cfg)
+    deltas = result.axis_values
+    state0 = _initial_state(cfg.initial_state, 2)
+    span = 1.0 / (4.0 * cfg.rabi_mhz)
+    widest = _drive_matrix(cfg.rabi_mhz, float(deltas[np.argmax(np.abs(deltas))]))
+    evo = EvolutionConfig(0.0, span, _pulse_dt(widest, span, cfg), renormalize=renormalize)
+    reference = evolve_schrodinger(_drive_matrix(cfg.rabi_mhz, 0.0), state0, evo)
+    for i, delta in enumerate(deltas):
+        h = _drive_matrix(cfg.rabi_mhz, float(delta))
+        traj = evolve_schrodinger(h, state0, evo)
+        expected = phase_from_discrepancy(reference, traj, level=0)
+        got = result.phase_estimates[i]
+        assert abs(result.series["p1"][i] - traj.populations[-1, 0]) < 1e-12
+        assert abs(result.series["p2"][i] - traj.populations[-1, 1]) < 1e-12
+        assert abs(got.discrepancy - expected.discrepancy) < 1e-12
+        assert wrapped_gap(got.magnitude_rad, expected.magnitude_rad) < 1e-12
+        if noisy:
+            rho = evolve_lindblad(h, DensityMatrix.from_state(state0), cfg.noise, evo)
+            assert abs(result.series["p1_noisy"][i] - rho.populations[-1, 0]) < 1e-12
+            assert abs(result.series["p2_noisy"][i] - rho.populations[-1, 1]) < 1e-12
+            gap = float(np.max(np.abs(rho.populations - traj.populations)))
+            assert abs(result.series["discrepancy_noisy"][i] - gap) < 1e-12
+    assert ("p1_noisy" in result.series) == noisy
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {},
+        {"detunings": (10.0, 20.0, 30.0)},
+        {"drive_amplitudes_mhz": (5.0, 7.5, 6.0, 5.5, 7.0, 6.5), "duration_us": 0.7},
+    ],
+    ids=["default", "detuned", "amplitudes"],
+)
+def test_dark_spectrum_matches_per_run_loop(kw):
+    cfg = ScenarioConfig(scenario_id="dark-states", **kw)
+    spectrum = run_dark_state_spectrum(cfg)
+    assert len(spectrum.dark_indices) >= 2
+    amps = cfg.drive_amplitudes_mhz or (cfg.rabi_mhz,) * 6
+    spec = LevelSpec(dim=8, energies_mhz=(0.0,) * 8, detunings_mhz=cfg.detunings)
+    matrix = build_interaction_8(spec, amps, mode=cfg.hermiticity).entries
+    span = cfg.duration_us or 1.0
+    dt = recommended_dt(matrix, 0.0, span)
+    evo = EvolutionConfig(0.0, span, dt, record_stride=max(1, int(round(span / dt)) // 128))
+    for i, leak in zip(spectrum.dark_indices, spectrum.leakages):
+        vec = spectrum.eigenvectors[:, i]
+        traj = evolve_schrodinger(matrix, StateVector.normalized(vec), evo)
+        stay = np.abs(traj.amplitudes @ vec.conj()) ** 2
+        assert abs(leak - float(np.max(1.0 - stay))) < 1e-12
+
+
+def test_detuning_sweep_failure_names_its_point():
+    # one shared coarse step without renormalisation: only the widest
+    # detuning drifts past the gate
+    cfg = ScenarioConfig(
+        scenario_id="detune-sweep",
+        sweep=SweepSpec(0.0, 60.0, 60.0),
+        initial_state=("level", 1),
+        dt_us=1.0 / 600.0,
+        renormalize=False,
+    )
+    span = 1.0 / (4.0 * cfg.rabi_mhz)
+    evo = EvolutionConfig(0.0, span, cfg.dt_us, renormalize=False)
+    state0 = _initial_state(cfg.initial_state, 2)
+    with pytest.raises(NumericalError) as single:
+        evolve_schrodinger(_drive_matrix(cfg.rabi_mhz, 60.0), state0, evo)
+    step = re.search(r"at step (\d+) ", str(single.value)).group(1)
+    with pytest.raises(NumericalError) as err:
+        run_single_qubit_detuning_sweep(cfg)
+    message = str(err.value)
+    assert message.startswith("detune-sweep delta=60 MHz: norm drifted")
+    assert f"at step {step} " in message
+    assert "run " not in message
+
+
+def test_composite_failure_names_theta_and_start():
+    cfg = ScenarioConfig(
+        scenario_id="composite",
+        sweep=SweepSpec(6.0, 6.0, 1.0),
+        dt_us=0.02,
+        renormalize=False,
+        noise=NOISE,
+    )
+    with pytest.raises(NumericalError, match=r"^composite theta=6 start=initial: norm drifted to [0-9.]+ at step 1 "):
+        run_composite_gate_scenario(cfg)
