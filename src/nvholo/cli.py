@@ -110,34 +110,53 @@ def _load_config(args) -> ScenarioConfig:
     return cfg
 
 
-def _sweep_table(result, axis_name: str) -> CsvTable:
-    """The axis, then every series in the runner's order, with the phase
-    estimates, when there are any, right after p2."""
-    header, columns = [axis_name], [result.axis_values]
-    for name, values in result.series.items():
-        header.append(name)
-        columns.append(values)
-        if name == "p2" and result.phase_estimates:
-            header += ["phase_magnitude_rad", "phase_discrepancy"]
-            columns.append([e.magnitude_rad for e in result.phase_estimates])
-            columns.append([e.discrepancy for e in result.phase_estimates])
-    return CsvTable(tuple(header), columns_to_rows(*columns))
-
-
 def _table_theta_sweep(cfg):
     result = run_single_qubit_theta_sweep(cfg)
-    return _sweep_table(result, "theta_rad"), [f"{len(result.axis_values)} rotation angles"]
+    header = ["theta_rad", "p1", "p2"]
+    columns = [result.axis_values, result.series["p1"], result.series["p2"]]
+    if "p1_noisy" in result.series:
+        header += ["p1_noisy", "p2_noisy"]
+        columns += [result.series["p1_noisy"], result.series["p2_noisy"]]
+    table = CsvTable(tuple(header), columns_to_rows(*columns))
+    return table, [f"{len(result.axis_values)} rotation angles"]
 
 
 def _table_detune_sweep(cfg):
     result = run_single_qubit_detuning_sweep(cfg)
-    return _sweep_table(result, "delta_mhz"), [f"{len(result.axis_values)} detuning points"]
+    mags = [e.magnitude_rad for e in result.phase_estimates]
+    discs = [e.discrepancy for e in result.phase_estimates]
+    header = ["delta_mhz", "p1", "p2", "phase_magnitude_rad", "phase_discrepancy"]
+    columns = [
+        result.axis_values,
+        result.series["p1"],
+        result.series["p2"],
+        mags,
+        discs,
+    ]
+    if "p1_noisy" in result.series:
+        header += ["p1_noisy", "p2_noisy", "discrepancy_noisy"]
+        columns += [
+            result.series["p1_noisy"],
+            result.series["p2_noisy"],
+            result.series["discrepancy_noisy"],
+        ]
+    table = CsvTable(tuple(header), columns_to_rows(*columns))
+    return table, [f"{len(result.axis_values)} detuning points"]
 
 
 def _table_composite(cfg):
     result = run_composite_gate_scenario(cfg)
-    summary = [f"{key} = {value:.6g}" for key, value in sorted(result.fidelities.items())]
-    return _sweep_table(result, "theta_rad"), summary
+    header = ["theta_rad", "p1", "p2"]
+    columns = [result.axis_values, result.series["p1"], result.series["p2"]]
+    for name in ("discrepancy_composite", "discrepancy_single", "fidelity_cardinal"):
+        if name in result.series:
+            header.append(name)
+            columns.append(result.series[name])
+    table = CsvTable(tuple(header), columns_to_rows(*columns))
+    summary = [
+        f"{key} = {value:.6g}" for key, value in sorted(result.fidelities.items())
+    ]
+    return table, summary
 
 
 def _table_two_qubit(cfg):
@@ -225,8 +244,12 @@ def _table_dark_states(cfg):
 
 def _table_fidelity(cfg):
     off, on = compare_resonant_fidelity(cfg)
-    table = CsvTable(("off_fidelity", "on_fidelity", "gap"), ((off, on, off - on),))
-    return table, [f"off-resonant {off:.4f}, on-resonant {on:.4f}"]
+    table = CsvTable(
+        ("off_fidelity", "on_fidelity", "gap"),
+        ((off, on, off - on),),
+    )
+    summary = [f"off-resonant {off:.4f}, on-resonant {on:.4f}"]
+    return table, summary
 
 
 TABLE_BUILDERS = {

@@ -46,7 +46,7 @@ FALSE_WORDS = ("false", "no", "off", "0")
 def _parse_sections(text: str) -> dict:
     """Split config text into {section: {key: (line_no, raw_value)}}."""
     sections: dict = {}
-    current = allowed = None
+    current = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith(";"):
@@ -56,7 +56,6 @@ def _parse_sections(text: str) -> dict:
             if name != "run" and name not in KNOWN_KEYS:
                 raise ConfigError(f"line {line_no}: unknown section [{name}]")
             current = sections.setdefault(name, {})
-            allowed = KNOWN_KEYS.get(name)  # None: [run] takes any key
             continue
         if current is None:
             raise ConfigError(f"line {line_no}: key outside of any section")
@@ -69,10 +68,20 @@ def _parse_sections(text: str) -> dict:
             raise ConfigError(f"line {line_no}: empty key")
         if key in current:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-        if allowed is not None and key not in allowed:
-            raise ConfigError(f"line {line_no}: unknown key {key!r} in section [{name}]")
         current[key] = (line_no, value)
     return sections
+
+
+def _reject_unknown(sections: dict):
+    for name, entries in sections.items():
+        if name == "run":
+            continue
+        allowed = KNOWN_KEYS[name]
+        for key, (line_no, _) in entries.items():
+            if key not in allowed:
+                raise ConfigError(
+                    f"line {line_no}: unknown key {key!r} in section [{name}]"
+                )
 
 
 def _float(entry, name: str) -> float:
@@ -165,6 +174,7 @@ def _gate(entry, name: str) -> GateParams:
 def parse_config(text: str) -> ScenarioConfig:
     """Parse sectioned config text into a validated ScenarioConfig."""
     sections = _parse_sections(text)
+    _reject_unknown(sections)
 
     scenario = sections.get("scenario", {})
     if "id" not in scenario:
@@ -198,10 +208,16 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"line {line_no}: threads must be an integer >= 1")
 
     pulses = sections.get("pulses", {})
-    scalars = ("rabi_mhz", "drive_mhz", "splitting_mhz", "envelope_mhz", "carrier_mhz")
-    for key in scalars + ("duration_us",):
+    for key, target in (
+        ("rabi_mhz", "rabi_mhz"),
+        ("drive_mhz", "drive_mhz"),
+        ("splitting_mhz", "splitting_mhz"),
+        ("envelope_mhz", "envelope_mhz"),
+        ("carrier_mhz", "carrier_mhz"),
+        ("duration_us", "duration_us"),
+    ):
         if key in pulses:
-            kwargs[key] = _float(pulses[key], key)
+            kwargs[target] = _float(pulses[key], key)
     if "drive_amplitudes_mhz" in pulses:
         kwargs["drive_amplitudes_mhz"] = _float_list(
             pulses["drive_amplitudes_mhz"], "drive_amplitudes_mhz"
@@ -271,7 +287,9 @@ def render_config(cfg: ScenarioConfig) -> str:
     if cfg.sweep is not None:
         lines.append(f"sweep = {_fmt(cfg.sweep)}")
 
-    lines += ["", "[pulses]", f"rabi_mhz = {_fmt(cfg.rabi_mhz)}"]
+    lines.append("")
+    lines.append("[pulses]")
+    lines.append(f"rabi_mhz = {_fmt(cfg.rabi_mhz)}")
     if cfg.drive_mhz is not None:
         lines.append(f"drive_mhz = {_fmt(cfg.drive_mhz)}")
     lines.append(f"splitting_mhz = {_fmt(cfg.splitting_mhz)}")
@@ -287,7 +305,8 @@ def render_config(cfg: ScenarioConfig) -> str:
             f"gate{i} = {gate.theta!r},{gate.phi!r},{gate.lam!r},{gate.gamma!r}"
         )
 
-    lines += ["", "[detunings]"]
+    lines.append("")
+    lines.append("[detunings]")
     for i, delta in enumerate(cfg.detunings, start=1):
         lines.append(f"delta{i} = {_fmt(delta)}")
     if cfg.detuning_sets:
@@ -296,10 +315,14 @@ def render_config(cfg: ScenarioConfig) -> str:
         )
         lines.append(f"sets = {joined}")
 
-    lines += ["", "[noise]", f"enabled = {_fmt(cfg.noise.enabled)}"]
+    lines.append("")
+    lines.append("[noise]")
+    lines.append(f"enabled = {_fmt(cfg.noise.enabled)}")
     lines.append(f"t1_us = {_fmt(cfg.noise.t1_us)}")
     lines.append(f"t2_us = {_fmt(cfg.noise.t2_us)}")
-    lines += ["", "[integrator]"]
+
+    lines.append("")
+    lines.append("[integrator]")
     if cfg.dt_us is not None:
         lines.append(f"dt_us = {_fmt(cfg.dt_us)}")
     lines.append(f"renormalize = {_fmt(cfg.renormalize)}")

@@ -197,9 +197,15 @@ class DensityMatrix:
         return np.real(np.diag(self.entries))
 
 
-def state_density_fidelity(psi: StateVector, rho: DensityMatrix) -> float:
-    """<psi|rho|psi>, the overlap of a pure target with a mixed state."""
-    if psi.dim != rho.dim:
-        raise ConfigError(f"dimension mismatch: {psi.dim} vs {rho.dim}")
-    value = float(np.real(psi.amps.conj() @ rho.entries @ psi.amps))
-    return min(max(value, 0.0), 1.0)
+def state_density_fidelity(psi, rho):
+    """<psi|rho|psi>, the overlap of a pure target with a mixed state,
+    clipped to [0, 1]. psi may be a (runs, dim) array of normalized
+    amplitudes and rho a (runs, dim, dim) array of densities, broadcast
+    against each other; a batch gives one overlap per run."""
+    amps = psi.amps if isinstance(psi, StateVector) else checked_amplitudes(psi, 2)
+    entries = rho.entries if isinstance(rho, DensityMatrix) else checked_densities(rho, 3)
+    if amps.shape[-1] != entries.shape[-1]:
+        raise ConfigError(f"dimension mismatch: {amps.shape[-1]} vs {entries.shape[-1]}")
+    overlap = np.einsum("...i,...ij,...j->...", amps.conj(), entries, amps)
+    value = np.clip(np.real(overlap), 0.0, 1.0)
+    return float(value) if value.ndim == 0 else value

@@ -146,6 +146,13 @@ class LevelSpec:
         object.__setattr__(self, "detunings_mhz", detunings)
 
 
+def _check_mode(mode: str):
+    if mode not in HERMITICITY_MODES:
+        raise ConfigError(
+            f"unknown hermiticity mode {mode!r}, expected one of {HERMITICITY_MODES}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class PulsedHamiltonian:
     """Time-dependent rotating-frame Hamiltonian over a pulse set.
@@ -225,8 +232,7 @@ def build_interaction_8(spec: LevelSpec, rabi_mhz, mode: str = HERMITIZED) -> Op
     """
     if spec.dim != 8:
         raise ConfigError(f"expected dim 8, got {spec.dim}")
-    if mode not in HERMITICITY_MODES:
-        raise ConfigError(f"unknown hermiticity mode {mode!r}, expected one of {HERMITICITY_MODES}")
+    _check_mode(mode)
     r = np.asarray(rabi_mhz, dtype=np.complex128)
     if r.shape != (6,):
         raise ConfigError(f"expected 6 drive amplitudes, got shape {r.shape}")

@@ -40,6 +40,7 @@ from nvholo.core import (
     NumericalError,
     StateVector,
     eig_hermitian,
+    state_density_fidelity,
 )
 from nvholo.evolve import (
     EvolutionConfig,
@@ -103,6 +104,11 @@ TIME_EVOLUTION_SAMPLES = 201
 # register amplitudes at a time, 8 points on a 121-sample grid; its time grid
 # grows with the point count, so whole-sweep arrays would grow with its square
 LOOP_BLOCK_BYTES = 128 * 1024
+# the detune sweep integrates its points in blocks of at most this many bytes:
+# a point takes about DETUNE_RECORD_BYTES of heap per step (its ideal and noisy
+# records with the integrator's working copies), and every step is recorded
+DETUNE_BLOCK_BYTES = 512 * 1024
+DETUNE_RECORD_BYTES = 320
 
 MIN_SEGMENT_STEPS = 16
 POPULATION_TOL = 1e-9
@@ -412,6 +418,8 @@ def run_single_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
     Each detuned run is compared against the resonant reference with the
     population-discrepancy phase probe; with noise on, the same drive is also
     integrated through the master equation and scored against the ideal run.
+    Every step is recorded, so the points go in blocks of at most
+    DETUNE_BLOCK_BYTES, each block with its own copy of the reference.
     """
     _require_scenario(cfg, "detune-sweep")
     deltas = (cfg.sweep or DETUNE_SWEEP_DEFAULT).values()
@@ -421,27 +429,35 @@ def run_single_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
     # one shared step size so every trajectory lands on the same record grid:
     # the step of the drive at the largest |delta|, the fastest one
     widest = _drive_matrix(cfg.rabi_mhz, float(deltas[np.argmax(np.abs(deltas))]))
-    evo = EvolutionConfig(0.0, span, _pulse_dt(widest, span, cfg), renormalize=cfg.renormalize)
+    dt = _pulse_dt(widest, span, cfg)
+    evo = EvolutionConfig(0.0, span, dt, renormalize=cfg.renormalize)
+    n_records = max(1, int(round(span / dt))) + 1
+    block = max(1, DETUNE_BLOCK_BYTES // (DETUNE_RECORD_BYTES * n_records))
     state0 = StateVector.normalized(psi0)
-    # the resonant reference, then every sweep point: one stack of drives
-    drives = np.stack([_drive_matrix(cfg.rabi_mhz, float(d)) for d in np.append(0.0, deltas)])
-    points = ["reference delta=0 MHz"] + [f"delta={d:g} MHz" for d in deltas]
-    with _naming("detune-sweep", points):
-        ideal = evolve_schrodinger(drives, state0, evo)
-    reference = Trajectory(
-        times=ideal.times, populations=ideal.populations[0], amplitudes=ideal.amplitudes[0]
-    )
-    estimates = phase_estimates(reference, ideal, level=0, reference_label="delta=0MHz")[1:]
-    finals = ideal.populations[1:, -1]
-    series = {"p1": finals[:, 0], "p2": finals[:, 1]}
-    if cfg.noise.enabled:
-        with _naming("detune-sweep", points[1:]):
-            noisy = evolve_lindblad(drives[1:], DensityMatrix.from_state(state0), cfg.noise, evo)
-        series["p1_noisy"] = noisy.populations[:, -1, 0]
-        series["p2_noisy"] = noisy.populations[:, -1, 1]
-        gap = np.abs(noisy.populations - ideal.populations[1:])
-        series["discrepancy_noisy"] = np.max(gap, axis=(1, 2))
-    return SweepResult(axis_values=deltas, series=series, phase_estimates=estimates)
+    rho0 = DensityMatrix.from_state(state0)
+    noisy_names = ["p1_noisy", "p2_noisy", "discrepancy_noisy"] if cfg.noise.enabled else []
+    series = {name: np.empty(deltas.shape[0]) for name in ["p1", "p2"] + noisy_names}
+    estimates = []
+    for start in range(0, deltas.shape[0], block):
+        rows = slice(start, start + block)
+        # the resonant reference, then the block's points: one stack of drives
+        part = deltas[rows]
+        drives = np.stack([_drive_matrix(cfg.rabi_mhz, d) for d in np.append(0.0, part)])
+        points = ["reference delta=0 MHz"] + [f"delta={d:g} MHz" for d in part]
+        with _naming("detune-sweep", points):
+            ideal = evolve_schrodinger(drives, state0, evo)
+        reference = Trajectory(
+            times=ideal.times, populations=ideal.populations[0], amplitudes=ideal.amplitudes[0]
+        )
+        estimates += phase_estimates(reference, ideal, level=0, reference_label="delta=0MHz")[1:]
+        series["p1"][rows], series["p2"][rows] = ideal.populations[1:, -1].T
+        if cfg.noise.enabled:
+            with _naming("detune-sweep", points[1:]):
+                noisy = evolve_lindblad(drives[1:], rho0, cfg.noise, evo)
+            series["p1_noisy"][rows], series["p2_noisy"][rows] = noisy.populations[:, -1].T
+            gap = np.abs(noisy.populations - ideal.populations[1:])
+            series["discrepancy_noisy"][rows] = np.max(gap, axis=(1, 2))
+    return SweepResult(axis_values=deltas, series=series, phase_estimates=tuple(estimates))
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +555,8 @@ def _composite_starts(cfg: ScenarioConfig) -> np.ndarray:
 
 
 class _Stitched(NamedTuple):
-    """Record grid, populations (runs, records, 2) and final states of a batch."""
+    """Record populations (runs, records, 2) and final states of a batch."""
 
-    times: np.ndarray
     pops: np.ndarray
     final: np.ndarray
 
@@ -569,9 +584,7 @@ def _run_segments(segments, starts, cfg: ScenarioConfig, noisy: bool, where: str
     else:
         state = starts.copy()
         pops0 = np.abs(state) ** 2
-    times = [np.asarray([0.0])]
     pops = [pops0[:, None, :]]
-    offset = 0.0
     names = [f"{where} start={name}" for name in START_NAMES]
     for theta, pre_kick, post_kick in segments:
         state = _kick(state, pre_kick)
@@ -588,11 +601,9 @@ def _run_segments(segments, starts, cfg: ScenarioConfig, noisy: bool, where: str
                     norms = np.linalg.norm(state, axis=1, keepdims=True)
                     traj = evolve_schrodinger(h, state / norms, evo)
                     state = traj.amplitudes[:, -1]
-            times.append(offset + traj.times[1:])
             pops.append(traj.populations[:, 1:])
-            offset += traj.times[-1]
         state = _kick(state, post_kick)
-    return _Stitched(np.concatenate(times), np.concatenate(pops, axis=1), state)
+    return _Stitched(np.concatenate(pops, axis=1), state)
 
 
 def _discrepancy(ideal: _Stitched, noisy: _Stitched) -> float:
@@ -601,11 +612,10 @@ def _discrepancy(ideal: _Stitched, noisy: _Stitched) -> float:
 
 
 def _cardinal_fidelity(ideal: np.ndarray, noisy: np.ndarray) -> float:
-    """Mean <psi|rho|psi> over the cardinal starts: psi each one's ideal
-    final amplitudes (rows of ideal), rho its noisy final density."""
+    """Mean state_density_fidelity over the cardinal starts: each one's ideal
+    final amplitudes (rows of ideal) against its noisy final density."""
     psi = ideal / np.linalg.norm(ideal, axis=1, keepdims=True)
-    overlaps = np.real(np.einsum("bi,bij,bj->b", psi.conj(), noisy, psi))
-    return float(np.mean(np.clip(overlaps, 0.0, 1.0)))
+    return float(np.mean(state_density_fidelity(psi, noisy)))
 
 
 # ---------------------------------------------------------------------------

@@ -226,3 +226,31 @@ class TestDensityMatrix:
             assert state_density_fidelity(a, rho) == pytest.approx(
                 abs(inner_product(a, b)) ** 2, abs=1e-12
             )
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_state_density_fidelity_batch_matches_per_run(self, dim):
+        rng = np.random.default_rng(31)
+        psis = [random_state(rng, dim) for _ in range(5)]
+        weights = rng.uniform(size=(5, 3))
+        rhos = []
+        for row in weights / weights.sum(axis=1, keepdims=True):
+            pure = [DensityMatrix.from_state(random_state(rng, dim)).entries for _ in row]
+            rhos.append(DensityMatrix(sum(w * rho for w, rho in zip(row, pure))))
+        entries = np.stack([r.entries for r in rhos])
+        got = state_density_fidelity(np.stack([p.amps for p in psis]), entries)
+        assert got.shape == (5,)
+        for value, psi, rho in zip(got, psis, rhos):
+            assert abs(value - state_density_fidelity(psi, rho)) < 1e-15
+        # one target against many densities broadcasts too
+        many = state_density_fidelity(psis[0], entries)
+        assert np.max(np.abs(many - [state_density_fidelity(psis[0], r) for r in rhos])) < 1e-15
+
+    def test_state_density_fidelity_batch_validates_every_run(self):
+        rhos = np.stack([np.diag([1.0, 0.0]), np.diag([1.5, -0.5])]).astype(complex)
+        amps = np.stack([StateVector.basis(2, 0).amps] * 2)
+        with pytest.raises(ConfigError):
+            state_density_fidelity(amps, rhos)
+        with pytest.raises(ConfigError):
+            state_density_fidelity(amps * 2.0, rhos[:1])
+        with pytest.raises(ConfigError):
+            state_density_fidelity(np.stack([StateVector.basis(4, 0).amps] * 2), rhos)

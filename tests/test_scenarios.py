@@ -15,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nvholo import scenarios
 from nvholo.config import parse_config, render_config
 from nvholo.core import (
     ConfigError,
@@ -741,6 +742,24 @@ def test_loop_sweep_memory_stays_bounded():
     assert peak <= 2_000_000
 
 
+def test_detuning_sweep_memory_stays_bounded():
+    # 121 noisy points of 629 steps: one batch of every point would hold
+    # about 15 MB of records
+    cfg = ScenarioConfig(
+        scenario_id="detune-sweep",
+        sweep=SweepSpec(-30.0, 30.0, 0.5),
+        noise=NoiseModel(t1_us=70.0, t2_us=40.0),
+    )
+    run_single_qubit_detuning_sweep(cfg)
+    tracemalloc.start()
+    try:
+        run_single_qubit_detuning_sweep(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
+
+
 # --- step resolution helper -------------------------------------------------
 
 
@@ -849,9 +868,17 @@ def test_composite_fixed_sequence_matches_per_run_loop():
     assert abs(result.fidelities["cardinal_fidelity_mean"] - fid) < 1e-12
 
 
+# one point per block, two points per block (the default budget at this
+# step count) and the whole sweep in one block
+DETUNE_BLOCKS = [1, None, 1 << 30]
+
+
+@pytest.mark.parametrize("block_bytes", DETUNE_BLOCKS, ids=["point", "default", "whole"])
 @pytest.mark.parametrize("noisy", [False, True])
 @pytest.mark.parametrize("renormalize", [True, False])
-def test_detuning_sweep_matches_per_run_loop(noisy, renormalize):
+def test_detuning_sweep_matches_per_run_loop(noisy, renormalize, block_bytes, monkeypatch):
+    if block_bytes is not None:
+        monkeypatch.setattr(scenarios, "DETUNE_BLOCK_BYTES", block_bytes)
     cfg = ScenarioConfig(
         scenario_id="detune-sweep",
         sweep=SweepSpec(-24.0, 24.0, 8.0),
@@ -911,9 +938,13 @@ def test_dark_spectrum_matches_per_run_loop(kw):
         assert abs(leak - float(np.max(1.0 - stay))) < 1e-12
 
 
-def test_detuning_sweep_failure_names_its_point():
+@pytest.mark.parametrize("block_bytes", DETUNE_BLOCKS, ids=["point", "default", "whole"])
+def test_detuning_sweep_failure_names_its_point(block_bytes, monkeypatch):
     # one shared coarse step without renormalisation: only the widest
-    # detuning drifts past the gate
+    # detuning drifts past the gate, in the last block when points are
+    # integrated one per block
+    if block_bytes is not None:
+        monkeypatch.setattr(scenarios, "DETUNE_BLOCK_BYTES", block_bytes)
     cfg = ScenarioConfig(
         scenario_id="detune-sweep",
         sweep=SweepSpec(0.0, 60.0, 60.0),
