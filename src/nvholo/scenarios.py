@@ -158,6 +158,8 @@ class SweepSpec:
 
 THETA_SWEEP_DEFAULT = SweepSpec(0.0, 2.0 * math.pi, math.pi / 16.0)
 DETUNE_SWEEP_DEFAULT = SweepSpec(-30.0, 30.0, 2.0)
+LOOP_SWEEP_DEFAULT = SweepSpec(0.0, 600.0, 15.0)
+LOOP_HELD_DETUNING_MHZ = 450.0
 
 
 @dataclass(frozen=True)
