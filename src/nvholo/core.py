@@ -82,6 +82,16 @@ def unitary_deviation(entries: np.ndarray) -> float:
     return float(np.max(np.abs(entries.conj().T @ entries - np.eye(dim))))
 
 
+def ordered_product(mats: np.ndarray) -> np.ndarray:
+    """M[n-1] @ ... @ M[0] of the sequence of matrices on axis -3, for every
+    leading index at once, multiplied pairwise in log2(n) batched rounds."""
+    while mats.shape[-3] > 1:
+        paired = mats[..., 1::2, :, :] @ mats[..., :-1:2, :, :]
+        odd = mats.shape[-3] % 2
+        mats = np.concatenate([paired, mats[..., -1:, :, :]], axis=-3) if odd else paired
+    return mats[..., 0, :, :]
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized complex amplitudes over 2, 4, or 8 basis levels."""

@@ -2,25 +2,22 @@
 
 The stepper is classical fourth order with the Hamiltonian sampled at the
 substage times t, t + dt/2, t + dt. Both equations are linear, so every step
-is a transfer matrix T, and _integrate propagates the steps in chunks. A
-chunk's states are filled in one of two ways:
+is a transfer matrix T, and _integrate propagates the steps in chunks,
+materialising the states only at the steps it checks (records, chunk ends):
 
 - constant H: T is built once, and the states T^j y come from powers of T by
   doubling, a handful of array products instead of a step loop;
-- time-dependent H: the chunk is sampled and its transfer matrices are
-  assembled with batched products, then applied one after another.
+- time-dependent H: the chunk is sampled and its transfer matrices are built
+  in batched products; those between two checked steps are multiplied into
+  one matrix by a pairwise tree, and the states cross it in one product.
 
-Either way, one checkpoint pass over the filled states checks the norm drift,
-renormalises and stores the records. Fixed steps keep runs bit-for-bit
-reproducible.
-
-One call integrates a batch of runs on one time grid: start states with a
-leading run axis, or a stack of constant H's, one per run, broadcast against
-a single other. An unbatched call is a batch of one on the same path, and
-every run keeps its own drift gate and renormalisation.
-
-The requested dt is snapped to an integer number of steps spanning exactly
-[t_start, t_end], so endpoints are hit without a fractional step.
+Either way, one checkpoint pass checks the norm drift, renormalises and stores
+the records. Fixed steps keep runs bit-for-bit reproducible. One call
+integrates a batch of runs on one time grid: start states with a leading run
+axis, or a stack of constant H's, one per run, broadcast against a single
+other; an unbatched call is a batch of one, and every run keeps its own drift
+gate and renormalisation. The requested dt is snapped to an integer number of
+steps spanning exactly [t_start, t_end], without a fractional step.
 """
 
 from __future__ import annotations
@@ -40,6 +37,7 @@ from nvholo.core import (
     StateVector,
     checked_amplitudes,
     checked_densities,
+    ordered_product,
 )
 
 LOG = logging.getLogger(__name__)
@@ -143,8 +141,8 @@ class NoiseModel:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded time series of one evolution, or of a batch of evolutions on
-    one time grid: populations, amplitudes and densities may carry leading
-    batch axes before the time axis, and every run's records are checked.
+    one time grid (leading batch axes before the time axis). Every run's
+    records are checked; a failure names the first failing run as its member.
 
     norms holds the state norm (or density trace) at each recorded step as
     it was before any renormalization, so it documents integrator drift
@@ -171,10 +169,12 @@ class Trajectory:
         else:
             actual = None
         if actual is not None:
-            drift = float(np.max(np.abs(actual - 1.0)))
-            if not drift <= ATOL_RECORDED_NORM:
+            drift = np.max(np.abs(actual - 1.0).reshape(-1, actual.shape[-1]), axis=1)
+            run = int(np.argmax(~(drift <= ATOL_RECORDED_NORM)))
+            if not drift[run] <= ATOL_RECORDED_NORM:
                 raise NumericalError(
-                    f"recorded norm drifted by {drift:.3g} (> {ATOL_RECORDED_NORM})"
+                    f"recorded norm drifted by {drift[run]:.3g} (> {ATOL_RECORDED_NORM})",
+                    member=run if drift.shape[0] > 1 else None,
                 )
         for name in ("times", "populations", "amplitudes", "densities", "norms"):
             value = getattr(self, name)
@@ -237,10 +237,8 @@ def _plan_steps(cfg: EvolutionConfig) -> tuple[int, float]:
 
 
 def _record_steps(n_steps: int, stride: int) -> np.ndarray:
-    steps = list(range(0, n_steps + 1, stride))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
-    return np.asarray(steps, dtype=int)
+    steps = np.arange(0, n_steps + 1, stride)
+    return steps if steps[-1] == n_steps else np.append(steps, n_steps)
 
 
 def _chunk_steps(y_dim: int, runs: int = 1, transfers: int = 1) -> int:
@@ -267,20 +265,22 @@ def _check_samples(stack: np.ndarray, dim: int, where: str):
         )
 
 
-def _transfer_stack(a_start, a_mid, a_end, dt: float) -> np.ndarray:
-    """Exact RK4 update matrices for the linear system y' = A(t) y."""
-    m21 = a_mid @ a_start
-    m32 = a_mid @ a_mid
-    m43 = a_end @ a_mid
-    m321 = a_mid @ m21
-    m432 = a_end @ m32
-    m4321 = a_end @ m321
-    out = (dt / 6.0) * (a_start + 4.0 * a_mid + a_end)
-    out += (dt * dt / 6.0) * (m21 + m32 + m43)
-    out += (dt**3 / 12.0) * (m321 + m432)
-    out += (dt**4 / 24.0) * m4321
-    dim = out.shape[-1]
-    idx = np.arange(dim)
+def _transfer_stack(a1, a2, a3, dt: float) -> np.ndarray:
+    """Exact RK4 update matrices for y' = A(t) y from A at each step's start,
+    middle and end: T = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) in stage form, three
+    batched products, updated in place (temporaries cost more at dim 4)."""
+    k2 = a2 @ a1  # K2 = a2 + dt/2 a2 K1, with K1 = a1
+    k2 *= dt / 2.0
+    k2 += a2
+    k3 = a2 @ k2  # K3 = a2 + dt/2 a2 K2
+    k3 *= dt / 2.0
+    k3 += a2
+    out = a3 @ k3  # K4 = a3 + dt a3 K3
+    out *= dt
+    out += a3
+    out += 2.0 * (k2 + k3) + a1
+    out *= dt / 6.0
+    idx = np.arange(out.shape[-1])
     out[..., idx, idx] += 1.0
     return out
 
@@ -301,6 +301,22 @@ def _fill_by_doubling(states: np.ndarray, powers: list, m: int):
         filled += take
 
 
+def _cross_intervals(carry: np.ndarray, transfer: np.ndarray, offsets: np.ndarray):
+    """The states at a chunk's checked step offsets, the last one its end: the
+    transfers between checked steps as one matrix each, equal intervals batched."""
+    lengths = np.diff(offsets, prepend=0)
+    cuts = np.flatnonzero(np.diff(lengths)) + 1
+    raw = np.empty((offsets.shape[0],) + carry.shape, dtype=np.complex128)
+    y = carry
+    for i, j in zip(np.append(0, cuts), np.append(cuts, offsets.shape[0])):
+        steps = transfer[offsets[i] - lengths[i] : offsets[j - 1]]
+        products = ordered_product(steps.reshape((j - i, lengths[i]) + transfer.shape[1:]))
+        # each run's row times P^T is P times its state
+        for product, out in zip(np.swapaxes(products, -1, -2), raw[i:j]):
+            y = np.matmul(y, product, out=out)
+    return raw
+
+
 def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure):
     """Shared chunked integrator for the linear system y' = A(t) y.
 
@@ -310,20 +326,19 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure):
     validation. y0 may carry a leading run axis and h_of_t be a stack of
     constant H's; a batched call returns its arrays with the run axis first.
 
-    The steps are cut into chunks of _chunk_steps. Each chunk fills a buffer
-    whose row j holds every run's state j steps past the chunk start, in one
-    of two ways: a constant H has a single RK4 transfer matrix T (or one per
-    run), and the rows come from powers of T by doubling (_fill_by_doubling);
-    a time-dependent H is sampled over the chunk, lifted to its stack of
-    transfer matrices, and the rows are filled one product at a time.
+    The steps are cut into chunks of _chunk_steps; a chunk's checked steps are
+    its records and its end. A constant H has one RK4 transfer matrix T (or
+    one per run), and the chunk's states come from powers of T by doubling
+    (_fill_by_doubling). A time-dependent H is sampled and lifted to the
+    chunk's transfer matrices, and _cross_intervals carries the states from
+    one checked step to the next in one product each.
 
-    One checkpoint block then reads the filled rows at the chunk's records
-    and at its end: it checks the norm drift of each run, renormalises, stores
-    the records, and carries the last row into the next chunk. No row is
-    renormalised while the chunk is filled; a scalar commutes with the linear
-    map, so each reported norm is the ratio of its raw norm to that of the
-    record before it, as a step-by-step renormalising loop would report it.
-    A drift failure names the earliest failing step and, in a batch, the
+    One checkpoint block then checks each run's norm drift at the checked
+    steps, renormalises, stores the records and carries the chunk end on.
+    No state is renormalised inside a chunk; a scalar commutes with the
+    linear map, so each reported norm is the ratio of its raw norm to that of
+    the record before it, as a step-by-step renormalising loop would report
+    it. A drift failure names the earliest failing step and, in a batch, the
     lowest run that fails there.
     """
     sample, constant = _as_source(h_of_t)
@@ -336,17 +351,16 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure):
     runs, y_dim = y0.shape
     times = cfg.t_start_us + dt * record_at.astype(float)
 
-    def transfers(k0: int, k1: int) -> np.ndarray:
-        sub = cfg.t_start_us + (dt / 2.0) * np.arange(2 * k0, 2 * k1 + 1)
+    def lifted(sub: np.ndarray) -> np.ndarray:
         stack = sample(sub)
         _check_samples(stack, dim_protect, f"t={sub[0]:.6g} us")
-        a = lift(stack)
-        return _transfer_stack(a[0:-1:2], a[1::2], a[2::2], dt)
+        return lift(stack)
 
     # transfers and states may overflow; the drift check rejects NaN and Inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if constant:
-            powers = [transfers(0, 1)[0]]  # T, T^2, T^4, ...; a stack per run
+            a = lifted(np.full(1, cfg.t_start_us))[0]  # every frame is this one
+            powers = [_transfer_stack(a, a, a, dt)]  # T, T^2, T^4, ...; a stack per run
             if powers[0].ndim == 3:
                 if runs not in (1, powers[0].shape[0]):
                     raise ConfigError(f"{runs} start states for {powers[0].shape[0]} H's")
@@ -355,31 +369,31 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure):
         if constant:
             while (1 << len(powers)) <= chunk:
                 powers.append(powers[-1] @ powers[-1])
-        states = np.empty((chunk + 1, runs, y_dim), dtype=np.complex128)
-        states[0] = y0
+            states = np.empty((chunk + 1, runs, y_dim), dtype=np.complex128)
+        carry = np.broadcast_to(y0, (runs, y_dim))
         records = np.empty((runs, n_records, y_dim), dtype=np.complex128)
         norms = np.empty((runs, n_records), dtype=float)
         pops = np.empty((runs, n_records, dim_protect), dtype=float)
-        records[:, 0] = states[0]
-        norms[:, 0], pops[:, 0] = measure(states[0])
+        records[:, 0] = carry
+        norms[:, 0], pops[:, 0] = measure(carry)
         next_record = 1
         max_drift = float(np.max(np.abs(norms[:, 0] - 1.0)))
 
         for k0 in range(0, n_steps, chunk):
             k1 = min(k0 + chunk, n_steps)
-            if constant:
-                _fill_by_doubling(states, powers, k1 - k0)
-            else:
-                # each run's row times T^T is T times its state
-                transfer = np.swapaxes(transfers(k0, k1), -1, -2)
-                for j in range(k1 - k0):
-                    np.matmul(states[j], transfer[j], out=states[j + 1])
-
             last_record = int(np.searchsorted(record_at, k1, side="right"))
             checked = record_at[next_record:last_record]
             if checked.shape[0] == 0 or checked[-1] != k1:
                 checked = np.append(checked, k1)
-            raw = states[checked - k0]
+            if constant:
+                states[0] = carry
+                _fill_by_doubling(states, powers, k1 - k0)
+                raw = states[checked - k0]
+            else:
+                a = lifted(cfg.t_start_us + (dt / 2.0) * np.arange(2 * k0, 2 * k1 + 1))
+                transfer = _transfer_stack(a[0:-1:2], a[1::2], a[2::2], dt)
+                raw = _cross_intervals(carry, transfer, checked - k0)
+
             raw_norms, _ = measure(raw)
             divisors = np.ones_like(raw_norms)
             if cfg.renormalize:
@@ -396,17 +410,15 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure):
                     member=int(run) if runs > 1 else None,
                 )
             max_drift = max(max_drift, float(np.max(drifts)))
+            n_new = last_record - next_record
+            ends_on_record = cfg.renormalize and n_new == checked.shape[0]
+            carry = raw[-1] / (raw_norms[-1] if ends_on_record else divisors[-1])[:, None]
             if cfg.renormalize:
                 raw /= raw_norms[..., None]
-            n_new = last_record - next_record
             records[:, next_record:last_record] = np.swapaxes(raw[:n_new], 0, 1)
             norms[:, next_record:last_record] = reported[:n_new].T
             pops[:, next_record:last_record] = np.swapaxes(measure(raw[:n_new])[1], 0, 1)
             next_record = last_record
-            scale = 1.0
-            if cfg.renormalize:
-                scale = (raw_norms[-1] if n_new == checked.shape[0] else divisors[-1])[:, None]
-            states[0] = states[k1 - k0] / scale
 
     LOG.debug(
         "integrated %d runs of %d steps of dt=%.3g us; max norm drift %.3e",

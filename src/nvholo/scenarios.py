@@ -40,6 +40,7 @@ from nvholo.core import (
     NumericalError,
     StateVector,
     eig_hermitian,
+    ordered_product,
     state_density_fidelity,
 )
 from nvholo.evolve import (
@@ -158,8 +159,6 @@ class SweepSpec:
 
 THETA_SWEEP_DEFAULT = SweepSpec(0.0, 2.0 * math.pi, math.pi / 16.0)
 DETUNE_SWEEP_DEFAULT = SweepSpec(-30.0, 30.0, 2.0)
-LOOP_SWEEP_DEFAULT = SweepSpec(0.0, 600.0, 15.0)
-LOOP_HELD_DETUNING_MHZ = 450.0
 
 
 @dataclass(frozen=True)
@@ -656,7 +655,8 @@ def run_two_qubit_pi2(cfg: ScenarioConfig) -> Trajectory:
         record_stride=max(1, n_steps // TWO_QUBIT_RECORDS),
         renormalize=cfg.renormalize,
     )
-    return evolve_schrodinger(h, psi0, evo)
+    with _naming("two-qubit-pi2", []):
+        return evolve_schrodinger(h, psi0, evo)
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +842,8 @@ def run_pi3_rotation(cfg: ScenarioConfig) -> Trajectory:
     dt = cfg.dt_us or recommended_dt(h, 0.0, span)
     psi0 = _initial_state(cfg.initial_state, 8)
     evo = EvolutionConfig(0.0, span, dt, renormalize=False)
-    return evolve_schrodinger(h, psi0, evo)
+    with _naming("pi3", []):
+        return evolve_schrodinger(h, psi0, evo)
 
 
 # ---------------------------------------------------------------------------
@@ -920,14 +921,6 @@ def _qubit_kraus(dt_us: float, noise: NoiseModel) -> list:
     return ops
 
 
-def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """mats[-1] @ ... @ mats[0], multiplied pairwise in log2(len) batched rounds."""
-    while mats.shape[0] > 1:
-        paired = mats[1::2] @ mats[:-1:2]
-        mats = np.concatenate([paired, mats[-1:]]) if mats.shape[0] % 2 else paired
-    return mats[0]
-
-
 def _qubit_loop_fidelity(frames: np.ndarray, kraus: np.ndarray) -> float:
     """<ideal|rho|ideal> of one qubit after the sliced noisy loop.
 
@@ -941,7 +934,7 @@ def _qubit_loop_fidelity(frames: np.ndarray, kraus: np.ndarray) -> float:
     channel = np.einsum("mij,mab->iajb", kraus, kraus.conj()).reshape(4, 4)
     slices = channel @ np.einsum("kij,kab->kiajb", steps, steps.conj()).reshape(-1, 4, 4)
     psi0 = frames[0] @ ket0
-    rho = _ordered_product(slices) @ np.outer(psi0, psi0.conj()).reshape(4)
+    rho = ordered_product(slices) @ np.outer(psi0, psi0.conj()).reshape(4)
     ideal = frames[-1] @ ket0
     return float(np.real(np.vdot(ideal, rho.reshape(2, 2) @ ideal)))
 

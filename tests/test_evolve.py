@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -175,13 +176,15 @@ def random_hamiltonian(rng, dim):
     return np.pi * (raw + raw.conj().T)
 
 
-def sequential_reference(transfer, y0, n_steps, stride, renormalize, norm_of):
-    """Records and pre-renormalisation norms of a plain y <- T y loop."""
+def sequential_reference(transfers, y0, stride, renormalize, norm_of):
+    """Records and pre-renormalisation norms of a plain y <- T[k] y loop over
+    a stack of per-step transfers."""
+    n_steps = len(transfers)
     record_at = set(range(0, n_steps + 1, stride)) | {n_steps}
     y = y0.copy()
     records, norms = [y.copy()], [norm_of(y)]
     for step in range(1, n_steps + 1):
-        y = transfer @ y
+        y = transfers[step - 1] @ y
         if step in record_at:
             norm = norm_of(y)
             if renormalize:
@@ -255,9 +258,8 @@ class TestConstantPropagation:
                 return np.real(np.diagonal(records.reshape(-1, dim, dim), axis1=1, axis2=2))
 
         transfer = evolve_module._transfer_stack(a[None], a[None], a[None], dt)[0]
-        records, norms = sequential_reference(
-            transfer, y0, self.N_STEPS, stride, renormalize, norm_of
-        )
+        transfers = np.broadcast_to(transfer, (self.N_STEPS,) + transfer.shape)
+        records, norms = sequential_reference(transfers, y0, stride, renormalize, norm_of)
         for name, wrap in SOURCES.items():
             traj, recorded = run(wrap(h))
             assert recorded.shape == records.shape, name
@@ -456,6 +458,144 @@ class TestBatchedPropagation:
                 assert steps <= evolve_module._chunk_steps(y_dim, 1)
 
 
+def six_product_transfers(a1, a2, a3, dt):
+    """RK4 transfer matrices for y' = A(t) y, expanded into six products."""
+    m21 = a2 @ a1
+    m32 = a2 @ a2
+    m43 = a3 @ a2
+    m321 = a2 @ m21
+    m432 = a3 @ m32
+    m4321 = a3 @ m321
+    out = (dt / 6.0) * (a1 + 4.0 * a2 + a3)
+    out += (dt * dt / 6.0) * (m21 + m32 + m43)
+    out += (dt**3 / 12.0) * (m321 + m432)
+    out += (dt**4 / 24.0) * m4321
+    return out + np.eye(a1.shape[-1])
+
+
+NOISE = NoiseModel(t1_us=40.0, t2_us=30.0)
+
+
+def generator(kind, h):
+    """A(t) of the Schrodinger or the row-major Lindblad equation for H = h."""
+    if kind == "schrodinger":
+        return -1j * h
+    eye = np.eye(h.shape[-1])
+    return -1j * (np.kron(h, eye) - np.kron(eye, h.T)) + NOISE.dissipator(h.shape[-1])
+
+
+class TestTransferStack:
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    @pytest.mark.parametrize("kind", ["schrodinger", "lindblad"])
+    def test_matches_six_product_form(self, kind, dim):
+        rng = np.random.default_rng(dim)
+        a = np.stack([generator(kind, random_hamiltonian(rng, dim)) for _ in range(24)])
+        a = a.reshape((3, 8) + a.shape[1:])
+        dt = 0.05 / float(np.max(np.abs(a)))
+        for a1, a2, a3 in (a, (a[0], a[0], a[0])):
+            ours = evolve_module._transfer_stack(a1, a2, a3, dt)
+            theirs = six_product_transfers(a1, a2, a3, dt)
+            assert np.max(np.abs(ours - theirs)) <= 1e-15 * np.max(np.abs(theirs))
+
+
+class DrivenHamiltonian:
+    """H(t) = h0 + cos(omega t) h1, sampled on an array of times like
+    PulsedHamiltonian.sample."""
+
+    def __init__(self, h0, h1, omega):
+        self.h0, self.h1, self.omega = h0, h1, omega
+
+    def sample(self, times):
+        return self.h0 + np.cos(self.omega * np.asarray(times))[:, None, None] * self.h1
+
+
+@functools.lru_cache(maxsize=None)
+def driven_case(kind, dim, n_steps):
+    """(source, config times, per-step transfers) of a driven random H, the
+    transfers built here from the frames _integrate samples."""
+    rng = np.random.default_rng(1000 + dim)
+    h0, h1 = random_hamiltonian(rng, dim), random_hamiltonian(rng, dim)
+    dt = 0.02 / float(np.max(np.abs(h0)) + np.max(np.abs(h1)))
+    t_end = n_steps * dt
+    source = DrivenHamiltonian(h0, h1, 3.0 * np.pi / t_end)
+    dt = t_end / n_steps  # the step _plan_steps snaps to
+    a = np.stack([generator(kind, h) for h in source.sample((dt / 2.0) * np.arange(2 * n_steps + 1))])
+    return source, (t_end, dt), six_product_transfers(a[0:-1:2], a[1::2], a[2::2], dt)
+
+
+class TestTimeDependentPropagation:
+    """The time-dependent fill of _integrate against a per-step y <- T(t) y
+    loop over transfers built in the test from the same Hamiltonian samples,
+    for a batch of starts (a single start is a batch of one on the same path,
+    which TestConstantPropagation's callable source runs)."""
+
+    N_STEPS = 100
+    RUNS = 2
+    # the default budget already cuts a dim-8 Lindblad run into 16-step chunks
+    CASES = [
+        (kind, dim, chunked)
+        for kind in ("schrodinger", "lindblad")
+        for dim in (2, 4, 8)
+        for chunked in (False, True)
+        if not (chunked and kind == "lindblad" and dim == 8)
+    ]
+
+    @pytest.mark.parametrize("renormalize", [True, False])
+    @pytest.mark.parametrize("stride", [1, 7, 89, N_STEPS])
+    @pytest.mark.parametrize("kind, dim, chunked", CASES)
+    def test_matches_stepwise_loop(self, monkeypatch, kind, dim, chunked, stride, renormalize):
+        if chunked:  # 16-step chunks: ends off the record grid, strides 89 and 100 span several
+            monkeypatch.setattr(evolve_module, "TRANSFER_CHUNK_BYTES", 1)
+        assert kind != "lindblad" or dim != 8 or evolve_module._chunk_steps(64, self.RUNS) == 16
+        source, (t_end, dt), transfers = driven_case(kind, dim, self.N_STEPS)
+        cfg = EvolutionConfig(
+            t_start_us=0.0, t_end_us=t_end, dt_us=dt, record_stride=stride, renormalize=renormalize
+        )
+        rng = np.random.default_rng(dim)
+        psis = [
+            StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+            for _ in range(self.RUNS)
+        ]
+        if kind == "schrodinger":
+            starts = [psi.amps.astype(complex) for psi in psis]
+            traj = evolve_schrodinger(source, np.stack(starts), cfg)
+            recorded = traj.amplitudes
+
+            def norm_of(y):
+                return float(np.linalg.norm(y))
+
+            def populations(records):
+                return np.abs(records) ** 2
+
+        else:
+            rhos = [DensityMatrix.from_state(psi) for psi in psis]
+            starts = [rho.entries.flatten() for rho in rhos]
+            traj = evolve_lindblad(source, np.stack([rho.entries for rho in rhos]), NOISE, cfg)
+            recorded = traj.densities.reshape(self.RUNS, len(traj.times), -1)
+
+            def norm_of(y):
+                return float(np.real(np.trace(y.reshape(dim, dim))))
+
+            def populations(records):
+                return np.real(np.diagonal(records.reshape(-1, dim, dim), axis1=1, axis2=2))
+
+        for run, y0 in enumerate(starts):
+            records, norms = sequential_reference(transfers, y0, stride, renormalize, norm_of)
+            assert recorded[run].shape == records.shape
+            assert np.max(np.abs(recorded[run] - records)) < 1e-12
+            assert np.max(np.abs(traj.populations[run] - populations(records))) < 1e-12
+            assert np.max(np.abs(traj.norms[run] - norms)) < 1e-12
+
+    def test_overflow_between_records_raises_at_next_check(self):
+        # calm until t = 0.5 us, then a drive whose RK4 steps overflow the
+        # state long before the record at step 250 (one 500-step chunk)
+        big = 1000.0 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        calm = np.zeros((2, 2), dtype=complex)
+        cfg = EvolutionConfig(t_start_us=0.0, t_end_us=5.0, dt_us=0.01, record_stride=250)
+        with pytest.raises(NumericalError, match="at step 250 "):
+            evolve_schrodinger(lambda t: big if t > 0.5 else calm, StateVector.basis(2, 0), cfg)
+
+
 class TestNoiseModel:
     def test_rejects_unphysical_t2(self):
         with pytest.raises(ConfigError):
@@ -638,6 +778,19 @@ class TestTrajectory:
                 Trajectory(times=times, populations=np.abs(drifted) ** 2, amplitudes=drifted)
         with pytest.raises(ConfigError):
             Trajectory(times=np.array([0.0, 0.5, 1.0]), populations=np.abs(batch) ** 2)
+
+    def test_drift_failure_names_first_failing_run(self):
+        times = np.array([0.0, 1.0])
+        good = np.array([[1.0, 0.0], [0.6, 0.8]], dtype=complex)
+        batch = np.stack([good, good, good, good])
+        batch[1, 1, 0] = 0.6 + 2e-5
+        batch[3, 0, 0] = np.nan
+        with pytest.raises(NumericalError, match=r"^run 1: recorded norm drifted by 1\.[0-9]+e-05") as err:
+            Trajectory(times=times, populations=np.abs(batch) ** 2, amplitudes=batch)
+        assert err.value.member == 1
+        with pytest.raises(NumericalError) as err:
+            Trajectory(times=times, populations=np.abs(batch[1]) ** 2, amplitudes=batch[1])
+        assert err.value.member is None
 
     def test_rejects_non_monotonic_times(self):
         times = np.array([0.0, 0.0])

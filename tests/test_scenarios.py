@@ -976,3 +976,30 @@ def test_composite_failure_names_theta_and_start():
     )
     with pytest.raises(NumericalError, match=r"^composite theta=6 start=initial: norm drifted to [0-9.]+ at step 1 "):
         run_composite_gate_scenario(cfg)
+
+
+@pytest.mark.parametrize(
+    "scenario, runner, dt_us, detail",
+    [
+        ("two-qubit-pi2", run_two_qubit_pi2, 0.05, "norm drifted to [0-9.]+ at step 2 "),
+        ("pi3", run_pi3_rotation, 0.01, r"recorded norm drifted by [0-9.e-]+ \(> 1e-06\)"),
+    ],
+    ids=["two-qubit-pi2", "pi3"],
+)
+def test_single_run_failure_names_its_scenario(scenario, runner, dt_us, detail):
+    cfg = ScenarioConfig(scenario_id=scenario, dt_us=dt_us, renormalize=False)
+    with pytest.raises(NumericalError, match=f"^{scenario}: {detail}"):
+        runner(cfg)
+
+
+def test_detuning_sweep_recorded_norm_failure_names_its_point():
+    # within the 1e-3 drift gate, but the 30 MHz point's unrenormalised
+    # records drift past Trajectory's 1e-6 recorded-norm gate
+    cfg = ScenarioConfig(
+        scenario_id="detune-sweep",
+        sweep=SweepSpec(0.0, 60.0, 30.0),
+        dt_us=1.0 / 600.0,
+        renormalize=False,
+    )
+    with pytest.raises(NumericalError, match=r"^detune-sweep delta=30 MHz: recorded norm drifted"):
+        run_single_qubit_detuning_sweep(cfg)
