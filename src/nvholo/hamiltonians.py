@@ -158,11 +158,12 @@ class PulsedHamiltonian:
     """Time-dependent rotating-frame Hamiltonian over a pulse set.
 
     sample(times) evaluates the whole (n, dim, dim) stack in one vectorized
-    pass; calling the object gives a single matrix. The coupling layout for
-    dim 8 pairs pump channels 1/2 on the (|1><7| - |1><8|) pattern, Stokes
-    channels 1/2 on (|2><7| + |2><8|) with an overall minus, plus the single
-    couplings pump 3 on (1,3) and Stokes 3 on (2,4). For dim 4 the same
-    pump/Stokes sign pattern acts on (1,3)/(1,4) and (2,3)/(2,4).
+    pass, each distinct channel once; calling the object gives a single
+    matrix. The coupling layout for dim 8 pairs pump channels 1/2 on the
+    (|1><7| - |1><8|) pattern, Stokes channels 1/2 on (|2><7| + |2><8|) with
+    an overall minus, plus the single couplings pump 3 on (1,3) and Stokes 3
+    on (2,4). For dim 4 the same pump/Stokes sign pattern acts on (1,3)/(1,4)
+    and (2,3)/(2,4).
     """
 
     spec: LevelSpec
@@ -184,8 +185,13 @@ class PulsedHamiltonian:
         times = np.asarray(times, dtype=float)
         dim = self.spec.dim
         h = np.zeros((times.shape[0], dim, dim), dtype=np.complex128)
-        pump = [ch.amplitudes(times) for ch in self.pulses.pump]
-        stokes = [ch.amplitudes(times) for ch in self.pulses.stokes]
+        # equal channels have equal amplitudes, and silent ones are zero
+        amplitudes = {
+            ch: ch.amplitudes(times) if ch.rabi_mhz else 0.0
+            for ch in dict.fromkeys(self.pulses.pump + self.pulses.stokes)
+        }
+        pump = [amplitudes[ch] for ch in self.pulses.pump]
+        stokes = [amplitudes[ch] for ch in self.pulses.stokes]
         pump_pair = pump[0] - pump[1]
         stokes_pair = stokes[0] - stokes[1]
         if dim == 8:

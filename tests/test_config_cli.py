@@ -426,3 +426,32 @@ def test_cli_nan_between_checks_exits_three(tmp_path, capsys):
     assert "norm drifted to nan at step 78 " in capsys.readouterr().err
     assert not (out / "result.csv").exists()
     assert not (out / "manifest").exists()
+
+
+LONG_TRAJECTORIES = os.path.join(
+    os.path.dirname(__file__), os.pardir, "perfbench", "reference", "long-trajectories"
+)
+LONG_TRAJECTORY_CONFIGS = sorted(
+    name[: -len(".ini")] for name in os.listdir(LONG_TRAJECTORIES) if name.endswith(".ini")
+)
+
+
+def _csv_cells(text):
+    header, *rows = text.splitlines()
+    return header, np.array([[float(cell) for cell in row.split(",")] for row in rows])
+
+
+@pytest.mark.parametrize("name", LONG_TRAJECTORY_CONFIGS)
+def test_cli_matches_long_trajectory_reference(tmp_path, name):
+    # the committed benchmark references of the time-dependent and long
+    # runs (two-qubit-pi2, pi3, dark-states), read and never written here
+    base = os.path.join(LONG_TRAJECTORIES, name)
+    with open(base + ".ini", encoding="utf-8") as handle:
+        scenario = parse_config(handle.read()).scenario_id
+    with open(base + ".csv", encoding="utf-8") as handle:
+        ref_header, reference = _csv_cells(handle.read())
+    out = tmp_path / name
+    assert run_cli([scenario, "--config", base + ".ini", "--out", str(out)]) == 0
+    header, cells = _csv_cells((out / "result.csv").read_text())
+    assert header == ref_header and cells.shape == reference.shape
+    assert np.max(np.abs(cells - reference)) <= 1e-10

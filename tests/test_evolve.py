@@ -498,6 +498,24 @@ class TestTransferStack:
             assert np.max(np.abs(ours - theirs)) <= 1e-15 * np.max(np.abs(theirs))
 
 
+class TestRealForm:
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_matches_complex_products(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
+        y = rng.normal(size=(6, n, 1)) + 1j * rng.normal(size=(6, n, 1))
+        real = evolve_module._real_form(m)
+        assert real.shape == (6, 2 * n, 2 * n) and real.dtype == np.float64
+        states = (m @ y)[..., 0].view(np.float64)
+        ours = (real @ y[..., 0].view(np.float64)[..., None])[..., 0]
+        assert np.max(np.abs(ours - states)) <= 1e-15 * np.max(np.abs(states))
+        # a product of forms is the form of the product, so the RK4 stages
+        # and the interval products run on the real form unchanged
+        products = evolve_module._real_form(m[::2] @ m[1::2])
+        ours = real[::2] @ real[1::2]
+        assert np.max(np.abs(ours - products)) <= 1e-15 * np.max(np.abs(products))
+
+
 class DrivenHamiltonian:
     """H(t) = h0 + cos(omega t) h1, sampled on an array of times like
     PulsedHamiltonian.sample."""
@@ -551,6 +569,11 @@ class TestTimeDependentPropagation:
         cfg = EvolutionConfig(
             t_start_us=0.0, t_end_us=t_end, dt_us=dt, record_stride=stride, renormalize=renormalize
         )
+        forms = []
+        real_form = evolve_module._real_form
+        monkeypatch.setattr(
+            evolve_module, "_real_form", lambda m: forms.append(m.shape) or real_form(m)
+        )
         rng = np.random.default_rng(dim)
         psis = [
             StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
@@ -585,6 +608,9 @@ class TestTimeDependentPropagation:
             assert np.max(np.abs(recorded[run] - records)) < 1e-12
             assert np.max(np.abs(traj.populations[run] - populations(records))) < 1e-12
             assert np.max(np.abs(traj.norms[run] - norms)) < 1e-12
+        # the size rule: states of up to 8 entries (Schrodinger at every dim,
+        # Lindblad at dim 2) run in real form, larger ones stay complex
+        assert bool(forms) == (kind == "schrodinger" or dim == 2)
 
     def test_overflow_between_records_raises_at_next_check(self):
         # calm until t = 0.5 us, then a drive whose RK4 steps overflow the

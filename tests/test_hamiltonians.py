@@ -217,6 +217,26 @@ class TestRotatingFrame4:
         assert h[0, 2] == 0.0 and h[0, 3] == 0.0
 
 
+def per_channel_sample(spec, pulses, times):
+    """PulsedHamiltonian.sample with every channel evaluated on its own."""
+    dim = spec.dim
+    h = np.zeros((times.shape[0], dim, dim), dtype=np.complex128)
+    pump = [ch.amplitudes(times) for ch in pulses.pump]
+    stokes = [ch.amplitudes(times) for ch in pulses.stokes]
+    pump_pair, stokes_pair = pump[0] - pump[1], stokes[0] - stokes[1]
+    if dim == 8:
+        h[:, 0, 6], h[:, 0, 7] = 0.5j * pump_pair, -0.5j * pump_pair
+        h[:, 1, 6], h[:, 1, 7] = -0.5j * stokes_pair, -0.5j * stokes_pair
+        h[:, 0, 2], h[:, 1, 3] = 0.5j * pump[2], -0.5j * stokes[2]
+    else:
+        h[:, 0, 2], h[:, 0, 3] = 0.5j * pump_pair, -0.5j * pump_pair
+        h[:, 1, 2], h[:, 1, 3] = -0.5j * stokes_pair, -0.5j * stokes_pair
+    h += np.conj(np.transpose(h, (0, 2, 1)))
+    idx = np.arange(dim)
+    h[:, idx, idx] += 2.0 * np.pi * np.asarray(spec.energies_mhz)
+    return h
+
+
 class TestSampler:
     def test_sample_matches_scalar_builds(self):
         rng = np.random.default_rng(11)
@@ -231,6 +251,27 @@ class TestSampler:
         for k, t in enumerate(times):
             direct = build_rotating_frame_8(spec, pulses, float(t)).entries
             assert np.array_equal(stack[k], direct)
+
+    @pytest.mark.parametrize("dim", [4, 8])
+    def test_shared_and_silent_channels_sample_as_per_channel(self, monkeypatch, dim):
+        # pump and Stokes share tones and silent slots, as in two-qubit-pi2
+        rng = np.random.default_rng(dim)
+        spec = LevelSpec(dim=dim, energies_mhz=tuple(rng.uniform(-10, 10, size=dim)))
+        tone, other, off = random_channel(rng), random_channel(rng), silent_channel()
+        pairs = dim // 4 + 1
+        pulses = PulseSet(
+            pump=(tone, off, tone)[:pairs], stokes=(tone, other, PulseChannel(0.0))[:pairs]
+        )
+        times = rng.uniform(-2, 2, size=40)
+        expected = per_channel_sample(spec, pulses, times)
+        calls = []
+        amplitudes = PulseChannel.amplitudes
+        monkeypatch.setattr(
+            PulseChannel, "amplitudes", lambda ch, t: calls.append(ch) or amplitudes(ch, t)
+        )
+        stack = PulsedHamiltonian(spec, pulses).sample(times)
+        assert np.array_equal(stack, expected)  # signed zeros compare equal
+        assert calls == [tone, other]  # once per distinct driven channel
 
     def test_channel_count_checked(self):
         spec = LevelSpec(dim=8, energies_mhz=(0.0,) * 8)

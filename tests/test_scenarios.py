@@ -760,6 +760,20 @@ def test_detuning_sweep_memory_stays_bounded():
     assert peak <= 2_000_000
 
 
+def test_two_qubit_pi2_memory_stays_bounded():
+    # 45,696 steps in chunks of a 1 MB transfer budget: the chunk's real-form
+    # frames and RK4 stages are the peak, not the run's length
+    cfg = ScenarioConfig(scenario_id="two-qubit-pi2")
+    run_two_qubit_pi2(cfg)
+    tracemalloc.start()
+    try:
+        run_two_qubit_pi2(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_200_000
+
+
 # --- step resolution helper -------------------------------------------------
 
 
