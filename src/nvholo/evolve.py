@@ -280,10 +280,10 @@ def _real_form(m: np.ndarray) -> np.ndarray:
     is (m @ y).view(float64), and sums and products of the forms are the
     forms of the sums and products.
 
-    numpy multiplies stacks of small real matrices in its own loop but calls
-    zgemm once per complex matrix, so the real form pays off for small states
-    although it doubles the flops and the bytes. REAL_FORM_MAX_DIM is the
-    largest state size (y_dim) that takes it. Measured on a shared 2-vCPU
+    numpy's matmul costs far more per matrix on stacks of small complex
+    matrices than on their real forms, so the real form pays off for small
+    states although it doubles the flops and the bytes. REAL_FORM_MAX_DIM is
+    the largest state size (y_dim) that takes it. Measured on a shared 2-vCPU
     host (numpy 2.4.6): a (381, 4, 4) complex matmul took 121 us and its
     (381, 8, 8) real form 20.5 us; driven runs of 100 records, complex
     against real form, best of 7, took 0.073 against 0.024 s at y_dim 2,
