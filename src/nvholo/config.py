@@ -360,13 +360,20 @@ def parse_manifest(text: str) -> RunManifest:
 CSV_SIG_DIGITS = 12
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    number = float(value)
-    if number == 0.0:
-        number = 0.0  # collapse -0.0
-    return f"{number:.{CSV_SIG_DIGITS}g}"
+def _csv_column(cells) -> list:
+    """A column's cells as text: strings as given, numbers with
+    CSV_SIG_DIGITS significant digits, -0.0 as 0 (x + 0.0 is x otherwise)."""
+    return [c if isinstance(c, str) else f"{float(c) + 0.0:.{CSV_SIG_DIGITS}g}" for c in cells]
+
+
+def _first_non_finite(cells):
+    """Index of the first non-finite number among a column's cells, or None."""
+    values = np.asarray(cells)
+    if values.dtype.kind in "biuf":
+        finite = np.isfinite(values)
+    else:  # text among the cells
+        finite = [isinstance(c, str) or math.isfinite(float(c)) for c in cells]
+    return None if np.all(finite) else int(np.argmin(finite))
 
 
 @dataclass(frozen=True)
@@ -386,16 +393,17 @@ class CsvTable:
                 raise ConfigError(
                     f"csv row {i} has {len(row)} cells, header has {width}"
                 )
-            for column, cell in zip(self.header, row):
-                if not isinstance(cell, str) and not math.isfinite(float(cell)):
-                    raise NumericalError(f"csv row {i} column {column!r} is {cell}")
+        bad = [(_first_non_finite(cells), j) for j, cells in enumerate(zip(*rows))]
+        bad = [(i, j) for i, j in bad if i is not None]
+        if bad:
+            i, j = min(bad)
+            raise NumericalError(f"csv row {i} column {self.header[j]!r} is {rows[i][j]}")
         object.__setattr__(self, "header", tuple(str(h) for h in self.header))
         object.__setattr__(self, "rows", rows)
 
     def to_text(self) -> str:
-        lines = [",".join(self.header)]
-        for row in self.rows:
-            lines.append(",".join(_csv_cell(cell) for cell in row))
+        columns = [_csv_column(cells) for cells in zip(*self.rows)]
+        lines = [",".join(self.header)] + [",".join(row) for row in zip(*columns)]
         return "\n".join(lines) + "\n"
 
 
@@ -411,4 +419,4 @@ def columns_to_rows(*columns) -> tuple:
     for arr in arrays:
         if arr.shape[0] != length:
             raise ConfigError("csv columns differ in length")
-    return tuple(tuple(arr[i] for arr in arrays) for i in range(length))
+    return tuple(zip(*(arr.tolist() for arr in arrays)))

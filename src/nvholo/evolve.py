@@ -7,13 +7,17 @@ materialising the states only at the steps it checks (records, chunk ends):
 
 - constant H: T is built once, and the states T^j y come from powers of T by
   doubling, a handful of array products instead of a step loop;
-- time-dependent H: the chunk is sampled and its transfer matrices are built
-  in batched products; those between two checked steps are multiplied into
-  one matrix by a pairwise tree, and the states cross it in one product.
-  States of up to REAL_FORM_MAX_DIM entries (Schrodinger at dims 2, 4, 8 and
-  Lindblad at dim 2) take these products in the equivalent real form, where
-  each complex entry is a 2x2 real block, because numpy's per-matrix cost on
-  small complex stacks exceeds their arithmetic.
+- time-dependent H: the chunk's A(t) frames are built and its transfer
+  matrices follow in batched products; those between two checked steps are
+  multiplied into one matrix by a pairwise tree, and the states cross it in
+  one product. States of up to REAL_FORM_MAX_DIM entries (Schrodinger at dims
+  2, 4, 8 and Lindblad at dim 2) take these products in the equivalent real
+  form, where each complex entry is a 2x2 real block, because numpy's
+  per-matrix cost on small complex stacks exceeds their arithmetic. A source
+  that gives H(t) = sum_k c_k(t) B_k through terms() and coefficients(times)
+  (PulsedHamiltonian) has its basis checked, lifted and put in that form once
+  per call, so a chunk's frames are one product of its real coefficients with
+  the basis; other sources are sampled, checked and lifted frame by frame.
 
 Either way, one checkpoint pass checks the norm drift, renormalises and stores
 the records. Fixed steps keep runs bit-for-bit reproducible. One call
@@ -207,18 +211,22 @@ class Trajectory:
 
 
 def _as_source(h_of_t):
-    """(sample, constant): sample maps an array of times to the stack of
-    Hamiltonian frames at those times (a run axis after the time axis for a
-    stack of constant H's); constant says every frame is equal."""
+    """(sample, constant, terms): sample maps an array of times to the stack
+    of Hamiltonian frames at those times (a run axis after the time axis for
+    a stack of constant H's); constant says every frame is equal; terms is
+    the source itself when it is a sampler that also gives
+    H(t) = sum_k c_k(t) B_k through terms() and coefficients(times), as
+    PulsedHamiltonian does, and None otherwise."""
     if isinstance(h_of_t, OperatorMatrix):
         h_of_t = h_of_t.entries
     if isinstance(h_of_t, np.ndarray):
         entries = np.asarray(h_of_t, dtype=np.complex128)
         if entries.ndim not in (2, 3) or entries.shape[-1] != entries.shape[-2]:
             raise ConfigError("constant Hamiltonian must be a square matrix or a stack of them")
-        return (lambda times: np.broadcast_to(entries, (len(times),) + entries.shape)), True
+        return (lambda times: np.broadcast_to(entries, (len(times),) + entries.shape)), True, None
     if hasattr(h_of_t, "sample"):
-        return (lambda times: np.asarray(h_of_t.sample(times), dtype=np.complex128)), False
+        terms = h_of_t if hasattr(h_of_t, "terms") and hasattr(h_of_t, "coefficients") else None
+        return (lambda times: np.asarray(h_of_t.sample(times), dtype=np.complex128)), False, terms
     if callable(h_of_t):
 
         def sample(times):
@@ -228,7 +236,7 @@ def _as_source(h_of_t):
                 frames.append(h.entries if isinstance(h, OperatorMatrix) else h)
             return np.asarray(frames, dtype=np.complex128)
 
-        return sample, False
+        return sample, False, None
     raise ConfigError(
         "Hamiltonian must be a matrix, a sampler with .sample(times), "
         "or a callable of time"
@@ -251,7 +259,9 @@ def _chunk_steps(y_dim: int, runs: int = 1, transfers: bool = True) -> int:
     state per run and, for a time-dependent H, five matrices in the form its
     transfers are built in (two lifted frames and three RK4 stages while
     _transfer_stack runs, the peak of a chunk); a real form (_real_form)
-    matrix takes twice the bytes of its complex one."""
+    matrix takes twice the bytes of its complex one. A source with terms
+    builds its frames in that form directly, from a few coefficients per
+    frame, so the count holds for it too."""
     matrix_bytes = 16 * y_dim**2 * (2 if y_dim <= REAL_FORM_MAX_DIM else 1)
     per_step = 16 * y_dim * runs + 5 * matrix_bytes * transfers
     return int(min(MAX_CHUNK_STEPS, max(16, TRANSFER_CHUNK_BYTES // per_step)))
@@ -357,24 +367,35 @@ def _cross_intervals(carry: np.ndarray, transfer: np.ndarray, offsets: np.ndarra
     return raw
 
 
-def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure):
+def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     """Shared chunked integrator for the linear system y' = A(t) y.
 
-    lift maps a validated Hamiltonian sample stack to the A(t) stack of the
-    system; measure maps vectors with leading axes to (norm-like scalars,
-    populations); dim_protect is the Hamiltonian dimension used for sample
-    validation. y0 may carry a leading run axis and h_of_t be a stack of
-    constant H's; a batched call returns its arrays with the run axis first.
+    lift maps a validated Hamiltonian sample stack linearly to the A(t) stack
+    of the system, and offset, if given, is A's constant part, so that
+    A(t) = lift(H(t)) + offset (the Lindblad dissipator); measure maps
+    vectors with leading axes to (norm-like scalars, populations);
+    dim_protect is the Hamiltonian dimension used for sample validation. y0
+    may carry a leading run axis and h_of_t be a stack of constant H's; a
+    batched call returns its arrays with the run axis first.
 
     The steps are cut into chunks of _chunk_steps; a chunk's checked steps are
     its records and its end. A constant H has one RK4 transfer matrix T (or
     one per run), and the chunk's states come from powers of T by doubling
-    (_fill_by_doubling). A time-dependent H is sampled and lifted to the
-    chunk's transfer matrices, and _cross_intervals carries the states from
-    one checked step to the next in one product each. When y_dim is at most
-    REAL_FORM_MAX_DIM, the lifted frames are converted once per chunk to
-    their real form (_real_form), the transfers and their products are real,
-    and the states cross them as float64 views of the complex records.
+    (_fill_by_doubling). A time-dependent H gives the chunk's A(t) frames,
+    from which its transfer matrices are built, and _cross_intervals carries
+    the states from one checked step to the next in one product each. When
+    y_dim is at most REAL_FORM_MAX_DIM, the frames are in real form
+    (_real_form), the transfers and their products are real, and the states
+    cross them as float64 views of the complex records.
+
+    _as_source tells a source with terms from the others, and the chunk loop
+    calls one frame function for either. A source with terms has its basis
+    validated by _check_samples, lifted (B_0 takes the offset, each channel
+    term the linear part alone) and put in real form once per call; a chunk
+    then checks that its coefficients are finite, naming its first frame
+    time as the sample check does, and takes one (frames, K) @ (K, m*m)
+    product. Matrices, other samplers and callables are sampled, checked,
+    lifted and converted per chunk.
 
     One checkpoint block then checks each run's norm drift at the checked
     steps, renormalises, stores the records and carries the chunk end on.
@@ -384,7 +405,7 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure):
     it. A drift failure names the earliest failing step and, in a batch, the
     lowest run that fails there.
     """
-    sample, constant = _as_source(h_of_t)
+    sample, constant, terms = _as_source(h_of_t)
     n_steps, dt = _plan_steps(cfg)
     record_at = _record_steps(n_steps, int(cfg.record_stride))
     n_records = record_at.shape[0]
@@ -393,30 +414,52 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure):
     y0 = y0.reshape(-1, y0.shape[-1])
     runs, y_dim = y0.shape
     times = cfg.t_start_us + dt * record_at.astype(float)
+    real = not constant and y_dim <= REAL_FORM_MAX_DIM
 
-    def lifted(sub: np.ndarray) -> np.ndarray:
-        stack = sample(sub)
-        _check_samples(stack, dim_protect, f"t={sub[0]:.6g} us")
-        return lift(stack)
+    def lifted(stack: np.ndarray, where: str) -> np.ndarray:
+        _check_samples(stack, dim_protect, where)
+        a = lift(stack)
+        if offset is not None:  # a basis takes it on its constant term alone
+            a[: None if terms is None else 1] += offset
+        return _real_form(a) if real else a
+
+    if terms is None:
+
+        def frames(sub: np.ndarray) -> np.ndarray:
+            return lifted(sample(sub), f"t={sub[0]:.6g} us")
+
+    else:
+        # a real combination of Hermitian matrices is Hermitian, so a chunk
+        # checks only that its coefficients are finite
+        basis = lifted(np.asarray(terms.terms(), dtype=np.complex128), "its terms")
+        shape, basis = basis.shape[1:], basis.reshape(basis.shape[0], -1)
+
+        def frames(sub: np.ndarray) -> np.ndarray:
+            c = np.asarray(terms.coefficients(sub))
+            if c.shape != (sub.shape[0], basis.shape[0]) or np.iscomplexobj(c):
+                raise ConfigError(
+                    f"coefficients must be real with shape {(sub.shape[0], basis.shape[0])}, "
+                    f"got {c.dtype} {c.shape}"
+                )
+            if not np.all(np.isfinite(c)):
+                raise NumericalError(f"non-finite Hamiltonian sample near t={sub[0]:.6g} us")
+            return (c @ basis).reshape(sub.shape + shape)
 
     def chunk_transfers(k0: int, k1: int) -> np.ndarray:
         # the frames go on return and the transfers once crossed, so neither
         # is held while the next chunk is built
-        a = lifted(cfg.t_start_us + (dt / 2.0) * np.arange(2 * k0, 2 * k1 + 1))
-        if real:
-            a = _real_form(a)
+        a = frames(cfg.t_start_us + (dt / 2.0) * np.arange(2 * k0, 2 * k1 + 1))
         return _transfer_stack(a[0:-1:2], a[1::2], a[2::2], dt)
 
     # transfers and states may overflow; the drift check rejects NaN and Inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if constant:
-            a = lifted(np.full(1, cfg.t_start_us))[0]  # every frame is this one
+            a = frames(np.full(1, cfg.t_start_us))[0]  # every frame is this one
             powers = [_transfer_stack(a, a, a, dt)]  # T, T^2, T^4, ...; a stack per run
             if powers[0].ndim == 3:
                 if runs not in (1, powers[0].shape[0]):
                     raise ConfigError(f"{runs} start states for {powers[0].shape[0]} H's")
                 runs = powers[0].shape[0]
-        real = not constant and y_dim <= REAL_FORM_MAX_DIM
         chunk = min(_chunk_steps(y_dim, runs, transfers=not constant), n_steps)
         if constant:
             while (1 << len(powers)) <= chunk:
@@ -510,13 +553,12 @@ def evolve_lindblad(h_of_t, rho0, noise: NoiseModel, cfg: EvolutionConfig) -> Tr
     diag_slice = slice(0, dim * dim, dim + 1)
 
     def lift(stack):
-        # -i (H (x) I - I (x) H^T) + D, summed in place: two frame stacks at most
+        # -i (H (x) I - I (x) H^T), summed in place: two frame stacks at most
         shape = stack.shape[:-2] + (dim * dim, dim * dim)
         a = (stack[..., :, None, :, None] * eye[None, :, None, :]).reshape(shape)
         ht = np.swapaxes(stack, -1, -2)
         a -= (eye[:, None, :, None] * ht[..., None, :, None, :]).reshape(shape)
         a *= -1j
-        a += dissipator
         return a
 
     def measure(y):
@@ -524,7 +566,7 @@ def evolve_lindblad(h_of_t, rho0, noise: NoiseModel, cfg: EvolutionConfig) -> Tr
         return diag.sum(axis=-1), diag
 
     y0 = entries.reshape(entries.shape[:-2] + (dim * dim,))
-    times, records, norms, pops = _integrate(h_of_t, lift, y0, cfg, dim, measure)
+    times, records, norms, pops = _integrate(h_of_t, lift, y0, cfg, dim, measure, dissipator)
     densities = records.reshape(records.shape[:-1] + (dim, dim))
     return Trajectory(times=times, populations=pops, densities=densities, norms=norms)
 
@@ -552,7 +594,7 @@ def recommended_dt(h_of_t, t_start_us: float, t_end_us: float, probe_points: int
     (max matrix entry magnitude, rad/us) seen on a dense probe grid."""
     if t_end_us <= t_start_us:
         raise ConfigError("t_end must exceed t_start")
-    sample, constant = _as_source(h_of_t)
+    sample, constant, _ = _as_source(h_of_t)
     # a constant H needs one frame, not the whole probe grid
     stack = sample((t_start_us,) if constant else np.linspace(t_start_us, t_end_us, probe_points))
     f_max = max(float(np.max(np.abs(stack))), 1.0)

@@ -157,9 +157,16 @@ def _check_mode(mode: str):
 class PulsedHamiltonian:
     """Time-dependent rotating-frame Hamiltonian over a pulse set.
 
-    sample(times) evaluates the whole (n, dim, dim) stack in one vectorized
-    pass, each distinct channel once; calling the object gives a single
-    matrix. The coupling layout for dim 8 pairs pump channels 1/2 on the
+    H(t) is affine in the drive amplitudes: H(t) = sum_k c_k(t) B_k over the
+    constant Hermitian basis terms() and the real coefficients(times). B_0
+    holds the level energies (c_0 = 1); each distinct driven channel, with
+    coupling pattern C summed over the slots it fills, adds X = C + C^dag and
+    Y = i (C - C^dag) with coefficients Re a(t) and Im a(t), since
+    a C + conj(a) C^dag = Re a X + Im a Y. Silent channels (rabi 0) add no
+    terms. sample(times) is the (n, dim, dim) stack coefficients @ terms, and
+    calling the object gives a single matrix.
+
+    The coupling layout for dim 8 pairs pump channels 1/2 on the
     (|1><7| - |1><8|) pattern, Stokes channels 1/2 on (|2><7| + |2><8|) with
     an overall minus, plus the single couplings pump 3 on (1,3) and Stokes 3
     on (2,4). For dim 4 the same pump/Stokes sign pattern acts on (1,3)/(1,4)
@@ -181,35 +188,48 @@ class PulsedHamiltonian:
     def dim(self) -> int:
         return self.spec.dim
 
-    def sample(self, times) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
+    def _driven(self) -> tuple:
+        """The distinct channels with a drive, in order of first use: equal
+        channels have equal amplitudes, and silent ones are zero."""
+        return tuple(
+            ch for ch in dict.fromkeys(self.pulses.pump + self.pulses.stokes) if ch.rabi_mhz
+        )
+
+    def terms(self) -> np.ndarray:
+        """The (K, dim, dim) Hermitian basis: B_0, then X and Y per driven
+        channel."""
         dim = self.spec.dim
-        h = np.zeros((times.shape[0], dim, dim), dtype=np.complex128)
-        # equal channels have equal amplitudes, and silent ones are zero
-        amplitudes = {
-            ch: ch.amplitudes(times) if ch.rabi_mhz else 0.0
-            for ch in dict.fromkeys(self.pulses.pump + self.pulses.stokes)
-        }
-        pump = [amplitudes[ch] for ch in self.pulses.pump]
-        stokes = [amplitudes[ch] for ch in self.pulses.stokes]
-        pump_pair = pump[0] - pump[1]
-        stokes_pair = stokes[0] - stokes[1]
+        pump, stokes = self.pulses.pump, self.pulses.stokes
+        first, second = (6, 7) if dim == 8 else (2, 3)
+        slots = []  # (channel, row, column, weight) above the diagonal
+        for sign, p, s in zip((1.0, -1.0), pump, stokes):
+            slots += [(p, 0, first, 0.5j * sign), (p, 0, second, -0.5j * sign)]
+            slots += [(s, 1, first, -0.5j * sign), (s, 1, second, -0.5j * sign)]
         if dim == 8:
-            h[:, 0, 6] = 0.5j * pump_pair
-            h[:, 0, 7] = -0.5j * pump_pair
-            h[:, 1, 6] = -0.5j * stokes_pair
-            h[:, 1, 7] = -0.5j * stokes_pair
-            h[:, 0, 2] = 0.5j * pump[2]
-            h[:, 1, 3] = -0.5j * stokes[2]
-        else:
-            h[:, 0, 2] = 0.5j * pump_pair
-            h[:, 0, 3] = -0.5j * pump_pair
-            h[:, 1, 2] = -0.5j * stokes_pair
-            h[:, 1, 3] = -0.5j * stokes_pair
-        h += np.conj(np.transpose(h, (0, 2, 1)))
-        idx = np.arange(dim)
-        h[:, idx, idx] += TWO_PI * np.asarray(self.spec.energies_mhz)
-        return h
+            slots += [(pump[2], 0, 2, 0.5j), (stokes[2], 1, 3, -0.5j)]
+        couplings = {ch: np.zeros((dim, dim), dtype=np.complex128) for ch in self._driven()}
+        for ch, row, column, weight in slots:
+            if ch in couplings:
+                couplings[ch][row, column] += weight
+        basis = [np.diag(TWO_PI * np.asarray(self.spec.energies_mhz)).astype(np.complex128)]
+        for c in couplings.values():
+            basis += [c + c.conj().T, 1j * (c - c.conj().T)]
+        return np.stack(basis)
+
+    def coefficients(self, times) -> np.ndarray:
+        """The real (n, K) coefficients of terms() at the times: 1, then
+        Re a(t) and Im a(t) per driven channel, in angular units."""
+        times = np.asarray(times, dtype=float)
+        columns = [np.ones_like(times)]
+        for ch in self._driven():
+            amplitude = ch.amplitudes(times)
+            columns += [amplitude.real, amplitude.imag]
+        return np.stack(columns, axis=-1)
+
+    def sample(self, times) -> np.ndarray:
+        basis = self.terms()
+        frames = self.coefficients(times) @ basis.reshape(basis.shape[0], -1)
+        return frames.reshape((-1,) + basis.shape[1:])
 
     def __call__(self, t: float) -> np.ndarray:
         return self.sample(np.asarray([float(t)]))[0]

@@ -241,6 +241,47 @@ def test_csv_rejects_non_finite_cells(bad):
         CsvTable(("x", "y"), ((0.0, 1.0), (0.5, bad)))
 
 
+def per_cell_csv_text(header, columns):
+    # the row-by-row formatter over numpy scalars that the column-wise text replaced
+    def cell(value):
+        if isinstance(value, str):
+            return value
+        number = float(value)
+        if number == 0.0:
+            number = 0.0
+        return f"{number:.12g}"
+
+    arrays = [np.asarray(c) for c in columns]
+    rows = [[arr[i] for arr in arrays] for i in range(arrays[0].shape[0])]
+    return "\n".join([",".join(header)] + [",".join(cell(c) for c in row) for row in rows]) + "\n"
+
+
+def test_csv_text_matches_per_cell_formatter():
+    columns = [
+        np.array([-0.0, 0.0, 1e-300, -1e-300, 1.0 / 3.0, -2.5e17, 5e-324]),
+        np.arange(-3, 4),
+        np.array([2**53 + 1, 10**15, -(10**13), 0, 1, 7, 123456789012345]),
+        ["a", "b c", "", "-0.0", "nan", "1e-300", "x"],
+        np.linspace(-1.0, 1.0, 7, dtype=np.float32),
+        [True, False, True, 0.5, -0.0, 3, 1e300],
+    ]
+    header = ("f", "i", "big", "s", "f32", "mixed")
+    text = CsvTable(header, columns_to_rows(*columns)).to_text()
+    assert text == per_cell_csv_text(header, columns)
+    # rows given directly, with text and numbers in one column
+    rows = ((1.0, "x"), (-0.0, 2.5), ("y", np.float64(1e-300)))
+    assert CsvTable(("a", "b"), rows).to_text() == "a,b\n1,x\n0,2.5\ny,1e-300\n"
+
+
+def test_csv_names_the_first_non_finite_cell():
+    # the first bad cell in row order, across number and text columns
+    rows = ((0.0, "nan", 1.0), (1.0, "x", math.inf), (math.nan, "y", 2.0))
+    with pytest.raises(NumericalError, match=r"csv row 1 column 'c' is inf"):
+        CsvTable(("a", "b", "c"), rows)
+    with pytest.raises(NumericalError, match=r"csv row 0 column 'b' is nan"):
+        CsvTable(("a", "b"), ((1.0, math.nan), (math.nan, "z")))
+
+
 def test_write_csv_round_trip(tmp_path):
     path = tmp_path / "out.csv"
     write_csv(path, CsvTable(("x",), ((0.5,), (1.0,))))
@@ -428,11 +469,12 @@ def test_cli_nan_between_checks_exits_three(tmp_path, capsys):
     assert not (out / "manifest").exists()
 
 
-LONG_TRAJECTORIES = os.path.join(
-    os.path.dirname(__file__), os.pardir, "perfbench", "reference", "long-trajectories"
-)
-LONG_TRAJECTORY_CONFIGS = sorted(
-    name[: -len(".ini")] for name in os.listdir(LONG_TRAJECTORIES) if name.endswith(".ini")
+REFERENCES = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference")
+REFERENCE_CONFIGS = sorted(
+    (name[: -len(".ini")], workload)
+    for workload in os.listdir(REFERENCES)
+    for name in os.listdir(os.path.join(REFERENCES, workload))
+    if name.endswith(".ini")
 )
 
 
@@ -441,11 +483,14 @@ def _csv_cells(text):
     return header, np.array([[float(cell) for cell in row.split(",")] for row in rows])
 
 
-@pytest.mark.parametrize("name", LONG_TRAJECTORY_CONFIGS)
-def test_cli_matches_long_trajectory_reference(tmp_path, name):
-    # the committed benchmark references of the time-dependent and long
-    # runs (two-qubit-pi2, pi3, dark-states), read and never written here
-    base = os.path.join(LONG_TRAJECTORIES, name)
+@pytest.mark.parametrize(
+    "name, workload", REFERENCE_CONFIGS, ids=[name for name, _ in REFERENCE_CONFIGS]
+)
+def test_cli_matches_long_trajectory_reference(tmp_path, name, workload):
+    # the committed references of all three benchmark workloads (the long
+    # runs, the 2-level sweeps and the register loop), read and never
+    # written here
+    base = os.path.join(REFERENCES, workload, name)
     with open(base + ".ini", encoding="utf-8") as handle:
         scenario = parse_config(handle.read()).scenario_id
     with open(base + ".csv", encoding="utf-8") as handle:

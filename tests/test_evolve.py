@@ -622,6 +622,125 @@ class TestTimeDependentPropagation:
             evolve_schrodinger(lambda t: big if t > 0.5 else calm, StateVector.basis(2, 0), cfg)
 
 
+class SampleOnly:
+    """A source wrapped to expose only .sample, so _integrate samples, checks
+    and lifts it frame by frame."""
+
+    def __init__(self, source):
+        self.sample = source.sample
+
+
+class TermsSource:
+    """H(t) = B_0 + cos(3 t) B_1 through terms() and coefficients(times); the
+    coefficients turn NaN after nan_after."""
+
+    def __init__(self, basis, nan_after=math.inf):
+        self.basis, self.nan_after = np.asarray(basis), nan_after
+
+    def terms(self):
+        return self.basis
+
+    def coefficients(self, times):
+        c = np.stack([np.ones_like(times), np.cos(3.0 * times)], axis=-1)
+        c[times > self.nan_after] = np.nan
+        return c
+
+    def sample(self, times):
+        return np.tensordot(self.coefficients(times), self.basis, axes=1)
+
+
+def pulsed_hamiltonian(dim):
+    """Distinct pump and Stokes tones with carriers and phases, one Stokes
+    slot silent."""
+    rng = np.random.default_rng(40 + dim)
+    spec = LevelSpec(dim=dim, energies_mhz=tuple(rng.uniform(-5.0, 5.0, size=dim)))
+
+    def tone():
+        return PulseChannel(
+            rabi_mhz=float(rng.uniform(1.0, 4.0)),
+            carrier_mhz=float(rng.uniform(-3.0, 3.0)),
+            t_center_us=0.1,
+            t_width_us=0.04,
+            phase_rad=float(rng.uniform(-np.pi, np.pi)),
+        )
+
+    pairs = dim // 4 + 1
+    pump = tuple(tone() for _ in range(pairs))
+    stokes = (PulseChannel(0.0),) + tuple(tone() for _ in range(pairs - 1))
+    return PulsedHamiltonian(spec, PulseSet(pump, stokes))
+
+
+class TestTermsPath:
+    """A source with terms() builds each chunk's frames as one product of its
+    coefficients with the basis, checked and lifted once per call; the same
+    source seen only through .sample takes the per-frame path."""
+
+    @pytest.mark.parametrize("kind", ["schrodinger", "lindblad"])
+    @pytest.mark.parametrize("dim", [4, 8])
+    def test_matches_sample_path(self, monkeypatch, kind, dim):
+        ham = pulsed_hamiltonian(dim)
+        checks = []
+        check = evolve_module._check_samples
+        monkeypatch.setattr(
+            evolve_module, "_check_samples", lambda *args: checks.append(1) or check(*args)
+        )
+        cfg = EvolutionConfig(t_start_us=0.0, t_end_us=0.2, dt_us=2e-3, record_stride=7)
+        rng = np.random.default_rng(dim)
+        starts = np.stack(
+            [StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim)).amps
+             for _ in range(2)]
+        )
+        if kind == "schrodinger":
+            runs = [evolve_schrodinger(h, starts, cfg) for h in (ham, SampleOnly(ham))]
+            records = [traj.amplitudes for traj in runs]
+        else:
+            rhos = np.einsum("bi,bj->bij", starts, starts.conj())
+            runs = [evolve_lindblad(h, rhos, NOISE, cfg) for h in (ham, SampleOnly(ham))]
+            records = [traj.densities for traj in runs]
+        # the terms path checks its basis once, the sample path every chunk
+        chunks = -(-100 // evolve_module._chunk_steps(records[0][0, 0].size, 2))
+        assert len(checks) == 1 + chunks
+        assert records[0].shape == (2, 16) + starts.shape[1:] * (1 + (kind == "lindblad"))
+        assert np.max(np.abs(records[0] - records[1])) < 1e-12
+        assert np.max(np.abs(runs[0].populations - runs[1].populations)) < 1e-12
+        assert np.max(np.abs(runs[0].norms - runs[1].norms)) < 1e-12
+
+    BASIS = np.array([np.diag([1.0, -1.0]), [[0.0, 2.0], [2.0, 0.0]]], dtype=complex)
+
+    @pytest.mark.parametrize("wrap", [lambda h: h, SampleOnly], ids=["terms", "sample"])
+    def test_non_finite_coefficient_names_its_chunk(self, monkeypatch, wrap):
+        # 16-step chunks of dt = 0.01: the first NaN frame (t = 0.56 us) lies
+        # in the chunk of steps 48-63, whose frames start at t = 0.48 us
+        monkeypatch.setattr(evolve_module, "TRANSFER_CHUNK_BYTES", 1)
+        cfg = EvolutionConfig(t_start_us=0.0, t_end_us=1.0, dt_us=0.01, record_stride=50)
+        source = wrap(TermsSource(self.BASIS, nan_after=0.555))
+        with pytest.raises(NumericalError, match=r"non-finite Hamiltonian sample near t=0\.48 us"):
+            evolve_schrodinger(source, StateVector.basis(2, 0), cfg)
+
+    @pytest.mark.parametrize("wrap", [lambda h: h, SampleOnly], ids=["terms", "sample"])
+    def test_basis_gates(self, wrap):
+        cfg = EvolutionConfig(t_start_us=0.0, t_end_us=1.0, dt_us=0.01)
+        skewed = self.BASIS.copy()
+        skewed[1, 0, 1] = 3.0
+        with pytest.raises(NumericalError, match="non-Hermitian"):
+            evolve_schrodinger(wrap(TermsSource(skewed)), StateVector.basis(2, 0), cfg)
+        wide = np.zeros((2, 4, 4), dtype=complex)
+        with pytest.raises(ConfigError, match=r"expected \(2, 2\)"):
+            evolve_schrodinger(wrap(TermsSource(wide)), StateVector.basis(2, 0), cfg)
+
+    @pytest.mark.parametrize("bad", ["complex", "columns"])
+    def test_rejects_malformed_coefficients(self, monkeypatch, bad):
+        source = TermsSource(self.BASIS)
+        coefficients = source.coefficients
+        if bad == "complex":
+            source.coefficients = lambda times: coefficients(times) + 0j
+        else:
+            source.coefficients = lambda times: np.tile(coefficients(times), 2)
+        cfg = EvolutionConfig(t_start_us=0.0, t_end_us=1.0, dt_us=0.01)
+        with pytest.raises(ConfigError, match="coefficients must be real"):
+            evolve_schrodinger(source, StateVector.basis(2, 0), cfg)
+
+
 class TestNoiseModel:
     def test_rejects_unphysical_t2(self):
         with pytest.raises(ConfigError):

@@ -273,6 +273,31 @@ class TestSampler:
         assert np.array_equal(stack, expected)  # signed zeros compare equal
         assert calls == [tone, other]  # once per distinct driven channel
 
+    @pytest.mark.parametrize("dim", [4, 8])
+    def test_terms_are_hermitian_and_coefficients_real(self, dim):
+        rng = np.random.default_rng(30 + dim)
+        pairs = dim // 4 + 1
+        for _ in range(20):
+            spec = LevelSpec(dim=dim, energies_mhz=tuple(rng.uniform(-10, 10, size=dim)))
+            channels = [
+                random_channel(rng) if rng.uniform() < 0.7 else silent_channel()
+                for _ in range(2 * pairs)
+            ]
+            channels[-1] = channels[int(rng.integers(2 * pairs))]  # a shared slot, at times
+            ham = PulsedHamiltonian(spec, PulseSet(tuple(channels[:pairs]), tuple(channels[pairs:])))
+            basis = ham.terms()
+            times = rng.uniform(-2, 2, size=30)
+            coefficients = ham.coefficients(times)
+            driven = {ch for ch in channels if ch.rabi_mhz}
+            assert basis.shape == (1 + 2 * len(driven), dim, dim)
+            assert np.array_equal(basis, np.conj(np.swapaxes(basis, 1, 2)))
+            assert coefficients.dtype == np.float64 and coefficients.shape == (30, len(basis))
+            assert np.all(np.isfinite(coefficients)) and np.all(coefficients[:, 0] == 1.0)
+            # sample is the combination, and matches the per-channel layout
+            stack = ham.sample(times)
+            assert np.array_equal(stack, np.einsum("nk,kij->nij", coefficients, basis))
+            assert np.max(np.abs(stack - per_channel_sample(spec, ham.pulses, times))) < 1e-12
+
     def test_channel_count_checked(self):
         spec = LevelSpec(dim=8, energies_mhz=(0.0,) * 8)
         off = silent_channel()

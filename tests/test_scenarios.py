@@ -15,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nvholo import evolve as evolve_module
 from nvholo import scenarios
 from nvholo.config import parse_config, render_config
 from nvholo.core import (
@@ -33,7 +34,7 @@ from nvholo.evolve import (
     recommended_dt,
 )
 from nvholo.gates import GateParams, phase_from_discrepancy
-from nvholo.hamiltonians import LevelSpec, build_interaction_8
+from nvholo.hamiltonians import LevelSpec, PulsedHamiltonian, build_interaction_8
 from nvholo.scenarios import (
     DIAMOND_HALF_RAD,
     FIDELITY_SLICES,
@@ -772,6 +773,58 @@ def test_two_qubit_pi2_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 1_200_000
+
+
+def test_two_qubit_pi2_takes_the_terms_path(monkeypatch):
+    # the default run builds its frames from the Hamiltonian's terms: the
+    # basis is checked and put in real form once per _integrate call, and
+    # PulsedHamiltonian.sample serves recommended_dt's probe alone; seen only
+    # through .sample, the same run is bitwise equal
+    cfg = ScenarioConfig(scenario_id="two-qubit-pi2")
+    calls = {"_integrate": 0, "_check_samples": 0, "_real_form": 0}
+
+    def counting(name):
+        original = getattr(evolve_module, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(evolve_module, name, counting(name))
+    probing, sampled_while_probing = [], []
+    recommend, sample = scenarios.recommended_dt, PulsedHamiltonian.sample
+
+    def probe(*args):
+        probing.append(True)
+        try:
+            return recommend(*args)
+        finally:
+            probing.pop()
+
+    monkeypatch.setattr(scenarios, "recommended_dt", probe)
+    monkeypatch.setattr(
+        PulsedHamiltonian,
+        "sample",
+        lambda self, times: sampled_while_probing.append(bool(probing)) or sample(self, times),
+    )
+    terms = run_two_qubit_pi2(cfg)
+    assert calls == {"_integrate": 1, "_check_samples": 1, "_real_form": 1}
+    assert sampled_while_probing == [True]
+
+    class SampleOnly:
+        def __init__(self, source):
+            self.sample = source.sample
+
+    monkeypatch.setattr(
+        scenarios, "evolve_schrodinger", lambda h, psi, evo: evolve_schrodinger(SampleOnly(h), psi, evo)
+    )
+    samples = run_two_qubit_pi2(cfg)
+    assert calls["_integrate"] == 2 and calls["_check_samples"] > 2
+    assert np.array_equal(terms.amplitudes, samples.amplitudes)
+    assert np.array_equal(terms.norms, samples.norms)
 
 
 # --- step resolution helper -------------------------------------------------
