@@ -5,27 +5,34 @@ substage times t, t + dt/2, t + dt. Both equations are linear, so every step
 is a transfer matrix T, and _integrate propagates the steps in chunks,
 materialising the states only at the steps it checks (records, chunk ends):
 
-- constant H: T is built once, and the states T^j y come from powers of T by
-  doubling, a handful of array products instead of a step loop;
+- constant H: T is built once per run, and the states T^j y come from powers
+  of T by doubling, a handful of batched array products instead of a step
+  loop, written run-major, so that when every step is recorded they land in
+  the records themselves;
 - time-dependent H: the chunk's A(t) frames are built and its transfer
   matrices follow in batched products; those between two checked steps are
   multiplied into one matrix by a pairwise tree, and the states cross it in
-  one product. States of up to REAL_FORM_MAX_DIM entries (Schrodinger at dims
-  2, 4, 8 and Lindblad at dim 2) take these products in the equivalent real
-  form, where each complex entry is a 2x2 real block, because numpy's
-  per-matrix cost on small complex stacks exceeds their arithmetic. A source
-  that gives H(t) = sum_k c_k(t) B_k through terms() and coefficients(times)
-  (PulsedHamiltonian) has its basis checked, lifted and put in that form once
-  per call, so a chunk's frames are one product of its real coefficients with
-  the basis; other sources are sampled, checked and lifted frame by frame.
+  one product. A source that gives H(t) = sum_k c_k(t) B_k through terms()
+  and coefficients(times) (PulsedHamiltonian) has its basis checked, lifted
+  and converted once per call, so a chunk's frames are one product of its
+  real coefficients with the basis; other sources are sampled, checked and
+  lifted frame by frame.
 
-Either way, one checkpoint pass checks the norm drift, renormalises and stores
-the records. Fixed steps keep runs bit-for-bit reproducible. One call
-integrates a batch of runs on one time grid: start states with a leading run
-axis, or a stack of constant H's, one per run, broadcast against a single
-other; an unbatched call is a batch of one, and every run keeps its own drift
-gate and renormalisation. The requested dt is snapped to an integer number of
-steps spanning exactly [t_start, t_end], without a fractional step.
+States of up to REAL_FORM_MAX_DIM entries (Schrodinger at dims 2, 4, 8 and
+Lindblad at dim 2) take either path's products in the equivalent real form,
+where each complex entry is a 2x2 real block, because numpy's per-matrix
+cost on small complex stacks exceeds their arithmetic.
+
+Either way, one checkpoint pass measures the checked states once, checks the
+norm drift, renormalises and stores the records. Fixed steps keep runs
+bit-for-bit reproducible. One call integrates a batch of runs: start states
+with a leading run axis, or a stack of constant H's, one per run, broadcast
+against a single other; an unbatched call is a batch of one, and every run
+keeps its own drift gate and renormalisation. Runs share one time grid,
+except that constant-H runs may each take their own EvolutionConfig (a
+ragged batch), returned as one block per run of consecutive equal configs.
+The requested dt is snapped to an integer number of steps spanning exactly
+[t_start, t_end], without a fractional step.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -256,7 +264,9 @@ def _record_steps(n_steps: int, stride: int) -> np.ndarray:
 
 def _chunk_steps(y_dim: int, runs: int = 1, transfers: bool = True) -> int:
     """Steps per chunk within TRANSFER_CHUNK_BYTES: a step holds one complex
-    state per run and, for a time-dependent H, five matrices in the form its
+    state per run (a chunk's fill buffer, or the checkpoint's working arrays
+    when the records are the buffer) and, for a time-dependent H, five
+    matrices in the form its
     transfers are built in (two lifted frames and three RK4 stages while
     _transfer_stack runs, the peak of a chunk); a real form (_real_form)
     matrix takes twice the bytes of its complex one. A source with terms
@@ -333,38 +343,68 @@ def _transfer_stack(a1, a2, a3, dt: float) -> np.ndarray:
 
 
 def _fill_by_doubling(states: np.ndarray, powers: list, m: int):
-    """Rows 1..m of states = T^j times row 0, from powers = [T, T^2, T^4, ...]:
-    rows n..2n-1 are T^n times rows 0..n-1, one state per run in each row
-    and T one matrix or one per run. The products go through einsum's own
-    loop, because OpenBLAS splits a gemm this tall across threads and their
-    start-up dwarfs the product."""
-    subscripts = "kbj,ij->kbi" if powers[0].ndim == 2 else "kbj,bij->kbi"
+    """Rows 1..m of each run's states = T^j times its row 0, from powers =
+    [T, T^2, T^4, ...] in row form (transposed, as the run's rows multiply
+    them from the right): rows n..2n-1 are rows 0..n-1 times T^n, one
+    batched product per power, T one matrix or one per run.
+
+    The states are run-major, (runs, steps, y), so that a run's rows are one
+    matrix and its records a slice of them. In real form (_real_form) the
+    products are float64 GEMMs, which numpy hands to BLAS one run at a time;
+    on a shared 2-vCPU host (numpy 2.4.6, OpenBLAS) a Lindblad 2-level fill
+    of 14 runs x 314 steps took 39 us this way, 127 us as complex matmuls and
+    694 us as the step-major einsum and transpose it replaces, and one of 231
+    runs x 105 steps took 248, 915 and 2630 us."""
     filled = 1
     for power in powers:
         if filled > m:
             break
         take = min(filled, m + 1 - filled)
-        np.einsum(subscripts, states[:take], power, out=states[filled : filled + take])
+        np.matmul(states[:, :take], power, out=states[:, filled : filled + take])
         filled += take
 
 
 def _cross_intervals(carry: np.ndarray, transfer: np.ndarray, offsets: np.ndarray):
     """The complex states at a chunk's checked step offsets, the last one its
-    end: the transfers between checked steps as one matrix each, equal
-    intervals batched. Real transfers (_real_form) carry the states as their
-    float64 view, and the states are returned through that view, not copied."""
+    end, run-major (runs, offsets, y): the transfers between checked steps as
+    one matrix each, equal intervals batched. Real transfers (_real_form)
+    carry the states as their float64 view, and each product is written
+    through that view into its column, not copied."""
     lengths = np.diff(offsets, prepend=0)
     cuts = np.flatnonzero(np.diff(lengths)) + 1
-    raw = np.empty((offsets.shape[0],) + carry.shape, dtype=np.complex128)
+    raw = np.empty((carry.shape[0], offsets.shape[0], carry.shape[1]), dtype=np.complex128)
     rows = raw.view(transfer.dtype)
     y = carry.view(transfer.dtype)
     for i, j in zip(np.append(0, cuts), np.append(cuts, offsets.shape[0])):
         steps = transfer[offsets[i] - lengths[i] : offsets[j - 1]]
         products = ordered_product(steps.reshape((j - i, lengths[i]) + transfer.shape[1:]))
         # each run's row times P^T is P times its state
-        for product, out in zip(np.swapaxes(products, -1, -2), rows[i:j]):
-            y = np.matmul(y, product, out=out)
+        for k, product in zip(range(i, j), np.swapaxes(products, -1, -2)):
+            y = np.matmul(y, product, out=rows[:, k])
     return raw
+
+
+class _Block(NamedTuple):
+    """Consecutive runs lo..hi-1 of a call that share one EvolutionConfig."""
+
+    lo: int
+    hi: int
+    t_start_us: float
+    n_steps: int
+    dt: float
+    record_at: np.ndarray
+    renormalize: bool
+
+
+def _blocks(cfgs: tuple, runs: int) -> list:
+    cuts = [r for r in range(1, len(cfgs)) if cfgs[r] != cfgs[r - 1]]
+    blocks = []
+    for lo, hi in zip([0] + cuts, cuts + [len(cfgs) if len(cfgs) > 1 else runs]):
+        cfg = cfgs[lo]
+        n_steps, dt = _plan_steps(cfg)
+        record_at = _record_steps(n_steps, int(cfg.record_stride))
+        blocks.append(_Block(lo, hi, cfg.t_start_us, n_steps, dt, record_at, bool(cfg.renormalize)))
+    return blocks
 
 
 def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
@@ -372,21 +412,30 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
 
     lift maps a validated Hamiltonian sample stack linearly to the A(t) stack
     of the system, and offset, if given, is A's constant part, so that
-    A(t) = lift(H(t)) + offset (the Lindblad dissipator); measure maps
-    vectors with leading axes to (norm-like scalars, populations);
-    dim_protect is the Hamiltonian dimension used for sample validation. y0
-    may carry a leading run axis and h_of_t be a stack of constant H's; a
-    batched call returns its arrays with the run axis first.
+    A(t) = lift(H(t)) + offset (the Lindblad dissipator); measure(y, out)
+    maps vectors with leading axes to (norm-like scalars, populations), the
+    populations new or written into out, where they sum to the square of the
+    norm (state vectors) or to the norm itself (densities); dim_protect is
+    the Hamiltonian dimension used for sample validation. y0 may carry a
+    leading run axis and h_of_t be a stack of constant H's; a batched call
+    returns its arrays with the run axis first. cfg is one EvolutionConfig,
+    or, for a constant H or a stack of them, a sequence of one per run: the
+    runs then differ in span, step, record stride and renormalisation, and
+    the call returns a list with one (times, records, norms, populations)
+    per block of consecutive runs that share a config.
 
     The steps are cut into chunks of _chunk_steps; a chunk's checked steps are
-    its records and its end. A constant H has one RK4 transfer matrix T (or
-    one per run), and the chunk's states come from powers of T by doubling
-    (_fill_by_doubling). A time-dependent H gives the chunk's A(t) frames,
-    from which its transfer matrices are built, and _cross_intervals carries
-    the states from one checked step to the next in one product each. When
-    y_dim is at most REAL_FORM_MAX_DIM, the frames are in real form
-    (_real_form), the transfers and their products are real, and the states
-    cross them as float64 views of the complex records.
+    its records and its end. A constant H has one RK4 transfer matrix T per
+    run (one for all when they share it), and the chunk's states come from
+    powers of T by doubling (_fill_by_doubling) into a run-major buffer; when
+    every step of every run is recorded, that buffer is the records. Ragged
+    runs are filled to the longest, and each run's checked steps stop at its
+    own last step. A time-dependent H gives the chunk's A(t) frames, from
+    which its transfer matrices are built, and _cross_intervals carries the
+    states from one checked step to the next in one product each. When
+    y_dim is at most REAL_FORM_MAX_DIM, A and T are in real form
+    (_real_form), and the states take the products as float64 views of the
+    complex records.
 
     _as_source tells a source with terms from the others, and the chunk loop
     calls one frame function for either. A source with terms has its basis
@@ -397,24 +446,35 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     product. Matrices, other samplers and callables are sampled, checked,
     lifted and converted per chunk.
 
-    One checkpoint block then checks each run's norm drift at the checked
-    steps, renormalises, stores the records and carries the chunk end on.
-    No state is renormalised inside a chunk; a scalar commutes with the
+    One checkpoint block then measures the checked rows once, checks each
+    run's norm drift there, renormalises the rows in place (their
+    populations by their sum), stores the records and carries the chunk end
+    on. No state is renormalised inside a chunk; a scalar commutes with the
     linear map, so each reported norm is the ratio of its raw norm to that of
     the record before it, as a step-by-step renormalising loop would report
     it. A drift failure names the earliest failing step and, in a batch, the
     lowest run that fails there.
     """
     sample, constant, terms = _as_source(h_of_t)
-    n_steps, dt = _plan_steps(cfg)
-    record_at = _record_steps(n_steps, int(cfg.record_stride))
-    n_records = record_at.shape[0]
+    ragged = not isinstance(cfg, EvolutionConfig)
+    cfgs = tuple(cfg) if ragged else (cfg,)
+    if not cfgs or not all(isinstance(c, EvolutionConfig) for c in cfgs):
+        raise ConfigError("cfg must be an EvolutionConfig or a sequence of them, one per run")
+    if ragged and not constant:
+        raise ConfigError("per-run configs need a constant Hamiltonian or a stack of them")
     y0 = np.asarray(y0, dtype=np.complex128)
-    batched = y0.ndim == 2 or (isinstance(h_of_t, np.ndarray) and h_of_t.ndim == 3)
+    stacked = isinstance(h_of_t, np.ndarray) and h_of_t.ndim == 3
+    batched = y0.ndim == 2 or stacked
     y0 = y0.reshape(-1, y0.shape[-1])
-    runs, y_dim = y0.shape
-    times = cfg.t_start_us + dt * record_at.astype(float)
-    real = not constant and y_dim <= REAL_FORM_MAX_DIM
+    y_dim = y0.shape[1]
+    counts = (y0.shape[0], h_of_t.shape[0] if stacked else 1, len(cfgs))
+    runs = max(counts)
+    if not set(counts) <= {1, runs}:
+        raise ConfigError(f"{counts[0]} start states, {counts[1]} H's and {counts[2]} configs in one batch")
+    blocks = _blocks(cfgs, runs)
+    first = blocks[0]
+    n_max = max(b.n_steps for b in blocks)
+    real = y_dim <= REAL_FORM_MAX_DIM
 
     def lifted(stack: np.ndarray, where: str) -> np.ndarray:
         _check_samples(stack, dim_protect, where)
@@ -448,76 +508,144 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     def chunk_transfers(k0: int, k1: int) -> np.ndarray:
         # the frames go on return and the transfers once crossed, so neither
         # is held while the next chunk is built
-        a = frames(cfg.t_start_us + (dt / 2.0) * np.arange(2 * k0, 2 * k1 + 1))
+        dt = first.dt
+        a = frames(first.t_start_us + (dt / 2.0) * np.arange(2 * k0, 2 * k1 + 1))
         return _transfer_stack(a[0:-1:2], a[1::2], a[2::2], dt)
+
+    sizes = [b.hi - b.lo for b in blocks]
+    n_run = np.repeat([b.n_steps for b in blocks], sizes)
+    renorm_run = np.repeat([b.renormalize for b in blocks], sizes)
+    # every step of every run recorded: the fill buffer is the records
+    direct = constant and all(b.record_at.shape[0] == b.n_steps + 1 for b in blocks)
+
+    def checkpoint(rows, steps, live, renorm, n_records, out=None):
+        """Measure the checked rows (runs, M, y) once, their populations into
+        out if given; return the drift failure (step, run, reported norm) or
+        None, the largest drift, and the reported norms and populations of
+        the first n_records rows, which are records. renorm is one flag per
+        run. The rows are renormalised in place, and a last row off the
+        record grid keeps the scale of the record before it."""
+        raw, found = measure(rows, out)
+        on = slice(None) if renorm.all() else renorm  # the runs that renormalise
+        reported = raw.copy()
+        reported[on, 1:] /= raw[on, :-1]
+        drifts = np.abs(reported - 1.0)
+        failed = ~(drifts <= MAX_NORM_DRIFT)  # NaN fails too
+        if live is not None:  # steps past a run's end are not its own
+            failed &= live
+            drifts[~live] = 0.0
+        if failed.any():
+            col = int(np.argmax(failed.any(axis=0)))
+            run = int(np.argmax(failed[:, col]))
+            return (int(steps[col]), run, float(reported[run, col])), 0.0, None, None
+        if renorm.any():
+            # times reciprocals, as numpy divides a complex by a real; the
+            # float64 view takes them without a complex copy of the scales
+            scale, totals = raw[on], found[on].sum(axis=-1)
+            if n_records < raw.shape[1]:
+                scale[:, -1] = scale[:, -2] if n_records else 1.0
+            found[on] *= (1.0 / totals)[..., None]
+            rows.view(np.float64)[on] *= (1.0 / scale)[..., None]
+        return None, float(np.max(drifts)), reported[:, :n_records], found[:, :n_records]
+
+    def drift_error(failure) -> NumericalError:
+        step, run, value = failure
+        b = next(b for b in blocks if b.lo <= run < b.hi)
+        return NumericalError(
+            f"norm drifted to {value:.6g} at step {step} "
+            f"(t={b.t_start_us + step * b.dt:.6g} us); reduce dt",
+            member=run if runs > 1 else None,
+        )
 
     # transfers and states may overflow; the drift check rejects NaN and Inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if constant:
-            a = frames(np.full(1, cfg.t_start_us))[0]  # every frame is this one
-            powers = [_transfer_stack(a, a, a, dt)]  # T, T^2, T^4, ...; a stack per run
-            if powers[0].ndim == 3:
-                if runs not in (1, powers[0].shape[0]):
-                    raise ConfigError(f"{runs} start states for {powers[0].shape[0]} H's")
-                runs = powers[0].shape[0]
-        chunk = min(_chunk_steps(y_dim, runs, transfers=not constant), n_steps)
+            a = frames(np.full(1, first.t_start_us))[0]  # every frame is this one
+            dt = first.dt
+            if len(blocks) > 1:  # a transfer per run, each with its own step
+                dt = np.repeat([b.dt for b in blocks], sizes)[:, None, None]
+                a = np.broadcast_to(a, (runs,) + a.shape[-2:])
+            # T, T^2, T^4, ... in row form; a stack per run
+            powers = [np.ascontiguousarray(np.swapaxes(_transfer_stack(a, a, a, dt), -1, -2))]
+        chunk = min(_chunk_steps(y_dim, runs, transfers=not constant), n_max)
         if constant:
             while (1 << len(powers)) <= chunk:
                 powers.append(powers[-1] @ powers[-1])
-            states = np.empty((chunk + 1, runs, y_dim), dtype=np.complex128)
-        carry = np.broadcast_to(y0, (runs, y_dim))
+            if not direct:
+                states = np.empty((runs, chunk + 1, y_dim), dtype=np.complex128)
+        n_records = max(b.record_at.shape[0] for b in blocks)
         records = np.empty((runs, n_records, y_dim), dtype=np.complex128)
         norms = np.empty((runs, n_records), dtype=float)
         pops = np.empty((runs, n_records, dim_protect), dtype=float)
-        records[:, 0] = carry
-        norms[:, 0], pops[:, 0] = measure(carry)
-        next_record = 1
+        records[:, 0] = y0
+        norms[:, 0], pops[:, 0] = measure(records[:, 0])
+        carry = records[:, 0].copy()
+        next_record = [1] * len(blocks)
         max_drift = float(np.max(np.abs(norms[:, 0] - 1.0)))
 
-        for k0 in range(0, n_steps, chunk):
-            k1 = min(k0 + chunk, n_steps)
-            last_record = int(np.searchsorted(record_at, k1, side="right"))
-            checked = record_at[next_record:last_record]
-            if checked.shape[0] == 0 or checked[-1] != k1:
-                checked = np.append(checked, k1)
-            if constant:
-                states[0] = carry
-                _fill_by_doubling(states, powers, k1 - k0)
-                raw = states[checked - k0]
-            else:
-                raw = _cross_intervals(carry, chunk_transfers(k0, k1), checked - k0)
-
-            raw_norms, _ = measure(raw)
-            divisors = np.ones_like(raw_norms)
-            if cfg.renormalize:
-                divisors[1:] = raw_norms[:-1]
-            reported = raw_norms / divisors
-            drifts = np.abs(reported - 1.0)
-            failed = ~(drifts <= MAX_NORM_DRIFT)  # NaN fails too
-            if failed.any():
-                row, run = np.unravel_index(np.argmax(failed), failed.shape)
-                step = int(checked[row])
-                raise NumericalError(
-                    f"norm drifted to {reported[row, run]:.6g} at step {step} "
-                    f"(t={cfg.t_start_us + step * dt:.6g} us); reduce dt",
-                    member=int(run) if runs > 1 else None,
+        for k0 in range(0, n_max, chunk):
+            k1 = min(k0 + chunk, n_max)
+            if direct:
+                span = records[:, k0 : k1 + 1]
+                _fill_by_doubling(span.view(np.float64) if real else span, powers, k1 - k0)
+                steps = np.arange(k0 + 1, k1 + 1)
+                live = None if n_run.min() >= k1 else steps <= n_run[:, None]
+                failure, drift, reported, _ = checkpoint(
+                    span[:, 1:], steps, live, renorm_run, k1 - k0, pops[:, k0 + 1 : k1 + 1]
                 )
-            max_drift = max(max_drift, float(np.max(drifts)))
-            n_new = last_record - next_record
-            ends_on_record = cfg.renormalize and n_new == checked.shape[0]
-            carry = raw[-1] / (raw_norms[-1] if ends_on_record else divisors[-1])[:, None]
-            if cfg.renormalize:
-                raw /= raw_norms[..., None]
-            records[:, next_record:last_record] = np.swapaxes(raw[:n_new], 0, 1)
-            norms[:, next_record:last_record] = reported[:n_new].T
-            pops[:, next_record:last_record] = np.swapaxes(measure(raw[:n_new])[1], 0, 1)
-            next_record = last_record
+                if failure is not None:
+                    raise drift_error(failure)
+                max_drift = max(max_drift, drift)
+                norms[:, k0 + 1 : k1 + 1] = reported
+                continue
+            if constant:
+                states[:, 0] = carry
+                _fill_by_doubling(states.view(np.float64) if real else states, powers, k1 - k0)
+            failures = []
+            for i, b in enumerate(blocks):
+                if b.n_steps <= k0:
+                    continue
+                end = min(k1, b.n_steps)
+                last = int(np.searchsorted(b.record_at, end, side="right"))
+                checked = b.record_at[next_record[i] : last]
+                if checked.shape[0] == 0 or checked[-1] != end:
+                    checked = np.append(checked, end)
+                if constant:
+                    rows = states[b.lo : b.hi, checked - k0]
+                else:
+                    rows = _cross_intervals(carry, chunk_transfers(k0, k1), checked - k0)
+                new = last - next_record[i]
+                failure, drift, reported, found = checkpoint(
+                    rows, checked, None, renorm_run[b.lo : b.hi], new
+                )
+                if failure is not None:
+                    failures.append((failure[0], failure[1] + b.lo, failure[2]))
+                    continue
+                max_drift = max(max_drift, drift)
+                records[b.lo : b.hi, next_record[i] : last] = rows[:, :new]
+                norms[b.lo : b.hi, next_record[i] : last] = reported
+                pops[b.lo : b.hi, next_record[i] : last] = found
+                carry[b.lo : b.hi] = rows[:, -1]
+                next_record[i] = last
+            if failures:
+                raise drift_error(min(failures))
 
     LOG.debug(
-        "integrated %d runs of %d steps of dt=%.3g us; max norm drift %.3e",
-        runs, n_steps, dt, max_drift,
+        "integrated %d runs of up to %d steps in %d blocks; max norm drift %.3e",
+        runs, n_max, len(blocks), max_drift,
     )
-    return (times, records, norms, pops) if batched else (times, records[0], norms[0], pops[0])
+    out = [
+        (
+            b.t_start_us + b.dt * b.record_at.astype(float),
+            records[b.lo : b.hi, : b.record_at.shape[0]],
+            norms[b.lo : b.hi, : b.record_at.shape[0]],
+            pops[b.lo : b.hi, : b.record_at.shape[0]],
+        )
+        for b in blocks
+    ]
+    if ragged:
+        return out
+    return out[0] if batched else tuple(x[0] if i else x for i, x in enumerate(out[0]))
 
 
 def evolve_schrodinger(h_of_t, psi0, cfg: EvolutionConfig) -> Trajectory:
@@ -525,7 +653,10 @@ def evolve_schrodinger(h_of_t, psi0, cfg: EvolutionConfig) -> Trajectory:
 
     psi0 is a StateVector or a (runs, dim) array of normalized amplitudes,
     and h_of_t may be a (runs, dim, dim) stack of constant Hamiltonians; a
-    batched call returns a Trajectory with a leading run axis.
+    batched call returns a Trajectory with a leading run axis. For a constant
+    H or a stack of them, cfg may be a sequence of one EvolutionConfig per
+    run; the call then returns a tuple of batched Trajectories, one per block
+    of consecutive runs that share a config.
     """
     y0 = psi0.amps if isinstance(psi0, StateVector) else checked_amplitudes(psi0, 2)
     dim = y0.shape[-1]
@@ -533,12 +664,16 @@ def evolve_schrodinger(h_of_t, psi0, cfg: EvolutionConfig) -> Trajectory:
     def lift(stack):
         return -1j * stack
 
-    def measure(y):
-        pops = np.real(y) ** 2 + np.imag(y) ** 2
+    def measure(y, out=None):
+        pops = np.square(y.real, out=out)
+        pops += np.square(y.imag)
         return np.sqrt(pops.sum(axis=-1)), pops
 
-    times, records, norms, pops = _integrate(h_of_t, lift, y0, cfg, dim, measure)
-    return Trajectory(times=times, populations=pops, amplitudes=records, norms=norms)
+    def trajectory(times, records, norms, pops):
+        return Trajectory(times=times, populations=pops, amplitudes=records, norms=norms)
+
+    out = _integrate(h_of_t, lift, y0, cfg, dim, measure)
+    return trajectory(*out) if isinstance(cfg, EvolutionConfig) else tuple(trajectory(*b) for b in out)
 
 
 def evolve_lindblad(h_of_t, rho0, noise: NoiseModel, cfg: EvolutionConfig) -> Trajectory:
@@ -561,14 +696,20 @@ def evolve_lindblad(h_of_t, rho0, noise: NoiseModel, cfg: EvolutionConfig) -> Tr
         a *= -1j
         return a
 
-    def measure(y):
-        diag = np.real(y[..., diag_slice])
-        return diag.sum(axis=-1), diag
+    def measure(y, out=None):
+        diag = y[..., diag_slice].real
+        if out is None:
+            out = np.empty(diag.shape)
+        np.copyto(out, diag)
+        return out.sum(axis=-1), out
+
+    def trajectory(times, records, norms, pops):
+        densities = records.reshape(records.shape[:-1] + (dim, dim))
+        return Trajectory(times=times, populations=pops, densities=densities, norms=norms)
 
     y0 = entries.reshape(entries.shape[:-2] + (dim * dim,))
-    times, records, norms, pops = _integrate(h_of_t, lift, y0, cfg, dim, measure, dissipator)
-    densities = records.reshape(records.shape[:-1] + (dim, dim))
-    return Trajectory(times=times, populations=pops, densities=densities, norms=norms)
+    out = _integrate(h_of_t, lift, y0, cfg, dim, measure, dissipator)
+    return trajectory(*out) if isinstance(cfg, EvolutionConfig) else tuple(trajectory(*b) for b in out)
 
 
 def convergence_check(h_of_t, psi0: StateVector, cfg: EvolutionConfig) -> float:

@@ -107,9 +107,12 @@ TIME_EVOLUTION_SAMPLES = 201
 LOOP_BLOCK_BYTES = 128 * 1024
 # the detune sweep integrates its points in blocks of at most this many bytes:
 # a point takes about DETUNE_RECORD_BYTES of heap per step (its ideal and noisy
-# records with the integrator's working copies), and every step is recorded
+# records with the integrator's working copies), and every step is recorded.
+# Measured with tracemalloc on noisy 629-step sweeps: 148 B per point-step
+# from 2 to 4 points per block and 210 B from 4 to 8, so 4 points go per
+# block, and a 7-point sweep peaks at 0.55 MB
 DETUNE_BLOCK_BYTES = 512 * 1024
-DETUNE_RECORD_BYTES = 320
+DETUNE_RECORD_BYTES = 200
 
 MIN_SEGMENT_STEPS = 16
 POPULATION_TOL = 1e-9
@@ -356,10 +359,29 @@ def _gate_time_us(theta: float, rabi_mhz: float) -> float:
     return theta / (2.0 * math.pi * rabi_mhz)
 
 
-def _pulse_dt(h: np.ndarray, span: float, cfg: ScenarioConfig) -> float:
-    """Step for the constant drive h over span: the configured dt, else
-    recommended_dt, capped so the pulse takes at least MIN_SEGMENT_STEPS."""
-    return cfg.dt_us or min(recommended_dt(h, 0.0, span), span / MIN_SEGMENT_STEPS)
+def _pulse_dt(h: np.ndarray, span, cfg: ScenarioConfig):
+    """Step for the constant drive h over span, or over each of an array of
+    spans: the configured dt, else recommended_dt, capped so each pulse takes
+    at least MIN_SEGMENT_STEPS. recommended_dt probes h once, over the
+    longest span; its own span/2 cap never binds below a span's
+    span/MIN_SEGMENT_STEPS cap, so each step is the one a probe over its own
+    span gives, bit for bit."""
+    spans = np.asarray(span, dtype=float)
+    if cfg.dt_us:
+        dts = np.full(spans.shape, cfg.dt_us)
+    else:
+        dts = np.minimum(recommended_dt(h, 0.0, float(spans.max())), spans / MIN_SEGMENT_STEPS)
+    return dts if spans.ndim else float(dts)
+
+
+def _pulse_config(span: float, dt: float, cfg: ScenarioConfig, where: str, **kw) -> EvolutionConfig:
+    """EvolutionConfig of a pulse over [0, span]; a configured step longer
+    than the span is a config error that names the point and the key."""
+    if cfg.dt_us is not None and cfg.dt_us > span:
+        raise ConfigError(
+            f"{where}: [integrator] dt_us = {cfg.dt_us:g} exceeds the {span:.6g} us span"
+        )
+    return EvolutionConfig(0.0, float(span), float(dt), **kw)
 
 
 @contextmanager
@@ -391,26 +413,28 @@ def run_single_qubit_theta_sweep(cfg: ScenarioConfig) -> SweepResult:
     series = {"p1": finals[:, 0], "p2": finals[:, 1]}
 
     if cfg.noise.enabled:
-        def noisy_point(theta: float) -> np.ndarray:
-            if theta <= 0.0:
-                return np.abs(psi0) ** 2
-            with _naming("theta-sweep", [f"theta={theta:g}"]):
-                return _pulsed_lindblad_gate(theta, psi0, cfg).populations[-1]
-
-        noisy = np.asarray([noisy_point(theta) for theta in thetas])
+        # every positive angle is one run of one call, each with its own span,
+        # step and record stride; the others keep the start's populations
+        noisy = np.tile(np.abs(psi0) ** 2, (thetas.shape[0], 1))
+        moving = np.flatnonzero(thetas > 0.0)
+        if moving.size:
+            h = _drive_matrix(cfg.rabi_mhz, 0.0)
+            spans = _gate_time_us(thetas[moving], cfg.rabi_mhz)
+            points = [f"theta={theta:g}" for theta in thetas[moving]]
+            evos = [
+                _pulse_config(
+                    span, dt, cfg, f"theta-sweep {point}", record_stride=max(1, int(span / dt) // 64)
+                )
+                for span, dt, point in zip(spans, _pulse_dt(h, spans, cfg), points)
+            ]
+            rho0 = DensityMatrix.from_state(StateVector.normalized(psi0))
+            with _naming("theta-sweep", points):
+                trajs = evolve_lindblad(h, rho0, cfg.noise, evos)
+            noisy[moving] = np.concatenate([traj.populations[:, -1] for traj in trajs])
         series["p1_noisy"] = noisy[:, 0]
         series["p2_noisy"] = noisy[:, 1]
 
     return SweepResult(axis_values=thetas, series=series)
-
-
-def _pulsed_lindblad_gate(theta: float, psi0: np.ndarray, cfg: ScenarioConfig) -> Trajectory:
-    h = _drive_matrix(cfg.rabi_mhz, 0.0)
-    span = _gate_time_us(theta, cfg.rabi_mhz)
-    dt = _pulse_dt(h, span, cfg)
-    evo = EvolutionConfig(0.0, span, dt, record_stride=max(1, int(span / dt) // 64))
-    rho0 = DensityMatrix.from_state(StateVector.normalized(psi0))
-    return evolve_lindblad(h, rho0, cfg.noise, evo)
 
 
 def run_single_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
@@ -431,18 +455,18 @@ def run_single_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
     # the step of the drive at the largest |delta|, the fastest one
     widest = _drive_matrix(cfg.rabi_mhz, float(deltas[np.argmax(np.abs(deltas))]))
     dt = _pulse_dt(widest, span, cfg)
-    evo = EvolutionConfig(0.0, span, dt, renormalize=cfg.renormalize)
+    evo = _pulse_config(span, dt, cfg, "detune-sweep", renormalize=cfg.renormalize)
     n_records = max(1, int(round(span / dt))) + 1
     block = max(1, DETUNE_BLOCK_BYTES // (DETUNE_RECORD_BYTES * n_records))
     state0 = StateVector.normalized(psi0)
     rho0 = DensityMatrix.from_state(state0)
     noisy_names = ["p1_noisy", "p2_noisy", "discrepancy_noisy"] if cfg.noise.enabled else []
     series = {name: np.empty(deltas.shape[0]) for name in ["p1", "p2"] + noisy_names}
-    estimates = []
-    for start in range(0, deltas.shape[0], block):
-        rows = slice(start, start + block)
+
+    def block_values(part: np.ndarray):
+        """(phase estimates, {series name: values}) of one block of points;
+        each record buffer is dropped once it is done with."""
         # the resonant reference, then the block's points: one stack of drives
-        part = deltas[rows]
         drives = np.stack([_drive_matrix(cfg.rabi_mhz, d) for d in np.append(0.0, part)])
         points = ["reference delta=0 MHz"] + [f"delta={d:g} MHz" for d in part]
         with _naming("detune-sweep", points):
@@ -450,14 +474,25 @@ def run_single_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
         reference = Trajectory(
             times=ideal.times, populations=ideal.populations[0], amplitudes=ideal.amplitudes[0]
         )
-        estimates += phase_estimates(reference, ideal, level=0, reference_label="delta=0MHz")[1:]
-        series["p1"][rows], series["p2"][rows] = ideal.populations[1:, -1].T
+        found = phase_estimates(reference, ideal, level=0, reference_label="delta=0MHz")[1:]
+        ideal_pops = ideal.populations[1:]
+        values = {"p1": ideal_pops[:, -1, 0], "p2": ideal_pops[:, -1, 1]}
+        del ideal, reference
         if cfg.noise.enabled:
             with _naming("detune-sweep", points[1:]):
                 noisy = evolve_lindblad(drives[1:], rho0, cfg.noise, evo)
-            series["p1_noisy"][rows], series["p2_noisy"][rows] = noisy.populations[:, -1].T
-            gap = np.abs(noisy.populations - ideal.populations[1:])
-            series["discrepancy_noisy"][rows] = np.max(gap, axis=(1, 2))
+            values["p1_noisy"], values["p2_noisy"] = noisy.populations[:, -1].T
+            gap = np.abs(noisy.populations - ideal_pops)
+            values["discrepancy_noisy"] = np.max(gap, axis=(1, 2))
+        return found, values
+
+    estimates = []
+    for start in range(0, deltas.shape[0], block):
+        rows = slice(start, start + block)
+        found, values = block_values(deltas[rows])
+        estimates += found
+        for name, column in values.items():
+            series[name][rows] = column
     return SweepResult(axis_values=deltas, series=series, phase_estimates=tuple(estimates))
 
 
@@ -485,28 +520,22 @@ def run_composite_gate_scenario(cfg: ScenarioConfig) -> SweepResult:
         return _fixed_sequence_result(cfg)
     thetas = (cfg.sweep or THETA_SWEEP_DEFAULT).values()
     starts = _composite_starts(cfg)
-
-    def sweep_point(theta: float):
-        theta = float(theta)
-        legs = [(theta / 3.0, 0.0, theta / 3.0)] * 3
-        single = [(theta, 0.0, theta)]
-        where = f"theta={theta:g}"
-        ideal_comp = _run_segments(legs, starts, cfg, False, where)
-        p1_final = ideal_comp.pops[0, -1]
-        if not cfg.noise.enabled:
-            return p1_final, 0.0, 0.0, 1.0
-        noisy_comp = _run_segments(legs, starts, cfg, True, where)
-        ideal_single = _run_segments(single, starts[:1], cfg, False, where)
-        noisy_single = _run_segments(single, starts[:1], cfg, True, where)
-        fid = _cardinal_fidelity(ideal_comp.final[1:], noisy_comp.final[1:])
-        disc_comp = _discrepancy(ideal_comp, noisy_comp)
-        return p1_final, disc_comp, _discrepancy(ideal_single, noisy_single), fid
-
-    rows = [sweep_point(theta) for theta in thetas]
-    finals = np.asarray([r[0] for r in rows])
-    disc_comp = np.asarray([r[1] for r in rows])
-    disc_single = np.asarray([r[2] for r in rows])
-    fidelity = np.asarray([r[3] for r in rows])
+    wheres = [f"theta={float(theta):g}" for theta in thetas]
+    legs = [(where, [(theta / 3.0, 0.0, theta / 3.0)] * 3) for where, theta in zip(wheres, thetas)]
+    ideal_comp = _run_segments(legs, starts, cfg, False)
+    finals = np.asarray([run.pops[0, -1] for run in ideal_comp])
+    disc_comp = disc_single = np.zeros(thetas.shape[0])
+    fidelity = np.ones(thetas.shape[0])
+    if cfg.noise.enabled:
+        single = [(where, [(theta, 0.0, theta)]) for where, theta in zip(wheres, thetas)]
+        noisy_comp = _run_segments(legs, starts, cfg, True)
+        ideal_single = _run_segments(single, starts[:1], cfg, False)
+        noisy_single = _run_segments(single, starts[:1], cfg, True)
+        fidelity = np.asarray(
+            [_cardinal_fidelity(i.final[1:], n.final[1:]) for i, n in zip(ideal_comp, noisy_comp)]
+        )
+        disc_comp = np.asarray([_discrepancy(i, n) for i, n in zip(ideal_comp, noisy_comp)])
+        disc_single = np.asarray([_discrepancy(i, n) for i, n in zip(ideal_single, noisy_single)])
     series = {
         "p1": finals[:, 0],
         "p2": finals[:, 1],
@@ -533,7 +562,7 @@ def _fixed_sequence_result(cfg: ScenarioConfig) -> SweepResult:
         )
     starts = _composite_starts(cfg)
     legs = [_gate_legs(p) for p in cfg.gate_params]
-    ideal = _run_segments(legs, starts, cfg, False, "sequence")
+    (ideal,) = _run_segments([("sequence", legs)], starts, cfg, False)
     product = np.eye(2, dtype=np.complex128)
     for p in cfg.gate_params:
         product = single_qubit_unitary(p).entries @ product
@@ -543,7 +572,7 @@ def _fixed_sequence_result(cfg: ScenarioConfig) -> SweepResult:
     series = {"p1": np.asarray([pops[0]]), "p2": np.asarray([pops[1]])}
     fidelities = {"sequence_overlap_deficit": float(deficit)}
     if cfg.noise.enabled:
-        noisy = _run_segments(legs, starts, cfg, True, "sequence")
+        (noisy,) = _run_segments([("sequence", legs)], starts, cfg, True)
         fidelities["composite_max_discrepancy"] = _discrepancy(ideal, noisy)
         fidelities["cardinal_fidelity_mean"] = _cardinal_fidelity(ideal.final[1:], noisy.final[1:])
     return SweepResult(axis_values=np.asarray([0.0]), series=series, fidelities=fidelities)
@@ -562,20 +591,26 @@ class _Stitched(NamedTuple):
     final: np.ndarray
 
 
-def _kick(state: np.ndarray, angle: float) -> np.ndarray:
-    if angle == 0.0:  # the identity; skipping it changes no value
-        return state
-    rz = _rz(angle)
-    if state.ndim == 2:  # amplitudes, one row per run
-        return state @ rz.T
-    return rz @ state @ rz.conj().T
+def _kick(state: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """z kick of each run by its angle: rows of amplitudes (runs, 2) or of
+    densities (runs, 2, 2) times the diagonal of _rz; a zero angle's phases
+    are exactly 1."""
+    phases = np.exp(np.multiply.outer(angles, [-0.5j, 0.5j]))
+    if state.ndim == 2:
+        return state * phases
+    return state * phases[:, :, None] * phases.conj()[:, None, :]
 
 
-def _run_segments(segments, starts, cfg: ScenarioConfig, noisy: bool, where: str) -> _Stitched:
-    """Stitch (theta, pre_kick, post_kick) x pulses with instantaneous z kicks,
-    one integration per pulse for the whole batch of starts (rows).
+def _run_segments(points, starts, cfg: ScenarioConfig, noisy: bool) -> list:
+    """Stitch (theta, pre_kick, post_kick) x pulses with instantaneous z kicks
+    for every sweep point, points = [(where, segments), ...] with as many
+    segments each, and every start (rows); one _Stitched per point.
 
-    noisy carries the density matrices through the master equation with
+    Each segment position is one integration over the runs of all points
+    whose pulse there has a span, point by point with the starts within, each
+    point with its own drive sign, span and step (a ragged batch);
+    recommended_dt probes each drive sign once per call. noisy
+    carries the density matrices through the master equation with
     cfg.noise; otherwise the amplitudes go through the Schrodinger equation.
     A failure names the sweep point, where, and the start (START_NAMES).
     """
@@ -585,26 +620,51 @@ def _run_segments(segments, starts, cfg: ScenarioConfig, noisy: bool, where: str
     else:
         state = starts.copy()
         pops0 = np.abs(state) ** 2
-    pops = [pops0[:, None, :]]
-    names = [f"{where} start={name}" for name in START_NAMES]
-    for theta, pre_kick, post_kick in segments:
-        state = _kick(state, pre_kick)
-        span = _gate_time_us(abs(theta), cfg.rabi_mhz)
-        if span > 0.0:
-            h = _drive_matrix(math.copysign(cfg.rabi_mhz, theta), 0.0)
-            evo = EvolutionConfig(0.0, span, _pulse_dt(h, span, cfg), renormalize=cfg.renormalize)
-            with _naming("composite", names[: state.shape[0]]):
+    n_starts = starts.shape[0]
+    state = np.concatenate([state] * len(points))
+    pops = [[pops0[:, None, :]] for _ in points]
+    # (points, segments, 3); one step per pulse, one recommended_dt per drive
+    segments = np.array([segments for _, segments in points], dtype=float)
+    spans = _gate_time_us(np.abs(segments[..., 0]), cfg.rabi_mhz)
+    signs = np.copysign(1.0, segments[..., 0])
+    dts = np.empty(spans.shape)
+    for sign in (1.0, -1.0):
+        pick = (signs == sign) & (spans > 0.0)
+        if pick.any():
+            dts[pick] = _pulse_dt(_drive_matrix(sign * cfg.rabi_mhz, 0.0), spans[pick], cfg)
+    for leg in range(segments.shape[1]):
+        state = _kick(state, np.repeat(segments[:, leg, 1], n_starts))
+        moving = np.flatnonzero(spans[:, leg] > 0.0)
+        if moving.size:
+            evos = []
+            for p in moving:
+                where = f"composite {points[p][0]}"
+                evo = _pulse_config(spans[p, leg], dts[p, leg], cfg, where, renormalize=cfg.renormalize)
+                evos += [evo] * n_starts
+            drives = np.repeat(
+                [_drive_matrix(sign * cfg.rabi_mhz, 0.0) for sign in signs[moving, leg]], n_starts, axis=0
+            )
+            rows = (n_starts * moving[:, None] + np.arange(n_starts)).ravel()
+            names = [f"{points[p][0]} start={name}" for p in moving for name in START_NAMES[:n_starts]]
+            with _naming("composite", names):
                 if noisy:
-                    traj = evolve_lindblad(h, state, cfg.noise, evo)
-                    rho = traj.densities[:, -1]
-                    state = 0.5 * (rho + np.swapaxes(rho, 1, 2).conj())
+                    trajs = evolve_lindblad(drives, state[rows], cfg.noise, evos)
+                    rho = np.concatenate([traj.densities[:, -1] for traj in trajs])
+                    state[rows] = 0.5 * (rho + np.swapaxes(rho, 1, 2).conj())
                 else:
-                    norms = np.linalg.norm(state, axis=1, keepdims=True)
-                    traj = evolve_schrodinger(h, state / norms, evo)
-                    state = traj.amplitudes[:, -1]
-            pops.append(traj.populations[:, 1:])
-        state = _kick(state, post_kick)
-    return _Stitched(np.concatenate(pops, axis=1), state)
+                    norms = np.linalg.norm(state[rows], axis=1, keepdims=True)
+                    trajs = evolve_schrodinger(drives, state[rows] / norms, evos)
+                    state[rows] = np.concatenate([traj.amplitudes[:, -1] for traj in trajs])
+            # a block holds whole points: runs of equal configs are adjacent
+            points_done = iter(moving)
+            for traj in trajs:
+                for first in range(0, traj.populations.shape[0], n_starts):
+                    pops[next(points_done)].append(traj.populations[first : first + n_starts, 1:])
+        state = _kick(state, np.repeat(segments[:, leg, 2], n_starts))
+    return [
+        _Stitched(np.concatenate(parts, axis=1), state[n_starts * p : n_starts * (p + 1)])
+        for p, parts in enumerate(pops)
+    ]
 
 
 def _discrepancy(ideal: _Stitched, noisy: _Stitched) -> float:
@@ -648,10 +708,11 @@ def run_two_qubit_pi2(cfg: ScenarioConfig) -> Trajectory:
     psi0 = _initial_state(cfg.initial_state, 4)
     dt = cfg.dt_us or TWO_QUBIT_DT_SCALE * recommended_dt(h, 0.0, span)
     n_steps = max(1, int(round(span / dt)))
-    evo = EvolutionConfig(
-        0.0,
+    evo = _pulse_config(
         span,
         dt,
+        cfg,
+        "two-qubit-pi2",
         record_stride=max(1, n_steps // TWO_QUBIT_RECORDS),
         renormalize=cfg.renormalize,
     )
@@ -841,7 +902,7 @@ def run_pi3_rotation(cfg: ScenarioConfig) -> Trajectory:
     span = 1.0 / (3.0 * rabi)
     dt = cfg.dt_us or recommended_dt(h, 0.0, span)
     psi0 = _initial_state(cfg.initial_state, 8)
-    evo = EvolutionConfig(0.0, span, dt, renormalize=False)
+    evo = _pulse_config(span, dt, cfg, "pi3", renormalize=False)
     with _naming("pi3", []):
         return evolve_schrodinger(h, psi0, evo)
 
@@ -881,7 +942,7 @@ def run_dark_state_spectrum(cfg: ScenarioConfig) -> DarkSpectrum:
     span = cfg.duration_us or 1.0
     dt = cfg.dt_us or recommended_dt(matrix.entries, 0.0, span)
     n_steps = max(1, int(round(span / dt)))
-    evo = EvolutionConfig(0.0, span, dt, record_stride=max(1, n_steps // 128))
+    evo = _pulse_config(span, dt, cfg, "dark-states", record_stride=max(1, n_steps // 128))
     leakages = ()
     if dark_indices:
         dark = eigenvectors[:, dark_indices].T  # one dark state per row

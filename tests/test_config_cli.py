@@ -455,16 +455,29 @@ def test_package_exposes_run_cli():
         nvholo.no_such_name
 
 
+def test_cli_names_the_point_when_dt_exceeds_a_pulse(tmp_path, capsys):
+    # the first composite leg at theta = 0.5 lasts 1.8 ns, under the 4 ns step
+    config = tmp_path / "cfg"
+    config.write_text(
+        "[scenario]\nid = composite\nsweep = 0.5:6.0:0.5\n\n[integrator]\ndt_us = 0.004\n"
+    )
+    out = tmp_path / "x"
+    assert run_cli(["composite", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: composite theta=0.5: [integrator] dt_us = 0.004 exceeds")
+    assert not (out / "result.csv").exists()
+
+
 def test_cli_nan_between_checks_exits_three(tmp_path, capsys):
     # dt = 1 us puts |lambda| dt near 100 on the default interaction matrix:
     # the RK4 map grows the state by ~1e6 per step, so it overflows to inf
-    # and NaN long before the first record check at step 78
+    # long before the first record check at step 78
     config = tmp_path / "cfg"
     config.write_text("[scenario]\nid = dark-states\n\n[pulses]\nduration_us = 10000.0\n")
     out = tmp_path / "x"
     code = run_cli(["dark-states", "--config", str(config), "--out", str(out), "--dt-override", "1.0"])
     assert code == 3
-    assert "norm drifted to nan at step 78 " in capsys.readouterr().err
+    assert "norm drifted to inf at step 78 " in capsys.readouterr().err
     assert not (out / "result.csv").exists()
     assert not (out / "manifest").exists()
 

@@ -458,6 +458,191 @@ class TestBatchedPropagation:
                 assert steps <= evolve_module._chunk_steps(y_dim, 1)
 
 
+def schrodinger_parts():
+    """lift and measure of the Schrodinger equation, for calls to _integrate
+    that leave out Trajectory's recorded-norm gate."""
+
+    def lift(stack):
+        return -1j * stack
+
+    def measure(y, out=None):
+        pops = np.square(y.real, out=out)
+        pops += np.square(y.imag)
+        return np.sqrt(pops.sum(axis=-1)), pops
+
+    return lift, measure
+
+
+class TestRaggedPropagation:
+    """A stack of constant Hamiltonians (or one shared by every run) with one
+    EvolutionConfig per run, against one unbatched call per run. Runs 1 and 2
+    share a config, so the call returns three blocks."""
+
+    STEPS = (23, 40, 40, 9)
+    STARTS_US = (0.0, 0.3, 0.3, -0.1)
+    DT_SCALES = (1.0, 1.25, 1.25, 0.8)
+    MIXED_RENORMALIZE = (True, False, False, True)
+    BLOCKS = ((0, 1), (1, 3), (3, 4))
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    @pytest.mark.parametrize("renormalize", [True, False, "mixed"])
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    @pytest.mark.parametrize("kind", ["schrodinger", "lindblad"])
+    def test_matches_per_run_calls(self, monkeypatch, kind, dim, stride, renormalize, chunked):
+        if chunked:  # 5-step chunks: the runs end in different chunks
+            monkeypatch.setattr(evolve_module, "MAX_CHUNK_STEPS", 5)
+            monkeypatch.setattr(evolve_module, "TRANSFER_CHUNK_BYTES", 1)
+        rng = np.random.default_rng(dim * 10 + stride)
+        hs = [random_hamiltonian(rng, dim) for _ in self.STEPS]
+        starts = [
+            StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+            for _ in self.STEPS
+        ]
+        base = 0.02 / max(float(np.max(np.abs(h))) for h in hs)
+        cfgs = []
+        for run, (n_steps, t0) in enumerate(zip(self.STEPS, self.STARTS_US)):
+            dt = base * self.DT_SCALES[run]
+            renorm = self.MIXED_RENORMALIZE[run] if renormalize == "mixed" else renormalize
+            cfgs.append(EvolutionConfig(t0, t0 + n_steps * dt, dt, stride, renorm))
+        assert cfgs[1] == cfgs[2]
+        noise = NoiseModel(t1_us=40.0, t2_us=30.0)
+        if kind == "schrodinger":
+            def run(h, start, cfg):
+                return evolve_schrodinger(h, start, cfg)
+
+            def records(traj):
+                return traj.amplitudes
+
+            def stack(psis):
+                return np.stack([psi.amps for psi in psis])
+
+            def state(psi):
+                return psi
+        else:
+            def run(h, start, cfg):
+                return evolve_lindblad(h, start, noise, cfg)
+
+            def records(traj):
+                return traj.densities
+
+            def stack(psis):
+                return np.stack([DensityMatrix.from_state(psi).entries for psi in psis])
+
+            def state(psi):
+                return DensityMatrix.from_state(psi)
+
+        for source, batch in (("stack", lambda: run(np.stack(hs), stack(starts), cfgs)),
+                              ("shared", lambda: run(hs[0], stack(starts), cfgs))):
+            trajs = batch()
+            assert [len(traj.times) > 0 for traj in trajs] == [True] * len(self.BLOCKS), source
+            for traj, (lo, hi) in zip(trajs, self.BLOCKS):
+                assert records(traj).shape[0] == hi - lo
+                for b, r in enumerate(range(lo, hi)):
+                    single = run(hs[r] if source == "stack" else hs[0], state(starts[r]), cfgs[r])
+                    assert np.array_equal(traj.times, single.times), source
+                    assert np.max(np.abs(records(traj)[b] - records(single))) < 1e-12, source
+                    assert np.max(np.abs(traj.populations[b] - single.populations)) < 1e-12, source
+                    assert np.max(np.abs(traj.norms[b] - single.norms)) < 1e-12, source
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_drift_failure_names_lowest_run_at_earliest_step(self, stride):
+        # stride 1 fills the records directly, stride 7 gathers each block's
+        # checked steps; a single run checks the same steps in both
+        start = StateVector.basis(2, 0)
+
+        def cfg(span_us, dt=0.008):
+            return EvolutionConfig(
+                t_start_us=0.0, t_end_us=span_us, dt_us=dt, record_stride=stride, renormalize=False
+            )
+
+        calm, drifting, faster = (rabi_hamiltonian(f) for f in (1.0, 15.0, 25.0))
+        steps = {}
+        for name, h in (("drifting", drifting), ("faster", faster)):
+            with pytest.raises(NumericalError) as single:
+                evolve_schrodinger(h, start, cfg(2.0))
+            steps[name] = int(re.search(r"at step (\d+) ", str(single.value)).group(1))
+        assert steps["faster"] < steps["drifting"]
+        # runs 1 and 2 fail at the same step under their own spans: the lower wins
+        hs = np.stack([calm, drifting, drifting, calm])
+        cfgs = [cfg(0.5, 0.004), cfg(1.6), cfg(2.0), cfg(1.0, 0.005)]
+        with pytest.raises(NumericalError, match=f"run 1: .*at step {steps['drifting']} ") as err:
+            evolve_schrodinger(hs, start, cfgs)
+        assert err.value.member == 1
+        # the earliest failing step wins, whichever run it belongs to
+        hs = np.stack([calm, drifting, calm, faster])
+        cfgs = [cfg(0.5, 0.004), cfg(1.6), cfg(1.0, 0.005), cfg(2.0)]
+        with pytest.raises(NumericalError, match=f"run 3: .*at step {steps['faster']} ") as err:
+            evolve_schrodinger(hs, start, cfgs)
+        assert err.value.member == 3
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_drift_after_a_runs_end_is_not_its_own(self, stride):
+        # an RK4 step of |lambda| dt just above 2 sqrt(2) grows the norm
+        # slowly; without renormalisation it crosses the gate at step
+        # `cross`, and the gate sees it at the first checked step after
+        lift, measure = schrodinger_parts()
+        w = 2.0 * math.pi
+        grow = np.array([[0.0, w], [w, 0.0]], dtype=complex)
+        dt = math.sqrt(8.0 + 6e-5) / w
+        a = -1j * grow
+        transfer = evolve_module._transfer_stack(a[None], a[None], a[None], dt)[0]
+        y = np.array([1.0, 0.0], dtype=complex)
+        cross = next(
+            step for step in range(1, 10_000)
+            if abs(np.linalg.norm(y := transfer @ y) - 1.0) > evolve_module.MAX_NORM_DRIFT
+        )
+        assert cross > 10
+        calm = rabi_hamiltonian(0.5)
+        y0 = np.array([1.0, 0.0], dtype=complex)
+        ends = (cross - 3, 3 * cross)
+        cfgs = [
+            EvolutionConfig(0.0, ends[0] * dt, dt, record_stride=stride, renormalize=False),
+            EvolutionConfig(0.0, ends[1] * 0.001, 0.001, renormalize=False),
+        ]
+        hs = np.stack([grow, calm])
+        blocks = evolve_module._integrate(hs, lift, y0, cfgs, 2, measure)
+        (times, _, norms, _), _ = blocks
+        single = evolve_module._integrate(grow, lift, y0, cfgs[0], 2, measure)
+        assert np.array_equal(times, single[0])
+        assert np.max(np.abs(norms[0] - single[2])) < 1e-12
+        assert np.max(np.abs(norms[0] - 1.0)) <= evolve_module.MAX_NORM_DRIFT
+        # the same run two steps past the crossing fails there
+        cfgs[0] = EvolutionConfig(0.0, (cross + 2) * dt, dt, record_stride=stride, renormalize=False)
+        seen = cross + (-cross) % stride
+        with pytest.raises(NumericalError, match=f"at step {seen} ") as err:
+            evolve_module._integrate(hs, lift, y0, cfgs, 2, measure)
+        assert err.value.member == 0
+
+    @pytest.mark.parametrize("stride", [1, 5000])
+    def test_overflow_fails_closed_and_names_its_run(self, stride):
+        # run 1 overflows to inf and NaN between its checks when they are
+        # sparse; the calm runs around it end earlier or later
+        blowup = 1000.0 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        calm = rabi_hamiltonian(1.0)
+        cfgs = [
+            EvolutionConfig(0.0, 1.0, 0.01),
+            EvolutionConfig(0.0, 50.0, 0.01, record_stride=stride),
+            EvolutionConfig(0.0, 60.0, 0.01),
+        ]
+        with pytest.raises(NumericalError, match="^run 1: norm drifted") as err:
+            evolve_schrodinger(np.stack([calm, blowup, calm]), StateVector.basis(2, 0), cfgs)
+        assert err.value.member == 1
+        if stride > 1:
+            assert re.search(r"drifted to (nan|inf) at step 5000 ", str(err.value))
+
+    def test_rejects_configs_it_cannot_batch(self):
+        cfg = EvolutionConfig(t_start_us=0.0, t_end_us=0.1, dt_us=0.01)
+        start = StateVector.basis(2, 0)
+        hs = np.stack([rabi_hamiltonian(1.0)] * 3)
+        with pytest.raises(ConfigError):
+            evolve_schrodinger(hs, start, [cfg, cfg])
+        with pytest.raises(ConfigError):
+            evolve_schrodinger(lambda t: hs[0], start, [cfg])
+        with pytest.raises(ConfigError):
+            evolve_schrodinger(hs, start, [])
+
+
 def six_product_transfers(a1, a2, a3, dt):
     """RK4 transfer matrices for y' = A(t) y, expanded into six products."""
     m21 = a2 @ a1

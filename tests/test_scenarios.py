@@ -888,14 +888,29 @@ def per_run_discrepancy(segments, psi0, cfg):
     return float(np.max(np.abs(ideal[:, 0] - noisy[:, 0])))
 
 
+# angles of 17 to 116 steps per leg (rabi 12 MHz), under both drive signs
+RAGGED_SWEEP = SweepSpec(-1.5, 3.5, 1.0)
+
+
 @pytest.mark.parametrize(
-    "initial_state,renormalize",
-    [(("level", 0), True), (("rotation", 0.7), True), (("level", 1), False)],
+    "initial_state,renormalize,sweep,chunk_bytes",
+    [
+        pytest.param(("level", 0), True, SweepSpec(0.0, 2.5, 1.25), None, id="initial_state0-True"),
+        pytest.param(("rotation", 0.7), True, SweepSpec(0.0, 2.5, 1.25), None, id="initial_state1-True"),
+        pytest.param(("level", 1), False, SweepSpec(0.0, 2.5, 1.25), None, id="initial_state2-False"),
+        pytest.param(("level", 0), True, RAGGED_SWEEP, None, id="ragged"),
+        # 16-step chunks: the angles' runs end in different chunks
+        pytest.param(("rotation", 0.7), False, RAGGED_SWEEP, 4096, id="ragged-chunked"),
+    ],
 )
-def test_composite_sweep_matches_per_run_loop(initial_state, renormalize):
+def test_composite_sweep_matches_per_run_loop(
+    initial_state, renormalize, sweep, chunk_bytes, monkeypatch
+):
+    if chunk_bytes is not None:
+        monkeypatch.setattr(evolve_module, "TRANSFER_CHUNK_BYTES", chunk_bytes)
     cfg = ScenarioConfig(
         scenario_id="composite",
-        sweep=SweepSpec(0.0, 2.5, 1.25),
+        sweep=sweep,
         initial_state=initial_state,
         rabi_mhz=12.0,
         noise=NoiseModel(t1_us=60.0, t2_us=45.0),
@@ -914,6 +929,80 @@ def test_composite_sweep_matches_per_run_loop(initial_state, renormalize):
         assert abs(result.series["discrepancy_single"][i] - per_run_discrepancy(single, psi0, cfg)) < 1e-12
         fid = per_run_cardinal_fidelity(legs, cfg)
         assert abs(result.series["fidelity_cardinal"][i] - fid) < 1e-12
+
+
+def per_point_noisy_theta(cfg, psi0):
+    """Final noisy populations of the theta sweep, one unbatched
+    evolve_lindblad call per positive angle and the start's populations
+    elsewhere, as the sweep computed them point by point."""
+    rows = []
+    for theta in cfg.sweep.values():
+        if theta <= 0.0:
+            rows.append(np.abs(psi0) ** 2)
+            continue
+        h = _drive_matrix(cfg.rabi_mhz, 0.0)
+        span = theta / (2.0 * math.pi * cfg.rabi_mhz)
+        dt = _pulse_dt(h, span, cfg)
+        evo = EvolutionConfig(0.0, span, dt, record_stride=max(1, int(span / dt) // 64))
+        rho0 = DensityMatrix.from_state(StateVector.normalized(psi0))
+        rows.append(evolve_lindblad(h, rho0, cfg.noise, evo).populations[-1])
+    return np.asarray(rows)
+
+
+@pytest.mark.parametrize("renormalize", [True, False])
+def test_theta_sweep_noisy_matches_per_point_loop(renormalize):
+    # a negative angle and theta = 0 keep the start; the others take 150 to
+    # 600 steps with record strides of 2 to 9
+    cfg = ScenarioConfig(
+        scenario_id="theta-sweep",
+        sweep=SweepSpec(-1.5, 6.0, 1.5),
+        initial_state=("rotation", 0.6),
+        noise=NoiseModel(t1_us=70.0, t2_us=40.0),
+        renormalize=renormalize,
+    )
+    result = run_single_qubit_theta_sweep(cfg)
+    expected = per_point_noisy_theta(cfg, _initial_state(cfg.initial_state, 2).amps)
+    assert 0.0 in result.axis_values
+    assert np.max(np.abs(result.series["p1_noisy"] - expected[:, 0])) < 1e-12
+    assert np.max(np.abs(result.series["p2_noisy"] - expected[:, 1])) < 1e-12
+
+
+def count_integrate_calls(monkeypatch, runner, cfg) -> int:
+    calls = []
+    integrate = evolve_module._integrate
+
+    def spy(*args, **kwargs):
+        calls.append(True)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(evolve_module, "_integrate", spy)
+    runner(cfg)
+    return len(calls)
+
+
+def test_sweeps_take_one_integration_per_leg(monkeypatch):
+    # the default composite: 3 legs ideal and noisy and the single gate's one
+    # each, every call over all 32 nonzero angles; the noisy theta sweep: one
+    # call for all its angles
+    composite = ScenarioConfig(scenario_id="composite", noise=NOISE)
+    assert count_integrate_calls(monkeypatch, run_composite_gate_scenario, composite) == 8
+    theta = ScenarioConfig(scenario_id="theta-sweep", noise=NOISE)
+    assert count_integrate_calls(monkeypatch, run_single_qubit_theta_sweep, theta) == 1
+
+
+@pytest.mark.parametrize("dt_us", [None, 1e-4])
+def test_pulse_dt_over_many_spans_matches_one_probe_per_span(dt_us, monkeypatch):
+    # spans where recommended_dt's span/2 cap binds (the shortest), where the
+    # span/16 cap does, and where neither does; one probe serves them all
+    cfg = ScenarioConfig(scenario_id="composite", dt_us=dt_us)
+    h = _drive_matrix(-15.0, 0.0)
+    spans = np.geomspace(1e-6, 10.0, 41)
+    expected = [_pulse_dt(h, float(span), cfg) for span in spans]
+    probes = []
+    monkeypatch.setattr(scenarios, "recommended_dt", lambda *a: probes.append(a) or recommended_dt(*a))
+    got = _pulse_dt(h, spans, cfg)
+    assert got.tolist() == expected
+    assert len(probes) == (0 if dt_us else 1)
 
 
 def test_composite_fixed_sequence_matches_per_run_loop():
@@ -935,7 +1024,7 @@ def test_composite_fixed_sequence_matches_per_run_loop():
     assert abs(result.fidelities["cardinal_fidelity_mean"] - fid) < 1e-12
 
 
-# one point per block, two points per block (the default budget at this
+# one point per block, four points per block (the default budget at this
 # step count) and the whole sweep in one block
 DETUNE_BLOCKS = [1, None, 1 << 30]
 
@@ -1042,6 +1131,19 @@ def test_composite_failure_names_theta_and_start():
         noise=NOISE,
     )
     with pytest.raises(NumericalError, match=r"^composite theta=6 start=initial: norm drifted to [0-9.]+ at step 1 "):
+        run_composite_gate_scenario(cfg)
+
+
+def test_composite_failure_names_its_angle_past_zero_angles():
+    # theta = 0 has no pulse and takes no run; the failing run is theta = 6's
+    cfg = ScenarioConfig(
+        scenario_id="composite",
+        sweep=SweepSpec(0.0, 6.0, 6.0),
+        dt_us=0.02,
+        renormalize=False,
+        noise=NOISE,
+    )
+    with pytest.raises(NumericalError, match=r"^composite theta=6 start=initial: norm drifted"):
         run_composite_gate_scenario(cfg)
 
 
