@@ -266,12 +266,11 @@ def _chunk_steps(y_dim: int, runs: int = 1, transfers: bool = True) -> int:
     """Steps per chunk within TRANSFER_CHUNK_BYTES: a step holds one complex
     state per run (a chunk's fill buffer, or the checkpoint's working arrays
     when the records are the buffer) and, for a time-dependent H, five
-    matrices in the form its
-    transfers are built in (two lifted frames and three RK4 stages while
-    _transfer_stack runs, the peak of a chunk); a real form (_real_form)
-    matrix takes twice the bytes of its complex one. A source with terms
-    builds its frames in that form directly, from a few coefficients per
-    frame, so the count holds for it too."""
+    matrices in the form its transfers are built in (two lifted frames and
+    three RK4 stages while _transfer_stack runs, the peak of a chunk); a
+    real form (_real_form) matrix takes twice the bytes of its complex one.
+    A source with terms builds its frames in that form directly, from a few
+    coefficients per frame, so the count holds for it too."""
     matrix_bytes = 16 * y_dim**2 * (2 if y_dim <= REAL_FORM_MAX_DIM else 1)
     per_step = 16 * y_dim * runs + 5 * matrix_bytes * transfers
     return int(min(MAX_CHUNK_STEPS, max(16, TRANSFER_CHUNK_BYTES // per_step)))
@@ -353,8 +352,8 @@ def _fill_by_doubling(states: np.ndarray, powers: list, m: int):
     products are float64 GEMMs, which numpy hands to BLAS one run at a time;
     on a shared 2-vCPU host (numpy 2.4.6, OpenBLAS) a Lindblad 2-level fill
     of 14 runs x 314 steps took 39 us this way, 127 us as complex matmuls and
-    694 us as the step-major einsum and transpose it replaces, and one of 231
-    runs x 105 steps took 248, 915 and 2630 us."""
+    694 us as a step-major einsum followed by a transpose to run-major, and
+    one of 231 runs x 105 steps took 248, 915 and 2630 us."""
     filled = 1
     for power in powers:
         if filled > m:

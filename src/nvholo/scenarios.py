@@ -325,10 +325,6 @@ def _rx(angle: float) -> np.ndarray:
     )
 
 
-def _rz(angle: float) -> np.ndarray:
-    return np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])
-
-
 def _initial_state(initial_state, dim: int) -> StateVector:
     """The configured start state: basis level k < dim, or, in a two-level
     scenario only, level 0 rotated about x by the given angle."""
@@ -592,9 +588,9 @@ class _Stitched(NamedTuple):
 
 
 def _kick(state: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """z kick of each run by its angle: rows of amplitudes (runs, 2) or of
-    densities (runs, 2, 2) times the diagonal of _rz; a zero angle's phases
-    are exactly 1."""
+    """z kick of each run by its angle, Rz = diag(e^(-i a/2), e^(i a/2)), on
+    rows of amplitudes (runs, 2) or of densities (runs, 2, 2); a zero
+    angle's phases are exactly 1."""
     phases = np.exp(np.multiply.outer(angles, [-0.5j, 0.5j]))
     if state.ndim == 2:
         return state * phases

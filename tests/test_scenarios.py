@@ -72,7 +72,6 @@ from nvholo.scenarios import (
     _pulse_dt,
     _qubit_propagators,
     _rx,
-    _rz,
 )
 
 NOISE = NoiseModel(t1_us=100.0, t2_us=50.0, enabled=True)
@@ -847,6 +846,10 @@ def test_resolved_dt_honors_override():
 # composite, detune-sweep and dark-states integrate their runs as one batch
 # per pulse segment. The references below run the same physics one run at a
 # time through unbatched evolve_schrodinger / evolve_lindblad calls.
+
+
+def _rz(angle):
+    return np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])
 
 
 def per_run_segments(segments, psi0, cfg, noisy):
