@@ -9,14 +9,18 @@ materialising the states only at the steps it checks (records, chunk ends):
   of T by doubling, a handful of batched array products instead of a step
   loop, written run-major, so that when every step is recorded they land in
   the records themselves;
-- time-dependent H: the chunk's A(t) frames are built and its transfer
-  matrices follow in batched products; those between two checked steps are
-  multiplied into one matrix by a pairwise tree, and the states cross it in
-  one product. A source that gives H(t) = sum_k c_k(t) B_k through terms()
-  and coefficients(times) (PulsedHamiltonian) has its basis checked, lifted
-  and converted once per call, so a chunk's frames are one product of its
-  real coefficients with the basis; other sources are sampled, checked and
-  lifted frame by frame.
+- time-dependent H, H(t) = sum_k c_k(t) B_k: the basis is checked, lifted and
+  converted once per call, a chunk's A(t) frames are one product of its real
+  coefficients with the basis, and its transfer matrices follow in batched
+  products; those between two checked steps are multiplied into one matrix
+  by a pairwise tree, and the states cross it in one product.
+
+A Hamiltonian is one of three kinds: a constant matrix (ndarray or
+OperatorMatrix), a (runs, dim, dim) stack of constant matrices, one per run,
+or a terms source, an object with terms(), coefficients(times) and
+sample(times), as PulsedHamiltonian has. A terms source's first coefficient
+is 1 at every time: B_0 is its constant term, and the Lindblad dissipator
+joins B_0 alone. Any other input is a ConfigError.
 
 States of up to REAL_FORM_MAX_DIM entries (Schrodinger at dims 2, 4, 8 and
 Lindblad at dim 2) take either path's products in the equivalent real form,
@@ -219,35 +223,26 @@ class Trajectory:
 
 
 def _as_source(h_of_t):
-    """(sample, constant, terms): sample maps an array of times to the stack
-    of Hamiltonian frames at those times (a run axis after the time axis for
-    a stack of constant H's); constant says every frame is equal; terms is
-    the source itself when it is a sampler that also gives
-    H(t) = sum_k c_k(t) B_k through terms() and coefficients(times), as
-    PulsedHamiltonian does, and None otherwise."""
+    """(entries, terms), exactly one of them None: entries is the complex
+    (dim, dim) matrix of a constant H or the (runs, dim, dim) stack of one
+    per run; terms is a terms source, an object with terms(),
+    coefficients(times) and sample(times) that gives
+    H(t) = sum_k c_k(t) B_k with c_0 = 1, as PulsedHamiltonian does. Any
+    other input raises ConfigError, callables of t and objects with .sample
+    alone included."""
     if isinstance(h_of_t, OperatorMatrix):
         h_of_t = h_of_t.entries
     if isinstance(h_of_t, np.ndarray):
         entries = np.asarray(h_of_t, dtype=np.complex128)
         if entries.ndim not in (2, 3) or entries.shape[-1] != entries.shape[-2]:
             raise ConfigError("constant Hamiltonian must be a square matrix or a stack of them")
-        return (lambda times: np.broadcast_to(entries, (len(times),) + entries.shape)), True, None
-    if hasattr(h_of_t, "sample"):
-        terms = h_of_t if hasattr(h_of_t, "terms") and hasattr(h_of_t, "coefficients") else None
-        return (lambda times: np.asarray(h_of_t.sample(times), dtype=np.complex128)), False, terms
-    if callable(h_of_t):
-
-        def sample(times):
-            frames = []
-            for t in times:
-                h = h_of_t(float(t))
-                frames.append(h.entries if isinstance(h, OperatorMatrix) else h)
-            return np.asarray(frames, dtype=np.complex128)
-
-        return sample, False, None
+        return entries, None
+    if all(hasattr(h_of_t, name) for name in ("terms", "coefficients", "sample")):
+        return None, h_of_t
     raise ConfigError(
-        "Hamiltonian must be a matrix, a sampler with .sample(times), "
-        "or a callable of time"
+        "Hamiltonian must be a constant matrix (ndarray or OperatorMatrix), a "
+        "(runs, dim, dim) stack of them, or a terms source with terms(), "
+        f"coefficients(times) and sample(times); got {type(h_of_t).__name__}"
     )
 
 
@@ -265,31 +260,29 @@ def _record_steps(n_steps: int, stride: int) -> np.ndarray:
 def _chunk_steps(y_dim: int, runs: int = 1, transfers: bool = True) -> int:
     """Steps per chunk within TRANSFER_CHUNK_BYTES: a step holds one complex
     state per run (a chunk's fill buffer, or the checkpoint's working arrays
-    when the records are the buffer) and, for a time-dependent H, five
-    matrices in the form its transfers are built in (two lifted frames and
-    three RK4 stages while _transfer_stack runs, the peak of a chunk); a
+    when the records are the buffer) and, for a terms source (transfers),
+    five matrices in the form its transfers are built in (two lifted frames
+    and three RK4 stages while _transfer_stack runs, the peak of a chunk); a
     real form (_real_form) matrix takes twice the bytes of its complex one.
-    A source with terms builds its frames in that form directly, from a few
-    coefficients per frame, so the count holds for it too."""
+    The frames are built in that form directly, from a few coefficients per
+    frame. A constant H or a stack of them builds no per-step matrices."""
     matrix_bytes = 16 * y_dim**2 * (2 if y_dim <= REAL_FORM_MAX_DIM else 1)
     per_step = 16 * y_dim * runs + 5 * matrix_bytes * transfers
     return int(min(MAX_CHUNK_STEPS, max(16, TRANSFER_CHUNK_BYTES // per_step)))
 
 
-def _check_samples(stack: np.ndarray, dim: int, where: str):
+def _check_samples(stack: np.ndarray, dim: int, what: str):
+    """Shape, finite entries and Hermiticity of a constant H or a basis."""
     if stack.shape[-2:] != (dim, dim):
         raise ConfigError(
-            f"Hamiltonian samples have shape {stack.shape[-2:]}, expected ({dim}, {dim})"
+            f"Hamiltonian {what} has shape {stack.shape[-2:]}, expected ({dim}, {dim})"
         )
     if not np.all(np.isfinite(stack)):
-        raise NumericalError(f"non-finite Hamiltonian sample near {where}")
+        raise NumericalError(f"non-finite Hamiltonian {what}")
     deviation = float(np.max(np.abs(stack - np.conj(np.swapaxes(stack, -1, -2)))))
     tolerance = ATOL_SAMPLE_HERMITIAN * max(1.0, float(np.max(np.abs(stack))))
     if deviation > tolerance:
-        raise NumericalError(
-            f"non-Hermitian Hamiltonian sample near {where} "
-            f"(deviation {deviation:.3g})"
-        )
+        raise NumericalError(f"non-Hermitian Hamiltonian {what} (deviation {deviation:.3g})")
 
 
 def _real_form(m: np.ndarray) -> np.ndarray:
@@ -409,19 +402,25 @@ def _blocks(cfgs: tuple, runs: int) -> list:
 def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     """Shared chunked integrator for the linear system y' = A(t) y.
 
-    lift maps a validated Hamiltonian sample stack linearly to the A(t) stack
-    of the system, and offset, if given, is A's constant part, so that
-    A(t) = lift(H(t)) + offset (the Lindblad dissipator); measure(y, out)
+    h_of_t is a constant matrix, a stack of them (one per run) or a terms
+    source (_as_source). lift maps a validated Hamiltonian stack linearly to
+    the A stack of the system, and offset, if given, is A's constant part, so
+    that A(t) = lift(H(t)) + offset (the Lindblad dissipator); measure(y, out)
     maps vectors with leading axes to (norm-like scalars, populations), the
     populations new or written into out, where they sum to the square of the
-    norm (state vectors) or to the norm itself (densities); dim_protect is
-    the Hamiltonian dimension used for sample validation. y0 may carry a
-    leading run axis and h_of_t be a stack of constant H's; a batched call
-    returns its arrays with the run axis first. cfg is one EvolutionConfig,
-    or, for a constant H or a stack of them, a sequence of one per run: the
-    runs then differ in span, step, record stride and renormalisation, and
-    the call returns a list with one (times, records, norms, populations)
-    per block of consecutive runs that share a config.
+    norm (state vectors) or to the norm itself (densities); dim_protect is the
+    Hamiltonian dimension used for validation. y0 may carry a leading run axis
+    and h_of_t be a stack of constant H's; a batched call returns its arrays
+    with the run axis first. cfg is one EvolutionConfig, or, for a constant H
+    or a stack of them, a sequence of one per run: the runs then differ in
+    span, step, record stride and renormalisation, and the call returns a list
+    with one (times, records, norms, populations) per block of consecutive
+    runs that share a config.
+
+    The Hamiltonian is checked by _check_samples, lifted and, when y_dim is
+    at most REAL_FORM_MAX_DIM, put in real form (_real_form) once per call:
+    a constant H whole, with the offset, and a terms source's basis with the
+    offset on B_0 alone, each channel term taking the linear part only.
 
     The steps are cut into chunks of _chunk_steps; a chunk's checked steps are
     its records and its end. A constant H has one RK4 transfer matrix T per
@@ -429,21 +428,13 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     powers of T by doubling (_fill_by_doubling) into a run-major buffer; when
     every step of every run is recorded, that buffer is the records. Ragged
     runs are filled to the longest, and each run's checked steps stop at its
-    own last step. A time-dependent H gives the chunk's A(t) frames, from
-    which its transfer matrices are built, and _cross_intervals carries the
-    states from one checked step to the next in one product each. When
-    y_dim is at most REAL_FORM_MAX_DIM, A and T are in real form
-    (_real_form), and the states take the products as float64 views of the
-    complex records.
-
-    _as_source tells a source with terms from the others, and the chunk loop
-    calls one frame function for either. A source with terms has its basis
-    validated by _check_samples, lifted (B_0 takes the offset, each channel
-    term the linear part alone) and put in real form once per call; a chunk
-    then checks that its coefficients are finite, naming its first frame
-    time as the sample check does, and takes one (frames, K) @ (K, m*m)
-    product. Matrices, other samplers and callables are sampled, checked,
-    lifted and converted per chunk.
+    own last step. A terms source gives the chunk's real coefficients, which
+    must be finite (a failure names the chunk's first frame time) and have
+    c_0 = 1; its A(t) frames are one (frames, K) @ (K, m*m) product with the
+    lifted basis, its transfer matrices follow from them, and
+    _cross_intervals carries the states from one checked step to the next in
+    one product each. In real form the states take the products as float64
+    views of the complex records.
 
     One checkpoint block then measures the checked rows once, checks each
     run's norm drift there, renormalises the rows in place (their
@@ -454,7 +445,8 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     it. A drift failure names the earliest failing step and, in a batch, the
     lowest run that fails there.
     """
-    sample, constant, terms = _as_source(h_of_t)
+    entries, terms = _as_source(h_of_t)
+    constant = terms is None
     ragged = not isinstance(cfg, EvolutionConfig)
     cfgs = tuple(cfg) if ragged else (cfg,)
     if not cfgs or not all(isinstance(c, EvolutionConfig) for c in cfgs):
@@ -462,11 +454,11 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     if ragged and not constant:
         raise ConfigError("per-run configs need a constant Hamiltonian or a stack of them")
     y0 = np.asarray(y0, dtype=np.complex128)
-    stacked = isinstance(h_of_t, np.ndarray) and h_of_t.ndim == 3
+    stacked = constant and entries.ndim == 3
     batched = y0.ndim == 2 or stacked
     y0 = y0.reshape(-1, y0.shape[-1])
     y_dim = y0.shape[1]
-    counts = (y0.shape[0], h_of_t.shape[0] if stacked else 1, len(cfgs))
+    counts = (y0.shape[0], entries.shape[0] if stacked else 1, len(cfgs))
     runs = max(counts)
     if not set(counts) <= {1, runs}:
         raise ConfigError(f"{counts[0]} start states, {counts[1]} H's and {counts[2]} configs in one batch")
@@ -475,40 +467,37 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     n_max = max(b.n_steps for b in blocks)
     real = y_dim <= REAL_FORM_MAX_DIM
 
-    def lifted(stack: np.ndarray, where: str) -> np.ndarray:
-        _check_samples(stack, dim_protect, where)
-        a = lift(stack)
-        if offset is not None:  # a basis takes it on its constant term alone
-            a[: None if terms is None else 1] += offset
-        return _real_form(a) if real else a
-
-    if terms is None:
-
-        def frames(sub: np.ndarray) -> np.ndarray:
-            return lifted(sample(sub), f"t={sub[0]:.6g} us")
-
-    else:
-        # a real combination of Hermitian matrices is Hermitian, so a chunk
-        # checks only that its coefficients are finite
-        basis = lifted(np.asarray(terms.terms(), dtype=np.complex128), "its terms")
-        shape, basis = basis.shape[1:], basis.reshape(basis.shape[0], -1)
-
-        def frames(sub: np.ndarray) -> np.ndarray:
-            c = np.asarray(terms.coefficients(sub))
-            if c.shape != (sub.shape[0], basis.shape[0]) or np.iscomplexobj(c):
-                raise ConfigError(
-                    f"coefficients must be real with shape {(sub.shape[0], basis.shape[0])}, "
-                    f"got {c.dtype} {c.shape}"
-                )
-            if not np.all(np.isfinite(c)):
-                raise NumericalError(f"non-finite Hamiltonian sample near t={sub[0]:.6g} us")
-            return (c @ basis).reshape(sub.shape + shape)
+    # a constant H as a one-term basis: term 0 takes the offset either way
+    basis = entries[None] if constant else np.asarray(terms.terms(), dtype=np.complex128)
+    _check_samples(basis, dim_protect, "matrix" if constant else "basis")
+    basis = lift(basis)
+    if offset is not None:
+        basis[0] += offset
+    if real:
+        basis = _real_form(basis)
+    shape, basis = basis.shape[1:], basis.reshape(basis.shape[0], -1)
 
     def chunk_transfers(k0: int, k1: int) -> np.ndarray:
-        # the frames go on return and the transfers once crossed, so neither
-        # is held while the next chunk is built
+        # a real combination of Hermitian matrices is Hermitian, so a chunk
+        # checks only its coefficients; the frames go on return and the
+        # transfers once crossed, so neither is held while the next chunk is
+        # built
         dt = first.dt
-        a = frames(first.t_start_us + (dt / 2.0) * np.arange(2 * k0, 2 * k1 + 1))
+        times = first.t_start_us + (dt / 2.0) * np.arange(2 * k0, 2 * k1 + 1)
+        c = np.asarray(terms.coefficients(times))
+        if c.shape != (times.shape[0], basis.shape[0]) or np.iscomplexobj(c):
+            raise ConfigError(
+                f"coefficients must be real with shape {(times.shape[0], basis.shape[0])}, "
+                f"got {c.dtype} {c.shape}"
+            )
+        if not np.all(np.isfinite(c)):
+            raise NumericalError(f"non-finite Hamiltonian sample near t={times[0]:.6g} us")
+        if not np.all(c[:, 0] == 1.0):  # the offset sits on B_0 at weight 1
+            raise ConfigError(
+                f"the coefficient of B_0 must be 1 at every time, got "
+                f"{c[np.argmax(c[:, 0] != 1.0), 0]:.6g} near t={times[0]:.6g} us"
+            )
+        a = (c @ basis).reshape(times.shape + shape)
         return _transfer_stack(a[0:-1:2], a[1::2], a[2::2], dt)
 
     sizes = [b.hi - b.lo for b in blocks]
@@ -559,7 +548,7 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     # transfers and states may overflow; the drift check rejects NaN and Inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if constant:
-            a = frames(np.full(1, first.t_start_us))[0]  # every frame is this one
+            a = basis.reshape(shape)
             dt = first.dt
             if len(blocks) > 1:  # a transfer per run, each with its own step
                 dt = np.repeat([b.dt for b in blocks], sizes)[:, None, None]
@@ -734,9 +723,9 @@ def recommended_dt(h_of_t, t_start_us: float, t_end_us: float, probe_points: int
     (max matrix entry magnitude, rad/us) seen on a dense probe grid."""
     if t_end_us <= t_start_us:
         raise ConfigError("t_end must exceed t_start")
-    sample, constant, _ = _as_source(h_of_t)
-    # a constant H needs one frame, not the whole probe grid
-    stack = sample((t_start_us,) if constant else np.linspace(t_start_us, t_end_us, probe_points))
+    stack, terms = _as_source(h_of_t)
+    if terms is not None:  # a constant H is its one frame
+        stack = terms.sample(np.linspace(t_start_us, t_end_us, probe_points))
     f_max = max(float(np.max(np.abs(stack))), 1.0)
     dt = 1.0 / (SAMPLES_PER_ANGULAR_UNIT * f_max)
     return min(dt, (t_end_us - t_start_us) / 2.0)

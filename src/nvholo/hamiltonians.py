@@ -163,8 +163,10 @@ class PulsedHamiltonian:
     coupling pattern C summed over the slots it fills, adds X = C + C^dag and
     Y = i (C - C^dag) with coefficients Re a(t) and Im a(t), since
     a C + conj(a) C^dag = Re a X + Im a Y. Silent channels (rabi 0) add no
-    terms. sample(times) is the (n, dim, dim) stack coefficients @ terms, and
-    calling the object gives a single matrix.
+    terms. c_0 is 1 at every time, as the integrator requires of a terms
+    source: the Lindblad dissipator joins B_0 alone. The integrator takes
+    terms() and coefficients(times); sample(times), the (n, dim, dim) stack
+    coefficients @ terms, serves recommended_dt's probe and single frames.
 
     The coupling layout for dim 8 pairs pump channels 1/2 on the
     (|1><7| - |1><8|) pattern, Stokes channels 1/2 on (|2><7| + |2><8|) with
@@ -231,22 +233,19 @@ class PulsedHamiltonian:
         frames = self.coefficients(times) @ basis.reshape(basis.shape[0], -1)
         return frames.reshape((-1,) + basis.shape[1:])
 
-    def __call__(self, t: float) -> np.ndarray:
-        return self.sample(np.asarray([float(t)]))[0]
-
 
 def build_rotating_frame_8(spec: LevelSpec, pulses: PulseSet, t: float) -> OperatorMatrix:
     """8x8 rotating-frame Hamiltonian at time t (Hermitian by construction)."""
     if spec.dim != 8:
         raise ConfigError(f"expected dim 8, got {spec.dim}")
-    return OperatorMatrix(PulsedHamiltonian(spec, pulses)(t), hermitian=True)
+    return OperatorMatrix(PulsedHamiltonian(spec, pulses).sample([t])[0], hermitian=True)
 
 
 def build_rotating_frame_4(spec: LevelSpec, pulses: PulseSet, t: float) -> OperatorMatrix:
     """4x4 rotating-frame Hamiltonian at time t (Hermitian by construction)."""
     if spec.dim != 4:
         raise ConfigError(f"expected dim 4, got {spec.dim}")
-    return OperatorMatrix(PulsedHamiltonian(spec, pulses)(t), hermitian=True)
+    return OperatorMatrix(PulsedHamiltonian(spec, pulses).sample([t])[0], hermitian=True)
 
 
 def build_interaction_8(spec: LevelSpec, rabi_mhz, mode: str = HERMITIZED) -> OperatorMatrix:

@@ -419,7 +419,12 @@ def run_single_qubit_theta_sweep(cfg: ScenarioConfig) -> SweepResult:
             points = [f"theta={theta:g}" for theta in thetas[moving]]
             evos = [
                 _pulse_config(
-                    span, dt, cfg, f"theta-sweep {point}", record_stride=max(1, int(span / dt) // 64)
+                    span,
+                    dt,
+                    cfg,
+                    f"theta-sweep {point}",
+                    record_stride=max(1, int(span / dt) // 64),
+                    renormalize=cfg.renormalize,
                 )
                 for span, dt, point in zip(spans, _pulse_dt(h, spans, cfg), points)
             ]

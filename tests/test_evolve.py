@@ -37,6 +37,26 @@ def rabi_p2(times, omega_mhz, delta_mhz=0.0):
     return (omega_mhz**2 / w**2) * np.sin(np.pi * w * np.asarray(times)) ** 2
 
 
+class Terms:
+    """A terms source H(t) = sum_k c_k(t) B_k: a basis and a function of the
+    times giving the real (n, K) coefficients, by default the one column of
+    ones, so that Terms([h]) is a constant h on the time-dependent path."""
+
+    def __init__(self, basis, coefficients=lambda times: np.ones((times.shape[0], 1))):
+        self.basis, self.coefficients = np.asarray(basis, dtype=complex), coefficients
+
+    def terms(self):
+        return self.basis
+
+    def sample(self, times):
+        return np.tensordot(self.coefficients(np.asarray(times, dtype=float)), self.basis, axes=1)
+
+
+def constant_and(*columns):
+    """Coefficients 1, then each function of the times given."""
+    return lambda times: np.stack([np.ones_like(times)] + [f(times) for f in columns], axis=-1)
+
+
 class TestEvolutionConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -100,19 +120,6 @@ class TestSchrodinger:
         assert errors[0] > 1e-9  # above the floating point floor
         assert errors[0] / errors[1] >= 8.0
 
-    def test_sampler_and_callable_sources_agree(self):
-        spec = LevelSpec(dim=4, energies_mhz=(0.0, 0.0, 20.0, -20.0))
-        channel = PulseChannel(rabi_mhz=3.0, t_center_us=0.5, t_width_us=0.15)
-        off = PulseChannel(rabi_mhz=0.0, envelope="constant")
-        ham = PulsedHamiltonian(spec, PulseSet((channel, off), (channel, off)))
-        psi0 = StateVector.basis(4, 0)
-        cfg = EvolutionConfig(
-            t_start_us=0.0, t_end_us=1.0, dt_us=2e-4, record_stride=50
-        )
-        via_sampler = evolve_schrodinger(ham, psi0, cfg)
-        via_callable = evolve_schrodinger(lambda t: ham(t), psi0, cfg)
-        assert np.max(np.abs(via_sampler.populations - via_callable.populations)) < 1e-12
-
     def test_non_hermitian_rejected(self):
         h = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         cfg = EvolutionConfig(t_start_us=0.0, t_end_us=1.0, dt_us=0.01)
@@ -160,8 +167,8 @@ class TestSchrodinger:
             cfg = EvolutionConfig(
                 t_start_us=0.0, t_end_us=0.3, dt_us=1e-3, record_stride=10
             )
-            src = lambda t: h  # callable source defeats the constant fast path
-            return evolve_schrodinger(src, StateVector.basis(2, 0), cfg)
+            # a one-term source takes the time-dependent path
+            return evolve_schrodinger(Terms([h]), StateVector.basis(2, 0), cfg)
 
         whole = run()
         monkeypatch.setattr(evolve_module, "MAX_CHUNK_STEPS", 7)
@@ -194,8 +201,8 @@ def sequential_reference(transfers, y0, stride, renormalize, norm_of):
     return np.array(records), np.array(norms)
 
 
-# the matrix takes the constant-H fill, the callable the time-dependent one
-SOURCES = {"matrix": lambda h: h, "callable": lambda h: (lambda t: h)}
+# the matrix takes the constant-H fill, the one-term source the time-dependent one
+SOURCES = {"matrix": lambda h: h, "terms": lambda h: Terms([h])}
 
 
 class TestConstantPropagation:
@@ -320,7 +327,7 @@ class TestConstantPropagation:
 
 class TestBatchedPropagation:
     """A batched call against one unbatched call per run: one Hamiltonian with
-    several starts (as a matrix or a callable), or a stack of constant
+    several starts (as a matrix or a one-term source), or a stack of constant
     Hamiltonians with one start."""
 
     N_STEPS = 40
@@ -331,7 +338,7 @@ class TestBatchedPropagation:
     @pytest.mark.parametrize("stride", [1, 7])
     @pytest.mark.parametrize("dim", [2, 4, 8])
     @pytest.mark.parametrize("kind", ["schrodinger", "lindblad"])
-    @pytest.mark.parametrize("axis", ["starts", "starts-callable", "hamiltonians"])
+    @pytest.mark.parametrize("axis", ["starts", "starts-terms", "hamiltonians"])
     def test_batch_matches_per_run(
         self, monkeypatch, axis, kind, dim, stride, renormalize, chunked
     ):
@@ -378,7 +385,7 @@ class TestBatchedPropagation:
             batched, records = run(np.stack(hs), state(starts[0]))
             runs = [(h, state(starts[0])) for h in hs]
         else:
-            source = hs[0] if axis == "starts" else (lambda t: hs[0])
+            source = hs[0] if axis == "starts" else Terms([hs[0]])
             batched, records = run(source, stack(starts))
             runs = [(source, state(psi)) for psi in starts]
         n_records = len(batched.times)
@@ -638,7 +645,7 @@ class TestRaggedPropagation:
         with pytest.raises(ConfigError):
             evolve_schrodinger(hs, start, [cfg, cfg])
         with pytest.raises(ConfigError):
-            evolve_schrodinger(lambda t: hs[0], start, [cfg])
+            evolve_schrodinger(Terms([hs[0]]), start, [cfg])
         with pytest.raises(ConfigError):
             evolve_schrodinger(hs, start, [])
 
@@ -701,36 +708,36 @@ class TestRealForm:
         assert np.max(np.abs(ours - products)) <= 1e-15 * np.max(np.abs(products))
 
 
-class DrivenHamiltonian:
-    """H(t) = h0 + cos(omega t) h1, sampled on an array of times like
-    PulsedHamiltonian.sample."""
+def driven_hamiltonian(h0, h1, omega):
+    """H(t) = h0 + cos(omega t) h1 as a terms source."""
+    return Terms([h0, h1], constant_and(lambda times: np.cos(omega * times)))
 
-    def __init__(self, h0, h1, omega):
-        self.h0, self.h1, self.omega = h0, h1, omega
 
-    def sample(self, times):
-        return self.h0 + np.cos(self.omega * np.asarray(times))[:, None, None] * self.h1
+def stepwise_transfers(kind, source, dt, n_steps):
+    """Per-step RK4 transfers from t = 0, built here from the frames of
+    source.sample at each step's start, middle and end."""
+    frames = source.sample((dt / 2.0) * np.arange(2 * n_steps + 1))
+    a = np.stack([generator(kind, h) for h in frames])
+    return six_product_transfers(a[0:-1:2], a[1::2], a[2::2], dt)
 
 
 @functools.lru_cache(maxsize=None)
 def driven_case(kind, dim, n_steps):
-    """(source, config times, per-step transfers) of a driven random H, the
-    transfers built here from the frames _integrate samples."""
+    """(source, config times, per-step transfers) of a driven random H."""
     rng = np.random.default_rng(1000 + dim)
     h0, h1 = random_hamiltonian(rng, dim), random_hamiltonian(rng, dim)
     dt = 0.02 / float(np.max(np.abs(h0)) + np.max(np.abs(h1)))
     t_end = n_steps * dt
-    source = DrivenHamiltonian(h0, h1, 3.0 * np.pi / t_end)
+    source = driven_hamiltonian(h0, h1, 3.0 * np.pi / t_end)
     dt = t_end / n_steps  # the step _plan_steps snaps to
-    a = np.stack([generator(kind, h) for h in source.sample((dt / 2.0) * np.arange(2 * n_steps + 1))])
-    return source, (t_end, dt), six_product_transfers(a[0:-1:2], a[1::2], a[2::2], dt)
+    return source, (t_end, dt), stepwise_transfers(kind, source, dt, n_steps)
 
 
 class TestTimeDependentPropagation:
     """The time-dependent fill of _integrate against a per-step y <- T(t) y
     loop over transfers built in the test from the same Hamiltonian samples,
     for a batch of starts (a single start is a batch of one on the same path,
-    which TestConstantPropagation's callable source runs)."""
+    which TestConstantPropagation's one-term source runs)."""
 
     N_STEPS = 100
     RUNS = 2
@@ -801,37 +808,21 @@ class TestTimeDependentPropagation:
         # calm until t = 0.5 us, then a drive whose RK4 steps overflow the
         # state long before the record at step 250 (one 500-step chunk)
         big = 1000.0 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        calm = np.zeros((2, 2), dtype=complex)
+        step = Terms([np.zeros((2, 2)), big], constant_and(lambda times: 1.0 * (times > 0.5)))
         cfg = EvolutionConfig(t_start_us=0.0, t_end_us=5.0, dt_us=0.01, record_stride=250)
         with pytest.raises(NumericalError, match="at step 250 "):
-            evolve_schrodinger(lambda t: big if t > 0.5 else calm, StateVector.basis(2, 0), cfg)
+            evolve_schrodinger(step, StateVector.basis(2, 0), cfg)
 
 
-class SampleOnly:
-    """A source wrapped to expose only .sample, so _integrate samples, checks
-    and lifts it frame by frame."""
+def cos_terms(basis, nan_after=math.inf):
+    """H(t) = B_0 + cos(3 t) B_1; the coefficients turn NaN after nan_after."""
 
-    def __init__(self, source):
-        self.sample = source.sample
-
-
-class TermsSource:
-    """H(t) = B_0 + cos(3 t) B_1 through terms() and coefficients(times); the
-    coefficients turn NaN after nan_after."""
-
-    def __init__(self, basis, nan_after=math.inf):
-        self.basis, self.nan_after = np.asarray(basis), nan_after
-
-    def terms(self):
-        return self.basis
-
-    def coefficients(self, times):
-        c = np.stack([np.ones_like(times), np.cos(3.0 * times)], axis=-1)
-        c[times > self.nan_after] = np.nan
+    def coefficients(times):
+        c = constant_and(lambda times: np.cos(3.0 * times))(times)
+        c[times > nan_after] = np.nan
         return c
 
-    def sample(self, times):
-        return np.tensordot(self.coefficients(times), self.basis, axes=1)
+    return Terms(basis, coefficients)
 
 
 def pulsed_hamiltonian(dim):
@@ -856,13 +847,12 @@ def pulsed_hamiltonian(dim):
 
 
 class TestTermsPath:
-    """A source with terms() builds each chunk's frames as one product of its
-    coefficients with the basis, checked and lifted once per call; the same
-    source seen only through .sample takes the per-frame path."""
+    """A terms source builds each chunk's frames as one product of its
+    coefficients with the basis, checked and lifted once per call."""
 
     @pytest.mark.parametrize("kind", ["schrodinger", "lindblad"])
     @pytest.mark.parametrize("dim", [4, 8])
-    def test_matches_sample_path(self, monkeypatch, kind, dim):
+    def test_pulsed_hamiltonian_matches_stepwise_loop(self, monkeypatch, kind, dim):
         ham = pulsed_hamiltonian(dim)
         checks = []
         check = evolve_module._check_samples
@@ -870,52 +860,65 @@ class TestTermsPath:
             evolve_module, "_check_samples", lambda *args: checks.append(1) or check(*args)
         )
         cfg = EvolutionConfig(t_start_us=0.0, t_end_us=0.2, dt_us=2e-3, record_stride=7)
+        transfers = stepwise_transfers(kind, ham, 2e-3, 100)
         rng = np.random.default_rng(dim)
         starts = np.stack(
             [StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim)).amps
              for _ in range(2)]
         )
         if kind == "schrodinger":
-            runs = [evolve_schrodinger(h, starts, cfg) for h in (ham, SampleOnly(ham))]
-            records = [traj.amplitudes for traj in runs]
+            traj = evolve_schrodinger(ham, starts, cfg)
+            recorded, y0s = traj.amplitudes, starts
+
+            def norm_of(y):
+                return float(np.linalg.norm(y))
+
+            def populations(records):
+                return np.abs(records) ** 2
+
         else:
             rhos = np.einsum("bi,bj->bij", starts, starts.conj())
-            runs = [evolve_lindblad(h, rhos, NOISE, cfg) for h in (ham, SampleOnly(ham))]
-            records = [traj.densities for traj in runs]
-        # the terms path checks its basis once, the sample path every chunk
-        chunks = -(-100 // evolve_module._chunk_steps(records[0][0, 0].size, 2))
-        assert len(checks) == 1 + chunks
-        assert records[0].shape == (2, 16) + starts.shape[1:] * (1 + (kind == "lindblad"))
-        assert np.max(np.abs(records[0] - records[1])) < 1e-12
-        assert np.max(np.abs(runs[0].populations - runs[1].populations)) < 1e-12
-        assert np.max(np.abs(runs[0].norms - runs[1].norms)) < 1e-12
+            traj = evolve_lindblad(ham, rhos, NOISE, cfg)
+            recorded, y0s = traj.densities.reshape(2, 16, -1), rhos.reshape(2, -1)
+
+            def norm_of(y):
+                return float(np.real(np.trace(y.reshape(dim, dim))))
+
+            def populations(records):
+                return np.real(np.diagonal(records.reshape(-1, dim, dim), axis1=1, axis2=2))
+
+        assert len(checks) == 1  # the basis, once per call
+        for run, y0 in enumerate(y0s):
+            records, norms = sequential_reference(transfers, y0, 7, True, norm_of)
+            assert recorded[run].shape == records.shape == (16, y0.size)
+            assert np.max(np.abs(recorded[run] - records)) < 1e-12
+            assert np.max(np.abs(traj.populations[run] - populations(records))) < 1e-12
+            assert np.max(np.abs(traj.norms[run] - norms)) < 1e-12
 
     BASIS = np.array([np.diag([1.0, -1.0]), [[0.0, 2.0], [2.0, 0.0]]], dtype=complex)
 
-    @pytest.mark.parametrize("wrap", [lambda h: h, SampleOnly], ids=["terms", "sample"])
-    def test_non_finite_coefficient_names_its_chunk(self, monkeypatch, wrap):
+    def test_non_finite_coefficient_names_its_chunk(self, monkeypatch):
         # 16-step chunks of dt = 0.01: the first NaN frame (t = 0.56 us) lies
         # in the chunk of steps 48-63, whose frames start at t = 0.48 us
         monkeypatch.setattr(evolve_module, "TRANSFER_CHUNK_BYTES", 1)
         cfg = EvolutionConfig(t_start_us=0.0, t_end_us=1.0, dt_us=0.01, record_stride=50)
-        source = wrap(TermsSource(self.BASIS, nan_after=0.555))
+        source = cos_terms(self.BASIS, nan_after=0.555)
         with pytest.raises(NumericalError, match=r"non-finite Hamiltonian sample near t=0\.48 us"):
             evolve_schrodinger(source, StateVector.basis(2, 0), cfg)
 
-    @pytest.mark.parametrize("wrap", [lambda h: h, SampleOnly], ids=["terms", "sample"])
-    def test_basis_gates(self, wrap):
+    def test_basis_gates(self):
         cfg = EvolutionConfig(t_start_us=0.0, t_end_us=1.0, dt_us=0.01)
         skewed = self.BASIS.copy()
         skewed[1, 0, 1] = 3.0
         with pytest.raises(NumericalError, match="non-Hermitian"):
-            evolve_schrodinger(wrap(TermsSource(skewed)), StateVector.basis(2, 0), cfg)
+            evolve_schrodinger(cos_terms(skewed), StateVector.basis(2, 0), cfg)
         wide = np.zeros((2, 4, 4), dtype=complex)
         with pytest.raises(ConfigError, match=r"expected \(2, 2\)"):
-            evolve_schrodinger(wrap(TermsSource(wide)), StateVector.basis(2, 0), cfg)
+            evolve_schrodinger(cos_terms(wide), StateVector.basis(2, 0), cfg)
 
     @pytest.mark.parametrize("bad", ["complex", "columns"])
     def test_rejects_malformed_coefficients(self, monkeypatch, bad):
-        source = TermsSource(self.BASIS)
+        source = cos_terms(self.BASIS)
         coefficients = source.coefficients
         if bad == "complex":
             source.coefficients = lambda times: coefficients(times) + 0j
@@ -924,6 +927,42 @@ class TestTermsPath:
         cfg = EvolutionConfig(t_start_us=0.0, t_end_us=1.0, dt_us=0.01)
         with pytest.raises(ConfigError, match="coefficients must be real"):
             evolve_schrodinger(source, StateVector.basis(2, 0), cfg)
+
+    @pytest.mark.parametrize("kind", ["schrodinger", "lindblad"])
+    def test_rejects_a_constant_term_not_at_weight_one(self, kind):
+        # c_0 = 2 with B_0 / 2 is the same H(t), but the dissipator joins B_0
+        # at weight 1, so it would be scaled by 2 without a word
+        half = cos_terms(np.array([self.BASIS[0] / 2.0, self.BASIS[1]]))
+        doubled = half.coefficients
+        half.coefficients = lambda times: doubled(times) * [2.0, 1.0]
+        cfg = EvolutionConfig(t_start_us=0.0, t_end_us=1.0, dt_us=0.01)
+        start = StateVector.basis(2, 0)
+        with pytest.raises(ConfigError, match="coefficient of B_0 must be 1 at every time, got 2"):
+            if kind == "schrodinger":
+                evolve_schrodinger(half, start, cfg)
+            else:
+                evolve_lindblad(half, DensityMatrix.from_state(start), NOISE, cfg)
+
+
+class SampleOnly:
+    """Frames through .sample alone, without terms() and coefficients()."""
+
+    def sample(self, times):
+        return np.zeros((len(times), 2, 2), dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "source", [lambda t: np.zeros((2, 2)), SampleOnly()], ids=["callable", "sample-only"]
+)
+def test_rejected_sources_fail_closed(source):
+    # neither a callable of t nor an object with .sample alone is a source;
+    # both fail as ConfigError naming the three kinds, not AttributeError
+    accepted = r"constant matrix .*stack of them, or a terms source with terms\(\)"
+    cfg = EvolutionConfig(t_start_us=0.0, t_end_us=1.0, dt_us=0.01)
+    with pytest.raises(ConfigError, match=accepted):
+        evolve_schrodinger(source, StateVector.basis(2, 0), cfg)
+    with pytest.raises(ConfigError, match=accepted):
+        recommended_dt(source, 0.0, 1.0)
 
 
 class TestNoiseModel:
@@ -1049,9 +1088,9 @@ class TestConvergenceCheck:
         assert value == 0.0
 
     def test_smooth_pulse_at_recommended_dt(self):
-        def pulse(t):
-            drive = 5.0 * math.exp(-((t - 0.5) ** 2) / (2 * 0.1**2))
-            return rabi_hamiltonian(drive)
+        # rabi_hamiltonian(drive) is drive * rabi_hamiltonian(1)
+        gaussian = lambda times: 5.0 * np.exp(-((times - 0.5) ** 2) / (2 * 0.1**2))
+        pulse = Terms([np.zeros((2, 2)), rabi_hamiltonian(1.0)], constant_and(gaussian))
 
         dt = recommended_dt(pulse, 0.0, 1.0)
         psi0 = StateVector.basis(2, 0)

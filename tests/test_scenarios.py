@@ -777,8 +777,7 @@ def test_two_qubit_pi2_memory_stays_bounded():
 def test_two_qubit_pi2_takes_the_terms_path(monkeypatch):
     # the default run builds its frames from the Hamiltonian's terms: the
     # basis is checked and put in real form once per _integrate call, and
-    # PulsedHamiltonian.sample serves recommended_dt's probe alone; seen only
-    # through .sample, the same run is bitwise equal
+    # PulsedHamiltonian.sample serves recommended_dt's probe alone
     cfg = ScenarioConfig(scenario_id="two-qubit-pi2")
     calls = {"_integrate": 0, "_check_samples": 0, "_real_form": 0}
 
@@ -809,21 +808,9 @@ def test_two_qubit_pi2_takes_the_terms_path(monkeypatch):
         "sample",
         lambda self, times: sampled_while_probing.append(bool(probing)) or sample(self, times),
     )
-    terms = run_two_qubit_pi2(cfg)
+    run_two_qubit_pi2(cfg)
     assert calls == {"_integrate": 1, "_check_samples": 1, "_real_form": 1}
     assert sampled_while_probing == [True]
-
-    class SampleOnly:
-        def __init__(self, source):
-            self.sample = source.sample
-
-    monkeypatch.setattr(
-        scenarios, "evolve_schrodinger", lambda h, psi, evo: evolve_schrodinger(SampleOnly(h), psi, evo)
-    )
-    samples = run_two_qubit_pi2(cfg)
-    assert calls["_integrate"] == 2 and calls["_check_samples"] > 2
-    assert np.array_equal(terms.amplitudes, samples.amplitudes)
-    assert np.array_equal(terms.norms, samples.norms)
 
 
 # --- step resolution helper -------------------------------------------------
@@ -936,8 +923,9 @@ def test_composite_sweep_matches_per_run_loop(
 
 def per_point_noisy_theta(cfg, psi0):
     """Final noisy populations of the theta sweep, one unbatched
-    evolve_lindblad call per positive angle and the start's populations
-    elsewhere, as the sweep computed them point by point."""
+    evolve_lindblad call per positive angle under the configured
+    renormalisation and the start's populations elsewhere, as the sweep
+    computed them point by point."""
     rows = []
     for theta in cfg.sweep.values():
         if theta <= 0.0:
@@ -946,16 +934,20 @@ def per_point_noisy_theta(cfg, psi0):
         h = _drive_matrix(cfg.rabi_mhz, 0.0)
         span = theta / (2.0 * math.pi * cfg.rabi_mhz)
         dt = _pulse_dt(h, span, cfg)
-        evo = EvolutionConfig(0.0, span, dt, record_stride=max(1, int(span / dt) // 64))
+        evo = EvolutionConfig(
+            0.0, span, dt, record_stride=max(1, int(span / dt) // 64), renormalize=cfg.renormalize
+        )
         rho0 = DensityMatrix.from_state(StateVector.normalized(psi0))
         rows.append(evolve_lindblad(h, rho0, cfg.noise, evo).populations[-1])
     return np.asarray(rows)
 
 
 @pytest.mark.parametrize("renormalize", [True, False])
-def test_theta_sweep_noisy_matches_per_point_loop(renormalize):
+def test_theta_sweep_noisy_matches_per_point_loop(renormalize, monkeypatch):
     # a negative angle and theta = 0 keep the start; the others take 150 to
-    # 600 steps with record strides of 2 to 9
+    # 600 steps with record strides of 2 to 9. The Lindblad step keeps the
+    # trace to rounding, so the populations barely tell whether a run
+    # renormalised: its config must carry the key as well
     cfg = ScenarioConfig(
         scenario_id="theta-sweep",
         sweep=SweepSpec(-1.5, 6.0, 1.5),
@@ -963,7 +955,15 @@ def test_theta_sweep_noisy_matches_per_point_loop(renormalize):
         noise=NoiseModel(t1_us=70.0, t2_us=40.0),
         renormalize=renormalize,
     )
+    seen = []
+    lindblad = scenarios.evolve_lindblad
+    monkeypatch.setattr(
+        scenarios,
+        "evolve_lindblad",
+        lambda h, rho0, noise, evos: seen.extend(evos) or lindblad(h, rho0, noise, evos),
+    )
     result = run_single_qubit_theta_sweep(cfg)
+    assert len(seen) == 4 and all(evo.renormalize == renormalize for evo in seen)
     expected = per_point_noisy_theta(cfg, _initial_state(cfg.initial_state, 2).amps)
     assert 0.0 in result.axis_values
     assert np.max(np.abs(result.series["p1_noisy"] - expected[:, 0])) < 1e-12
