@@ -50,7 +50,6 @@ from nvholo.scenarios import (
     SweepResult,
     SweepSpec,
     compare_resonant_fidelity,
-    resolved_dt_us,
     run_composite_gate_scenario,
     run_dark_state_spectrum,
     run_pi3_rotation,
@@ -121,7 +120,6 @@ __all__ = [
     "phase_from_discrepancy",
     "recommended_dt",
     "render_config",
-    "resolved_dt_us",
     "rotation_axis",
     "run_cli",
     "run_composite_gate_scenario",

@@ -30,7 +30,6 @@ from nvholo.config import (
 from nvholo.scenarios import (
     ScenarioConfig,
     compare_resonant_fidelity,
-    resolved_dt_us,
     run_composite_gate_scenario,
     run_dark_state_spectrum,
     run_pi3_rotation,
@@ -289,12 +288,12 @@ def _dispatch(args) -> int:
     manifest_path = os.path.join(args.out, MANIFEST_NAME)
     write_csv(result_path, table)
 
-    run_info = [("artifact_version", __version__), ("command", args.command)]
-    dt = resolved_dt_us(cfg)
-    if dt is not None:
-        run_info.append(("dt_us", dt))
-    run_info.append(("wall_time_s", f"{elapsed:.3f}"))
-    manifest = RunManifest(cfg=cfg, run_info=tuple(run_info))
+    run_info = (
+        ("artifact_version", __version__),
+        ("command", args.command),
+        ("wall_time_s", f"{elapsed:.3f}"),
+    )
+    manifest = RunManifest(cfg=cfg, run_info=run_info)
     with open(manifest_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(manifest.to_text())
 

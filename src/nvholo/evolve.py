@@ -183,8 +183,10 @@ class Trajectory:
             raise ConfigError("trajectory arrays have inconsistent shapes")
         if times.shape[0] > 1 and not np.all(np.diff(times) > 0):
             raise ConfigError("trajectory times must be strictly increasing")
-        if self.amplitudes is not None:
-            actual = np.linalg.norm(np.asarray(self.amplitudes), axis=-1)
+        if self.amplitudes is not None:  # from the real and imaginary views: no complex copy
+            amps = np.asarray(self.amplitudes)
+            squares = np.einsum("...i,...i->...", amps.real, amps.real)
+            actual = np.sqrt(squares + np.einsum("...i,...i->...", amps.imag, amps.imag))
         elif self.densities is not None:
             actual = np.real(np.trace(np.asarray(self.densities), axis1=-2, axis2=-1))
         else:
@@ -246,9 +248,9 @@ def _as_source(h_of_t):
     )
 
 
-def _plan_steps(cfg: EvolutionConfig) -> tuple[int, float]:
-    span = cfg.t_end_us - cfg.t_start_us
-    n_steps = max(1, int(round(span / cfg.dt_us)))
+def _plan_steps(span: float, dt: float) -> tuple[int, float]:
+    """Step count over span at about dt, and the step that fills it exactly."""
+    n_steps = max(1, int(round(span / dt)))
     return n_steps, span / n_steps
 
 
@@ -393,7 +395,7 @@ def _blocks(cfgs: tuple, runs: int) -> list:
     blocks = []
     for lo, hi in zip([0] + cuts, cuts + [len(cfgs) if len(cfgs) > 1 else runs]):
         cfg = cfgs[lo]
-        n_steps, dt = _plan_steps(cfg)
+        n_steps, dt = _plan_steps(cfg.t_end_us - cfg.t_start_us, cfg.dt_us)
         record_at = _record_steps(n_steps, int(cfg.record_stride))
         blocks.append(_Block(lo, hi, cfg.t_start_us, n_steps, dt, record_at, bool(cfg.renormalize)))
     return blocks
@@ -703,8 +705,8 @@ def evolve_lindblad(h_of_t, rho0, noise: NoiseModel, cfg: EvolutionConfig) -> Tr
 def convergence_check(h_of_t, psi0: StateVector, cfg: EvolutionConfig) -> float:
     """Max population difference between runs at dt and dt/2; a small value
     validates the step size."""
-    n_steps, dt = _plan_steps(cfg)
     span = cfg.t_end_us - cfg.t_start_us
+    n_steps, dt = _plan_steps(span, cfg.dt_us)
     base = evolve_schrodinger(h_of_t, psi0, replace(cfg, dt_us=dt))
     half = evolve_schrodinger(
         h_of_t,

@@ -47,6 +47,7 @@ from nvholo.evolve import (
     EvolutionConfig,
     NoiseModel,
     Trajectory,
+    _plan_steps,
     evolve_lindblad,
     evolve_schrodinger,
     recommended_dt,
@@ -90,6 +91,8 @@ CARRIER_DEFAULT_MHZ = 4966.0
 TWO_QUBIT_DRIVE_MHZ = 1.7639240686172084
 TWO_QUBIT_DT_SCALE = 4.0
 TWO_QUBIT_RECORDS = 512
+THETA_RECORDS = 64
+DARK_RECORDS = 128
 
 # closed-loop register model
 TILT_SCALE_MHZ = 150.0
@@ -370,14 +373,21 @@ def _pulse_dt(h: np.ndarray, span, cfg: ScenarioConfig):
     return dts if spans.ndim else float(dts)
 
 
-def _pulse_config(span: float, dt: float, cfg: ScenarioConfig, where: str, **kw) -> EvolutionConfig:
-    """EvolutionConfig of a pulse over [0, span]; a configured step longer
-    than the span is a config error that names the point and the key."""
+def _pulse_config(span: float, dt: float, cfg: ScenarioConfig, where: str, records=None) -> EvolutionConfig:
+    """EvolutionConfig of a pulse over [0, span] at step dt, the one place
+    that sets a run's record stride and renormalisation. Every step is
+    recorded, or, given records, about that many (a stride of
+    n_steps // records, n_steps as the integrator plans them). Runs
+    renormalise as [integrator] renormalize says, except pi3, whose recorded
+    norm is part of its result. A configured step longer than the span is a
+    config error that names the point and the key."""
     if cfg.dt_us is not None and cfg.dt_us > span:
         raise ConfigError(
             f"{where}: [integrator] dt_us = {cfg.dt_us:g} exceeds the {span:.6g} us span"
         )
-    return EvolutionConfig(0.0, float(span), float(dt), **kw)
+    stride = max(1, _plan_steps(span, dt)[0] // records) if records else 1
+    renormalize = cfg.renormalize and cfg.scenario_id != "pi3"
+    return EvolutionConfig(0.0, float(span), float(dt), record_stride=stride, renormalize=renormalize)
 
 
 @contextmanager
@@ -397,7 +407,12 @@ def _naming(scenario: str, points: list):
 
 
 def run_single_qubit_theta_sweep(cfg: ScenarioConfig) -> SweepResult:
-    """Rotation-angle sweep of one x-axis gate applied to the prepared state."""
+    """Rotation-angle sweep of one x-axis gate applied to the prepared state.
+
+    With noise on, each angle is also one x pulse through the master equation
+    on composite's segment runner (_run_segments, about THETA_RECORDS records
+    each): a negative angle takes the negative drive, theta = 0 keeps the start.
+    """
     _require_scenario(cfg, "theta-sweep")
     thetas = (cfg.sweep or THETA_SWEEP_DEFAULT).values()
     psi0 = _initial_state(cfg.initial_state, 2).amps
@@ -409,31 +424,9 @@ def run_single_qubit_theta_sweep(cfg: ScenarioConfig) -> SweepResult:
     series = {"p1": finals[:, 0], "p2": finals[:, 1]}
 
     if cfg.noise.enabled:
-        # every positive angle is one run of one call, each with its own span,
-        # step and record stride; the others keep the start's populations
-        noisy = np.tile(np.abs(psi0) ** 2, (thetas.shape[0], 1))
-        moving = np.flatnonzero(thetas > 0.0)
-        if moving.size:
-            h = _drive_matrix(cfg.rabi_mhz, 0.0)
-            spans = _gate_time_us(thetas[moving], cfg.rabi_mhz)
-            points = [f"theta={theta:g}" for theta in thetas[moving]]
-            evos = [
-                _pulse_config(
-                    span,
-                    dt,
-                    cfg,
-                    f"theta-sweep {point}",
-                    record_stride=max(1, int(span / dt) // 64),
-                    renormalize=cfg.renormalize,
-                )
-                for span, dt, point in zip(spans, _pulse_dt(h, spans, cfg), points)
-            ]
-            rho0 = DensityMatrix.from_state(StateVector.normalized(psi0))
-            with _naming("theta-sweep", points):
-                trajs = evolve_lindblad(h, rho0, cfg.noise, evos)
-            noisy[moving] = np.concatenate([traj.populations[:, -1] for traj in trajs])
-        series["p1_noisy"] = noisy[:, 0]
-        series["p2_noisy"] = noisy[:, 1]
+        pulses = [(f"theta={theta:g}", [(theta, 0.0, 0.0)]) for theta in thetas]
+        runs = _run_segments(pulses, psi0[None], cfg, True, THETA_RECORDS)
+        series["p1_noisy"], series["p2_noisy"] = np.stack([run.pops[0, -1] for run in runs]).T
 
     return SweepResult(axis_values=thetas, series=series)
 
@@ -455,9 +448,8 @@ def run_single_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
     # one shared step size so every trajectory lands on the same record grid:
     # the step of the drive at the largest |delta|, the fastest one
     widest = _drive_matrix(cfg.rabi_mhz, float(deltas[np.argmax(np.abs(deltas))]))
-    dt = _pulse_dt(widest, span, cfg)
-    evo = _pulse_config(span, dt, cfg, "detune-sweep", renormalize=cfg.renormalize)
-    n_records = max(1, int(round(span / dt))) + 1
+    evo = _pulse_config(span, _pulse_dt(widest, span, cfg), cfg, "detune-sweep")
+    n_records = _plan_steps(span, evo.dt_us)[0] + 1
     block = max(1, DETUNE_BLOCK_BYTES // (DETUNE_RECORD_BYTES * n_records))
     state0 = StateVector.normalized(psi0)
     rho0 = DensityMatrix.from_state(state0)
@@ -602,18 +594,21 @@ def _kick(state: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return state * phases[:, :, None] * phases.conj()[:, None, :]
 
 
-def _run_segments(points, starts, cfg: ScenarioConfig, noisy: bool) -> list:
+def _run_segments(points, starts, cfg: ScenarioConfig, noisy: bool, records=None) -> list:
     """Stitch (theta, pre_kick, post_kick) x pulses with instantaneous z kicks
     for every sweep point, points = [(where, segments), ...] with as many
-    segments each, and every start (rows); one _Stitched per point.
+    segments each, and every start (rows); one _Stitched per point. This is
+    the pulse path of composite and of the noisy theta sweep.
 
     Each segment position is one integration over the runs of all points
     whose pulse there has a span, point by point with the starts within, each
     point with its own drive sign, span and step (a ragged batch);
-    recommended_dt probes each drive sign once per call. noisy
-    carries the density matrices through the master equation with
-    cfg.noise; otherwise the amplitudes go through the Schrodinger equation.
-    A failure names the sweep point, where, and the start (START_NAMES).
+    recommended_dt probes each drive sign once per call. Each pulse records
+    every step, or about records of them (_pulse_config). noisy carries the
+    density matrices through the master equation with cfg.noise; otherwise
+    the amplitudes go through the Schrodinger equation. A failure names the
+    scenario (cfg.scenario_id), the sweep point, where, and the start
+    (START_NAMES).
     """
     if noisy:
         state = starts[:, :, None] * starts[:, None, :].conj()
@@ -624,30 +619,28 @@ def _run_segments(points, starts, cfg: ScenarioConfig, noisy: bool) -> list:
     n_starts = starts.shape[0]
     state = np.concatenate([state] * len(points))
     pops = [[pops0[:, None, :]] for _ in points]
-    # (points, segments, 3); one step per pulse, one recommended_dt per drive
+    # (points, segments, 3); one step per pulse, one drive and recommended_dt per sign
     segments = np.array([segments for _, segments in points], dtype=float)
     spans = _gate_time_us(np.abs(segments[..., 0]), cfg.rabi_mhz)
     signs = np.copysign(1.0, segments[..., 0])
+    drive = {sign: _drive_matrix(sign * cfg.rabi_mhz, 0.0) for sign in (1.0, -1.0)}
     dts = np.empty(spans.shape)
-    for sign in (1.0, -1.0):
+    for sign, h in drive.items():
         pick = (signs == sign) & (spans > 0.0)
         if pick.any():
-            dts[pick] = _pulse_dt(_drive_matrix(sign * cfg.rabi_mhz, 0.0), spans[pick], cfg)
+            dts[pick] = _pulse_dt(h, spans[pick], cfg)
     for leg in range(segments.shape[1]):
         state = _kick(state, np.repeat(segments[:, leg, 1], n_starts))
         moving = np.flatnonzero(spans[:, leg] > 0.0)
         if moving.size:
             evos = []
             for p in moving:
-                where = f"composite {points[p][0]}"
-                evo = _pulse_config(spans[p, leg], dts[p, leg], cfg, where, renormalize=cfg.renormalize)
-                evos += [evo] * n_starts
-            drives = np.repeat(
-                [_drive_matrix(sign * cfg.rabi_mhz, 0.0) for sign in signs[moving, leg]], n_starts, axis=0
-            )
+                where = f"{cfg.scenario_id} {points[p][0]}"
+                evos += [_pulse_config(spans[p, leg], dts[p, leg], cfg, where, records)] * n_starts
+            drives = np.repeat([drive[sign] for sign in signs[moving, leg]], n_starts, axis=0)
             rows = (n_starts * moving[:, None] + np.arange(n_starts)).ravel()
             names = [f"{points[p][0]} start={name}" for p in moving for name in START_NAMES[:n_starts]]
-            with _naming("composite", names):
+            with _naming(cfg.scenario_id, names):
                 if noisy:
                     trajs = evolve_lindblad(drives, state[rows], cfg.noise, evos)
                     rho = np.concatenate([traj.densities[:, -1] for traj in trajs])
@@ -708,15 +701,7 @@ def run_two_qubit_pi2(cfg: ScenarioConfig) -> Trajectory:
 
     psi0 = _initial_state(cfg.initial_state, 4)
     dt = cfg.dt_us or TWO_QUBIT_DT_SCALE * recommended_dt(h, 0.0, span)
-    n_steps = max(1, int(round(span / dt)))
-    evo = _pulse_config(
-        span,
-        dt,
-        cfg,
-        "two-qubit-pi2",
-        record_stride=max(1, n_steps // TWO_QUBIT_RECORDS),
-        renormalize=cfg.renormalize,
-    )
+    evo = _pulse_config(span, dt, cfg, "two-qubit-pi2", TWO_QUBIT_RECORDS)
     with _naming("two-qubit-pi2", []):
         return evolve_schrodinger(h, psi0, evo)
 
@@ -903,7 +888,7 @@ def run_pi3_rotation(cfg: ScenarioConfig) -> Trajectory:
     span = 1.0 / (3.0 * rabi)
     dt = cfg.dt_us or recommended_dt(h, 0.0, span)
     psi0 = _initial_state(cfg.initial_state, 8)
-    evo = _pulse_config(span, dt, cfg, "pi3", renormalize=False)
+    evo = _pulse_config(span, dt, cfg, "pi3")
     with _naming("pi3", []):
         return evolve_schrodinger(h, psi0, evo)
 
@@ -942,8 +927,7 @@ def run_dark_state_spectrum(cfg: ScenarioConfig) -> DarkSpectrum:
 
     span = cfg.duration_us or 1.0
     dt = cfg.dt_us or recommended_dt(matrix.entries, 0.0, span)
-    n_steps = max(1, int(round(span / dt)))
-    evo = _pulse_config(span, dt, cfg, "dark-states", record_stride=max(1, n_steps // 128))
+    evo = _pulse_config(span, dt, cfg, "dark-states", DARK_RECORDS)
     leakages = ()
     if dark_indices:
         dark = eigenvectors[:, dark_indices].T  # one dark state per row
@@ -1042,30 +1026,3 @@ def compare_resonant_fidelity(cfg: ScenarioConfig) -> tuple:
         _loop_fidelity(off, base, cfg.noise, FIDELITY_SLICES),
         _loop_fidelity(on, base, cfg.noise, FIDELITY_SLICES),
     )
-
-
-def resolved_dt_us(cfg: ScenarioConfig) -> float | None:
-    """Step size the scenario will integrate with, when one applies."""
-    if cfg.dt_us is not None:
-        return cfg.dt_us
-    if cfg.scenario_id in ("theta-sweep", "composite"):
-        return 1.0 / (200.0 * math.pi * cfg.rabi_mhz)
-    if cfg.scenario_id == "detune-sweep":
-        sweep = cfg.sweep or DETUNE_SWEEP_DEFAULT
-        f_max = max(cfg.rabi_mhz / 2.0, abs(sweep.start), abs(sweep.stop))
-        span = _gate_time_us(math.pi / 2.0, cfg.rabi_mhz)
-        return min(1.0 / (200.0 * 2.0 * math.pi * f_max), span / MIN_SEGMENT_STEPS)
-    if cfg.scenario_id == "two-qubit-pi2":
-        width = 1.0 / cfg.envelope_mhz
-        amp = cfg.drive_mhz if cfg.drive_mhz is not None else TWO_QUBIT_DRIVE_MHZ
-        spec = LevelSpec(4, (0.0, 0.0, cfg.splitting_mhz, -cfg.splitting_mhz))
-        tone = PulseChannel(
-            rabi_mhz=amp, envelope="gaussian", t_center_us=4.0 * width, t_width_us=width
-        )
-        pulses = PulseSet(pump=(tone, silent_channel()), stokes=(tone, silent_channel()))
-        return TWO_QUBIT_DT_SCALE * recommended_dt(
-            PulsedHamiltonian(spec, pulses), 0.0, 8.0 * width
-        )
-    if cfg.scenario_id == "pi3":
-        return 1.0 / (200.0 * 2.0 * math.pi * cfg.rabi_mhz / 2.0)
-    return None

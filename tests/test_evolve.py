@@ -1161,6 +1161,21 @@ class TestTrajectory:
             Trajectory(times=times, populations=np.abs(batch[1]) ** 2, amplitudes=batch[1])
         assert err.value.member is None
 
+    def test_drift_in_imaginary_part_of_a_strided_batch_names_its_run(self):
+        # the norms are summed from the real and imaginary views, so a drift
+        # carried by the imaginary part alone, in a non-contiguous batch, fails
+        times = np.array([0.0, 1.0])
+        good = np.array([[1.0, 0.0], [0.6, 0.8j]], dtype=complex)
+        batch = np.stack([good, good, good])
+        batch[2, 1, 1] = 0.8j + 3e-6j
+        strided = np.swapaxes(np.swapaxes(batch, 0, 2).copy(), 0, 2)
+        assert not strided.flags.c_contiguous
+        with pytest.raises(NumericalError, match=r"^run 2: recorded norm drifted by 2\.[0-9]+e-06") as err:
+            Trajectory(times=times, populations=np.abs(strided) ** 2, amplitudes=strided)
+        assert err.value.member == 2
+        ok = np.stack([good] * 3)
+        Trajectory(times=times, populations=np.abs(ok) ** 2, amplitudes=ok)
+
     def test_rejects_non_monotonic_times(self):
         times = np.array([0.0, 0.0])
         amps = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)

@@ -17,7 +17,8 @@ import pytest
 
 from nvholo import evolve as evolve_module
 from nvholo import scenarios
-from nvholo.config import parse_config, render_config
+from nvholo.cli import DEFAULT_CONFIGS, run_cli
+from nvholo.config import parse_config, parse_manifest, render_config
 from nvholo.core import (
     ConfigError,
     DensityMatrix,
@@ -50,7 +51,6 @@ from nvholo.scenarios import (
     SweepResult,
     SweepSpec,
     compare_resonant_fidelity,
-    resolved_dt_us,
     run_composite_gate_scenario,
     run_dark_state_spectrum,
     run_pi3_rotation,
@@ -494,6 +494,19 @@ def test_dark_spectrum_zero_matrix_is_all_dark():
     assert max(spectrum.leakages) == 0.0
 
 
+@pytest.mark.parametrize("renormalize", [True, False])
+def test_dark_spectrum_honours_renormalize(renormalize, monkeypatch):
+    seen = []
+    schrodinger = scenarios.evolve_schrodinger
+    monkeypatch.setattr(
+        scenarios,
+        "evolve_schrodinger",
+        lambda h, psi0, evo: seen.append(evo) or schrodinger(h, psi0, evo),
+    )
+    run_dark_state_spectrum(ScenarioConfig(scenario_id="dark-states", renormalize=renormalize))
+    assert [evo.renormalize for evo in seen] == [renormalize]
+
+
 def test_dark_spectrum_requires_hermitized_mode():
     with pytest.raises(ConfigError):
         run_dark_state_spectrum(
@@ -813,19 +826,29 @@ def test_two_qubit_pi2_takes_the_terms_path(monkeypatch):
     assert sampled_while_probing == [True]
 
 
-# --- step resolution helper -------------------------------------------------
+# --- manifests and probes of a CLI run ---------------------------------------
 
 
-def test_resolved_dt_is_positive_for_integrating_scenarios():
-    for scenario_id in ("theta-sweep", "detune-sweep", "composite", "two-qubit-pi2", "pi3"):
-        dt = resolved_dt_us(ScenarioConfig(scenario_id=scenario_id))
-        assert dt is not None and dt > 0.0
+def test_two_qubit_pi2_cli_run_probes_its_hamiltonian_once(tmp_path, monkeypatch):
+    # recommended_dt's probe is the one sample of the default run: writing
+    # the manifest takes no step, so nothing probes the Hamiltonian again
+    frames = []
+    sample = PulsedHamiltonian.sample
+    monkeypatch.setattr(
+        PulsedHamiltonian, "sample", lambda self, times: frames.append(len(times)) or sample(self, times)
+    )
+    assert run_cli(["two-qubit-pi2", "--out", str(tmp_path)]) == 0
+    assert frames == [1025]
 
 
-def test_resolved_dt_honors_override():
-    cfg = ScenarioConfig(scenario_id="pi3", dt_us=1e-5)
-    assert resolved_dt_us(cfg) == 1e-5
-    assert resolved_dt_us(loop_sweep_config()) is None
+def test_default_manifests_report_run_keys_without_dt(tmp_path):
+    # [run] holds no dt_us: a requested step is the config's [integrator] dt_us
+    for scenario in DEFAULT_CONFIGS:
+        out = tmp_path / scenario
+        assert run_cli([scenario, "--out", str(out)]) == 0
+        manifest = parse_manifest((out / "manifest").read_text())
+        assert [key for key, _ in manifest.run_info] == ["artifact_version", "command", "wall_time_s"]
+        assert manifest.cfg.dt_us is None
 
 
 # --- batched runners against a per-run loop --------------------------------
@@ -923,19 +946,20 @@ def test_composite_sweep_matches_per_run_loop(
 
 def per_point_noisy_theta(cfg, psi0):
     """Final noisy populations of the theta sweep, one unbatched
-    evolve_lindblad call per positive angle under the configured
-    renormalisation and the start's populations elsewhere, as the sweep
-    computed them point by point."""
+    evolve_lindblad call per nonzero angle under the configured
+    renormalisation, the negative drive for a negative angle, and the start's
+    populations at theta = 0, as the sweep computed them point by point."""
     rows = []
     for theta in cfg.sweep.values():
-        if theta <= 0.0:
+        if theta == 0.0:
             rows.append(np.abs(psi0) ** 2)
             continue
-        h = _drive_matrix(cfg.rabi_mhz, 0.0)
-        span = theta / (2.0 * math.pi * cfg.rabi_mhz)
+        h = _drive_matrix(math.copysign(cfg.rabi_mhz, theta), 0.0)
+        span = abs(theta) / (2.0 * math.pi * cfg.rabi_mhz)
         dt = _pulse_dt(h, span, cfg)
+        n_steps = max(1, int(round(span / dt)))
         evo = EvolutionConfig(
-            0.0, span, dt, record_stride=max(1, int(span / dt) // 64), renormalize=cfg.renormalize
+            0.0, span, dt, record_stride=max(1, n_steps // 64), renormalize=cfg.renormalize
         )
         rho0 = DensityMatrix.from_state(StateVector.normalized(psi0))
         rows.append(evolve_lindblad(h, rho0, cfg.noise, evo).populations[-1])
@@ -944,10 +968,10 @@ def per_point_noisy_theta(cfg, psi0):
 
 @pytest.mark.parametrize("renormalize", [True, False])
 def test_theta_sweep_noisy_matches_per_point_loop(renormalize, monkeypatch):
-    # a negative angle and theta = 0 keep the start; the others take 150 to
-    # 600 steps with record strides of 2 to 9. The Lindblad step keeps the
-    # trace to rounding, so the populations barely tell whether a run
-    # renormalised: its config must carry the key as well
+    # theta = 0 keeps the start; the others, the negative angle included,
+    # take 150 to 600 steps with record strides of 2 to 9. The Lindblad step
+    # keeps the trace to rounding, so the populations barely tell whether a
+    # run renormalised: its config must carry the key as well
     cfg = ScenarioConfig(
         scenario_id="theta-sweep",
         sweep=SweepSpec(-1.5, 6.0, 1.5),
@@ -963,11 +987,26 @@ def test_theta_sweep_noisy_matches_per_point_loop(renormalize, monkeypatch):
         lambda h, rho0, noise, evos: seen.extend(evos) or lindblad(h, rho0, noise, evos),
     )
     result = run_single_qubit_theta_sweep(cfg)
-    assert len(seen) == 4 and all(evo.renormalize == renormalize for evo in seen)
+    assert len(seen) == 5 and all(evo.renormalize == renormalize for evo in seen)
     expected = per_point_noisy_theta(cfg, _initial_state(cfg.initial_state, 2).amps)
     assert 0.0 in result.axis_values
     assert np.max(np.abs(result.series["p1_noisy"] - expected[:, 0])) < 1e-12
     assert np.max(np.abs(result.series["p2_noisy"] - expected[:, 1])) < 1e-12
+
+
+def test_theta_sweep_negative_angle_rotates_under_weak_noise():
+    # with T1 = T2 = 1e6 us the noisy pulse is the ideal rotation, whose sign
+    # the drive carries: a negative angle moves the populations as the gate does
+    cfg = ScenarioConfig(
+        scenario_id="theta-sweep",
+        sweep=SweepSpec(-1.5, 1.5, 1.5),
+        initial_state=("rotation", 0.6),
+        noise=NoiseModel(t1_us=1e6, t2_us=1e6),
+    )
+    result = run_single_qubit_theta_sweep(cfg)
+    assert abs(result.series["p1"][0] - result.series["p1"][1]) > 0.1
+    assert np.max(np.abs(result.series["p1_noisy"] - result.series["p1"])) < 1e-6
+    assert np.max(np.abs(result.series["p2_noisy"] - result.series["p2"])) < 1e-6
 
 
 def count_integrate_calls(monkeypatch, runner, cfg) -> int:
@@ -1137,17 +1176,28 @@ def test_composite_failure_names_theta_and_start():
         run_composite_gate_scenario(cfg)
 
 
-def test_composite_failure_names_its_angle_past_zero_angles():
-    # theta = 0 has no pulse and takes no run; the failing run is theta = 6's
+@pytest.mark.parametrize(
+    "scenario, runner, noise, dt_us",
+    [
+        ("composite", run_composite_gate_scenario, NOISE, 0.02),
+        # the master equation keeps the trace in exact arithmetic: only a step
+        # far past RK4's stability limit for T1 = 1e-4 us lets it drift
+        ("theta-sweep", run_single_qubit_theta_sweep, NoiseModel(t1_us=1e-4, t2_us=1e-4), 0.001),
+    ],
+    ids=["composite", "theta-sweep"],
+)
+def test_composite_failure_names_its_angle_past_zero_angles(scenario, runner, noise, dt_us):
+    # theta = 0 has no pulse and takes no run; the failing run is theta = 6's,
+    # named by the scenario whose pulses the segment runner integrates
     cfg = ScenarioConfig(
-        scenario_id="composite",
+        scenario_id=scenario,
         sweep=SweepSpec(0.0, 6.0, 6.0),
-        dt_us=0.02,
+        dt_us=dt_us,
         renormalize=False,
-        noise=NOISE,
+        noise=noise,
     )
-    with pytest.raises(NumericalError, match=r"^composite theta=6 start=initial: norm drifted"):
-        run_composite_gate_scenario(cfg)
+    with pytest.raises(NumericalError, match=f"^{scenario} theta=6 start=initial: norm drifted"):
+        runner(cfg)
 
 
 @pytest.mark.parametrize(
