@@ -373,20 +373,23 @@ def _pulse_dt(h: np.ndarray, span, cfg: ScenarioConfig):
     return dts if spans.ndim else float(dts)
 
 
-def _pulse_config(span: float, dt: float, cfg: ScenarioConfig, where: str, records=None) -> EvolutionConfig:
+def _pulse_config(
+    span: float, dt: float, cfg: ScenarioConfig, where: str, records=None, keep_norm=False
+) -> EvolutionConfig:
     """EvolutionConfig of a pulse over [0, span] at step dt, the one place
     that sets a run's record stride and renormalisation. Every step is
     recorded, or, given records, about that many (a stride of
     n_steps // records, n_steps as the integrator plans them). Runs
-    renormalise as [integrator] renormalize says, except pi3, whose recorded
-    norm is part of its result. A configured step longer than the span is a
-    config error that names the point and the key."""
+    renormalise as [integrator] renormalize says, unless keep_norm: a run
+    whose recorded norm is part of its result never renormalises. A
+    configured step longer than the span is a config error that names the
+    point and the key."""
     if cfg.dt_us is not None and cfg.dt_us > span:
         raise ConfigError(
             f"{where}: [integrator] dt_us = {cfg.dt_us:g} exceeds the {span:.6g} us span"
         )
     stride = max(1, _plan_steps(span, dt)[0] // records) if records else 1
-    renormalize = cfg.renormalize and cfg.scenario_id != "pi3"
+    renormalize = cfg.renormalize and not keep_norm
     return EvolutionConfig(0.0, float(span), float(dt), record_stride=stride, renormalize=renormalize)
 
 
@@ -888,7 +891,7 @@ def run_pi3_rotation(cfg: ScenarioConfig) -> Trajectory:
     span = 1.0 / (3.0 * rabi)
     dt = cfg.dt_us or recommended_dt(h, 0.0, span)
     psi0 = _initial_state(cfg.initial_state, 8)
-    evo = _pulse_config(span, dt, cfg, "pi3")
+    evo = _pulse_config(span, dt, cfg, "pi3", keep_norm=True)
     with _naming("pi3", []):
         return evolve_schrodinger(h, psi0, evo)
 
