@@ -507,6 +507,18 @@ def test_dark_spectrum_honours_renormalize(renormalize, monkeypatch):
     assert [evo.renormalize for evo in seen] == [renormalize]
 
 
+def test_pi3_keeps_its_norm_when_renormalize_is_on(monkeypatch):
+    seen = []
+    schrodinger = scenarios.evolve_schrodinger
+    monkeypatch.setattr(
+        scenarios,
+        "evolve_schrodinger",
+        lambda h, psi0, evo: seen.append(evo) or schrodinger(h, psi0, evo),
+    )
+    run_pi3_rotation(ScenarioConfig(scenario_id="pi3", renormalize=True))
+    assert [evo.renormalize for evo in seen] == [False]
+
+
 def test_dark_spectrum_requires_hermitized_mode():
     with pytest.raises(ConfigError):
         run_dark_state_spectrum(
