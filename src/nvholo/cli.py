@@ -1,9 +1,10 @@
 """Command-line front end.
 
 One subcommand per scenario plus validate. Every run writes two files into
-the output directory: result.csv with the scenario's series, and a manifest
-that parses back as a config reproducing the run. Exit codes: 0 success,
-2 config problems, 3 numerical or I/O failures.
+the output directory: result.csv, the numeric columns that the scenario's
+_table_ builder declares in order, and a manifest that parses back as a
+config reproducing the run. Exit codes: 0 success, 2 config problems,
+3 numerical or I/O failures.
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ import numpy as np
 
 from nvholo import __version__
 from nvholo.core import ConfigError, NumericalError
-from nvholo.config import (
-    CsvTable,
-    RunManifest,
-    columns_to_rows,
-    parse_config,
-    write_csv,
-)
+from nvholo.config import CsvTable, RunManifest, parse_config, write_csv
 from nvholo.scenarios import (
     ScenarioConfig,
     compare_resonant_fidelity,
@@ -109,146 +104,107 @@ def _load_config(args) -> ScenarioConfig:
     return cfg
 
 
+def _phase_columns(result) -> dict:
+    """The phase probe's two columns of a sweep, one cell per point."""
+    return {
+        "phase_magnitude_rad": [e.magnitude_rad for e in result.phase_estimates],
+        "phase_discrepancy": [e.discrepancy for e in result.phase_estimates],
+    }
+
+
 def _table_theta_sweep(cfg):
     result = run_single_qubit_theta_sweep(cfg)
-    header = ["theta_rad", "p1", "p2"]
-    columns = [result.axis_values, result.series["p1"], result.series["p2"]]
-    if "p1_noisy" in result.series:
-        header += ["p1_noisy", "p2_noisy"]
-        columns += [result.series["p1_noisy"], result.series["p2_noisy"]]
-    table = CsvTable(tuple(header), columns_to_rows(*columns))
-    return table, [f"{len(result.axis_values)} rotation angles"]
+    columns = {"theta_rad": result.axis_values, **result.series}
+    return columns, [f"{len(result.axis_values)} rotation angles"]
 
 
 def _table_detune_sweep(cfg):
     result = run_single_qubit_detuning_sweep(cfg)
-    mags = [e.magnitude_rad for e in result.phase_estimates]
-    discs = [e.discrepancy for e in result.phase_estimates]
-    header = ["delta_mhz", "p1", "p2", "phase_magnitude_rad", "phase_discrepancy"]
-    columns = [
-        result.axis_values,
-        result.series["p1"],
-        result.series["p2"],
-        mags,
-        discs,
-    ]
-    if "p1_noisy" in result.series:
-        header += ["p1_noisy", "p2_noisy", "discrepancy_noisy"]
-        columns += [
-            result.series["p1_noisy"],
-            result.series["p2_noisy"],
-            result.series["discrepancy_noisy"],
-        ]
-    table = CsvTable(tuple(header), columns_to_rows(*columns))
-    return table, [f"{len(result.axis_values)} detuning points"]
+    noisy = dict(result.series)
+    ideal = {"delta_mhz": result.axis_values, "p1": noisy.pop("p1"), "p2": noisy.pop("p2")}
+    return {**ideal, **_phase_columns(result), **noisy}, [f"{len(result.axis_values)} detuning points"]
 
 
 def _table_composite(cfg):
     result = run_composite_gate_scenario(cfg)
-    header = ["theta_rad", "p1", "p2"]
-    columns = [result.axis_values, result.series["p1"], result.series["p2"]]
-    for name in ("discrepancy_composite", "discrepancy_single", "fidelity_cardinal"):
-        if name in result.series:
-            header.append(name)
-            columns.append(result.series[name])
-    table = CsvTable(tuple(header), columns_to_rows(*columns))
-    summary = [
-        f"{key} = {value:.6g}" for key, value in sorted(result.fidelities.items())
-    ]
-    return table, summary
+    columns = {"theta_rad": result.axis_values, **result.series}
+    return columns, [f"{key} = {value:.6g}" for key, value in sorted(result.fidelities.items())]
 
 
 def _table_two_qubit(cfg):
     traj = run_two_qubit_pi2(cfg)
     mags = np.abs(traj.amplitudes)
-    norms = np.linalg.norm(traj.amplitudes, axis=1)
-    table = CsvTable(
-        ("time_us", "amp1", "amp2", "amp3", "amp4", "norm"),
-        columns_to_rows(traj.times, mags[:, 0], mags[:, 1], mags[:, 2], mags[:, 3], norms),
-    )
-    summary = [f"final |amp1| = {mags[-1, 0]:.6f}, |amp2| = {mags[-1, 1]:.6f}"]
-    return table, summary
+    columns = {
+        "time_us": traj.times,
+        **{f"amp{k + 1}": mags[:, k] for k in range(4)},
+        "norm": np.linalg.norm(traj.amplitudes, axis=1),
+    }
+    return columns, [f"final |amp1| = {mags[-1, 0]:.6f}, |amp2| = {mags[-1, 1]:.6f}"]
 
 
 def _table_three_qubit_sweep(cfg):
     result = run_three_qubit_detuning_sweep(cfg)
     n = len(result.axis_values)
-    angle = math.pi * np.arange(n) / (n - 1)
-    mags = [e.magnitude_rad for e in result.phase_estimates]
-    discs = [e.discrepancy for e in result.phase_estimates]
-    table = CsvTable(
-        (
-            "delta1_mhz",
-            "p_return_state1",
-            "phase_magnitude_rad",
-            "phase_discrepancy",
-            "rotation_angle_rad",
-            "p1_reference",
-        ),
-        columns_to_rows(
-            result.axis_values,
-            result.series["p1_final"],
-            mags,
-            discs,
-            angle,
-            result.series["p1_reference"],
-        ),
-    )
-    peak = int(np.argmax(np.abs(mags)))
-    summary = [
-        f"phase magnitude peaks at delta1 = {result.axis_values[peak]:g} MHz"
-    ]
-    return table, summary
+    phases = _phase_columns(result)
+    columns = {
+        "delta1_mhz": result.axis_values,
+        "p_return_state1": result.series["p1_final"],
+        **phases,
+        "rotation_angle_rad": math.pi * np.arange(n) / (n - 1),
+        "p1_reference": result.series["p1_reference"],
+    }
+    peak = int(np.argmax(np.abs(phases["phase_magnitude_rad"])))
+    return columns, [f"phase magnitude peaks at delta1 = {result.axis_values[peak]:g} MHz"]
 
 
 def _table_three_qubit_time(cfg):
     trajs = run_three_qubit_time_evolution(cfg)
     reference = trajs[0]
-    n = len(reference.times)
-    fractions = np.linspace(0.0, 1.0, n)
-    header = ["path_fraction", "time_ref_us", "p1_ref"]
-    columns = [fractions, reference.times, reference.populations[:, 0]]
+    columns = {
+        "path_fraction": np.linspace(0.0, 1.0, len(reference.times)),
+        "time_ref_us": reference.times,
+        "p1_ref": reference.populations[:, 0],
+    }
     for i, traj in enumerate(trajs[1:], start=1):
-        header += [f"time{i}_us", f"p1_{i}"]
-        columns += [traj.times, traj.populations[:, 0]]
-    table = CsvTable(tuple(header), columns_to_rows(*columns))
-    return table, [f"{len(trajs) - 1} detuning triples plus reference"]
+        columns[f"time{i}_us"] = traj.times
+        columns[f"p1_{i}"] = traj.populations[:, 0]
+    return columns, [f"{len(trajs) - 1} detuning triples plus reference"]
 
 
 def _table_pi3(cfg):
     traj = run_pi3_rotation(cfg)
     pops = traj.populations
-    other = pops.sum(axis=1) - pops[:, 0] - pops[:, 1] - pops[:, 4]
-    norms = np.linalg.norm(traj.amplitudes, axis=1)
-    table = CsvTable(
-        ("time_us", "p1", "p2", "p5", "p_other", "norm"),
-        columns_to_rows(traj.times, pops[:, 0], pops[:, 1], pops[:, 4], other, norms),
-    )
+    columns = {
+        "time_us": traj.times,
+        "p1": pops[:, 0],
+        "p2": pops[:, 1],
+        "p5": pops[:, 4],
+        "p_other": pops.sum(axis=1) - pops[:, 0] - pops[:, 1] - pops[:, 4],
+        "norm": np.linalg.norm(traj.amplitudes, axis=1),
+    }
     finals = np.abs(traj.amplitudes[-1])
-    summary = [f"final |amp5| = {finals[4]:.6f}, |amp1| = {finals[0]:.6f}"]
-    return table, summary
+    return columns, [f"final |amp5| = {finals[4]:.6f}, |amp1| = {finals[0]:.6f}"]
 
 
 def _table_dark_states(cfg):
     spectrum = run_dark_state_spectrum(cfg)
-    leak_by_index = dict(zip(spectrum.dark_indices, spectrum.leakages))
-    rows = []
-    for i, value in enumerate(spectrum.eigenvalues_mhz):
-        dark = 1.0 if i in leak_by_index else 0.0
-        rows.append((float(i), float(value), dark, leak_by_index.get(i, 0.0)))
-    table = CsvTable(("index", "eigenvalue_mhz", "is_dark", "max_leakage"), tuple(rows))
-    summary = [f"{len(spectrum.dark_indices)} dark states"]
-    return table, summary
+    index = np.arange(len(spectrum.eigenvalues_mhz))
+    dark = np.isin(index, spectrum.dark_indices)
+    leakage = np.zeros(index.shape)
+    leakage[dark] = spectrum.leakages  # dark_indices ascend
+    columns = {
+        "index": index,
+        "eigenvalue_mhz": spectrum.eigenvalues_mhz,
+        "is_dark": dark,
+        "max_leakage": leakage,
+    }
+    return columns, [f"{len(spectrum.dark_indices)} dark states"]
 
 
 def _table_fidelity(cfg):
     off, on = compare_resonant_fidelity(cfg)
-    table = CsvTable(
-        ("off_fidelity", "on_fidelity", "gap"),
-        ((off, on, off - on),),
-    )
-    summary = [f"off-resonant {off:.4f}, on-resonant {on:.4f}"]
-    return table, summary
+    columns = {"off_fidelity": [off], "on_fidelity": [on], "gap": [off - on]}
+    return columns, [f"off-resonant {off:.4f}, on-resonant {on:.4f}"]
 
 
 TABLE_BUILDERS = {
@@ -280,7 +236,8 @@ def _dispatch(args) -> int:
 
     cfg = _load_config(args)
     started = time.monotonic()
-    table, summary = TABLE_BUILDERS[args.command](cfg)
+    columns, summary = TABLE_BUILDERS[args.command](cfg)
+    table = CsvTable(tuple(columns), tuple(columns.values()))
     elapsed = time.monotonic() - started
 
     os.makedirs(args.out, exist_ok=True)

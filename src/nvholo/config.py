@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from nvholo.core import ConfigError, NumericalError
-from nvholo.evolve import NoiseModel
+from nvholo.evolve import DEFAULT_T1_US, DEFAULT_T2_US, NoiseModel
 from nvholo.gates import GateParams
 from nvholo.hamiltonians import HERMITICITY_MODES
 from nvholo.scenarios import ScenarioConfig, SweepSpec
@@ -241,8 +241,8 @@ def parse_config(text: str) -> ScenarioConfig:
     noise = sections.get("noise", {})
     if noise:
         enabled = _bool(noise["enabled"], "enabled") if "enabled" in noise else False
-        t1 = _float(noise["t1_us"], "t1_us") if "t1_us" in noise else 100.0
-        t2 = _float(noise["t2_us"], "t2_us") if "t2_us" in noise else 50.0
+        t1 = _float(noise["t1_us"], "t1_us") if "t1_us" in noise else DEFAULT_T1_US
+        t2 = _float(noise["t2_us"], "t2_us") if "t2_us" in noise else DEFAULT_T2_US
         first_line = min(entry[0] for entry in noise.values())
         try:
             kwargs["noise"] = NoiseModel(t1_us=t1, t2_us=t2, enabled=enabled)
@@ -360,50 +360,34 @@ def parse_manifest(text: str) -> RunManifest:
 CSV_SIG_DIGITS = 12
 
 
-def _csv_column(cells) -> list:
-    """A column's cells as text: strings as given, numbers with
-    CSV_SIG_DIGITS significant digits, -0.0 as 0 (x + 0.0 is x otherwise)."""
-    return [c if isinstance(c, str) else f"{float(c) + 0.0:.{CSV_SIG_DIGITS}g}" for c in cells]
-
-
-def _first_non_finite(cells):
-    """Index of the first non-finite number among a column's cells, or None."""
-    values = np.asarray(cells)
-    if values.dtype.kind in "biuf":
-        finite = np.isfinite(values)
-    else:  # text among the cells
-        finite = [isinstance(c, str) or math.isfinite(float(c)) for c in cells]
-    return None if np.all(finite) else int(np.argmin(finite))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CsvTable:
-    """Rectangular header-plus-rows table."""
+    """Header plus one float64 column per header entry, all of one length.
+
+    Every cell is a finite number: the first non-finite cell in row order
+    raises NumericalError naming its row and column. The text gives each
+    number CSV_SIG_DIGITS significant digits and writes -0.0 as 0.
+    """
 
     header: tuple
-    rows: tuple
+    columns: tuple
 
     def __post_init__(self):
-        if not self.header:
-            raise ConfigError("csv table needs at least one column")
-        width = len(self.header)
-        rows = tuple(tuple(row) for row in self.rows)
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise ConfigError(
-                    f"csv row {i} has {len(row)} cells, header has {width}"
-                )
-        bad = [(_first_non_finite(cells), j) for j, cells in enumerate(zip(*rows))]
-        bad = [(i, j) for i, j in bad if i is not None]
+        columns = tuple(np.asarray(c, dtype=float) for c in self.columns)
+        # an empty header has no column shape, so it fails the second test
+        if len(columns) != len(self.header) or len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
+            raise ConfigError(f"csv header {tuple(self.header)} needs one 1-d column each, of one length")
+        bad = [(int(np.argmin(ok)), j) for j, ok in enumerate(map(np.isfinite, columns)) if not ok.all()]
         if bad:
             i, j = min(bad)
-            raise NumericalError(f"csv row {i} column {self.header[j]!r} is {rows[i][j]}")
-        object.__setattr__(self, "header", tuple(str(h) for h in self.header))
-        object.__setattr__(self, "rows", rows)
+            raise NumericalError(f"csv row {i} column {self.header[j]!r} is {columns[j][i]}")
+        object.__setattr__(self, "header", tuple(self.header))
+        object.__setattr__(self, "columns", columns)
 
     def to_text(self) -> str:
-        columns = [_csv_column(cells) for cells in zip(*self.rows)]
-        lines = [",".join(self.header)] + [",".join(row) for row in zip(*columns)]
+        # x + 0.0 is x, except that -0.0 becomes 0.0
+        cells = [[f"{x:.{CSV_SIG_DIGITS}g}" for x in (c + 0.0).tolist()] for c in self.columns]
+        lines = [",".join(self.header)] + [",".join(row) for row in zip(*cells)]
         return "\n".join(lines) + "\n"
 
 
@@ -411,12 +395,3 @@ def write_csv(path, table: CsvTable):
     """Write the table; numbers carry 12 significant digits."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(table.to_text())
-
-
-def columns_to_rows(*columns) -> tuple:
-    arrays = [np.asarray(c) for c in columns]
-    length = arrays[0].shape[0]
-    for arr in arrays:
-        if arr.shape[0] != length:
-            raise ConfigError("csv columns differ in length")
-    return tuple(zip(*(arr.tolist() for arr in arrays)))

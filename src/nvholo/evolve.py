@@ -163,7 +163,9 @@ class NoiseModel:
 class Trajectory:
     """Recorded time series of one evolution, or of a batch of evolutions on
     one time grid (leading batch axes before the time axis). Every run's
-    records are checked; a failure names the first failing run as its member.
+    records are checked: its norm may drift by ATOL_RECORDED_NORM at most and
+    no population may fall below -ATOL_RECORDED_NORM. A failure names the
+    first failing run as its member.
 
     norms holds the state norm (or density trace) at each recorded step as
     it was before any renormalization, so it documents integrator drift
@@ -193,12 +195,10 @@ class Trajectory:
             actual = None
         if actual is not None:
             drift = np.max(np.abs(actual - 1.0).reshape(-1, actual.shape[-1]), axis=1)
-            run = int(np.argmax(~(drift <= ATOL_RECORDED_NORM)))
-            if not drift[run] <= ATOL_RECORDED_NORM:
-                raise NumericalError(
-                    f"recorded norm drifted by {drift[run]:.3g} (> {ATOL_RECORDED_NORM})",
-                    member=run if drift.shape[0] > 1 else None,
-                )
+            detail = f"recorded norm drifted by {{:.3g}} (> {ATOL_RECORDED_NORM})"
+            _check_runs(drift <= ATOL_RECORDED_NORM, drift, detail)
+        low = np.min(pops.reshape(-1, pops.shape[-2] * pops.shape[-1]), axis=1)
+        _check_runs(low >= -ATOL_RECORDED_NORM, low, "recorded population fell to {:.3g}")
         for name in ("times", "populations", "amplitudes", "densities", "norms"):
             value = getattr(self, name)
             if value is not None:
@@ -222,6 +222,14 @@ class Trajectory:
 
     def population_series(self, level: int) -> np.ndarray:
         return self.populations[..., level]
+
+
+def _check_runs(ok: np.ndarray, values: np.ndarray, detail: str):
+    """Raise NumericalError for the first run whose ok is False, with its
+    value in detail; a batch of several runs names that run as the member."""
+    run = int(np.argmin(ok))
+    if not ok[run]:
+        raise NumericalError(detail.format(values[run]), member=run if ok.shape[0] > 1 else None)
 
 
 def _as_source(h_of_t):
@@ -638,6 +646,29 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     return out[0] if batched else tuple(x[0] if i else x for i, x in enumerate(out[0]))
 
 
+def _trajectories(out, cfg, field: str, state_shape: tuple):
+    """_integrate's output as a Trajectory, its records as field in states of
+    state_shape; for one config per run, a tuple of one per block, where a
+    block's failing run is numbered as a member of the whole call."""
+
+    def trajectory(times, records, norms, pops):
+        states = records.reshape(records.shape[:-1] + state_shape)
+        return Trajectory(times=times, populations=pops, norms=norms, **{field: states})
+
+    if isinstance(cfg, EvolutionConfig):
+        return trajectory(*out)
+    trajs, lo = [], 0
+    for block in out:
+        try:
+            trajs.append(trajectory(*block))
+        except NumericalError as err:
+            if len(out) == 1:
+                raise
+            raise NumericalError(err.detail, member=lo + (err.member or 0)) from err
+        lo += block[1].shape[0]
+    return tuple(trajs)
+
+
 def evolve_schrodinger(h_of_t, psi0, cfg: EvolutionConfig) -> Trajectory:
     """Integrate i dpsi/dt = H(t) psi (hbar = 1, angular units).
 
@@ -659,11 +690,7 @@ def evolve_schrodinger(h_of_t, psi0, cfg: EvolutionConfig) -> Trajectory:
         pops += np.square(y.imag)
         return np.sqrt(pops.sum(axis=-1)), pops
 
-    def trajectory(times, records, norms, pops):
-        return Trajectory(times=times, populations=pops, amplitudes=records, norms=norms)
-
-    out = _integrate(h_of_t, lift, y0, cfg, dim, measure)
-    return trajectory(*out) if isinstance(cfg, EvolutionConfig) else tuple(trajectory(*b) for b in out)
+    return _trajectories(_integrate(h_of_t, lift, y0, cfg, dim, measure), cfg, "amplitudes", (dim,))
 
 
 def evolve_lindblad(h_of_t, rho0, noise: NoiseModel, cfg: EvolutionConfig) -> Trajectory:
@@ -693,13 +720,9 @@ def evolve_lindblad(h_of_t, rho0, noise: NoiseModel, cfg: EvolutionConfig) -> Tr
         np.copyto(out, diag)
         return out.sum(axis=-1), out
 
-    def trajectory(times, records, norms, pops):
-        densities = records.reshape(records.shape[:-1] + (dim, dim))
-        return Trajectory(times=times, populations=pops, densities=densities, norms=norms)
-
     y0 = entries.reshape(entries.shape[:-2] + (dim * dim,))
     out = _integrate(h_of_t, lift, y0, cfg, dim, measure, dissipator)
-    return trajectory(*out) if isinstance(cfg, EvolutionConfig) else tuple(trajectory(*b) for b in out)
+    return _trajectories(out, cfg, "densities", (dim, dim))
 
 
 def convergence_check(h_of_t, psi0: StateVector, cfg: EvolutionConfig) -> float:

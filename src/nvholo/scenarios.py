@@ -358,18 +358,18 @@ def _gate_time_us(theta: float, rabi_mhz: float) -> float:
     return theta / (2.0 * math.pi * rabi_mhz)
 
 
-def _pulse_dt(h: np.ndarray, span, cfg: ScenarioConfig):
-    """Step for the constant drive h over span, or over each of an array of
-    spans: the configured dt, else recommended_dt, capped so each pulse takes
-    at least MIN_SEGMENT_STEPS. recommended_dt probes h once, over the
-    longest span; its own span/2 cap never binds below a span's
-    span/MIN_SEGMENT_STEPS cap, so each step is the one a probe over its own
-    span gives, bit for bit."""
+def _pulse_dt(h, span, cfg: ScenarioConfig, scale: float = 1.0):
+    """Step of every integrating runner for the Hamiltonian h over span, or
+    over each of an array of spans: the configured dt, else scale times
+    recommended_dt, capped so each pulse takes at least MIN_SEGMENT_STEPS.
+    recommended_dt probes h once, over the longest span; its own span/2 cap
+    never binds below a span's span/MIN_SEGMENT_STEPS cap, so each step is
+    the one a probe over its own span gives, bit for bit."""
     spans = np.asarray(span, dtype=float)
     if cfg.dt_us:
         dts = np.full(spans.shape, cfg.dt_us)
     else:
-        dts = np.minimum(recommended_dt(h, 0.0, float(spans.max())), spans / MIN_SEGMENT_STEPS)
+        dts = np.minimum(scale * recommended_dt(h, 0.0, float(spans.max())), spans / MIN_SEGMENT_STEPS)
     return dts if spans.ndim else float(dts)
 
 
@@ -399,9 +399,8 @@ def _naming(scenario: str, points: list):
     and the sweep point of its failing run, points[run]."""
     try:
         yield
-    except NumericalError as err:
-        known = err.member is not None or len(points) == 1
-        where = f"{scenario} {points[err.member or 0]}" if known else scenario
+    except NumericalError as err:  # member is None for a call of one run
+        where = f"{scenario} {points[err.member or 0]}" if points else scenario
         raise NumericalError(f"{where}: {err.detail}") from err
 
 
@@ -703,7 +702,7 @@ def run_two_qubit_pi2(cfg: ScenarioConfig) -> Trajectory:
     h = PulsedHamiltonian(spec, pulses)
 
     psi0 = _initial_state(cfg.initial_state, 4)
-    dt = cfg.dt_us or TWO_QUBIT_DT_SCALE * recommended_dt(h, 0.0, span)
+    dt = _pulse_dt(h, span, cfg, TWO_QUBIT_DT_SCALE)
     evo = _pulse_config(span, dt, cfg, "two-qubit-pi2", TWO_QUBIT_RECORDS)
     with _naming("two-qubit-pi2", []):
         return evolve_schrodinger(h, psi0, evo)
@@ -889,9 +888,8 @@ def run_pi3_rotation(cfg: ScenarioConfig) -> Trajectory:
     h = np.zeros((8, 8), dtype=np.complex128)
     h[0, 4] = h[4, 0] = 2.0 * math.pi * rabi / 2.0
     span = 1.0 / (3.0 * rabi)
-    dt = cfg.dt_us or recommended_dt(h, 0.0, span)
     psi0 = _initial_state(cfg.initial_state, 8)
-    evo = _pulse_config(span, dt, cfg, "pi3", keep_norm=True)
+    evo = _pulse_config(span, _pulse_dt(h, span, cfg), cfg, "pi3", keep_norm=True)
     with _naming("pi3", []):
         return evolve_schrodinger(h, psi0, evo)
 
@@ -929,8 +927,7 @@ def run_dark_state_spectrum(cfg: ScenarioConfig) -> DarkSpectrum:
     )
 
     span = cfg.duration_us or 1.0
-    dt = cfg.dt_us or recommended_dt(matrix.entries, 0.0, span)
-    evo = _pulse_config(span, dt, cfg, "dark-states", DARK_RECORDS)
+    evo = _pulse_config(span, _pulse_dt(matrix.entries, span, cfg), cfg, "dark-states", DARK_RECORDS)
     leakages = ()
     if dark_indices:
         dark = eigenvectors[:, dark_indices].T  # one dark state per row

@@ -13,7 +13,6 @@ from nvholo.cli import run_cli
 from nvholo.config import (
     CsvTable,
     RunManifest,
-    columns_to_rows,
     parse_config,
     parse_manifest,
     render_config,
@@ -213,39 +212,41 @@ def test_manifest_round_trip_keeps_run_info():
 
 
 def test_csv_table_formats_12_digits():
-    table = CsvTable(("a", "b"), ((1.0 / 3.0, 2.0),))
+    table = CsvTable(("a", "b"), ([1.0 / 3.0], [2.0]))
     text = table.to_text()
     assert text == "a,b\n0.333333333333,2\n"
 
 
 def test_csv_collapses_negative_zero():
-    table = CsvTable(("x",), ((-0.0,),))
+    table = CsvTable(("x",), ([-0.0],))
     assert table.to_text() == "x\n0\n"
 
 
 def test_csv_header_only_when_no_rows():
-    table = CsvTable(("x", "y"), ())
+    table = CsvTable(("x", "y"), ([], []))
     assert table.to_text() == "x,y\n"
 
 
-def test_csv_rejects_ragged_rows():
+def test_csv_rejects_columns_that_do_not_match_the_header():
     with pytest.raises(ConfigError):
-        CsvTable(("x", "y"), ((1.0,),))
+        CsvTable((), ())
     with pytest.raises(ConfigError):
-        columns_to_rows([1.0, 2.0], [3.0])
+        CsvTable(("x", "y"), ([1.0, 2.0], [3.0]))
+    with pytest.raises(ConfigError):
+        CsvTable(("x", "y"), ([1.0],))
+    with pytest.raises(ConfigError):
+        CsvTable(("x",), (np.zeros((2, 2)),))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
 def test_csv_rejects_non_finite_cells(bad):
     with pytest.raises(NumericalError, match="row 1 column 'y'"):
-        CsvTable(("x", "y"), ((0.0, 1.0), (0.5, bad)))
+        CsvTable(("x", "y"), ([0.0, 0.5], [1.0, bad]))
 
 
 def per_cell_csv_text(header, columns):
     # the row-by-row formatter over numpy scalars that the column-wise text replaced
     def cell(value):
-        if isinstance(value, str):
-            return value
         number = float(value)
         if number == 0.0:
             number = 0.0
@@ -261,30 +262,27 @@ def test_csv_text_matches_per_cell_formatter():
         np.array([-0.0, 0.0, 1e-300, -1e-300, 1.0 / 3.0, -2.5e17, 5e-324]),
         np.arange(-3, 4),
         np.array([2**53 + 1, 10**15, -(10**13), 0, 1, 7, 123456789012345]),
-        ["a", "b c", "", "-0.0", "nan", "1e-300", "x"],
         np.linspace(-1.0, 1.0, 7, dtype=np.float32),
+        np.array([True, False, True, True, False, False, True]),
         [True, False, True, 0.5, -0.0, 3, 1e300],
     ]
-    header = ("f", "i", "big", "s", "f32", "mixed")
-    text = CsvTable(header, columns_to_rows(*columns)).to_text()
+    header = ("f", "i", "big", "f32", "bool", "mixed")
+    text = CsvTable(header, columns).to_text()
     assert text == per_cell_csv_text(header, columns)
-    # rows given directly, with text and numbers in one column
-    rows = ((1.0, "x"), (-0.0, 2.5), ("y", np.float64(1e-300)))
-    assert CsvTable(("a", "b"), rows).to_text() == "a,b\n1,x\n0,2.5\ny,1e-300\n"
 
 
 def test_csv_names_the_first_non_finite_cell():
-    # the first bad cell in row order, across number and text columns
-    rows = ((0.0, "nan", 1.0), (1.0, "x", math.inf), (math.nan, "y", 2.0))
+    # the first bad cell in row order, not in column order
+    columns = ([0.0, 1.0, math.nan], [2.0, 3.0, 4.0], [1.0, math.inf, 2.0])
     with pytest.raises(NumericalError, match=r"csv row 1 column 'c' is inf"):
-        CsvTable(("a", "b", "c"), rows)
+        CsvTable(("a", "b", "c"), columns)
     with pytest.raises(NumericalError, match=r"csv row 0 column 'b' is nan"):
-        CsvTable(("a", "b"), ((1.0, math.nan), (math.nan, "z")))
+        CsvTable(("a", "b"), ([1.0, math.nan], [math.nan, 2.0]))
 
 
 def test_write_csv_round_trip(tmp_path):
     path = tmp_path / "out.csv"
-    write_csv(path, CsvTable(("x",), ((0.5,), (1.0,))))
+    write_csv(path, CsvTable(("x",), ([0.5, 1.0],)))
     assert path.read_text() == "x\n0.5\n1\n"
 
 
@@ -480,6 +478,22 @@ def test_cli_nan_between_checks_exits_three(tmp_path, capsys):
     assert "norm drifted to inf at step 78 " in capsys.readouterr().err
     assert not (out / "result.csv").exists()
     assert not (out / "manifest").exists()
+
+
+def test_cli_negative_noisy_population_exits_three(tmp_path, capsys):
+    # T1 = T2 = 0.01 us at a 0.02 us step is past RK4's stability limit for
+    # the dissipator, yet the master equation keeps the trace: the norm gates
+    # pass and the theta = 6 populations go negative
+    config = tmp_path / "cfg"
+    config.write_text(
+        "[scenario]\nid = theta-sweep\nsweep = 0:6:6\n\n"
+        "[noise]\nenabled = true\nt1_us = 0.01\nt2_us = 0.01\n\n[integrator]\ndt_us = 0.02\n"
+    )
+    out = tmp_path / "x"
+    assert run_cli(["theta-sweep", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: theta-sweep theta=6 start=initial: recorded population fell to -0.")
+    assert not (out / "result.csv").exists()
 
 
 REFERENCES = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference")

@@ -1212,6 +1212,22 @@ def test_composite_failure_names_its_angle_past_zero_angles(scenario, runner, no
         runner(cfg)
 
 
+@pytest.mark.parametrize("noise", [NOISE, NoiseModel(enabled=False)], ids=["noisy", "ideal"])
+def test_composite_recorded_norm_failure_names_its_block(noise):
+    # the ideal pass integrates theta = 3 and theta = 6 as two blocks of one
+    # ragged call; theta = 6's records drift past the recorded-norm gate, and
+    # its member counts the runs of theta = 3's block before it
+    cfg = ScenarioConfig(
+        scenario_id="composite",
+        sweep=SweepSpec(0.0, 6.0, 3.0),
+        dt_us=0.004,
+        renormalize=False,
+        noise=noise,
+    )
+    with pytest.raises(NumericalError, match=r"^composite theta=6 start=initial: recorded norm drifted by 2\.21e-06"):
+        run_composite_gate_scenario(cfg)
+
+
 @pytest.mark.parametrize(
     "scenario, runner, dt_us, detail",
     [
@@ -1224,6 +1240,17 @@ def test_single_run_failure_names_its_scenario(scenario, runner, dt_us, detail):
     cfg = ScenarioConfig(scenario_id=scenario, dt_us=dt_us, renormalize=False)
     with pytest.raises(NumericalError, match=f"^{scenario}: {detail}"):
         runner(cfg)
+
+
+def test_dark_states_short_span_takes_min_segment_steps(monkeypatch):
+    # the step comes from _pulse_dt, as for every integrating runner, so a
+    # 1 ns span takes MIN_SEGMENT_STEPS and not recommended_dt's 9 steps
+    runs = []
+    evolve = scenarios.evolve_schrodinger
+    monkeypatch.setattr(scenarios, "evolve_schrodinger", lambda h, psi0, evo: runs.append(evo) or evolve(h, psi0, evo))
+    run_dark_state_spectrum(ScenarioConfig(scenario_id="dark-states", duration_us=0.001))
+    (evo,) = runs
+    assert evolve_module._plan_steps(evo.t_end_us, evo.dt_us)[0] >= scenarios.MIN_SEGMENT_STEPS
 
 
 def test_detuning_sweep_recorded_norm_failure_names_its_point():
