@@ -6,6 +6,7 @@ the copies marked read-only, so values can be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,13 +83,29 @@ def unitary_deviation(entries: np.ndarray) -> float:
     return float(np.max(np.abs(entries.conj().T @ entries - np.eye(dim))))
 
 
-def ordered_product(mats: np.ndarray) -> np.ndarray:
+def ordered_product(mats: np.ndarray, buffers=None) -> np.ndarray:
     """M[n-1] @ ... @ M[0] of the sequence of matrices on axis -3, for every
-    leading index at once, multiplied pairwise in log2(n) batched rounds."""
-    while mats.shape[-3] > 1:
-        paired = mats[..., 1::2, :, :] @ mats[..., :-1:2, :, :]
-        odd = mats.shape[-3] % 2
-        mats = np.concatenate([paired, mats[..., -1:, :, :]], axis=-3) if odd else paired
+    leading index at once, multiplied pairwise in log2(n) batched rounds.
+
+    Each round writes its pairs into one of two buffers in turn and copies
+    an odd last matrix after them, so no round concatenates the stack.
+    buffers, if given, are two C-contiguous arrays of mats' dtype with room
+    for half of mats' matrices each (rounded up); the result is then a view
+    into one of them, or into mats when n is 1."""
+    lead, n, shape = mats.shape[:-3], mats.shape[-3], mats.shape[-2:]
+    if buffers is None:
+        half = (n + 1) // 2
+        buffers = [np.empty(lead + (m,) + shape, mats.dtype) for m in (half, (half + 1) // 2)]
+    flats = [b.reshape(-1) for b in buffers]
+    turn = 0
+    while n > 1:
+        pairs, odd = divmod(n, 2)
+        size = math.prod(lead) * (pairs + odd) * shape[0] * shape[1]
+        out = flats[turn][:size].reshape(lead + (pairs + odd,) + shape)
+        np.matmul(mats[..., 1::2, :, :], mats[..., :-1:2, :, :], out=out[..., :pairs, :, :])
+        if odd:
+            out[..., -1, :, :] = mats[..., -1, :, :]
+        mats, n, turn = out, pairs + odd, 1 - turn
     return mats[..., 0, :, :]
 
 

@@ -8,6 +8,7 @@ from nvholo.core import (
     StateVector,
     eig_hermitian,
     inner_product,
+    ordered_product,
     state_density_fidelity,
 )
 
@@ -254,3 +255,37 @@ class TestDensityMatrix:
             state_density_fidelity(amps * 2.0, rhos[:1])
         with pytest.raises(ConfigError):
             state_density_fidelity(np.stack([StateVector.basis(4, 0).amps] * 2), rhos)
+
+
+def concatenating_product(mats):
+    """The pairwise tree as it was written with a full-stack concatenate at
+    every odd round: the pairing ordered_product must keep."""
+    while mats.shape[-3] > 1:
+        paired = mats[..., 1::2, :, :] @ mats[..., :-1:2, :, :]
+        odd = mats.shape[-3] % 2
+        mats = np.concatenate([paired, mats[..., -1:, :, :]], axis=-3) if odd else paired
+    return mats[..., 0, :, :]
+
+
+class TestOrderedProduct:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_keeps_the_pairing_and_the_order(self, n, dtype):
+        rng = np.random.default_rng(n)
+        mats = rng.normal(size=(3, n, 4, 4)).astype(dtype)
+        if dtype is np.complex128:
+            mats += 1j * rng.normal(size=mats.shape)
+        # unit spectral norms: every product has norm <= 1, so the tolerance is absolute
+        mats /= np.linalg.norm(mats, ord=2, axis=(-2, -1))[..., None, None]
+        loop = np.broadcast_to(np.eye(4), (3, 4, 4)).astype(dtype)
+        for k in range(n):
+            loop = mats[:, k] @ loop
+        old = concatenating_product(mats)
+        half = (n + 1) // 2
+        buffers = (np.empty((3 * half, 16), dtype), np.empty((3 * half, 16), dtype))
+        for product in (ordered_product(mats), ordered_product(mats, buffers)):
+            assert product.shape == (3, 4, 4)
+            assert np.array_equal(product, old)
+            assert np.max(np.abs(product - loop)) < 1e-12
+        # the leading axis is a batch: each row is its own sequence's product
+        assert np.array_equal(ordered_product(mats[1]), old[1])

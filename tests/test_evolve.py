@@ -1,9 +1,12 @@
 import functools
+import logging
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nvholo.evolve as evolve_module
 from nvholo.core import (
@@ -219,7 +222,9 @@ class TestConstantPropagation:
     def test_matches_sequential_loop(
         self, monkeypatch, kind, dim, stride, renormalize, chunked
     ):
-        if chunked:  # 5-step chunks: boundaries both on and off the record grid
+        # 5-step chunks: the constant fill's ends fall on and off the record
+        # grid; the terms path cuts 7- and 60-step intervals into pieces
+        if chunked:
             monkeypatch.setattr(evolve_module, "MAX_CHUNK_STEPS", 5)
             monkeypatch.setattr(evolve_module, "TRANSFER_CHUNK_BYTES", 1)
         rng = np.random.default_rng(dim * 100 + stride)
@@ -264,7 +269,7 @@ class TestConstantPropagation:
             def populations(records):
                 return np.real(np.diagonal(records.reshape(-1, dim, dim), axis1=1, axis2=2))
 
-        transfer = evolve_module._transfer_stack(a[None], a[None], a[None], dt)[0]
+        transfer = evolve_module._constant_transfer(a, dt)
         transfers = np.broadcast_to(transfer, (self.N_STEPS,) + transfer.shape)
         records, norms = sequential_reference(transfers, y0, stride, renormalize, norm_of)
         for name, wrap in SOURCES.items():
@@ -285,20 +290,22 @@ class TestConstantPropagation:
         cfg = EvolutionConfig(
             t_start_us=0.0, t_end_us=2.0, dt_us=dt, record_stride=stride, renormalize=False
         )
-        transfer = evolve_module._transfer_stack(
-            -1j * h[None], -1j * h[None], -1j * h[None], dt
-        )[0]
-        chunk = evolve_module._chunk_steps(2)
-        y = np.array([1.0, 0.0], dtype=complex)
-        first = None
-        for step in range(1, 251):
-            y = transfer @ y
-            checked = step % stride == 0 or step % chunk == 0
-            if checked and abs(np.linalg.norm(y) - 1.0) > evolve_module.MAX_NORM_DRIFT:
-                first = step
-                break
-        assert first is not None
-        for wrap in SOURCES.values():
+        transfer = evolve_module._constant_transfer(-1j * h, dt)
+        for name, wrap in SOURCES.items():
+            # the constant fill cuts plain chunks, the terms path chunks of
+            # whole record intervals, so the checked steps differ
+            terms = name == "terms"
+            chunk = evolve_module._chunk_steps(2, transfers=terms)
+            ends = evolve_module._chunk_ends(250, stride if terms else 1, chunk)
+            y = np.array([1.0, 0.0], dtype=complex)
+            first = None
+            for step in range(1, 251):
+                y = transfer @ y
+                checked = step % stride == 0 or step in ends
+                if checked and abs(np.linalg.norm(y) - 1.0) > evolve_module.MAX_NORM_DRIFT:
+                    first = step
+                    break
+            assert first is not None
             with pytest.raises(NumericalError, match=f"at step {first} "):
                 evolve_schrodinger(wrap(h), StateVector.basis(2, 0), cfg)
 
@@ -457,12 +464,19 @@ class TestBatchedPropagation:
                 evolve_lindblad(np.zeros((2, 2)), np.stack([good, bad]), NoiseModel(), cfg)
 
     def test_chunk_budget_counts_the_batch(self):
+        # a step holds a complex state per run and, for a terms source, four
+        # workspace matrices (even and odd frames, two RK4 stages), in real
+        # form up to REAL_FORM_MAX_DIM; the even frames hold one more. Only
+        # the 16-step floor may exceed the budget.
         budget = evolve_module.TRANSFER_CHUNK_BYTES
         for y_dim in (2, 4, 16, 64):
+            matrix = 16 * y_dim**2 * (2 if y_dim <= evolve_module.REAL_FORM_MAX_DIM else 1)
             for batch in (1, 7, 32):
-                steps = evolve_module._chunk_steps(y_dim, batch)
-                assert steps * batch * y_dim * 16 <= budget
-                assert steps <= evolve_module._chunk_steps(y_dim, 1)
+                for transfers in (False, True):
+                    steps = evolve_module._chunk_steps(y_dim, batch, transfers)
+                    held = steps * batch * y_dim * 16 + transfers * (4 * steps + 1) * matrix
+                    assert held <= budget or steps == 16
+                    assert steps <= evolve_module._chunk_steps(y_dim, 1, transfers)
 
 
 def schrodinger_parts():
@@ -593,7 +607,7 @@ class TestRaggedPropagation:
         grow = np.array([[0.0, w], [w, 0.0]], dtype=complex)
         dt = math.sqrt(8.0 + 6e-5) / w
         a = -1j * grow
-        transfer = evolve_module._transfer_stack(a[None], a[None], a[None], dt)[0]
+        transfer = evolve_module._constant_transfer(a, dt)
         y = np.array([1.0, 0.0], dtype=complex)
         cross = next(
             step for step in range(1, 10_000)
@@ -685,7 +699,9 @@ class TestTransferStack:
         a = a.reshape((3, 8) + a.shape[1:])
         dt = 0.05 / float(np.max(np.abs(a)))
         for a1, a2, a3 in (a, (a[0], a[0], a[0])):
-            ours = evolve_module._transfer_stack(a1, a2, a3, dt)
+            f1, f2, f3 = ((dt / 2.0) * m for m in (a1, a2, a3))
+            stages = (np.empty_like(f2), np.empty_like(f2))
+            ours = evolve_module._transfer_stack(f1, f2, f3, *stages)
             theirs = six_product_transfers(a1, a2, a3, dt)
             assert np.max(np.abs(ours - theirs)) <= 1e-15 * np.max(np.abs(theirs))
 
@@ -754,7 +770,9 @@ class TestTimeDependentPropagation:
     @pytest.mark.parametrize("stride", [1, 7, 89, N_STEPS])
     @pytest.mark.parametrize("kind, dim, chunked", CASES)
     def test_matches_stepwise_loop(self, monkeypatch, kind, dim, chunked, stride, renormalize):
-        if chunked:  # 16-step chunks: ends off the record grid, strides 89 and 100 span several
+        # 16-step chunks: whole intervals at strides 1 and 7, pieces of one
+        # interval at strides 89 and 100
+        if chunked:
             monkeypatch.setattr(evolve_module, "TRANSFER_CHUNK_BYTES", 1)
         assert kind != "lindblad" or dim != 8 or evolve_module._chunk_steps(64, self.RUNS) == 16
         source, (t_end, dt), transfers = driven_case(kind, dim, self.N_STEPS)
@@ -812,6 +830,124 @@ class TestTimeDependentPropagation:
         cfg = EvolutionConfig(t_start_us=0.0, t_end_us=5.0, dt_us=0.01, record_stride=250)
         with pytest.raises(NumericalError, match="at step 250 "):
             evolve_schrodinger(step, StateVector.basis(2, 0), cfg)
+
+
+class TestChunkPlan:
+    """A terms source's chunks, read from its coefficients calls (one per
+    chunk, 2 n + 1 frames from the chunk's first step): they tile the run,
+    fit the budget in steps and in workspace bytes, and end on record steps
+    unless a record interval is longer than the budget."""
+
+    @pytest.mark.parametrize("budget", ["default", "1 byte"])
+    @pytest.mark.parametrize("stride", [1, 7, 89, 100])
+    @pytest.mark.parametrize("kind, dim, n_steps", [("schrodinger", 2, 5000), ("lindblad", 4, 600)])
+    def test_chunks_hold_whole_record_intervals(
+        self, monkeypatch, caplog, kind, dim, n_steps, stride, budget
+    ):
+        if budget == "1 byte":
+            monkeypatch.setattr(evolve_module, "TRANSFER_CHUNK_BYTES", 1)
+        workspaces = []
+        workspace = evolve_module._Workspace
+        monkeypatch.setattr(
+            evolve_module, "_Workspace", lambda *arrays: workspaces.append(arrays) or workspace(*arrays)
+        )
+        calls = []
+
+        def coefficients(times):
+            calls.append(times)
+            return np.ones((times.shape[0], 1))
+
+        h = random_hamiltonian(np.random.default_rng(dim), dim)
+        dt = 0.02 / float(np.max(np.abs(h)))
+        cfg = EvolutionConfig(0.0, n_steps * dt, dt, record_stride=stride)
+        dt = cfg.t_end_us / n_steps
+        with caplog.at_level(logging.DEBUG, logger="nvholo.evolve"):
+            if kind == "schrodinger":
+                evolve_schrodinger(Terms([h], coefficients), StateVector.basis(dim, 0), cfg)
+            else:
+                rho0 = DensityMatrix.from_state(StateVector.basis(dim, 0))
+                evolve_lindblad(Terms([h], coefficients), rho0, NOISE, cfg)
+        y_dim = dim if kind == "schrodinger" else dim * dim
+        limit = evolve_module._chunk_steps(y_dim)
+        lengths = [(len(times) - 1) // 2 for times in calls]
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        assert ends[-1] == n_steps
+        assert all(abs(times[0] - k0 * dt) < 1e-9 * dt * n_steps for times, k0 in zip(calls, starts))
+        assert max(lengths) <= limit
+        if stride <= limit:
+            # whole intervals, as many as fit, the run's end closing the last chunk
+            assert all(length == limit // stride * stride for length in lengths[:-1])
+            assert all(end % stride == 0 for end in ends[:-1])
+        else:
+            # pieces of one interval: limit steps each but the interval's last
+            assert all(k0 // stride == (k1 - 1) // stride for k0, k1 in zip(starts, ends))
+            cut = [k1 % stride != 0 and k1 != n_steps for k1 in ends]
+            assert all(length == limit for length, inside in zip(lengths, cut) if inside)
+        (arrays,) = workspaces
+        if budget == "default":
+            assert sum(a.nbytes for a in arrays) <= evolve_module.TRANSFER_CHUNK_BYTES
+        assert f"{len(calls)} chunks of up to {max(lengths)} steps" in caplog.text
+
+
+# states of up to 8 entries take the real form, Lindblad at dim 2 among them
+DRIVEN_CASES = [("schrodinger", 2), ("schrodinger", 4), ("schrodinger", 8), ("lindblad", 2)]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    case=st.sampled_from(DRIVEN_CASES),
+    n_terms=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    n_steps=st.integers(1, 120),
+    stride=st.integers(1, 130),
+    small_budget=st.booleans(),
+    renormalize=st.booleans(),
+)
+def test_random_driven_runs_match_the_stepwise_loop(
+    case, n_terms, seed, n_steps, stride, small_budget, renormalize
+):
+    """Random terms sources of 1 to 3 terms against the per-step loop over
+    transfers built from their samples, in one chunk or in 16-step chunks."""
+    kind, dim = case
+    rng = np.random.default_rng(seed)
+    basis = [random_hamiltonian(rng, dim) for _ in range(n_terms)]
+    dt = 0.02 / sum(float(np.max(np.abs(h))) for h in basis)
+    t_end = n_steps * dt
+    tones = [
+        lambda times, w=w, p=p: np.cos(w * times + p)
+        for w, p in rng.uniform((0.5 * np.pi / t_end, -np.pi), (6.0 * np.pi / t_end, np.pi), (n_terms - 1, 2))
+    ]
+    source = Terms(basis, constant_and(*tones))
+    cfg = EvolutionConfig(0.0, t_end, dt, record_stride=stride, renormalize=renormalize)
+    transfers = stepwise_transfers(kind, source, t_end / n_steps, n_steps)
+    psis = np.stack(
+        [StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim)).amps for _ in range(2)]
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        if small_budget:
+            patch.setattr(evolve_module, "TRANSFER_CHUNK_BYTES", 1)
+        if kind == "schrodinger":
+            traj = evolve_schrodinger(source, psis, cfg)
+            recorded, starts = traj.amplitudes, psis
+        else:
+            rhos = np.einsum("bi,bj->bij", psis, psis.conj())
+            traj = evolve_lindblad(source, rhos, NOISE, cfg)
+            recorded, starts = traj.densities.reshape(2, len(traj.times), -1), rhos.reshape(2, -1)
+
+    def norm_of(y):
+        return float(np.linalg.norm(y)) if kind == "schrodinger" else float(np.real(np.trace(y.reshape(dim, dim))))
+
+    for run, y0 in enumerate(starts):
+        records, norms = sequential_reference(transfers, y0, stride, renormalize, norm_of)
+        assert recorded[run].shape == records.shape
+        assert np.max(np.abs(recorded[run] - records)) < 1e-12
+        assert np.max(np.abs(traj.norms[run] - norms)) < 1e-12
+        if kind == "schrodinger":
+            pops = np.abs(records) ** 2
+        else:
+            pops = np.real(np.diagonal(records.reshape(-1, dim, dim), axis1=1, axis2=2))
+        assert np.max(np.abs(traj.populations[run] - pops)) < 1e-12
 
 
 def cos_terms(basis, nan_after=math.inf):
@@ -898,12 +1034,13 @@ class TestTermsPath:
     BASIS = np.array([np.diag([1.0, -1.0]), [[0.0, 2.0], [2.0, 0.0]]], dtype=complex)
 
     def test_non_finite_coefficient_names_its_chunk(self, monkeypatch):
-        # 16-step chunks of dt = 0.01: the first NaN frame (t = 0.56 us) lies
-        # in the chunk of steps 48-63, whose frames start at t = 0.48 us
+        # 16-step chunks of dt = 0.01 cut each 50-step record interval into
+        # 16, 16, 16 and 2 steps: the first NaN frame (t = 0.56 us) lies in
+        # the chunk of steps 50-66, whose frames start at t = 0.5 us
         monkeypatch.setattr(evolve_module, "TRANSFER_CHUNK_BYTES", 1)
         cfg = EvolutionConfig(t_start_us=0.0, t_end_us=1.0, dt_us=0.01, record_stride=50)
         source = cos_terms(self.BASIS, nan_after=0.555)
-        with pytest.raises(NumericalError, match=r"non-finite Hamiltonian sample near t=0\.48 us"):
+        with pytest.raises(NumericalError, match=r"non-finite Hamiltonian sample near t=0\.5 us"):
             evolve_schrodinger(source, StateVector.basis(2, 0), cfg)
 
     def test_basis_gates(self):

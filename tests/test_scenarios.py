@@ -786,8 +786,9 @@ def test_detuning_sweep_memory_stays_bounded():
 
 
 def test_two_qubit_pi2_memory_stays_bounded():
-    # 45,696 steps in chunks of a 1 MB transfer budget: the chunk's real-form
-    # frames and RK4 stages are the peak, not the run's length
+    # 45,696 steps in chunks of a 1 MB transfer budget: the workspace that
+    # every chunk reuses (real-form frames and RK4 stages, 445-step chunks of
+    # five 89-step record intervals) is the peak, not the run's length
     cfg = ScenarioConfig(scenario_id="two-qubit-pi2")
     run_two_qubit_pi2(cfg)
     tracemalloc.start()
