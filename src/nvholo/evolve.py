@@ -402,9 +402,9 @@ class _Workspace(NamedTuple):
     """The buffers of a terms source's chunks, allocated once per call for
     the longest chunk of n steps and reused by every chunk: the frames at
     the steps' ends (n + 1) and middles (n), both prescaled by dt/2, the two
-    RK4 stages (n each), which also hold the interval products, all flat
-    (steps, m*m) in the basis dtype, and the crossing's complex rows, one
-    per checked step of a chunk and run."""
+    RK4 stages (n each), which also hold the interval products, all
+    C-contiguous matrices in the basis dtype, and the crossing's complex
+    rows, one per checked step of a chunk and run."""
 
     even: np.ndarray
     odd: np.ndarray
@@ -561,11 +561,10 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
             )
         c = c * (dt / 2.0)  # frames F = dt/2 A, from the coefficients
         n = k1 - k0
-        np.matmul(c[0::2], basis, out=ws.even[: n + 1])
-        np.matmul(c[1::2], basis, out=ws.odd[:n])
-        even = ws.even[: n + 1].reshape((n + 1,) + shape)
-        stages = (ws.g2[:n].reshape((n,) + shape), ws.g3[:n].reshape((n,) + shape))
-        return _transfer_stack(even[:-1], ws.odd[:n].reshape((n,) + shape), even[1:], *stages)
+        even, odd = ws.even[: n + 1], ws.odd[:n]
+        np.matmul(c[0::2], basis, out=even.reshape(n + 1, -1))
+        np.matmul(c[1::2], basis, out=odd.reshape(n, -1))
+        return _transfer_stack(even[:-1], odd, even[1:], ws.g2[:n], ws.g3[:n])
 
     sizes = [b.hi - b.lo for b in blocks]
     n_run = np.repeat([b.n_steps for b in blocks], sizes)
@@ -631,7 +630,7 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
             if not direct:
                 states = np.empty((runs, chunk + 1, y_dim), dtype=np.complex128)
         else:
-            mats = [np.empty((chunk + extra, basis.shape[1]), basis.dtype) for extra in (1, 0, 0, 0)]
+            mats = [np.empty((chunk + extra,) + shape, basis.dtype) for extra in (1, 0, 0, 0)]
             ws = _Workspace(*mats, np.empty((runs, -(-chunk // stride), y_dim), dtype=np.complex128))
         n_records = max(b.record_at.shape[0] for b in blocks)
         records = np.empty((runs, n_records, y_dim), dtype=np.complex128)
