@@ -1,23 +1,22 @@
 """Fixed-step integrators for the Schrodinger and Lindblad equations.
 
-The stepper is classical fourth order with the Hamiltonian sampled at the
-substage times t, t + dt/2, t + dt. Both equations are linear, so every step
-is a transfer matrix T, and _integrate propagates the steps in chunks,
-materialising the states only at the steps it checks (records, chunk ends):
+The stepper is classical fourth order, with the Hamiltonian sampled at the
+substage times t, t + dt/2 and t + dt. Both equations are linear, so every
+step is a transfer matrix T. _integrate has three parts:
 
-- constant H: T is built once per run, and the states T^j y come from powers
-  of T by doubling, a handful of batched array products instead of a step
-  loop, written run-major, so that when every step is recorded they land in
-  the records themselves;
-- time-dependent H, H(t) = sum_k c_k(t) B_k: the basis is checked, lifted and
-  converted once per call, and one workspace, allocated once per call, holds
-  every chunk. A chunk is a whole number of record intervals (an interval
-  longer than the budget is cut into pieces); its frames, prescaled by dt/2,
-  are two contiguous stacks, each one product of its real coefficients with
-  the basis, and its transfer matrices follow in place in three batched
-  products; those of each interval are multiplied into one matrix by a
-  pairwise tree in the freed stage buffers, and the states cross it in one
-  product.
+- A plan. The requested dt is snapped to a whole number of steps spanning
+  exactly [t_start, t_end]. The steps are cut into chunks within a byte
+  budget. In each chunk, a run is checked at its records and its last step,
+  and only those states are materialised.
+- Two producers of the checked states. For a constant H, T is built once
+  per run, and the states come from powers of T by doubling, run-major.
+  When every step is recorded, they are written into the records. For a
+  time-dependent H = sum_k c_k(t) B_k, one workspace serves every chunk:
+  the frames are one product of the coefficients with the basis, the
+  transfers follow in place, and the states cross each record interval in
+  one product.
+- One checkpoint per block of runs. It measures the checked states once,
+  checks the norm drift, renormalises and stores the records.
 
 A Hamiltonian is one of three kinds: a constant matrix (ndarray or
 OperatorMatrix), a (runs, dim, dim) stack of constant matrices, one per run,
@@ -27,20 +26,16 @@ is 1 at every time: B_0 is its constant term, and the Lindblad dissipator
 joins B_0 alone. Any other input is a ConfigError.
 
 States of up to REAL_FORM_MAX_DIM entries (Schrodinger at dims 2, 4, 8 and
-Lindblad at dim 2) take either path's products in the equivalent real form,
-where each complex entry is a 2x2 real block, because numpy's per-matrix
-cost on small complex stacks exceeds their arithmetic.
+Lindblad at dim 2) take the products in the equivalent real form, where
+each complex entry is a 2x2 real block. numpy's per-matrix cost on small
+complex stacks exceeds their arithmetic.
 
-Either way, one checkpoint pass measures the checked states once, checks the
-norm drift, renormalises and stores the records. Fixed steps keep runs
-bit-for-bit reproducible. One call integrates a batch of runs: start states
-with a leading run axis, or a stack of constant H's, one per run, broadcast
-against a single other; an unbatched call is a batch of one, and every run
-keeps its own drift gate and renormalisation. Runs share one time grid,
-except that constant-H runs may each take their own EvolutionConfig (a
-ragged batch), returned as one block per run of consecutive equal configs.
-The requested dt is snapped to an integer number of steps spanning exactly
-[t_start, t_end], without a fractional step.
+One call integrates a batch of runs: start states with a leading run axis,
+or a stack of constant H's, one per run. An unbatched call is a batch of
+one. Every run keeps its own drift gate and renormalisation. Runs share one
+time grid, except that constant-H runs may each take their own
+EvolutionConfig (a ragged batch). That call returns one block per run of
+consecutive equal configs. Fixed steps keep runs bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -75,6 +70,10 @@ ATOL_RECORDED_NORM = 1e-6
 TRANSFER_CHUNK_BYTES = 1_000_000
 MAX_CHUNK_STEPS = 8192
 REAL_FORM_MAX_DIM = 8
+# the most steps one run may take: far above the runs in use (376,991 at
+# most), so that a step far below every pulse's timescale is a config error
+# before its step grid and records are allocated
+MAX_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -261,7 +260,13 @@ def _as_source(h_of_t):
 
 
 def _plan_steps(span: float, dt: float) -> tuple[int, float]:
-    """Step count over span at about dt, and the step that fills it exactly."""
+    """Step count over span at about dt, and the step that fills it exactly.
+    A span of more than MAX_STEPS steps is a ConfigError, raised before any
+    array of the run is allocated."""
+    if not span / dt <= MAX_STEPS:
+        raise ConfigError(
+            f"a span of {span:.6g} us at dt = {dt:.3g} us takes more than {MAX_STEPS} steps; raise dt"
+        )
     n_steps = max(1, int(round(span / dt)))
     return n_steps, span / n_steps
 
@@ -326,13 +331,7 @@ def _real_form(m: np.ndarray) -> np.ndarray:
     numpy's matmul costs far more per matrix on stacks of small complex
     matrices than on their real forms, so the real form pays off for small
     states although it doubles the flops and the bytes. REAL_FORM_MAX_DIM is
-    the largest state size (y_dim) that takes it. Measured on a shared 2-vCPU
-    host (numpy 2.4.6): a (381, 4, 4) complex matmul took 121 us and its
-    (381, 8, 8) real form 20.5 us; driven runs of 100 records, complex
-    against real form, best of 7, took 0.073 against 0.024 s at y_dim 2,
-    0.10 against 0.09 s (Schrodinger dim 4) and 0.12 against 0.08 s
-    (Lindblad dim 2) at y_dim 4, 0.13-0.14 s either way at y_dim 8, 0.19
-    against 0.20 s at y_dim 16 and 0.19 against 0.50 s at y_dim 64.
+    the largest state size (y_dim) that takes it (timings in CHANGES.md).
     """
     n = m.shape[-1]
     out = np.empty(m.shape[:-2] + (n, 2, n, 2))
@@ -350,9 +349,7 @@ def _transfer_stack(f1, f2, f3, g2, g3) -> np.ndarray:
     T = I + dt/6 (K1 + 2 K2 + 2 K3 + K4): three batched products and eight
     passes, all updated in place. g2 and g3 are buffers of f2's shape for the
     stages; f2 must share no memory with the others, while f1 and f3 may
-    overlap (consecutive frames of one stack) or be one array (a constant H).
-    On a shared 2-vCPU host (numpy 2.4.6) a (473, 8, 8) float64 product took
-    30 us and a contiguous pass 7 us; the diagonal update 17 us."""
+    overlap (consecutive frames of one stack) or be one array (a constant H)."""
     np.matmul(f2, f1, out=g2)
     g2 += f2
     np.matmul(f2, g2, out=g3)
@@ -384,11 +381,9 @@ def _fill_by_doubling(states: np.ndarray, powers: list, m: int):
 
     The states are run-major, (runs, steps, y), so that a run's rows are one
     matrix and its records a slice of them. In real form (_real_form) the
-    products are float64 GEMMs, which numpy hands to BLAS one run at a time;
-    on a shared 2-vCPU host (numpy 2.4.6, OpenBLAS) a Lindblad 2-level fill
-    of 14 runs x 314 steps took 39 us this way, 127 us as complex matmuls and
-    694 us as a step-major einsum followed by a transpose to run-major, and
-    one of 231 runs x 105 steps took 248, 915 and 2630 us."""
+    products are float64 GEMMs, which numpy hands to BLAS one run at a time,
+    faster than complex matmuls or a step-major einsum (timings in
+    CHANGES.md)."""
     filled = 1
     for power in powers:
         if filled > m:
@@ -460,6 +455,123 @@ def _blocks(cfgs: tuple, runs: int) -> list:
     return blocks
 
 
+def _checks(blocks: list, k0: int, k1: int):
+    """The plan of chunk k0..k1 for each block whose runs reach past k0:
+    (block, first, new, steps), steps the block's record steps in (k0, end]
+    followed by end = min(k1, n_steps) unless that is a record step, first
+    the index of the first of those records and new their count."""
+    for b in blocks:
+        if b.n_steps > k0:
+            end = min(k1, b.n_steps)
+            first, last = np.searchsorted(b.record_at, (k0, end), side="right").tolist()
+            steps = b.record_at[first:last]
+            if steps.shape[0] == 0 or steps[-1] != end:
+                steps = np.append(steps, end)
+            yield b, first, last - first, steps
+
+
+def _checkpoint(measure, rows, steps, renorm: bool, n_records: int, out):
+    """Measure a block's checked rows (runs, M, y), at steps, once, their
+    populations into out unless it is None; return the drift failure (step, run,
+    reported norm) or None, the largest drift, and the reported norms and
+    populations of the first n_records rows, which are records. With renorm
+    the rows are renormalised in place (their populations by their sum), and
+    a last row off the record grid keeps the scale of the record before it."""
+    raw, found = measure(rows, out)
+    reported = raw.copy()
+    if renorm:
+        reported[:, 1:] /= raw[:, :-1]
+    drifts = np.abs(reported - 1.0)
+    largest = float(drifts.max())
+    if not largest <= MAX_NORM_DRIFT:  # NaN fails too
+        failed = ~(drifts <= MAX_NORM_DRIFT)
+        col = int(np.argmax(failed.any(axis=0)))
+        run = int(np.argmax(failed[:, col]))
+        return (int(steps[col]), run, float(reported[run, col])), 0.0, None, None
+    if renorm:
+        # times reciprocals, as numpy divides a complex by a real; the
+        # float64 view takes them without a complex copy of the scales
+        found *= (1.0 / found.sum(axis=-1))[..., None]
+        if n_records < raw.shape[1]:
+            raw[:, -1] = raw[:, -2] if n_records else 1.0
+        view = rows.view(np.float64)
+        view *= (1.0 / raw)[..., None]
+    return None, largest, reported[:, :n_records], found[:, :n_records]
+
+
+def _doubling_chunks(a, blocks: list, ends: list, chunk: int, carry, records):
+    """The checked rows of a constant A or a stack of them (one per run): per
+    chunk, one iterable of (block, first, new, steps, rows) in _checks order.
+    Each run has one RK4 transfer matrix T (one for all when they share A),
+    and the chunk's states come from the carried states and powers of T by
+    doubling (_fill_by_doubling) into a run-major buffer. When every step of
+    every run is recorded, records is that buffer and a block's rows are a
+    view of it; else records is None and the rows are gathered.
+    Ragged runs are filled to the longest, each checked to its own end."""
+    runs, y_dim = carry.shape
+    dt = blocks[0].dt
+    if len(blocks) > 1:  # a transfer per run, each with its own step
+        dt = np.repeat([b.dt for b in blocks], [b.hi - b.lo for b in blocks])[:, None, None]
+        a = np.broadcast_to(a, (runs,) + a.shape[-2:])
+    # T, T^2, T^4, ... in row form; a stack per run
+    powers = [np.ascontiguousarray(np.swapaxes(_constant_transfer(a, dt), -1, -2))]
+    while (1 << len(powers)) <= chunk:
+        powers.append(powers[-1] @ powers[-1])
+    if records is None:
+        states = np.empty((runs, chunk + 1, y_dim), dtype=np.complex128)
+    for k0, k1 in zip([0] + ends, ends):
+        if records is not None:
+            states = records[:, k0 : k1 + 1]
+        states[:, 0] = carry
+        _fill_by_doubling(states.view(powers[0].dtype), powers, k1 - k0)
+        yield (  # given records: their view [b.lo:b.hi, first:first + new]
+            (b, first, new, steps, states[b.lo : b.hi, steps - k0 if records is None else slice(1, new + 1)])
+            for b, first, new, steps in _checks(blocks, k0, k1)
+        )
+
+
+def _crossing_chunks(terms, basis, block: _Block, ends: list, chunk: int, stride: int, carry):
+    """The checked rows of a terms source, one block, per chunk as in
+    _doubling_chunks. A chunk holds whole record intervals (_chunk_ends) and
+    builds in one workspace (_Workspace), allocated once for the longest
+    chunk: its real coefficients must be finite (a failure names the chunk's
+    first frame time) and have c_0 = 1; scaled by dt/2, they give the frames
+    at the steps' ends and middles as one (frames, K) @ (K, m*m) product
+    each with the lifted basis, the transfer matrices follow in place
+    (_transfer_stack), and _cross_intervals carries the states from one
+    checked step to the next in one product each."""
+    shape, flat, dt = basis.shape[1:], basis.reshape(basis.shape[0], -1), block.dt
+    mats = [np.empty((chunk + extra,) + shape, basis.dtype) for extra in (1, 0, 0, 0)]
+    ws = _Workspace(*mats, np.empty((len(carry), -(-chunk // stride), carry.shape[1]), np.complex128))
+    for k0, k1 in zip([0] + ends, ends):
+        # a real combination of Hermitian matrices is Hermitian, so a chunk
+        # checks only its coefficients
+        times = block.t_start_us + (dt / 2.0) * np.arange(2 * k0, 2 * k1 + 1)
+        c = np.asarray(terms.coefficients(times))
+        if c.shape != (times.shape[0], flat.shape[0]) or np.iscomplexobj(c):
+            raise ConfigError(
+                f"coefficients must be real with shape {(times.shape[0], flat.shape[0])}, "
+                f"got {c.dtype} {c.shape}"
+            )
+        if not np.all(np.isfinite(c)):
+            raise NumericalError(f"non-finite Hamiltonian sample near t={times[0]:.6g} us")
+        if not np.all(c[:, 0] == 1.0):  # the offset sits on B_0 at weight 1
+            raise ConfigError(
+                f"the coefficient of B_0 must be 1 at every time, got "
+                f"{c[np.argmax(c[:, 0] != 1.0), 0]:.6g} near t={times[0]:.6g} us"
+            )
+        c = c * (dt / 2.0)  # frames F = dt/2 A, from the coefficients
+        n = k1 - k0
+        even, odd = ws.even[: n + 1], ws.odd[:n]
+        np.matmul(c[0::2], flat, out=even.reshape(n + 1, -1))
+        np.matmul(c[1::2], flat, out=odd.reshape(n, -1))
+        transfers = _transfer_stack(even[:-1], odd, even[1:], ws.g2[:n], ws.g3[:n])
+        yield (
+            (b, first, new, steps, _cross_intervals(carry, transfers, stride, ws))
+            for b, first, new, steps in _checks([block], k0, k1)
+        )
+
+
 def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     """Shared chunked integrator for the linear system y' = A(t) y.
 
@@ -483,31 +595,17 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     a constant H whole, with the offset, and a terms source's basis with the
     offset on B_0 alone, each channel term taking the linear part only.
 
-    The steps are cut into chunks of at most _chunk_steps (_chunk_ends); a
-    chunk's checked steps are its records and its end. A constant H has one
-    RK4 transfer matrix T per run (one for all when they share it), and the
-    chunk's states come from powers of T by doubling (_fill_by_doubling) into
-    a run-major buffer; when every step of every run is recorded, that buffer
-    is the records. Ragged runs are filled to the longest, and each run's
-    checked steps stop at its own last step. A terms source's chunks hold
-    whole record intervals and build in one workspace (_Workspace), allocated
-    once per call: the chunk's real coefficients must be finite (a failure
-    names the chunk's first frame time) and have c_0 = 1; scaled by dt/2,
-    they give the frames at the steps' ends and middles as one
-    (frames, K) @ (K, m*m) product each with the lifted basis, the transfer
-    matrices follow in place (_transfer_stack), and _cross_intervals carries
-    the states from one checked step to the next in one product each. In
-    real form the states take the products as float64 views of the complex
-    rows.
-
-    One checkpoint block then measures the checked rows once, checks each
-    run's norm drift there, renormalises the rows in place (their
-    populations by their sum), stores the records and carries the chunk end
-    on. No state is renormalised inside a chunk; a scalar commutes with the
-    linear map, so each reported norm is the ratio of its raw norm to that of
-    the record before it, as a step-by-step renormalising loop would report
-    it. A drift failure names the earliest failing step and, in a batch, the
-    lowest run that fails there.
+    The plan cuts the steps into chunks of at most _chunk_steps (_chunk_ends);
+    in each chunk, a block checks its records and its last step there
+    (_checks). A producer gives each block's checked rows, chunk by chunk:
+    _doubling_chunks for a constant H or a stack, _crossing_chunks for a terms
+    source. One loop runs _checkpoint on each block's rows, stores the records,
+    their norms and populations, and carries the chunk end on. No state is
+    renormalised inside a chunk; a scalar commutes with the linear map, so
+    each reported norm is the ratio of its raw norm to that of the record
+    before it, as a step-by-step renormalising loop would report it. A drift
+    failure names the earliest failing step and, in a batch, the lowest run
+    that fails there.
     """
     entries, terms = _as_source(h_of_t)
     constant = terms is None
@@ -527,9 +625,10 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     if not set(counts) <= {1, runs}:
         raise ConfigError(f"{counts[0]} start states, {counts[1]} H's and {counts[2]} configs in one batch")
     blocks = _blocks(cfgs, runs)
-    first = blocks[0]
     n_max = max(b.n_steps for b in blocks)
-    real = y_dim <= REAL_FORM_MAX_DIM
+    stride = 1 if constant else int(cfgs[0].record_stride)
+    ends = _chunk_ends(n_max, stride, _chunk_steps(y_dim, runs, transfers=not constant))
+    chunk = max(k1 - k0 for k0, k1 in zip([0] + ends, ends))
 
     # a constant H as a one-term basis: term 0 takes the offset either way
     basis = entries[None] if constant else np.asarray(terms.terms(), dtype=np.complex128)
@@ -537,156 +636,49 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     basis = lift(basis)
     if offset is not None:
         basis[0] += offset
-    if real:
+    if y_dim <= REAL_FORM_MAX_DIM:
         basis = _real_form(basis)
-    shape, basis = basis.shape[1:], basis.reshape(basis.shape[0], -1)
 
-    def chunk_transfers(k0: int, k1: int) -> np.ndarray:
-        # a real combination of Hermitian matrices is Hermitian, so a chunk
-        # checks only its coefficients
-        dt = first.dt
-        times = first.t_start_us + (dt / 2.0) * np.arange(2 * k0, 2 * k1 + 1)
-        c = np.asarray(terms.coefficients(times))
-        if c.shape != (times.shape[0], basis.shape[0]) or np.iscomplexobj(c):
-            raise ConfigError(
-                f"coefficients must be real with shape {(times.shape[0], basis.shape[0])}, "
-                f"got {c.dtype} {c.shape}"
-            )
-        if not np.all(np.isfinite(c)):
-            raise NumericalError(f"non-finite Hamiltonian sample near t={times[0]:.6g} us")
-        if not np.all(c[:, 0] == 1.0):  # the offset sits on B_0 at weight 1
-            raise ConfigError(
-                f"the coefficient of B_0 must be 1 at every time, got "
-                f"{c[np.argmax(c[:, 0] != 1.0), 0]:.6g} near t={times[0]:.6g} us"
-            )
-        c = c * (dt / 2.0)  # frames F = dt/2 A, from the coefficients
-        n = k1 - k0
-        even, odd = ws.even[: n + 1], ws.odd[:n]
-        np.matmul(c[0::2], basis, out=even.reshape(n + 1, -1))
-        np.matmul(c[1::2], basis, out=odd.reshape(n, -1))
-        return _transfer_stack(even[:-1], odd, even[1:], ws.g2[:n], ws.g3[:n])
-
-    sizes = [b.hi - b.lo for b in blocks]
-    n_run = np.repeat([b.n_steps for b in blocks], sizes)
-    renorm_run = np.repeat([b.renormalize for b in blocks], sizes)
-    # every step of every run recorded: the fill buffer is the records
+    n_records = max(b.record_at.shape[0] for b in blocks)
+    records = np.empty((runs, n_records, y_dim), dtype=np.complex128)
+    norms = np.empty((runs, n_records), dtype=float)
+    pops = np.empty((runs, n_records, dim_protect), dtype=float)
+    records[:, 0] = y0
+    norms[:, 0], pops[:, 0] = measure(records[:, 0])
+    carry = records[:, 0].copy()
+    max_drift = float(np.max(np.abs(norms[:, 0] - 1.0)))
+    # every step of every run recorded: the doubling fills the records themselves
     direct = constant and all(b.record_at.shape[0] == b.n_steps + 1 for b in blocks)
-
-    def checkpoint(rows, steps, live, renorm, n_records, out=None):
-        """Measure the checked rows (runs, M, y) once, their populations into
-        out if given; return the drift failure (step, run, reported norm) or
-        None, the largest drift, and the reported norms and populations of
-        the first n_records rows, which are records. renorm is one flag per
-        run. The rows are renormalised in place, and a last row off the
-        record grid keeps the scale of the record before it."""
-        raw, found = measure(rows, out)
-        on = slice(None) if renorm.all() else renorm  # the runs that renormalise
-        reported = raw.copy()
-        reported[on, 1:] /= raw[on, :-1]
-        drifts = np.abs(reported - 1.0)
-        failed = ~(drifts <= MAX_NORM_DRIFT)  # NaN fails too
-        if live is not None:  # steps past a run's end are not its own
-            failed &= live
-            drifts[~live] = 0.0
-        if failed.any():
-            col = int(np.argmax(failed.any(axis=0)))
-            run = int(np.argmax(failed[:, col]))
-            return (int(steps[col]), run, float(reported[run, col])), 0.0, None, None
-        if renorm.any():
-            # times reciprocals, as numpy divides a complex by a real; the
-            # float64 view takes them without a complex copy of the scales
-            scale, totals = raw[on], found[on].sum(axis=-1)
-            if n_records < raw.shape[1]:
-                scale[:, -1] = scale[:, -2] if n_records else 1.0
-            found[on] *= (1.0 / totals)[..., None]
-            rows.view(np.float64)[on] *= (1.0 / scale)[..., None]
-        return None, float(np.max(drifts)), reported[:, :n_records], found[:, :n_records]
-
-    def drift_error(failure) -> NumericalError:
-        step, run, value = failure
-        b = next(b for b in blocks if b.lo <= run < b.hi)
-        return NumericalError(
-            f"norm drifted to {value:.6g} at step {step} "
-            f"(t={b.t_start_us + step * b.dt:.6g} us); reduce dt",
-            member=run if runs > 1 else None,
-        )
 
     # transfers and states may overflow; the drift check rejects NaN and Inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        budget = _chunk_steps(y_dim, runs, transfers=not constant)
-        stride = 1 if constant else int(cfgs[0].record_stride)
-        ends = _chunk_ends(n_max, stride, budget)
-        chunk = max(k1 - k0 for k0, k1 in zip([0] + ends, ends))
         if constant:
-            a = basis.reshape(shape)
-            dt = first.dt
-            if len(blocks) > 1:  # a transfer per run, each with its own step
-                dt = np.repeat([b.dt for b in blocks], sizes)[:, None, None]
-                a = np.broadcast_to(a, (runs,) + a.shape[-2:])
-            # T, T^2, T^4, ... in row form; a stack per run
-            powers = [np.ascontiguousarray(np.swapaxes(_constant_transfer(a, dt), -1, -2))]
-            while (1 << len(powers)) <= chunk:
-                powers.append(powers[-1] @ powers[-1])
-            if not direct:
-                states = np.empty((runs, chunk + 1, y_dim), dtype=np.complex128)
+            chunks = _doubling_chunks(basis[0], blocks, ends, chunk, carry, records if direct else None)
         else:
-            mats = [np.empty((chunk + extra,) + shape, basis.dtype) for extra in (1, 0, 0, 0)]
-            ws = _Workspace(*mats, np.empty((runs, -(-chunk // stride), y_dim), dtype=np.complex128))
-        n_records = max(b.record_at.shape[0] for b in blocks)
-        records = np.empty((runs, n_records, y_dim), dtype=np.complex128)
-        norms = np.empty((runs, n_records), dtype=float)
-        pops = np.empty((runs, n_records, dim_protect), dtype=float)
-        records[:, 0] = y0
-        norms[:, 0], pops[:, 0] = measure(records[:, 0])
-        carry = records[:, 0].copy()
-        next_record = [1] * len(blocks)
-        max_drift = float(np.max(np.abs(norms[:, 0] - 1.0)))
-
-        for k0, k1 in zip([0] + ends, ends):
-            if direct:
-                span = records[:, k0 : k1 + 1]
-                _fill_by_doubling(span.view(np.float64) if real else span, powers, k1 - k0)
-                steps = np.arange(k0 + 1, k1 + 1)
-                live = None if n_run.min() >= k1 else steps <= n_run[:, None]
-                failure, drift, reported, _ = checkpoint(
-                    span[:, 1:], steps, live, renorm_run, k1 - k0, pops[:, k0 + 1 : k1 + 1]
-                )
-                if failure is not None:
-                    raise drift_error(failure)
-                max_drift = max(max_drift, drift)
-                norms[:, k0 + 1 : k1 + 1] = reported
-                continue
-            if constant:
-                states[:, 0] = carry
-                _fill_by_doubling(states.view(np.float64) if real else states, powers, k1 - k0)
+            chunks = _crossing_chunks(terms, basis, blocks[0], ends, chunk, stride, carry)
+        for checks in chunks:
             failures = []
-            for i, b in enumerate(blocks):
-                if b.n_steps <= k0:
-                    continue
-                end = min(k1, b.n_steps)
-                last = int(np.searchsorted(b.record_at, end, side="right"))
-                checked = b.record_at[next_record[i] : last]
-                if checked.shape[0] == 0 or checked[-1] != end:
-                    checked = np.append(checked, end)
-                if constant:
-                    rows = states[b.lo : b.hi, checked - k0]
-                else:
-                    rows = _cross_intervals(carry, chunk_transfers(k0, k1), stride, ws)
-                new = last - next_record[i]
-                failure, drift, reported, found = checkpoint(
-                    rows, checked, None, renorm_run[b.lo : b.hi], new
+            for b, first, new, steps, rows in checks:
+                at = (slice(b.lo, b.hi), slice(first, first + new))
+                failure, drift, reported, found = _checkpoint(
+                    measure, rows, steps, b.renormalize, new, pops[at] if direct else None
                 )
                 if failure is not None:
                     failures.append((failure[0], failure[1] + b.lo, failure[2]))
                     continue
                 max_drift = max(max_drift, drift)
-                records[b.lo : b.hi, next_record[i] : last] = rows[:, :new]
-                norms[b.lo : b.hi, next_record[i] : last] = reported
-                pops[b.lo : b.hi, next_record[i] : last] = found
+                if not direct:
+                    records[at], pops[at] = rows[:, :new], found
+                norms[at] = reported
                 carry[b.lo : b.hi] = rows[:, -1]
-                next_record[i] = last
             if failures:
-                raise drift_error(min(failures))
+                step, run, value = min(failures)
+                b = next(b for b in blocks if b.lo <= run < b.hi)
+                raise NumericalError(
+                    f"norm drifted to {value:.6g} at step {step} "
+                    f"(t={b.t_start_us + step * b.dt:.6g} us); reduce dt",
+                    member=run if runs > 1 else None,
+                )
 
     LOG.debug(
         "integrated %d runs of up to %d steps in %d blocks, %d chunks of up to %d steps; "

@@ -387,6 +387,17 @@ def test_cli_oversized_sweep_exits_two(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_cli_tiny_step_exits_two(tmp_path, capsys):
+    # 1e-300 us over the 22 ns pi3 pulse is about 2e298 steps
+    config = tmp_path / "cfg"
+    config.write_text("[scenario]\nid = pi3\n\n[integrator]\ndt_us = 1e-300\n")
+    for argv in (["--config", str(config)], ["--dt-override", "1e-300"]):
+        out = tmp_path / argv[0]
+        assert run_cli(["pi3", *argv, "--out", str(out)]) == 2
+        assert "takes more than 10000000 steps" in capsys.readouterr().err
+        assert not (out / "result.csv").exists()
+
+
 def test_cli_dt_override_lands_in_manifest(tmp_path):
     out = tmp_path / "run"
     assert run_cli(["pi3", "--out", str(out), "--dt-override", "5e-05"]) == 0

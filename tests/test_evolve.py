@@ -71,6 +71,22 @@ class TestEvolutionConfig:
         with pytest.raises(ConfigError):
             EvolutionConfig(t_start_us=0.0, t_end_us=1.0, dt_us=0.1, record_stride=0)
 
+    def test_step_count_is_capped(self, monkeypatch):
+        # a step far below the span is a config error before anything is
+        # allocated, for a span/dt that overflows to inf too
+        h, start = rabi_hamiltonian(1.0), StateVector.basis(2, 0)
+        for dt in (1e-12, 5e-324):
+            with pytest.raises(ConfigError, match=f"more than {evolve_module.MAX_STEPS} steps"):
+                evolve_schrodinger(h, start, EvolutionConfig(0.0, 1.0, dt))
+        monkeypatch.setattr(evolve_module, "MAX_STEPS", 100)
+        assert len(evolve_schrodinger(h, start, EvolutionConfig(0.0, 1.0, 0.01)).times) == 101
+        with pytest.raises(ConfigError, match="more than 100 steps"):
+            evolve_schrodinger(Terms([h]), start, EvolutionConfig(0.0, 1.0, 0.0099))
+        # any run of a ragged call
+        cfgs = [EvolutionConfig(0.0, 1.0, 0.01), EvolutionConfig(0.0, 1.0, 0.0099)]
+        with pytest.raises(ConfigError, match="more than 100 steps"):
+            evolve_lindblad(np.stack([h, h]), DensityMatrix.from_state(start), NOISE, cfgs)
+
 
 class TestSchrodinger:
     def test_zero_hamiltonian_is_static(self):
@@ -662,6 +678,66 @@ class TestRaggedPropagation:
             evolve_schrodinger(Terms([hs[0]]), start, [cfg])
         with pytest.raises(ConfigError):
             evolve_schrodinger(hs, start, [])
+
+
+# small states only: the first 64-entry state (dim-8 Lindblad) of a process
+# may stall in threaded BLAS
+RAGGED_CASES = [("schrodinger", 2), ("schrodinger", 4), ("lindblad", 2)]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    case=st.sampled_from(RAGGED_CASES),
+    seed=st.integers(0, 2**16),
+    configs=st.lists(
+        st.tuples(st.integers(1, 60), st.integers(1, 12), st.booleans(), st.integers(1, 3)),
+        min_size=1,
+        max_size=5,
+    ),
+    every_step=st.booleans(),
+    stacked=st.booleans(),
+    small_budget=st.booleans(),
+)
+def test_random_ragged_runs_match_per_run_calls(case, seed, configs, every_step, stacked, small_budget):
+    """Ragged batches of a constant H or a stack: 1 to 5 configs of random
+    start, span, stride and renormalisation, each for 1 to 3 consecutive
+    runs, so that a block holds several, against one call per run, in one
+    chunk or in 5-step chunks. every_step records every step of every run."""
+    kind, dim = case
+    rng = np.random.default_rng(seed)
+    runs = sum(repeats for *_, repeats in configs)
+    hs = [random_hamiltonian(rng, dim) for _ in range(runs if stacked else 1)]
+    base = 0.02 / max(float(np.max(np.abs(h))) for h in hs)
+    cfgs, blocks = [], []
+    for n_steps, stride, renormalize, repeats in configs:
+        t0 = rng.uniform(-1.0, 1.0)
+        t1 = t0 + n_steps * base * rng.uniform(0.5, 1.0)
+        cfg = EvolutionConfig(t0, t1, (t1 - t0) / n_steps, 1 if every_step else stride, renormalize)
+        blocks.append((len(cfgs), len(cfgs) + repeats))
+        cfgs += [cfg] * repeats
+    psis = [StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim)) for _ in cfgs]
+    lindblad = kind == "lindblad"
+    singles = [DensityMatrix.from_state(psi) for psi in psis] if lindblad else psis
+    starts = np.stack([y0.entries if lindblad else y0.amps for y0 in singles])
+    field = "densities" if lindblad else "amplitudes"
+
+    def run(h, y0, cfg):
+        return evolve_lindblad(h, y0, NOISE, cfg) if lindblad else evolve_schrodinger(h, y0, cfg)
+
+    with pytest.MonkeyPatch.context() as patch:
+        if small_budget:
+            patch.setattr(evolve_module, "MAX_CHUNK_STEPS", 5)
+            patch.setattr(evolve_module, "TRANSFER_CHUNK_BYTES", 1)
+        trajs = run(np.stack(hs) if stacked else hs[0], starts, cfgs)
+        assert len(trajs) == len(blocks)
+        for traj, (lo, hi) in zip(trajs, blocks):
+            assert getattr(traj, field).shape[0] == hi - lo
+            for b, r in enumerate(range(lo, hi)):
+                single = run(hs[r if stacked else 0], singles[r], cfgs[r])
+                assert np.max(np.abs(traj.times - single.times)) < 1e-12
+                assert np.max(np.abs(getattr(traj, field)[b] - getattr(single, field))) < 1e-12
+                assert np.max(np.abs(traj.norms[b] - single.norms)) < 1e-12
+                assert np.max(np.abs(traj.populations[b] - single.populations)) < 1e-12
 
 
 def six_product_transfers(a1, a2, a3, dt):
