@@ -385,9 +385,10 @@ class CsvTable:
         object.__setattr__(self, "columns", columns)
 
     def to_text(self) -> str:
-        # x + 0.0 is x, except that -0.0 becomes 0.0
-        cells = [[f"{x:.{CSV_SIG_DIGITS}g}" for x in (c + 0.0).tolist()] for c in self.columns]
-        lines = [",".join(self.header)] + [",".join(row) for row in zip(*cells)]
+        # one %-format per row; x + 0.0 is x, except that -0.0 becomes 0.0
+        row = ",".join([f"%.{CSV_SIG_DIGITS}g"] * len(self.columns))
+        values = zip(*[(c + 0.0).tolist() for c in self.columns])
+        lines = [",".join(self.header)] + [row % cells for cells in values]
         return "\n".join(lines) + "\n"
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -83,6 +84,27 @@ def unitary_deviation(entries: np.ndarray) -> float:
     return float(np.max(np.abs(entries.conj().T @ entries - np.eye(dim))))
 
 
+def product_rounds(mats: np.ndarray, buffers=None) -> tuple[list, np.ndarray]:
+    """The rounds of ordered_product(mats, buffers) as calls bound to views,
+    and the view that holds the product once they have run. Calls bound to
+    reused buffers are built once and run each time the buffers refill."""
+    lead, n, shape = mats.shape[:-3], mats.shape[-3], mats.shape[-2:]
+    if buffers is None:
+        half = (n + 1) // 2
+        buffers = [np.empty(lead + (m,) + shape, mats.dtype) for m in (half, (half + 1) // 2)]
+    flats = [b.reshape(-1) for b in buffers]
+    calls, turn = [], 0
+    while n > 1:
+        pairs, odd = divmod(n, 2)
+        size = math.prod(lead) * (pairs + odd) * shape[0] * shape[1]
+        out = flats[turn][:size].reshape(lead + (pairs + odd,) + shape)
+        left, right = mats[..., 1::2, :, :], mats[..., :-1:2, :, :]
+        calls.append(partial(np.matmul, left, right, out[..., :pairs, :, :]))
+        calls += [partial(np.copyto, out[..., -1, :, :], mats[..., -1, :, :])] if odd else []
+        mats, n, turn = out, pairs + odd, 1 - turn
+    return calls, mats[..., 0, :, :]
+
+
 def ordered_product(mats: np.ndarray, buffers=None) -> np.ndarray:
     """M[n-1] @ ... @ M[0] of the sequence of matrices on axis -3, for every
     leading index at once, multiplied pairwise in log2(n) batched rounds.
@@ -92,21 +114,10 @@ def ordered_product(mats: np.ndarray, buffers=None) -> np.ndarray:
     buffers, if given, are two C-contiguous arrays of mats' dtype with room
     for half of mats' matrices each (rounded up); the result is then a view
     into one of them, or into mats when n is 1."""
-    lead, n, shape = mats.shape[:-3], mats.shape[-3], mats.shape[-2:]
-    if buffers is None:
-        half = (n + 1) // 2
-        buffers = [np.empty(lead + (m,) + shape, mats.dtype) for m in (half, (half + 1) // 2)]
-    flats = [b.reshape(-1) for b in buffers]
-    turn = 0
-    while n > 1:
-        pairs, odd = divmod(n, 2)
-        size = math.prod(lead) * (pairs + odd) * shape[0] * shape[1]
-        out = flats[turn][:size].reshape(lead + (pairs + odd,) + shape)
-        np.matmul(mats[..., 1::2, :, :], mats[..., :-1:2, :, :], out=out[..., :pairs, :, :])
-        if odd:
-            out[..., -1, :, :] = mats[..., -1, :, :]
-        mats, n, turn = out, pairs + odd, 1 - turn
-    return mats[..., 0, :, :]
+    calls, product = product_rounds(mats, buffers)
+    for call in calls:
+        call()
+    return product
 
 
 @dataclass(frozen=True, eq=False)

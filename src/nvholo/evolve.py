@@ -11,10 +11,10 @@ step is a transfer matrix T. _integrate has three parts:
 - Two producers of the checked states. For a constant H, T is built once
   per run, and the states come from powers of T by doubling, run-major.
   When every step is recorded, they are written into the records. For a
-  time-dependent H = sum_k c_k(t) B_k, one workspace serves every chunk:
-  the frames are one product of the coefficients with the basis, the
-  transfers follow in place, and the states cross each record interval in
-  one product.
+  time-dependent H = sum_k c_k(t) B_k, one workspace serves every chunk, its
+  views bound once per chunk length: the frames are one product of the
+  coefficients with the basis, the transfers follow in place, and the
+  states cross each record interval in one product.
 - One checkpoint per block of runs. It measures the checked states once,
   checks the norm drift, renormalises and stores the records.
 
@@ -56,7 +56,7 @@ from nvholo.core import (
     StateVector,
     checked_amplitudes,
     checked_densities,
-    ordered_product,
+    product_rounds,
 )
 
 LOG = logging.getLogger(__name__)
@@ -264,9 +264,7 @@ def _plan_steps(span: float, dt: float) -> tuple[int, float]:
     A span of more than MAX_STEPS steps is a ConfigError, raised before any
     array of the run is allocated."""
     if not span / dt <= MAX_STEPS:
-        raise ConfigError(
-            f"a span of {span:.6g} us at dt = {dt:.3g} us takes more than {MAX_STEPS} steps; raise dt"
-        )
+        raise ConfigError(f"a span of {span:.6g} us at dt = {dt:.3g} us takes more than {MAX_STEPS} steps")
     n_steps = max(1, int(round(span / dt)))
     return n_steps, span / n_steps
 
@@ -361,8 +359,8 @@ def _transfer_stack(f1, f2, f3, g2, g3) -> np.ndarray:
     g3 *= 0.5
     f2 += g3
     f2 *= 2.0 / 3.0
-    idx = np.arange(f2.shape[-1])
-    f2[..., idx, idx] += 1.0
+    diagonal = np.einsum("...ii->...i", f2)  # a writable view
+    diagonal += 1.0
     return f2
 
 
@@ -408,28 +406,27 @@ class _Workspace(NamedTuple):
     rows: np.ndarray
 
 
-def _cross_intervals(carry: np.ndarray, transfers: np.ndarray, stride: int, ws: _Workspace):
-    """The complex states at a chunk's checked steps, the last one its end,
-    run-major (runs, checks, y), in ws.rows. The chunk holds whole intervals
-    of stride steps and at most one shorter after them (_chunk_ends); the
-    transfers of each interval are multiplied into one matrix by
-    ordered_product, the whole intervals batched, in the stage buffers, and
-    the states cross each product in one product. Real transfers
-    (_real_form) carry the states as their float64 view, and each product
-    is written through that view into its row, not copied."""
-    n, shape = transfers.shape[0], transfers.shape[1:]
-    whole = n // stride
-    parts = [transfers[: whole * stride].reshape((whole, stride) + shape)] if whole else []
+def _chunk_calls(ws: _Workspace, n: int, stride: int, carry: np.ndarray) -> tuple:
+    """(frames, calls, rows) of a chunk of n steps: the outputs of its two
+    frame products, and calls bound to views of the workspace that build its
+    transfers over the odd frames (_transfer_stack), multiply those of each
+    record interval into one matrix in the stage buffers (product_rounds)
+    and carry the states across it into rows, the checked states, as a row
+    times P^T; real transfers (_real_form) take the float64 view of a row."""
+    even, odd = ws.even[: n + 1], ws.odd[:n]
+    calls = [functools.partial(_transfer_stack, even[:-1], odd, even[1:], ws.g2[:n], ws.g3[:n])]
+    whole, shape = n // stride, odd.shape[1:]
+    pieces = [odd[: whole * stride].reshape((whole, stride) + shape)] if whole else []
     if whole * stride < n:
-        parts.append(transfers[whole * stride :][None])
-    rows = ws.rows.view(transfers.dtype)
-    y, k = carry.view(transfers.dtype), 0
-    for part in parts:
-        # each run's row times P^T is P times its state
-        for product in np.swapaxes(ordered_product(part, (ws.g2, ws.g3)), -1, -2):
-            y = np.matmul(y, product, out=rows[:, k])
-            k += 1
-    return ws.rows[:, :k]
+        pieces.append(odd[whole * stride :][None])
+    rows, y, k = ws.rows.view(odd.dtype), carry.view(odd.dtype), 0
+    for piece in pieces:  # the rest reuses the buffers once the whole intervals are crossed
+        rounds, products = product_rounds(piece, (ws.g2, ws.g3))
+        calls += rounds
+        for product in np.swapaxes(products, -1, -2):
+            calls.append(functools.partial(np.matmul, y, product, rows[:, k]))
+            y, k = rows[:, k], k + 1
+    return (even.reshape(n + 1, -1), odd.reshape(n, -1)), calls, ws.rows[:, :k]
 
 
 class _Block(NamedTuple):
@@ -455,19 +452,24 @@ def _blocks(cfgs: tuple, runs: int) -> list:
     return blocks
 
 
-def _checks(blocks: list, k0: int, k1: int):
-    """The plan of chunk k0..k1 for each block whose runs reach past k0:
-    (block, first, new, steps), steps the block's record steps in (k0, end]
-    followed by end = min(k1, n_steps) unless that is a record step, first
-    the index of the first of those records and new their count."""
-    for b in blocks:
-        if b.n_steps > k0:
-            end = min(k1, b.n_steps)
-            first, last = np.searchsorted(b.record_at, (k0, end), side="right").tolist()
-            steps = b.record_at[first:last]
-            if steps.shape[0] == 0 or steps[-1] != end:
-                steps = np.append(steps, end)
-            yield b, first, last - first, steps
+def _checks(blocks: list, ends: list):
+    """Per chunk k0..k1 of ends, (k0, k1, plan), the plan a list of
+    (block, first, new, steps) for each block whose runs reach past k0: steps
+    the block's record steps in (k0, end] followed by end = min(k1, n_steps)
+    unless that is a record step, first the index of the first of those
+    records and new their count. One search per block finds every chunk's."""
+    cuts = [0] + ends
+    bounds = [b.record_at.searchsorted(np.minimum(cuts, b.n_steps), "right").tolist() for b in blocks]
+    for i, (k0, k1) in enumerate(zip(cuts, ends)):
+        plan = []
+        for b, bound in zip(blocks, bounds):
+            if b.n_steps > k0:
+                first, last = bound[i], bound[i + 1]
+                steps, end = b.record_at[first:last], min(k1, b.n_steps)
+                if first == last or steps[-1] != end:
+                    steps = np.append(steps, end)
+                plan.append((b, first, last - first, steps))
+        yield k0, k1, plan
 
 
 def _checkpoint(measure, rows, steps, renorm: bool, n_records: int, out):
@@ -475,25 +477,25 @@ def _checkpoint(measure, rows, steps, renorm: bool, n_records: int, out):
     populations into out unless it is None; return the drift failure (step, run,
     reported norm) or None, the largest drift, and the reported norms and
     populations of the first n_records rows, which are records. With renorm
-    the rows are renormalised in place (their populations by their sum), and
-    a last row off the record grid keeps the scale of the record before it."""
+    the rows are renormalised in place (their populations later, by
+    _integrate), and a last row off the record grid keeps the scale of the
+    record before it."""
     raw, found = measure(rows, out)
-    reported = raw.copy()
+    reported = raw.copy() if renorm else raw
     if renorm:
         reported[:, 1:] /= raw[:, :-1]
-    drifts = np.abs(reported - 1.0)
-    largest = float(drifts.max())
-    if not largest <= MAX_NORM_DRIFT:  # NaN fails too
-        failed = ~(drifts <= MAX_NORM_DRIFT)
+    # the largest |reported - 1| from the extremes; a NaN is both, and fails
+    largest = max(float(reported.max()) - 1.0, 1.0 - float(reported.min()))
+    if not largest <= MAX_NORM_DRIFT:
+        failed = ~(np.abs(reported - 1.0) <= MAX_NORM_DRIFT)
         col = int(np.argmax(failed.any(axis=0)))
         run = int(np.argmax(failed[:, col]))
         return (int(steps[col]), run, float(reported[run, col])), 0.0, None, None
     if renorm:
-        # times reciprocals, as numpy divides a complex by a real; the
-        # float64 view takes them without a complex copy of the scales
-        found *= (1.0 / found.sum(axis=-1))[..., None]
         if n_records < raw.shape[1]:
             raw[:, -1] = raw[:, -2] if n_records else 1.0
+        # times reciprocals, as numpy divides a complex by a real; the
+        # float64 view takes them without a complex copy of the scales
         view = rows.view(np.float64)
         view *= (1.0 / raw)[..., None]
     return None, largest, reported[:, :n_records], found[:, :n_records]
@@ -519,31 +521,31 @@ def _doubling_chunks(a, blocks: list, ends: list, chunk: int, carry, records):
         powers.append(powers[-1] @ powers[-1])
     if records is None:
         states = np.empty((runs, chunk + 1, y_dim), dtype=np.complex128)
-    for k0, k1 in zip([0] + ends, ends):
+    for k0, k1, plan in _checks(blocks, ends):
         if records is not None:
             states = records[:, k0 : k1 + 1]
         states[:, 0] = carry
         _fill_by_doubling(states.view(powers[0].dtype), powers, k1 - k0)
-        yield (  # given records: their view [b.lo:b.hi, first:first + new]
+        yield [  # given records: their view [b.lo:b.hi, first:first + new]
             (b, first, new, steps, states[b.lo : b.hi, steps - k0 if records is None else slice(1, new + 1)])
-            for b, first, new, steps in _checks(blocks, k0, k1)
-        )
+            for b, first, new, steps in plan
+        ]
 
 
 def _crossing_chunks(terms, basis, block: _Block, ends: list, chunk: int, stride: int, carry):
     """The checked rows of a terms source, one block, per chunk as in
-    _doubling_chunks. A chunk holds whole record intervals (_chunk_ends) and
-    builds in one workspace (_Workspace), allocated once for the longest
-    chunk: its real coefficients must be finite (a failure names the chunk's
-    first frame time) and have c_0 = 1; scaled by dt/2, they give the frames
-    at the steps' ends and middles as one (frames, K) @ (K, m*m) product
-    each with the lifted basis, the transfer matrices follow in place
-    (_transfer_stack), and _cross_intervals carries the states from one
-    checked step to the next in one product each."""
+    _doubling_chunks. A chunk holds whole record intervals (_chunk_ends) in
+    one workspace (_Workspace) for the longest chunk, worked through calls
+    bound to its views once per chunk length (_chunk_calls), so a chunk does
+    only its arithmetic: its real coefficients must be finite (a failure
+    names the chunk's first frame time) and have c_0 = 1; scaled by dt/2,
+    they give the frames as one (frames, K) @ (K, m*m) product each with the
+    lifted basis at the steps' ends and middles, and the calls run."""
     shape, flat, dt = basis.shape[1:], basis.reshape(basis.shape[0], -1), block.dt
     mats = [np.empty((chunk + extra,) + shape, basis.dtype) for extra in (1, 0, 0, 0)]
     ws = _Workspace(*mats, np.empty((len(carry), -(-chunk // stride), carry.shape[1]), np.complex128))
-    for k0, k1 in zip([0] + ends, ends):
+    built = {}
+    for k0, k1, plan in _checks([block], ends):
         # a real combination of Hermitian matrices is Hermitian, so a chunk
         # checks only its coefficients
         times = block.t_start_us + (dt / 2.0) * np.arange(2 * k0, 2 * k1 + 1)
@@ -553,23 +555,22 @@ def _crossing_chunks(terms, basis, block: _Block, ends: list, chunk: int, stride
                 f"coefficients must be real with shape {(times.shape[0], flat.shape[0])}, "
                 f"got {c.dtype} {c.shape}"
             )
-        if not np.all(np.isfinite(c)):
+        if not math.isfinite(c.sum()) and not np.isfinite(c).all():  # a finite sum has finite terms
             raise NumericalError(f"non-finite Hamiltonian sample near t={times[0]:.6g} us")
-        if not np.all(c[:, 0] == 1.0):  # the offset sits on B_0 at weight 1
+        if (c[:, 0] != 1.0).any():  # the offset sits on B_0 at weight 1
             raise ConfigError(
                 f"the coefficient of B_0 must be 1 at every time, got "
                 f"{c[np.argmax(c[:, 0] != 1.0), 0]:.6g} near t={times[0]:.6g} us"
             )
         c = c * (dt / 2.0)  # frames F = dt/2 A, from the coefficients
-        n = k1 - k0
-        even, odd = ws.even[: n + 1], ws.odd[:n]
-        np.matmul(c[0::2], flat, out=even.reshape(n + 1, -1))
-        np.matmul(c[1::2], flat, out=odd.reshape(n, -1))
-        transfers = _transfer_stack(even[:-1], odd, even[1:], ws.g2[:n], ws.g3[:n])
-        yield (
-            (b, first, new, steps, _cross_intervals(carry, transfers, stride, ws))
-            for b, first, new, steps in _checks([block], k0, k1)
-        )
+        if k1 - k0 not in built:
+            built[k1 - k0] = _chunk_calls(ws, k1 - k0, stride, carry)
+        frames, calls, rows = built[k1 - k0]
+        np.matmul(c[0::2], flat, out=frames[0])
+        np.matmul(c[1::2], flat, out=frames[1])
+        for call in calls:
+            call()
+        yield [(b, first, new, steps, rows) for b, first, new, steps in plan]
 
 
 def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
@@ -600,12 +601,12 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     (_checks). A producer gives each block's checked rows, chunk by chunk:
     _doubling_chunks for a constant H or a stack, _crossing_chunks for a terms
     source. One loop runs _checkpoint on each block's rows, stores the records,
-    their norms and populations, and carries the chunk end on. No state is
-    renormalised inside a chunk; a scalar commutes with the linear map, so
-    each reported norm is the ratio of its raw norm to that of the record
-    before it, as a step-by-step renormalising loop would report it. A drift
-    failure names the earliest failing step and, in a batch, the lowest run
-    that fails there.
+    their norms and populations (renormalised once, at the end), and carries
+    the chunk end on. No state is renormalised inside a chunk; a scalar
+    commutes with the linear map, so each reported norm is the ratio of its
+    raw norm to that of the record before it, as a step-by-step
+    renormalising loop would report it. A drift failure names the earliest
+    failing step and, in a batch, the lowest run that fails there.
     """
     entries, terms = _as_source(h_of_t)
     constant = terms is None
@@ -660,15 +661,16 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
             failures = []
             for b, first, new, steps, rows in checks:
                 at = (slice(b.lo, b.hi), slice(first, first + new))
-                failure, drift, reported, found = _checkpoint(
-                    measure, rows, steps, b.renormalize, new, pops[at] if direct else None
-                )
+                out = pops[at] if rows.shape[1] == new else None  # rows that are all records
+                failure, drift, reported, found = _checkpoint(measure, rows, steps, b.renormalize, new, out)
                 if failure is not None:
                     failures.append((failure[0], failure[1] + b.lo, failure[2]))
                     continue
                 max_drift = max(max_drift, drift)
                 if not direct:
-                    records[at], pops[at] = rows[:, :new], found
+                    records[at] = rows[:, :new]
+                if out is None:
+                    pops[at] = found
                 norms[at] = reported
                 carry[b.lo : b.hi] = rows[:, -1]
             if failures:
@@ -679,6 +681,10 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
                     f"(t={b.t_start_us + step * b.dt:.6g} us); reduce dt",
                     member=run if runs > 1 else None,
                 )
+        for b in blocks:  # the populations of renormalised records, by their sums
+            if b.renormalize:
+                found = pops[b.lo : b.hi, 1 : b.record_at.shape[0]]
+                found *= (1.0 / found.sum(axis=-1))[..., None]
 
     LOG.debug(
         "integrated %d runs of up to %d steps in %d blocks, %d chunks of up to %d steps; "
@@ -739,8 +745,8 @@ def evolve_schrodinger(h_of_t, psi0, cfg: EvolutionConfig) -> Trajectory:
         return -1j * stack
 
     def measure(y, out=None):
-        pops = np.square(y.real, out=out)
-        pops += np.square(y.imag)
+        squares = np.square(y.view(np.float64))
+        pops = np.add(squares[..., 0::2], squares[..., 1::2], out=out)
         return np.sqrt(pops.sum(axis=-1)), pops
 
     return _trajectories(_integrate(h_of_t, lift, y0, cfg, dim, measure), cfg, "amplitudes", (dim,))

@@ -10,6 +10,7 @@ rad/us with hbar = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +53,7 @@ def envelope_values(envelope, times, t_center_us: float, t_width_us: float) -> n
     if kind == "constant":
         return np.where(np.abs(x) <= t_width_us / 2.0, 1.0, 0.0)
     if kind == "gaussian":
-        values = np.exp(-(x**2) / (2.0 * t_width_us**2))
+        values = np.exp(x**2 / -(2.0 * t_width_us**2))
         return np.where(np.abs(x) <= GAUSSIAN_CUTOFF_WIDTHS * t_width_us, values, 0.0)
     values = np.sin(np.pi * (x / t_width_us + 0.5)) ** 2
     return np.where(np.abs(x) <= t_width_us / 2.0, values, 0.0)
@@ -87,10 +88,11 @@ class PulseChannel:
             object.__setattr__(self, "envelope", EnvelopeShape(self.envelope))
 
     def amplitudes(self, times) -> np.ndarray:
-        """Complex drive amplitude in angular units (rad/us) at each time."""
+        """Complex drive amplitude in angular units (rad/us) at each time. A
+        zero carrier's phasor is one constant, so it takes one exp in all."""
         times = np.asarray(times, dtype=float)
         env = envelope_values(self.envelope, times, self.t_center_us, self.t_width_us)
-        phases = self.phase_rad - TWO_PI * self.carrier_mhz * times
+        phases = self.phase_rad - TWO_PI * self.carrier_mhz * times if self.carrier_mhz else self.phase_rad
         return TWO_PI * self.rabi_mhz * env * np.exp(1j * phases)
 
 
@@ -190,9 +192,11 @@ class PulsedHamiltonian:
     def dim(self) -> int:
         return self.spec.dim
 
+    @cached_property
     def _driven(self) -> tuple:
         """The distinct channels with a drive, in order of first use: equal
-        channels have equal amplitudes, and silent ones are zero."""
+        channels have equal amplitudes, and silent ones are zero. Cached per
+        instance, as hashing the frozen channels on every call is slow."""
         return tuple(
             ch for ch in dict.fromkeys(self.pulses.pump + self.pulses.stokes) if ch.rabi_mhz
         )
@@ -209,7 +213,7 @@ class PulsedHamiltonian:
             slots += [(s, 1, first, -0.5j * sign), (s, 1, second, -0.5j * sign)]
         if dim == 8:
             slots += [(pump[2], 0, 2, 0.5j), (stokes[2], 1, 3, -0.5j)]
-        couplings = {ch: np.zeros((dim, dim), dtype=np.complex128) for ch in self._driven()}
+        couplings = {ch: np.zeros((dim, dim), dtype=np.complex128) for ch in self._driven}
         for ch, row, column, weight in slots:
             if ch in couplings:
                 couplings[ch][row, column] += weight
@@ -222,11 +226,12 @@ class PulsedHamiltonian:
         """The real (n, K) coefficients of terms() at the times: 1, then
         Re a(t) and Im a(t) per driven channel, in angular units."""
         times = np.asarray(times, dtype=float)
-        columns = [np.ones_like(times)]
-        for ch in self._driven():
+        out = np.ones(times.shape + (1 + 2 * len(self._driven),))
+        for k, ch in enumerate(self._driven):
             amplitude = ch.amplitudes(times)
-            columns += [amplitude.real, amplitude.imag]
-        return np.stack(columns, axis=-1)
+            out[..., 2 * k + 1] = amplitude.real
+            out[..., 2 * k + 2] = amplitude.imag
+        return out
 
     def sample(self, times) -> np.ndarray:
         basis = self.terms()

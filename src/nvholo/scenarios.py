@@ -382,13 +382,18 @@ def _pulse_config(
     n_steps // records, n_steps as the integrator plans them). Runs
     renormalise as [integrator] renormalize says, unless keep_norm: a run
     whose recorded norm is part of its result never renormalises. A
-    configured step longer than the span is a config error that names the
-    point and the key."""
+    configured step longer than the span, or any step past MAX_STEPS, is a
+    config error that names the point and where the step came from."""
     if cfg.dt_us is not None and cfg.dt_us > span:
         raise ConfigError(
             f"{where}: [integrator] dt_us = {cfg.dt_us:g} exceeds the {span:.6g} us span"
         )
-    stride = max(1, _plan_steps(span, dt)[0] // records) if records else 1
+    try:
+        n_steps = _plan_steps(span, dt)[0]
+    except ConfigError as err:
+        source = "no [integrator] dt_us is set, so the step follows the pulse's fastest frequency"
+        raise ConfigError(f"{where}: {err}; {'raise [integrator] dt_us' if cfg.dt_us else source}") from None
+    stride = max(1, n_steps // records) if records else 1
     renormalize = cfg.renormalize and not keep_norm
     return EvolutionConfig(0.0, float(span), float(dt), record_stride=stride, renormalize=renormalize)
 

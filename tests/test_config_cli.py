@@ -21,6 +21,7 @@ from nvholo.config import (
 from nvholo.core import ConfigError, NumericalError
 from nvholo.evolve import NoiseModel
 from nvholo.gates import GateParams
+from nvholo.hamiltonians import PulsedHamiltonian
 from nvholo.scenarios import ScenarioConfig, SweepSpec
 
 MINIMAL = "[scenario]\nid = pi3\n"
@@ -222,6 +223,22 @@ def test_csv_collapses_negative_zero():
     assert table.to_text() == "x\n0\n"
 
 
+def test_csv_rows_read_as_cells_of_12_digits():
+    # each row is one format string: the text is the cells' own 12-digit
+    # text, across magnitudes, subnormals and the edges of exponent notation
+    rng = np.random.default_rng(14)
+    values = np.concatenate(
+        [
+            rng.normal(size=600) * 10.0 ** rng.integers(-320, 308, 600),
+            [0.0, -0.0, 1.0, -1e-5, 1e-4, 9.99999999999e-5, 1e15, 1e16, 999999999999.5, 5e-324],
+            [2.2250738585072014e-308, 1.7976931348623157e308],
+        ]
+    ).reshape(-1, 3)
+    text = CsvTable(("a", "b", "c"), tuple(values.T)).to_text()
+    cells = [",".join(f"{x + 0.0:.12g}" for x in row) for row in values.tolist()]
+    assert text == "a,b,c\n" + "\n".join(cells) + "\n"
+
+
 def test_csv_header_only_when_no_rows():
     table = CsvTable(("x", "y"), ([], []))
     assert table.to_text() == "x,y\n"
@@ -396,6 +413,64 @@ def test_cli_tiny_step_exits_two(tmp_path, capsys):
         assert run_cli(["pi3", *argv, "--out", str(out)]) == 2
         assert "takes more than 10000000 steps" in capsys.readouterr().err
         assert not (out / "result.csv").exists()
+
+
+def test_cli_tiny_configured_step_names_point_and_key(tmp_path, capsys):
+    config = tmp_path / "cfg"
+    config.write_text("[scenario]\nid = pi3\n\n[integrator]\ndt_us = 1e-300\n")
+    for argv in (["--config", str(config)], ["--dt-override", "1e-300"]):
+        out = tmp_path / argv[0]
+        assert run_cli(["pi3", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: pi3: a span of 0.0222222 us at dt = 1e-300 us takes more than "
+            "10000000 steps; raise [integrator] dt_us\n"
+        )
+        assert not (out / "result.csv").exists()
+
+
+def test_cli_tiny_default_step_names_its_source(tmp_path, capsys):
+    # no dt is set: recommended_dt follows drives of 1e9 MHz to a 1.6 ps step,
+    # and the message names that source instead of a key the user never set
+    config = tmp_path / "cfg"
+    config.write_text(
+        "[scenario]\nid = dark-states\n\n[pulses]\ndrive_amplitudes_mhz = " + ",".join(["1e9"] * 6) + "\n"
+    )
+    out = tmp_path / "x"
+    assert run_cli(["dark-states", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dark-states: a span of 1 us at dt = ")
+    assert err.endswith(
+        "takes more than 10000000 steps; no [integrator] dt_us is set, "
+        "so the step follows the pulse's fastest frequency\n"
+    )
+    assert not (out / "result.csv").exists()
+
+
+def test_cli_late_non_finite_coefficients_exit_three(tmp_path, capsys, monkeypatch):
+    # the default two-qubit-pi2 run, with coefficients that go NaN only past
+    # 90 % of the span: the check of the chunk that first holds them fires,
+    # and no later chunk is built
+    span = 8.0 / ScenarioConfig(scenario_id="two-qubit-pi2").envelope_mhz
+    coefficients, calls = PulsedHamiltonian.coefficients, []
+
+    def late_nan(self, times):
+        c = coefficients(self, times)
+        calls.append(times)
+        if len(calls) > 1:  # the first is recommended_dt's probe: it sets the default step
+            c[times > 0.9 * span] = np.nan
+        return c
+
+    monkeypatch.setattr(PulsedHamiltonian, "coefficients", late_nan)
+    out = tmp_path / "x"
+    assert run_cli(["two-qubit-pi2", "--out", str(out)]) == 3
+    chunks = calls[1:]
+    failing = next(i for i, times in enumerate(chunks) if times[-1] > 0.9 * span)
+    assert failing == len(chunks) - 1 and failing >= 90  # of the plan's 103 chunks
+    assert capsys.readouterr().err == (
+        "numerical failure: two-qubit-pi2: non-finite Hamiltonian sample "
+        f"near t={chunks[failing][0]:.6g} us\n"
+    )
+    assert not (out / "result.csv").exists()
 
 
 def test_cli_dt_override_lands_in_manifest(tmp_path):

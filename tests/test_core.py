@@ -9,6 +9,7 @@ from nvholo.core import (
     eig_hermitian,
     inner_product,
     ordered_product,
+    product_rounds,
     state_density_fidelity,
 )
 
@@ -289,3 +290,18 @@ class TestOrderedProduct:
             assert np.max(np.abs(product - loop)) < 1e-12
         # the leading axis is a batch: each row is its own sequence's product
         assert np.array_equal(ordered_product(mats[1]), old[1])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 89])
+    def test_rounds_built_once_run_on_each_refill(self, n):
+        # the views stay bound to their buffers: refilling mats and running
+        # the same rounds again gives the new sequence's product
+        rng = np.random.default_rng(n)
+        mats = np.empty((2, n, 4, 4))
+        half = (n + 1) // 2
+        calls, product = product_rounds(mats, (np.empty((2 * half, 16)), np.empty((2 * half, 16))))
+        assert sum(call.func is np.matmul for call in calls) == (n - 1).bit_length()
+        for _ in range(3):
+            mats[...] = rng.normal(size=mats.shape) / 4.0
+            for call in calls:
+                call()
+            assert np.array_equal(product, concatenating_product(mats))

@@ -305,6 +305,62 @@ class TestSampler:
             PulsedHamiltonian(spec, PulseSet((off, off), (off, off)))
 
 
+def amplitude_formula(ch, times):
+    """A channel's complex drive amplitude with one phase per time."""
+    env = envelope_values(ch.envelope, times, ch.t_center_us, ch.t_width_us)
+    phases = ch.phase_rad - 2.0 * np.pi * ch.carrier_mhz * times
+    return 2.0 * np.pi * ch.rabi_mhz * env * np.exp(1j * phases)
+
+
+class TestCoefficients:
+    """coefficients on the integrator's grids: a chunk of steps k0..k1 asks
+    for the times t0 + dt/2 * j, j = 2 k0 .. 2 k1."""
+
+    CHANNELS = [
+        PulseChannel(1.7, envelope=GAUSS, t_center_us=2.0, t_width_us=0.5),
+        PulseChannel(3.0, envelope=SIN2, t_center_us=1.0, t_width_us=1.5, phase_rad=2.5),
+        PulseChannel(2.0, carrier_mhz=-12.5, envelope=CONST, t_center_us=1.5, t_width_us=2.0),
+        PulseChannel(0.8, carrier_mhz=30.0, envelope=GAUSS, t_center_us=0.5, phase_rad=-4.0),
+    ]
+
+    @staticmethod
+    def grid(t0, dt, k0, k1):
+        return t0 + (dt / 2.0) * np.arange(2 * k0, 2 * k1 + 1)
+
+    def test_columns_are_the_amplitude_formula(self):
+        # zero and nonzero carriers, zero and nonzero phases; pump and
+        # Stokes share a tone, so it adds one pair of columns
+        a, b, c, d = self.CHANNELS
+        spec = LevelSpec(dim=8, energies_mhz=tuple(range(8)))
+        ham = PulsedHamiltonian(spec, PulseSet((a, b, c), (a, d, silent_channel())))
+        for t0, dt, k0, k1 in [(0.0, 1e-3, 0, 445), (0.0, 1e-3, 445, 890), (-0.3, 7e-4, 3, 19), (1.0, 0.05, 0, 1)]:
+            times = self.grid(t0, dt, k0, k1)
+            got = ham.coefficients(times)
+            assert got.shape == (times.shape[0], 9) and np.all(got[:, 0] == 1.0)
+            for k, ch in enumerate([a, b, c, d]):
+                expected = amplitude_formula(ch, times)
+                assert np.array_equal(got[:, 2 * k + 1], expected.real)
+                assert np.array_equal(got[:, 2 * k + 2], expected.imag)
+                assert np.array_equal(ch.amplitudes(times), expected)
+
+    def test_repeated_calls_share_no_state_between_instances(self):
+        a, b, c, d = self.CHANNELS
+        spec = LevelSpec(dim=4, energies_mhz=(0.0, 0.0, 5.0, -5.0))
+        first = PulsedHamiltonian(spec, PulseSet((a, silent_channel()), (a, silent_channel())))
+        second = PulsedHamiltonian(spec, PulseSet((b, c), (d, silent_channel())))
+        times = [self.grid(0.0, 2e-3, k, k + 300) for k in (0, 300, 600)]
+        once = [first.coefficients(t) for t in times]
+        for t, expected in zip(times, once):
+            assert second.coefficients(t).shape == (t.shape[0], 7)
+            assert np.array_equal(first.coefficients(t), expected)
+        # a fresh instance of the same pulses reads the same, and the other's differ
+        again = PulsedHamiltonian(spec, first.pulses)
+        assert all(np.array_equal(again.coefficients(t), e) for t, e in zip(times, once))
+        assert np.array_equal(
+            second.coefficients(times[0]), PulsedHamiltonian(spec, second.pulses).coefficients(times[0])
+        )
+
+
 class TestInteraction8:
     SPEC = LevelSpec(dim=8, energies_mhz=(0.0,) * 8, detunings_mhz=(7.0, 8.0, 9.0))
 
