@@ -56,6 +56,7 @@ from nvholo.core import (
     StateVector,
     checked_amplitudes,
     checked_densities,
+    last_axis_sum,
     product_rounds,
 )
 
@@ -190,10 +191,9 @@ class Trajectory:
             raise ConfigError("trajectory times must be strictly increasing")
         if self.amplitudes is not None:  # from the real and imaginary views: no complex copy
             amps = np.asarray(self.amplitudes)
-            squares = np.einsum("...i,...i->...", amps.real, amps.real)
-            actual = np.sqrt(squares + np.einsum("...i,...i->...", amps.imag, amps.imag))
+            actual = np.sqrt(last_axis_sum(np.square(amps.real) + np.square(amps.imag)))
         elif self.densities is not None:
-            actual = np.real(np.trace(np.asarray(self.densities), axis1=-2, axis2=-1))
+            actual = last_axis_sum(np.asarray(self.densities).diagonal(axis1=-2, axis2=-1).real)
         else:
             actual = None
         if actual is not None:
@@ -219,7 +219,7 @@ class Trajectory:
             raise ConfigError("trajectory holds no state-vector records")
         return StateVector.normalized(self.amplitudes[index])
 
-    @property
+    @functools.cached_property  # arrays are read-only: a reference normalises once
     def final_state(self) -> StateVector:
         return self.state(-1)
 
@@ -684,7 +684,7 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
         for b in blocks:  # the populations of renormalised records, by their sums
             if b.renormalize:
                 found = pops[b.lo : b.hi, 1 : b.record_at.shape[0]]
-                found *= (1.0 / found.sum(axis=-1))[..., None]
+                found *= (1.0 / last_axis_sum(found))[..., None]
 
     LOG.debug(
         "integrated %d runs of up to %d steps in %d blocks, %d chunks of up to %d steps; "
@@ -747,7 +747,7 @@ def evolve_schrodinger(h_of_t, psi0, cfg: EvolutionConfig) -> Trajectory:
     def measure(y, out=None):
         squares = np.square(y.view(np.float64))
         pops = np.add(squares[..., 0::2], squares[..., 1::2], out=out)
-        return np.sqrt(pops.sum(axis=-1)), pops
+        return np.sqrt(last_axis_sum(pops)), pops
 
     return _trajectories(_integrate(h_of_t, lift, y0, cfg, dim, measure), cfg, "amplitudes", (dim,))
 
@@ -777,7 +777,7 @@ def evolve_lindblad(h_of_t, rho0, noise: NoiseModel, cfg: EvolutionConfig) -> Tr
         if out is None:
             out = np.empty(diag.shape)
         np.copyto(out, diag)
-        return out.sum(axis=-1), out
+        return last_axis_sum(out), out
 
     y0 = entries.reshape(entries.shape[:-2] + (dim * dim,))
     out = _integrate(h_of_t, lift, y0, cfg, dim, measure, dissipator)

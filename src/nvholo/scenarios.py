@@ -20,9 +20,10 @@ is echoed away inside the loop, so Phi is the whole detuning response; its
 wrapped magnitude saturates at pi where the loop tilt reaches a quarter turn.
 
 The register model is evaluated as arrays, never point by point: the loop
-propagators of every sweep point or detuning triple come from one batched
-call, the sweep axis in blocks of bounded size, and the noisy fidelity loop
-is an ordered product of 4x4 superoperators, one per slice.
+kets (the first column of each qubit's propagator) of every sweep point or
+detuning triple come from one batched call, the sweep axis in pieces of
+bounded size, and the noisy fidelity loop is an ordered product of 4x4
+superoperators, one per slice.
 """
 
 from __future__ import annotations
@@ -399,13 +400,14 @@ def _pulse_config(
 
 
 @contextmanager
-def _naming(scenario: str, points: list):
-    """Re-raise a NumericalError of a batched integration under the scenario
-    and the sweep point of its failing run, points[run]."""
+def _naming(scenario: str, points, label: str = "{}"):
+    """Re-raise a NumericalError of a batched integration or gate under the
+    scenario and the sweep point of its failing run, label.format(points[run])
+    (formatted only on failure)."""
     try:
         yield
     except NumericalError as err:  # member is None for a call of one run
-        where = f"{scenario} {points[err.member or 0]}" if points else scenario
+        where = f"{scenario} {label.format(points[err.member or 0])}" if len(points) else scenario
         raise NumericalError(f"{where}: {err.detail}") from err
 
 
@@ -725,34 +727,39 @@ def _diamond_azimuth(s: np.ndarray) -> np.ndarray:
     return np.where(s <= 0.5, 1.0 - np.abs(4.0 * s - 1.0), np.abs(4.0 * s - 3.0) - 1.0)
 
 
-def _loop_rotations(qubit: int, chi, s_grid) -> np.ndarray:
-    """One qubit's loop rotation seen from its preparation frame, V^dag U V,
-    over the path fractions, one row per tilt: shape chi.shape + (len(s_grid),
-    2, 2).
+def _loop_kets(qubit: int, chi, s_grid, phase) -> np.ndarray:
+    """First column (a, b) of one qubit's loop rotation seen from its
+    preparation frame, V^dag U V, times exp(i phase s), over the path
+    fractions s, one row per tilt: shape chi.shape + (len(s_grid), 2). The
+    whole rotation is [[a, -b*], [b, a*]] (_qubit_propagators).
 
-    U turns by beta(s) about the tilted axis n; the preparation rotation
-    V = Rx(prep) carries n to Rx(-prep) n, since V^dag (n.sigma) V is the
-    Pauli vector of that rotated axis.
+    U turns by beta(s) about the tilted axis n, so a = cos(beta/2) -
+    i n_z sin(beta/2) and b = (n_y - i n_x) sin(beta/2); the preparation
+    rotation V = Rx(prep) carries n to Rx(-prep) n, since V^dag (n.sigma) V
+    is the Pauli vector of that rotated axis. The kets are written through a
+    float64 view in real arithmetic, with no complex temporaries.
     """
     s = np.atleast_1d(np.asarray(s_grid, dtype=float))
     chi = np.asarray(chi, dtype=float)[..., None]
-    rate = 1.0 / np.cos(chi)
-    beta = LOOP_SENSES[qubit] * LOOP_AREAS_RAD[qubit] * rate * s
-    azimuth = (
-        DIAMOND_HALF_RAD * _diamond_azimuth(s) if qubit == 2 else np.zeros_like(s)
-    )
+    beta = LOOP_SENSES[qubit] * LOOP_AREAS_RAD[qubit] * (1.0 / np.cos(chi)) * s
+    # the first two loops keep azimuth 0, so their axis is one per tilt
+    azimuth = DIAMOND_HALF_RAD * _diamond_azimuth(s) if qubit == 2 else 0.0
     nx = np.cos(chi) * np.cos(azimuth)
     ny = np.cos(chi) * np.sin(azimuth)
-    nz = np.sin(chi) * np.ones_like(s)
+    nz = np.sin(chi)
     cp, sp = math.cos(LOOP_PREP_RAD[qubit]), math.sin(LOOP_PREP_RAD[qubit])
     ny, nz = ny * cp + nz * sp, nz * cp - ny * sp
     c, d = np.cos(beta / 2.0), np.sin(beta / 2.0)
-    u = np.empty(beta.shape + (2, 2), dtype=np.complex128)
-    u[..., 0, 0] = c - 1j * nz * d
-    u[..., 0, 1] = (-1j * nx - ny) * d
-    u[..., 1, 0] = (-1j * nx + ny) * d
-    u[..., 1, 1] = c + 1j * nz * d
-    return u
+    nz, ny, nx = nz * d, ny * d, nx * d  # a = c - i nz, b = ny - i nx from here
+    theta = np.asarray(phase, dtype=float)[..., None] * s
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    kets = np.empty(c.shape + (2,), dtype=np.complex128)
+    parts = kets.view(np.float64)  # Re a, Im a, Re b, Im b
+    parts[..., 0] = c * cos_t + nz * sin_t
+    parts[..., 1] = c * sin_t - nz * cos_t
+    parts[..., 2] = ny * cos_t + nx * sin_t
+    parts[..., 3] = ny * sin_t - nx * cos_t
+    return kets
 
 
 def _dispersive_phase(qubit: int, chi) -> np.ndarray:
@@ -761,19 +768,37 @@ def _dispersive_phase(qubit: int, chi) -> np.ndarray:
 
 def _echo_offset(qubit: int, chi) -> np.ndarray:
     """Kinematic phase each tilted loop would add on its own; echoed away."""
-    ref = _loop_rotations(qubit, 0.0, 1.0)[0, :, 0]
-    act = _loop_rotations(qubit, chi, 1.0)[..., 0, :, 0]
-    overlap = np.sum(ref.conj() * act, axis=-1)
-    return np.where(np.abs(overlap) < 1e-12, 0.0, np.angle(overlap))
+    chi = np.asarray(chi, dtype=float)
+    ends = _loop_kets(qubit, np.append(0.0, chi), 1.0, 0.0)[:, 0]  # the untilted loop first
+    overlap = ends[0, 0].conj() * ends[1:, 0] + ends[0, 1].conj() * ends[1:, 1]
+    return np.where(np.abs(overlap) < 1e-12, 0.0, np.angle(overlap)).reshape(chi.shape)
+
+
+def _tilt(qubit: int, dtilde_mhz) -> tuple:
+    """Loop tilt chi and loop phase per differential detuning."""
+    chi = np.arctan2(dtilde_mhz, TILT_SCALE_MHZ)
+    return chi, _dispersive_phase(qubit, chi) - _echo_offset(qubit, chi)
+
+
+def _qubit_kets(qubit: int, dtilde_mhz, s_grid) -> np.ndarray:
+    """The qubit's state over the path from |0>, the first column of its
+    propagators: shape dtilde.shape + (len(s_grid), 2)."""
+    chi, phase = _tilt(qubit, dtilde_mhz)
+    return _loop_kets(qubit, chi, s_grid, phase)
 
 
 def _qubit_propagators(qubit: int, dtilde_mhz, s_grid) -> np.ndarray:
-    """Frame-of-preparation propagators V^dag U(s) V over the path, one row
-    per differential detuning: shape dtilde.shape + (len(s_grid), 2, 2)."""
-    chi = np.arctan2(dtilde_mhz, TILT_SCALE_MHZ)
-    phase = _dispersive_phase(qubit, chi) - _echo_offset(qubit, chi)
+    """Frame-of-preparation propagators V^dag U(s) V exp(i phase s) over the
+    path, one row per differential detuning, each [[a, -b*], [b, a*]] from
+    the unphased first column (a, b): shape dtilde.shape + (len(s_grid), 2, 2)."""
+    chi, phase = _tilt(qubit, dtilde_mhz)
     s = np.atleast_1d(np.asarray(s_grid, dtype=float))
-    return _loop_rotations(qubit, chi, s) * np.exp(1j * phase[..., None] * s)[..., None, None]
+    kets = _loop_kets(qubit, chi, s, 0.0)
+    u = np.empty(kets.shape + (2,), dtype=np.complex128)
+    u[..., 0] = kets
+    u[..., 0, 1] = -kets[..., 1].conj()
+    u[..., 1, 1] = kets[..., 0].conj()
+    return u * np.exp(1j * phase[..., None] * s)[..., None, None]
 
 
 def _common_mode(deltas) -> np.ndarray:
@@ -785,12 +810,6 @@ def _common_mode(deltas) -> np.ndarray:
 def _differential(deltas) -> np.ndarray:
     deltas = np.asarray(deltas, dtype=float)
     return deltas - _common_mode(deltas)[..., None]
-
-
-def _qubit_kets(qubit: int, dtilde_mhz, s_grid) -> np.ndarray:
-    """The qubit's state over the path from |0>, the first column of its
-    propagators: shape dtilde.shape + (len(s_grid), 2)."""
-    return _qubit_propagators(qubit, dtilde_mhz, s_grid)[..., 0]
 
 
 def _kron_kets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -807,6 +826,19 @@ def _loop_duration_us(deltas, base_us: float):
     return base_us / rate
 
 
+def _finite_common_mode(cfg: ScenarioConfig, where: str, d2: float, d3: float) -> float:
+    """The common mode 0.5 * (d2 + d3) of the held detunings in [detunings]
+    where. One that overflows is a ConfigError naming the scenario and where,
+    as the tilts and the loop duration would follow it to NaN; a finite one
+    gives finite tilts and a finite, positive duration."""
+    common = 0.5 * (d2 + d3)
+    if not math.isfinite(common):
+        raise ConfigError(
+            f"{cfg.scenario_id}: the common mode 0.5 * ({d2:g} + {d3:g}) of [detunings] {where} is not finite"
+        )
+    return common
+
+
 def run_three_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
     """Sweep the first qubit's detuning across the register loop.
 
@@ -814,8 +846,10 @@ def run_three_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
     the on-resonant reference, and every other point is scored against it by
     the population-discrepancy phase probe. All points share one wall-clock
     window so the record grids line up. That grid has as many samples as the
-    sweep has points, so the points are evaluated in blocks that hold at most
-    LOOP_BLOCK_BYTES of register amplitudes.
+    sweep has points, so the sweep goes in pieces: the swept qubit's kets
+    (first column only, 2 amplitudes per sample) for at most LOOP_BLOCK_BYTES,
+    then the register blocks of those points, each at most LOOP_BLOCK_BYTES
+    of amplitudes (8 per sample), before the next piece is built.
     """
     _require_scenario(cfg, "three-qubit-sweep")
     grid = _sweep_values(cfg.detunings[0])
@@ -823,31 +857,37 @@ def run_three_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
         raise ConfigError("three-qubit sweep needs at least 2 axis points")
     d2 = _scalar_detuning(cfg.detunings[1], "delta2")
     d3 = _scalar_detuning(cfg.detunings[2], "delta3")
-    common = 0.5 * (d2 + d3)
+    common = _finite_common_mode(cfg, "delta2, delta3", d2, d3)
     n_time = grid.shape[0]
     s_grid = np.linspace(0.0, 1.0, n_time)
     times = s_grid * (cfg.duration_us or LOOP_DURATION_US)
 
     # only the first qubit's tilt moves across the sweep
     held = _kron_kets(_qubit_kets(1, d2 - common, s_grid), _qubit_kets(2, d3 - common, s_grid))
+    point_bytes = n_time * held.itemsize  # one amplitude per sample
+    block = max(1, LOOP_BLOCK_BYTES // (8 * point_bytes))
+    piece = block * max(1, LOOP_BLOCK_BYTES // (2 * point_bytes) // block)
 
-    def records(delta1: np.ndarray) -> tuple:
-        amps = _kron_kets(_qubit_kets(0, delta1 - common, s_grid), held)
-        return np.abs(amps) ** 2, amps
+    def trajectory(kets: np.ndarray) -> Trajectory:
+        amps = _kron_kets(kets, held)
+        return Trajectory(times=times, populations=np.abs(amps) ** 2, amplitudes=amps)
 
     # the same batched call as the sweep points, so the held-detuning point
     # reproduces the reference bit for bit
-    pops, amps = records(np.array([common]))
-    reference = Trajectory(times=times, populations=pops[0], amplitudes=amps[0])
+    with _naming("three-qubit-sweep", [f"reference delta1={common:g} MHz"]):
+        reference = trajectory(_qubit_kets(0, np.array([common]) - common, s_grid)[0])
     label = f"delta1={common:g}MHz"
-    block = max(1, LOOP_BLOCK_BYTES // (n_time * 8 * amps.itemsize))
-    p1_final = np.empty(grid.shape[0])
+    p1_final = np.empty(n_time)
     estimates = []
-    for start in range(0, grid.shape[0], block):
-        pops, amps = records(grid[start:start + block])
-        batch = Trajectory(times=times, populations=pops, amplitudes=amps)
-        p1_final[start:start + block] = pops[:, -1, 0]
-        estimates.extend(phase_estimates(reference, batch, level=0, reference_label=label))
+    for start in range(0, n_time, piece):
+        kets = _qubit_kets(0, grid[start:start + piece] - common, s_grid)
+        for lo in range(0, kets.shape[0], block):
+            at = slice(start + lo, start + lo + block)
+            with _naming("three-qubit-sweep", grid[at], "delta1={:g} MHz"):
+                batch = trajectory(kets[lo:lo + block])
+            p1_final[at] = batch.populations[:, -1, 0]
+            estimates.extend(phase_estimates(reference, batch, level=0, reference_label=label))
+        del kets, batch  # used up: the next piece is built without them
     series = {
         "p1_final": p1_final,
         "p1_reference": reference.population_series(0),
@@ -865,6 +905,8 @@ def run_three_qubit_time_evolution(cfg: ScenarioConfig) -> tuple:
     _require_scenario(cfg, "three-qubit-time")
     if not cfg.detuning_sets:
         raise ConfigError("three-qubit time evolution needs at least one detuning triple")
+    for i, (_, d2, d3) in enumerate(cfg.detuning_sets):
+        _finite_common_mode(cfg, f"sets triple {i + 1}", d2, d3)
     base = cfg.duration_us or LOOP_DURATION_US
     common = _common_mode(cfg.detuning_sets[0])
     deltas = np.array([(common, common, common), *cfg.detuning_sets], dtype=float)
@@ -872,10 +914,12 @@ def run_three_qubit_time_evolution(cfg: ScenarioConfig) -> tuple:
     dtilde = _differential(deltas)
     kets = [_qubit_kets(q, dtilde[:, q], s_grid) for q in range(3)]
     amps = _kron_kets(_kron_kets(kets[0], kets[1]), kets[2])
-    return tuple(
-        Trajectory(times=s_grid * duration, populations=np.abs(a) ** 2, amplitudes=a)
-        for duration, a in zip(_loop_duration_us(deltas, base), amps)
-    )
+    trajs = []
+    for i, (triple, duration, a) in enumerate(zip(deltas, _loop_duration_us(deltas, base), amps)):
+        name = "delta=({:g}, {:g}, {:g}) MHz".format(*triple)
+        with _naming("three-qubit-time", [f"reference {name}" if i == 0 else name]):
+            trajs.append(Trajectory(times=s_grid * duration, populations=np.abs(a) ** 2, amplitudes=a))
+    return tuple(trajs)
 
 
 # ---------------------------------------------------------------------------
@@ -1022,7 +1066,7 @@ def compare_resonant_fidelity(cfg: ScenarioConfig) -> tuple:
         raise ConfigError("fidelity comparison needs an enabled noise model")
     d2 = _scalar_detuning(cfg.detunings[1], "delta2")
     d3 = _scalar_detuning(cfg.detunings[2], "delta3")
-    common = 0.5 * (d2 + d3)
+    common = _finite_common_mode(cfg, "delta2, delta3", d2, d3)
     base = cfg.duration_us or LOOP_DURATION_US
     offset = OFF_RESONANT_OFFSET_MHZ
     on = (common, common, common)

@@ -428,6 +428,38 @@ def test_cli_tiny_configured_step_names_point_and_key(tmp_path, capsys):
         assert not (out / "result.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "scenario, detunings, message",
+    [
+        (
+            "fidelity-compare",
+            "delta1 = 450.0\ndelta2 = 1e308\ndelta3 = 1e308\n\n[noise]\nenabled = true\n",
+            "fidelity-compare: the common mode 0.5 * (1e+308 + 1e+308) of [detunings] delta2, delta3 is not finite",
+        ),
+        (
+            "three-qubit-sweep",
+            "delta1 = 0.0:600.0:15.0\ndelta2 = 1e308\ndelta3 = 1e308\n",
+            "three-qubit-sweep: the common mode 0.5 * (1e+308 + 1e+308) of [detunings] delta2, delta3 is not finite",
+        ),
+        (
+            "three-qubit-time",
+            "sets = 300,450,450; 1e308,1e308,1e308\n",
+            "three-qubit-time: the common mode 0.5 * (1e+308 + 1e+308) of [detunings] sets triple 2 is not finite",
+        ),
+    ],
+    ids=["fidelity-compare", "three-qubit-sweep", "three-qubit-time"],
+)
+def test_cli_overflowing_common_mode_names_scenario_and_keys(scenario, detunings, message, tmp_path, capsys):
+    # 0.5 * (1e308 + 1e308) overflows; the tilts and the loop duration would
+    # follow it to NaN
+    config = tmp_path / "cfg"
+    config.write_text(f"[scenario]\nid = {scenario}\n\n[detunings]\n{detunings}")
+    out = tmp_path / "out"
+    assert run_cli([scenario, "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "result.csv").exists()
+
+
 def test_cli_tiny_default_step_names_its_source(tmp_path, capsys):
     # no dt is set: recommended_dt follows drives of 1e9 MHz to a 1.6 ps step,
     # and the message names that source instead of a key the user never set

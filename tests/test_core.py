@@ -8,6 +8,7 @@ from nvholo.core import (
     StateVector,
     eig_hermitian,
     inner_product,
+    last_axis_sum,
     ordered_product,
     product_rounds,
     state_density_fidelity,
@@ -305,3 +306,19 @@ class TestOrderedProduct:
             for call in calls:
                 call()
             assert np.array_equal(product, concatenating_product(mats))
+
+
+class TestLastAxisSum:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_same_bits_as_numpy_sum(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(14, 106, n)) * np.exp(rng.normal(scale=8.0, size=(14, 106, n)))
+        for arr in (x, x[:5, 3:90], x[..., ::-1], np.square(x), x[0, 0]):
+            got = last_axis_sum(arr)
+            assert got.shape == arr.shape[:-1]
+            assert np.array_equal(got, arr.sum(axis=-1))
+
+    def test_leaves_its_input_alone(self):
+        x = np.arange(12.0).reshape(3, 4)
+        x.setflags(write=False)
+        assert np.array_equal(last_axis_sum(x), [6.0, 22.0, 38.0])

@@ -1265,3 +1265,128 @@ def test_detuning_sweep_recorded_norm_failure_names_its_point():
     )
     with pytest.raises(NumericalError, match=r"^detune-sweep delta=30 MHz: recorded norm drifted"):
         run_single_qubit_detuning_sweep(cfg)
+
+
+# --- the swept qubit's kets, once per piece --------------------------------
+
+
+def test_loop_sweep_builds_swept_kets_once_per_piece(monkeypatch):
+    # 121 points on a 121-sample grid: a register block holds 8 points and a
+    # piece of swept-qubit kets 32 (four blocks), so 4 pieces and the
+    # reference; one evaluation per 8-point block would take 17
+    calls = []
+    kets = scenarios._qubit_kets
+
+    def spy(qubit, dtilde_mhz, s_grid):
+        if qubit == 0:
+            calls.append(np.asarray(dtilde_mhz).shape[0])
+        return kets(qubit, dtilde_mhz, s_grid)
+
+    monkeypatch.setattr(scenarios, "_qubit_kets", spy)
+    result = run_three_qubit_detuning_sweep(loop_sweep_config(detunings=(SweepSpec(0.0, 600.0, 5.0), 450.0, 450.0)))
+    assert calls == [1, 32, 32, 32, 25]
+    assert len(result.phase_estimates) == 121
+
+
+def test_loop_sweep_memory_stays_bounded_in_the_point_count():
+    # 401 points: the grid, the pieces and the blocks all grow with the point
+    # count, and the kets of a piece and the amplitudes of a block stay within
+    # LOOP_BLOCK_BYTES
+    cfg = loop_sweep_config(detunings=(SweepSpec(0.0, 600.0, 1.5), 450.0, 450.0))
+    run_three_qubit_detuning_sweep(cfg)
+    tracemalloc.start()
+    try:
+        result = run_three_qubit_detuning_sweep(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.phase_estimates) == 401
+    assert peak <= 1_000_000
+
+
+def entrywise_loop_propagators(qubit, dtilde_mhz, s_grid):
+    """The batched propagators as four complex entries per sample, each
+    written out, with the loop phase as a complex factor."""
+
+    def rotations(chi, s):
+        chi = np.asarray(chi, dtype=float)[..., None]
+        beta = LOOP_SENSES[qubit] * LOOP_AREAS_RAD[qubit] * (1.0 / np.cos(chi)) * s
+        azimuth = DIAMOND_HALF_RAD * _diamond_azimuth(s) if qubit == 2 else np.zeros_like(s)
+        nx = np.cos(chi) * np.cos(azimuth)
+        ny = np.cos(chi) * np.sin(azimuth)
+        nz = np.sin(chi) * np.ones_like(s)
+        cp, sp = math.cos(LOOP_PREP_RAD[qubit]), math.sin(LOOP_PREP_RAD[qubit])
+        ny, nz = ny * cp + nz * sp, nz * cp - ny * sp
+        c, d = np.cos(beta / 2.0), np.sin(beta / 2.0)
+        u = np.empty(beta.shape + (2, 2), dtype=np.complex128)
+        u[..., 0, 0] = c - 1j * nz * d
+        u[..., 0, 1] = (-1j * nx - ny) * d
+        u[..., 1, 0] = (-1j * nx + ny) * d
+        u[..., 1, 1] = c + 1j * nz * d
+        return u
+
+    chi = np.arctan2(dtilde_mhz, TILT_SCALE_MHZ)
+    ref = rotations(0.0, np.ones(1))[0, :, 0]
+    act = rotations(chi, np.ones(1))[..., 0, :, 0]
+    overlap = np.sum(ref.conj() * act, axis=-1)
+    echo = np.where(np.abs(overlap) < 1e-12, 0.0, np.angle(overlap))
+    dispersive = -math.pi * (np.sin(chi) ** 2 - LOOP_SENSES[qubit] * np.sin(2.0 * chi) / 2.0)
+    return rotations(chi, s_grid) * np.exp(1j * (dispersive - echo)[..., None] * s_grid)[..., None, None]
+
+
+@pytest.mark.parametrize("qubit", [0, 1, 2])
+def test_qubit_propagators_match_the_entrywise_formula(qubit):
+    s_grid = np.linspace(0.0, 1.0, FIDELITY_SLICES + 1)
+    dtilde = np.array([-1e6, -600.0, -201.22, -7.5, 0.0, 3.25, 150.0, 402.44, 1e6])
+    got = scenarios._qubit_propagators(qubit, dtilde, s_grid)
+    want = entrywise_loop_propagators(qubit, dtilde, s_grid)
+    assert got.shape == (dtilde.shape[0], s_grid.shape[0], 2, 2)
+    assert np.max(np.abs(got - want)) <= 1e-15
+    eye = np.eye(2)
+    assert np.max(np.abs(got @ got.conj().swapaxes(-1, -2) - eye)) < 1e-14
+    # the kets are the propagators' first column, scalar tilts included
+    assert np.max(np.abs(scenarios._qubit_kets(qubit, dtilde, s_grid) - got[..., 0])) <= 1e-15
+    single = scenarios._qubit_propagators(qubit, float(dtilde[2]), s_grid)
+    assert np.array_equal(single, got[2])
+
+
+@pytest.mark.parametrize(
+    "runner, cfg, name",
+    [
+        (
+            run_three_qubit_detuning_sweep,
+            loop_sweep_config(detunings=(SweepSpec(0.0, 600.0, 5.0), 450.0, 450.0)),
+            "three-qubit-sweep delta1=330 MHz",
+        ),
+        (
+            run_three_qubit_time_evolution,
+            ScenarioConfig(scenario_id="three-qubit-time", detuning_sets=((300.0, 450.0, 450.0), (330.0, 450.0, 450.0))),
+            r"three-qubit-time delta=\(330, 450, 450\) MHz",
+        ),
+    ],
+    ids=["sweep", "time"],
+)
+def test_register_gate_failure_names_its_point(runner, cfg, name, monkeypatch):
+    # a NaN in the swept qubit's kets at delta1 = 330 MHz (dtilde -120 MHz)
+    # fails the recorded-norm gate of the block that holds it
+    kets = scenarios._qubit_kets
+
+    def poisoned(qubit, dtilde_mhz, s_grid):
+        out = kets(qubit, dtilde_mhz, s_grid)
+        if qubit == 0:
+            out[np.asarray(dtilde_mhz) == -120.0, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(scenarios, "_qubit_kets", poisoned)
+    with pytest.raises(NumericalError, match=f"^{name}: recorded norm drifted by nan"):
+        runner(cfg)
+
+
+def test_loop_sweep_normalises_the_reference_final_state_once(monkeypatch):
+    # 16 register blocks are scored against one reference; its final state
+    # is normalised on first use and kept
+    calls = []
+    normalized = StateVector.normalized.__func__
+    monkeypatch.setattr(StateVector, "normalized", classmethod(lambda cls, v: calls.append(1) or normalized(cls, v)))
+    run_three_qubit_detuning_sweep(loop_sweep_config(detunings=(SweepSpec(0.0, 600.0, 5.0), 450.0, 450.0)))
+    assert len(calls) == 1
