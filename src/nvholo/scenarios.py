@@ -22,8 +22,10 @@ wrapped magnitude saturates at pi where the loop tilt reaches a quarter turn.
 The register model is evaluated as arrays, never point by point: the loop
 kets (the first column of each qubit's propagator) of every sweep point or
 detuning triple come from one batched call, the sweep axis in pieces of
-bounded size, and the noisy fidelity loop is an ordered product of 4x4
-superoperators, one per slice.
+bounded size. In the noisy fidelity loop a qubit's state is its Bloch
+vector r, and each slice is a real 4x4 map of [1, r]: the step rotation,
+then the channel's affine map. The loops of every qubit and configuration
+go through the same batched ordered products of those maps.
 """
 
 from __future__ import annotations
@@ -109,6 +111,11 @@ TIME_EVOLUTION_SAMPLES = 201
 # register amplitudes at a time, 8 points on a 121-sample grid; its time grid
 # grows with the point count, so whole-sweep arrays would grow with its square
 LOOP_BLOCK_BYTES = 128 * 1024
+# the noisy fidelity loop goes in pieces of this many slices, LOOP_BLOCK_BYTES
+# of real 4x4 maps for the comparison's two triples of three qubits; the
+# piece does not follow the batch, so a triple's fidelity has the same bits
+# alone or batched
+FIDELITY_PIECE_SLICES = LOOP_BLOCK_BYTES // (2 * 3 * 16 * 8)
 # the detune sweep integrates its points in blocks of at most this many bytes:
 # a point takes about DETUNE_RECORD_BYTES of heap per step (its ideal and noisy
 # records with the integrator's working copies), and every step is recorded.
@@ -731,7 +738,7 @@ def _loop_kets(qubit: int, chi, s_grid, phase) -> np.ndarray:
     """First column (a, b) of one qubit's loop rotation seen from its
     preparation frame, V^dag U V, times exp(i phase s), over the path
     fractions s, one row per tilt: shape chi.shape + (len(s_grid), 2). The
-    whole rotation is [[a, -b*], [b, a*]] (_qubit_propagators).
+    whole rotation is [[a, -b*], [b, a*]].
 
     U turns by beta(s) about the tilted axis n, so a = cos(beta/2) -
     i n_z sin(beta/2) and b = (n_y - i n_x) sin(beta/2); the preparation
@@ -787,20 +794,6 @@ def _qubit_kets(qubit: int, dtilde_mhz, s_grid) -> np.ndarray:
     return _loop_kets(qubit, chi, s_grid, phase)
 
 
-def _qubit_propagators(qubit: int, dtilde_mhz, s_grid) -> np.ndarray:
-    """Frame-of-preparation propagators V^dag U(s) V exp(i phase s) over the
-    path, one row per differential detuning, each [[a, -b*], [b, a*]] from
-    the unphased first column (a, b): shape dtilde.shape + (len(s_grid), 2, 2)."""
-    chi, phase = _tilt(qubit, dtilde_mhz)
-    s = np.atleast_1d(np.asarray(s_grid, dtype=float))
-    kets = _loop_kets(qubit, chi, s, 0.0)
-    u = np.empty(kets.shape + (2,), dtype=np.complex128)
-    u[..., 0] = kets
-    u[..., 0, 1] = -kets[..., 1].conj()
-    u[..., 1, 1] = kets[..., 0].conj()
-    return u * np.exp(1j * phase[..., None] * s)[..., None, None]
-
-
 def _common_mode(deltas) -> np.ndarray:
     """Common mode of the held detunings, per triple (last axis of deltas)."""
     deltas = np.asarray(deltas, dtype=float)
@@ -814,9 +807,15 @@ def _differential(deltas) -> np.ndarray:
 
 def _kron_kets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product of two state stacks sample by sample, the first factor
-    most significant; leading axes broadcast."""
-    out = a[..., :, None] * b[..., None, :]
-    return out.reshape(out.shape[:-2] + (-1,))
+    most significant; b's leading axes are the last leading axes of a. The
+    repeated a is multiplied in place by the tiled b, one row of a's extra
+    leading axes at a time: a broadcast multiply would have numpy allocate
+    iterator buffers up to the result's size."""
+    out = np.repeat(a, b.shape[-1], axis=-1)
+    tiled = np.tile(b, a.shape[-1])
+    for row in out.reshape((-1,) + tiled.shape):
+        row *= tiled
+    return out
 
 
 def _loop_duration_us(deltas, base_us: float):
@@ -826,17 +825,28 @@ def _loop_duration_us(deltas, base_us: float):
     return base_us / rate
 
 
-def _finite_common_mode(cfg: ScenarioConfig, where: str, d2: float, d3: float) -> float:
-    """The common mode 0.5 * (d2 + d3) of the held detunings in [detunings]
-    where. One that overflows is a ConfigError naming the scenario and where,
-    as the tilts and the loop duration would follow it to NaN; a finite one
-    gives finite tilts and a finite, positive duration."""
-    common = 0.5 * (d2 + d3)
-    if not math.isfinite(common):
-        raise ConfigError(
-            f"{cfg.scenario_id}: the common mode 0.5 * ({d2:g} + {d3:g}) of [detunings] {where} is not finite"
-        )
-    return common
+def _finite_common_mode(cfg: ScenarioConfig):
+    """The common mode 0.5 * (d2 + d3) of a register scenario's held
+    detunings: [detunings] delta2, delta3, or the first sets triple's, after
+    every triple is checked; None for any other scenario. One that overflows
+    is a ConfigError naming the scenario and where, as the tilts and the loop
+    duration would follow it to NaN; a finite one gives finite tilts and a
+    finite, positive duration. The runners and `nvholo validate` both check
+    through here."""
+    if cfg.scenario_id == "three-qubit-time":
+        held = [(f"sets triple {i + 1}", d2, d3) for i, (_, d2, d3) in enumerate(cfg.detuning_sets)]
+    elif cfg.scenario_id in ("three-qubit-sweep", "fidelity-compare"):
+        d2 = _scalar_detuning(cfg.detunings[1], "delta2")
+        d3 = _scalar_detuning(cfg.detunings[2], "delta3")
+        held = [("delta2, delta3", d2, d3)]
+    else:
+        return None
+    for where, d2, d3 in held:
+        if not math.isfinite(0.5 * (d2 + d3)):
+            raise ConfigError(
+                f"{cfg.scenario_id}: the common mode 0.5 * ({d2:g} + {d3:g}) of [detunings] {where} is not finite"
+            )
+    return 0.5 * (held[0][1] + held[0][2]) if held else None
 
 
 def run_three_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
@@ -855,9 +865,8 @@ def run_three_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
     grid = _sweep_values(cfg.detunings[0])
     if grid.shape[0] < 2:
         raise ConfigError("three-qubit sweep needs at least 2 axis points")
-    d2 = _scalar_detuning(cfg.detunings[1], "delta2")
-    d3 = _scalar_detuning(cfg.detunings[2], "delta3")
-    common = _finite_common_mode(cfg, "delta2, delta3", d2, d3)
+    common = _finite_common_mode(cfg)
+    d2, d3 = cfg.detunings[1:]
     n_time = grid.shape[0]
     s_grid = np.linspace(0.0, 1.0, n_time)
     times = s_grid * (cfg.duration_us or LOOP_DURATION_US)
@@ -905,10 +914,8 @@ def run_three_qubit_time_evolution(cfg: ScenarioConfig) -> tuple:
     _require_scenario(cfg, "three-qubit-time")
     if not cfg.detuning_sets:
         raise ConfigError("three-qubit time evolution needs at least one detuning triple")
-    for i, (_, d2, d3) in enumerate(cfg.detuning_sets):
-        _finite_common_mode(cfg, f"sets triple {i + 1}", d2, d3)
+    common = _finite_common_mode(cfg)
     base = cfg.duration_us or LOOP_DURATION_US
-    common = _common_mode(cfg.detuning_sets[0])
     deltas = np.array([(common, common, common), *cfg.detuning_sets], dtype=float)
     s_grid = np.linspace(0.0, 1.0, TIME_EVOLUTION_SAMPLES)
     dtilde = _differential(deltas)
@@ -1016,41 +1023,88 @@ def _qubit_kraus(dt_us: float, noise: NoiseModel) -> list:
     return ops
 
 
-def _qubit_loop_fidelity(frames: np.ndarray, kraus: np.ndarray) -> float:
-    """<ideal|rho|ideal> of one qubit after the sliced noisy loop.
+_PAULI = np.array(
+    [np.eye(2), [[0.0, 1.0], [1.0, 0.0]], [[0.0, -1j], [1j, 0.0]], [[1.0, 0.0], [0.0, -1.0]]],
+    dtype=np.complex128,
+)
 
-    rho travels as its row-major vector, on which rho -> A rho B^dag is the
-    4x4 matrix A (x) B*. A slice, the step unitary U and then the channel
-    with Kraus operators M_m, is K (U (x) U*) with K = sum_m M_m (x) M_m*,
-    and the loop is the ordered product of its slices.
+
+def _bloch_rotations(kets: np.ndarray) -> np.ndarray:
+    """The rotations R_ij = 1/2 Tr(sigma_i U sigma_j U^dag) of the unitaries
+    U = [[a, -b*], [b, a*]] of the kets (a, b) on the last axis, as
+    homogeneous 4x4 maps of [1, r], r the Bloch vector: shape
+    kets.shape[:-1] + (4, 4). Written elementwise from the kets' real parts.
     """
-    ket0 = np.array([1.0, 0.0], dtype=np.complex128)
-    steps = frames[1:] @ frames[:-1].conj().transpose(0, 2, 1)
-    channel = np.einsum("mij,mab->iajb", kraus, kraus.conj()).reshape(4, 4)
-    slices = channel @ np.einsum("kij,kab->kiajb", steps, steps.conj()).reshape(-1, 4, 4)
-    psi0 = frames[0] @ ket0
-    rho = ordered_product(slices) @ np.outer(psi0, psi0.conj()).reshape(4)
-    ideal = frames[-1] @ ket0
-    return float(np.real(np.vdot(ideal, rho.reshape(2, 2) @ ideal)))
+    p, q, r, t = np.moveaxis(kets.view(np.float64), -1, 0)  # a = p + iq, b = r + it
+    aa_re, aa_im = p * p - q * q, 2.0 * p * q
+    bb_re, bb_im = r * r - t * t, 2.0 * r * t
+    out = np.zeros(p.shape + (4, 4))
+    out[..., 0, 0] = 1.0
+    out[..., 1, 1] = aa_re - bb_re
+    out[..., 1, 2] = aa_im - bb_im
+    out[..., 1, 3] = 2.0 * (p * r + q * t)
+    out[..., 2, 1] = -aa_im - bb_im
+    out[..., 2, 2] = aa_re + bb_re
+    out[..., 2, 3] = 2.0 * (p * t - q * r)
+    out[..., 3, 1] = -2.0 * (p * r - q * t)
+    out[..., 3, 2] = -2.0 * (p * t + q * r)
+    out[..., 3, 3] = p * p + q * q - r * r - t * t
+    return out
 
 
-def _loop_fidelity(deltas, base_us: float, noise: NoiseModel, n_slices: int) -> float:
-    """Register fidelity as the product of the three qubits' fidelities.
+def _step_kets(kets: np.ndarray) -> np.ndarray:
+    """First columns of U_k U_{k-1}^dag for the unitaries [[a, -b*], [b, a*]]
+    of consecutive kets (a, b) on axis -2: one row fewer on that axis."""
+    a, b = kets[..., 1:, 0], kets[..., 1:, 1]
+    a_prev, b_prev = kets[..., :-1, 0], kets[..., :-1, 1]
+    out = np.empty(a.shape + (2,), dtype=np.complex128)
+    out[..., 0] = a * a_prev.conj() + b.conj() * b_prev
+    out[..., 1] = b * a_prev.conj() - a.conj() * b_prev
+    return out
+
+
+def _channel_map(kraus: np.ndarray) -> np.ndarray:
+    """The affine map T_ij = 1/2 Re Tr(sigma_i sum_m M_m sigma_j M_m^dag) on
+    [1, r] of the channel with Kraus operators M_m on axis -3: shape
+    kraus.shape[:-3] + (4, 4)."""
+    terms = np.einsum("iab,...mbc,jcd,...mad->...ij", _PAULI, kraus, _PAULI, kraus.conj())
+    return 0.5 * terms.real
+
+
+def _loop_fidelity(deltas, base_us: float, noise: NoiseModel, n_slices: int):
+    """Register fidelity per detuning triple (last axis of deltas), the
+    product of the three qubits' fidelities <ideal|rho|ideal>.
 
     Each slice applies per-qubit unitaries and per-qubit channels to a
     product state, so the register state stays a product and its overlap
-    with the (product) ideal state factorises qubit by qubit.
+    with the (product) ideal state factorises qubit by qubit. A qubit's rho
+    is its Bloch vector r, on whose [1, r] a slice is the real 4x4 map
+    T R_k R_{k-1}^T: the step rotation between the loop frames, then the
+    channel. The loop phase is global and drops out. Every qubit's and
+    triple's slices go through the same batched ordered products, and the
+    fidelity is 1/2 [1, r_ideal] . [1, r] at the loop's end.
     """
-    dtilde = _differential(deltas)
+    deltas = np.asarray(deltas, dtype=float)
+    triples = deltas.reshape(-1, 3)
+    chi = np.arctan2(_differential(triples), TILT_SCALE_MHZ)
     s_grid = np.linspace(0.0, 1.0, n_slices + 1)
-    ops = np.array(_qubit_kraus(_loop_duration_us(deltas, base_us) / n_slices, noise))
-    fidelity = 1.0
-    for q in range(3):
-        frames = _qubit_propagators(q, dtilde[q], s_grid)
-        # channels act in the frame of the preparation rotation
-        v = _rx(LOOP_PREP_RAD[q])
-        fidelity *= _qubit_loop_fidelity(frames, v.conj().T @ ops @ v)
-    return fidelity
+    kets = np.stack([_loop_kets(q, chi[:, q], s_grid, 0.0) for q in range(3)])
+    # [1, r] of |0> seen from the first and the last frame
+    ends = _bloch_rotations(kets[..., [0, -1], :])
+    rho, ideal = np.moveaxis(ends[..., 0] + ends[..., 3], -2, 0)
+    # channels act in the frame of the preparation rotation
+    v = np.array([_rx(prep) for prep in LOOP_PREP_RAD])[:, None]
+    dts = _loop_duration_us(triples, base_us) / n_slices
+    kraus = [v.conj().swapaxes(-1, -2) @ np.array(_qubit_kraus(dt, noise)) @ v for dt in dts]
+    channels = np.stack([_channel_map(k) for k in kraus], axis=1)[..., None, :, :]
+    # (qubit, triple, slice) steps R_k R_{k-1}^T, the rotations of U_k U_{k-1}^dag,
+    # in pieces: each piece's product moves [1, r] on before the next is built
+    for lo in range(0, n_slices, FIDELITY_PIECE_SLICES):
+        slices = channels @ _bloch_rotations(_step_kets(kets[..., lo:lo + FIDELITY_PIECE_SLICES + 1, :]))
+        rho = (ordered_product(slices) @ rho[..., None])[..., 0]
+        del slices  # used up: the next piece is built without it
+    fidelity = 0.5 * (ideal * rho).sum(axis=-1)
+    return np.prod(fidelity, axis=0).reshape(deltas.shape[:-1])[()]
 
 
 def compare_resonant_fidelity(cfg: ScenarioConfig) -> tuple:
@@ -1064,14 +1118,10 @@ def compare_resonant_fidelity(cfg: ScenarioConfig) -> tuple:
     _require_scenario(cfg, "fidelity-compare")
     if not cfg.noise.enabled:
         raise ConfigError("fidelity comparison needs an enabled noise model")
-    d2 = _scalar_detuning(cfg.detunings[1], "delta2")
-    d3 = _scalar_detuning(cfg.detunings[2], "delta3")
-    common = _finite_common_mode(cfg, "delta2, delta3", d2, d3)
+    common = _finite_common_mode(cfg)
     base = cfg.duration_us or LOOP_DURATION_US
     offset = OFF_RESONANT_OFFSET_MHZ
     on = (common, common, common)
     off = (common + offset, common + offset, common - offset)
-    return (
-        _loop_fidelity(off, base, cfg.noise, FIDELITY_SLICES),
-        _loop_fidelity(on, base, cfg.noise, FIDELITY_SLICES),
-    )
+    off_fidelity, on_fidelity = _loop_fidelity((off, on), base, cfg.noise, FIDELITY_SLICES)
+    return float(off_fidelity), float(on_fidelity)

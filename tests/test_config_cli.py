@@ -428,7 +428,7 @@ def test_cli_tiny_configured_step_names_point_and_key(tmp_path, capsys):
         assert not (out / "result.csv").exists()
 
 
-@pytest.mark.parametrize(
+OVERFLOWING_COMMON_MODES = pytest.mark.parametrize(
     "scenario, detunings, message",
     [
         (
@@ -449,6 +449,9 @@ def test_cli_tiny_configured_step_names_point_and_key(tmp_path, capsys):
     ],
     ids=["fidelity-compare", "three-qubit-sweep", "three-qubit-time"],
 )
+
+
+@OVERFLOWING_COMMON_MODES
 def test_cli_overflowing_common_mode_names_scenario_and_keys(scenario, detunings, message, tmp_path, capsys):
     # 0.5 * (1e308 + 1e308) overflows; the tilts and the loop duration would
     # follow it to NaN
@@ -458,6 +461,17 @@ def test_cli_overflowing_common_mode_names_scenario_and_keys(scenario, detunings
     assert run_cli([scenario, "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (out / "result.csv").exists()
+
+
+@OVERFLOWING_COMMON_MODES
+def test_cli_validate_rejects_an_overflowing_common_mode(scenario, detunings, message, tmp_path, capsys):
+    # validate reaches the check the run makes, with the same message
+    config = tmp_path / "cfg"
+    config.write_text(f"[scenario]\nid = {scenario}\n\n[detunings]\n{detunings}")
+    assert run_cli(["validate", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "config ok" not in captured.out
 
 
 def test_cli_tiny_default_step_names_its_source(tmp_path, capsys):

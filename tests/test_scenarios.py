@@ -14,6 +14,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvholo import evolve as evolve_module
 from nvholo import scenarios
@@ -70,7 +72,6 @@ from nvholo.scenarios import (
     _loop_fidelity,
     _qubit_kraus,
     _pulse_dt,
-    _qubit_propagators,
     _rx,
 )
 
@@ -576,7 +577,7 @@ def kron_loop_fidelity(deltas, base_us, noise, n_slices):
     """
     common = _common_mode(deltas)
     s_grid = np.linspace(0.0, 1.0, n_slices + 1)
-    frames = [_qubit_propagators(q, float(deltas[q]) - common, s_grid) for q in range(3)]
+    frames = [point_qubit_propagators(q, float(deltas[q]) - common, s_grid) for q in range(3)]
     ket0 = np.array([1.0, 0.0], dtype=np.complex128)
     eye = np.eye(2, dtype=np.complex128)
     channels = []
@@ -751,6 +752,99 @@ def test_loop_fidelity_matches_per_slice_kraus_loop(deltas, t1_us, t2_us):
     got = _loop_fidelity(deltas, LOOP_DURATION_US, noise, FIDELITY_SLICES)
     assert 0.0 < reference < 1.0
     assert got == pytest.approx(reference, abs=1e-12)
+
+
+PAULIS = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=np.complex128)
+
+
+def random_kets(rng, shape):
+    parts = rng.normal(size=shape + (4,))
+    parts /= np.linalg.norm(parts, axis=-1, keepdims=True)
+    return parts.view(np.complex128)
+
+
+def su2(kets):
+    a, b = kets[..., 0], kets[..., 1]
+    return np.stack([np.stack([a, -b.conj()], -1), np.stack([b, a.conj()], -1)], -2)
+
+
+def test_bloch_rotations_are_the_pauli_traces_of_the_unitaries():
+    kets = random_kets(np.random.default_rng(7), (5, 40))
+    u = su2(kets)
+    want = 0.5 * np.einsum("iab,...bc,jcd,...ad->...ij", PAULIS, u, PAULIS, u.conj()).real
+    got = scenarios._bloch_rotations(kets)
+    assert got.shape == (5, 40, 4, 4)
+    assert np.max(np.abs(got - want)) < 1e-15
+    assert np.max(np.abs(got @ got.swapaxes(-1, -2) - np.eye(4))) < 1e-14
+    assert np.array_equal(got[..., 0, :], np.broadcast_to([1.0, 0.0, 0.0, 0.0], (5, 40, 4)))
+
+
+def test_step_kets_give_the_step_rotations():
+    # R(U_k U_{k-1}^dag) = R_k R_{k-1}^T, so a step needs no matrix product
+    kets = random_kets(np.random.default_rng(8), (3, 30))
+    steps = scenarios._step_kets(kets)
+    u = su2(kets)
+    assert np.max(np.abs(su2(steps) - u[:, 1:] @ u[:, :-1].conj().swapaxes(-1, -2))) < 1e-15
+    frames = scenarios._bloch_rotations(kets)
+    want = frames[:, 1:] @ frames[:, :-1].swapaxes(-1, -2)
+    assert np.max(np.abs(scenarios._bloch_rotations(steps) - want)) < 1e-14
+
+
+@pytest.mark.parametrize("t1_us,t2_us", [(100.0, 50.0), (20.0, 35.0), (math.inf, 10.0), (5.0, 10.0)])
+def test_channel_map_of_the_kraus_operators(t1_us, t2_us):
+    noise = NoiseModel(t1_us=t1_us, t2_us=t2_us, enabled=True)
+    ops = np.array(_qubit_kraus(0.3, noise))
+    got = scenarios._channel_map(ops)
+    # trace preserving: [1, r] keeps its 1, to rounding
+    assert np.max(np.abs(got[0] - [1.0, 0.0, 0.0, 0.0])) < 1e-15
+    # it maps the Bloch vector of any rho as the channel maps rho
+    rng = np.random.default_rng(9)
+    for ket in random_kets(rng, (6,)):
+        rho = np.outer(ket, ket.conj())
+        out = sum(m @ rho @ m.conj().T for m in ops)
+        bloch = lambda r: np.einsum("iab,ba->i", PAULIS, r).real
+        assert np.max(np.abs(got @ bloch(rho) - bloch(out))) < 1e-15
+
+
+def test_compare_resonant_fidelity_is_two_single_triple_loops():
+    cfg = ScenarioConfig(scenario_id="fidelity-compare", detunings=(450.0, 450.0, 430.0), noise=NOISE)
+    common = 440.0
+    offset = OFF_RESONANT_OFFSET_MHZ
+    off = _loop_fidelity((common + offset, common + offset, common - offset), LOOP_DURATION_US, NOISE, FIDELITY_SLICES)
+    on = _loop_fidelity((common,) * 3, LOOP_DURATION_US, NOISE, FIDELITY_SLICES)
+    assert compare_resonant_fidelity(cfg) == (off, on)
+    assert isinstance(off, float)
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(
+    deltas=st.tuples(*[st.floats(-1000.0, 1000.0, allow_nan=False)] * 3),
+    t1_us=st.floats(1.0, 1000.0),
+    t2_ratio=st.floats(0.05, 2.0),
+)
+def test_random_loop_fidelities_match_the_per_slice_kraus_loop(deltas, t1_us, t2_ratio):
+    """Random detuning triples and T1/T2 (T2 <= 2 T1) over 20 slices: the
+    Bloch-vector product against one Kraus sandwich per slice and operator."""
+    noise = NoiseModel(t1_us=t1_us, t2_us=t2_ratio * t1_us, enabled=True)
+    reference = point_loop_fidelity(deltas, LOOP_DURATION_US, noise, 20)
+    got = _loop_fidelity(deltas, LOOP_DURATION_US, noise, 20)
+    assert got == pytest.approx(reference, abs=1e-12)
+
+
+def test_kron_kets_is_the_outer_product_bit_for_bit():
+    rng = np.random.default_rng(10)
+    a, b = random_kets(rng, (8, 121)), random_kets(rng, (121, 2)).reshape(121, 4)
+    want = (a[..., :, None] * b[..., None, :]).reshape(8, 121, 8)
+    assert np.array_equal(scenarios._kron_kets(a, b), want)
+    tracemalloc.start()
+    try:
+        out = scenarios._kron_kets(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the result and the tiled second factor: an outer-product broadcast
+    # held three times the result's bytes
+    assert peak < 1.5 * out.nbytes
 
 
 def test_loop_sweep_memory_stays_bounded():
@@ -1335,19 +1429,20 @@ def entrywise_loop_propagators(qubit, dtilde_mhz, s_grid):
 
 
 @pytest.mark.parametrize("qubit", [0, 1, 2])
-def test_qubit_propagators_match_the_entrywise_formula(qubit):
+def test_qubit_kets_match_the_entrywise_formula(qubit):
     s_grid = np.linspace(0.0, 1.0, FIDELITY_SLICES + 1)
     dtilde = np.array([-1e6, -600.0, -201.22, -7.5, 0.0, 3.25, 150.0, 402.44, 1e6])
-    got = scenarios._qubit_propagators(qubit, dtilde, s_grid)
     want = entrywise_loop_propagators(qubit, dtilde, s_grid)
-    assert got.shape == (dtilde.shape[0], s_grid.shape[0], 2, 2)
-    assert np.max(np.abs(got - want)) <= 1e-15
-    eye = np.eye(2)
-    assert np.max(np.abs(got @ got.conj().swapaxes(-1, -2) - eye)) < 1e-14
     # the kets are the propagators' first column, scalar tilts included
-    assert np.max(np.abs(scenarios._qubit_kets(qubit, dtilde, s_grid) - got[..., 0])) <= 1e-15
-    single = scenarios._qubit_propagators(qubit, float(dtilde[2]), s_grid)
-    assert np.array_equal(single, got[2])
+    kets = scenarios._qubit_kets(qubit, dtilde, s_grid)
+    assert kets.shape == (dtilde.shape[0], s_grid.shape[0], 2)
+    assert np.max(np.abs(kets - want[..., 0])) <= 1e-15
+    assert np.array_equal(scenarios._qubit_kets(qubit, float(dtilde[2]), s_grid), kets[2])
+    # the unphased kets give the whole propagator as [[a, -b*], [b, a*]]
+    chi, phase = scenarios._tilt(qubit, dtilde)
+    got = su2(scenarios._loop_kets(qubit, chi, s_grid, 0.0)) * np.exp(1j * phase[:, None] * s_grid)[..., None, None]
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert np.max(np.abs(got @ got.conj().swapaxes(-1, -2) - np.eye(2))) < 1e-14
 
 
 @pytest.mark.parametrize(
