@@ -222,22 +222,32 @@ def phase_estimates(
 
     actual may be a batch of runs on the reference's grid (leading axes on
     its records); the estimates come back in row-major order of those axes,
-    and an unbatched actual gives a tuple of one. Magnitudes lie in
-    [-pi, pi): an overlap on the negative real axis, up to a few ulps of
-    rounding either way, reads -pi.
+    and an unbatched actual gives a tuple of one. phase_probe applies the
+    rules to the two records' level series and final states.
     """
     if reference.times.shape != actual.times.shape or np.max(
         np.abs(reference.times - actual.times)
     ) > 1e-12:
         raise ConfigError("trajectories must share the sampling grid")
-    ref = reference.population_series(level)
-    act = actual.population_series(level).reshape(-1, ref.shape[0])
-    discrepancy = np.minimum(np.max(np.abs(ref - act), axis=1), 1.0)
     if reference.amplitudes is None or actual.amplitudes is None:
         raise ConfigError("phase extraction needs amplitude records")
-    # both records passed the recorded-norm check, so the norms are near 1
-    finals = actual.amplitudes[..., -1, :].reshape(-1, actual.dim)
-    ref_final = reference.final_state.amps
+    ref = reference.population_series(level), reference.final_state.amps
+    act = actual.population_series(level), actual.amplitudes[..., -1, :]
+    return phase_probe(*ref, *act, reference_label)
+
+
+def phase_probe(ref_series, ref_final, series, finals, reference_label="") -> tuple:
+    """phase_estimates on arrays: the reference's level series (time,) and
+    normalised final state (dim,) against the runs' level series
+    (..., time) and final states (..., dim), one estimate per run in
+    row-major order. The runs' final states need only be near 1 in norm, as
+    records that passed the recorded-norm gate are. Magnitudes lie in
+    [-pi, pi): an overlap on the negative real axis, up to a few ulps of
+    rounding either way, reads -pi.
+    """
+    act = series.reshape(-1, ref_series.shape[0])
+    discrepancy = np.minimum(np.max(np.abs(ref_series - act), axis=1), 1.0)
+    finals = finals.reshape(-1, ref_final.shape[0])
     overlap = (finals @ ref_final.conj()) / np.linalg.norm(finals, axis=1)
     undefined = np.abs(overlap) < MIN_OVERLAP
     residue = PHASE_TIE_ULPS * np.finfo(float).eps * np.abs(overlap.real)

@@ -21,7 +21,7 @@ wrapped magnitude saturates at pi where the loop tilt reaches a quarter turn.
 
 The register model is evaluated as arrays, never point by point: the loop
 kets (the first column of each qubit's propagator) of every sweep point or
-detuning triple come from one batched call, the sweep axis in pieces of
+detuning triple come from one batched call, the sweep axis in blocks of
 bounded size. In the noisy fidelity loop a qubit's state is its Bloch
 vector r, and each slice is a real 4x4 map of [1, r]: the step rotation,
 then the channel's affine map. The loops of every qubit and configuration
@@ -59,6 +59,7 @@ from nvholo.gates import (
     GateParams,
     PhaseEstimate,
     phase_estimates,
+    phase_probe,
     single_qubit_unitary,
 )
 from nvholo.hamiltonians import (
@@ -107,8 +108,8 @@ LOOP_DURATION_US = 8.9719
 OFF_RESONANT_OFFSET_MHZ = 201.22
 FIDELITY_SLICES = 400
 TIME_EVOLUTION_SAMPLES = 201
-# the detuning sweep holds at most this many bytes of (points, time, 8)
-# register amplitudes at a time, 8 points on a 121-sample grid; its time grid
+# the detuning sweep holds at most this many bytes of (points, time, 2)
+# swept-qubit kets at a time, 33 points on a 121-sample grid; its time grid
 # grows with the point count, so whole-sweep arrays would grow with its square
 LOOP_BLOCK_BYTES = 128 * 1024
 # the noisy fidelity loop goes in pieces of this many slices, LOOP_BLOCK_BYTES
@@ -855,11 +856,17 @@ def run_three_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
     The held detunings define the common mode; their slice of the sweep is
     the on-resonant reference, and every other point is scored against it by
     the population-discrepancy phase probe. All points share one wall-clock
-    window so the record grids line up. That grid has as many samples as the
-    sweep has points, so the sweep goes in pieces: the swept qubit's kets
-    (first column only, 2 amplitudes per sample) for at most LOOP_BLOCK_BYTES,
-    then the register blocks of those points, each at most LOOP_BLOCK_BYTES
-    of amplitudes (8 per sample), before the next piece is built.
+    window so the record grids line up.
+
+    The register has no interaction term, so a point's state is the product
+    k (x) h of the swept qubit's ket k and the held pair's ket h, and h is
+    the same for every point: the register's level-0 population is
+    |k_0|^2 |h_0|^2, and once normalised its final overlap with the reference
+    is the swept factor's alone. So no register array is built. The held pair
+    is evaluated and gated once; the swept qubit's kets (2 amplitudes per
+    sample, on a grid of as many samples as the sweep has points) go in
+    blocks of at most LOOP_BLOCK_BYTES, each gated and scored before the next
+    is built.
     """
     _require_scenario(cfg, "three-qubit-sweep")
     grid = _sweep_values(cfg.detunings[0])
@@ -870,37 +877,32 @@ def run_three_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
     n_time = grid.shape[0]
     s_grid = np.linspace(0.0, 1.0, n_time)
     times = s_grid * (cfg.duration_us or LOOP_DURATION_US)
+    block = max(1, LOOP_BLOCK_BYTES // (2 * 16 * n_time))  # 2 complex amplitudes per sample
 
-    # only the first qubit's tilt moves across the sweep
-    held = _kron_kets(_qubit_kets(1, d2 - common, s_grid), _qubit_kets(2, d3 - common, s_grid))
-    point_bytes = n_time * held.itemsize  # one amplitude per sample
-    block = max(1, LOOP_BLOCK_BYTES // (8 * point_bytes))
-    piece = block * max(1, LOOP_BLOCK_BYTES // (2 * point_bytes) // block)
+    def gated(kets: np.ndarray, points, name: str = "{}") -> Trajectory:
+        # the recorded-norm and population gate, naming a failing point
+        with _naming("three-qubit-sweep", points, name):
+            return Trajectory(times=times, populations=np.square(kets.real) + np.square(kets.imag), amplitudes=kets)
 
-    def trajectory(kets: np.ndarray) -> Trajectory:
-        amps = _kron_kets(kets, held)
-        return Trajectory(times=times, populations=np.abs(amps) ** 2, amplitudes=amps)
-
-    # the same batched call as the sweep points, so the held-detuning point
-    # reproduces the reference bit for bit
-    with _naming("three-qubit-sweep", [f"reference delta1={common:g} MHz"]):
-        reference = trajectory(_qubit_kets(0, np.array([common]) - common, s_grid)[0])
+    held_p0 = gated(
+        _kron_kets(_qubit_kets(1, d2 - common, s_grid), _qubit_kets(2, d3 - common, s_grid)),
+        [f"held delta2={d2:g} MHz, delta3={d3:g} MHz"],
+    ).population_series(0)
+    # the same batched call and block code as the sweep points, so the
+    # held-detuning point reproduces the reference bit for bit
+    reference = gated(_qubit_kets(0, np.array([common]) - common, s_grid)[0], [f"reference delta1={common:g} MHz"])
+    ref_series, ref_final = reference.population_series(0) * held_p0, reference.final_state.amps
     label = f"delta1={common:g}MHz"
     p1_final = np.empty(n_time)
     estimates = []
-    for start in range(0, n_time, piece):
-        kets = _qubit_kets(0, grid[start:start + piece] - common, s_grid)
-        for lo in range(0, kets.shape[0], block):
-            at = slice(start + lo, start + lo + block)
-            with _naming("three-qubit-sweep", grid[at], "delta1={:g} MHz"):
-                batch = trajectory(kets[lo:lo + block])
-            p1_final[at] = batch.populations[:, -1, 0]
-            estimates.extend(phase_estimates(reference, batch, level=0, reference_label=label))
-        del kets, batch  # used up: the next piece is built without them
-    series = {
-        "p1_final": p1_final,
-        "p1_reference": reference.population_series(0),
-    }
+    for lo in range(0, n_time, block):
+        at = slice(lo, lo + block)
+        kets = gated(_qubit_kets(0, grid[at] - common, s_grid), grid[at], "delta1={:g} MHz")
+        level0 = kets.population_series(0) * held_p0
+        p1_final[at] = level0[:, -1]
+        estimates.extend(phase_probe(ref_series, ref_final, level0, kets.amplitudes[:, -1], label))
+        del kets, level0  # used up: the next block is built without them
+    series = {"p1_final": p1_final, "p1_reference": ref_series}
     return SweepResult(axis_values=grid, series=series, phase_estimates=tuple(estimates))
 
 
@@ -1004,23 +1006,22 @@ def run_dark_state_spectrum(cfg: ScenarioConfig) -> DarkSpectrum:
 # fidelity comparison
 
 
-def _qubit_kraus(dt_us: float, noise: NoiseModel) -> list:
+def _qubit_kraus(dt_us: float, noise: NoiseModel) -> np.ndarray:
+    """Kraus operators of one step of amplitude damping then dephasing, the
+    products of the damping pair [[1, 0], [0, a]], [[0, b], [0, 0]] with the
+    dephasing pair c 1, d Z, written entrywise: shape (m, 2, 2). An all-zero
+    operator (no damping or no dephasing) is dropped."""
     gamma1, gamma_phi = noise.rates()
     p = 1.0 - math.exp(-gamma1 * dt_us)
     q = 0.5 * (1.0 - math.exp(-2.0 * gamma_phi * dt_us))
-    ops = []
-    for damp in (
-        np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - p)]], dtype=np.complex128),
-        np.array([[0.0, math.sqrt(p)], [0.0, 0.0]], dtype=np.complex128),
-    ):
-        for deph in (
-            math.sqrt(1.0 - q) * np.eye(2, dtype=np.complex128),
-            math.sqrt(q) * np.diag([1.0, -1.0]).astype(np.complex128),
-        ):
-            op = deph @ damp
-            if np.abs(op).max() > 0.0:
-                ops.append(op)
-    return ops
+    a, b = math.sqrt(1.0 - p), math.sqrt(p)
+    c, d = math.sqrt(1.0 - q), math.sqrt(q)
+    ops = np.zeros((4, 2, 2), dtype=np.complex128)
+    ops[0, 0, 0], ops[0, 1, 1] = c, c * a
+    ops[1, 0, 0], ops[1, 1, 1] = d, -d * a
+    ops[2, 0, 1] = c * b
+    ops[3, 0, 1] = d * b
+    return ops[np.abs(ops).max(axis=(1, 2)) > 0.0]
 
 
 _PAULI = np.array(
@@ -1095,7 +1096,7 @@ def _loop_fidelity(deltas, base_us: float, noise: NoiseModel, n_slices: int):
     # channels act in the frame of the preparation rotation
     v = np.array([_rx(prep) for prep in LOOP_PREP_RAD])[:, None]
     dts = _loop_duration_us(triples, base_us) / n_slices
-    kraus = [v.conj().swapaxes(-1, -2) @ np.array(_qubit_kraus(dt, noise)) @ v for dt in dts]
+    kraus = [v.conj().swapaxes(-1, -2) @ _qubit_kraus(dt, noise) @ v for dt in dts]
     channels = np.stack([_channel_map(k) for k in kraus], axis=1)[..., None, :, :]
     # (qubit, triple, slice) steps R_k R_{k-1}^T, the rotations of U_k U_{k-1}^dag,
     # in pieces: each piece's product moves [1, r] on before the next is built

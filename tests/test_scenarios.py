@@ -36,7 +36,7 @@ from nvholo.evolve import (
     evolve_schrodinger,
     recommended_dt,
 )
-from nvholo.gates import GateParams, phase_from_discrepancy
+from nvholo.gates import GateParams, phase_estimates, phase_from_discrepancy
 from nvholo.hamiltonians import LevelSpec, PulsedHamiltonian, build_interaction_8
 from nvholo.scenarios import (
     DIAMOND_HALF_RAD,
@@ -713,6 +713,42 @@ def test_loop_sweep_matches_point_by_point_reference(sweep):
     assert result.series["p1_final"][held] == result.series["p1_reference"][-1]
 
 
+def kronecker_loop_sweep(grid, d2, d3):
+    """The sweep the long way: every point's 8-entry register ket, the
+    reference first, scored by the Trajectory form of phase_estimates."""
+    common = 0.5 * (d2 + d3)
+    s = np.linspace(0.0, 1.0, grid.shape[0])
+    swept = scenarios._qubit_kets(0, np.append(common, grid) - common, s)
+    held = [scenarios._qubit_kets(q, d - common, s) for q, d in ((1, d2), (2, d3))]
+    amps = np.einsum("psi,sj,sk->psijk", swept, *held).reshape(swept.shape[:2] + (8,))
+    reference, actual = (
+        Trajectory(times=s * LOOP_DURATION_US, populations=np.abs(a) ** 2, amplitudes=a) for a in (amps[0], amps[1:])
+    )
+    return reference, actual, phase_estimates(reference, actual, level=0)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(
+    start=st.floats(-1000.0, 1000.0),
+    step=st.floats(0.5, 60.0),
+    points=st.integers(2, 60),
+    held=st.tuples(st.floats(-1000.0, 1000.0), st.floats(-1000.0, 1000.0)),
+)
+def test_random_loop_sweeps_match_the_kronecker_register(start, step, points, held):
+    """Random grids of 2 to 60 points and held detunings: the factorised
+    sweep against the 8-entry register and the Trajectory phase probe."""
+    sweep = SweepSpec(start, start + step * (points - 1), step)
+    result = run_three_qubit_detuning_sweep(loop_sweep_config(detunings=(sweep, *held)))
+    reference, actual, expected = kronecker_loop_sweep(result.axis_values, *held)
+    assert np.max(np.abs(result.series["p1_reference"] - reference.population_series(0))) < 1e-12
+    assert np.max(np.abs(result.series["p1_final"] - actual.populations[:, -1, 0])) < 1e-12
+    assert len(result.phase_estimates) == len(expected)
+    for got, want in zip(result.phase_estimates, expected):
+        assert abs(got.discrepancy - want.discrepancy) < 1e-12
+        assert got.undefined == want.undefined
+        assert wrapped_gap(got.magnitude_rad, want.magnitude_rad) < 1e-12
+
+
 @pytest.mark.parametrize(
     "triples",
     [
@@ -804,6 +840,34 @@ def test_channel_map_of_the_kraus_operators(t1_us, t2_us):
         out = sum(m @ rho @ m.conj().T for m in ops)
         bloch = lambda r: np.einsum("iab,ba->i", PAULIS, r).real
         assert np.max(np.abs(got @ bloch(rho) - bloch(out))) < 1e-15
+
+
+def product_form_kraus(dt_us, noise):
+    """The step's Kraus operators as products of the 2x2 damping and
+    dephasing matrices, in the order _qubit_kraus lists them."""
+    gamma1, gamma_phi = noise.rates()
+    p = 1.0 - math.exp(-gamma1 * dt_us)
+    q = 0.5 * (1.0 - math.exp(-2.0 * gamma_phi * dt_us))
+    damping = (np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - p)]]), np.array([[0.0, math.sqrt(p)], [0.0, 0.0]]))
+    dephasing = (math.sqrt(1.0 - q) * np.eye(2), math.sqrt(q) * np.diag([1.0, -1.0]))
+    ops = [(deph @ damp).astype(np.complex128) for damp in damping for deph in dephasing]
+    return np.array([op for op in ops if np.abs(op).max() > 0.0])
+
+
+@pytest.mark.parametrize("dt_us", [1e-3, 0.0224, 0.3, 5.0])
+@pytest.mark.parametrize(
+    "t1_us,t2_us",
+    [(100.0, 50.0), (20.0, 35.0), (5.0, 10.0), (1e-3, 1e-3), (10.0, 20.0), (math.inf, 10.0), (math.inf, math.inf)],
+)
+def test_qubit_kraus_is_the_product_form_bit_for_bit(dt_us, t1_us, t2_us):
+    # T2 = 2 T1 (or T1 = T2 = inf) dephases nothing and T1 = inf damps
+    # nothing: those all-zero operators are dropped. Adding 0.0 turns the
+    # product's -0.0 entries into 0.0, so every other bit must match
+    noise = NoiseModel(t1_us=t1_us, t2_us=t2_us, enabled=True)
+    want = product_form_kraus(dt_us, noise)
+    got = _qubit_kraus(dt_us, noise)
+    assert got.shape == want.shape and got.dtype == np.complex128
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 def test_compare_resonant_fidelity_is_two_single_triple_loops():
@@ -1361,13 +1425,13 @@ def test_detuning_sweep_recorded_norm_failure_names_its_point():
         run_single_qubit_detuning_sweep(cfg)
 
 
-# --- the swept qubit's kets, once per piece --------------------------------
+# --- the swept qubit's kets, once per block --------------------------------
 
 
-def test_loop_sweep_builds_swept_kets_once_per_piece(monkeypatch):
-    # 121 points on a 121-sample grid: a register block holds 8 points and a
-    # piece of swept-qubit kets 32 (four blocks), so 4 pieces and the
-    # reference; one evaluation per 8-point block would take 17
+def test_loop_sweep_builds_swept_kets_once_per_block(monkeypatch):
+    # 121 points on a 121-sample grid: a block of swept-qubit kets holds 33
+    # points (LOOP_BLOCK_BYTES of 2-entry kets), so the reference and 4
+    # blocks; 8-point register blocks would take 16
     calls = []
     kets = scenarios._qubit_kets
 
@@ -1378,8 +1442,18 @@ def test_loop_sweep_builds_swept_kets_once_per_piece(monkeypatch):
 
     monkeypatch.setattr(scenarios, "_qubit_kets", spy)
     result = run_three_qubit_detuning_sweep(loop_sweep_config(detunings=(SweepSpec(0.0, 600.0, 5.0), 450.0, 450.0)))
-    assert calls == [1, 32, 32, 32, 25]
+    assert calls == [1, 33, 33, 33, 22]
     assert len(result.phase_estimates) == 121
+
+
+def test_loop_sweep_builds_no_register_array(monkeypatch):
+    # the held pair is the only Kronecker product: two (121, 2) kets into
+    # one (121, 4) ket, built once per sweep
+    calls = []
+    kron = scenarios._kron_kets
+    monkeypatch.setattr(scenarios, "_kron_kets", lambda a, b: calls.append((a.shape, b.shape)) or kron(a, b))
+    run_three_qubit_detuning_sweep(loop_sweep_config(detunings=(SweepSpec(0.0, 600.0, 5.0), 450.0, 450.0)))
+    assert calls == [((121, 2), (121, 2))]
 
 
 def test_loop_sweep_memory_stays_bounded_in_the_point_count():
@@ -1477,11 +1551,34 @@ def test_register_gate_failure_names_its_point(runner, cfg, name, monkeypatch):
         runner(cfg)
 
 
-def test_loop_sweep_normalises_the_reference_final_state_once(monkeypatch):
-    # 16 register blocks are scored against one reference; its final state
-    # is normalised on first use and kept
-    calls = []
+def test_loop_sweep_held_pair_failure_names_the_held_detunings(monkeypatch):
+    # the held pair is gated once, before any block: a NaN in the second
+    # qubit's kets fails its recorded-norm gate
+    kets = scenarios._qubit_kets
+
+    def poisoned(qubit, dtilde_mhz, s_grid):
+        out = kets(qubit, dtilde_mhz, s_grid)
+        if qubit == 1:
+            out[..., 1, :] = np.nan
+        return out
+
+    monkeypatch.setattr(scenarios, "_qubit_kets", poisoned)
+    name = "three-qubit-sweep held delta2=450 MHz, delta3=450 MHz"
+    with pytest.raises(NumericalError, match=f"^{name}: recorded norm drifted by nan"):
+        run_three_qubit_detuning_sweep(loop_sweep_config())
+
+
+def test_loop_sweep_normalises_the_reference_final_ket_once(monkeypatch):
+    # the 4 blocks of swept kets are scored against the reference's final
+    # ket: the swept factor alone, normalised once per sweep and handed to
+    # every block's probe
+    calls, finals = [], []
     normalized = StateVector.normalized.__func__
     monkeypatch.setattr(StateVector, "normalized", classmethod(lambda cls, v: calls.append(1) or normalized(cls, v)))
+    probe = scenarios.phase_probe
+    monkeypatch.setattr(scenarios, "phase_probe", lambda ref_series, ref_final, *rest: finals.append(ref_final) or probe(ref_series, ref_final, *rest))
     run_three_qubit_detuning_sweep(loop_sweep_config(detunings=(SweepSpec(0.0, 600.0, 5.0), 450.0, 450.0)))
     assert len(calls) == 1
+    assert len(finals) == 4 and all(final is finals[0] for final in finals)
+    assert finals[0].shape == (2,)
+    assert np.linalg.norm(finals[0]) == pytest.approx(1.0, abs=1e-15)
