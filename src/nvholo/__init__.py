@@ -36,7 +36,6 @@ from nvholo.hamiltonians import (
 from nvholo.gates import (
     DarkStateParams,
     GateParams,
-    PhaseEstimate,
     dark_states,
     holonomic_unitary,
     orthogonal_dark_state,
@@ -93,7 +92,6 @@ __all__ = [
     "NoiseModel",
     "NumericalError",
     "OperatorMatrix",
-    "PhaseEstimate",
     "PulseChannel",
     "PulseSet",
     "PulsedHamiltonian",

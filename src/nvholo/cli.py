@@ -105,14 +105,6 @@ def _load_config(args) -> ScenarioConfig:
     return cfg
 
 
-def _phase_columns(result) -> dict:
-    """The phase probe's two columns of a sweep, one cell per point."""
-    return {
-        "phase_magnitude_rad": [e.magnitude_rad for e in result.phase_estimates],
-        "phase_discrepancy": [e.discrepancy for e in result.phase_estimates],
-    }
-
-
 def _table_theta_sweep(cfg):
     result = run_single_qubit_theta_sweep(cfg)
     columns = {"theta_rad": result.axis_values, **result.series}
@@ -122,8 +114,16 @@ def _table_theta_sweep(cfg):
 def _table_detune_sweep(cfg):
     result = run_single_qubit_detuning_sweep(cfg)
     noisy = dict(result.series)
-    ideal = {"delta_mhz": result.axis_values, "p1": noisy.pop("p1"), "p2": noisy.pop("p2")}
-    return {**ideal, **_phase_columns(result), **noisy}, [f"{len(result.axis_values)} detuning points"]
+    magnitude, discrepancy, undefined = result.phases
+    columns = {
+        "delta_mhz": result.axis_values,
+        "p1": noisy.pop("p1"),
+        "p2": noisy.pop("p2"),
+        "phase_magnitude_rad": magnitude,
+        "phase_discrepancy": discrepancy,
+        **noisy,
+    }
+    return columns, [f"{len(result.axis_values)} detuning points, {np.count_nonzero(undefined)} undefined phases"]
 
 
 def _table_composite(cfg):
@@ -146,16 +146,20 @@ def _table_two_qubit(cfg):
 def _table_three_qubit_sweep(cfg):
     result = run_three_qubit_detuning_sweep(cfg)
     n = len(result.axis_values)
-    phases = _phase_columns(result)
+    magnitude, discrepancy, undefined = result.phases
     columns = {
         "delta1_mhz": result.axis_values,
         "p_return_state1": result.series["p1_final"],
-        **phases,
+        "phase_magnitude_rad": magnitude,
+        "phase_discrepancy": discrepancy,
         "rotation_angle_rad": math.pi * np.arange(n) / (n - 1),
         "p1_reference": result.series["p1_reference"],
     }
-    peak = int(np.argmax(np.abs(phases["phase_magnitude_rad"])))
-    return columns, [f"phase magnitude peaks at delta1 = {result.axis_values[peak]:g} MHz"]
+    peak = int(np.argmax(np.abs(magnitude)))
+    return columns, [
+        f"{n} detuning points, {np.count_nonzero(undefined)} undefined phases",
+        f"phase magnitude peaks at delta1 = {result.axis_values[peak]:g} MHz",
+    ]
 
 
 def _table_three_qubit_time(cfg):

@@ -6,7 +6,8 @@ while its orthogonal partner picks up a controllable phase implements a
 rotation about an axis set entirely by the drive geometry.  This module
 builds those dark states, the unitaries they generate, and the
 diagnostics used to read rotation angles back out of simulated
-populations.
+populations: the phase probe returns plain columns, a magnitude, a
+discrepancy and an undefined flag per run.
 """
 
 from __future__ import annotations
@@ -67,22 +68,6 @@ class DarkStateParams:
     def __post_init__(self):
         if not (math.isfinite(self.beta) and math.isfinite(self.varphi)):
             raise ConfigError("beta and varphi must be finite")
-
-
-@dataclass(frozen=True)
-class PhaseEstimate:
-    """Rotation phase recovered from a population comparison."""
-
-    magnitude_rad: float
-    discrepancy: float
-    reference_label: str = ""
-    undefined: bool = False
-
-    def __post_init__(self):
-        if self.discrepancy < 0:
-            raise ConfigError("discrepancy is a max of absolute differences")
-        if not self.undefined and abs(self.magnitude_rad) > math.pi + 1e-12:
-            raise ConfigError("magnitude_rad must lie in [-pi, pi]")
 
 
 def rotation_axis(theta: float, phi: float) -> np.ndarray:
@@ -194,36 +179,15 @@ def single_qubit_unitary(params: GateParams) -> OperatorMatrix:
     return OperatorMatrix(rz_post @ rx @ rz_pre, unitary=True)
 
 
-def phase_from_discrepancy(
-    reference: Trajectory,
-    actual: Trajectory,
-    level: int,
-    reference_label: str = "",
-) -> PhaseEstimate:
-    """Read a rotation phase out of two population records.
+def phase_from_discrepancy(reference: Trajectory, actual: Trajectory, level: int) -> tuple:
+    """Read rotation phases out of two population records.
 
-    The discrepancy is the largest pointwise population difference at
-    the monitored level; the magnitude is the phase of the final-state
-    overlap.  When the overlap is too small to carry a phase the
-    estimate is flagged undefined and the magnitude pinned to zero.
-    actual is one run; phase_estimates takes a batch.
-    """
-    (estimate,) = phase_estimates(reference, actual, level, reference_label)
-    return estimate
-
-
-def phase_estimates(
-    reference: Trajectory,
-    actual: Trajectory,
-    level: int,
-    reference_label: str = "",
-) -> tuple:
-    """phase_from_discrepancy for every run of actual against one reference.
-
-    actual may be a batch of runs on the reference's grid (leading axes on
-    its records); the estimates come back in row-major order of those axes,
-    and an unbatched actual gives a tuple of one. phase_probe applies the
-    rules to the two records' level series and final states.
+    The discrepancy is the largest pointwise population difference at the
+    monitored level; the magnitude is the phase of the final-state overlap.
+    When the overlap is too small to carry a phase the point is flagged
+    undefined and its magnitude pinned to zero. actual is one run, or a batch
+    of runs on the reference's grid (leading axes on its records). Returns
+    phase_probe's three arrays, one entry per run in row-major order.
     """
     if reference.times.shape != actual.times.shape or np.max(
         np.abs(reference.times - actual.times)
@@ -232,18 +196,17 @@ def phase_estimates(
     if reference.amplitudes is None or actual.amplitudes is None:
         raise ConfigError("phase extraction needs amplitude records")
     ref = reference.population_series(level), reference.final_state.amps
-    act = actual.population_series(level), actual.amplitudes[..., -1, :]
-    return phase_probe(*ref, *act, reference_label)
+    return phase_probe(*ref, actual.population_series(level), actual.amplitudes[..., -1, :])
 
 
-def phase_probe(ref_series, ref_final, series, finals, reference_label="") -> tuple:
-    """phase_estimates on arrays: the reference's level series (time,) and
+def phase_probe(ref_series, ref_final, series, finals) -> tuple:
+    """The phase rules on arrays: the reference's level series (time,) and
     normalised final state (dim,) against the runs' level series
-    (..., time) and final states (..., dim), one estimate per run in
-    row-major order. The runs' final states need only be near 1 in norm, as
-    records that passed the recorded-norm gate are. Magnitudes lie in
-    [-pi, pi): an overlap on the negative real axis, up to a few ulps of
-    rounding either way, reads -pi.
+    (..., time) and final states (..., dim). Returns (magnitude, discrepancy,
+    undefined), one entry per run in row-major order. The runs' final states
+    need only be near 1 in norm, as records that passed the recorded-norm
+    gate are. Magnitudes lie in [-pi, pi): an overlap on the negative real
+    axis, up to a few ulps of rounding either way, reads -pi.
     """
     act = series.reshape(-1, ref_series.shape[0])
     discrepancy = np.minimum(np.max(np.abs(ref_series - act), axis=1), 1.0)
@@ -253,12 +216,4 @@ def phase_probe(ref_series, ref_final, series, finals, reference_label="") -> tu
     residue = PHASE_TIE_ULPS * np.finfo(float).eps * np.abs(overlap.real)
     tie = (overlap.real < 0.0) & (np.abs(overlap.imag) <= residue)
     magnitude = np.where(undefined, 0.0, np.where(tie, -math.pi, np.angle(overlap)))
-    return tuple(
-        PhaseEstimate(
-            magnitude_rad=float(m),
-            discrepancy=float(d),
-            reference_label=reference_label,
-            undefined=bool(u),
-        )
-        for m, d, u in zip(magnitude, discrepancy, undefined)
-    )
+    return magnitude, discrepancy, undefined

@@ -269,6 +269,9 @@ def build_interaction_8(spec: LevelSpec, rabi_mhz, mode: str = HERMITIZED) -> Op
     if not np.all(np.isfinite(r)):
         raise ConfigError("drive amplitudes must be finite")
     r = TWO_PI * r
+    for k, d in enumerate(spec.detunings_mhz, start=1):
+        if not np.isfinite(TWO_PI * d):
+            raise ConfigError(f"[detunings] delta{k} = {d:g} MHz overflows once scaled by 2 pi")
     d1, d2, d3 = (TWO_PI * d for d in spec.detunings_mhz)
     m = np.zeros((8, 8), dtype=np.complex128)
     m[0, 2] = 0.5j * r[0]

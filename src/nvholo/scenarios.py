@@ -57,8 +57,6 @@ from nvholo.evolve import (
 )
 from nvholo.gates import (
     GateParams,
-    PhaseEstimate,
-    phase_estimates,
     phase_probe,
     single_qubit_unitary,
 )
@@ -248,18 +246,37 @@ class ScenarioConfig:
             raise ConfigError("dt override must be > 0 us")
 
 
+def _read_only_column(what: str, values, axis: np.ndarray, low: float, high: float, tol: float = 0.0):
+    """values as a read-only float column, one entry per axis point (else
+    ConfigError), finite (else NumericalError) and in [low, high] up to tol
+    (else ConfigError)."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != axis.shape:
+        raise ConfigError(f"{what} has {arr.shape[0] if arr.ndim == 1 else '?'} values for {axis.shape[0]} axis points")
+    if not np.all(np.isfinite(arr)):
+        raise NumericalError(f"{what} holds a non-finite value")
+    if not (arr.min() >= low - tol and arr.max() <= high + tol):
+        raise ConfigError(f"{what} leaves [{low:g}, {high:g}]")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """Per-point series over one sweep axis.
 
     Every series entry is a bounded fraction (population, fidelity, or
     discrepancy), one value per axis point except where a series carries a
-    companion curve sampled on the same number of points.
+    companion curve sampled on the same number of points. A phase-probed
+    sweep also holds phases, phase_probe's (magnitude, discrepancy,
+    undefined) columns with one entry per axis point: magnitudes in
+    [-pi, pi] rad, 0 where the point's phase is undefined, and
+    discrepancies in [0, 1]. All columns are read-only.
     """
 
     axis_values: np.ndarray
     series: dict
-    phase_estimates: tuple = ()
+    phases: tuple = ()
     fidelities: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -268,27 +285,20 @@ class SweepResult:
             raise ConfigError("axis_values must be a non-empty 1-d sequence")
         axis.setflags(write=False)
         object.__setattr__(self, "axis_values", axis)
-        frozen = {}
-        for name, values in self.series.items():
-            arr = np.asarray(values, dtype=float)
-            if arr.shape != axis.shape:
-                raise ConfigError(
-                    f"series {name!r} has {arr.shape[0] if arr.ndim == 1 else '?'} "
-                    f"values for {axis.shape[0]} axis points"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise NumericalError(f"series {name!r} holds a non-finite value")
-            if not (arr.min(initial=0.0) >= -POPULATION_TOL and arr.max(initial=0.0) <= 1.0 + POPULATION_TOL):
-                raise ConfigError(f"series {name!r} leaves [0, 1]")
-            arr.setflags(write=False)
-            frozen[name] = arr
+        frozen = {
+            name: _read_only_column(f"series {name!r}", values, axis, 0.0, 1.0, POPULATION_TOL)
+            for name, values in self.series.items()
+        }
         object.__setattr__(self, "series", frozen)
-        if self.phase_estimates:
-            for est in self.phase_estimates:
-                if not isinstance(est, PhaseEstimate):
-                    raise ConfigError("phase_estimates entries must be PhaseEstimate values")
-            if len(self.phase_estimates) != axis.shape[0]:
-                raise ConfigError("phase_estimates length must match axis_values")
+        if self.phases:
+            magnitude, discrepancy, undefined = self.phases
+            undefined = np.asarray(undefined, dtype=bool)
+            if undefined.shape != axis.shape:
+                raise ConfigError(f"phase undefined flags do not match the {axis.shape[0]} axis points")
+            undefined.setflags(write=False)
+            magnitude = _read_only_column("phase magnitude", magnitude, axis, -math.pi, math.pi)
+            discrepancy = _read_only_column("phase discrepancy", discrepancy, axis, 0.0, 1.0)
+            object.__setattr__(self, "phases", (magnitude, discrepancy, undefined))
         for name, value in self.fidelities.items():
             if not np.isfinite(value):
                 raise ConfigError(f"fidelity {name!r} is not finite")
@@ -455,7 +465,7 @@ def run_single_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
     population-discrepancy phase probe; with noise on, the same drive is also
     integrated through the master equation and scored against the ideal run.
     Every step is recorded, so the points go in blocks of at most
-    DETUNE_BLOCK_BYTES, each block with its own copy of the reference.
+    DETUNE_BLOCK_BYTES, each block led by its own run of the reference.
     """
     _require_scenario(cfg, "detune-sweep")
     deltas = (cfg.sweep or DETUNE_SWEEP_DEFAULT).values()
@@ -474,20 +484,18 @@ def run_single_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
     series = {name: np.empty(deltas.shape[0]) for name in ["p1", "p2"] + noisy_names}
 
     def block_values(part: np.ndarray):
-        """(phase estimates, {series name: values}) of one block of points;
+        """(phase columns, {series name: values}) of one block of points;
         each record buffer is dropped once it is done with."""
         # the resonant reference, then the block's points: one stack of drives
         drives = np.stack([_drive_matrix(cfg.rabi_mhz, d) for d in np.append(0.0, part)])
         points = ["reference delta=0 MHz"] + [f"delta={d:g} MHz" for d in part]
         with _naming("detune-sweep", points):
             ideal = evolve_schrodinger(drives, state0, evo)
-        reference = Trajectory(
-            times=ideal.times, populations=ideal.populations[0], amplitudes=ideal.amplitudes[0]
-        )
-        found = phase_estimates(reference, ideal, level=0, reference_label="delta=0MHz")[1:]
+        ref_final = StateVector.normalized(ideal.amplitudes[0, -1]).amps
         ideal_pops = ideal.populations[1:]
+        found = phase_probe(ideal.populations[0, :, 0], ref_final, ideal_pops[..., 0], ideal.amplitudes[1:, -1])
         values = {"p1": ideal_pops[:, -1, 0], "p2": ideal_pops[:, -1, 1]}
-        del ideal, reference
+        del ideal
         if cfg.noise.enabled:
             with _naming("detune-sweep", points[1:]):
                 noisy = evolve_lindblad(drives[1:], rho0, cfg.noise, evo)
@@ -496,14 +504,14 @@ def run_single_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
             values["discrepancy_noisy"] = np.max(gap, axis=(1, 2))
         return found, values
 
-    estimates = []
+    found = []
     for start in range(0, deltas.shape[0], block):
         rows = slice(start, start + block)
-        found, values = block_values(deltas[rows])
-        estimates += found
+        phases, values = block_values(deltas[rows])
+        found.append(phases)
         for name, column in values.items():
             series[name][rows] = column
-    return SweepResult(axis_values=deltas, series=series, phase_estimates=tuple(estimates))
+    return SweepResult(axis_values=deltas, series=series, phases=tuple(map(np.concatenate, zip(*found))))
 
 
 # ---------------------------------------------------------------------------
@@ -892,18 +900,17 @@ def run_three_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
     # held-detuning point reproduces the reference bit for bit
     reference = gated(_qubit_kets(0, np.array([common]) - common, s_grid)[0], [f"reference delta1={common:g} MHz"])
     ref_series, ref_final = reference.population_series(0) * held_p0, reference.final_state.amps
-    label = f"delta1={common:g}MHz"
     p1_final = np.empty(n_time)
-    estimates = []
+    found = []
     for lo in range(0, n_time, block):
         at = slice(lo, lo + block)
         kets = gated(_qubit_kets(0, grid[at] - common, s_grid), grid[at], "delta1={:g} MHz")
         level0 = kets.population_series(0) * held_p0
         p1_final[at] = level0[:, -1]
-        estimates.extend(phase_probe(ref_series, ref_final, level0, kets.amplitudes[:, -1], label))
+        found.append(phase_probe(ref_series, ref_final, level0, kets.amplitudes[:, -1]))
         del kets, level0  # used up: the next block is built without them
     series = {"p1_final": p1_final, "p1_reference": ref_series}
-    return SweepResult(axis_values=grid, series=series, phase_estimates=tuple(estimates))
+    return SweepResult(axis_values=grid, series=series, phases=tuple(map(np.concatenate, zip(*found))))
 
 
 def run_three_qubit_time_evolution(cfg: ScenarioConfig) -> tuple:

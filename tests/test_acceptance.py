@@ -159,8 +159,8 @@ def test_criterion_05_phase_and_discrepancy_shape():
     result = run_three_qubit_detuning_sweep(cfg)
     axis = result.axis_values
     step = axis[1] - axis[0]
-    mags = np.array([abs(e.magnitude_rad) for e in result.phase_estimates])
-    discs = np.array([e.discrepancy for e in result.phase_estimates])
+    mags = np.abs(result.phases[0])
+    discs = result.phases[1]
 
     peak = int(np.argmax(mags))
     _check(failures, abs(axis[peak] - 300.0) <= step + 1e-9,

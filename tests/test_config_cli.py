@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import nvholo
-from nvholo.cli import run_cli
+from nvholo import gates
+from nvholo.cli import DEFAULT_CONFIGS, run_cli
 from nvholo.config import (
     CsvTable,
     RunManifest,
@@ -22,7 +23,12 @@ from nvholo.core import ConfigError, NumericalError
 from nvholo.evolve import NoiseModel
 from nvholo.gates import GateParams
 from nvholo.hamiltonians import PulsedHamiltonian
-from nvholo.scenarios import ScenarioConfig, SweepSpec
+from nvholo.scenarios import (
+    ScenarioConfig,
+    SweepSpec,
+    run_single_qubit_detuning_sweep,
+    run_three_qubit_detuning_sweep,
+)
 
 MINIMAL = "[scenario]\nid = pi3\n"
 
@@ -472,6 +478,45 @@ def test_cli_validate_rejects_an_overflowing_common_mode(scenario, detunings, me
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert "config ok" not in captured.out
+
+
+def test_cli_dark_states_overflowing_detuning_names_its_key(tmp_path, capsys):
+    # -1e308 MHz is finite, but 2 pi times it is not; the interaction matrix
+    # would hold inf - inf, so the run stops before building it (the suite
+    # turns a RuntimeWarning into a failure)
+    config = tmp_path / "cfg"
+    config.write_text("[scenario]\nid = dark-states\n\n[detunings]\ndelta1 = -1e308\n")
+    out = tmp_path / "out"
+    assert run_cli(["dark-states", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: [detunings] delta1 = -1e+308 MHz overflows once scaled by 2 pi\n"
+    assert not (out / "result.csv").exists()
+
+
+@pytest.mark.parametrize("min_overlap", [None, 0.9], ids=["default", "raised-threshold"])
+@pytest.mark.parametrize(
+    "scenario, run, points",
+    [
+        ("detune-sweep", run_single_qubit_detuning_sweep, 31),
+        ("three-qubit-sweep", run_three_qubit_detuning_sweep, 41),
+    ],
+    ids=["detune-sweep", "three-qubit-sweep"],
+)
+def test_cli_reports_undefined_phases(scenario, run, points, min_overlap, tmp_path, capsys, monkeypatch):
+    # an undefined point writes phase_magnitude_rad = 0 like a measured zero
+    # phase, so the summary counts them; raising the overlap threshold makes
+    # some of the default points undefined
+    if min_overlap is not None:
+        monkeypatch.setattr(gates, "MIN_OVERLAP", min_overlap)
+    undefined = run(parse_config(DEFAULT_CONFIGS[scenario])).phases[2]
+    count = np.count_nonzero(undefined)
+    assert (count == 0) if min_overlap is None else (0 < count < points)
+    out = tmp_path / "out"
+    assert run_cli([scenario, "--out", str(out)]) == 0
+    assert f"{points} detuning points, {count} undefined phases\n" in capsys.readouterr().out
+    lines = (out / "result.csv").read_text().splitlines()
+    column = lines[0].split(",").index("phase_magnitude_rad")
+    magnitudes = np.array([float(line.split(",")[column]) for line in lines[1:]])
+    assert np.all(magnitudes[undefined] == 0.0)
 
 
 def test_cli_tiny_default_step_names_its_source(tmp_path, capsys):

@@ -8,11 +8,9 @@ from nvholo.evolve import Trajectory
 from nvholo.gates import (
     DarkStateParams,
     GateParams,
-    PhaseEstimate,
     dark_states,
     holonomic_unitary,
     orthogonal_dark_state,
-    phase_estimates,
     phase_from_discrepancy,
     rotation_axis,
     single_qubit_unitary,
@@ -213,27 +211,26 @@ class TestSingleQubitUnitary:
 class TestPhaseFromDiscrepancy:
     def test_identical_records(self):
         traj = amplitude_trajectory([[1.0, 0.0], [0.6, 0.8]])
-        estimate = phase_from_discrepancy(traj, traj, level=0)
-        assert estimate.discrepancy == 0.0
-        assert estimate.magnitude_rad == 0.0
-        assert not estimate.undefined
+        magnitude, discrepancy, undefined = phase_from_discrepancy(traj, traj, level=0)
+        assert discrepancy.tolist() == [0.0]
+        assert magnitude.tolist() == [0.0]
+        assert undefined.tolist() == [False]
 
     def test_global_phase_shows_up_in_magnitude(self):
         base = np.array([[1.0, 0.0], [0.6, 0.8]], dtype=complex)
         ref = amplitude_trajectory(base)
         act = amplitude_trajectory(np.exp(1j * np.pi / 4) * base)
-        estimate = phase_from_discrepancy(ref, act, level=0)
-        assert estimate.discrepancy == 0.0
-        assert estimate.magnitude_rad == pytest.approx(np.pi / 4, abs=1e-12)
+        (magnitude,), (discrepancy,), _ = phase_from_discrepancy(ref, act, level=0)
+        assert discrepancy == 0.0
+        assert magnitude == pytest.approx(np.pi / 4, abs=1e-12)
 
     def test_orthogonal_finals_flagged_undefined(self):
         ref = amplitude_trajectory([[1.0, 0.0], [1.0, 0.0]])
         act = amplitude_trajectory([[1.0, 0.0], [0.0, 1.0]])
-        estimate = phase_from_discrepancy(ref, act, level=0, reference_label="flip")
-        assert estimate.undefined
-        assert estimate.magnitude_rad == 0.0
-        assert estimate.discrepancy == pytest.approx(1.0, abs=1e-12)
-        assert estimate.reference_label == "flip"
+        (magnitude,), (discrepancy,), (undefined,) = phase_from_discrepancy(ref, act, level=0)
+        assert undefined
+        assert magnitude == 0.0
+        assert discrepancy == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_grid_mismatch(self):
         ref = amplitude_trajectory([[1.0, 0.0], [1.0, 0.0]], times=[0.0, 1.0])
@@ -252,24 +249,18 @@ class TestPhaseFromDiscrepancy:
         batch = amplitude_trajectory(
             np.stack([np.asarray(r, dtype=complex) for r in runs]), times=[0.0, 1.0]
         )
-        estimates = phase_estimates(ref, batch, level=0, reference_label="b")
-        assert len(estimates) == len(runs)
-        for run, got in zip(runs, estimates):
-            assert got == phase_from_discrepancy(ref, amplitude_trajectory(run), 0, "b")
-        assert [e.undefined for e in estimates] == [False, False, False, True]
+        columns = phase_from_discrepancy(ref, batch, level=0)
+        assert [column.shape for column in columns] == [(len(runs),)] * 3
+        for i, run in enumerate(runs):
+            single = phase_from_discrepancy(ref, amplitude_trajectory(run), 0)
+            assert [column[i] for column in columns] == [column[0] for column in single]
+        assert columns[2].tolist() == [False, False, False, True]
 
     def test_batch_rejects_grid_mismatch(self):
         ref = amplitude_trajectory([[1.0, 0.0], [1.0, 0.0]], times=[0.0, 1.0])
         batch = amplitude_trajectory([[[1.0, 0.0], [1.0, 0.0]]] * 3, times=[0.0, 0.5])
         with pytest.raises(ConfigError):
-            phase_estimates(ref, batch, level=0)
-
-    def test_estimate_validation(self):
-        with pytest.raises(ConfigError):
-            PhaseEstimate(magnitude_rad=4.0, discrepancy=0.1)
-        with pytest.raises(ConfigError):
-            PhaseEstimate(magnitude_rad=0.0, discrepancy=-0.1)
-
+            phase_from_discrepancy(ref, batch, level=0)
 
 
 class TestPhaseBranch:
@@ -281,13 +272,13 @@ class TestPhaseBranch:
         ref = amplitude_trajectory([[1.0, 0.0], [1.0, 0.0]])
         final = np.array([-0.629 + 1j * residue, math.sqrt(1.0 - 0.629**2)])
         act = amplitude_trajectory([[1.0, 0.0], final])
-        (estimate,) = phase_estimates(ref, act, level=0)
-        assert estimate.magnitude_rad == -math.pi
+        (magnitude,), _, _ = phase_from_discrepancy(ref, act, level=0)
+        assert magnitude == -math.pi
 
     def test_phases_away_from_the_tie_are_unchanged(self):
         ref = amplitude_trajectory([[1.0, 0.0], [1.0, 0.0]])
         for angle in (3.0, -3.0, math.pi - 1e-9, 0.5):
             final = np.array([0.6 * np.exp(1j * angle), 0.8])
             act = amplitude_trajectory([[1.0, 0.0], final])
-            (estimate,) = phase_estimates(ref, act, level=0)
-            assert estimate.magnitude_rad == pytest.approx(angle, abs=1e-12)
+            (magnitude,), _, _ = phase_from_discrepancy(ref, act, level=0)
+            assert magnitude == pytest.approx(angle, abs=1e-12)

@@ -36,7 +36,7 @@ from nvholo.evolve import (
     evolve_schrodinger,
     recommended_dt,
 )
-from nvholo.gates import GateParams, phase_estimates, phase_from_discrepancy
+from nvholo.gates import GateParams, phase_from_discrepancy
 from nvholo.hamiltonians import LevelSpec, PulsedHamiltonian, build_interaction_8
 from nvholo.scenarios import (
     DIAMOND_HALF_RAD,
@@ -179,6 +179,12 @@ def test_runner_rejects_mismatched_scenario_id():
 def test_sweep_result_rejects_length_mismatch():
     with pytest.raises(ConfigError):
         SweepResult(axis_values=[0.0, 1.0], series={"p1": [0.5]})
+    with pytest.raises(ConfigError, match="phase magnitude has 1 values for 2 axis points"):
+        SweepResult(axis_values=[0.0, 1.0], series={}, phases=([0.5], [0.0, 0.0], [False, False]))
+    with pytest.raises(ConfigError, match="phase discrepancy has 3 values for 2 axis points"):
+        SweepResult(axis_values=[0.0, 1.0], series={}, phases=([0.5, 0.5], [0.0] * 3, [False, False]))
+    with pytest.raises(ConfigError, match="undefined flags"):
+        SweepResult(axis_values=[0.0, 1.0], series={}, phases=([0.5, 0.5], [0.0, 0.0], [False]))
 
 
 def test_sweep_result_rejects_out_of_range_series():
@@ -186,12 +192,25 @@ def test_sweep_result_rejects_out_of_range_series():
         SweepResult(axis_values=[0.0], series={"p1": [1.5]})
     with pytest.raises(ConfigError):
         SweepResult(axis_values=[0.0], series={"p1": [-0.2]})
+    # phase magnitudes lie in [-pi, pi], discrepancies in [0, 1]
+    for phases, column in [
+        (([4.0], [0.1], [False]), "magnitude"),
+        (([-4.0], [0.1], [False]), "magnitude"),
+        (([0.0], [-0.1], [False]), "discrepancy"),
+        (([0.0], [1.5], [False]), "discrepancy"),
+    ]:
+        with pytest.raises(ConfigError, match=f"phase {column} leaves"):
+            SweepResult(axis_values=[0.0], series={}, phases=phases)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_sweep_result_rejects_non_finite_series(bad):
     with pytest.raises(NumericalError):
         SweepResult(axis_values=[0.0, 1.0], series={"p1": [0.5, bad]})
+    with pytest.raises(NumericalError, match="phase magnitude holds a non-finite value"):
+        SweepResult(axis_values=[0.0, 1.0], series={}, phases=([0.5, bad], [0.0, 0.0], [False, False]))
+    with pytest.raises(NumericalError, match="phase discrepancy holds a non-finite value"):
+        SweepResult(axis_values=[0.0, 1.0], series={}, phases=([0.5, 0.5], [bad, 0.0], [False, False]))
 
 
 def test_sweep_result_series_are_read_only():
@@ -200,6 +219,12 @@ def test_sweep_result_series_are_read_only():
         result.series["p1"][0] = 0.0
     with pytest.raises(ValueError):
         result.axis_values[0] = 9.0
+    # the phase bounds are closed, and the phase columns read-only too
+    result = SweepResult(axis_values=[0.0, 1.0], series={}, phases=([-math.pi, math.pi], [0.0, 1.0], [True, False]))
+    assert result.phases[2].dtype == bool
+    for column in result.phases:
+        with pytest.raises(ValueError):
+            column[0] = 0
 
 
 # --- theta sweep ----------------------------------------------------------
@@ -265,8 +290,9 @@ def test_detuning_sweep_reference_scores_itself_zero():
     result = run_single_qubit_detuning_sweep(ScenarioConfig(scenario_id="detune-sweep"))
     idx = int(np.argmin(np.abs(result.axis_values)))
     assert result.axis_values[idx] == 0.0
-    assert result.phase_estimates[idx].discrepancy == 0.0
-    assert result.phase_estimates[idx].magnitude_rad == pytest.approx(0.0, abs=1e-12)
+    magnitude, discrepancy, _ = result.phases
+    assert discrepancy[idx] == 0.0
+    assert magnitude[idx] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_detuning_sweep_noisy_discrepancy_peaks_on_resonance():
@@ -283,9 +309,7 @@ def test_detuning_sweep_threads_do_not_change_values():
     base = run_single_qubit_detuning_sweep(cfg)
     threaded = run_single_qubit_detuning_sweep(with_threads_key(cfg, 4))
     assert np.array_equal(base.series["p1"], threaded.series["p1"])
-    mags_a = [e.magnitude_rad for e in base.phase_estimates]
-    mags_b = [e.magnitude_rad for e in threaded.phase_estimates]
-    assert mags_a == mags_b
+    assert np.array_equal(base.phases[0], threaded.phases[0])
 
 
 # --- composite ------------------------------------------------------------
@@ -390,7 +414,7 @@ def test_loop_sweep_reference_inverts_population():
 
 def test_loop_sweep_phase_saturates_at_quarter_tilt():
     result = run_three_qubit_detuning_sweep(loop_sweep_config())
-    mags = np.array([abs(e.magnitude_rad) for e in result.phase_estimates])
+    mags = np.abs(result.phases[0])
     peak = int(np.argmax(mags))
     assert result.axis_values[peak] == 300.0
     assert mags[peak] == pytest.approx(math.pi, abs=1e-9)
@@ -401,7 +425,7 @@ def test_loop_sweep_phase_saturates_at_quarter_tilt():
 
 def test_loop_sweep_discrepancy_dips_at_held_detuning():
     result = run_three_qubit_detuning_sweep(loop_sweep_config())
-    discs = np.array([e.discrepancy for e in result.phase_estimates])
+    discs = result.phases[1]
     idx = int(np.argmin(discs))
     assert result.axis_values[idx] == 450.0
     assert discs[idx] < 1e-15
@@ -701,21 +725,21 @@ def test_loop_sweep_matches_point_by_point_reference(sweep):
     n = grid.shape[0]
     reference = point_loop_trajectory((450.0, 450.0, 450.0), n, LOOP_DURATION_US)
     assert np.max(np.abs(result.series["p1_reference"] - reference.population_series(0))) < 1e-12
+    magnitude, discrepancy, undefined = result.phases
     for i, delta1 in enumerate(grid):
         traj = point_loop_trajectory((float(delta1), 450.0, 450.0), n, LOOP_DURATION_US)
-        expected = phase_from_discrepancy(reference, traj, level=0)
-        got = result.phase_estimates[i]
+        (want_magnitude,), (want_discrepancy,), (want_undefined,) = phase_from_discrepancy(reference, traj, level=0)
         assert abs(result.series["p1_final"][i] - traj.populations[-1, 0]) < 1e-12
-        assert abs(got.discrepancy - expected.discrepancy) < 1e-12
-        assert got.undefined == expected.undefined
-        assert wrapped_gap(got.magnitude_rad, expected.magnitude_rad) < 1e-12
+        assert abs(discrepancy[i] - want_discrepancy) < 1e-12
+        assert undefined[i] == want_undefined
+        assert wrapped_gap(magnitude[i], want_magnitude) < 1e-12
     held = list(grid).index(450.0)
     assert result.series["p1_final"][held] == result.series["p1_reference"][-1]
 
 
 def kronecker_loop_sweep(grid, d2, d3):
     """The sweep the long way: every point's 8-entry register ket, the
-    reference first, scored by the Trajectory form of phase_estimates."""
+    reference first, scored by the Trajectory front end of the phase probe."""
     common = 0.5 * (d2 + d3)
     s = np.linspace(0.0, 1.0, grid.shape[0])
     swept = scenarios._qubit_kets(0, np.append(common, grid) - common, s)
@@ -724,7 +748,7 @@ def kronecker_loop_sweep(grid, d2, d3):
     reference, actual = (
         Trajectory(times=s * LOOP_DURATION_US, populations=np.abs(a) ** 2, amplitudes=a) for a in (amps[0], amps[1:])
     )
-    return reference, actual, phase_estimates(reference, actual, level=0)
+    return reference, actual, phase_from_discrepancy(reference, actual, level=0)
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
@@ -742,11 +766,13 @@ def test_random_loop_sweeps_match_the_kronecker_register(start, step, points, he
     reference, actual, expected = kronecker_loop_sweep(result.axis_values, *held)
     assert np.max(np.abs(result.series["p1_reference"] - reference.population_series(0))) < 1e-12
     assert np.max(np.abs(result.series["p1_final"] - actual.populations[:, -1, 0])) < 1e-12
-    assert len(result.phase_estimates) == len(expected)
-    for got, want in zip(result.phase_estimates, expected):
-        assert abs(got.discrepancy - want.discrepancy) < 1e-12
-        assert got.undefined == want.undefined
-        assert wrapped_gap(got.magnitude_rad, want.magnitude_rad) < 1e-12
+    magnitude, discrepancy, undefined = result.phases
+    want_magnitude, want_discrepancy, want_undefined = expected
+    assert magnitude.shape == want_magnitude.shape
+    for i in range(magnitude.shape[0]):
+        assert abs(discrepancy[i] - want_discrepancy[i]) < 1e-12
+        assert undefined[i] == want_undefined[i]
+        assert wrapped_gap(magnitude[i], want_magnitude[i]) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -1263,15 +1289,16 @@ def test_detuning_sweep_matches_per_run_loop(noisy, renormalize, block_bytes, mo
     widest = _drive_matrix(cfg.rabi_mhz, float(deltas[np.argmax(np.abs(deltas))]))
     evo = EvolutionConfig(0.0, span, _pulse_dt(widest, span, cfg), renormalize=renormalize)
     reference = evolve_schrodinger(_drive_matrix(cfg.rabi_mhz, 0.0), state0, evo)
+    magnitude, discrepancy, undefined = result.phases
     for i, delta in enumerate(deltas):
         h = _drive_matrix(cfg.rabi_mhz, float(delta))
         traj = evolve_schrodinger(h, state0, evo)
-        expected = phase_from_discrepancy(reference, traj, level=0)
-        got = result.phase_estimates[i]
+        (want_magnitude,), (want_discrepancy,), (want_undefined,) = phase_from_discrepancy(reference, traj, level=0)
         assert abs(result.series["p1"][i] - traj.populations[-1, 0]) < 1e-12
         assert abs(result.series["p2"][i] - traj.populations[-1, 1]) < 1e-12
-        assert abs(got.discrepancy - expected.discrepancy) < 1e-12
-        assert wrapped_gap(got.magnitude_rad, expected.magnitude_rad) < 1e-12
+        assert abs(discrepancy[i] - want_discrepancy) < 1e-12
+        assert undefined[i] == want_undefined
+        assert wrapped_gap(magnitude[i], want_magnitude) < 1e-12
         if noisy:
             rho = evolve_lindblad(h, DensityMatrix.from_state(state0), cfg.noise, evo)
             assert abs(result.series["p1_noisy"][i] - rho.populations[-1, 0]) < 1e-12
@@ -1443,7 +1470,7 @@ def test_loop_sweep_builds_swept_kets_once_per_block(monkeypatch):
     monkeypatch.setattr(scenarios, "_qubit_kets", spy)
     result = run_three_qubit_detuning_sweep(loop_sweep_config(detunings=(SweepSpec(0.0, 600.0, 5.0), 450.0, 450.0)))
     assert calls == [1, 33, 33, 33, 22]
-    assert len(result.phase_estimates) == 121
+    assert [column.shape for column in result.phases] == [(121,)] * 3
 
 
 def test_loop_sweep_builds_no_register_array(monkeypatch):
@@ -1468,7 +1495,7 @@ def test_loop_sweep_memory_stays_bounded_in_the_point_count():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(result.phase_estimates) == 401
+    assert [column.shape for column in result.phases] == [(401,)] * 3
     assert peak <= 1_000_000
 
 
