@@ -208,16 +208,13 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"line {line_no}: threads must be an integer >= 1")
 
     pulses = sections.get("pulses", {})
-    for key, target in (
-        ("rabi_mhz", "rabi_mhz"),
-        ("drive_mhz", "drive_mhz"),
-        ("splitting_mhz", "splitting_mhz"),
-        ("envelope_mhz", "envelope_mhz"),
-        ("carrier_mhz", "carrier_mhz"),
-        ("duration_us", "duration_us"),
-    ):
+    for key in ("rabi_mhz", "drive_mhz", "splitting_mhz", "envelope_mhz", "duration_us"):
         if key in pulses:
-            kwargs[target] = _float(pulses[key], key)
+            kwargs[key] = _float(pulses[key], key)
+    # no runner drives a carrier, so carrier_mhz is ignored like threads: a
+    # known, validated key, so that manifests written with it still parse
+    if "carrier_mhz" in pulses and _float(pulses["carrier_mhz"], "carrier_mhz") < 0:
+        raise ConfigError(f"line {pulses['carrier_mhz'][0]}: carrier_mhz must be >= 0 MHz")
     if "drive_amplitudes_mhz" in pulses:
         kwargs["drive_amplitudes_mhz"] = _float_list(
             pulses["drive_amplitudes_mhz"], "drive_amplitudes_mhz"
@@ -294,7 +291,6 @@ def render_config(cfg: ScenarioConfig) -> str:
         lines.append(f"drive_mhz = {_fmt(cfg.drive_mhz)}")
     lines.append(f"splitting_mhz = {_fmt(cfg.splitting_mhz)}")
     lines.append(f"envelope_mhz = {_fmt(cfg.envelope_mhz)}")
-    lines.append(f"carrier_mhz = {_fmt(cfg.carrier_mhz)}")
     if cfg.duration_us is not None:
         lines.append(f"duration_us = {_fmt(cfg.duration_us)}")
     if cfg.drive_amplitudes_mhz:

@@ -4,10 +4,11 @@ The stepper is classical fourth order, with the Hamiltonian sampled at the
 substage times t, t + dt/2 and t + dt. Both equations are linear, so every
 step is a transfer matrix T. _integrate has three parts:
 
-- A plan. The requested dt is snapped to a whole number of steps spanning
-  exactly [t_start, t_end]. The steps are cut into chunks within a byte
-  budget. In each chunk, a run is checked at its records and its last step,
-  and only those states are materialised.
+- A plan. Each EvolutionConfig plans its own steps once, when it is built:
+  the requested dt is snapped to n_steps steps of step_us spanning exactly
+  [t_start, t_end], with the records at record_steps. The call cuts the
+  steps into chunks within a byte budget. In each chunk, a run is checked
+  at its records and its last step, and only those states are materialised.
 - Two producers of the checked states. For a constant H, T is built once
   per run, and the states come from powers of T by doubling, run-major.
   When every step is recorded, they are written into the records. For a
@@ -43,7 +44,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -56,6 +57,7 @@ from nvholo.core import (
     StateVector,
     checked_amplitudes,
     checked_densities,
+    hermitian_deviation,
     last_axis_sum,
     product_rounds,
 )
@@ -79,24 +81,51 @@ MAX_STEPS = 10_000_000
 
 @dataclass(frozen=True)
 class EvolutionConfig:
+    """A run's time grid, planned once when it is built: dt_us is snapped to
+    the n_steps steps of step_us that span [t_start_us, t_end_us] exactly,
+    and the records fall at record_steps, every record_stride steps and at
+    the last. A span of more than MAX_STEPS steps is a ConfigError, raised
+    before any array of the run is allocated. Equality and hashing take the
+    five inputs alone."""
+
     t_start_us: float
     t_end_us: float
     dt_us: float
     record_stride: int = 1
     renormalize: bool = True
+    n_steps: int = field(init=False, compare=False, repr=False)
+    step_us: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        values = [self.t_start_us, self.t_end_us, self.dt_us]
-        if not np.all(np.isfinite(values)):
-            raise ConfigError("evolution times must be finite")
+        # math.isfinite, not numpy: one config is built per pulse and point
+        if not (math.isfinite(self.t_start_us) and math.isfinite(self.t_end_us) and math.isfinite(self.dt_us)):
+            raise ConfigError(
+                f"evolution times must be finite, got [{self.t_start_us:.6g}, {self.t_end_us:.6g}] us "
+                f"at dt = {self.dt_us:.3g} us"
+            )
         if self.dt_us <= 0:
             raise ConfigError("dt must be > 0")
         if self.t_end_us <= self.t_start_us:
             raise ConfigError("t_end must exceed t_start")
-        if self.dt_us > self.t_end_us - self.t_start_us:
+        span = self.t_end_us - self.t_start_us
+        if self.dt_us > span:
             raise ConfigError("dt must not exceed the evolution span")
         if self.record_stride != int(self.record_stride) or self.record_stride < 1:
             raise ConfigError("record_stride must be an integer >= 1")
+        if not span / self.dt_us <= MAX_STEPS:
+            raise ConfigError(f"a span of {span:.6g} us at dt = {self.dt_us:.3g} us takes more than {MAX_STEPS} steps")
+        n_steps = max(1, int(round(span / self.dt_us)))
+        object.__setattr__(self, "n_steps", n_steps)
+        object.__setattr__(self, "step_us", span / n_steps)
+
+    @functools.cached_property
+    def record_steps(self) -> np.ndarray:
+        """The recorded steps, read-only: 0, record_stride, ... and n_steps."""
+        steps = np.arange(0, self.n_steps + 1, int(self.record_stride))
+        if steps[-1] != self.n_steps:
+            steps = np.append(steps, self.n_steps)
+        steps.setflags(write=False)
+        return steps
 
 
 @dataclass(frozen=True)
@@ -259,21 +288,6 @@ def _as_source(h_of_t):
     )
 
 
-def _plan_steps(span: float, dt: float) -> tuple[int, float]:
-    """Step count over span at about dt, and the step that fills it exactly.
-    A span of more than MAX_STEPS steps is a ConfigError, raised before any
-    array of the run is allocated."""
-    if not span / dt <= MAX_STEPS:
-        raise ConfigError(f"a span of {span:.6g} us at dt = {dt:.3g} us takes more than {MAX_STEPS} steps")
-    n_steps = max(1, int(round(span / dt)))
-    return n_steps, span / n_steps
-
-
-def _record_steps(n_steps: int, stride: int) -> np.ndarray:
-    steps = np.arange(0, n_steps + 1, stride)
-    return steps if steps[-1] == n_steps else np.append(steps, n_steps)
-
-
 def _chunk_steps(y_dim: int, runs: int = 1, transfers: bool = True) -> int:
     """Steps per chunk within TRANSFER_CHUNK_BYTES: a step holds one complex
     state per run (a chunk's fill buffer, the crossing's rows, or the
@@ -313,7 +327,7 @@ def _check_samples(stack: np.ndarray, dim: int, what: str):
         )
     if not np.all(np.isfinite(stack)):
         raise NumericalError(f"non-finite Hamiltonian {what}")
-    deviation = float(np.max(np.abs(stack - np.conj(np.swapaxes(stack, -1, -2)))))
+    deviation = hermitian_deviation(stack)
     tolerance = ATOL_SAMPLE_HERMITIAN * max(1.0, float(np.max(np.abs(stack))))
     if deviation > tolerance:
         raise NumericalError(f"non-Hermitian Hamiltonian {what} (deviation {deviation:.3g})")
@@ -434,22 +448,13 @@ class _Block(NamedTuple):
 
     lo: int
     hi: int
-    t_start_us: float
-    n_steps: int
-    dt: float
-    record_at: np.ndarray
-    renormalize: bool
+    cfg: EvolutionConfig
 
 
 def _blocks(cfgs: tuple, runs: int) -> list:
     cuts = [r for r in range(1, len(cfgs)) if cfgs[r] != cfgs[r - 1]]
-    blocks = []
-    for lo, hi in zip([0] + cuts, cuts + [len(cfgs) if len(cfgs) > 1 else runs]):
-        cfg = cfgs[lo]
-        n_steps, dt = _plan_steps(cfg.t_end_us - cfg.t_start_us, cfg.dt_us)
-        record_at = _record_steps(n_steps, int(cfg.record_stride))
-        blocks.append(_Block(lo, hi, cfg.t_start_us, n_steps, dt, record_at, bool(cfg.renormalize)))
-    return blocks
+    his = cuts + [len(cfgs) if len(cfgs) > 1 else runs]
+    return [_Block(lo, hi, cfgs[lo]) for lo, hi in zip([0] + cuts, his)]
 
 
 def _checks(blocks: list, ends: list):
@@ -459,13 +464,13 @@ def _checks(blocks: list, ends: list):
     unless that is a record step, first the index of the first of those
     records and new their count. One search per block finds every chunk's."""
     cuts = [0] + ends
-    bounds = [b.record_at.searchsorted(np.minimum(cuts, b.n_steps), "right").tolist() for b in blocks]
+    bounds = [b.cfg.record_steps.searchsorted(np.minimum(cuts, b.cfg.n_steps), "right").tolist() for b in blocks]
     for i, (k0, k1) in enumerate(zip(cuts, ends)):
         plan = []
         for b, bound in zip(blocks, bounds):
-            if b.n_steps > k0:
+            if b.cfg.n_steps > k0:
                 first, last = bound[i], bound[i + 1]
-                steps, end = b.record_at[first:last], min(k1, b.n_steps)
+                steps, end = b.cfg.record_steps[first:last], min(k1, b.cfg.n_steps)
                 if first == last or steps[-1] != end:
                     steps = np.append(steps, end)
                 plan.append((b, first, last - first, steps))
@@ -511,9 +516,9 @@ def _doubling_chunks(a, blocks: list, ends: list, chunk: int, carry, records):
     view of it; else records is None and the rows are gathered.
     Ragged runs are filled to the longest, each checked to its own end."""
     runs, y_dim = carry.shape
-    dt = blocks[0].dt
+    dt = blocks[0].cfg.step_us
     if len(blocks) > 1:  # a transfer per run, each with its own step
-        dt = np.repeat([b.dt for b in blocks], [b.hi - b.lo for b in blocks])[:, None, None]
+        dt = np.repeat([b.cfg.step_us for b in blocks], [b.hi - b.lo for b in blocks])[:, None, None]
         a = np.broadcast_to(a, (runs,) + a.shape[-2:])
     # T, T^2, T^4, ... in row form; a stack per run
     powers = [np.ascontiguousarray(np.swapaxes(_constant_transfer(a, dt), -1, -2))]
@@ -541,14 +546,14 @@ def _crossing_chunks(terms, basis, block: _Block, ends: list, chunk: int, stride
     names the chunk's first frame time) and have c_0 = 1; scaled by dt/2,
     they give the frames as one (frames, K) @ (K, m*m) product each with the
     lifted basis at the steps' ends and middles, and the calls run."""
-    shape, flat, dt = basis.shape[1:], basis.reshape(basis.shape[0], -1), block.dt
+    shape, flat, dt = basis.shape[1:], basis.reshape(basis.shape[0], -1), block.cfg.step_us
     mats = [np.empty((chunk + extra,) + shape, basis.dtype) for extra in (1, 0, 0, 0)]
     ws = _Workspace(*mats, np.empty((len(carry), -(-chunk // stride), carry.shape[1]), np.complex128))
     built = {}
     for k0, k1, plan in _checks([block], ends):
         # a real combination of Hermitian matrices is Hermitian, so a chunk
         # checks only its coefficients
-        times = block.t_start_us + (dt / 2.0) * np.arange(2 * k0, 2 * k1 + 1)
+        times = block.cfg.t_start_us + (dt / 2.0) * np.arange(2 * k0, 2 * k1 + 1)
         c = np.asarray(terms.coefficients(times))
         if c.shape != (times.shape[0], flat.shape[0]) or np.iscomplexobj(c):
             raise ConfigError(
@@ -596,7 +601,9 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     a constant H whole, with the offset, and a terms source's basis with the
     offset on B_0 alone, each channel term taking the linear part only.
 
-    The plan cuts the steps into chunks of at most _chunk_steps (_chunk_ends);
+    Each block of runs (_Block) reads its steps, step size and record steps
+    from its config, planned when the config was built. The call cuts the
+    longest block's steps into chunks of at most _chunk_steps (_chunk_ends);
     in each chunk, a block checks its records and its last step there
     (_checks). A producer gives each block's checked rows, chunk by chunk:
     _doubling_chunks for a constant H or a stack, _crossing_chunks for a terms
@@ -626,7 +633,7 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     if not set(counts) <= {1, runs}:
         raise ConfigError(f"{counts[0]} start states, {counts[1]} H's and {counts[2]} configs in one batch")
     blocks = _blocks(cfgs, runs)
-    n_max = max(b.n_steps for b in blocks)
+    n_max = max(b.cfg.n_steps for b in blocks)
     stride = 1 if constant else int(cfgs[0].record_stride)
     ends = _chunk_ends(n_max, stride, _chunk_steps(y_dim, runs, transfers=not constant))
     chunk = max(k1 - k0 for k0, k1 in zip([0] + ends, ends))
@@ -640,7 +647,7 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     if y_dim <= REAL_FORM_MAX_DIM:
         basis = _real_form(basis)
 
-    n_records = max(b.record_at.shape[0] for b in blocks)
+    n_records = max(b.cfg.record_steps.shape[0] for b in blocks)
     records = np.empty((runs, n_records, y_dim), dtype=np.complex128)
     norms = np.empty((runs, n_records), dtype=float)
     pops = np.empty((runs, n_records, dim_protect), dtype=float)
@@ -649,7 +656,7 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     carry = records[:, 0].copy()
     max_drift = float(np.max(np.abs(norms[:, 0] - 1.0)))
     # every step of every run recorded: the doubling fills the records themselves
-    direct = constant and all(b.record_at.shape[0] == b.n_steps + 1 for b in blocks)
+    direct = constant and all(b.cfg.record_steps.shape[0] == b.cfg.n_steps + 1 for b in blocks)
 
     # transfers and states may overflow; the drift check rejects NaN and Inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -662,7 +669,7 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
             for b, first, new, steps, rows in checks:
                 at = (slice(b.lo, b.hi), slice(first, first + new))
                 out = pops[at] if rows.shape[1] == new else None  # rows that are all records
-                failure, drift, reported, found = _checkpoint(measure, rows, steps, b.renormalize, new, out)
+                failure, drift, reported, found = _checkpoint(measure, rows, steps, b.cfg.renormalize, new, out)
                 if failure is not None:
                     failures.append((failure[0], failure[1] + b.lo, failure[2]))
                     continue
@@ -678,12 +685,12 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
                 b = next(b for b in blocks if b.lo <= run < b.hi)
                 raise NumericalError(
                     f"norm drifted to {value:.6g} at step {step} "
-                    f"(t={b.t_start_us + step * b.dt:.6g} us); reduce dt",
+                    f"(t={b.cfg.t_start_us + step * b.cfg.step_us:.6g} us); reduce dt",
                     member=run if runs > 1 else None,
                 )
         for b in blocks:  # the populations of renormalised records, by their sums
-            if b.renormalize:
-                found = pops[b.lo : b.hi, 1 : b.record_at.shape[0]]
+            if b.cfg.renormalize:
+                found = pops[b.lo : b.hi, 1 : b.cfg.record_steps.shape[0]]
                 found *= (1.0 / last_axis_sum(found))[..., None]
 
     LOG.debug(
@@ -691,15 +698,11 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
         "max norm drift %.3e",
         runs, n_max, len(blocks), len(ends), chunk, max_drift,
     )
-    out = [
-        (
-            b.t_start_us + b.dt * b.record_at.astype(float),
-            records[b.lo : b.hi, : b.record_at.shape[0]],
-            norms[b.lo : b.hi, : b.record_at.shape[0]],
-            pops[b.lo : b.hi, : b.record_at.shape[0]],
-        )
-        for b in blocks
-    ]
+    out = []
+    for b in blocks:
+        at = (slice(b.lo, b.hi), slice(0, b.cfg.record_steps.shape[0]))
+        times = b.cfg.t_start_us + b.cfg.step_us * b.cfg.record_steps.astype(float)
+        out.append((times, records[at], norms[at], pops[at]))
     if ragged:
         return out
     return out[0] if batched else tuple(x[0] if i else x for i, x in enumerate(out[0]))
@@ -787,18 +790,9 @@ def evolve_lindblad(h_of_t, rho0, noise: NoiseModel, cfg: EvolutionConfig) -> Tr
 def convergence_check(h_of_t, psi0: StateVector, cfg: EvolutionConfig) -> float:
     """Max population difference between runs at dt and dt/2; a small value
     validates the step size."""
-    span = cfg.t_end_us - cfg.t_start_us
-    n_steps, dt = _plan_steps(span, cfg.dt_us)
-    base = evolve_schrodinger(h_of_t, psi0, replace(cfg, dt_us=dt))
-    half = evolve_schrodinger(
-        h_of_t,
-        psi0,
-        replace(
-            cfg,
-            dt_us=span / (2 * n_steps),
-            record_stride=int(cfg.record_stride) * 2,
-        ),
-    )
+    base = evolve_schrodinger(h_of_t, psi0, cfg)
+    half_cfg = replace(cfg, dt_us=cfg.step_us / 2.0, record_stride=int(cfg.record_stride) * 2)
+    half = evolve_schrodinger(h_of_t, psi0, half_cfg)
     return float(np.max(np.abs(base.populations - half.populations)))
 
 

@@ -253,6 +253,16 @@ def build_rotating_frame_4(spec: LevelSpec, pulses: PulseSet, t: float) -> Opera
     return OperatorMatrix(PulsedHamiltonian(spec, pulses).sample([t])[0], hermitian=True)
 
 
+def angular_detunings(detunings_mhz) -> tuple:
+    """2 pi times each detuning, in rad/us; one that overflows is a
+    ConfigError naming its [detunings] key, delta1 to delta3."""
+    scaled = tuple(TWO_PI * d for d in detunings_mhz)
+    for k, (d, w) in enumerate(zip(detunings_mhz, scaled), start=1):
+        if not np.isfinite(w):
+            raise ConfigError(f"[detunings] delta{k} = {d:g} MHz overflows once scaled by 2 pi")
+    return scaled
+
+
 def build_interaction_8(spec: LevelSpec, rabi_mhz, mode: str = HERMITIZED) -> OperatorMatrix:
     """8x8 interaction-picture matrix over six drive amplitudes.
 
@@ -269,10 +279,7 @@ def build_interaction_8(spec: LevelSpec, rabi_mhz, mode: str = HERMITIZED) -> Op
     if not np.all(np.isfinite(r)):
         raise ConfigError("drive amplitudes must be finite")
     r = TWO_PI * r
-    for k, d in enumerate(spec.detunings_mhz, start=1):
-        if not np.isfinite(TWO_PI * d):
-            raise ConfigError(f"[detunings] delta{k} = {d:g} MHz overflows once scaled by 2 pi")
-    d1, d2, d3 = (TWO_PI * d for d in spec.detunings_mhz)
+    d1, d2, d3 = angular_detunings(spec.detunings_mhz)
     m = np.zeros((8, 8), dtype=np.complex128)
     m[0, 2] = 0.5j * r[0]
     m[0, 6] = 0.5j * r[1]

@@ -50,7 +50,6 @@ from nvholo.evolve import (
     EvolutionConfig,
     NoiseModel,
     Trajectory,
-    _plan_steps,
     evolve_lindblad,
     evolve_schrodinger,
     recommended_dt,
@@ -67,6 +66,7 @@ from nvholo.hamiltonians import (
     PulseChannel,
     PulseSet,
     PulsedHamiltonian,
+    angular_detunings,
     build_interaction_8,
     silent_channel,
 )
@@ -86,7 +86,6 @@ SCENARIO_IDS = (
 RABI_DEFAULT_MHZ = 15.0
 SPLITTING_DEFAULT_MHZ = 20.0
 ENVELOPE_DEFAULT_MHZ = 1.1
-CARRIER_DEFAULT_MHZ = 4966.0
 
 # two-qubit pi/2 transfer: drive amplitude calibrated so the Raman-coupled
 # |1>,|2> pair ends at equal weight after one gaussian pump/Stokes window
@@ -188,7 +187,6 @@ class ScenarioConfig:
     drive_mhz: float | None = None
     splitting_mhz: float = SPLITTING_DEFAULT_MHZ
     envelope_mhz: float = ENVELOPE_DEFAULT_MHZ
-    carrier_mhz: float = CARRIER_DEFAULT_MHZ
     drive_amplitudes_mhz: tuple = ()
     duration_us: float | None = None
     noise: NoiseModel = _NOISE_OFF
@@ -229,8 +227,6 @@ class ScenarioConfig:
             raise ConfigError("drive amplitude must be > 0 MHz")
         if not self.splitting_mhz > 0 or not self.envelope_mhz > 0:
             raise ConfigError("splitting and envelope scales must be > 0 MHz")
-        if self.carrier_mhz < 0:
-            raise ConfigError("carrier frequency must be >= 0 MHz")
         if self.drive_amplitudes_mhz and (
             len(self.drive_amplitudes_mhz) != 6
             or not np.all(np.isfinite(self.drive_amplitudes_mhz))
@@ -333,12 +329,6 @@ def _sweep_values(value) -> np.ndarray:
     return np.asarray([float(value)])
 
 
-def _scalar_detuning(value, name: str) -> float:
-    if isinstance(value, SweepSpec):
-        raise ConfigError(f"{name} must be a scalar here, got a sweep spec")
-    return float(value)
-
-
 def _rx(angle: float) -> np.ndarray:
     h = 0.5 * angle
     return np.array(
@@ -398,7 +388,7 @@ def _pulse_config(
     """EvolutionConfig of a pulse over [0, span] at step dt, the one place
     that sets a run's record stride and renormalisation. Every step is
     recorded, or, given records, about that many (a stride of
-    n_steps // records, n_steps as the integrator plans them). Runs
+    n_steps // records, n_steps as the config plans them). Runs
     renormalise as [integrator] renormalize says, unless keep_norm: a run
     whose recorded norm is part of its result never renormalises. A
     configured step longer than the span, or any step past MAX_STEPS, is a
@@ -407,14 +397,15 @@ def _pulse_config(
         raise ConfigError(
             f"{where}: [integrator] dt_us = {cfg.dt_us:g} exceeds the {span:.6g} us span"
         )
+    renormalize = cfg.renormalize and not keep_norm
     try:
-        n_steps = _plan_steps(span, dt)[0]
+        evo = EvolutionConfig(0.0, float(span), float(dt), renormalize=renormalize)
     except ConfigError as err:
         source = "no [integrator] dt_us is set, so the step follows the pulse's fastest frequency"
         raise ConfigError(f"{where}: {err}; {'raise [integrator] dt_us' if cfg.dt_us else source}") from None
-    stride = max(1, n_steps // records) if records else 1
-    renormalize = cfg.renormalize and not keep_norm
-    return EvolutionConfig(0.0, float(span), float(dt), record_stride=stride, renormalize=renormalize)
+    if records and evo.n_steps // records > 1:  # built directly: replace() costs more per point
+        evo = EvolutionConfig(0.0, float(span), float(dt), evo.n_steps // records, renormalize)
+    return evo
 
 
 @contextmanager
@@ -476,8 +467,7 @@ def run_single_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
     # the step of the drive at the largest |delta|, the fastest one
     widest = _drive_matrix(cfg.rabi_mhz, float(deltas[np.argmax(np.abs(deltas))]))
     evo = _pulse_config(span, _pulse_dt(widest, span, cfg), cfg, "detune-sweep")
-    n_records = _plan_steps(span, evo.dt_us)[0] + 1
-    block = max(1, DETUNE_BLOCK_BYTES // (DETUNE_RECORD_BYTES * n_records))
+    block = max(1, DETUNE_BLOCK_BYTES // (DETUNE_RECORD_BYTES * (evo.n_steps + 1)))
     state0 = StateVector.normalized(psi0)
     rho0 = DensityMatrix.from_state(state0)
     noisy_names = ["p1_noisy", "p2_noisy", "discrepancy_noisy"] if cfg.noise.enabled else []
@@ -705,6 +695,7 @@ def _cardinal_fidelity(ideal: np.ndarray, noisy: np.ndarray) -> float:
 def run_two_qubit_pi2(cfg: ScenarioConfig) -> Trajectory:
     """Integrate the pulsed four-level register through one Raman window."""
     _require_scenario(cfg, "two-qubit-pi2")
+    check_detunings(cfg)
     width = 1.0 / cfg.envelope_mhz
     span = 8.0 * width
     center = 4.0 * width
@@ -713,7 +704,7 @@ def run_two_qubit_pi2(cfg: ScenarioConfig) -> Trajectory:
     spec = LevelSpec(
         dim=4,
         energies_mhz=(0.0, 0.0, omega, -omega),
-        detunings_mhz=tuple(_scalar_detuning(d, "two-qubit detuning") for d in cfg.detunings),
+        detunings_mhz=cfg.detunings,
     )
     tone = PulseChannel(
         rabi_mhz=amp,
@@ -834,26 +825,33 @@ def _loop_duration_us(deltas, base_us: float):
     return base_us / rate
 
 
-def _finite_common_mode(cfg: ScenarioConfig):
-    """The common mode 0.5 * (d2 + d3) of a register scenario's held
-    detunings: [detunings] delta2, delta3, or the first sets triple's, after
-    every triple is checked; None for any other scenario. One that overflows
-    is a ConfigError naming the scenario and where, as the tilts and the loop
-    duration would follow it to NaN; a finite one gives finite tilts and a
-    finite, positive duration. The runners and `nvholo validate` both check
-    through here."""
-    if cfg.scenario_id == "three-qubit-time":
+def check_detunings(cfg: ScenarioConfig):
+    """The detuning rules of cfg's scenario, the one check that its runner
+    and `nvholo validate` make, so that both fail alike. two-qubit-pi2 and
+    dark-states take three scalars, dark-states' finite once scaled by 2 pi
+    (angular_detunings). The register scenarios take scalar held detunings,
+    [detunings] delta2, delta3 or every sets triple, whose common mode
+    0.5 * (d2 + d3) must be finite: the tilts and the loop duration would
+    follow it to NaN. A failure is a ConfigError naming the key. Returns the
+    common mode (of the first sets triple), or None for a scenario without
+    held detunings."""
+    scenario = cfg.scenario_id
+    scalar_keys = {"two-qubit-pi2": (1, 2, 3), "dark-states": (1, 2, 3), "three-qubit-sweep": (2, 3), "fidelity-compare": (2, 3)}
+    for n in scalar_keys.get(scenario, ()):
+        if isinstance(cfg.detunings[n - 1], SweepSpec):
+            raise ConfigError(f"{scenario}: [detunings] delta{n} must be a number here, got a sweep")
+    if scenario == "dark-states":
+        angular_detunings(cfg.detunings)
+    if scenario == "three-qubit-time":
         held = [(f"sets triple {i + 1}", d2, d3) for i, (_, d2, d3) in enumerate(cfg.detuning_sets)]
-    elif cfg.scenario_id in ("three-qubit-sweep", "fidelity-compare"):
-        d2 = _scalar_detuning(cfg.detunings[1], "delta2")
-        d3 = _scalar_detuning(cfg.detunings[2], "delta3")
-        held = [("delta2, delta3", d2, d3)]
+    elif scenario in ("three-qubit-sweep", "fidelity-compare"):
+        held = [("delta2, delta3", *cfg.detunings[1:])]
     else:
         return None
     for where, d2, d3 in held:
         if not math.isfinite(0.5 * (d2 + d3)):
             raise ConfigError(
-                f"{cfg.scenario_id}: the common mode 0.5 * ({d2:g} + {d3:g}) of [detunings] {where} is not finite"
+                f"{scenario}: the common mode 0.5 * ({d2:g} + {d3:g}) of [detunings] {where} is not finite"
             )
     return 0.5 * (held[0][1] + held[0][2]) if held else None
 
@@ -877,10 +875,10 @@ def run_three_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
     is built.
     """
     _require_scenario(cfg, "three-qubit-sweep")
+    common = check_detunings(cfg)
     grid = _sweep_values(cfg.detunings[0])
     if grid.shape[0] < 2:
         raise ConfigError("three-qubit sweep needs at least 2 axis points")
-    common = _finite_common_mode(cfg)
     d2, d3 = cfg.detunings[1:]
     n_time = grid.shape[0]
     s_grid = np.linspace(0.0, 1.0, n_time)
@@ -921,9 +919,9 @@ def run_three_qubit_time_evolution(cfg: ScenarioConfig) -> tuple:
     Detuned loops complete faster, so their time axes are shorter.
     """
     _require_scenario(cfg, "three-qubit-time")
+    common = check_detunings(cfg)
     if not cfg.detuning_sets:
         raise ConfigError("three-qubit time evolution needs at least one detuning triple")
-    common = _finite_common_mode(cfg)
     base = cfg.duration_us or LOOP_DURATION_US
     deltas = np.array([(common, common, common), *cfg.detuning_sets], dtype=float)
     s_grid = np.linspace(0.0, 1.0, TIME_EVOLUTION_SAMPLES)
@@ -974,13 +972,14 @@ def run_dark_state_spectrum(cfg: ScenarioConfig) -> DarkSpectrum:
     peak population leakage out of it is reported.
     """
     _require_scenario(cfg, "dark-states")
+    check_detunings(cfg)
     if cfg.hermiticity != HERMITIZED:
         raise ConfigError("dark-state spectrum requires the hermitized mode")
     amps = cfg.drive_amplitudes_mhz or (cfg.rabi_mhz,) * 6
     spec = LevelSpec(
         dim=8,
         energies_mhz=(0.0,) * 8,
-        detunings_mhz=tuple(_scalar_detuning(d, "dark-state detuning") for d in cfg.detunings),
+        detunings_mhz=cfg.detunings,
     )
     matrix = build_interaction_8(spec, amps, mode=cfg.hermiticity)
     eigenvalues, eigenvectors = eig_hermitian(matrix)
@@ -1124,9 +1123,9 @@ def compare_resonant_fidelity(cfg: ScenarioConfig) -> tuple:
     a shorter wall-clock window. Returns (off_resonant, on_resonant).
     """
     _require_scenario(cfg, "fidelity-compare")
+    common = check_detunings(cfg)
     if not cfg.noise.enabled:
         raise ConfigError("fidelity comparison needs an enabled noise model")
-    common = _finite_common_mode(cfg)
     base = cfg.duration_us or LOOP_DURATION_US
     offset = OFF_RESONANT_OFFSET_MHZ
     on = (common, common, common)

@@ -150,6 +150,17 @@ def test_parse_accepts_and_ignores_threads_key():
         parse_config("[scenario]\nid = pi3\nthreads = two\n")
 
 
+def test_parse_accepts_and_ignores_carrier_key():
+    # no runner drives a carrier; manifests written while it was a config
+    # field carry the key
+    cfg = parse_config("[scenario]\nid = two-qubit-pi2\n\n[pulses]\ncarrier_mhz = 123\n")
+    assert cfg == parse_config("[scenario]\nid = two-qubit-pi2\n")
+    assert "carrier" not in render_config(cfg)
+    for value, message in (("-1", "must be >= 0 MHz"), ("fast", "must be a number"), ("inf", "must be finite")):
+        with pytest.raises(ConfigError, match=f"line 5: carrier_mhz {message}"):
+            parse_config(f"[scenario]\nid = pi3\n\n[pulses]\ncarrier_mhz = {value}\n")
+
+
 def test_parse_accepts_run_section():
     text = MINIMAL + "\n[run]\nartifact_version = 9.9.9\nanything = goes\n"
     cfg = parse_config(text)
@@ -341,6 +352,24 @@ def test_cli_manifest_reproduces_run(tmp_path):
     assert (out_a / "result.csv").read_bytes() == (out_b / "result.csv").read_bytes()
 
 
+@pytest.mark.parametrize("carrier", ["4966.0", "123"])
+def test_cli_manifest_with_carrier_key_reruns_byte_identically(carrier, tmp_path):
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert run_cli(["two-qubit-pi2", "--out", str(out_a)]) == 0
+    manifest = (out_a / "manifest").read_text()
+    assert "carrier" not in manifest
+    # as manifests were written while carrier_mhz was a config field
+    old = tmp_path / "old"
+    old.write_text(manifest.replace("envelope_mhz = 1.1\n", f"envelope_mhz = 1.1\ncarrier_mhz = {carrier}\n"))
+    assert run_cli(["two-qubit-pi2", "--config", str(old), "--out", str(out_b)]) == 0
+    assert (out_a / "result.csv").read_bytes() == (out_b / "result.csv").read_bytes()
+
+    def config_lines(path):
+        return [line for line in path.read_text().splitlines() if not line.startswith("wall_time_s")]
+
+    assert config_lines(out_b / "manifest") == config_lines(out_a / "manifest")
+
+
 def test_cli_validate(tmp_path, capsys):
     good = tmp_path / "good.ini"
     good.write_text(MINIMAL)
@@ -490,6 +519,29 @@ def test_cli_dark_states_overflowing_detuning_names_its_key(tmp_path, capsys):
     assert run_cli(["dark-states", "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: [detunings] delta1 = -1e+308 MHz overflows once scaled by 2 pi\n"
     assert not (out / "result.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "scenario, detunings, message",
+    [
+        ("dark-states", "delta1 = -1e308", "[detunings] delta1 = -1e+308 MHz overflows once scaled by 2 pi"),
+        ("dark-states", "delta1 = 0:1e-300:1", "dark-states: [detunings] delta1 must be a number here, got a sweep"),
+        ("two-qubit-pi2", "delta1 = 0:1e-300:1", "two-qubit-pi2: [detunings] delta1 must be a number here, got a sweep"),
+    ],
+    ids=["dark-states-overflow", "dark-states-sweep", "two-qubit-pi2-sweep"],
+)
+def test_cli_validate_exits_as_the_run_does_for_the_detuning_rules(scenario, detunings, message, tmp_path, capsys):
+    # validate and the runner make the one detuning check, so they fail alike
+    config = tmp_path / "cfg"
+    config.write_text(f"[scenario]\nid = {scenario}\n\n[detunings]\n{detunings}\n")
+    out = tmp_path / "out"
+    assert run_cli([scenario, "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "result.csv").exists()
+    assert run_cli(["validate", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "config ok" not in captured.out
 
 
 @pytest.mark.parametrize("min_overlap", [None, 0.9], ids=["default", "raised-threshold"])

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import logging
 import math
@@ -71,6 +72,17 @@ class TestEvolutionConfig:
         with pytest.raises(ConfigError):
             EvolutionConfig(t_start_us=0.0, t_end_us=1.0, dt_us=0.1, record_stride=0)
 
+    def test_plan_is_derived_from_the_five_inputs(self):
+        # equality, hashing and repr take the inputs alone, and replace()
+        # plans again
+        cfg = EvolutionConfig(0.0, 1.0, 0.003, record_stride=7)
+        assert (cfg.n_steps, cfg.step_us) == (333, 1.0 / 333)
+        assert cfg.record_steps[-2:].tolist() == [329, 333] and not cfg.record_steps.flags.writeable
+        same = EvolutionConfig(0.0, 1.0, 0.003, 7)
+        assert cfg == same and hash(cfg) == hash(same)
+        assert repr(cfg) == "EvolutionConfig(t_start_us=0.0, t_end_us=1.0, dt_us=0.003, record_stride=7, renormalize=True)"
+        assert dataclasses.replace(cfg, dt_us=0.5).n_steps == 2
+
     def test_step_count_is_capped(self, monkeypatch):
         # a step far below the span is a config error before anything is
         # allocated, for a span/dt that overflows to inf too
@@ -82,10 +94,54 @@ class TestEvolutionConfig:
         assert len(evolve_schrodinger(h, start, EvolutionConfig(0.0, 1.0, 0.01)).times) == 101
         with pytest.raises(ConfigError, match="more than 100 steps"):
             evolve_schrodinger(Terms([h]), start, EvolutionConfig(0.0, 1.0, 0.0099))
-        # any run of a ragged call
-        cfgs = [EvolutionConfig(0.0, 1.0, 0.01), EvolutionConfig(0.0, 1.0, 0.0099)]
+        # any run of a ragged call: its config fails when it is built
         with pytest.raises(ConfigError, match="more than 100 steps"):
+            cfgs = [EvolutionConfig(0.0, 1.0, 0.01), EvolutionConfig(0.0, 1.0, 0.0099)]
             evolve_lindblad(np.stack([h, h]), DensityMatrix.from_state(start), NOISE, cfgs)
+
+
+PLANS = st.tuples(
+    st.floats(-10.0, 10.0),  # t_start_us
+    st.floats(1e-3, 5.0),  # span_us
+    st.floats(1.0, 300.0),  # span / dt
+    st.integers(1, 40),  # record_stride
+)
+
+
+def planned_config(plan) -> EvolutionConfig:
+    t_start, span, steps, stride = plan
+    t_end = t_start + span
+    return EvolutionConfig(t_start, t_end, (t_end - t_start) / steps, record_stride=stride)
+
+
+def assert_reports_its_plan(times, cfg):
+    """The plan, checked from its definition, and the trajectory's times
+    equal to t_start + step_us * record_steps, bit for bit."""
+    span = cfg.t_end_us - cfg.t_start_us
+    assert cfg.n_steps == max(1, round(span / cfg.dt_us))
+    assert cfg.step_us == span / cfg.n_steps
+    steps = cfg.record_steps
+    assert steps[0] == 0 and steps[-1] == cfg.n_steps
+    gaps = np.diff(steps)
+    assert np.all(gaps[:-1] == cfg.record_stride) and 0 < gaps[-1] <= cfg.record_stride
+    assert times.shape == steps.shape
+    assert np.array_equal(times, cfg.t_start_us + cfg.step_us * steps)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(plan=PLANS, ragged=st.lists(PLANS, min_size=2, max_size=3))
+def test_trajectory_times_are_the_configs_plan(plan, ragged):
+    # a slow drive: the times do not depend on H, and the drift gate passes
+    h, start = 0.01 * rabi_hamiltonian(1.0, 0.5), StateVector.basis(2, 0)
+    cfg = planned_config(plan)
+    for source in (h, np.stack([h, -h]), Terms([h])):
+        assert_reports_its_plan(evolve_schrodinger(source, start, cfg).times, cfg)
+    cfgs = [planned_config(p) for p in ragged]
+    trajs = evolve_schrodinger(np.stack([h] * len(cfgs)), start, cfgs)
+    blocks = [c for i, c in enumerate(cfgs) if i == 0 or c != cfgs[i - 1]]  # runs of equal configs
+    assert len(trajs) == len(blocks)
+    for traj, cfg in zip(trajs, blocks):
+        assert_reports_its_plan(traj.times, cfg)
 
 
 class TestSchrodinger:

@@ -1436,7 +1436,7 @@ def test_dark_states_short_span_takes_min_segment_steps(monkeypatch):
     monkeypatch.setattr(scenarios, "evolve_schrodinger", lambda h, psi0, evo: runs.append(evo) or evolve(h, psi0, evo))
     run_dark_state_spectrum(ScenarioConfig(scenario_id="dark-states", duration_us=0.001))
     (evo,) = runs
-    assert evolve_module._plan_steps(evo.t_end_us, evo.dt_us)[0] >= scenarios.MIN_SEGMENT_STEPS
+    assert evo.n_steps >= scenarios.MIN_SEGMENT_STEPS
 
 
 def test_detuning_sweep_recorded_norm_failure_names_its_point():
