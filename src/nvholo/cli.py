@@ -24,8 +24,8 @@ from nvholo.core import ConfigError, NumericalError
 from nvholo.config import CsvTable, RunManifest, parse_config, write_csv
 from nvholo.scenarios import (
     ScenarioConfig,
-    check_detunings,
     compare_resonant_fidelity,
+    preflight,
     run_composite_gate_scenario,
     run_dark_state_spectrum,
     run_pi3_rotation,
@@ -229,7 +229,7 @@ def _dispatch(args) -> int:
     if args.command == "validate":
         with open(args.config, "r", encoding="utf-8") as handle:
             cfg = parse_config(handle.read())
-        check_detunings(cfg)
+        preflight(cfg)
         print(f"config ok: scenario {cfg.scenario_id}")
         return 0
 

@@ -9,13 +9,17 @@ step is a transfer matrix T. _integrate has three parts:
   [t_start, t_end], with the records at record_steps. The call cuts the
   steps into chunks within a byte budget. In each chunk, a run is checked
   at its records and its last step, and only those states are materialised.
-- Two producers of the checked states. For a constant H, T is built once
-  per run, and the states come from powers of T by doubling, run-major.
-  When every step is recorded, they are written into the records. For a
-  time-dependent H = sum_k c_k(t) B_k, one workspace serves every chunk, its
-  views bound once per chunk length: the frames are one product of the
-  coefficients with the basis, the transfers follow in place, and the
-  states cross each record interval in one product.
+- Two producers of the checked states, both with T as one polynomial. For
+  a constant H, T is built once per run, in Horner form, and the states
+  come from powers of T by doubling, run-major. When every step is
+  recorded, they are written into the records. For a time-dependent
+  H = sum_k c_k(t) B_k, T is a fixed polynomial in the coefficients at the
+  step's start, middle and end, its matrices built once per call. One
+  workspace serves every chunk, its views bound once per chunk length: the
+  transfers are one product of the chunk's monomial columns with the
+  polynomial, plus I, and the states cross each record interval in one
+  product. A source of more terms than the polynomial pays for takes the
+  stage form over its frames instead.
 - One checkpoint per block of runs. It measures the checked states once,
   checks the norm drift, renormalises and stores the records.
 
@@ -288,19 +292,39 @@ def _as_source(h_of_t):
     )
 
 
-def _chunk_steps(y_dim: int, runs: int = 1, transfers: bool = True) -> int:
+def _monomials(n_terms: int, side: int) -> int:
+    """The count N = K^2 K(K+1)/2 of monomials of the RK4 polynomial
+    (_rk4_polynomial) of a source of K terms, or 0 where its one
+    (n, N) @ (N, side^2) product takes more multiply-adds per step than the
+    stage form's three products of side x side matrices (N > 3 side;
+    _transfer_stack). N grows as K^4: at K = 11 and side 64, a dim-8
+    Lindblad source with five carrier channels, the polynomial alone would
+    hold 523 MB."""
+    count = n_terms**3 * (n_terms + 1) // 2
+    return count if count <= 3 * side else 0
+
+
+def _chunk_steps(y_dim: int, runs: int = 1, n_terms: int = 0) -> int:
     """Steps per chunk within TRANSFER_CHUNK_BYTES: a step holds one complex
     state per run (a chunk's fill buffer, the crossing's rows, or the
     checkpoint's working arrays when the records are the buffer) and, for a
-    terms source (transfers), four matrices of its workspace (_Workspace) in
-    the form its transfers are built in: an even and an odd frame and two RK4
-    stages, whose buffers the interval products reuse. The even frames hold
-    one matrix more than the chunk has steps. A real form (_real_form) matrix
-    takes twice the bytes of its complex one. A constant H or a stack of them
-    builds no per-step matrices."""
-    matrix_bytes = 16 * y_dim**2 * (2 if y_dim <= REAL_FORM_MAX_DIM else 1) * transfers
-    per_step = 16 * y_dim * runs + 4 * matrix_bytes
-    return int(min(MAX_CHUNK_STEPS, max(16, (TRANSFER_CHUNK_BYTES - matrix_bytes) // per_step)))
+    terms source of n_terms terms, its share of the workspace (_Workspace)
+    in the form its transfers are built in: two rows of coefficients, its
+    transfer, two matrices of interval products, and either its N monomial
+    columns (_monomials) with its middle monomials, or, in the stage form,
+    its end frame. The call's polynomial (N matrices), or in the stage form
+    its scaled basis and a chunk's first frame, comes off the budget first.
+    A real form (_real_form) matrix takes twice the bytes of its complex one.
+    A constant H or a stack of them (n_terms 0) builds no per-step matrices."""
+    per_step, fixed = 16 * y_dim * runs, 0
+    if n_terms:
+        real = y_dim <= REAL_FORM_MAX_DIM
+        matrix_bytes = 16 * y_dim**2 * (2 if real else 1)
+        columns = _monomials(n_terms, 2 * y_dim if real else y_dim)
+        middle = n_terms * (n_terms + 1) // 2 if columns else 0
+        per_step += (3 if columns else 4) * matrix_bytes + 8 * (2 * n_terms + middle + columns)
+        fixed = (columns or n_terms + 1) * matrix_bytes + 8 * n_terms
+    return int(min(MAX_CHUNK_STEPS, max(16, (TRANSFER_CHUNK_BYTES - fixed) // per_step)))
 
 
 def _chunk_ends(n_steps: int, stride: int, budget: int) -> list:
@@ -353,15 +377,64 @@ def _real_form(m: np.ndarray) -> np.ndarray:
     return out.reshape(m.shape[:-2] + (2 * n, 2 * n))
 
 
+def _middle_columns(n_terms: int) -> np.ndarray:
+    """(K, K) column of c_b c_c among a step's K(K+1)/2 middle monomials of
+    degree <= 2 in the K - 1 coefficients after c_0 = 1: 1, c_1, ..., c_m,
+    then c_i c_j for 1 <= i <= j <= m in row order."""
+    cols = np.zeros((n_terms, n_terms), dtype=np.intp)
+    cols[0] = cols[:, 0] = np.arange(n_terms)
+    i, j = np.triu_indices(n_terms - 1)
+    cols[i + 1, j + 1] = cols[j + 1, i + 1] = n_terms + np.arange(i.size)
+    return cols
+
+
+def _rk4_polynomial(p: np.ndarray) -> np.ndarray:
+    """The RK4 transfer of y' = A(t) y as a polynomial in A's coefficients.
+    p holds the K prescaled terms of F = dt/2 A = sum_k c_k p_k, c_0 = 1;
+    the result is the (K, K(K+1)/2, K, s, s) matrices M with
+    T = I + sum M[d, q, a] c_d(start) mid_q c_a(end) over a step, mid_q the
+    middle monomials (_middle_columns).
+
+    With F1, F2 and F3 the frames at the step's start, middle and end, the
+    stage form T = I + (F1 + F3)/3 + 2/3 (G2 + G3 + F3 G3), G2 = F2 + F2 F1,
+    G3 = F2 + F2 G2 (dt/2 times the stages K), expands into nine weighted
+    words: 1/3 F1, 1/3 F3, 4/3 F2 and 2/3 each of F2 F1, F2 F2, F3 F2,
+    F2 F2 F1, F3 F2 F2 and F3 F2 F2 F1. Every word is a sum over its terms'
+    products, each of which lands on the monomial of its coefficients. A
+    step is affine in its coefficients, so this is exact for any K
+    (Hairer, Norsett and Wanner, Solving ODEs I, sec. II.1). I stays out of
+    M: added after the product, it leaves the transfers at stage-form
+    rounding."""
+    k, middle = np.arange(p.shape[0]), _middle_columns(p.shape[0])
+    pp = p[:, None] @ p  # pp[a, b] = p_a p_b
+    ppp = p[:, None, None] @ pp
+    pppp = p[:, None, None, None] @ ppp
+    m = np.zeros((k.size, middle.max() + 1, k.size) + p.shape[1:], p.dtype)
+    words = [  # weight, products, the (start, middle, end) index of each
+        (1.0 / 3.0, p, (k, 0, 0)),  # F1
+        (1.0 / 3.0, p, (0, 0, k)),  # F3
+        (4.0 / 3.0, p, (0, k, 0)),  # F2
+        (2.0 / 3.0, pp, (k, k[:, None], 0)),  # F2 F1: pp[b, d]
+        (2.0 / 3.0, pp, (0, middle, 0)),  # F2 F2: pp[b, c]
+        (2.0 / 3.0, pp, (0, k, k[:, None])),  # F3 F2: pp[a, b]
+        (2.0 / 3.0, ppp, (k, middle[:, :, None], 0)),  # F2 F2 F1: ppp[b, c, d]
+        (2.0 / 3.0, ppp, (0, middle, k[:, None, None])),  # F3 F2 F2: ppp[a, b, c]
+        (2.0 / 3.0, pppp, (k, middle[:, :, None], k[:, None, None, None])),  # F3 F2 F2 F1
+    ]
+    for weight, products, at in words:
+        np.add.at(m, at, weight * products)
+    return m
+
+
 def _transfer_stack(f1, f2, f3, g2, g3) -> np.ndarray:
     """Exact RK4 update matrices for y' = A(t) y from the frames F = dt/2 A
-    at each step's start, middle and end, written over f2. In the scaled
-    stage form (G = dt/2 K), G2 = F2 + F2 F1, G3 = F2 + F2 G2 and
+    at each step's start, middle and end, written over f2: the stage form of
+    _rk4_polynomial's words, G2 = F2 + F2 F1, G3 = F2 + F2 G2 and
     T = I + (F1 + F3)/3 + 2/3 (G2 + G3 + F3 G3), which is
     T = I + dt/6 (K1 + 2 K2 + 2 K3 + K4): three batched products and eight
     passes, all updated in place. g2 and g3 are buffers of f2's shape for the
     stages; f2 must share no memory with the others, while f1 and f3 may
-    overlap (consecutive frames of one stack) or be one array (a constant H)."""
+    overlap (consecutive frames of one stack)."""
     np.matmul(f2, f1, out=g2)
     g2 += f2
     np.matmul(f2, g2, out=g3)
@@ -380,9 +453,17 @@ def _transfer_stack(f1, f2, f3, g2, g3) -> np.ndarray:
 
 def _constant_transfer(a: np.ndarray, dt) -> np.ndarray:
     """The RK4 transfer of a constant A, or of a stack of them with dt one
-    per run (shape (runs, 1, 1)), through _transfer_stack."""
-    f = a * (dt / 2.0)
-    return _transfer_stack(f, f.copy(), f, np.empty_like(f), np.empty_like(f))
+    per run (shape (runs, 1, 1)): _rk4_polynomial at one term, in Horner
+    form in P = dt/2 A, T = I + P(2 + P(2 + P(4/3 + 2/3 P))), three batched
+    products."""
+    p = a * (dt / 2.0)
+    buffers = (p * (2.0 / 3.0), np.empty_like(p))  # in turn, with no allocation per product
+    diagonals = [b.reshape(b.shape[:-2] + (-1,))[..., :: b.shape[-1] + 1] for b in buffers]  # writable views
+    for k, term in enumerate((4.0 / 3.0, 2.0, 2.0)):
+        diagonals[k % 2] += term
+        np.matmul(p, buffers[k % 2], out=buffers[1 - k % 2])
+    diagonals[1] += 1.0
+    return buffers[1]
 
 
 def _fill_by_doubling(states: np.ndarray, powers: list, m: int):
@@ -407,40 +488,94 @@ def _fill_by_doubling(states: np.ndarray, powers: list, m: int):
 
 class _Workspace(NamedTuple):
     """The buffers of a terms source's chunks, allocated once per call for
-    the longest chunk of n steps and reused by every chunk: the frames at
-    the steps' ends (n + 1) and middles (n), both prescaled by dt/2, the two
-    RK4 stages (n each), which also hold the interval products, all
-    C-contiguous matrices in the basis dtype, and the crossing's complex
+    the longest chunk of n steps and reused by every chunk: the coefficients
+    at the steps' ends and middles (2n + 1 rows); the middle monomials and
+    the monomial columns (n rows each, _rk4_polynomial), or in the stage form
+    the frames at the steps' ends (n + 1, _transfer_stack), the others empty;
+    the transfers and two buffers of interval products (n each), all
+    matrices C-contiguous in the basis dtype; and the crossing's complex
     rows, one per checked step of a chunk and run."""
 
-    even: np.ndarray
-    odd: np.ndarray
-    g2: np.ndarray
-    g3: np.ndarray
+    coefficients: np.ndarray
+    middle: np.ndarray
+    columns: np.ndarray
+    frames: np.ndarray
+    transfers: np.ndarray
+    products: np.ndarray
+    spare: np.ndarray
     rows: np.ndarray
 
 
-def _chunk_calls(ws: _Workspace, n: int, stride: int, carry: np.ndarray) -> tuple:
-    """(frames, calls, rows) of a chunk of n steps: the outputs of its two
-    frame products, and calls bound to views of the workspace that build its
-    transfers over the odd frames (_transfer_stack), multiply those of each
-    record interval into one matrix in the stage buffers (product_rounds)
-    and carry the states across it into rows, the checked states, as a row
-    times P^T; real transfers (_real_form) take the float64 view of a row."""
-    even, odd = ws.even[: n + 1], ws.odd[:n]
-    calls = [functools.partial(_transfer_stack, even[:-1], odd, even[1:], ws.g2[:n], ws.g3[:n])]
-    whole, shape = n // stride, odd.shape[1:]
-    pieces = [odd[: whole * stride].reshape((whole, stride) + shape)] if whole else []
+def _workspace(matrices: np.ndarray, chunk: int, stride: int, carry: np.ndarray) -> _Workspace:
+    """The workspace of a terms source's chunks of at most chunk steps, for
+    its polynomial (_rk4_polynomial) or, in the stage form, its scaled basis
+    (matrices, _transfer_calls), and for its runs' states, carry."""
+    polynomial = matrices.ndim == 5
+    n_terms, width, shape = matrices.shape[0], matrices.shape[1] if polynomial else 0, matrices.shape[-2:]
+    return _Workspace(
+        np.empty((2 * chunk + 1, n_terms)),
+        np.empty((chunk, width)),
+        np.empty((chunk, n_terms * width * n_terms)),
+        *(np.empty((size,) + shape, matrices.dtype) for size in (0 if polynomial else chunk + 1, chunk, chunk, chunk)),
+        np.empty((len(carry), -(-chunk // stride), carry.shape[1]), np.complex128),
+    )
+
+
+def _transfer_calls(ws: _Workspace, n: int, matrices: np.ndarray) -> list:
+    """Calls bound to views of the workspace that make the transfers of a
+    chunk of n steps from its coefficients. For the call's polynomial
+    (_rk4_polynomial), they fill the N monomial columns (start, middle of
+    degree <= 2, end) and make the transfers as one (n, N) @ (N, s*s) product
+    with it, adding I after. For the basis scaled by dt/2 (a source with too
+    many monomials, _monomials), the frames at the steps' ends and middles
+    are one product each with it, and _transfer_stack builds the transfers
+    over the middle ones. The products take the float64 views of complex
+    matrices, as the coefficients are real."""
+    c, transfers = ws.coefficients[: 2 * n + 1], ws.transfers[:n]
+    flat = transfers.reshape(n, -1).view(np.float64)
+    n_terms, start, mid, end = c.shape[1], c[0:-1:2], c[1::2], c[2::2]
+    if matrices.ndim == 3:  # the stage form: the middle frames in the transfers' buffer
+        basis, ends = matrices.reshape(n_terms, -1).view(np.float64), ws.frames[: n + 1]
+        return [
+            functools.partial(np.matmul, c[0::2], basis, out=ends.reshape(n + 1, -1).view(np.float64)),
+            functools.partial(np.matmul, mid, basis, out=flat),
+            functools.partial(_transfer_stack, ends[:-1], transfers, ends[1:], ws.products[:n], ws.spare[:n]),
+        ]
+    middle, columns = ws.middle[:n], ws.columns[:n]
+    grid, polynomial = columns.reshape(n, n_terms, -1, n_terms), matrices.reshape(columns.shape[1], -1)
+    calls = [functools.partial(np.copyto, middle[:, :n_terms], mid)]
+    for i, lo in enumerate(_middle_columns(n_terms).diagonal()[1:], start=1):  # c_i c_j, j >= i
+        calls.append(functools.partial(np.multiply, mid[:, i, None], mid[:, i:], out=middle[:, lo : lo + n_terms - i]))
+    diagonal = np.einsum("...ii->...i", transfers)  # a writable view
+    return calls + [
+        functools.partial(np.multiply, start[:, :, None, None], middle[:, None, :, None], out=grid),
+        functools.partial(np.multiply, grid, end[:, None, None, :], out=grid),
+        functools.partial(np.matmul, columns, polynomial.view(np.float64), out=flat),
+        functools.partial(np.add, diagonal, 1.0, out=diagonal),
+    ]
+
+
+def _chunk_calls(ws: _Workspace, n: int, stride: int, carry: np.ndarray, matrices: np.ndarray) -> tuple:
+    """(coefficients, calls, rows) of a chunk of n steps: the view that takes
+    its coefficients, and calls bound to views of the workspace that make its
+    transfers (_transfer_calls), multiply those of each record interval into
+    one matrix (product_rounds) and carry the states across it into rows, the
+    checked states, as a row times P^T; real transfers (_real_form) take the
+    float64 view of a row."""
+    transfers = ws.transfers[:n]
+    calls = _transfer_calls(ws, n, matrices)
+    whole, shape = n // stride, transfers.shape[1:]
+    pieces = [transfers[: whole * stride].reshape((whole, stride) + shape)] if whole else []
     if whole * stride < n:
-        pieces.append(odd[whole * stride :][None])
-    rows, y, k = ws.rows.view(odd.dtype), carry.view(odd.dtype), 0
+        pieces.append(transfers[whole * stride :][None])
+    rows, y, k = ws.rows.view(transfers.dtype), carry.view(transfers.dtype), 0
     for piece in pieces:  # the rest reuses the buffers once the whole intervals are crossed
-        rounds, products = product_rounds(piece, (ws.g2, ws.g3))
+        rounds, products = product_rounds(piece, (ws.products, ws.spare))
         calls += rounds
         for product in np.swapaxes(products, -1, -2):
             calls.append(functools.partial(np.matmul, y, product, rows[:, k]))
             y, k = rows[:, k], k + 1
-    return (even.reshape(n + 1, -1), odd.reshape(n, -1)), calls, ws.rows[:, :k]
+    return ws.coefficients[: 2 * n + 1], calls, ws.rows[:, :k]
 
 
 class _Block(NamedTuple):
@@ -539,25 +674,29 @@ def _doubling_chunks(a, blocks: list, ends: list, chunk: int, carry, records):
 
 def _crossing_chunks(terms, basis, block: _Block, ends: list, chunk: int, stride: int, carry):
     """The checked rows of a terms source, one block, per chunk as in
-    _doubling_chunks. A chunk holds whole record intervals (_chunk_ends) in
-    one workspace (_Workspace) for the longest chunk, worked through calls
-    bound to its views once per chunk length (_chunk_calls), so a chunk does
-    only its arithmetic: its real coefficients must be finite (a failure
-    names the chunk's first frame time) and have c_0 = 1; scaled by dt/2,
-    they give the frames as one (frames, K) @ (K, m*m) product each with the
-    lifted basis at the steps' ends and middles, and the calls run."""
-    shape, flat, dt = basis.shape[1:], basis.reshape(basis.shape[0], -1), block.cfg.step_us
-    mats = [np.empty((chunk + extra,) + shape, basis.dtype) for extra in (1, 0, 0, 0)]
-    ws = _Workspace(*mats, np.empty((len(carry), -(-chunk // stride), carry.shape[1]), np.complex128))
-    built = {}
+    _doubling_chunks. The call builds the RK4 transfer's polynomial in the
+    coefficients once (_rk4_polynomial) from the lifted basis scaled by
+    dt/2, unless it has more monomials than pay (_monomials): then the
+    scaled basis gives each chunk's frames for the stage form. A chunk
+    holds whole record intervals (_chunk_ends) in one workspace (_Workspace)
+    for the longest chunk, worked through calls bound to its views once per
+    chunk length (_chunk_calls), so a chunk does only its arithmetic: its
+    real coefficients must be finite (a failure names the chunk's first
+    frame time) and have c_0 = 1; copied into the workspace, they give the
+    transfers, and the calls run."""
+    n_terms, dt = basis.shape[0], block.cfg.step_us
+    matrices = basis * (dt / 2.0)
+    if _monomials(n_terms, basis.shape[-1]):
+        matrices = _rk4_polynomial(matrices)
+    ws, built = _workspace(matrices, chunk, stride, carry), {}
     for k0, k1, plan in _checks([block], ends):
         # a real combination of Hermitian matrices is Hermitian, so a chunk
         # checks only its coefficients
         times = block.cfg.t_start_us + (dt / 2.0) * np.arange(2 * k0, 2 * k1 + 1)
         c = np.asarray(terms.coefficients(times))
-        if c.shape != (times.shape[0], flat.shape[0]) or np.iscomplexobj(c):
+        if c.shape != (times.shape[0], n_terms) or np.iscomplexobj(c):
             raise ConfigError(
-                f"coefficients must be real with shape {(times.shape[0], flat.shape[0])}, "
+                f"coefficients must be real with shape {(times.shape[0], n_terms)}, "
                 f"got {c.dtype} {c.shape}"
             )
         if not math.isfinite(c.sum()) and not np.isfinite(c).all():  # a finite sum has finite terms
@@ -567,12 +706,10 @@ def _crossing_chunks(terms, basis, block: _Block, ends: list, chunk: int, stride
                 f"the coefficient of B_0 must be 1 at every time, got "
                 f"{c[np.argmax(c[:, 0] != 1.0), 0]:.6g} near t={times[0]:.6g} us"
             )
-        c = c * (dt / 2.0)  # frames F = dt/2 A, from the coefficients
         if k1 - k0 not in built:
-            built[k1 - k0] = _chunk_calls(ws, k1 - k0, stride, carry)
-        frames, calls, rows = built[k1 - k0]
-        np.matmul(c[0::2], flat, out=frames[0])
-        np.matmul(c[1::2], flat, out=frames[1])
+            built[k1 - k0] = _chunk_calls(ws, k1 - k0, stride, carry, matrices)
+        coefficients, calls, rows = built[k1 - k0]
+        np.copyto(coefficients, c)
         for call in calls:
             call()
         yield [(b, first, new, steps, rows) for b, first, new, steps in plan]
@@ -633,10 +770,6 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     if not set(counts) <= {1, runs}:
         raise ConfigError(f"{counts[0]} start states, {counts[1]} H's and {counts[2]} configs in one batch")
     blocks = _blocks(cfgs, runs)
-    n_max = max(b.cfg.n_steps for b in blocks)
-    stride = 1 if constant else int(cfgs[0].record_stride)
-    ends = _chunk_ends(n_max, stride, _chunk_steps(y_dim, runs, transfers=not constant))
-    chunk = max(k1 - k0 for k0, k1 in zip([0] + ends, ends))
 
     # a constant H as a one-term basis: term 0 takes the offset either way
     basis = entries[None] if constant else np.asarray(terms.terms(), dtype=np.complex128)
@@ -646,6 +779,11 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
         basis[0] += offset
     if y_dim <= REAL_FORM_MAX_DIM:
         basis = _real_form(basis)
+
+    n_max = max(b.cfg.n_steps for b in blocks)
+    stride = 1 if constant else int(cfgs[0].record_stride)
+    ends = _chunk_ends(n_max, stride, _chunk_steps(y_dim, runs, 0 if constant else basis.shape[0]))
+    chunk = max(k1 - k0 for k0, k1 in zip([0] + ends, ends))
 
     n_records = max(b.cfg.record_steps.shape[0] for b in blocks)
     records = np.empty((runs, n_records, y_dim), dtype=np.complex128)

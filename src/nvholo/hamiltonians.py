@@ -9,6 +9,7 @@ rad/us with hbar = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -88,12 +89,10 @@ class PulseChannel:
             object.__setattr__(self, "envelope", EnvelopeShape(self.envelope))
 
     def amplitudes(self, times) -> np.ndarray:
-        """Complex drive amplitude in angular units (rad/us) at each time. A
-        zero carrier's phasor is one constant, so it takes one exp in all."""
+        """Complex drive amplitude in angular units (rad/us) at each time."""
         times = np.asarray(times, dtype=float)
         env = envelope_values(self.envelope, times, self.t_center_us, self.t_width_us)
-        phases = self.phase_rad - TWO_PI * self.carrier_mhz * times if self.carrier_mhz else self.phase_rad
-        return TWO_PI * self.rabi_mhz * env * np.exp(1j * phases)
+        return TWO_PI * self.rabi_mhz * env * np.exp(1j * (self.phase_rad - TWO_PI * self.carrier_mhz * times))
 
 
 def silent_channel() -> PulseChannel:
@@ -161,14 +160,20 @@ class PulsedHamiltonian:
 
     H(t) is affine in the drive amplitudes: H(t) = sum_k c_k(t) B_k over the
     constant Hermitian basis terms() and the real coefficients(times). B_0
-    holds the level energies (c_0 = 1); each distinct driven channel, with
-    coupling pattern C summed over the slots it fills, adds X = C + C^dag and
-    Y = i (C - C^dag) with coefficients Re a(t) and Im a(t), since
-    a C + conj(a) C^dag = Re a X + Im a Y. Silent channels (rabi 0) add no
-    terms. c_0 is 1 at every time, as the integrator requires of a terms
-    source: the Lindblad dissipator joins B_0 alone. The integrator takes
-    terms() and coefficients(times); sample(times), the (n, dim, dim) stack
-    coefficients @ terms, serves recommended_dt's probe and single frames.
+    holds the level energies (c_0 = 1). Each distinct driven channel, with
+    coupling pattern C summed over the slots it fills, adds
+    a C + conj(a) C^dag = Re a X + Im a Y, with X = C + C^dag and
+    Y = i (C - C^dag). A channel with a carrier adds X and Y, with
+    coefficients Re a(t) and Im a(t). A zero-carrier channel of phase phi
+    keeps one direction: it adds the one term cos(phi) X + sin(phi) Y, with
+    the real coefficient |a(t)| = 2 pi rabi envelope(t). The integrator's
+    RK4 polynomial has K^2 K(K+1)/2 monomials in K terms, so a term whose
+    coefficient is identically zero is left out. Silent channels
+    (rabi 0) add no terms. c_0 is 1 at every time, as the integrator
+    requires of a terms source: the Lindblad dissipator joins B_0 alone. The
+    integrator takes terms() and coefficients(times); sample(times), the
+    (n, dim, dim) stack coefficients @ terms, serves recommended_dt's probe
+    and single frames.
 
     The coupling layout for dim 8 pairs pump channels 1/2 on the
     (|1><7| - |1><8|) pattern, Stokes channels 1/2 on (|2><7| + |2><8|) with
@@ -202,8 +207,8 @@ class PulsedHamiltonian:
         )
 
     def terms(self) -> np.ndarray:
-        """The (K, dim, dim) Hermitian basis: B_0, then X and Y per driven
-        channel."""
+        """The (K, dim, dim) Hermitian basis: B_0, then per driven channel X
+        and Y, or cos(phi) X + sin(phi) Y for a zero carrier."""
         dim = self.spec.dim
         pump, stokes = self.pulses.pump, self.pulses.stokes
         first, second = (6, 7) if dim == 8 else (2, 3)
@@ -218,19 +223,25 @@ class PulsedHamiltonian:
             if ch in couplings:
                 couplings[ch][row, column] += weight
         basis = [np.diag(TWO_PI * np.asarray(self.spec.energies_mhz)).astype(np.complex128)]
-        for c in couplings.values():
-            basis += [c + c.conj().T, 1j * (c - c.conj().T)]
+        for ch, c in couplings.items():
+            x, y = c + c.conj().T, 1j * (c - c.conj().T)
+            basis += [x, y] if ch.carrier_mhz else [math.cos(ch.phase_rad) * x + math.sin(ch.phase_rad) * y]
         return np.stack(basis)
 
     def coefficients(self, times) -> np.ndarray:
-        """The real (n, K) coefficients of terms() at the times: 1, then
-        Re a(t) and Im a(t) per driven channel, in angular units."""
+        """The real (n, K) coefficients of terms() at the times: 1, then per
+        driven channel Re a(t) and Im a(t), or |a(t)| for a zero carrier, in
+        angular units."""
         times = np.asarray(times, dtype=float)
-        out = np.ones(times.shape + (1 + 2 * len(self._driven),))
-        for k, ch in enumerate(self._driven):
-            amplitude = ch.amplitudes(times)
-            out[..., 2 * k + 1] = amplitude.real
-            out[..., 2 * k + 2] = amplitude.imag
+        out = np.ones(times.shape + (1 + sum(1 + bool(ch.carrier_mhz) for ch in self._driven),))
+        k = 1
+        for ch in self._driven:
+            if ch.carrier_mhz:
+                amplitude = ch.amplitudes(times)
+                out[..., k], out[..., k + 1] = amplitude.real, amplitude.imag
+            else:  # |a(t)|; the phase sits in the term
+                out[..., k] = TWO_PI * ch.rabi_mhz * envelope_values(ch.envelope, times, ch.t_center_us, ch.t_width_us)
+            k += 1 + bool(ch.carrier_mhz)
         return out
 
     def sample(self, times) -> np.ndarray:

@@ -391,8 +391,10 @@ def _pulse_config(
     n_steps // records, n_steps as the config plans them). Runs
     renormalise as [integrator] renormalize says, unless keep_norm: a run
     whose recorded norm is part of its result never renormalises. A
-    configured step longer than the span, or any step past MAX_STEPS, is a
-    config error that names the point and where the step came from."""
+    configured step longer than the span is a config error that names the
+    point. So is any config the plan rejects; when the span is finite and
+    positive, the step is at fault (past MAX_STEPS, say), and the error also
+    names where the step came from."""
     if cfg.dt_us is not None and cfg.dt_us > span:
         raise ConfigError(
             f"{where}: [integrator] dt_us = {cfg.dt_us:g} exceeds the {span:.6g} us span"
@@ -401,6 +403,8 @@ def _pulse_config(
     try:
         evo = EvolutionConfig(0.0, float(span), float(dt), renormalize=renormalize)
     except ConfigError as err:
+        if not 0.0 < span < math.inf:  # an overflowing span is not the step's fault
+            raise ConfigError(f"{where}: {err}") from None
         source = "no [integrator] dt_us is set, so the step follows the pulse's fastest frequency"
         raise ConfigError(f"{where}: {err}; {'raise [integrator] dt_us' if cfg.dt_us else source}") from None
     if records and evo.n_steps // records > 1:  # built directly: replace() costs more per point
@@ -693,19 +697,19 @@ def _cardinal_fidelity(ideal: np.ndarray, noisy: np.ndarray) -> float:
 
 
 def run_two_qubit_pi2(cfg: ScenarioConfig) -> Trajectory:
-    """Integrate the pulsed four-level register through one Raman window."""
+    """Integrate the pulsed four-level register through one Raman window.
+
+    The four-level Hamiltonian holds the level energies and the drive, and
+    reads no [detunings]: the keys are checked as numbers (preflight), and
+    ignored."""
     _require_scenario(cfg, "two-qubit-pi2")
-    check_detunings(cfg)
+    preflight(cfg)
     width = 1.0 / cfg.envelope_mhz
     span = 8.0 * width
     center = 4.0 * width
     amp = cfg.drive_mhz if cfg.drive_mhz is not None else TWO_QUBIT_DRIVE_MHZ
     omega = cfg.splitting_mhz
-    spec = LevelSpec(
-        dim=4,
-        energies_mhz=(0.0, 0.0, omega, -omega),
-        detunings_mhz=cfg.detunings,
-    )
+    spec = LevelSpec(dim=4, energies_mhz=(0.0, 0.0, omega, -omega))
     tone = PulseChannel(
         rabi_mhz=amp,
         envelope="gaussian",
@@ -825,16 +829,18 @@ def _loop_duration_us(deltas, base_us: float):
     return base_us / rate
 
 
-def check_detunings(cfg: ScenarioConfig):
-    """The detuning rules of cfg's scenario, the one check that its runner
-    and `nvholo validate` make, so that both fail alike. two-qubit-pi2 and
-    dark-states take three scalars, dark-states' finite once scaled by 2 pi
-    (angular_detunings). The register scenarios take scalar held detunings,
-    [detunings] delta2, delta3 or every sets triple, whose common mode
-    0.5 * (d2 + d3) must be finite: the tilts and the loop duration would
-    follow it to NaN. A failure is a ConfigError naming the key. Returns the
-    common mode (of the first sets triple), or None for a scenario without
-    held detunings."""
+def preflight(cfg: ScenarioConfig):
+    """The config rules of cfg's scenario that its runner and `nvholo
+    validate` both check first, so that both fail alike. two-qubit-pi2 and
+    dark-states take three scalar detunings (two-qubit-pi2 reads none of
+    them, but validate and the run agree on the keys), dark-states' finite
+    once scaled by 2 pi (angular_detunings), and dark-states the hermitized
+    mode. The register scenarios take scalar held detunings, [detunings]
+    delta2, delta3 or every sets triple, whose common mode 0.5 * (d2 + d3)
+    must be finite: the tilts and the loop duration would follow it to NaN.
+    A failure is a ConfigError naming the key. Returns the common mode (of
+    the first sets triple), or None for a scenario without held
+    detunings."""
     scenario = cfg.scenario_id
     scalar_keys = {"two-qubit-pi2": (1, 2, 3), "dark-states": (1, 2, 3), "three-qubit-sweep": (2, 3), "fidelity-compare": (2, 3)}
     for n in scalar_keys.get(scenario, ()):
@@ -842,6 +848,8 @@ def check_detunings(cfg: ScenarioConfig):
             raise ConfigError(f"{scenario}: [detunings] delta{n} must be a number here, got a sweep")
     if scenario == "dark-states":
         angular_detunings(cfg.detunings)
+        if cfg.hermiticity != HERMITIZED:
+            raise ConfigError("dark-state spectrum requires the hermitized mode")
     if scenario == "three-qubit-time":
         held = [(f"sets triple {i + 1}", d2, d3) for i, (_, d2, d3) in enumerate(cfg.detuning_sets)]
     elif scenario in ("three-qubit-sweep", "fidelity-compare"):
@@ -875,7 +883,7 @@ def run_three_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
     is built.
     """
     _require_scenario(cfg, "three-qubit-sweep")
-    common = check_detunings(cfg)
+    common = preflight(cfg)
     grid = _sweep_values(cfg.detunings[0])
     if grid.shape[0] < 2:
         raise ConfigError("three-qubit sweep needs at least 2 axis points")
@@ -919,7 +927,7 @@ def run_three_qubit_time_evolution(cfg: ScenarioConfig) -> tuple:
     Detuned loops complete faster, so their time axes are shorter.
     """
     _require_scenario(cfg, "three-qubit-time")
-    common = check_detunings(cfg)
+    common = preflight(cfg)
     if not cfg.detuning_sets:
         raise ConfigError("three-qubit time evolution needs at least one detuning triple")
     base = cfg.duration_us or LOOP_DURATION_US
@@ -972,9 +980,7 @@ def run_dark_state_spectrum(cfg: ScenarioConfig) -> DarkSpectrum:
     peak population leakage out of it is reported.
     """
     _require_scenario(cfg, "dark-states")
-    check_detunings(cfg)
-    if cfg.hermiticity != HERMITIZED:
-        raise ConfigError("dark-state spectrum requires the hermitized mode")
+    preflight(cfg)
     amps = cfg.drive_amplitudes_mhz or (cfg.rabi_mhz,) * 6
     spec = LevelSpec(
         dim=8,
@@ -1123,7 +1129,7 @@ def compare_resonant_fidelity(cfg: ScenarioConfig) -> tuple:
     a shorter wall-clock window. Returns (off_resonant, on_resonant).
     """
     _require_scenario(cfg, "fidelity-compare")
-    common = check_detunings(cfg)
+    common = preflight(cfg)
     if not cfg.noise.enabled:
         raise ConfigError("fidelity comparison needs an enabled noise model")
     base = cfg.duration_us or LOOP_DURATION_US

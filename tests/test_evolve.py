@@ -367,7 +367,7 @@ class TestConstantPropagation:
             # the constant fill cuts plain chunks, the terms path chunks of
             # whole record intervals, so the checked steps differ
             terms = name == "terms"
-            chunk = evolve_module._chunk_steps(2, transfers=terms)
+            chunk = evolve_module._chunk_steps(2, 1, int(terms))  # Terms([h]) has one term
             ends = evolve_module._chunk_ends(250, stride if terms else 1, chunk)
             y = np.array([1.0, 0.0], dtype=complex)
             first = None
@@ -536,19 +536,32 @@ class TestBatchedPropagation:
                 evolve_lindblad(np.zeros((2, 2)), np.stack([good, bad]), NoiseModel(), cfg)
 
     def test_chunk_budget_counts_the_batch(self):
-        # a step holds a complex state per run and, for a terms source, four
-        # workspace matrices (even and odd frames, two RK4 stages), in real
-        # form up to REAL_FORM_MAX_DIM; the even frames hold one more. Only
-        # the 16-step floor may exceed the budget.
+        # a step holds a complex state per run and, for a terms source of K
+        # terms, its share of the workspace that _workspace allocates for the
+        # chunk, in real form up to REAL_FORM_MAX_DIM; the polynomial, or in
+        # the stage form the scaled basis, is held once. Only the 16-step
+        # floor may exceed the budget. K = 3 takes the stage form at the
+        # smaller sizes and the polynomial at the larger
         budget = evolve_module.TRANSFER_CHUNK_BYTES
+        forms = set()
         for y_dim in (2, 4, 16, 64):
-            matrix = 16 * y_dim**2 * (2 if y_dim <= evolve_module.REAL_FORM_MAX_DIM else 1)
+            real = y_dim <= evolve_module.REAL_FORM_MAX_DIM
+            side, dtype = (2 * y_dim, float) if real else (y_dim, complex)
             for batch in (1, 7, 32):
-                for transfers in (False, True):
-                    steps = evolve_module._chunk_steps(y_dim, batch, transfers)
-                    held = steps * batch * y_dim * 16 + transfers * (4 * steps + 1) * matrix
+                for n_terms in (0, 1, 2, 3):
+                    steps = evolve_module._chunk_steps(y_dim, batch, n_terms)
+                    held = steps * batch * y_dim * 16
+                    if n_terms:
+                        polynomial = evolve_module._monomials(n_terms, side) > 0
+                        forms.add((n_terms, polynomial))
+                        width = n_terms * (n_terms + 1) // 2
+                        shape = (n_terms, width, n_terms) if polynomial else (n_terms,)
+                        matrices = np.empty(shape + (side, side), dtype)
+                        ws = evolve_module._workspace(matrices, steps, 1, np.empty((batch, y_dim), complex))
+                        held = matrices.nbytes + sum(a.nbytes for a in ws)
                     assert held <= budget or steps == 16
-                    assert steps <= evolve_module._chunk_steps(y_dim, 1, transfers)
+                    assert steps <= evolve_module._chunk_steps(y_dim, 1, n_terms)
+        assert {(3, False), (3, True), (2, True)} <= forms
 
 
 def schrodinger_parts():
@@ -822,19 +835,76 @@ def generator(kind, h):
     return -1j * (np.kron(h, eye) - np.kron(eye, h.T)) + NOISE.dissipator(h.shape[-1])
 
 
-class TestTransferStack:
+def lifted_terms(kind, basis):
+    """The generator terms A_k of a Hermitian basis B_k, so that
+    A(t) = sum_k c_k(t) A_k; a Lindblad dissipator joins A_0 alone."""
+    if kind == "schrodinger":
+        return -1j * basis
+    eye = np.eye(basis.shape[-1])
+    terms = -1j * (np.einsum("kij,ab->kiajb", basis, eye) - np.einsum("ij,kba->kiajb", eye, basis))
+    terms = terms.reshape(basis.shape[0], eye.size, eye.size)
+    terms[0] += NOISE.dissipator(basis.shape[-1])
+    return terms
+
+
+def chunk_transfers(matrices, c, n_steps):
+    """The transfers of n_steps steps whose coefficients at the start, middle
+    and end are c's rows, as a chunk of a terms source makes them from
+    matrices: its polynomial, or its scaled basis in the stage form."""
+    carry = np.zeros((1, matrices.shape[-1]), dtype=matrices.dtype).view(complex)  # a real form's states
+    ws = evolve_module._workspace(matrices, n_steps, n_steps, carry)
+    coefficients, calls, _ = evolve_module._chunk_calls(ws, n_steps, n_steps, carry, matrices)
+    np.copyto(coefficients, c)
+    for call in calls:
+        call()
+    return ws.transfers[:n_steps]
+
+
+class TestRK4Polynomial:
+    """The transfers of the polynomial in the coefficients against the RK4
+    step expanded into six products of the generator's frames."""
+
+    @pytest.mark.parametrize("n_terms", [1, 2, 3, 4])
     @pytest.mark.parametrize("dim", [2, 4, 8])
     @pytest.mark.parametrize("kind", ["schrodinger", "lindblad"])
-    def test_matches_six_product_form(self, kind, dim):
+    def test_matches_six_product_form(self, kind, dim, n_terms):
+        rng = np.random.default_rng(100 * dim + n_terms)
+        terms = lifted_terms(kind, np.stack([random_hamiltonian(rng, dim) for _ in range(n_terms)]))
+        n = 6
+        c = np.ones((2 * n + 1, n_terms))
+        c[:, 1:] = rng.uniform(-1.0, 1.0, (2 * n + 1, n_terms - 1))
+        dt = 0.05 / sum(float(np.max(np.abs(a))) for a in terms)
+        a = np.einsum("tk,kij->tij", c, terms)
+        theirs = six_product_transfers(a[0:-1:2], a[1::2], a[2::2], dt)
+        # real form up to REAL_FORM_MAX_DIM, as the integrator takes it
+        if terms.shape[-1] <= evolve_module.REAL_FORM_MAX_DIM:
+            terms, theirs = evolve_module._real_form(terms), evolve_module._real_form(theirs)
+        p = (dt / 2.0) * terms
+        polynomial = evolve_module._rk4_polynomial(p)
+        # (1 + m)^2 (1 + m + m(m + 1)/2) monomials in the m = K - 1 coefficients after c_0
+        m = n_terms - 1
+        assert math.prod(polynomial.shape[:3]) == (1 + m) ** 2 * (1 + m + m * (m + 1) // 2)
+        # the polynomial at any K, and the stage form that takes a source
+        # whose polynomial has more monomials than pay
+        for matrices in (polynomial, p):
+            ours = chunk_transfers(matrices, c, n)
+            assert np.max(np.abs(ours - theirs)) <= 1e-15 * np.max(np.abs(theirs))
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    @pytest.mark.parametrize("kind", ["schrodinger", "lindblad"])
+    def test_constant_transfer_matches_six_product_form(self, kind, dim):
+        # one matrix, and a stack of them with a step per run
         rng = np.random.default_rng(dim)
-        a = np.stack([generator(kind, random_hamiltonian(rng, dim)) for _ in range(24)])
-        a = a.reshape((3, 8) + a.shape[1:])
+        a = np.stack([generator(kind, random_hamiltonian(rng, dim)) for _ in range(3)])
         dt = 0.05 / float(np.max(np.abs(a)))
-        for a1, a2, a3 in (a, (a[0], a[0], a[0])):
-            f1, f2, f3 = ((dt / 2.0) * m for m in (a1, a2, a3))
-            stages = (np.empty_like(f2), np.empty_like(f2))
-            ours = evolve_module._transfer_stack(f1, f2, f3, *stages)
-            theirs = six_product_transfers(a1, a2, a3, dt)
+        for ours, theirs in (
+            (evolve_module._constant_transfer(a[0], dt), six_product_transfers(a[0], a[0], a[0], dt)),
+            (
+                evolve_module._constant_transfer(a, dt * np.array([1.0, 0.5, 0.8])[:, None, None]),
+                np.stack([six_product_transfers(m, m, m, dt * s) for m, s in zip(a, (1.0, 0.5, 0.8))]),
+            ),
+        ):
+            assert ours.shape == theirs.shape
             assert np.max(np.abs(ours - theirs)) <= 1e-15 * np.max(np.abs(theirs))
 
 
@@ -906,7 +976,7 @@ class TestTimeDependentPropagation:
         # interval at strides 89 and 100
         if chunked:
             monkeypatch.setattr(evolve_module, "TRANSFER_CHUNK_BYTES", 1)
-        assert kind != "lindblad" or dim != 8 or evolve_module._chunk_steps(64, self.RUNS) == 16
+        assert kind != "lindblad" or dim != 8 or evolve_module._chunk_steps(64, self.RUNS, 2) == 16
         source, (t_end, dt), transfers = driven_case(kind, dim, self.N_STEPS)
         cfg = EvolutionConfig(
             t_start_us=0.0, t_end_us=t_end, dt_us=dt, record_stride=stride, renormalize=renormalize
@@ -1000,7 +1070,7 @@ class TestChunkPlan:
                 rho0 = DensityMatrix.from_state(StateVector.basis(dim, 0))
                 evolve_lindblad(Terms([h], coefficients), rho0, NOISE, cfg)
         y_dim = dim if kind == "schrodinger" else dim * dim
-        limit = evolve_module._chunk_steps(y_dim)
+        limit = evolve_module._chunk_steps(y_dim, 1, 1)
         lengths = [(len(times) - 1) // 2 for times in calls]
         ends = np.cumsum(lengths)
         starts = ends - lengths

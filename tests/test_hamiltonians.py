@@ -329,19 +329,25 @@ class TestCoefficients:
 
     def test_columns_are_the_amplitude_formula(self):
         # zero and nonzero carriers, zero and nonzero phases; pump and
-        # Stokes share a tone, so it adds one pair of columns
+        # Stokes share a tone, so it adds its columns once. A zero carrier
+        # (a, b) takes one column, |a(t)|, and a carrier (c, d) two
         a, b, c, d = self.CHANNELS
         spec = LevelSpec(dim=8, energies_mhz=tuple(range(8)))
         ham = PulsedHamiltonian(spec, PulseSet((a, b, c), (a, d, silent_channel())))
         for t0, dt, k0, k1 in [(0.0, 1e-3, 0, 445), (0.0, 1e-3, 445, 890), (-0.3, 7e-4, 3, 19), (1.0, 0.05, 0, 1)]:
             times = self.grid(t0, dt, k0, k1)
             got = ham.coefficients(times)
-            assert got.shape == (times.shape[0], 9) and np.all(got[:, 0] == 1.0)
-            for k, ch in enumerate([a, b, c, d]):
+            assert got.shape == (times.shape[0], 7) and np.all(got[:, 0] == 1.0)
+            for k, ch in enumerate([a, b]):
+                magnitude = 2.0 * np.pi * ch.rabi_mhz * envelope_values(ch.envelope, times, ch.t_center_us, ch.t_width_us)
+                assert np.array_equal(got[:, k + 1], magnitude)
+                assert np.max(np.abs(np.abs(amplitude_formula(ch, times)) - magnitude)) <= 1e-15 * np.max(magnitude)
+            for k, ch in enumerate([c, d]):
                 expected = amplitude_formula(ch, times)
-                assert np.array_equal(got[:, 2 * k + 1], expected.real)
-                assert np.array_equal(got[:, 2 * k + 2], expected.imag)
-                assert np.array_equal(ch.amplitudes(times), expected)
+                assert np.array_equal(got[:, 2 * k + 3], expected.real)
+                assert np.array_equal(got[:, 2 * k + 4], expected.imag)
+            for ch in (a, b, c, d):
+                assert np.array_equal(ch.amplitudes(times), amplitude_formula(ch, times))
 
     def test_repeated_calls_share_no_state_between_instances(self):
         a, b, c, d = self.CHANNELS
@@ -351,7 +357,7 @@ class TestCoefficients:
         times = [self.grid(0.0, 2e-3, k, k + 300) for k in (0, 300, 600)]
         once = [first.coefficients(t) for t in times]
         for t, expected in zip(times, once):
-            assert second.coefficients(t).shape == (t.shape[0], 7)
+            assert second.coefficients(t).shape == (t.shape[0], 6)  # b and d: 1 + 1 + 2 + 2
             assert np.array_equal(first.coefficients(t), expected)
         # a fresh instance of the same pulses reads the same, and the other's differ
         again = PulsedHamiltonian(spec, first.pulses)
@@ -359,6 +365,23 @@ class TestCoefficients:
         assert np.array_equal(
             second.coefficients(times[0]), PulsedHamiltonian(spec, second.pulses).coefficients(times[0])
         )
+
+
+@pytest.mark.parametrize("phase", [0.0, 2.5, -np.pi / 2.0])
+def test_zero_carrier_channel_takes_one_term(phase):
+    # a C + conj(a) C^dag = Re a X + Im a Y with a = |a| e^(i phase) at every
+    # time: one term, cos(phase) X + sin(phase) Y, with coefficient |a|
+    tone = PulseChannel(3.0, envelope=GAUSS, t_center_us=1.0, t_width_us=0.5, phase_rad=phase)
+    carried = PulseChannel(2.0, carrier_mhz=7.0, envelope=SIN2, t_center_us=1.0, t_width_us=1.5)
+    spec = LevelSpec(dim=4, energies_mhz=(0.0, 0.0, 5.0, -5.0))
+    pulses = PulseSet((tone, silent_channel()), (tone, carried))
+    ham = PulsedHamiltonian(spec, pulses)
+    basis = ham.terms()
+    assert basis.shape == (1 + 1 + 2, 4, 4)
+    assert np.array_equal(basis, np.conj(np.swapaxes(basis, 1, 2)))
+    times = np.linspace(-0.5, 2.5, 301)
+    stack = ham.sample(times)
+    assert np.max(np.abs(stack - per_channel_sample(spec, pulses, times))) <= 1e-14 * np.max(np.abs(stack))
 
 
 class TestInteraction8:
