@@ -103,14 +103,23 @@ def unitary_deviation(entries: np.ndarray) -> float:
     return float(np.max(np.abs(entries.conj().T @ entries - np.eye(dim))))
 
 
+def round_sizes(n: int) -> tuple[int, int]:
+    """The most matrices the rounds of a product of n (product_rounds) write
+    into each of the two buffers, per leading index: the first round writes
+    ceil(n/2) into the first, the second ceil(n/4) into the second, and each
+    later round fewer than the one before it into the buffer it shares. A
+    sequence of one takes no round, one of two a single round."""
+    half = (n + 1) // 2 if n > 1 else 0
+    return half, (half + 1) // 2 if half > 1 else 0
+
+
 def product_rounds(mats: np.ndarray, buffers=None) -> tuple[list, np.ndarray]:
     """The rounds of ordered_product(mats, buffers) as calls bound to views,
     and the view that holds the product once they have run. Calls bound to
     reused buffers are built once and run each time the buffers refill."""
     lead, n, shape = mats.shape[:-3], mats.shape[-3], mats.shape[-2:]
     if buffers is None:
-        half = (n + 1) // 2
-        buffers = [np.empty(lead + (m,) + shape, mats.dtype) for m in (half, (half + 1) // 2)]
+        buffers = [np.empty(lead + (m,) + shape, mats.dtype) for m in round_sizes(n)]
     flats = [b.reshape(-1) for b in buffers]
     calls, turn = [], 0
     while n > 1:
@@ -131,7 +140,7 @@ def ordered_product(mats: np.ndarray, buffers=None) -> np.ndarray:
     Each round writes its pairs into one of two buffers in turn and copies
     an odd last matrix after them, so no round concatenates the stack.
     buffers, if given, are two C-contiguous arrays of mats' dtype with room
-    for half of mats' matrices each (rounded up); the result is then a view
+    for round_sizes(n) matrices per leading index; the result is then a view
     into one of them, or into mats when n is 1."""
     calls, product = product_rounds(mats, buffers)
     for call in calls:

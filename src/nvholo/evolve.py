@@ -18,8 +18,12 @@ step is a transfer matrix T. _integrate has three parts:
   workspace serves every chunk, its views bound once per chunk length: the
   transfers are one product of the chunk's monomial columns with the
   polynomial, plus I, and the states cross each record interval in one
-  product. A source of more terms than the polynomial pays for takes the
-  stage form over its frames instead.
+  product. The coefficients and monomials hold the step axis last, so each
+  multiply that fills them runs over the chunk's steps; the buffers of
+  interval products hold what the product rounds write, about three
+  quarters of a chunk's transfers and none at stride 1. The byte budget
+  counts exactly what the call holds. A source of more terms than the
+  polynomial pays for takes the stage form over its frames instead.
 - One checkpoint per block of runs. It measures the checked states once,
   checks the norm drift, renormalises and stores the records.
 
@@ -64,6 +68,7 @@ from nvholo.core import (
     hermitian_deviation,
     last_axis_sum,
     product_rounds,
+    round_sizes,
 )
 
 LOG = logging.getLogger(__name__)
@@ -304,27 +309,53 @@ def _monomials(n_terms: int, side: int) -> int:
     return count if count <= 3 * side else 0
 
 
-def _chunk_steps(y_dim: int, runs: int = 1, n_terms: int = 0) -> int:
-    """Steps per chunk within TRANSFER_CHUNK_BYTES: a step holds one complex
-    state per run (a chunk's fill buffer, the crossing's rows, or the
-    checkpoint's working arrays when the records are the buffer) and, for a
-    terms source of n_terms terms, its share of the workspace (_Workspace)
-    in the form its transfers are built in: two rows of coefficients, its
-    transfer, two matrices of interval products, and either its N monomial
-    columns (_monomials) with its middle monomials, or, in the stage form,
-    its end frame. The call's polynomial (N matrices), or in the stage form
-    its scaled basis and a chunk's first frame, comes off the budget first.
-    A real form (_real_form) matrix takes twice the bytes of its complex one.
-    A constant H or a stack of them (n_terms 0) builds no per-step matrices."""
-    per_step, fixed = 16 * y_dim * runs, 0
-    if n_terms:
-        real = y_dim <= REAL_FORM_MAX_DIM
-        matrix_bytes = 16 * y_dim**2 * (2 if real else 1)
-        columns = _monomials(n_terms, 2 * y_dim if real else y_dim)
-        middle = n_terms * (n_terms + 1) // 2 if columns else 0
-        per_step += (3 if columns else 4) * matrix_bytes + 8 * (2 * n_terms + middle + columns)
-        fixed = (columns or n_terms + 1) * matrix_bytes + 8 * n_terms
-    return int(min(MAX_CHUNK_STEPS, max(16, (TRANSFER_CHUNK_BYTES - fixed) // per_step)))
+def _product_buffers(chunk: int, stride: int) -> tuple[int, int]:
+    """The matrices of a terms source's two buffers of interval products for
+    chunks of at most chunk steps in record intervals of stride steps: as
+    many as the rounds (round_sizes) write into each, over the chunk's whole
+    intervals at once or over its rest, whichever is more. A shorter chunk
+    writes no more, and stride 1 writes none."""
+    whole, rest = divmod(chunk, stride)
+    first, second = (max(whole * a, b) for a, b in zip(round_sizes(stride), round_sizes(rest)))
+    return first, second
+
+
+def _workspace_bytes(y_dim: int, runs: int, n_terms: int, chunk: int, stride: int) -> int:
+    """The bytes a terms source of n_terms terms holds for chunks of at most
+    chunk steps: its polynomial (N matrices, _monomials) or, in the stage
+    form, its scaled basis, and the workspace that _workspace allocates. A
+    real form (_real_form) matrix takes twice the bytes of its complex
+    one."""
+    real = y_dim <= REAL_FORM_MAX_DIM
+    columns = _monomials(n_terms, 2 * y_dim if real else y_dim)
+    if columns:  # the polynomial, the transfers and the interval products
+        matrices = columns + chunk + sum(_product_buffers(chunk, stride))
+        floats = (n_terms * (n_terms + 1) // 2 + columns) * chunk
+    else:  # the basis, the end frames, the transfers and the two stages
+        matrices, floats = n_terms + chunk + 1 + 3 * chunk, 0
+    floats += n_terms * (2 * chunk + 1)  # the coefficients
+    rows = -(-chunk // stride) * runs
+    return 16 * y_dim**2 * (2 if real else 1) * matrices + 8 * floats + 16 * y_dim * rows
+
+
+def _chunk_steps(y_dim: int, runs: int = 1, n_terms: int = 0, stride: int = 1) -> int:
+    """Steps per chunk within TRANSFER_CHUNK_BYTES, at least 16 and at most
+    MAX_CHUNK_STEPS. A constant H or a stack of them (n_terms 0) builds no
+    per-step matrices: a step holds one complex state per run, in a chunk's
+    fill buffer or in the checkpoint's working arrays when the records are
+    the buffer. A terms source of n_terms terms, in record intervals of
+    stride steps, takes the most steps whose bytes (_workspace_bytes) fit;
+    they grow with the steps, so a bisection finds them."""
+    if not n_terms:
+        return int(min(MAX_CHUNK_STEPS, max(16, TRANSFER_CHUNK_BYTES // (16 * y_dim * runs))))
+    lo, hi = 16, max(16, MAX_CHUNK_STEPS)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _workspace_bytes(y_dim, runs, n_terms, mid, stride) <= TRANSFER_CHUNK_BYTES:
+            lo = mid
+        else:
+            hi = mid - 1
+    return min(MAX_CHUNK_STEPS, lo)
 
 
 def _chunk_ends(n_steps: int, stride: int, budget: int) -> list:
@@ -488,12 +519,18 @@ def _fill_by_doubling(states: np.ndarray, powers: list, m: int):
 
 class _Workspace(NamedTuple):
     """The buffers of a terms source's chunks, allocated once per call for
-    the longest chunk of n steps and reused by every chunk: the coefficients
-    at the steps' ends and middles (2n + 1 rows); the middle monomials and
-    the monomial columns (n rows each, _rk4_polynomial), or in the stage form
-    the frames at the steps' ends (n + 1, _transfer_stack), the others empty;
-    the transfers and two buffers of interval products (n each), all
-    matrices C-contiguous in the basis dtype; and the crossing's complex
+    the longest chunk of n steps and reused by every chunk. For the call's
+    polynomial (_rk4_polynomial) of K terms, the coefficients at the steps'
+    ends and middles (K rows of 2n + 1), the middle monomials (W rows) and
+    the monomial columns (N rows) hold the step axis last, so that every
+    multiply that fills them runs over a row of contiguous steps; frames is
+    empty. In the stage form, the coefficients are 2n + 1 rows of K and
+    frames holds the frames at the steps' ends (n + 1, _transfer_stack);
+    middle and columns are empty. These three are flat, so that a shorter
+    chunk takes contiguous rows too. Then come the transfers (n) and two
+    buffers of interval products, as many as the rounds write into each
+    (_product_buffers; n each in the stage form, whose stages they hold),
+    all matrices C-contiguous in the basis dtype; and the crossing's complex
     rows, one per checked step of a chunk and run."""
 
     coefficients: np.ndarray
@@ -507,51 +544,64 @@ class _Workspace(NamedTuple):
 
 
 def _workspace(matrices: np.ndarray, chunk: int, stride: int, carry: np.ndarray) -> _Workspace:
-    """The workspace of a terms source's chunks of at most chunk steps, for
-    its polynomial (_rk4_polynomial) or, in the stage form, its scaled basis
-    (matrices, _transfer_calls), and for its runs' states, carry."""
+    """The workspace of a terms source's chunks of at most chunk steps in
+    record intervals of stride steps, for its polynomial (_rk4_polynomial)
+    or, in the stage form, its scaled basis (matrices, _transfer_calls), and
+    for its runs' states, carry. _workspace_bytes counts its bytes."""
     polynomial = matrices.ndim == 5
     n_terms, width, shape = matrices.shape[0], matrices.shape[1] if polynomial else 0, matrices.shape[-2:]
+    frames, products = (0, _product_buffers(chunk, stride)) if polynomial else (chunk + 1, (chunk, chunk))
     return _Workspace(
-        np.empty((2 * chunk + 1, n_terms)),
-        np.empty((chunk, width)),
-        np.empty((chunk, n_terms * width * n_terms)),
-        *(np.empty((size,) + shape, matrices.dtype) for size in (0 if polynomial else chunk + 1, chunk, chunk, chunk)),
+        np.empty(n_terms * (2 * chunk + 1)),
+        np.empty(width * chunk),
+        np.empty(n_terms * width * n_terms * chunk),
+        *(np.empty((size,) + shape, matrices.dtype) for size in (frames, chunk, *products)),
         np.empty((len(carry), -(-chunk // stride), carry.shape[1]), np.complex128),
     )
 
 
-def _transfer_calls(ws: _Workspace, n: int, matrices: np.ndarray) -> list:
-    """Calls bound to views of the workspace that make the transfers of a
-    chunk of n steps from its coefficients. For the call's polynomial
-    (_rk4_polynomial), they fill the N monomial columns (start, middle of
-    degree <= 2, end) and make the transfers as one (n, N) @ (N, s*s) product
-    with it, adding I after. For the basis scaled by dt/2 (a source with too
-    many monomials, _monomials), the frames at the steps' ends and middles
-    are one product each with it, and _transfer_stack builds the transfers
-    over the middle ones. The products take the float64 views of complex
-    matrices, as the coefficients are real."""
-    c, transfers = ws.coefficients[: 2 * n + 1], ws.transfers[:n]
-    flat = transfers.reshape(n, -1).view(np.float64)
-    n_terms, start, mid, end = c.shape[1], c[0:-1:2], c[1::2], c[2::2]
+def _transfer_calls(ws: _Workspace, n: int, matrices: np.ndarray) -> tuple:
+    """(coefficients, calls) of a chunk of n steps: the (2n + 1, K) view of
+    the workspace that takes its coefficients, and calls bound to views of
+    the workspace that make its transfers from them. For the call's
+    polynomial (_rk4_polynomial), they fill the N monomial columns (start,
+    middle of degree <= 2, end), each a row of n steps, and make the
+    transfers as one (n, N) @ (N, s*s) product of their transpose with it,
+    which BLAS takes as it is, adding I after. For the basis scaled by dt/2
+    (a source with too many monomials, _monomials), the frames at the steps'
+    ends and middles are one product each of rows of coefficients with it,
+    and _transfer_stack builds the transfers over the middle ones. The
+    products take the float64 views of complex matrices, as the
+    coefficients are real."""
+    n_terms, transfers = matrices.shape[0], ws.transfers[:n]
+    flat, c = transfers.reshape(n, -1).view(np.float64), ws.coefficients[: n_terms * (2 * n + 1)]
     if matrices.ndim == 3:  # the stage form: the middle frames in the transfers' buffer
+        c = c.reshape(2 * n + 1, n_terms)
         basis, ends = matrices.reshape(n_terms, -1).view(np.float64), ws.frames[: n + 1]
-        return [
+        return c, [
             functools.partial(np.matmul, c[0::2], basis, out=ends.reshape(n + 1, -1).view(np.float64)),
-            functools.partial(np.matmul, mid, basis, out=flat),
+            functools.partial(np.matmul, c[1::2], basis, out=flat),
             functools.partial(_transfer_stack, ends[:-1], transfers, ends[1:], ws.products[:n], ws.spare[:n]),
         ]
-    middle, columns = ws.middle[:n], ws.columns[:n]
-    grid, polynomial = columns.reshape(n, n_terms, -1, n_terms), matrices.reshape(columns.shape[1], -1)
-    calls = [functools.partial(np.copyto, middle[:, :n_terms], mid)]
+    c = c.reshape(n_terms, 2 * n + 1)
+    start, mid, end, width = c[:, 0:-1:2], c[:, 1::2], c[:, 2::2], matrices.shape[1]
+    middle = ws.middle[: width * n].reshape(width, n)
+    columns = ws.columns[: n_terms * width * n_terms * n].reshape(-1, n)
+    grid, polynomial = columns.reshape(n_terms, width, n_terms, n), matrices.reshape(columns.shape[0], -1)
+    calls = [functools.partial(np.copyto, middle[:n_terms], mid)]
     for i, lo in enumerate(_middle_columns(n_terms).diagonal()[1:], start=1):  # c_i c_j, j >= i
-        calls.append(functools.partial(np.multiply, mid[:, i, None], mid[:, i:], out=middle[:, lo : lo + n_terms - i]))
-    diagonal = np.einsum("...ii->...i", transfers)  # a writable view
-    return calls + [
-        functools.partial(np.multiply, start[:, :, None, None], middle[:, None, :, None], out=grid),
-        functools.partial(np.multiply, grid, end[:, None, None, :], out=grid),
-        functools.partial(np.matmul, columns, polynomial.view(np.float64), out=flat),
-        functools.partial(np.add, diagonal, 1.0, out=diagonal),
+        calls.append(functools.partial(np.multiply, mid[i], mid[i:], out=middle[lo : lo + n_terms - i]))
+    # numpy's ufuncs allocate iterator buffers as large as the operands for a
+    # broadcast or a strided 2-D view, so the grid takes einsum (one product
+    # per entry, the same bits) and I goes on one diagonal entry at a time,
+    # each a 1-D view over the steps
+    diagonal = transfers.reshape(n, -1)[:, :: transfers.shape[-1] + 1].T
+    return c.T, calls + [
+        # c_0 = 1 (checked): start monomial 1's columns are middle times end
+        functools.partial(np.einsum, "qn,an->qan", middle, end, out=grid[0]),
+        functools.partial(np.einsum, "dn,qan->dqan", start[1:], grid[0], out=grid[1:]),
+        functools.partial(np.matmul, columns.T, polynomial.view(np.float64), out=flat),
+        *(functools.partial(np.add, entry, 1.0, out=entry) for entry in diagonal),
     ]
 
 
@@ -563,7 +613,7 @@ def _chunk_calls(ws: _Workspace, n: int, stride: int, carry: np.ndarray, matrice
     checked states, as a row times P^T; real transfers (_real_form) take the
     float64 view of a row."""
     transfers = ws.transfers[:n]
-    calls = _transfer_calls(ws, n, matrices)
+    coefficients, calls = _transfer_calls(ws, n, matrices)
     whole, shape = n // stride, transfers.shape[1:]
     pieces = [transfers[: whole * stride].reshape((whole, stride) + shape)] if whole else []
     if whole * stride < n:
@@ -575,7 +625,7 @@ def _chunk_calls(ws: _Workspace, n: int, stride: int, carry: np.ndarray, matrice
         for product in np.swapaxes(products, -1, -2):
             calls.append(functools.partial(np.matmul, y, product, rows[:, k]))
             y, k = rows[:, k], k + 1
-    return ws.coefficients[: 2 * n + 1], calls, ws.rows[:, :k]
+    return coefficients, calls, ws.rows[:, :k]
 
 
 class _Block(NamedTuple):
@@ -782,7 +832,7 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
 
     n_max = max(b.cfg.n_steps for b in blocks)
     stride = 1 if constant else int(cfgs[0].record_stride)
-    ends = _chunk_ends(n_max, stride, _chunk_steps(y_dim, runs, 0 if constant else basis.shape[0]))
+    ends = _chunk_ends(n_max, stride, _chunk_steps(y_dim, runs, 0 if constant else basis.shape[0], stride))
     chunk = max(k1 - k0 for k0, k1 in zip([0] + ends, ends))
 
     n_records = max(b.cfg.record_steps.shape[0] for b in blocks)

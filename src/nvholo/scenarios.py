@@ -835,7 +835,10 @@ def preflight(cfg: ScenarioConfig):
     dark-states take three scalar detunings (two-qubit-pi2 reads none of
     them, but validate and the run agree on the keys), dark-states' finite
     once scaled by 2 pi (angular_detunings), and dark-states the hermitized
-    mode. The register scenarios take scalar held detunings, [detunings]
+    mode. two-qubit-pi2's Gaussian width 1 / envelope_mhz must square to a
+    positive number that stays finite over the window's four widths either
+    side of the centre, or its exponent would divide by 0 or overflow. The
+    register scenarios take scalar held detunings, [detunings]
     delta2, delta3 or every sets triple, whose common mode 0.5 * (d2 + d3)
     must be finite: the tilts and the loop duration would follow it to NaN.
     A failure is a ConfigError naming the key. Returns the common mode (of
@@ -846,6 +849,14 @@ def preflight(cfg: ScenarioConfig):
     for n in scalar_keys.get(scenario, ()):
         if isinstance(cfg.detunings[n - 1], SweepSpec):
             raise ConfigError(f"{scenario}: [detunings] delta{n} must be a number here, got a sweep")
+    if scenario == "two-qubit-pi2":
+        width = 1.0 / cfg.envelope_mhz
+        square = width * width
+        if not (square > 0.0 and math.isfinite(16.0 * square)):
+            raise ConfigError(
+                f"{scenario}: [pulses] envelope_mhz = {cfg.envelope_mhz:g} puts the Gaussian width at "
+                f"{width:.3g} us, out of range: its square must be > 0 and, times 16 (the window's edge), finite"
+            )
     if scenario == "dark-states":
         angular_detunings(cfg.detunings)
         if cfg.hermiticity != HERMITIZED:

@@ -559,6 +559,29 @@ def test_cli_validate_exits_as_the_run_does_for_literal_dark_states(tmp_path, ca
     assert "config ok" not in captured.out
 
 
+@pytest.mark.parametrize("envelope, width", [("1e308", "1e-308"), ("1e-200", "1e+200"), ("2.5e-154", "4e+153")])
+def test_cli_two_qubit_gaussian_width_out_of_range_names_envelope_mhz(envelope, width, tmp_path, capsys):
+    # a width of 1e-308 us squares to 0 and the Gaussian's exponent would
+    # divide by it; at 1e200 us the square overflows, and at 4e153 us it is
+    # finite but 16 times it, the window's edge 4 widths from the centre, is
+    # not. validate and the run reject it before any arithmetic, so no
+    # RuntimeWarning fires (the suite turns one into a failure)
+    config = tmp_path / "cfg"
+    config.write_text(f"[scenario]\nid = two-qubit-pi2\n\n[pulses]\nenvelope_mhz = {envelope}\n")
+    message = (
+        f"error: two-qubit-pi2: [pulses] envelope_mhz = {float(envelope):g} puts the Gaussian width at "
+        f"{width} us, out of range: its square must be > 0 and, times 16 (the window's edge), finite\n"
+    )
+    out = tmp_path / "out"
+    assert run_cli(["two-qubit-pi2", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not (out / "result.csv").exists()
+    assert run_cli(["validate", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert "config ok" not in captured.out
+
+
 def test_cli_step_hint_names_only_a_step_at_fault(tmp_path, capsys):
     # a 1e-320 MHz drive makes the gate's span overflow: the span is at fault,
     # so the message does not blame the step; a step past MAX_STEPS over a
@@ -657,7 +680,7 @@ def test_cli_late_non_finite_coefficients_exit_three(tmp_path, capsys, monkeypat
     assert run_cli(["two-qubit-pi2", "--out", str(out)]) == 3
     chunks = calls[1:]
     failing = next(i for i, times in enumerate(chunks) if times[-1] > 0.9 * span)
-    assert failing == len(chunks) - 1 and failing >= 75  # of the plan's 86 chunks
+    assert failing == len(chunks) - 1 and failing >= 45  # of the plan's 52 chunks
     assert capsys.readouterr().err == (
         "numerical failure: two-qubit-pi2: non-finite Hamiltonian sample "
         f"near t={chunks[failing][0]:.6g} us\n"

@@ -367,8 +367,9 @@ class TestConstantPropagation:
             # the constant fill cuts plain chunks, the terms path chunks of
             # whole record intervals, so the checked steps differ
             terms = name == "terms"
-            chunk = evolve_module._chunk_steps(2, 1, int(terms))  # Terms([h]) has one term
-            ends = evolve_module._chunk_ends(250, stride if terms else 1, chunk)
+            step_stride = stride if terms else 1
+            chunk = evolve_module._chunk_steps(2, 1, int(terms), step_stride)  # Terms([h]) has one term
+            ends = evolve_module._chunk_ends(250, step_stride, chunk)
             y = np.array([1.0, 0.0], dtype=complex)
             first = None
             for step in range(1, 251):
@@ -549,7 +550,7 @@ class TestBatchedPropagation:
             side, dtype = (2 * y_dim, float) if real else (y_dim, complex)
             for batch in (1, 7, 32):
                 for n_terms in (0, 1, 2, 3):
-                    steps = evolve_module._chunk_steps(y_dim, batch, n_terms)
+                    steps = evolve_module._chunk_steps(y_dim, batch, n_terms, 1)
                     held = steps * batch * y_dim * 16
                     if n_terms:
                         polynomial = evolve_module._monomials(n_terms, side) > 0
@@ -560,7 +561,7 @@ class TestBatchedPropagation:
                         ws = evolve_module._workspace(matrices, steps, 1, np.empty((batch, y_dim), complex))
                         held = matrices.nbytes + sum(a.nbytes for a in ws)
                     assert held <= budget or steps == 16
-                    assert steps <= evolve_module._chunk_steps(y_dim, 1, n_terms)
+                    assert steps <= evolve_module._chunk_steps(y_dim, 1, n_terms, 1)
         assert {(3, False), (3, True), (2, True)} <= forms
 
 
@@ -847,6 +848,11 @@ def lifted_terms(kind, basis):
     return terms
 
 
+def end_byte(a):
+    """The address one past the last byte of a view with no negative stride."""
+    return a.__array_interface__["data"][0] + sum((n - 1) * s for n, s in zip(a.shape, a.strides)) + a.itemsize
+
+
 def chunk_transfers(matrices, c, n_steps):
     """The transfers of n_steps steps whose coefficients at the start, middle
     and end are c's rows, as a chunk of a terms source makes them from
@@ -1070,7 +1076,7 @@ class TestChunkPlan:
                 rho0 = DensityMatrix.from_state(StateVector.basis(dim, 0))
                 evolve_lindblad(Terms([h], coefficients), rho0, NOISE, cfg)
         y_dim = dim if kind == "schrodinger" else dim * dim
-        limit = evolve_module._chunk_steps(y_dim, 1, 1)
+        limit = evolve_module._chunk_steps(y_dim, 1, 1, stride)
         lengths = [(len(times) - 1) // 2 for times in calls]
         ends = np.cumsum(lengths)
         starts = ends - lengths
@@ -1090,6 +1096,49 @@ class TestChunkPlan:
         if budget == "default":
             assert sum(a.nbytes for a in arrays) <= evolve_module.TRANSFER_CHUNK_BYTES
         assert f"{len(calls)} chunks of up to {max(lengths)} steps" in caplog.text
+
+    @pytest.mark.parametrize("stride", [1, 2, 7, 89, 5000])
+    @pytest.mark.parametrize("y_dim, runs, n_terms", [(4, 1, 2), (4, 7, 2), (16, 1, 2), (2, 1, 3)])
+    def test_workspace_is_what_the_chunks_write(self, y_dim, runs, n_terms, stride):
+        # the two-qubit source (K = 2 at y_dim 4), a batch of it, a dim-4
+        # Lindblad source with the polynomial in complex form and a K = 3
+        # source in the stage form. _chunk_steps charges exactly the bytes
+        # of the polynomial or basis and of the workspace, as many steps as
+        # fit. The calls of every chunk the plan cuts reach the end of each
+        # buffer of interval products and nothing past it (the stage form's
+        # stages take n each). At stride 5000 a chunk is a piece of one
+        # interval
+        budget = evolve_module.TRANSFER_CHUNK_BYTES
+        real = y_dim <= evolve_module.REAL_FORM_MAX_DIM
+        side, dtype = (2 * y_dim, float) if real else (y_dim, complex)
+        polynomial = evolve_module._monomials(n_terms, side) > 0
+        assert polynomial == (n_terms == 2)
+        width = n_terms * (n_terms + 1) // 2
+        matrices = np.zeros(((n_terms, width, n_terms) if polynomial else (n_terms,)) + (side, side), dtype)
+        carry = np.zeros((runs, y_dim), complex)
+        steps = evolve_module._chunk_steps(y_dim, runs, n_terms, stride)
+        assert evolve_module._workspace_bytes(y_dim, runs, n_terms, steps, stride) <= budget
+        assert evolve_module._workspace_bytes(y_dim, runs, n_terms, steps + 1, stride) > budget
+        assert (stride > steps) == (stride == 5000)
+        ends = evolve_module._chunk_ends(3 * max(stride, steps) + 5, stride, steps)
+        lengths = {k1 - k0 for k0, k1 in zip([0] + ends, ends)}
+        ws = evolve_module._workspace(matrices, max(lengths), stride, carry)  # as _integrate sizes it
+        held = matrices.nbytes + sum(a.nbytes for a in ws)
+        assert held == evolve_module._workspace_bytes(y_dim, runs, n_terms, max(lengths), stride)
+        reached = {"products": 0, "spare": 0}
+        for n in lengths:
+            _, calls, _ = evolve_module._chunk_calls(ws, n, stride, carry, matrices)
+            arrays = [a for call in calls for a in (*call.args, *call.keywords.values()) if isinstance(a, np.ndarray)]
+            for name in reached:
+                buffer = getattr(ws, name)
+                for a in arrays:
+                    if buffer.size and np.shares_memory(a, buffer):
+                        reached[name] = max(reached[name], end_byte(a) - end_byte(buffer) + buffer.nbytes)
+        assert reached == {"products": ws.products.nbytes, "spare": ws.spare.nbytes}
+        if not polynomial:
+            assert ws.products.shape[0] == ws.spare.shape[0] == max(lengths)
+        elif stride < 3:  # stride 1 takes no round, stride 2 one per interval
+            assert (ws.products.shape[0], ws.spare.shape[0]) == (max(lengths) // 2 if stride == 2 else 0, 0)
 
 
 # states of up to 8 entries take the real form, Lindblad at dim 2 among them

@@ -971,8 +971,9 @@ def test_detuning_sweep_memory_stays_bounded():
 
 def test_two_qubit_pi2_memory_stays_bounded():
     # 45,696 steps in chunks of a 1 MB transfer budget: the workspace that
-    # every chunk reuses (real-form frames and RK4 stages, 445-step chunks of
-    # five 89-step record intervals) is the peak, not the run's length
+    # every chunk reuses (890-step chunks of ten 89-step record intervals:
+    # the real-form transfers, their interval products and the monomial
+    # columns) is the peak, not the run's length
     cfg = ScenarioConfig(scenario_id="two-qubit-pi2")
     run_two_qubit_pi2(cfg)
     tracemalloc.start()
