@@ -25,7 +25,6 @@ from nvholo.config import CsvTable, RunManifest, parse_config, write_csv
 from nvholo.scenarios import (
     ScenarioConfig,
     compare_resonant_fidelity,
-    preflight,
     run_composite_gate_scenario,
     run_dark_state_spectrum,
     run_pi3_rotation,
@@ -229,7 +228,6 @@ def _dispatch(args) -> int:
     if args.command == "validate":
         with open(args.config, "r", encoding="utf-8") as handle:
             cfg = parse_config(handle.read())
-        preflight(cfg)
         print(f"config ok: scenario {cfg.scenario_id}")
         return 0
 

@@ -38,6 +38,14 @@ class EnvelopeShape:
             )
 
 
+def gaussian_width_ok(width_us: float) -> bool:
+    """Whether a Gaussian of this width evaluates without dividing by 0 or
+    overflowing: its square is > 0 and, times GAUSSIAN_CUTOFF_WIDTHS^2 (the
+    window's edge), finite."""
+    square = float(width_us) * float(width_us)  # a Python float product overflows to inf, silently
+    return square > 0.0 and math.isfinite(GAUSSIAN_CUTOFF_WIDTHS**2 * square)
+
+
 def envelope_values(envelope, times, t_center_us: float, t_width_us: float) -> np.ndarray:
     """Vectorized envelope evaluation at the given times.
 
@@ -50,6 +58,8 @@ def envelope_values(envelope, times, t_center_us: float, t_width_us: float) -> n
         raise ConfigError(f"unknown envelope kind {kind!r}")
     if t_width_us <= 0:
         raise ConfigError("envelope width must be > 0")
+    if kind == "gaussian" and not gaussian_width_ok(t_width_us):
+        raise ConfigError(f"gaussian t_width_us = {t_width_us:g} us squares to 0, or overflows at the window's edge")
     x = np.asarray(times, dtype=float) - t_center_us
     if kind == "constant":
         return np.where(np.abs(x) <= t_width_us / 2.0, 1.0, 0.0)
@@ -83,10 +93,10 @@ class PulseChannel:
             raise ConfigError("pulse channel contains non-finite values")
         if self.rabi_mhz < 0:
             raise ConfigError("rabi amplitude must be >= 0")
-        if self.t_width_us <= 0:
-            raise ConfigError("pulse width must be > 0")
         if isinstance(self.envelope, str):
             object.__setattr__(self, "envelope", EnvelopeShape(self.envelope))
+        # an evaluation at no times checks the width: > 0, and gaussian_width_ok for a Gaussian
+        envelope_values(self.envelope, (), self.t_center_us, self.t_width_us)
 
     def amplitudes(self, times) -> np.ndarray:
         """Complex drive amplitude in angular units (rad/us) at each time."""

@@ -68,6 +68,7 @@ from nvholo.hamiltonians import (
     PulsedHamiltonian,
     angular_detunings,
     build_interaction_8,
+    gaussian_width_ok,
     silent_channel,
 )
 
@@ -139,6 +140,8 @@ CARDINAL_STATES = (
 )
 # composite integrates its configured start, then the cardinal states
 START_NAMES = ("initial", "|0>", "|1>", "|+x>", "|-x>", "|+y>", "|-y>")
+# the dimension of each scenario that reads a start state; the other four read none
+START_DIMS = {"theta-sweep": 2, "detune-sweep": 2, "composite": 2, "two-qubit-pi2": 4, "pi3": 8}
 
 _NOISE_OFF = NoiseModel(enabled=False)
 
@@ -164,9 +167,13 @@ class SweepSpec:
         if not intervals < MAX_SWEEP_POINTS:
             raise ConfigError(f"sweep has more than {MAX_SWEEP_POINTS} points")
 
+    @property
+    def count(self) -> int:
+        """The number of points, known without building them."""
+        return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+
     def values(self) -> np.ndarray:
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return self.start + self.step * np.arange(count, dtype=float)
+        return self.start + self.step * np.arange(self.count, dtype=float)
 
 
 THETA_SWEEP_DEFAULT = SweepSpec(0.0, 2.0 * math.pi, math.pi / 16.0)
@@ -175,7 +182,14 @@ DETUNE_SWEEP_DEFAULT = SweepSpec(-30.0, 30.0, 2.0)
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully resolved description of one scenario run."""
+    """Fully resolved description of one scenario run.
+
+    Building one checks every rule that reads only the config, so a
+    ScenarioConfig that exists passes its run's config rules and `nvholo
+    validate`, which only parses, fails as the run does. The scenario's
+    rules follow the checks of each field, in the order its run meets them.
+    The rules that need the step plan stay with the run (_pulse_config).
+    """
 
     scenario_id: str
     initial_state: tuple = ("level", 0)
@@ -240,6 +254,53 @@ class ScenarioConfig:
             raise ConfigError(f"unknown hermiticity mode {self.hermiticity!r}")
         if self.dt_us is not None and not self.dt_us > 0:
             raise ConfigError("dt override must be > 0 us")
+
+        scenario = self.scenario_id
+        # two-qubit-pi2 reads no detunings, but validate and the run agree on the keys
+        scalar_keys = {"two-qubit-pi2": (1, 2, 3), "dark-states": (1, 2, 3), "three-qubit-sweep": (2, 3), "fidelity-compare": (2, 3)}
+        for n in scalar_keys.get(scenario, ()):
+            if isinstance(self.detunings[n - 1], SweepSpec):
+                raise ConfigError(f"{scenario}: [detunings] delta{n} must be a number here, got a sweep")
+        # else the Gaussian's exponent would divide by 0 or overflow
+        if scenario == "two-qubit-pi2" and not gaussian_width_ok(1.0 / self.envelope_mhz):
+            raise ConfigError(
+                f"{scenario}: [pulses] envelope_mhz = {self.envelope_mhz:g} puts the Gaussian width at "
+                f"{1.0 / self.envelope_mhz:.3g} us, out of range: its square must be > 0 and, times 16 (the window's edge), finite"
+            )
+        if scenario == "dark-states":
+            angular_detunings(self.detunings)
+            if self.hermiticity != HERMITIZED:
+                raise ConfigError("dark-state spectrum requires the hermitized mode")
+        # the register's tilts and loop duration would follow a non-finite common mode to NaN
+        held = []
+        if scenario == "three-qubit-time":
+            held = [(f"sets triple {i + 1}", d2, d3) for i, (_, d2, d3) in enumerate(self.detuning_sets)]
+        elif scenario in ("three-qubit-sweep", "fidelity-compare"):
+            held = [("delta2, delta3", *self.detunings[1:])]
+        for where, d2, d3 in held:
+            if not math.isfinite(0.5 * (d2 + d3)):
+                raise ConfigError(
+                    f"{scenario}: the common mode 0.5 * ({d2:g} + {d3:g}) of [detunings] {where} is not finite"
+                )
+
+        if scenario == "fidelity-compare" and not self.noise.enabled:
+            raise ConfigError("fidelity comparison needs an enabled noise model")
+        delta1 = self.detunings[0]
+        if scenario == "three-qubit-sweep" and (delta1.count if isinstance(delta1, SweepSpec) else 1) < 2:
+            raise ConfigError("three-qubit sweep needs at least 2 axis points")
+        if scenario == "three-qubit-time" and not self.detuning_sets:
+            raise ConfigError("three-qubit time evolution needs at least one detuning triple")
+        if scenario == "composite" and len(self.gate_params) not in (0, 3):
+            raise ConfigError(f"composite sequence needs exactly 3 gates, got {len(self.gate_params)}")
+
+        dim = START_DIMS.get(scenario)
+        if dim is None:
+            return
+        kind, value = self.initial_state
+        if kind == "rotation" and dim != 2:
+            raise ConfigError(f"initial_rotation_rad needs a two-level scenario, this one has {dim} levels")
+        if kind == "level" and int(value) >= dim:
+            raise ConfigError(f"initial level must be below {dim} here, got {int(value)}")
 
 
 def _read_only_column(what: str, values, axis: np.ndarray, low: float, high: float, tol: float = 0.0):
@@ -323,12 +384,6 @@ def _require_scenario(cfg: ScenarioConfig, scenario_id: str):
         )
 
 
-def _sweep_values(value) -> np.ndarray:
-    if isinstance(value, SweepSpec):
-        return value.values()
-    return np.asarray([float(value)])
-
-
 def _rx(angle: float) -> np.ndarray:
     h = 0.5 * angle
     return np.array(
@@ -338,17 +393,11 @@ def _rx(angle: float) -> np.ndarray:
 
 
 def _initial_state(initial_state, dim: int) -> StateVector:
-    """The configured start state: basis level k < dim, or, in a two-level
-    scenario only, level 0 rotated about x by the given angle."""
+    """The configured start state in dim levels: a basis level, or level 0
+    rotated about x by the given angle."""
     kind, value = initial_state
     if kind == "rotation":
-        if dim != 2:
-            raise ConfigError(
-                f"initial_rotation_rad needs a two-level scenario, this one has {dim} levels"
-            )
         return StateVector(_rx(float(value)) @ np.array([1.0, 0.0], dtype=np.complex128))
-    if int(value) >= dim:
-        raise ConfigError(f"initial level must be below {dim} here, got {int(value)}")
     return StateVector.basis(dim, int(value))
 
 
@@ -568,10 +617,6 @@ def _gate_legs(params: GateParams):
 
 
 def _fixed_sequence_result(cfg: ScenarioConfig) -> SweepResult:
-    if len(cfg.gate_params) != 3:
-        raise ConfigError(
-            f"composite sequence needs exactly 3 gates, got {len(cfg.gate_params)}"
-        )
     starts = _composite_starts(cfg)
     legs = [_gate_legs(p) for p in cfg.gate_params]
     (ideal,) = _run_segments([("sequence", legs)], starts, cfg, False)
@@ -700,10 +745,9 @@ def run_two_qubit_pi2(cfg: ScenarioConfig) -> Trajectory:
     """Integrate the pulsed four-level register through one Raman window.
 
     The four-level Hamiltonian holds the level energies and the drive, and
-    reads no [detunings]: the keys are checked as numbers (preflight), and
-    ignored."""
+    reads no [detunings]: ScenarioConfig checks the keys as numbers, and they
+    are ignored."""
     _require_scenario(cfg, "two-qubit-pi2")
-    preflight(cfg)
     width = 1.0 / cfg.envelope_mhz
     span = 8.0 * width
     center = 4.0 * width
@@ -829,52 +873,6 @@ def _loop_duration_us(deltas, base_us: float):
     return base_us / rate
 
 
-def preflight(cfg: ScenarioConfig):
-    """The config rules of cfg's scenario that its runner and `nvholo
-    validate` both check first, so that both fail alike. two-qubit-pi2 and
-    dark-states take three scalar detunings (two-qubit-pi2 reads none of
-    them, but validate and the run agree on the keys), dark-states' finite
-    once scaled by 2 pi (angular_detunings), and dark-states the hermitized
-    mode. two-qubit-pi2's Gaussian width 1 / envelope_mhz must square to a
-    positive number that stays finite over the window's four widths either
-    side of the centre, or its exponent would divide by 0 or overflow. The
-    register scenarios take scalar held detunings, [detunings]
-    delta2, delta3 or every sets triple, whose common mode 0.5 * (d2 + d3)
-    must be finite: the tilts and the loop duration would follow it to NaN.
-    A failure is a ConfigError naming the key. Returns the common mode (of
-    the first sets triple), or None for a scenario without held
-    detunings."""
-    scenario = cfg.scenario_id
-    scalar_keys = {"two-qubit-pi2": (1, 2, 3), "dark-states": (1, 2, 3), "three-qubit-sweep": (2, 3), "fidelity-compare": (2, 3)}
-    for n in scalar_keys.get(scenario, ()):
-        if isinstance(cfg.detunings[n - 1], SweepSpec):
-            raise ConfigError(f"{scenario}: [detunings] delta{n} must be a number here, got a sweep")
-    if scenario == "two-qubit-pi2":
-        width = 1.0 / cfg.envelope_mhz
-        square = width * width
-        if not (square > 0.0 and math.isfinite(16.0 * square)):
-            raise ConfigError(
-                f"{scenario}: [pulses] envelope_mhz = {cfg.envelope_mhz:g} puts the Gaussian width at "
-                f"{width:.3g} us, out of range: its square must be > 0 and, times 16 (the window's edge), finite"
-            )
-    if scenario == "dark-states":
-        angular_detunings(cfg.detunings)
-        if cfg.hermiticity != HERMITIZED:
-            raise ConfigError("dark-state spectrum requires the hermitized mode")
-    if scenario == "three-qubit-time":
-        held = [(f"sets triple {i + 1}", d2, d3) for i, (_, d2, d3) in enumerate(cfg.detuning_sets)]
-    elif scenario in ("three-qubit-sweep", "fidelity-compare"):
-        held = [("delta2, delta3", *cfg.detunings[1:])]
-    else:
-        return None
-    for where, d2, d3 in held:
-        if not math.isfinite(0.5 * (d2 + d3)):
-            raise ConfigError(
-                f"{scenario}: the common mode 0.5 * ({d2:g} + {d3:g}) of [detunings] {where} is not finite"
-            )
-    return 0.5 * (held[0][1] + held[0][2]) if held else None
-
-
 def run_three_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
     """Sweep the first qubit's detuning across the register loop.
 
@@ -894,11 +892,9 @@ def run_three_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
     is built.
     """
     _require_scenario(cfg, "three-qubit-sweep")
-    common = preflight(cfg)
-    grid = _sweep_values(cfg.detunings[0])
-    if grid.shape[0] < 2:
-        raise ConfigError("three-qubit sweep needs at least 2 axis points")
+    grid = cfg.detunings[0].values()
     d2, d3 = cfg.detunings[1:]
+    common = 0.5 * (d2 + d3)
     n_time = grid.shape[0]
     s_grid = np.linspace(0.0, 1.0, n_time)
     times = s_grid * (cfg.duration_us or LOOP_DURATION_US)
@@ -938,9 +934,7 @@ def run_three_qubit_time_evolution(cfg: ScenarioConfig) -> tuple:
     Detuned loops complete faster, so their time axes are shorter.
     """
     _require_scenario(cfg, "three-qubit-time")
-    common = preflight(cfg)
-    if not cfg.detuning_sets:
-        raise ConfigError("three-qubit time evolution needs at least one detuning triple")
+    common = _common_mode(cfg.detuning_sets[0])
     base = cfg.duration_us or LOOP_DURATION_US
     deltas = np.array([(common, common, common), *cfg.detuning_sets], dtype=float)
     s_grid = np.linspace(0.0, 1.0, TIME_EVOLUTION_SAMPLES)
@@ -991,7 +985,6 @@ def run_dark_state_spectrum(cfg: ScenarioConfig) -> DarkSpectrum:
     peak population leakage out of it is reported.
     """
     _require_scenario(cfg, "dark-states")
-    preflight(cfg)
     amps = cfg.drive_amplitudes_mhz or (cfg.rabi_mhz,) * 6
     spec = LevelSpec(
         dim=8,
@@ -1140,9 +1133,7 @@ def compare_resonant_fidelity(cfg: ScenarioConfig) -> tuple:
     a shorter wall-clock window. Returns (off_resonant, on_resonant).
     """
     _require_scenario(cfg, "fidelity-compare")
-    common = preflight(cfg)
-    if not cfg.noise.enabled:
-        raise ConfigError("fidelity comparison needs an enabled noise model")
+    common = 0.5 * (cfg.detunings[1] + cfg.detunings[2])
     base = cfg.duration_us or LOOP_DURATION_US
     offset = OFF_RESONANT_OFFSET_MHZ
     on = (common, common, common)

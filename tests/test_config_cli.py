@@ -522,18 +522,57 @@ def test_cli_dark_states_overflowing_detuning_names_its_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "scenario, detunings, message",
+    "scenario, extra, message",
     [
-        ("dark-states", "delta1 = -1e308", "[detunings] delta1 = -1e+308 MHz overflows once scaled by 2 pi"),
-        ("dark-states", "delta1 = 0:1e-300:1", "dark-states: [detunings] delta1 must be a number here, got a sweep"),
-        ("two-qubit-pi2", "delta1 = 0:1e-300:1", "two-qubit-pi2: [detunings] delta1 must be a number here, got a sweep"),
+        ("dark-states", "\n[detunings]\ndelta1 = -1e308\n", "[detunings] delta1 = -1e+308 MHz overflows once scaled by 2 pi"),
+        (
+            "dark-states",
+            "\n[detunings]\ndelta1 = 0:1e-300:1\n",
+            "dark-states: [detunings] delta1 must be a number here, got a sweep",
+        ),
+        (
+            "two-qubit-pi2",
+            "\n[detunings]\ndelta1 = 0:1e-300:1\n",
+            "two-qubit-pi2: [detunings] delta1 must be a number here, got a sweep",
+        ),
+        ("dark-states", "\n[integrator]\nhermiticity = literal\n", "dark-state spectrum requires the hermitized mode"),
+        (
+            "fidelity-compare",
+            "\n[detunings]\ndelta1 = 450\ndelta2 = 450\ndelta3 = 450\n",
+            "fidelity comparison needs an enabled noise model",
+        ),
+        (
+            "three-qubit-sweep",
+            "\n[detunings]\ndelta1 = 300\ndelta2 = 450\ndelta3 = 450\n",
+            "three-qubit sweep needs at least 2 axis points",
+        ),
+        ("three-qubit-time", "", "three-qubit time evolution needs at least one detuning triple"),
+        ("pi3", "initial_level = 9\n", "initial level must be below 8 here, got 9"),
+        ("theta-sweep", "initial_level = 2\n", "initial level must be below 2 here, got 2"),
+        (
+            "two-qubit-pi2",
+            "initial_rotation_rad = 0.5\n",
+            "initial_rotation_rad needs a two-level scenario, this one has 4 levels",
+        ),
     ],
-    ids=["dark-states-overflow", "dark-states-sweep", "two-qubit-pi2-sweep"],
+    ids=[
+        "dark-states-overflow",
+        "dark-states-sweep",
+        "two-qubit-pi2-sweep",
+        "dark-states-literal",
+        "fidelity-compare-noise-off",
+        "three-qubit-sweep-scalar-delta1",
+        "three-qubit-time-no-sets",
+        "pi3-level-9",
+        "theta-sweep-level-2",
+        "two-qubit-pi2-rotation",
+    ],
 )
-def test_cli_validate_exits_as_the_run_does_for_the_detuning_rules(scenario, detunings, message, tmp_path, capsys):
-    # validate and the runner make the one detuning check, so they fail alike
+def test_cli_validate_exits_as_the_run_does(scenario, extra, message, tmp_path, capsys):
+    # a ScenarioConfig checks every rule that reads only the config when it
+    # is built, so validate, which only parses, fails as the run does
     config = tmp_path / "cfg"
-    config.write_text(f"[scenario]\nid = {scenario}\n\n[detunings]\n{detunings}\n")
+    config.write_text(f"[scenario]\nid = {scenario}\n{extra}")
     out = tmp_path / "out"
     assert run_cli([scenario, "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -541,21 +580,6 @@ def test_cli_validate_exits_as_the_run_does_for_the_detuning_rules(scenario, det
     assert run_cli(["validate", "--config", str(config)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
-    assert "config ok" not in captured.out
-
-
-def test_cli_validate_exits_as_the_run_does_for_literal_dark_states(tmp_path, capsys):
-    # dark-states needs the hermitized mode; validate makes the run's check
-    config = tmp_path / "cfg"
-    config.write_text("[scenario]\nid = dark-states\n\n[integrator]\nhermiticity = literal\n")
-    message = "error: dark-state spectrum requires the hermitized mode\n"
-    out = tmp_path / "out"
-    assert run_cli(["dark-states", "--config", str(config), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == message
-    assert not (out / "result.csv").exists()
-    assert run_cli(["validate", "--config", str(config)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == message
     assert "config ok" not in captured.out
 
 

@@ -98,6 +98,20 @@ class TestPulseTypes:
         with pytest.raises(ConfigError):
             PulseChannel(rabi_mhz=1.0, t_width_us=0.0)
 
+    @pytest.mark.parametrize("width", [1e200, 1e-200, 4e153])
+    def test_gaussian_width_out_of_range_names_t_width_us(self, width):
+        # 1e200 us squares to inf (the Python float power would raise a bare
+        # OverflowError), 1e-200 us to 0 (the exponent would divide by it, a
+        # RuntimeWarning, which the suite turns into a failure), and 4e153 us
+        # squares to a finite number that is not, times 16, at the window's edge
+        with pytest.raises(ConfigError, match="t_width_us"):
+            PulseChannel(rabi_mhz=1.0, t_width_us=width)
+        with pytest.raises(ConfigError, match="t_width_us"):
+            envelope_values("gaussian", [0.0], 0.0, width)
+        # the rule is the Gaussian's: a constant envelope of that width evaluates
+        constant = PulseChannel(rabi_mhz=1.0, envelope="constant", t_width_us=width)
+        assert constant.amplitudes([0.0])[0] == pytest.approx(2.0 * np.pi)
+
     def test_channel_accepts_kind_string(self):
         ch = PulseChannel(rabi_mhz=1.0, envelope="constant")
         assert ch.envelope == CONST

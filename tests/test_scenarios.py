@@ -147,9 +147,8 @@ def test_config_rejects_bad_initial_state():
 
 
 def test_two_level_runners_bound_the_initial_level():
-    cfg = ScenarioConfig(scenario_id="theta-sweep", initial_state=("level", 2))
     with pytest.raises(ConfigError, match="initial level must be below 2"):
-        run_single_qubit_theta_sweep(cfg)
+        ScenarioConfig(scenario_id="theta-sweep", initial_state=("level", 2))
 
 
 def test_config_rejects_bad_detunings():
@@ -376,6 +375,13 @@ def test_composite_rejects_wrong_sequence_length():
         )
 
 
+def test_composite_config_with_two_gates_fails_when_built():
+    # no runner is needed: a ScenarioConfig that exists passes its run's rules
+    g = GateParams(theta=0.7)
+    with pytest.raises(ConfigError, match="composite sequence needs exactly 3 gates, got 2"):
+        ScenarioConfig(scenario_id="composite", gate_params=(g, g))
+
+
 # --- two-qubit pi/2 -------------------------------------------------------
 
 
@@ -565,11 +571,10 @@ def test_fidelity_compare_hits_calibrated_targets():
 
 
 def test_fidelity_compare_requires_noise():
-    cfg = ScenarioConfig(
-        scenario_id="fidelity-compare", detunings=(450.0, 450.0, 450.0)
-    )
     with pytest.raises(ConfigError):
-        compare_resonant_fidelity(cfg)
+        ScenarioConfig(
+            scenario_id="fidelity-compare", detunings=(450.0, 450.0, 450.0)
+        )
 
 
 def test_fidelity_compare_vanishing_noise_gives_unity():
