@@ -93,12 +93,7 @@ def _load_config(args) -> ScenarioConfig:
             text = handle.read()
     else:
         text = DEFAULT_CONFIGS[args.command]
-    cfg = parse_config(text)
-    if cfg.scenario_id != args.command:
-        raise ConfigError(
-            f"config is for scenario {cfg.scenario_id!r}, "
-            f"but the {args.command!r} subcommand was invoked"
-        )
+    cfg = parse_config(text, args.command)
     if args.dt_override is not None:
         cfg = replace(cfg, dt_us=args.dt_override)
     return cfg

@@ -171,8 +171,10 @@ def _gate(entry, name: str) -> GateParams:
     return GateParams(theta=values[0], phi=values[1], lam=values[2], gamma=gamma)
 
 
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse sectioned config text into a validated ScenarioConfig."""
+def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
+    """Parse sectioned config text into a validated ScenarioConfig. Given
+    the CLI subcommand that reads it, a config for another scenario is a
+    ConfigError as soon as its id is read, before its scenario's rules."""
     sections = _parse_sections(text)
     _reject_unknown(sections)
 
@@ -180,6 +182,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if "id" not in scenario:
         raise ConfigError("config needs an id key in the [scenario] section")
     scenario_id = scenario["id"][1].strip()
+    if command is not None and scenario_id != command:
+        raise ConfigError(f"config is for scenario {scenario_id!r}, but the {command!r} subcommand was invoked")
 
     kwargs: dict = {"scenario_id": scenario_id}
 

@@ -39,7 +39,6 @@ import numpy as np
 
 from nvholo.core import (
     ConfigError,
-    DensityMatrix,
     NumericalError,
     StateVector,
     eig_hermitian,
@@ -115,14 +114,11 @@ LOOP_BLOCK_BYTES = 128 * 1024
 # piece does not follow the batch, so a triple's fidelity has the same bits
 # alone or batched
 FIDELITY_PIECE_SLICES = LOOP_BLOCK_BYTES // (2 * 3 * 16 * 8)
-# the detune sweep integrates its points in blocks of at most this many bytes:
-# a point takes about DETUNE_RECORD_BYTES of heap per step (its ideal and noisy
-# records with the integrator's working copies), and every step is recorded.
-# Measured with tracemalloc on noisy 629-step sweeps: 148 B per point-step
-# from 2 to 4 points per block and 210 B from 4 to 8, so 4 points go per
-# block, and a 7-point sweep peaks at 0.55 MB
-DETUNE_BLOCK_BYTES = 512 * 1024
-DETUNE_RECORD_BYTES = 200
+# the 2-level pulse runner (_run_pulses) integrates blocks of points whose
+# largest integrations hold at most this many bytes of records. Noisy heap
+# peaks under tracemalloc: 2.9 MB for the default 33-point composite (blocks
+# of 16, 10 and 7), 1.7 MB for 121 detune points (blocks of 18)
+PULSE_BLOCK_BYTES = 1024 * 1024
 
 MIN_SEGMENT_STEPS = 16
 POPULATION_TOL = 1e-9
@@ -227,6 +223,8 @@ class ScenarioConfig:
         for p in self.gate_params:
             if not isinstance(p, GateParams):
                 raise ConfigError("gate_params entries must be GateParams values")
+        if self.sweep is not None and not isinstance(self.sweep, SweepSpec):
+            raise ConfigError(f"sweep must be a SweepSpec or None, got {type(self.sweep).__name__}")
         if len(self.detunings) != 3:
             raise ConfigError("detunings must have exactly 3 entries")
         for d in self.detunings:
@@ -481,8 +479,8 @@ def run_single_qubit_theta_sweep(cfg: ScenarioConfig) -> SweepResult:
     """Rotation-angle sweep of one x-axis gate applied to the prepared state.
 
     With noise on, each angle is also one x pulse through the master equation
-    on composite's segment runner (_run_segments, about THETA_RECORDS records
-    each): a negative angle takes the negative drive, theta = 0 keeps the start.
+    on the pulse runner (_run_pulses, about THETA_RECORDS records), read from
+    its final record: a negative angle takes the negative drive, 0 none.
     """
     _require_scenario(cfg, "theta-sweep")
     thetas = (cfg.sweep or THETA_SWEEP_DEFAULT).values()
@@ -495,9 +493,12 @@ def run_single_qubit_theta_sweep(cfg: ScenarioConfig) -> SweepResult:
     series = {"p1": finals[:, 0], "p2": finals[:, 1]}
 
     if cfg.noise.enabled:
-        pulses = [(f"theta={theta:g}", [(theta, 0.0, 0.0)]) for theta in thetas]
-        runs = _run_segments(pulses, psi0[None], cfg, True, THETA_RECORDS)
-        series["p1_noisy"], series["p2_noisy"] = np.stack([run.pops[0, -1] for run in runs]).T
+        pulses = np.stack(np.broadcast_arrays(thetas, 0.0, 0.0, 0.0), axis=-1)[:, None]
+        noisy = _run_pulses(
+            cfg, thetas, "theta={:g}", [pulses], [(0, True, 1)], psi0[None],
+            lambda run: {"p": [pops[-1] for pops in run.pops]}, records=THETA_RECORDS,
+        )
+        series["p1_noisy"], series["p2_noisy"] = noisy["p"].T
 
     return SweepResult(axis_values=thetas, series=series)
 
@@ -508,53 +509,40 @@ def run_single_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
     Each detuned run is compared against the resonant reference with the
     population-discrepancy phase probe; with noise on, the same drive is also
     integrated through the master equation and scored against the ideal run.
-    Every step is recorded, so the points go in blocks of at most
-    DETUNE_BLOCK_BYTES, each block led by its own run of the reference.
+    Every run records every step of one shared plan, so all lie on one record
+    grid; the pulse runner (_run_pulses) takes the reference, then the points.
     """
     _require_scenario(cfg, "detune-sweep")
     deltas = (cfg.sweep or DETUNE_SWEEP_DEFAULT).values()
-    psi0 = _initial_state(cfg.initial_state, 2).amps
+    start = StateVector.normalized(_initial_state(cfg.initial_state, 2).amps).amps[None]
     span = _gate_time_us(math.pi / 2.0, cfg.rabi_mhz)
 
     # one shared step size so every trajectory lands on the same record grid:
     # the step of the drive at the largest |delta|, the fastest one
     widest = _drive_matrix(cfg.rabi_mhz, float(deltas[np.argmax(np.abs(deltas))]))
     evo = _pulse_config(span, _pulse_dt(widest, span, cfg), cfg, "detune-sweep")
-    block = max(1, DETUNE_BLOCK_BYTES // (DETUNE_RECORD_BYTES * (evo.n_steps + 1)))
-    state0 = StateVector.normalized(psi0)
-    rho0 = DensityMatrix.from_state(state0)
-    noisy_names = ["p1_noisy", "p2_noisy", "discrepancy_noisy"] if cfg.noise.enabled else []
-    series = {name: np.empty(deltas.shape[0]) for name in ["p1", "p2"] + noisy_names}
+    pulses = np.stack(np.broadcast_arrays(math.pi / 2.0, 0.0, 0.0, deltas), axis=-1)[:, None]
+    passes = [(0, False, 1)] + [(0, True, 1)] * cfg.noise.enabled
+    reference = _run_pulses(
+        cfg, np.zeros(1), "reference delta={:g} MHz", [np.array([[[math.pi / 2.0, 0.0, 0.0, 0.0]]])], passes[:1], start,
+        lambda run: {"series": run.pops[0][None, :, 0], "final": run.final[:, 0]}, evo=evo, name_starts=False,
+    )
+    ref_series, ref_final = reference["series"][0], StateVector.normalized(reference["final"][0]).amps
+    phase_names = ("magnitude", "discrepancy", "undefined")
 
-    def block_values(part: np.ndarray):
-        """(phase columns, {series name: values}) of one block of points;
-        each record buffer is dropped once it is done with."""
-        # the resonant reference, then the block's points: one stack of drives
-        drives = np.stack([_drive_matrix(cfg.rabi_mhz, d) for d in np.append(0.0, part)])
-        points = ["reference delta=0 MHz"] + [f"delta={d:g} MHz" for d in part]
-        with _naming("detune-sweep", points):
-            ideal = evolve_schrodinger(drives, state0, evo)
-        ref_final = StateVector.normalized(ideal.amplitudes[0, -1]).amps
-        ideal_pops = ideal.populations[1:]
-        found = phase_probe(ideal.populations[0, :, 0], ref_final, ideal_pops[..., 0], ideal.amplitudes[1:, -1])
-        values = {"p1": ideal_pops[:, -1, 0], "p2": ideal_pops[:, -1, 1]}
-        del ideal
-        if cfg.noise.enabled:
-            with _naming("detune-sweep", points[1:]):
-                noisy = evolve_lindblad(drives[1:], rho0, cfg.noise, evo)
-            values["p1_noisy"], values["p2_noisy"] = noisy.populations[:, -1].T
-            gap = np.abs(noisy.populations - ideal_pops)
-            values["discrepancy_noisy"] = np.max(gap, axis=(1, 2))
-        return found, values
+    def reduce(ideal: _Stitched, noisy: _Stitched = None) -> dict:
+        pops = np.stack(ideal.pops)
+        values = dict(zip(phase_names, phase_probe(ref_series, ref_final, pops[..., 0], ideal.final[:, 0])))
+        values["p1"], values["p2"] = pops[:, -1].T
+        if noisy is not None:
+            noisy_pops = np.stack(noisy.pops)
+            values["p1_noisy"], values["p2_noisy"] = noisy_pops[:, -1].T
+            values["discrepancy_noisy"] = np.max(np.abs(noisy_pops - pops), axis=(1, 2))
+        return values
 
-    found = []
-    for start in range(0, deltas.shape[0], block):
-        rows = slice(start, start + block)
-        phases, values = block_values(deltas[rows])
-        found.append(phases)
-        for name, column in values.items():
-            series[name][rows] = column
-    return SweepResult(axis_values=deltas, series=series, phases=tuple(map(np.concatenate, zip(*found))))
+    series = _run_pulses(cfg, deltas, "delta={:g} MHz", [pulses], passes, start, reduce, evo=evo, name_starts=False)
+    phases = tuple(series.pop(name) for name in phase_names)
+    return SweepResult(axis_values=deltas, series=series, phases=phases)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +557,8 @@ def run_composite_gate_scenario(cfg: ScenarioConfig) -> SweepResult:
     z kick of the same angle (theta and phi advance together), and the single
     gate spends the whole area in one pulse with one kick at the end.
     Discrepancy per point is the largest gap between the ideal and noisy
-    return populations anywhere along the pulse timeline.
+    return populations of the configured start anywhere along the pulse
+    timeline; with noise on, the six cardinal states also run the composite.
 
     With exactly three gate_params the sequence is fixed: each gate becomes
     pre-kick, pulse, post-kick legs, the axis collapses to one point, and the
@@ -577,74 +566,59 @@ def run_composite_gate_scenario(cfg: ScenarioConfig) -> SweepResult:
     three gates (fidelities key sequence_overlap_deficit).
     """
     _require_scenario(cfg, "composite")
-    if cfg.gate_params:
-        return _fixed_sequence_result(cfg)
-    thetas = (cfg.sweep or THETA_SWEEP_DEFAULT).values()
-    starts = _composite_starts(cfg)
-    wheres = [f"theta={float(theta):g}" for theta in thetas]
-    legs = [(where, [(theta / 3.0, 0.0, theta / 3.0)] * 3) for where, theta in zip(wheres, thetas)]
-    ideal_comp = _run_segments(legs, starts, cfg, False)
-    finals = np.asarray([run.pops[0, -1] for run in ideal_comp])
-    disc_comp = disc_single = np.zeros(thetas.shape[0])
-    fidelity = np.ones(thetas.shape[0])
-    if cfg.noise.enabled:
-        single = [(where, [(theta, 0.0, theta)]) for where, theta in zip(wheres, thetas)]
-        noisy_comp = _run_segments(legs, starts, cfg, True)
-        ideal_single = _run_segments(single, starts[:1], cfg, False)
-        noisy_single = _run_segments(single, starts[:1], cfg, True)
-        fidelity = np.asarray(
-            [_cardinal_fidelity(i.final[1:], n.final[1:]) for i, n in zip(ideal_comp, noisy_comp)]
-        )
-        disc_comp = np.asarray([_discrepancy(i, n) for i, n in zip(ideal_comp, noisy_comp)])
-        disc_single = np.asarray([_discrepancy(i, n) for i, n in zip(ideal_single, noisy_single)])
-    series = {
-        "p1": finals[:, 0],
-        "p2": finals[:, 1],
-        "discrepancy_composite": disc_comp,
-        "discrepancy_single": disc_single,
-        "fidelity_cardinal": fidelity,
-    }
-    fidelities = {
-        "composite_max_discrepancy": float(disc_comp.max()),
-        "single_max_discrepancy": float(disc_single.max()),
-        "cardinal_fidelity_mean": float(fidelity.mean()),
-    }
-    return SweepResult(axis_values=thetas, series=series, fidelities=fidelities)
-
-
-def _gate_legs(params: GateParams):
-    return (params.theta, 2.0 * math.atan(params.lam), params.phi)
-
-
-def _fixed_sequence_result(cfg: ScenarioConfig) -> SweepResult:
-    starts = _composite_starts(cfg)
-    legs = [_gate_legs(p) for p in cfg.gate_params]
-    (ideal,) = _run_segments([("sequence", legs)], starts, cfg, False)
-    product = np.eye(2, dtype=np.complex128)
-    for p in cfg.gate_params:
-        product = single_qubit_unitary(p).entries @ product
-    one_shot = product @ starts[0]
-    deficit = 1.0 - abs(np.vdot(one_shot, ideal.final[0]))
-    pops = np.abs(ideal.final[0]) ** 2
-    series = {"p1": np.asarray([pops[0]]), "p2": np.asarray([pops[1]])}
-    fidelities = {"sequence_overlap_deficit": float(deficit)}
-    if cfg.noise.enabled:
-        (noisy,) = _run_segments([("sequence", legs)], starts, cfg, True)
-        fidelities["composite_max_discrepancy"] = _discrepancy(ideal, noisy)
-        fidelities["cardinal_fidelity_mean"] = _cardinal_fidelity(ideal.final[1:], noisy.final[1:])
-    return SweepResult(axis_values=np.asarray([0.0]), series=series, fidelities=fidelities)
-
-
-def _composite_starts(cfg: ScenarioConfig) -> np.ndarray:
-    """The configured start and, with noise on, the six cardinal states."""
     psi0 = _initial_state(cfg.initial_state, 2).amps
-    return np.stack([psi0, *CARDINAL_STATES] if cfg.noise.enabled else [psi0])
+    starts = np.stack([psi0, *CARDINAL_STATES] if cfg.noise.enabled else [psi0])
+    if cfg.gate_params:
+        axis, label = np.zeros(1), "sequence"
+        sequences = [np.array([[(p.theta, 2.0 * math.atan(p.lam), p.phi, 0.0) for p in cfg.gate_params]])]
+    else:
+        axis, label = (cfg.sweep or THETA_SWEEP_DEFAULT).values(), "theta={:g}"
+        single = np.stack(np.broadcast_arrays(axis, 0.0, axis, 0.0), axis=-1)[:, None]
+        sequences = [np.repeat(single / 3.0, 3, axis=1), single]
+    # the composite ideal, then noisy, then the single gate's, from the configured start alone
+    passes = [(0, False, starts.shape[0])]
+    if cfg.noise.enabled:
+        passes += [(0, True, starts.shape[0])] + [(1, False, 1), (1, True, 1)] * (not cfg.gate_params)
+
+    def reduce(ideal: _Stitched, noisy=None, ideal_single=None, noisy_single=None) -> dict:
+        values = {"final": ideal.final[:, 0], "pops": [pops[-1] for pops in ideal.pops]}
+        for name, a, b in (("composite", ideal, noisy), ("single", ideal_single, noisy_single)):
+            if b is not None:  # the largest gap in the first start's ground population
+                values[f"discrepancy_{name}"] = [np.max(np.abs(i[:, 0] - n[:, 0])) for i, n in zip(a.pops, b.pops)]
+        if noisy is not None:  # each cardinal start's noisy final density against its ideal final state
+            psi = ideal.final[:, 1:] / np.linalg.norm(ideal.final[:, 1:], axis=-1, keepdims=True)
+            values["fidelity_cardinal"] = [np.mean(state_density_fidelity(i, n)) for i, n in zip(psi, noisy.final[:, 1:])]
+        return values
+
+    columns = _run_pulses(cfg, axis, label, sequences, passes, starts, reduce)
+    zeros = np.zeros(axis.shape[0])
+    disc, fidelity = columns.get("discrepancy_composite", zeros), columns.get("fidelity_cardinal", zeros + 1.0)
+    fidelities = {"composite_max_discrepancy": float(disc.max()), "cardinal_fidelity_mean": float(fidelity.mean())}
+    if cfg.gate_params:
+        product = np.eye(2, dtype=np.complex128)
+        for p in cfg.gate_params:
+            product = single_qubit_unitary(p).entries @ product
+        pops = np.abs(columns["final"]) ** 2
+        deficit = float(1.0 - abs(np.vdot(product @ psi0, columns["final"][0])))
+        fidelities = {"sequence_overlap_deficit": deficit, **(fidelities if cfg.noise.enabled else {})}
+        return SweepResult(axis_values=axis, series={"p1": pops[:, 0], "p2": pops[:, 1]}, fidelities=fidelities)
+    single = columns.get("discrepancy_single", zeros)
+    fidelities["single_max_discrepancy"] = float(single.max())
+    pops = columns["pops"]
+    series = {"p1": pops[:, 0], "p2": pops[:, 1], "discrepancy_composite": disc, "discrepancy_single": single, "fidelity_cardinal": fidelity}
+    return SweepResult(axis_values=axis, series=series, fidelities=fidelities)
+
+
+# ---------------------------------------------------------------------------
+# the 2-level pulse runner
 
 
 class _Stitched(NamedTuple):
-    """Record populations (runs, records, 2) and final states of a batch."""
+    """A pass over a block of points: per point, its first start's record
+    populations along the legs, (records, 2), and every start's final state,
+    (points, starts, 2) amplitudes or (points, starts, 2, 2) densities."""
 
-    pops: np.ndarray
+    pops: list
     final: np.ndarray
 
 
@@ -658,53 +632,89 @@ def _kick(state: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return state * phases[:, :, None] * phases.conj()[:, None, :]
 
 
-def _run_segments(points, starts, cfg: ScenarioConfig, noisy: bool, records=None) -> list:
-    """Stitch (theta, pre_kick, post_kick) x pulses with instantaneous z kicks
-    for every sweep point, points = [(where, segments), ...] with as many
-    segments each, and every start (rows); one _Stitched per point. This is
-    the pulse path of composite and of the noisy theta sweep.
+def _run_pulses(cfg, axis, label: str, sequences, passes, starts, reduce, evo=None, records=None, name_starts=True) -> dict:
+    """The columns that reduce makes of every point's stitched pulses, block
+    by block. Point p is named label.format(axis[p]); its leg sequence k,
+    sequences[k][p], holds rows (theta, pre_kick, post_kick, detuning): a z
+    kick, an x pulse of area theta at detuning MHz (the negative drive for a
+    negative theta, none at 0) and a z kick. A pass (k, noisy, n) integrates
+    sequence k from the first n rows of starts, through the master equation
+    if noisy. The caller gives the step rule: evo for every pulse, or else
+    _pulse_config at the _pulse_dt of its resonant drive sign, with about
+    records records. A point's size is the record bytes (a state, a norm and
+    2 populations each) of its largest integration. A ragged one holds its
+    longest run's records for every run, so a block holds consecutive points
+    while their count times their largest size fits PULSE_BLOCK_BYTES. Each
+    block runs every pass (_run_pass); reduce(*stitched), one _Stitched per
+    pass, gives its columns {name: per-point values} before the next block
+    is planned. A failure names the scenario, the point and, with
+    name_starts, the start (START_NAMES)."""
+    spans = [_gate_time_us(np.abs(legs[..., 0]), cfg.rabi_mhz) for legs in sequences]
+    dts = [np.zeros(span.shape) for span in spans]
+    for legs, span, dt in zip(sequences, spans, dts):
+        for sign in (1.0, -1.0) if evo is None else ():
+            pick = (np.copysign(1.0, legs[..., 0]) == sign) & (span > 0.0)
+            if pick.any():
+                dt[pick] = _pulse_dt(_drive_matrix(sign * cfg.rabi_mhz, 0.0), span[pick], cfg)
+    columns = {}
 
-    Each segment position is one integration over the runs of all points
-    whose pulse there has a span, point by point with the starts within, each
-    point with its own drive sign, span and step (a ragged batch);
-    recommended_dt probes each drive sign once per call. Each pulse records
-    every step, or about records of them (_pulse_config). noisy carries the
-    density matrices through the master equation with cfg.noise; otherwise
-    the amplitudes go through the Schrodinger equation. A failure names the
-    scenario (cfg.scenario_id), the sweep point, where, and the start
-    (START_NAMES).
-    """
+    def plan(p: int) -> list:
+        # per sequence, each leg's plan, None where it has no pulse
+        where = f"{cfg.scenario_id} {label.format(axis[p])}"
+        return [
+            [(evo or _pulse_config(s, dt[p, leg], cfg, where, records)) if s > 0.0 else None for leg, s in enumerate(span[p])]
+            for span, dt in zip(spans, dts)
+        ]
+
+    def run(lo: int, plans: list):
+        at = slice(lo, lo + len(plans))
+        names = [label.format(x) for x in axis[at]]
+        stitched = [
+            _run_pass(cfg, names, sequences[k][at], [each[k] for each in plans], starts[:n], noisy, name_starts)
+            for k, noisy, n in passes
+        ]
+        for name, values in reduce(*stitched).items():
+            columns.setdefault(name, []).append(np.array(values))
+
+    lo, plans, largest = 0, [], 0
+    for p in range(len(axis)):
+        point = plan(p)
+        size = max([n * e.record_steps.shape[0] * (88 if noisy else 56) for k, noisy, n in passes for e in point[k] if e] or [0])
+        if plans and (len(plans) + 1) * max(largest, size) > PULSE_BLOCK_BYTES:
+            run(lo, plans)
+            lo, plans, largest = p, [], 0
+        plans.append(point)
+        largest = max(largest, size)
+    run(lo, plans)
+    return {name: np.concatenate(parts) for name, parts in columns.items()}
+
+
+def _run_pass(cfg: ScenarioConfig, names, legs, plans, starts, noisy: bool, name_starts: bool) -> _Stitched:
+    """One pass of _run_pulses over a block of points: each leg position is
+    one integration over the runs of the points whose pulse there has a plan
+    (plans[point][leg]), point by point with the starts within, ragged where
+    plans differ. noisy carries the densities through the master equation
+    with cfg.noise; else the amplitudes, normalised before each pulse, go
+    through the Schrodinger equation."""
+    n_points, n_starts = legs.shape[0], starts.shape[0]
     if noisy:
         state = starts[:, :, None] * starts[:, None, :].conj()
-        pops0 = np.real(np.diagonal(state, axis1=1, axis2=2))
+        pops0 = np.real(np.diagonal(state[0]))
     else:
         state = starts.copy()
-        pops0 = np.abs(state) ** 2
-    n_starts = starts.shape[0]
-    state = np.concatenate([state] * len(points))
-    pops = [[pops0[:, None, :]] for _ in points]
-    # (points, segments, 3); one step per pulse, one drive and recommended_dt per sign
-    segments = np.array([segments for _, segments in points], dtype=float)
-    spans = _gate_time_us(np.abs(segments[..., 0]), cfg.rabi_mhz)
-    signs = np.copysign(1.0, segments[..., 0])
-    drive = {sign: _drive_matrix(sign * cfg.rabi_mhz, 0.0) for sign in (1.0, -1.0)}
-    dts = np.empty(spans.shape)
-    for sign, h in drive.items():
-        pick = (signs == sign) & (spans > 0.0)
-        if pick.any():
-            dts[pick] = _pulse_dt(h, spans[pick], cfg)
-    for leg in range(segments.shape[1]):
-        state = _kick(state, np.repeat(segments[:, leg, 1], n_starts))
-        moving = np.flatnonzero(spans[:, leg] > 0.0)
-        if moving.size:
-            evos = []
-            for p in moving:
-                where = f"{cfg.scenario_id} {points[p][0]}"
-                evos += [_pulse_config(spans[p, leg], dts[p, leg], cfg, where, records)] * n_starts
-            drives = np.repeat([drive[sign] for sign in signs[moving, leg]], n_starts, axis=0)
-            rows = (n_starts * moving[:, None] + np.arange(n_starts)).ravel()
-            names = [f"{points[p][0]} start={name}" for p in moving for name in START_NAMES[:n_starts]]
-            with _naming(cfg.scenario_id, names):
+        pops0 = np.abs(state[0]) ** 2
+    state = np.concatenate([state] * n_points)
+    pops = [[pops0[None]] for _ in range(n_points)]
+    for leg in range(legs.shape[1]):
+        state = _kick(state, np.repeat(legs[:, leg, 1], n_starts))
+        moving = [p for p in range(n_points) if plans[p][leg]]
+        if moving:
+            evos = [plans[p][leg] for p in moving for _ in range(n_starts)]
+            drives = [_drive_matrix(math.copysign(cfg.rabi_mhz, legs[p, leg, 0]), legs[p, leg, 3]) for p in moving]
+            drives = np.repeat(drives, n_starts, axis=0)
+            rows = (n_starts * np.array(moving)[:, None] + np.arange(n_starts)).ravel()
+            runs = [f"{names[p]} start={name}" if name_starts else names[p] for p in moving for name in START_NAMES[:n_starts]]
+            with _naming(cfg.scenario_id, runs):
                 if noisy:
                     trajs = evolve_lindblad(drives, state[rows], cfg.noise, evos)
                     rho = np.concatenate([traj.densities[:, -1] for traj in trajs])
@@ -713,28 +723,15 @@ def _run_segments(points, starts, cfg: ScenarioConfig, noisy: bool, records=None
                     norms = np.linalg.norm(state[rows], axis=1, keepdims=True)
                     trajs = evolve_schrodinger(drives, state[rows] / norms, evos)
                     state[rows] = np.concatenate([traj.amplitudes[:, -1] for traj in trajs])
-            # a block holds whole points: runs of equal configs are adjacent
+            # runs of equal plans are adjacent, so a ragged block holds whole
+            # points; only the first start's records are kept, as copies
             points_done = iter(moving)
             for traj in trajs:
                 for first in range(0, traj.populations.shape[0], n_starts):
-                    pops[next(points_done)].append(traj.populations[first : first + n_starts, 1:])
-        state = _kick(state, np.repeat(segments[:, leg, 2], n_starts))
-    return [
-        _Stitched(np.concatenate(parts, axis=1), state[n_starts * p : n_starts * (p + 1)])
-        for p, parts in enumerate(pops)
-    ]
-
-
-def _discrepancy(ideal: _Stitched, noisy: _Stitched) -> float:
-    """Largest gap in the first run's ground population along the pulses."""
-    return float(np.max(np.abs(ideal.pops[0, :, 0] - noisy.pops[0, :, 0])))
-
-
-def _cardinal_fidelity(ideal: np.ndarray, noisy: np.ndarray) -> float:
-    """Mean state_density_fidelity over the cardinal starts: each one's ideal
-    final amplitudes (rows of ideal) against its noisy final density."""
-    psi = ideal / np.linalg.norm(ideal, axis=1, keepdims=True)
-    return float(np.mean(state_density_fidelity(psi, noisy)))
+                    pops[next(points_done)].append(traj.populations[first, 1:].copy())
+            del trajs  # used up: the next leg is integrated without them
+        state = _kick(state, np.repeat(legs[:, leg, 2], n_starts))
+    return _Stitched([np.concatenate(parts) for parts in pops], state.reshape((n_points, n_starts) + state.shape[1:]))
 
 
 # ---------------------------------------------------------------------------

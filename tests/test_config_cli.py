@@ -382,11 +382,25 @@ def test_cli_validate(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
-def test_cli_rejects_mismatched_config(tmp_path):
-    config = tmp_path / "theta.ini"
-    config.write_text("[scenario]\nid = theta-sweep\n")
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[scenario]\nid = theta-sweep\n",
+        # the mismatch is reported before the config's own scenario rules
+        "[scenario]\nid = dark-states\n\n[integrator]\nhermiticity = literal\n",
+    ],
+    ids=["theta-sweep", "dark-states-literal"],
+)
+def test_cli_rejects_mismatched_config(text, tmp_path, capsys):
+    config = tmp_path / "other.ini"
+    config.write_text(text)
     code = run_cli(["pi3", "--config", str(config), "--out", str(tmp_path / "x")])
     assert code == 2
+    scenario = text.split("\n")[1].split(" = ")[1]
+    assert capsys.readouterr().err == (
+        f"error: config is for scenario {scenario!r}, but the 'pi3' subcommand was invoked\n"
+    )
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_missing_config_file_is_io_failure(tmp_path):

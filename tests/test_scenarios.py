@@ -161,6 +161,10 @@ def test_config_rejects_bad_detunings():
 def test_config_rejects_bad_scalars():
     with pytest.raises(ConfigError):
         ScenarioConfig(scenario_id="pi3", rabi_mhz=0.0)
+    # else the run dies of an AttributeError on the sweep's values()
+    for sweep in (1.0, (0.0, 1.0, 0.5)):
+        with pytest.raises(ConfigError, match="sweep must be a SweepSpec or None"):
+            ScenarioConfig(scenario_id="theta-sweep", sweep=sweep)
     with pytest.raises(ConfigError):
         ScenarioConfig(scenario_id="pi3", dt_us=-1e-4)
     with pytest.raises(ConfigError):
@@ -974,6 +978,30 @@ def test_detuning_sweep_memory_stays_bounded():
     assert peak <= 2_000_000
 
 
+@pytest.mark.parametrize(
+    "scenario, runner, sweep",
+    [
+        # the default 33 angles: one batch of every angle held 11.5 MB
+        ("composite", run_composite_gate_scenario, scenarios.THETA_SWEEP_DEFAULT),
+        # 200 angles of up to 629 steps: one batch held 5.2 MB
+        ("theta-sweep", run_single_qubit_theta_sweep, SweepSpec(0.0, 2.0 * math.pi, 2.0 * math.pi / 199.0)),
+    ],
+    ids=["composite", "theta-sweep"],
+)
+def test_noisy_pulse_sweep_memory_stays_bounded(scenario, runner, sweep):
+    # the pulse runner holds one block of angles at a time, within
+    # PULSE_BLOCK_BYTES of records per integration
+    runner(ScenarioConfig(scenario_id=scenario, sweep=SweepSpec(1.0, 2.0, 1.0), noise=NOISE))
+    cfg = ScenarioConfig(scenario_id=scenario, sweep=sweep, noise=NOISE)
+    tracemalloc.start()
+    try:
+        runner(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000
+
+
 def test_two_qubit_pi2_memory_stays_bounded():
     # 45,696 steps in chunks of a 1 MB transfer budget: the workspace that
     # every chunk reuses (890-step chunks of ten 89-step record intervals:
@@ -1056,9 +1084,10 @@ def test_default_manifests_report_run_keys_without_dt(tmp_path):
 
 # --- batched runners against a per-run loop --------------------------------
 #
-# composite, detune-sweep and dark-states integrate their runs as one batch
-# per pulse segment. The references below run the same physics one run at a
-# time through unbatched evolve_schrodinger / evolve_lindblad calls.
+# composite, detune-sweep and the noisy theta-sweep integrate their runs as
+# one batch per pulse segment and block of points, dark-states as one batch.
+# The references below run the same physics one run at a time through
+# unbatched evolve_schrodinger / evolve_lindblad calls.
 
 
 def _rz(angle):
@@ -1107,7 +1136,13 @@ def per_run_discrepancy(segments, psi0, cfg):
 # angles of 17 to 116 steps per leg (rabi 12 MHz), under both drive signs
 RAGGED_SWEEP = SweepSpec(-1.5, 3.5, 1.0)
 
+# bounds of the 2-level pulse runner's blocks: one point per block, the
+# default bound, and the whole sweep in one block
+PULSE_BLOCKS = [1, None, 1 << 30]
+PULSE_BLOCK_IDS = ["point", "default", "whole"]
 
+
+@pytest.mark.parametrize("block_bytes", PULSE_BLOCKS, ids=PULSE_BLOCK_IDS)
 @pytest.mark.parametrize(
     "initial_state,renormalize,sweep,chunk_bytes",
     [
@@ -1120,10 +1155,12 @@ RAGGED_SWEEP = SweepSpec(-1.5, 3.5, 1.0)
     ],
 )
 def test_composite_sweep_matches_per_run_loop(
-    initial_state, renormalize, sweep, chunk_bytes, monkeypatch
+    initial_state, renormalize, sweep, chunk_bytes, block_bytes, monkeypatch
 ):
     if chunk_bytes is not None:
         monkeypatch.setattr(evolve_module, "TRANSFER_CHUNK_BYTES", chunk_bytes)
+    if block_bytes is not None:
+        monkeypatch.setattr(scenarios, "PULSE_BLOCK_BYTES", block_bytes)
     cfg = ScenarioConfig(
         scenario_id="composite",
         sweep=sweep,
@@ -1169,12 +1206,15 @@ def per_point_noisy_theta(cfg, psi0):
     return np.asarray(rows)
 
 
+@pytest.mark.parametrize("block_bytes", PULSE_BLOCKS, ids=PULSE_BLOCK_IDS)
 @pytest.mark.parametrize("renormalize", [True, False])
-def test_theta_sweep_noisy_matches_per_point_loop(renormalize, monkeypatch):
+def test_theta_sweep_noisy_matches_per_point_loop(renormalize, block_bytes, monkeypatch):
     # theta = 0 keeps the start; the others, the negative angle included,
     # take 150 to 600 steps with record strides of 2 to 9. The Lindblad step
     # keeps the trace to rounding, so the populations barely tell whether a
     # run renormalised: its config must carry the key as well
+    if block_bytes is not None:
+        monkeypatch.setattr(scenarios, "PULSE_BLOCK_BYTES", block_bytes)
     cfg = ScenarioConfig(
         scenario_id="theta-sweep",
         sweep=SweepSpec(-1.5, 6.0, 1.5),
@@ -1227,10 +1267,10 @@ def count_integrate_calls(monkeypatch, runner, cfg) -> int:
 
 def test_sweeps_take_one_integration_per_leg(monkeypatch):
     # the default composite: 3 legs ideal and noisy and the single gate's one
-    # each, every call over all 32 nonzero angles; the noisy theta sweep: one
-    # call for all its angles
+    # each, per block of angles (16, 10 and 7 of them within
+    # PULSE_BLOCK_BYTES); the noisy theta sweep: one call for all its angles
     composite = ScenarioConfig(scenario_id="composite", noise=NOISE)
-    assert count_integrate_calls(monkeypatch, run_composite_gate_scenario, composite) == 8
+    assert count_integrate_calls(monkeypatch, run_composite_gate_scenario, composite) == 3 * 8
     theta = ScenarioConfig(scenario_id="theta-sweep", noise=NOISE)
     assert count_integrate_calls(monkeypatch, run_single_qubit_theta_sweep, theta) == 1
 
@@ -1269,17 +1309,12 @@ def test_composite_fixed_sequence_matches_per_run_loop():
     assert abs(result.fidelities["cardinal_fidelity_mean"] - fid) < 1e-12
 
 
-# one point per block, four points per block (the default budget at this
-# step count) and the whole sweep in one block
-DETUNE_BLOCKS = [1, None, 1 << 30]
-
-
-@pytest.mark.parametrize("block_bytes", DETUNE_BLOCKS, ids=["point", "default", "whole"])
+@pytest.mark.parametrize("block_bytes", PULSE_BLOCKS, ids=PULSE_BLOCK_IDS)
 @pytest.mark.parametrize("noisy", [False, True])
 @pytest.mark.parametrize("renormalize", [True, False])
 def test_detuning_sweep_matches_per_run_loop(noisy, renormalize, block_bytes, monkeypatch):
     if block_bytes is not None:
-        monkeypatch.setattr(scenarios, "DETUNE_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(scenarios, "PULSE_BLOCK_BYTES", block_bytes)
     cfg = ScenarioConfig(
         scenario_id="detune-sweep",
         sweep=SweepSpec(-24.0, 24.0, 8.0),
@@ -1340,13 +1375,13 @@ def test_dark_spectrum_matches_per_run_loop(kw):
         assert abs(leak - float(np.max(1.0 - stay))) < 1e-12
 
 
-@pytest.mark.parametrize("block_bytes", DETUNE_BLOCKS, ids=["point", "default", "whole"])
+@pytest.mark.parametrize("block_bytes", PULSE_BLOCKS, ids=PULSE_BLOCK_IDS)
 def test_detuning_sweep_failure_names_its_point(block_bytes, monkeypatch):
     # one shared coarse step without renormalisation: only the widest
     # detuning drifts past the gate, in the last block when points are
     # integrated one per block
     if block_bytes is not None:
-        monkeypatch.setattr(scenarios, "DETUNE_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(scenarios, "PULSE_BLOCK_BYTES", block_bytes)
     cfg = ScenarioConfig(
         scenario_id="detune-sweep",
         sweep=SweepSpec(0.0, 60.0, 60.0),
