@@ -95,7 +95,10 @@ def _load_config(args) -> ScenarioConfig:
         text = DEFAULT_CONFIGS[args.command]
     cfg = parse_config(text, args.command)
     if args.dt_override is not None:
-        cfg = replace(cfg, dt_us=args.dt_override)
+        try:
+            cfg = replace(cfg, dt_us=args.dt_override)
+        except ConfigError as exc:
+            raise ConfigError(f"--dt-override: {exc}") from None
     return cfg
 
 

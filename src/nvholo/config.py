@@ -1,148 +1,88 @@
 """Config parsing, run manifests, and CSV output.
 
-Scenario configs are sectioned key = value text. Recognized sections are
-[scenario], [pulses], [detunings], [noise], and [integrator]; a [run]
-section is accepted anywhere and ignored, so a written manifest parses as a
-config and reproduces the run that made it. Unknown sections or keys are
-errors, reported with the line they appear on.
+Scenario configs are sectioned key = value text. One table, KEYS, defines
+every key: its section, the ScenarioConfig field it feeds, and how its value
+is read and written back; the known sections and keys, parsing and rendering
+follow from it. A [run] section is accepted anywhere and ignored, so a
+written manifest parses as a config and reproduces the run that made it.
+Every config error names its line: a malformed line, an unknown section or
+key and a bad value their own, and a ScenarioConfig rule the line of the
+first key it concerns that the text sets, else `default:`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from nvholo.core import ConfigError, NumericalError
-from nvholo.evolve import DEFAULT_T1_US, DEFAULT_T2_US, NoiseModel
+from nvholo.evolve import NoiseModel
 from nvholo.gates import GateParams
-from nvholo.hamiltonians import HERMITICITY_MODES
 from nvholo.scenarios import ScenarioConfig, SweepSpec
-
-KNOWN_KEYS = {
-    "scenario": ("id", "initial_level", "initial_rotation_rad", "sweep", "threads"),
-    "pulses": (
-        "rabi_mhz",
-        "drive_mhz",
-        "splitting_mhz",
-        "envelope_mhz",
-        "carrier_mhz",
-        "duration_us",
-        "drive_amplitudes_mhz",
-        "gate1",
-        "gate2",
-        "gate3",
-    ),
-    "detunings": ("delta1", "delta2", "delta3", "sets"),
-    "noise": ("enabled", "t1_us", "t2_us"),
-    "integrator": ("dt_us", "renormalize", "hermiticity"),
-}
 
 TRUE_WORDS = ("true", "yes", "on", "1")
 FALSE_WORDS = ("false", "no", "off", "0")
 
-
-def _parse_sections(text: str) -> dict:
-    """Split config text into {section: {key: (line_no, raw_value)}}."""
-    sections: dict = {}
-    current = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith(";"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip().lower()
-            if name != "run" and name not in KNOWN_KEYS:
-                raise ConfigError(f"line {line_no}: unknown section [{name}]")
-            current = sections.setdefault(name, {})
-            continue
-        if current is None:
-            raise ConfigError(f"line {line_no}: key outside of any section")
-        if "=" not in line:
-            raise ConfigError(f"line {line_no}: expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        if not key:
-            raise ConfigError(f"line {line_no}: empty key")
-        if key in current:
-            raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-        current[key] = (line_no, value)
-    return sections
+# --- value parsers: (raw text, key) -> value; parse_config adds the line ----
 
 
-def _reject_unknown(sections: dict):
-    for name, entries in sections.items():
-        if name == "run":
-            continue
-        allowed = KNOWN_KEYS[name]
-        for key, (line_no, _) in entries.items():
-            if key not in allowed:
-                raise ConfigError(
-                    f"line {line_no}: unknown key {key!r} in section [{name}]"
-                )
-
-
-def _float(entry, name: str) -> float:
-    line_no, raw = entry
+def _float(raw: str, name: str) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise ConfigError(f"line {line_no}: {name} must be a number, got {raw!r}")
+        raise ConfigError(f"{name} must be a number, got {raw!r}")
     if not math.isfinite(value):
-        raise ConfigError(f"line {line_no}: {name} must be finite")
+        raise ConfigError(f"{name} must be finite")
     return value
 
 
-def _int(entry, name: str) -> int:
-    line_no, raw = entry
+def _int(raw: str, name: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(f"line {line_no}: {name} must be an integer, got {raw!r}")
+        raise ConfigError(f"{name} must be an integer, got {raw!r}")
 
 
-def _bool(entry, name: str) -> bool:
-    line_no, raw = entry
-    word = raw.strip().lower()
+def _bool(raw: str, name: str) -> bool:
+    word = raw.lower()
     if word in TRUE_WORDS:
         return True
     if word in FALSE_WORDS:
         return False
-    raise ConfigError(f"line {line_no}: {name} must be true or false, got {raw!r}")
+    raise ConfigError(f"{name} must be true or false, got {raw!r}")
 
 
-def _float_or_sweep(entry, name: str):
-    line_no, raw = entry
-    if ":" in raw:
-        parts = raw.split(":")
-        if len(parts) != 3:
-            raise ConfigError(
-                f"line {line_no}: {name} sweep must be start:stop:step, got {raw!r}"
-            )
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError:
-            raise ConfigError(f"line {line_no}: {name} sweep has a non-numeric bound")
-        try:
-            return SweepSpec(start, stop, step)
-        except ConfigError as exc:
-            raise ConfigError(f"line {line_no}: {exc}")
-    return _float(entry, name)
-
-
-def _float_list(entry, name: str) -> tuple:
-    line_no, raw = entry
+def _float_or_sweep(raw: str, name: str):
+    if ":" not in raw:
+        return _float(raw, name)
+    parts = raw.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"{name} sweep must be start:stop:step, got {raw!r}")
     try:
-        values = tuple(float(p) for p in raw.split(",") if p.strip())
+        start, stop, step = (float(p) for p in parts)
     except ValueError:
-        raise ConfigError(f"line {line_no}: {name} must be comma-separated numbers")
-    return values
+        raise ConfigError(f"{name} sweep has a non-numeric bound")
+    return SweepSpec(start, stop, step)
 
 
-def _triple_list(entry, name: str) -> tuple:
-    line_no, raw = entry
+def _sweep(raw: str, name: str) -> SweepSpec:
+    value = _float_or_sweep(raw, name)
+    if not isinstance(value, SweepSpec):
+        raise ConfigError(f"{name} must be start:stop:step")
+    return value
+
+
+def _float_list(raw: str, name: str) -> tuple:
+    try:
+        return tuple(float(p) for p in raw.split(",") if p.strip())
+    except ValueError:
+        raise ConfigError(f"{name} must be comma-separated numbers")
+
+
+def _triple_list(raw: str, name: str) -> tuple:
     triples = []
     for chunk in raw.split(";"):
         chunk = chunk.strip()
@@ -150,121 +90,35 @@ def _triple_list(entry, name: str) -> tuple:
             continue
         parts = [p for p in chunk.split(",") if p.strip()]
         if len(parts) != 3:
-            raise ConfigError(
-                f"line {line_no}: each {name} entry needs 3 numbers, got {chunk!r}"
-            )
+            raise ConfigError(f"each {name} entry needs 3 numbers, got {chunk!r}")
         try:
             triples.append(tuple(float(p) for p in parts))
         except ValueError:
-            raise ConfigError(f"line {line_no}: {name} entry {chunk!r} is not numeric")
+            raise ConfigError(f"{name} entry {chunk!r} is not numeric")
     return tuple(triples)
 
 
-def _gate(entry, name: str) -> GateParams:
-    line_no, raw = entry
-    values = _float_list(entry, name)
+def _gate(raw: str, name: str) -> GateParams:
+    values = _float_list(raw, name)
     if len(values) not in (3, 4):
-        raise ConfigError(
-            f"line {line_no}: {name} must be theta,phi,lam[,gamma], got {raw!r}"
-        )
-    gamma = values[3] if len(values) == 4 else 0.0
-    return GateParams(theta=values[0], phi=values[1], lam=values[2], gamma=gamma)
+        raise ConfigError(f"{name} must be theta,phi,lam[,gamma], got {raw!r}")
+    return GateParams(*values)
 
 
-def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
-    """Parse sectioned config text into a validated ScenarioConfig. Given
-    the CLI subcommand that reads it, a config for another scenario is a
-    ConfigError as soon as its id is read, before its scenario's rules."""
-    sections = _parse_sections(text)
-    _reject_unknown(sections)
+# sweeps run serially and no runner drives a carrier, so threads and
+# carrier_mhz are ignored; they stay known, checked keys so that manifests
+# written with them still parse
+def _threads(raw: str, name: str):
+    if _int(raw, name) < 1:
+        raise ConfigError(f"{name} must be an integer >= 1")
 
-    scenario = sections.get("scenario", {})
-    if "id" not in scenario:
-        raise ConfigError("config needs an id key in the [scenario] section")
-    scenario_id = scenario["id"][1].strip()
-    if command is not None and scenario_id != command:
-        raise ConfigError(f"config is for scenario {scenario_id!r}, but the {command!r} subcommand was invoked")
 
-    kwargs: dict = {"scenario_id": scenario_id}
+def _carrier(raw: str, name: str):
+    if _float(raw, name) < 0:
+        raise ConfigError(f"{name} must be >= 0 MHz")
 
-    if "initial_level" in scenario and "initial_rotation_rad" in scenario:
-        line_no = scenario["initial_rotation_rad"][0]
-        raise ConfigError(
-            f"line {line_no}: initial_level and initial_rotation_rad are exclusive"
-        )
-    if "initial_level" in scenario:
-        kwargs["initial_state"] = ("level", _int(scenario["initial_level"], "initial_level"))
-    if "initial_rotation_rad" in scenario:
-        kwargs["initial_state"] = (
-            "rotation",
-            _float(scenario["initial_rotation_rad"], "initial_rotation_rad"),
-        )
-    if "sweep" in scenario:
-        value = _float_or_sweep(scenario["sweep"], "sweep")
-        if not isinstance(value, SweepSpec):
-            line_no = scenario["sweep"][0]
-            raise ConfigError(f"line {line_no}: sweep must be start:stop:step")
-        kwargs["sweep"] = value
-    # sweeps run serially, so threads is ignored; it stays a known, validated
-    # key so that manifests written with it still parse
-    if "threads" in scenario and _int(scenario["threads"], "threads") < 1:
-        line_no = scenario["threads"][0]
-        raise ConfigError(f"line {line_no}: threads must be an integer >= 1")
 
-    pulses = sections.get("pulses", {})
-    for key in ("rabi_mhz", "drive_mhz", "splitting_mhz", "envelope_mhz", "duration_us"):
-        if key in pulses:
-            kwargs[key] = _float(pulses[key], key)
-    # no runner drives a carrier, so carrier_mhz is ignored like threads: a
-    # known, validated key, so that manifests written with it still parse
-    if "carrier_mhz" in pulses and _float(pulses["carrier_mhz"], "carrier_mhz") < 0:
-        raise ConfigError(f"line {pulses['carrier_mhz'][0]}: carrier_mhz must be >= 0 MHz")
-    if "drive_amplitudes_mhz" in pulses:
-        kwargs["drive_amplitudes_mhz"] = _float_list(
-            pulses["drive_amplitudes_mhz"], "drive_amplitudes_mhz"
-        )
-    gate_keys = [k for k in ("gate1", "gate2", "gate3") if k in pulses]
-    if gate_keys:
-        if len(gate_keys) != 3:
-            line_no = pulses[gate_keys[0]][0]
-            raise ConfigError(f"line {line_no}: gate1, gate2, and gate3 go together")
-        kwargs["gate_params"] = tuple(_gate(pulses[k], k) for k in ("gate1", "gate2", "gate3"))
-
-    detunings = sections.get("detunings", {})
-    deltas = [0.0, 0.0, 0.0]
-    for i, key in enumerate(("delta1", "delta2", "delta3")):
-        if key in detunings:
-            deltas[i] = _float_or_sweep(detunings[key], key)
-    kwargs["detunings"] = tuple(deltas)
-    if "sets" in detunings:
-        kwargs["detuning_sets"] = _triple_list(detunings["sets"], "sets")
-
-    noise = sections.get("noise", {})
-    if noise:
-        enabled = _bool(noise["enabled"], "enabled") if "enabled" in noise else False
-        t1 = _float(noise["t1_us"], "t1_us") if "t1_us" in noise else DEFAULT_T1_US
-        t2 = _float(noise["t2_us"], "t2_us") if "t2_us" in noise else DEFAULT_T2_US
-        first_line = min(entry[0] for entry in noise.values())
-        try:
-            kwargs["noise"] = NoiseModel(t1_us=t1, t2_us=t2, enabled=enabled)
-        except ConfigError as exc:
-            raise ConfigError(f"line {first_line}: {exc}")
-
-    integrator = sections.get("integrator", {})
-    if "dt_us" in integrator:
-        kwargs["dt_us"] = _float(integrator["dt_us"], "dt_us")
-    if "renormalize" in integrator:
-        kwargs["renormalize"] = _bool(integrator["renormalize"], "renormalize")
-    if "hermiticity" in integrator:
-        line_no, raw = integrator["hermiticity"]
-        mode = raw.strip().lower()
-        if mode not in HERMITICITY_MODES:
-            raise ConfigError(
-                f"line {line_no}: hermiticity must be one of {HERMITICITY_MODES}"
-            )
-        kwargs["hermiticity"] = mode
-
-    return ScenarioConfig(**kwargs)
+# --- renderers: field value -> text, or None to leave the key out ------------
 
 
 def _fmt(value) -> str:
@@ -277,56 +131,181 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _floats(values):
+    return ",".join(repr(float(v)) for v in values) if values else None
+
+
+def _triples(triples):
+    return "; ".join(",".join(repr(float(d)) for d in t) for t in triples) if triples else None
+
+
+def _start(kind: str, cast: Callable) -> Callable:
+    return lambda state: _fmt(cast(state[1])) if state[0] == kind else None
+
+
+def _gate_text(g: GateParams) -> str:
+    return f"{g.theta!r},{g.phi!r},{g.lam!r},{g.gamma!r}"
+
+
+class Key(NamedTuple):
+    """One config key. field is the ScenarioConfig field it feeds (None:
+    read, checked and ignored); several keys may feed one field. A key is
+    not written when its field is None or its renderer returns None."""
+
+    section: str
+    name: str
+    field: str | None
+    parse: Callable  # (raw text, key) -> value
+    render: Callable | None  # field value -> text or None
+
+
+# one row per key, in the order render_config writes them
+KEYS = (
+    Key("scenario", "id", "scenario_id", lambda raw, name: raw, str),
+    Key("scenario", "initial_level", "initial_state", lambda raw, name: ("level", _int(raw, name)), _start("level", int)),
+    Key("scenario", "initial_rotation_rad", "initial_state", lambda raw, name: ("rotation", _float(raw, name)), _start("rotation", float)),
+    Key("scenario", "sweep", "sweep", _sweep, _fmt),
+    Key("scenario", "threads", None, _threads, None),
+    Key("pulses", "rabi_mhz", "rabi_mhz", _float, repr),
+    Key("pulses", "drive_mhz", "drive_mhz", _float, repr),
+    Key("pulses", "splitting_mhz", "splitting_mhz", _float, repr),
+    Key("pulses", "envelope_mhz", "envelope_mhz", _float, repr),
+    Key("pulses", "carrier_mhz", None, _carrier, None),
+    Key("pulses", "duration_us", "duration_us", _float, repr),
+    Key("pulses", "drive_amplitudes_mhz", "drive_amplitudes_mhz", _float_list, _floats),
+    Key("pulses", "gate1", "gate_params", _gate, lambda gates: _gate_text(gates[0]) if gates else None),
+    Key("pulses", "gate2", "gate_params", _gate, lambda gates: _gate_text(gates[1]) if gates else None),
+    Key("pulses", "gate3", "gate_params", _gate, lambda gates: _gate_text(gates[2]) if gates else None),
+    Key("detunings", "delta1", "detunings", _float_or_sweep, lambda deltas: _fmt(deltas[0])),
+    Key("detunings", "delta2", "detunings", _float_or_sweep, lambda deltas: _fmt(deltas[1])),
+    Key("detunings", "delta3", "detunings", _float_or_sweep, lambda deltas: _fmt(deltas[2])),
+    Key("detunings", "sets", "detuning_sets", _triple_list, _triples),
+    Key("noise", "enabled", "noise", _bool, lambda noise: _fmt(noise.enabled)),
+    Key("noise", "t1_us", "noise", _float, lambda noise: repr(noise.t1_us)),
+    Key("noise", "t2_us", "noise", _float, lambda noise: repr(noise.t2_us)),
+    Key("integrator", "dt_us", "dt_us", _float, repr),
+    Key("integrator", "renormalize", "renormalize", _bool, _fmt),
+    Key("integrator", "hermiticity", "hermiticity", lambda raw, name: raw.lower(), str),
+)
+
+# {section: {key: row}}
+KNOWN_KEYS = {s: {k.name: k for k in KEYS if k.section == s} for s in dict.fromkeys(k.section for k in KEYS)}
+# {field: its keys in table order}
+FIELD_KEYS = {f: tuple(k.name for k in KEYS if k.field == f) for f in dict.fromkeys(k.field for k in KEYS)}
+
+# --- fields fed by several keys: (values of the keys set, the field's keys) --
+
+
+def _start_state(parts: dict, keys: tuple) -> tuple:
+    if len(parts) > 1:
+        raise ConfigError(f"{keys[0]} and {keys[1]} are exclusive", keys[1:])
+    return next(iter(parts.values()))
+
+
+def _gates(parts: dict, keys: tuple) -> tuple:
+    if len(parts) != len(keys):
+        raise ConfigError(f"{', '.join(keys[:-1])}, and {keys[-1]} go together", keys)
+    return tuple(parts[k] for k in keys)
+
+
+# the [noise] keys are NoiseModel's field names; a section without the
+# switch leaves the model off
+_NOISE_DEFAULTS = vars(NoiseModel(enabled=False))
+COMBINE = {
+    "initial_state": _start_state,
+    "gate_params": _gates,
+    "detunings": lambda parts, keys: tuple(parts.get(k, 0.0) for k in keys),
+    "noise": lambda parts, keys: NoiseModel(**(_NOISE_DEFAULTS | parts)),
+}
+
+
+def _parse_sections(text: str) -> dict:
+    """Split config text into {section: {key: (line_no, raw_value)}}; an
+    unknown section or key is an error, and [run] holds any keys."""
+    sections: dict = {}
+    current = known = None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] in "#;":
+            continue
+        if line[0] == "[" and line[-1] == "]":
+            name = line[1:-1].strip().lower()
+            known = KNOWN_KEYS.get(name)
+            if name != "run" and known is None:
+                raise ConfigError(f"line {line_no}: unknown section [{name}]")
+            current = sections.setdefault(name, {})
+            continue
+        if current is None:
+            raise ConfigError(f"line {line_no}: key outside of any section")
+        if "=" not in line:
+            raise ConfigError(f"line {line_no}: expected key = value")
+        key, _, value = line.partition("=")
+        key = key.strip().lower()
+        if not key:
+            raise ConfigError(f"line {line_no}: empty key")
+        if key in current:
+            raise ConfigError(f"line {line_no}: duplicate key {key!r}")
+        if known is not None and key not in known:
+            raise ConfigError(f"line {line_no}: unknown key {key!r} in section [{name}]")
+        current[key] = (line_no, value.strip())
+    return sections
+
+
+def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
+    """Parse sectioned config text into a validated ScenarioConfig. Given
+    the CLI subcommand that reads it, a config for another scenario is a
+    ConfigError before any ScenarioConfig rule is checked."""
+    sections = _parse_sections(text)
+    kwargs: dict = {}
+    parts: dict = {}  # {field: {key: value}} of the fields fed by several keys
+    for section, entries in sections.items():
+        known = KNOWN_KEYS.get(section)
+        if known is None:  # [run]
+            continue
+        for key, (line_no, raw) in entries.items():
+            row = known[key]
+            try:
+                value = row.parse(raw, key)
+            except ConfigError as exc:
+                raise ConfigError(f"line {line_no}: {exc}", (key,)) from None
+            if row.field in COMBINE:
+                parts.setdefault(row.field, {})[key] = value
+            elif row.field is not None:
+                kwargs[row.field] = value
+
+    scenario_id = kwargs.get("scenario_id")
+    if scenario_id is None:
+        raise ConfigError(f"config needs an {FIELD_KEYS['scenario_id'][0]} key in the [scenario] section")
+    if command is not None and scenario_id != command:
+        raise ConfigError(f"config is for scenario {scenario_id!r}, but the {command!r} subcommand was invoked")
+    try:
+        for field, values in parts.items():
+            kwargs[field] = COMBINE[field](values, FIELD_KEYS[field])
+        return ScenarioConfig(**kwargs)
+    except ConfigError as exc:
+        lines = {key: line_no for name, entries in sections.items() if name in KNOWN_KEYS for key, (line_no, _) in entries.items()}
+        line = next((lines[key] for key in exc.keys if key in lines), None)
+        raise ConfigError(f"default: {exc}" if line is None else f"line {line}: {exc}", exc.keys) from None
+
+
+# per section in table order, its header (after a blank line, but for the
+# first) and its rendered keys as (line prefix, field, renderer)
+_RENDERED = tuple(
+    (f"\n[{section}]" if i else f"[{section}]", tuple((f"{k.name} = ", k.field, k.render) for k in rows.values() if k.render))
+    for i, (section, rows) in enumerate(KNOWN_KEYS.items())
+)
+
+
 def render_config(cfg: ScenarioConfig) -> str:
     """Emit config text that parses back to an equal ScenarioConfig."""
-    lines = ["[scenario]", f"id = {cfg.scenario_id}"]
-    kind, value = cfg.initial_state
-    if kind == "level":
-        lines.append(f"initial_level = {int(value)}")
-    else:
-        lines.append(f"initial_rotation_rad = {_fmt(float(value))}")
-    if cfg.sweep is not None:
-        lines.append(f"sweep = {_fmt(cfg.sweep)}")
-
-    lines.append("")
-    lines.append("[pulses]")
-    lines.append(f"rabi_mhz = {_fmt(cfg.rabi_mhz)}")
-    if cfg.drive_mhz is not None:
-        lines.append(f"drive_mhz = {_fmt(cfg.drive_mhz)}")
-    lines.append(f"splitting_mhz = {_fmt(cfg.splitting_mhz)}")
-    lines.append(f"envelope_mhz = {_fmt(cfg.envelope_mhz)}")
-    if cfg.duration_us is not None:
-        lines.append(f"duration_us = {_fmt(cfg.duration_us)}")
-    if cfg.drive_amplitudes_mhz:
-        joined = ",".join(repr(float(v)) for v in cfg.drive_amplitudes_mhz)
-        lines.append(f"drive_amplitudes_mhz = {joined}")
-    for i, gate in enumerate(cfg.gate_params, start=1):
-        lines.append(
-            f"gate{i} = {gate.theta!r},{gate.phi!r},{gate.lam!r},{gate.gamma!r}"
-        )
-
-    lines.append("")
-    lines.append("[detunings]")
-    for i, delta in enumerate(cfg.detunings, start=1):
-        lines.append(f"delta{i} = {_fmt(delta)}")
-    if cfg.detuning_sets:
-        joined = "; ".join(
-            ",".join(repr(float(d)) for d in triple) for triple in cfg.detuning_sets
-        )
-        lines.append(f"sets = {joined}")
-
-    lines.append("")
-    lines.append("[noise]")
-    lines.append(f"enabled = {_fmt(cfg.noise.enabled)}")
-    lines.append(f"t1_us = {_fmt(cfg.noise.t1_us)}")
-    lines.append(f"t2_us = {_fmt(cfg.noise.t2_us)}")
-
-    lines.append("")
-    lines.append("[integrator]")
-    if cfg.dt_us is not None:
-        lines.append(f"dt_us = {_fmt(cfg.dt_us)}")
-    lines.append(f"renormalize = {_fmt(cfg.renormalize)}")
-    lines.append(f"hermiticity = {cfg.hermiticity}")
+    lines = []
+    for header, rows in _RENDERED:
+        lines.append(header)
+        for prefix, field, render in rows:
+            value = getattr(cfg, field)
+            text = None if value is None else render(value)
+            if text is not None:
+                lines.append(prefix + text)
     return "\n".join(lines) + "\n"
 
 

@@ -21,7 +21,13 @@ MAX_DIM = 8
 
 
 class ConfigError(ValueError):
-    """Invalid configuration or constructor input. CLI exit code 2."""
+    """Invalid configuration or constructor input. CLI exit code 2. keys are
+    the config keys the error concerns, for parse_config to name the line
+    of the first that a config's text sets."""
+
+    def __init__(self, message: str, keys: tuple = ()):
+        super().__init__(message)
+        self.keys = keys
 
 
 class NumericalError(RuntimeError):

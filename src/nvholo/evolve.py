@@ -149,13 +149,14 @@ class NoiseModel:
 
     def __post_init__(self):
         if not self.t1_us > 0:
-            raise ConfigError(f"t1 must be > 0, got {self.t1_us}")
+            raise ConfigError(f"t1 must be > 0, got {self.t1_us}", ("t1_us",))
         if not self.t2_us > 0:
-            raise ConfigError(f"t2 must be > 0, got {self.t2_us}")
+            raise ConfigError(f"t2 must be > 0, got {self.t2_us}", ("t2_us",))
         if self.t2_us > 2.0 * self.t1_us:
             raise ConfigError(
                 f"t2 ({self.t2_us} us) exceeds 2*t1 ({2.0 * self.t1_us} us); "
-                "pure dephasing rate would be negative"
+                "pure dephasing rate would be negative",
+                ("t2_us", "t1_us"),
             )
 
     def rates(self) -> tuple[float, float]:

@@ -280,7 +280,7 @@ def angular_detunings(detunings_mhz) -> tuple:
     scaled = tuple(TWO_PI * d for d in detunings_mhz)
     for k, (d, w) in enumerate(zip(detunings_mhz, scaled), start=1):
         if not np.isfinite(w):
-            raise ConfigError(f"[detunings] delta{k} = {d:g} MHz overflows once scaled by 2 pi")
+            raise ConfigError(f"[detunings] delta{k} = {d:g} MHz overflows once scaled by 2 pi", (f"delta{k}",))
     return scaled
 
 

@@ -184,7 +184,9 @@ class ScenarioConfig:
     ScenarioConfig that exists passes its run's config rules and `nvholo
     validate`, which only parses, fails as the run does. The scenario's
     rules follow the checks of each field, in the order its run meets them.
-    The rules that need the step plan stay with the run (_pulse_config).
+    Each rule's ConfigError names the config keys it concerns, so that
+    parse_config can name their line. The rules that need the step plan stay
+    with the run (_pulse_config).
     """
 
     scenario_id: str
@@ -206,99 +208,103 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.scenario_id not in SCENARIO_IDS:
-            raise ConfigError(
-                f"unknown scenario {self.scenario_id!r}, expected one of {SCENARIO_IDS}"
-            )
+            raise ConfigError(f"unknown scenario {self.scenario_id!r}, expected one of {SCENARIO_IDS}", ("id",))
         kind = self.initial_state[0] if len(self.initial_state) == 2 else None
         if kind not in ("level", "rotation"):
-            raise ConfigError(
-                "initial_state must be ('level', index) or ('rotation', angle_rad)"
-            )
+            raise ConfigError("initial_state must be ('level', index) or ('rotation', angle_rad)", ("initial_level", "initial_rotation_rad"))
         if kind == "level":
             level = self.initial_state[1]
             if level != int(level) or level < 0:
-                raise ConfigError(f"initial level must be an integer >= 0, got {level}")
+                raise ConfigError(f"initial level must be an integer >= 0, got {level}", ("initial_level",))
         elif not np.isfinite(self.initial_state[1]):
-            raise ConfigError("initial rotation angle must be finite")
+            raise ConfigError("initial rotation angle must be finite", ("initial_rotation_rad",))
         for p in self.gate_params:
             if not isinstance(p, GateParams):
-                raise ConfigError("gate_params entries must be GateParams values")
+                raise ConfigError("gate_params entries must be GateParams values", ("gate1", "gate2", "gate3"))
         if self.sweep is not None and not isinstance(self.sweep, SweepSpec):
-            raise ConfigError(f"sweep must be a SweepSpec or None, got {type(self.sweep).__name__}")
+            raise ConfigError(f"sweep must be a SweepSpec or None, got {type(self.sweep).__name__}", ("sweep",))
         if len(self.detunings) != 3:
-            raise ConfigError("detunings must have exactly 3 entries")
-        for d in self.detunings:
+            raise ConfigError("detunings must have exactly 3 entries", ("delta1", "delta2", "delta3"))
+        for n, d in enumerate(self.detunings, start=1):
             if not isinstance(d, SweepSpec) and not np.isfinite(d):
-                raise ConfigError("detunings must be finite numbers or sweep specs")
+                raise ConfigError("detunings must be finite numbers or sweep specs", (f"delta{n}",))
         for triple in self.detuning_sets:
             if len(triple) != 3 or not np.all(np.isfinite(triple)):
-                raise ConfigError("each detuning set must be a finite triple")
+                raise ConfigError("each detuning set must be a finite triple", ("sets",))
         if not self.rabi_mhz > 0:
-            raise ConfigError(f"rabi must be > 0 MHz, got {self.rabi_mhz}")
+            raise ConfigError(f"rabi must be > 0 MHz, got {self.rabi_mhz}", ("rabi_mhz",))
         if self.drive_mhz is not None and not self.drive_mhz > 0:
-            raise ConfigError("drive amplitude must be > 0 MHz")
+            raise ConfigError("drive amplitude must be > 0 MHz", ("drive_mhz",))
         if not self.splitting_mhz > 0 or not self.envelope_mhz > 0:
-            raise ConfigError("splitting and envelope scales must be > 0 MHz")
+            key = "splitting_mhz" if not self.splitting_mhz > 0 else "envelope_mhz"
+            raise ConfigError("splitting and envelope scales must be > 0 MHz", (key,))
         if self.drive_amplitudes_mhz and (
             len(self.drive_amplitudes_mhz) != 6
             or not np.all(np.isfinite(self.drive_amplitudes_mhz))
         ):
-            raise ConfigError("drive_amplitudes_mhz needs exactly 6 finite entries")
+            raise ConfigError("drive_amplitudes_mhz needs exactly 6 finite entries", ("drive_amplitudes_mhz",))
         if self.duration_us is not None and not self.duration_us > 0:
-            raise ConfigError("duration must be > 0 us")
+            raise ConfigError("duration must be > 0 us", ("duration_us",))
         if not isinstance(self.noise, NoiseModel):
-            raise ConfigError("noise must be a NoiseModel")
+            raise ConfigError("noise must be a NoiseModel", ("enabled", "t1_us", "t2_us"))
         if self.hermiticity not in HERMITICITY_MODES:
-            raise ConfigError(f"unknown hermiticity mode {self.hermiticity!r}")
-        if self.dt_us is not None and not self.dt_us > 0:
-            raise ConfigError("dt override must be > 0 us")
+            raise ConfigError(f"unknown hermiticity mode {self.hermiticity!r}", ("hermiticity",))
+        if self.dt_us is not None and not 0 < self.dt_us < math.inf:
+            raise ConfigError(f"dt_us must be finite and > 0 us, got {self.dt_us}", ("dt_us",))
 
         scenario = self.scenario_id
         # two-qubit-pi2 reads no detunings, but validate and the run agree on the keys
         scalar_keys = {"two-qubit-pi2": (1, 2, 3), "dark-states": (1, 2, 3), "three-qubit-sweep": (2, 3), "fidelity-compare": (2, 3)}
         for n in scalar_keys.get(scenario, ()):
             if isinstance(self.detunings[n - 1], SweepSpec):
-                raise ConfigError(f"{scenario}: [detunings] delta{n} must be a number here, got a sweep")
+                raise ConfigError(f"{scenario}: [detunings] delta{n} must be a number here, got a sweep", (f"delta{n}",))
         # else the Gaussian's exponent would divide by 0 or overflow
         if scenario == "two-qubit-pi2" and not gaussian_width_ok(1.0 / self.envelope_mhz):
             raise ConfigError(
                 f"{scenario}: [pulses] envelope_mhz = {self.envelope_mhz:g} puts the Gaussian width at "
-                f"{1.0 / self.envelope_mhz:.3g} us, out of range: its square must be > 0 and, times 16 (the window's edge), finite"
+                f"{1.0 / self.envelope_mhz:.3g} us, out of range: its square must be > 0 and, times 16 (the window's edge), finite",
+                ("envelope_mhz",),
+            )
+        # else the pi/3 pulse, of the span run_pi3_rotation takes, would last 0 us or overflow
+        if scenario == "pi3" and not 0.0 < 1.0 / (3.0 * self.rabi_mhz) < math.inf:
+            raise ConfigError(
+                f"{scenario}: [pulses] rabi_mhz = {self.rabi_mhz:g} puts the pulse span 1 / (3 rabi_mhz) at "
+                f"{1.0 / (3.0 * self.rabi_mhz):.3g} us, out of range: it must be finite and > 0", ("rabi_mhz",)
             )
         if scenario == "dark-states":
             angular_detunings(self.detunings)
             if self.hermiticity != HERMITIZED:
-                raise ConfigError("dark-state spectrum requires the hermitized mode")
+                raise ConfigError("dark-state spectrum requires the hermitized mode", ("hermiticity",))
         # the register's tilts and loop duration would follow a non-finite common mode to NaN
         held = []
         if scenario == "three-qubit-time":
-            held = [(f"sets triple {i + 1}", d2, d3) for i, (_, d2, d3) in enumerate(self.detuning_sets)]
+            held = [(f"sets triple {i + 1}", ("sets",), d2, d3) for i, (_, d2, d3) in enumerate(self.detuning_sets)]
         elif scenario in ("three-qubit-sweep", "fidelity-compare"):
-            held = [("delta2, delta3", *self.detunings[1:])]
-        for where, d2, d3 in held:
+            held = [("delta2, delta3", ("delta2", "delta3"), *self.detunings[1:])]
+        for where, keys, d2, d3 in held:
             if not math.isfinite(0.5 * (d2 + d3)):
                 raise ConfigError(
-                    f"{scenario}: the common mode 0.5 * ({d2:g} + {d3:g}) of [detunings] {where} is not finite"
+                    f"{scenario}: the common mode 0.5 * ({d2:g} + {d3:g}) of [detunings] {where} is not finite", keys
                 )
 
         if scenario == "fidelity-compare" and not self.noise.enabled:
-            raise ConfigError("fidelity comparison needs an enabled noise model")
+            raise ConfigError("fidelity comparison needs an enabled noise model", ("enabled",))
         delta1 = self.detunings[0]
         if scenario == "three-qubit-sweep" and (delta1.count if isinstance(delta1, SweepSpec) else 1) < 2:
-            raise ConfigError("three-qubit sweep needs at least 2 axis points")
+            raise ConfigError("three-qubit sweep needs at least 2 axis points", ("delta1",))
         if scenario == "three-qubit-time" and not self.detuning_sets:
-            raise ConfigError("three-qubit time evolution needs at least one detuning triple")
+            raise ConfigError("three-qubit time evolution needs at least one detuning triple", ("sets",))
         if scenario == "composite" and len(self.gate_params) not in (0, 3):
-            raise ConfigError(f"composite sequence needs exactly 3 gates, got {len(self.gate_params)}")
+            raise ConfigError(f"composite sequence needs exactly 3 gates, got {len(self.gate_params)}", ("gate1", "gate2", "gate3"))
 
         dim = START_DIMS.get(scenario)
         if dim is None:
             return
         kind, value = self.initial_state
         if kind == "rotation" and dim != 2:
-            raise ConfigError(f"initial_rotation_rad needs a two-level scenario, this one has {dim} levels")
+            raise ConfigError(f"initial_rotation_rad needs a two-level scenario, this one has {dim} levels", ("initial_rotation_rad",))
         if kind == "level" and int(value) >= dim:
-            raise ConfigError(f"initial level must be below {dim} here, got {int(value)}")
+            raise ConfigError(f"initial level must be below {dim} here, got {int(value)}", ("initial_level",))
 
 
 def _read_only_column(what: str, values, axis: np.ndarray, low: float, high: float, tol: float = 0.0):

@@ -2,16 +2,20 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nvholo
 from nvholo import gates
 from nvholo.cli import DEFAULT_CONFIGS, run_cli
 from nvholo.config import (
+    KEYS,
     CsvTable,
     RunManifest,
     parse_config,
@@ -24,6 +28,7 @@ from nvholo.evolve import NoiseModel
 from nvholo.gates import GateParams
 from nvholo.hamiltonians import PulsedHamiltonian
 from nvholo.scenarios import (
+    SCENARIO_IDS,
     ScenarioConfig,
     SweepSpec,
     run_single_qubit_detuning_sweep,
@@ -173,6 +178,75 @@ def test_parse_rejects_gates_split_across_configs():
         parse_config(text)
 
 
+RULE_LINES = [
+    ("unknown-scenario", "bogus", "", "line 2: unknown scenario 'bogus'"),
+    ("negative-level", "pi3", "initial_level = -1\n", "line 3: initial level must be an integer >= 0, got -1"),
+    (
+        "exclusive-start",
+        "theta-sweep",
+        "initial_level = 0\ninitial_rotation_rad = 1\n",
+        "line 4: initial_level and initial_rotation_rad are exclusive",
+    ),
+    ("sweep-step", "theta-sweep", "sweep = 0:1:-1\n", "line 3: sweep step must be > 0, got -1.0"),
+    ("gate-nan", "composite", "\n[pulses]\ngate1 = nan,0,0\ngate2 = 0,0,0\ngate3 = 0,0,0\n", "line 5: theta must be finite, got nan"),
+    ("gates-together", "composite", "\n[pulses]\nrabi_mhz = 15\ngate2 = 1,0,0\n", "line 6: gate1, gate2, and gate3 go together"),
+    ("rabi", "pi3", "\n[pulses]\nrabi_mhz = -1\n", "line 5: rabi must be > 0 MHz, got -1.0"),
+    ("drive", "pi3", "\n[pulses]\ndrive_mhz = 0\n", "line 5: drive amplitude must be > 0 MHz"),
+    ("splitting", "pi3", "\n[pulses]\nsplitting_mhz = 0\nenvelope_mhz = 0\n", "line 5: splitting and envelope scales"),
+    ("envelope", "pi3", "\n[pulses]\nsplitting_mhz = 20\nenvelope_mhz = 0\n", "line 6: splitting and envelope scales"),
+    ("amplitudes", "dark-states", "\n[pulses]\ndrive_amplitudes_mhz = 1,2\n", "line 5: drive_amplitudes_mhz needs exactly 6"),
+    ("duration", "pi3", "\n[pulses]\nduration_us = 0\n", "line 5: duration must be > 0 us"),
+    ("sets-inf", "three-qubit-time", "\n[detunings]\nsets = inf,0,0\n", "line 5: each detuning set must be a finite triple"),
+    ("dt", "pi3", "\n[integrator]\nrenormalize = true\ndt_us = 0\n", "line 6: dt_us must be finite and > 0 us, got 0.0"),
+    ("t1", "pi3", "\n[noise]\nenabled = true\nt1_us = 0\n", "line 6: t1 must be > 0, got 0.0"),
+    # the rule names t2_us first, so the line is its own, not the section's first
+    ("t2", "pi3", "\n[noise]\nenabled = true\nt2_us = 300\n", "line 6: t2 (300.0 us) exceeds 2*t1 (200.0 us)"),
+    (
+        "scalar-delta3",
+        "three-qubit-sweep",
+        "\n[detunings]\ndelta1 = 0:600:15\ndelta3 = 0:1:1\n",
+        "line 6: three-qubit-sweep: [detunings] delta3 must be a number here",
+    ),
+    ("gaussian-width", "two-qubit-pi2", "\n[pulses]\nenvelope_mhz = 1e308\n", "line 5: two-qubit-pi2: [pulses] envelope_mhz"),
+    ("pi3-span-zero", "pi3", "\n[pulses]\nrabi_mhz = 1e308\n", "line 5: pi3: [pulses] rabi_mhz = 1e+308 puts"),
+    # 1e-320 is subnormal, held as 9.99989e-321
+    ("pi3-span-inf", "pi3", "\n[pulses]\nrabi_mhz = 1e-320\n", "line 5: pi3: [pulses] rabi_mhz = 9.99989e-321 puts"),
+    ("dark-overflow", "dark-states", "\n[detunings]\ndelta2 = 1e308\n", "line 5: [detunings] delta2 = 1e+308 MHz overflows"),
+    ("hermiticity", "pi3", "\n[integrator]\nhermiticity = Sideways\n", "line 5: unknown hermiticity mode 'sideways'"),
+    ("dark-literal", "dark-states", "\n[integrator]\nhermiticity = literal\n", "line 5: dark-state spectrum requires"),
+    # the first of the rule's keys (delta2, delta3) that the text sets, not the first line
+    (
+        "common-mode",
+        "three-qubit-sweep",
+        "\n[detunings]\ndelta1 = 0:600:15\ndelta3 = 1e308\ndelta2 = 1e308\n",
+        "line 7: three-qubit-sweep: the common mode",
+    ),
+    ("common-mode-sets", "three-qubit-time", "\n[detunings]\nsets = 1e308,1e308,1e308\n", "line 5: three-qubit-time: the common mode"),
+    ("fidelity-noise-default", "fidelity-compare", "", "default: fidelity comparison needs an enabled noise model"),
+    ("fidelity-noise-t1", "fidelity-compare", "\n[noise]\nt1_us = 100\n", "default: fidelity comparison needs"),
+    ("fidelity-noise-off", "fidelity-compare", "\n[noise]\nt1_us = 100\nenabled = false\n", "line 6: fidelity comparison needs"),
+    ("sweep-default-delta1", "three-qubit-sweep", "", "default: three-qubit sweep needs at least 2 axis points"),
+    ("sweep-scalar-delta1", "three-qubit-sweep", "\n[detunings]\ndelta1 = 300\n", "line 5: three-qubit sweep needs at least 2"),
+    ("time-no-sets", "three-qubit-time", "", "default: three-qubit time evolution needs at least one detuning triple"),
+    ("pi3-rotation", "pi3", "initial_rotation_rad = 0.5\n", "line 3: initial_rotation_rad needs a two-level scenario"),
+    ("pi3-level", "pi3", "initial_level = 9\n", "line 3: initial level must be below 8 here, got 9"),
+]
+
+
+@pytest.mark.parametrize("scenario, extra, expected", [case[1:] for case in RULE_LINES], ids=[case[0] for case in RULE_LINES])
+def test_parse_names_the_line_of_each_rule(scenario, extra, expected):
+    # every ScenarioConfig rule that config text can reach names the line of
+    # the first of its keys that the text sets, or the defaults. The rules
+    # on field types (a GateParams entry, a SweepSpec, a NoiseModel, three
+    # detunings, the start-state form), a non-finite start angle or
+    # detuning and a composite gate count other than 3 cannot be reached
+    # from text: the value parsers build only such values, or reject them on
+    # their line, and gate1 to gate3 go together
+    with pytest.raises(ConfigError) as caught:
+        parse_config(f"[scenario]\nid = {scenario}\n{extra}")
+    assert str(caught.value).startswith(expected)
+
+
 # --- render round-trip -------------------------------------------------------
 
 
@@ -212,6 +286,111 @@ ROUND_TRIP_CONFIGS = [
 
 @pytest.mark.parametrize("cfg", ROUND_TRIP_CONFIGS)
 def test_render_parse_round_trip(cfg):
+    assert parse_config(render_config(cfg)) == cfg
+
+
+MISSING_ID = "config needs an id key in the [scenario] section"
+# values that some key takes, then values that most keys reject
+VALUES = st.one_of(
+    st.sampled_from(
+        ["0", "1", "2", "9", "-1", "0.5", "450", "1e308", "-1e308", "1e-320", "true", "off", "literal", "hermitized"]
+        + ["0:6:6", "0:600:15", "1,2,3", "1,2,3,4", "1,2,3,4,5,6", "300,450,450; 600,450,450", "inf,0,0", *SCENARIO_IDS]
+    ),
+    st.sampled_from(["nan", "inf", "", "fast", "maybe", "1:0:1", "0:1e18:1", "0:1", "nan,0,0", "1,2; 3"]),
+    st.floats().map(repr),
+)
+
+
+def _section(name):
+    keys = [key.name for key in KEYS if key.section == name]
+    entries = st.lists(st.tuples(st.sampled_from(keys), VALUES), max_size=3, unique_by=lambda entry: entry[0])
+    return entries.map(lambda kv: f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in kv))
+
+
+CONFIG_TEXTS = st.tuples(
+    st.sampled_from([*SCENARIO_IDS, "bogus", None]),
+    st.lists(
+        st.one_of(
+            *(_section(name) for name in dict.fromkeys(key.section for key in KEYS)),
+            st.sampled_from(["[run]\nwall_time_s = 1\n", "bogus = 1\n", "[mystery]\n", "orphan\n", "# note\n", " = 1\n"]),
+        ),
+        max_size=3,
+    ),
+).map(lambda t: ("" if t[0] is None else f"[scenario]\nid = {t[0]}\n") + "".join(t[1]))
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(CONFIG_TEXTS)
+def test_any_config_text_parses_or_names_its_line(text):
+    # text either parses, or fails as a ConfigError that names the line it
+    # is about or the defaults; a rule's line sets one of the rule's keys
+    try:
+        cfg = parse_config(text)
+    except ConfigError as exc:
+        message = str(exc)
+        if message == MISSING_ID:
+            return
+        match = re.match(r"line (\d+): |default: ", message)
+        assert match, message
+        if match.group(1) is not None:
+            lines = text.splitlines()
+            assert 1 <= int(match.group(1)) <= len(lines), message
+            line = lines[int(match.group(1)) - 1]
+            assert not exc.keys or line.partition("=")[0].strip() in exc.keys, message
+        else:
+            assert exc.keys and not any(re.search(rf"^{key} =", text, re.M) for key in exc.keys), message
+    else:
+        assert isinstance(cfg, ScenarioConfig)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
+SWEEPS = st.builds(
+    lambda start, step, n: SweepSpec(start, start + n * step, step),
+    st.floats(-1e3, 1e3),
+    st.floats(1e-2, 1e2),
+    st.integers(0, 40),
+)
+NOISE = st.builds(
+    lambda t1, ratio, enabled: NoiseModel(t1_us=t1, t2_us=2.0 * t1 * ratio, enabled=enabled),
+    POSITIVE,
+    st.floats(1e-3, 1.0),
+    st.booleans(),
+)
+
+
+@st.composite
+def scenario_configs(draw):
+    first = draw(st.integers(0, len(SCENARIO_IDS) - 1))
+    kwargs = dict(
+        initial_state=draw(st.tuples(st.just("level"), st.integers(0, 1)) | st.tuples(st.just("rotation"), FINITE)),
+        gate_params=draw(st.just(()) | st.tuples(*[st.builds(GateParams, FINITE, FINITE, FINITE, FINITE)] * 3)),
+        detunings=draw(st.tuples(*[FINITE | SWEEPS] * 3)),
+        detuning_sets=draw(st.lists(st.tuples(FINITE, FINITE, FINITE), max_size=3).map(tuple)),
+        sweep=draw(st.none() | SWEEPS),
+        rabi_mhz=draw(POSITIVE),
+        drive_mhz=draw(st.none() | POSITIVE),
+        splitting_mhz=draw(POSITIVE),
+        envelope_mhz=draw(POSITIVE),
+        drive_amplitudes_mhz=draw(st.just(()) | st.tuples(*[FINITE] * 6)),
+        duration_us=draw(st.none() | POSITIVE),
+        noise=draw(NOISE),
+        hermiticity=draw(st.sampled_from(["hermitized", "literal"])),
+        dt_us=draw(st.none() | POSITIVE),
+        renormalize=draw(st.booleans()),
+    )
+    # the drawn scenario, else the next that takes these fields (theta-sweep takes any)
+    for scenario in SCENARIO_IDS[first:] + SCENARIO_IDS[:first]:
+        try:
+            return ScenarioConfig(scenario_id=scenario, **kwargs)
+        except ConfigError:
+            continue
+    raise AssertionError(f"no scenario takes {kwargs}")
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(scenario_configs())
+def test_generated_configs_survive_render_and_parse(cfg):
     assert parse_config(render_config(cfg)) == cfg
 
 
@@ -483,17 +662,17 @@ OVERFLOWING_COMMON_MODES = pytest.mark.parametrize(
         (
             "fidelity-compare",
             "delta1 = 450.0\ndelta2 = 1e308\ndelta3 = 1e308\n\n[noise]\nenabled = true\n",
-            "fidelity-compare: the common mode 0.5 * (1e+308 + 1e+308) of [detunings] delta2, delta3 is not finite",
+            "line 6: fidelity-compare: the common mode 0.5 * (1e+308 + 1e+308) of [detunings] delta2, delta3 is not finite",
         ),
         (
             "three-qubit-sweep",
             "delta1 = 0.0:600.0:15.0\ndelta2 = 1e308\ndelta3 = 1e308\n",
-            "three-qubit-sweep: the common mode 0.5 * (1e+308 + 1e+308) of [detunings] delta2, delta3 is not finite",
+            "line 6: three-qubit-sweep: the common mode 0.5 * (1e+308 + 1e+308) of [detunings] delta2, delta3 is not finite",
         ),
         (
             "three-qubit-time",
             "sets = 300,450,450; 1e308,1e308,1e308\n",
-            "three-qubit-time: the common mode 0.5 * (1e+308 + 1e+308) of [detunings] sets triple 2 is not finite",
+            "line 5: three-qubit-time: the common mode 0.5 * (1e+308 + 1e+308) of [detunings] sets triple 2 is not finite",
         ),
     ],
     ids=["fidelity-compare", "three-qubit-sweep", "three-qubit-time"],
@@ -531,42 +710,55 @@ def test_cli_dark_states_overflowing_detuning_names_its_key(tmp_path, capsys):
     config.write_text("[scenario]\nid = dark-states\n\n[detunings]\ndelta1 = -1e308\n")
     out = tmp_path / "out"
     assert run_cli(["dark-states", "--config", str(config), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: [detunings] delta1 = -1e+308 MHz overflows once scaled by 2 pi\n"
+    assert capsys.readouterr().err == "error: line 5: [detunings] delta1 = -1e+308 MHz overflows once scaled by 2 pi\n"
     assert not (out / "result.csv").exists()
 
 
 @pytest.mark.parametrize(
     "scenario, extra, message",
     [
-        ("dark-states", "\n[detunings]\ndelta1 = -1e308\n", "[detunings] delta1 = -1e+308 MHz overflows once scaled by 2 pi"),
+        ("dark-states", "\n[detunings]\ndelta1 = -1e308\n", "line 5: [detunings] delta1 = -1e+308 MHz overflows once scaled by 2 pi"),
         (
             "dark-states",
             "\n[detunings]\ndelta1 = 0:1e-300:1\n",
-            "dark-states: [detunings] delta1 must be a number here, got a sweep",
+            "line 5: dark-states: [detunings] delta1 must be a number here, got a sweep",
         ),
         (
             "two-qubit-pi2",
             "\n[detunings]\ndelta1 = 0:1e-300:1\n",
-            "two-qubit-pi2: [detunings] delta1 must be a number here, got a sweep",
+            "line 5: two-qubit-pi2: [detunings] delta1 must be a number here, got a sweep",
         ),
-        ("dark-states", "\n[integrator]\nhermiticity = literal\n", "dark-state spectrum requires the hermitized mode"),
+        ("dark-states", "\n[integrator]\nhermiticity = literal\n", "line 5: dark-state spectrum requires the hermitized mode"),
         (
             "fidelity-compare",
             "\n[detunings]\ndelta1 = 450\ndelta2 = 450\ndelta3 = 450\n",
-            "fidelity comparison needs an enabled noise model",
+            "default: fidelity comparison needs an enabled noise model",
         ),
         (
             "three-qubit-sweep",
             "\n[detunings]\ndelta1 = 300\ndelta2 = 450\ndelta3 = 450\n",
-            "three-qubit sweep needs at least 2 axis points",
+            "line 5: three-qubit sweep needs at least 2 axis points",
         ),
-        ("three-qubit-time", "", "three-qubit time evolution needs at least one detuning triple"),
-        ("pi3", "initial_level = 9\n", "initial level must be below 8 here, got 9"),
-        ("theta-sweep", "initial_level = 2\n", "initial level must be below 2 here, got 2"),
+        ("three-qubit-time", "", "default: three-qubit time evolution needs at least one detuning triple"),
+        ("pi3", "initial_level = 9\n", "line 3: initial level must be below 8 here, got 9"),
+        ("theta-sweep", "initial_level = 2\n", "line 3: initial level must be below 2 here, got 2"),
         (
             "two-qubit-pi2",
             "initial_rotation_rad = 0.5\n",
-            "initial_rotation_rad needs a two-level scenario, this one has 4 levels",
+            "line 3: initial_rotation_rad needs a two-level scenario, this one has 4 levels",
+        ),
+        # the pi/3 pulse would span 0 us, and at 1e-320 (subnormal) inf us
+        (
+            "pi3",
+            "\n[pulses]\nrabi_mhz = 1e308\n",
+            "line 5: pi3: [pulses] rabi_mhz = 1e+308 puts the pulse span 1 / (3 rabi_mhz) at 0 us, "
+            "out of range: it must be finite and > 0",
+        ),
+        (
+            "pi3",
+            "\n[pulses]\nrabi_mhz = 1e-320\n",
+            "line 5: pi3: [pulses] rabi_mhz = 9.99989e-321 puts the pulse span 1 / (3 rabi_mhz) at inf us, "
+            "out of range: it must be finite and > 0",
         ),
     ],
     ids=[
@@ -580,6 +772,8 @@ def test_cli_dark_states_overflowing_detuning_names_its_key(tmp_path, capsys):
         "pi3-level-9",
         "theta-sweep-level-2",
         "two-qubit-pi2-rotation",
+        "pi3-span-zero",
+        "pi3-span-inf",
     ],
 )
 def test_cli_validate_exits_as_the_run_does(scenario, extra, message, tmp_path, capsys):
@@ -607,7 +801,7 @@ def test_cli_two_qubit_gaussian_width_out_of_range_names_envelope_mhz(envelope, 
     config = tmp_path / "cfg"
     config.write_text(f"[scenario]\nid = two-qubit-pi2\n\n[pulses]\nenvelope_mhz = {envelope}\n")
     message = (
-        f"error: two-qubit-pi2: [pulses] envelope_mhz = {float(envelope):g} puts the Gaussian width at "
+        f"error: line 5: two-qubit-pi2: [pulses] envelope_mhz = {float(envelope):g} puts the Gaussian width at "
         f"{width} us, out of range: its square must be > 0 and, times 16 (the window's edge), finite\n"
     )
     out = tmp_path / "out"
@@ -724,6 +918,14 @@ def test_cli_late_non_finite_coefficients_exit_three(tmp_path, capsys, monkeypat
         f"near t={chunks[failing][0]:.6g} us\n"
     )
     assert not (out / "result.csv").exists()
+
+
+@pytest.mark.parametrize("value, shown", [("inf", "inf"), ("nan", "nan"), ("-1", "-1.0")])
+def test_cli_rejects_a_dt_override_that_is_not_finite_and_positive(value, shown, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run_cli(["pi3", "--out", str(out), "--dt-override", value]) == 2
+    assert capsys.readouterr().err == f"error: --dt-override: dt_us must be finite and > 0 us, got {shown}\n"
+    assert not out.exists()
 
 
 def test_cli_dt_override_lands_in_manifest(tmp_path):
