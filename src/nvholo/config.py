@@ -29,11 +29,15 @@ FALSE_WORDS = ("false", "no", "off", "0")
 # --- value parsers: (raw text, key) -> value; parse_config adds the line ----
 
 
-def _float(raw: str, name: str) -> float:
+def _number(raw: str, name: str) -> float:
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         raise ConfigError(f"{name} must be a number, got {raw!r}")
+
+
+def _float(raw: str, name: str) -> float:
+    value = _number(raw, name)
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite")
     return value
@@ -181,8 +185,9 @@ KEYS = (
     Key("detunings", "delta3", "detunings", _float_or_sweep, lambda deltas: _fmt(deltas[2])),
     Key("detunings", "sets", "detuning_sets", _triple_list, _triples),
     Key("noise", "enabled", "noise", _bool, lambda noise: _fmt(noise.enabled)),
-    Key("noise", "t1_us", "noise", _float, lambda noise: repr(noise.t1_us)),
-    Key("noise", "t2_us", "noise", _float, lambda noise: repr(noise.t2_us)),
+    # inf switches a channel off; NoiseModel refuses nan and -inf
+    Key("noise", "t1_us", "noise", _number, lambda noise: repr(noise.t1_us)),
+    Key("noise", "t2_us", "noise", _number, lambda noise: repr(noise.t2_us)),
     Key("integrator", "dt_us", "dt_us", _float, repr),
     Key("integrator", "renormalize", "renormalize", _bool, _fmt),
     Key("integrator", "hermiticity", "hermiticity", lambda raw, name: raw.lower(), str),

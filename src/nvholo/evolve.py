@@ -43,8 +43,8 @@ One call integrates a batch of runs: start states with a leading run axis,
 or a stack of constant H's, one per run. An unbatched call is a batch of
 one. Every run keeps its own drift gate and renormalisation. Runs share one
 time grid, except that constant-H runs may each take their own
-EvolutionConfig (a ragged batch). That call returns one block per run of
-consecutive equal configs. Fixed steps keep runs bit-for-bit reproducible.
+EvolutionConfig (a ragged batch), returned as one RaggedResult of padded
+records. Fixed steps keep runs bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -205,10 +205,8 @@ class NoiseModel:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded time series of one evolution, or of a batch of evolutions on
-    one time grid (leading batch axes before the time axis). Every run's
-    records are checked: its norm may drift by ATOL_RECORDED_NORM at most and
-    no population may fall below -ATOL_RECORDED_NORM. A failure names the
-    first failing run as its member.
+    one time grid (leading batch axes before the time axis), read-only and
+    gated when it is built (_check_records).
 
     norms holds the state norm (or density trace) at each recorded step as
     it was before any renormalization, so it documents integrator drift
@@ -228,19 +226,7 @@ class Trajectory:
             raise ConfigError("trajectory arrays have inconsistent shapes")
         if times.shape[0] > 1 and not np.all(np.diff(times) > 0):
             raise ConfigError("trajectory times must be strictly increasing")
-        if self.amplitudes is not None:  # from the real and imaginary views: no complex copy
-            amps = np.asarray(self.amplitudes)
-            actual = np.sqrt(last_axis_sum(np.square(amps.real) + np.square(amps.imag)))
-        elif self.densities is not None:
-            actual = last_axis_sum(np.asarray(self.densities).diagonal(axis1=-2, axis2=-1).real)
-        else:
-            actual = None
-        if actual is not None:
-            drift = np.max(np.abs(actual - 1.0).reshape(-1, actual.shape[-1]), axis=1)
-            detail = f"recorded norm drifted by {{:.3g}} (> {ATOL_RECORDED_NORM})"
-            _check_runs(drift <= ATOL_RECORDED_NORM, drift, detail)
-        low = np.min(pops.reshape(-1, pops.shape[-2] * pops.shape[-1]), axis=1)
-        _check_runs(low >= -ATOL_RECORDED_NORM, low, "recorded population fell to {:.3g}")
+        _check_records(pops, self.amplitudes, self.densities)
         for name in ("times", "populations", "amplitudes", "densities", "norms"):
             value = getattr(self, name)
             if value is not None:
@@ -266,12 +252,39 @@ class Trajectory:
         return self.populations[..., level]
 
 
-def _check_runs(ok: np.ndarray, values: np.ndarray, detail: str):
-    """Raise NumericalError for the first run whose ok is False, with its
-    value in detail; a batch of several runs names that run as the member."""
-    run = int(np.argmin(ok))
-    if not ok[run]:
-        raise NumericalError(detail.format(values[run]), member=run if ok.shape[0] > 1 else None)
+class RaggedResult(NamedTuple):
+    """A ragged call's records (one EvolutionConfig per run), read-only and
+    gated once (_check_records): padded (runs, records, ...) arrays of the
+    states, their norms before renormalisation and their populations. Run
+    r's records are its first counts[r] rows, and the rows after them copy
+    its last, so states[:, -1] holds every run's final state."""
+
+    states: np.ndarray
+    norms: np.ndarray
+    populations: np.ndarray
+    counts: np.ndarray
+
+
+def _check_records(pops: np.ndarray, amplitudes=None, densities=None):
+    """The gate on recorded runs (time axis before the state's axes): a
+    run's norm, from its amplitudes or its densities' traces, may drift by
+    ATOL_RECORDED_NORM at most, then no population may fall below
+    -ATOL_RECORDED_NORM. A failure names the first failing run with its
+    value, as the member of a batch of several runs."""
+    checks = []
+    if amplitudes is not None or densities is not None:
+        if amplitudes is not None:  # from the real and imaginary views: no complex copy
+            amps = np.asarray(amplitudes)
+            actual = np.sqrt(last_axis_sum(np.square(amps.real) + np.square(amps.imag)))
+        else:
+            actual = last_axis_sum(np.asarray(densities).diagonal(axis1=-2, axis2=-1).real)
+        drift = np.max(np.abs(actual - 1.0).reshape(-1, actual.shape[-1]), axis=1)
+        checks.append((drift <= ATOL_RECORDED_NORM, drift, f"recorded norm drifted by {{:.3g}} (> {ATOL_RECORDED_NORM})"))
+    low = np.min(pops.reshape(-1, pops.shape[-2] * pops.shape[-1]), axis=1)
+    for ok, values, detail in checks + [(low >= -ATOL_RECORDED_NORM, low, "recorded population fell to {:.3g}")]:
+        run = int(np.argmin(ok))
+        if not ok[run]:
+            raise NumericalError(detail.format(values[run]), member=run if ok.shape[0] > 1 else None)
 
 
 def _as_source(h_of_t):
@@ -777,12 +790,12 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     populations new or written into out, where they sum to the square of the
     norm (state vectors) or to the norm itself (densities); dim_protect is the
     Hamiltonian dimension used for validation. y0 may carry a leading run axis
-    and h_of_t be a stack of constant H's; a batched call returns its arrays
-    with the run axis first. cfg is one EvolutionConfig, or, for a constant H
-    or a stack of them, a sequence of one per run: the runs then differ in
-    span, step, record stride and renormalisation, and the call returns a list
-    with one (times, records, norms, populations) per block of consecutive
-    runs that share a config.
+    and h_of_t be a stack of constant H's; it returns (times, records, norms,
+    populations), a batched call's with the run axis first. cfg is one
+    EvolutionConfig, or, for a constant H or a stack of them, a sequence of
+    one per run: the runs then differ in span, step, record stride and
+    renormalisation, and times gives way to each run's record count, its
+    rows past that count copies of its last record.
 
     The Hamiltonian is checked by _check_samples, lifted and, when y_dim is
     at most REAL_FORM_MAX_DIM, put in real form (_real_form) once per call:
@@ -878,57 +891,46 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
                     member=run if runs > 1 else None,
                 )
         for b in blocks:  # the populations of renormalised records, by their sums
+            count = b.cfg.record_steps.shape[0]
             if b.cfg.renormalize:
-                found = pops[b.lo : b.hi, 1 : b.cfg.record_steps.shape[0]]
+                found = pops[b.lo : b.hi, 1:count]
                 found *= (1.0 / last_axis_sum(found))[..., None]
+            for a in (records, norms, pops):  # the rows past the runs' end copy their last record
+                a[b.lo : b.hi, count:] = a[b.lo : b.hi, count - 1, None]
 
     LOG.debug(
         "integrated %d runs of up to %d steps in %d blocks, %d chunks of up to %d steps; "
         "max norm drift %.3e",
         runs, n_max, len(blocks), len(ends), chunk, max_drift,
     )
-    out = []
-    for b in blocks:
-        at = (slice(b.lo, b.hi), slice(0, b.cfg.record_steps.shape[0]))
-        times = b.cfg.t_start_us + b.cfg.step_us * b.cfg.record_steps.astype(float)
-        out.append((times, records[at], norms[at], pops[at]))
     if ragged:
-        return out
-    return out[0] if batched else tuple(x[0] if i else x for i, x in enumerate(out[0]))
+        return np.repeat([b.cfg.record_steps.shape[0] for b in blocks], [b.hi - b.lo for b in blocks]), records, norms, pops
+    times = cfg.t_start_us + cfg.step_us * cfg.record_steps.astype(float)
+    return (times, records, norms, pops) if batched else (times, records[0], norms[0], pops[0])
 
 
-def _trajectories(out, cfg, field: str, state_shape: tuple):
+def _result(out, cfg, field: str, state_shape: tuple):
     """_integrate's output as a Trajectory, its records as field in states of
-    state_shape; for one config per run, a tuple of one per block, where a
-    block's failing run is numbered as a member of the whole call."""
-
-    def trajectory(times, records, norms, pops):
-        states = records.reshape(records.shape[:-1] + state_shape)
-        return Trajectory(times=times, populations=pops, norms=norms, **{field: states})
-
+    state_shape; for one config per run, as one RaggedResult."""
+    times_or_counts, records, norms, pops = out
+    states = records.reshape(records.shape[:-1] + state_shape)
     if isinstance(cfg, EvolutionConfig):
-        return trajectory(*out)
-    trajs, lo = [], 0
-    for block in out:
-        try:
-            trajs.append(trajectory(*block))
-        except NumericalError as err:
-            if len(out) == 1:
-                raise
-            raise NumericalError(err.detail, member=lo + (err.member or 0)) from err
-        lo += block[1].shape[0]
-    return tuple(trajs)
+        return Trajectory(times=times_or_counts, populations=pops, norms=norms, **{field: states})
+    _check_records(pops, **{field: states})
+    for a in (states, norms, pops, times_or_counts):
+        a.setflags(write=False)
+    return RaggedResult(states, norms, pops, times_or_counts)
 
 
-def evolve_schrodinger(h_of_t, psi0, cfg: EvolutionConfig) -> Trajectory:
+def evolve_schrodinger(h_of_t, psi0, cfg: EvolutionConfig) -> Trajectory | RaggedResult:
     """Integrate i dpsi/dt = H(t) psi (hbar = 1, angular units).
 
     psi0 is a StateVector or a (runs, dim) array of normalized amplitudes,
     and h_of_t may be a (runs, dim, dim) stack of constant Hamiltonians; a
     batched call returns a Trajectory with a leading run axis. For a constant
     H or a stack of them, cfg may be a sequence of one EvolutionConfig per
-    run; the call then returns a tuple of batched Trajectories, one per block
-    of consecutive runs that share a config.
+    run; the call then returns one RaggedResult, whose gate names a failing
+    run by its index in the call.
     """
     y0 = psi0.amps if isinstance(psi0, StateVector) else checked_amplitudes(psi0, 2)
     dim = y0.shape[-1]
@@ -941,10 +943,10 @@ def evolve_schrodinger(h_of_t, psi0, cfg: EvolutionConfig) -> Trajectory:
         pops = np.add(squares[..., 0::2], squares[..., 1::2], out=out)
         return np.sqrt(last_axis_sum(pops)), pops
 
-    return _trajectories(_integrate(h_of_t, lift, y0, cfg, dim, measure), cfg, "amplitudes", (dim,))
+    return _result(_integrate(h_of_t, lift, y0, cfg, dim, measure), cfg, "amplitudes", (dim,))
 
 
-def evolve_lindblad(h_of_t, rho0, noise: NoiseModel, cfg: EvolutionConfig) -> Trajectory:
+def evolve_lindblad(h_of_t, rho0, noise: NoiseModel, cfg: EvolutionConfig) -> Trajectory | RaggedResult:
     """Integrate the master equation with the configured noise channels; rho0
     may be a (runs, dim, dim) array, batched as in evolve_schrodinger."""
     if not noise.enabled:
@@ -973,7 +975,7 @@ def evolve_lindblad(h_of_t, rho0, noise: NoiseModel, cfg: EvolutionConfig) -> Tr
 
     y0 = entries.reshape(entries.shape[:-2] + (dim * dim,))
     out = _integrate(h_of_t, lift, y0, cfg, dim, measure, dissipator)
-    return _trajectories(out, cfg, "densities", (dim, dim))
+    return _result(out, cfg, "densities", (dim, dim))
 
 
 def convergence_check(h_of_t, psi0: StateVector, cfg: EvolutionConfig) -> float:

@@ -648,8 +648,8 @@ def _run_pulses(cfg, axis, label: str, sequences, passes, starts, reduce, evo=No
     if noisy. The caller gives the step rule: evo for every pulse, or else
     _pulse_config at the _pulse_dt of its resonant drive sign, with about
     records records. A point's size is the record bytes (a state, a norm and
-    2 populations each) of its largest integration. A ragged one holds its
-    longest run's records for every run, so a block holds consecutive points
+    2 populations each) of its largest integration. A ragged call pads every
+    run to its longest run's records, so a block holds consecutive points
     while their count times their largest size fits PULSE_BLOCK_BYTES. Each
     block runs every pass (_run_pass); reduce(*stitched), one _Stitched per
     pass, gives its columns {name: per-point values} before the next block
@@ -697,11 +697,12 @@ def _run_pulses(cfg, axis, label: str, sequences, passes, starts, reduce, evo=No
 
 def _run_pass(cfg: ScenarioConfig, names, legs, plans, starts, noisy: bool, name_starts: bool) -> _Stitched:
     """One pass of _run_pulses over a block of points: each leg position is
-    one integration over the runs of the points whose pulse there has a plan
-    (plans[point][leg]), point by point with the starts within, ragged where
-    plans differ. noisy carries the densities through the master equation
-    with cfg.noise; else the amplitudes, normalised before each pulse, go
-    through the Schrodinger equation."""
+    one ragged integration over the runs of the points whose pulse there has
+    a plan (plans[point][leg]), point by point with the starts within, read
+    by row: a point's first start up to its own count, every final state
+    from the last row. noisy carries the densities through the master
+    equation with cfg.noise; else the amplitudes, normalised before each
+    pulse, go through the Schrodinger equation."""
     n_points, n_starts = legs.shape[0], starts.shape[0]
     if noisy:
         state = starts[:, :, None] * starts[:, None, :].conj()
@@ -722,20 +723,17 @@ def _run_pass(cfg: ScenarioConfig, names, legs, plans, starts, noisy: bool, name
             runs = [f"{names[p]} start={name}" if name_starts else names[p] for p in moving for name in START_NAMES[:n_starts]]
             with _naming(cfg.scenario_id, runs):
                 if noisy:
-                    trajs = evolve_lindblad(drives, state[rows], cfg.noise, evos)
-                    rho = np.concatenate([traj.densities[:, -1] for traj in trajs])
+                    result = evolve_lindblad(drives, state[rows], cfg.noise, evos)
+                    rho = result.states[:, -1]
                     state[rows] = 0.5 * (rho + np.swapaxes(rho, 1, 2).conj())
                 else:
                     norms = np.linalg.norm(state[rows], axis=1, keepdims=True)
-                    trajs = evolve_schrodinger(drives, state[rows] / norms, evos)
-                    state[rows] = np.concatenate([traj.amplitudes[:, -1] for traj in trajs])
-            # runs of equal plans are adjacent, so a ragged block holds whole
-            # points; only the first start's records are kept, as copies
-            points_done = iter(moving)
-            for traj in trajs:
-                for first in range(0, traj.populations.shape[0], n_starts):
-                    pops[next(points_done)].append(traj.populations[first, 1:].copy())
-            del trajs  # used up: the next leg is integrated without them
+                    result = evolve_schrodinger(drives, state[rows] / norms, evos)
+                    state[rows] = result.states[:, -1]
+            # only the first start's records are kept, as copies
+            for p, row in zip(moving, range(0, len(rows), n_starts)):
+                pops[p].append(result.populations[row, 1 : result.counts[row]].copy())
+            del result  # used up: the next leg is integrated without it
         state = _kick(state, np.repeat(legs[:, leg, 2], n_starts))
     return _Stitched([np.concatenate(parts) for parts in pops], state.reshape((n_points, n_starts) + state.shape[1:]))
 

@@ -201,6 +201,10 @@ RULE_LINES = [
     ("t1", "pi3", "\n[noise]\nenabled = true\nt1_us = 0\n", "line 6: t1 must be > 0, got 0.0"),
     # the rule names t2_us first, so the line is its own, not the section's first
     ("t2", "pi3", "\n[noise]\nenabled = true\nt2_us = 300\n", "line 6: t2 (300.0 us) exceeds 2*t1 (200.0 us)"),
+    # inf is a channel switched off, nan and -inf are not times
+    ("t2-inf", "pi3", "\n[noise]\nenabled = true\nt2_us = inf\n", "line 6: t2 (inf us) exceeds 2*t1 (200.0 us)"),
+    ("t1-nan", "pi3", "\n[noise]\nenabled = true\nt1_us = nan\n", "line 6: t1 must be > 0, got nan"),
+    ("t2-minus-inf", "pi3", "\n[noise]\nt2_us = -inf\nenabled = true\n", "line 5: t2 must be > 0, got -inf"),
     (
         "scalar-delta3",
         "three-qubit-sweep",
@@ -351,10 +355,12 @@ SWEEPS = st.builds(
     st.floats(1e-2, 1e2),
     st.integers(0, 40),
 )
+# an infinite time switches its channel off; t2 may be infinite only with t1
 NOISE = st.builds(
-    lambda t1, ratio, enabled: NoiseModel(t1_us=t1, t2_us=2.0 * t1 * ratio, enabled=enabled),
-    POSITIVE,
+    lambda t1, ratio, t2, enabled: NoiseModel(t1_us=t1, t2_us=min(2.0 * t1 * ratio, t2), enabled=enabled),
+    POSITIVE | st.just(math.inf),
     st.floats(1e-3, 1.0),
+    POSITIVE | st.just(math.inf),
     st.booleans(),
 )
 

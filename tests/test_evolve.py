@@ -136,12 +136,11 @@ def test_trajectory_times_are_the_configs_plan(plan, ragged):
     cfg = planned_config(plan)
     for source in (h, np.stack([h, -h]), Terms([h])):
         assert_reports_its_plan(evolve_schrodinger(source, start, cfg).times, cfg)
+    # a ragged call carries no times: each run's count of records is its plan's
     cfgs = [planned_config(p) for p in ragged]
-    trajs = evolve_schrodinger(np.stack([h] * len(cfgs)), start, cfgs)
-    blocks = [c for i, c in enumerate(cfgs) if i == 0 or c != cfgs[i - 1]]  # runs of equal configs
-    assert len(trajs) == len(blocks)
-    for traj, cfg in zip(trajs, blocks):
-        assert_reports_its_plan(traj.times, cfg)
+    result = evolve_schrodinger(np.stack([h] * len(cfgs)), start, cfgs)
+    assert result.counts.tolist() == [len(cfg.record_steps) for cfg in cfgs]
+    assert result.states.shape[1] == max(result.counts)
 
 
 class TestSchrodinger:
@@ -567,7 +566,7 @@ class TestBatchedPropagation:
 
 def schrodinger_parts():
     """lift and measure of the Schrodinger equation, for calls to _integrate
-    that leave out Trajectory's recorded-norm gate."""
+    that leave out evolve_schrodinger's recorded-norm gate."""
 
     def lift(stack):
         return -1j * stack
@@ -580,16 +579,27 @@ def schrodinger_parts():
     return lift, measure
 
 
+def assert_matches_per_run_calls(result, singles, field):
+    """Each run of a ragged result against its own unbatched call, to
+    1e-12: its count, its records, norms and populations, and the rows past
+    its end, which copy its last record."""
+    assert result.counts.tolist() == [len(single.times) for single in singles]
+    for r, (count, single) in enumerate(zip(result.counts, singles)):
+        pairs = ((result.states, getattr(single, field)), (result.norms, single.norms), (result.populations, single.populations))
+        for got, want in pairs:
+            assert np.max(np.abs(got[r, :count] - want)) < 1e-12
+            assert np.array_equal(got[r, count:], np.broadcast_to(got[r, count - 1], got[r, count:].shape))
+
+
 class TestRaggedPropagation:
     """A stack of constant Hamiltonians (or one shared by every run) with one
     EvolutionConfig per run, against one unbatched call per run. Runs 1 and 2
-    share a config, so the call returns three blocks."""
+    share a config, so the integrator takes three blocks of runs."""
 
     STEPS = (23, 40, 40, 9)
     STARTS_US = (0.0, 0.3, 0.3, -0.1)
     DT_SCALES = (1.0, 1.25, 1.25, 0.8)
     MIXED_RENORMALIZE = (True, False, False, True)
-    BLOCKS = ((0, 1), (1, 3), (3, 4))
 
     @pytest.mark.parametrize("chunked", [False, True])
     @pytest.mark.parametrize("renormalize", [True, False, "mixed"])
@@ -618,9 +628,6 @@ class TestRaggedPropagation:
             def run(h, start, cfg):
                 return evolve_schrodinger(h, start, cfg)
 
-            def records(traj):
-                return traj.amplitudes
-
             def stack(psis):
                 return np.stack([psi.amps for psi in psis])
 
@@ -630,27 +637,17 @@ class TestRaggedPropagation:
             def run(h, start, cfg):
                 return evolve_lindblad(h, start, noise, cfg)
 
-            def records(traj):
-                return traj.densities
-
             def stack(psis):
                 return np.stack([DensityMatrix.from_state(psi).entries for psi in psis])
 
             def state(psi):
                 return DensityMatrix.from_state(psi)
 
-        for source, batch in (("stack", lambda: run(np.stack(hs), stack(starts), cfgs)),
-                              ("shared", lambda: run(hs[0], stack(starts), cfgs))):
-            trajs = batch()
-            assert [len(traj.times) > 0 for traj in trajs] == [True] * len(self.BLOCKS), source
-            for traj, (lo, hi) in zip(trajs, self.BLOCKS):
-                assert records(traj).shape[0] == hi - lo
-                for b, r in enumerate(range(lo, hi)):
-                    single = run(hs[r] if source == "stack" else hs[0], state(starts[r]), cfgs[r])
-                    assert np.array_equal(traj.times, single.times), source
-                    assert np.max(np.abs(records(traj)[b] - records(single))) < 1e-12, source
-                    assert np.max(np.abs(traj.populations[b] - single.populations)) < 1e-12, source
-                    assert np.max(np.abs(traj.norms[b] - single.norms)) < 1e-12, source
+        field = "amplitudes" if kind == "schrodinger" else "densities"
+        for stacked in (True, False):
+            result = run(np.stack(hs) if stacked else hs[0], stack(starts), cfgs)
+            singles = [run(hs[r] if stacked else hs[0], state(start), cfg) for r, (start, cfg) in enumerate(zip(starts, cfgs))]
+            assert_matches_per_run_calls(result, singles, field)
 
     @pytest.mark.parametrize("stride", [1, 7])
     def test_drift_failure_names_lowest_run_at_earliest_step(self, stride):
@@ -708,17 +705,72 @@ class TestRaggedPropagation:
             EvolutionConfig(0.0, ends[1] * 0.001, 0.001, renormalize=False),
         ]
         hs = np.stack([grow, calm])
-        blocks = evolve_module._integrate(hs, lift, y0, cfgs, 2, measure)
-        (times, _, norms, _), _ = blocks
+        counts, _, norms, _ = evolve_module._integrate(hs, lift, y0, cfgs, 2, measure)
         single = evolve_module._integrate(grow, lift, y0, cfgs[0], 2, measure)
-        assert np.array_equal(times, single[0])
-        assert np.max(np.abs(norms[0] - single[2])) < 1e-12
+        assert counts[0] == len(single[0])
+        assert np.max(np.abs(norms[0, : counts[0]] - single[2])) < 1e-12
+        # the rows past its end copy its last record, within the gate
         assert np.max(np.abs(norms[0] - 1.0)) <= evolve_module.MAX_NORM_DRIFT
         # the same run two steps past the crossing fails there
         cfgs[0] = EvolutionConfig(0.0, (cross + 2) * dt, dt, record_stride=stride, renormalize=False)
         seen = cross + (-cross) % stride
         with pytest.raises(NumericalError, match=f"at step {seen} ") as err:
             evolve_module._integrate(hs, lift, y0, cfgs, 2, measure)
+        assert err.value.member == 0
+
+    # |lambda| dt = sqrt(8 + 2e-7): each unrenormalised step grows the norm
+    # by about 8.9e-8, so 5 steps drift by 4.4e-7, 100 by 8.9e-6 and
+    # 30,000 by 2.7e-3
+    GROW = np.array([[0.0, 2.0 * math.pi], [2.0 * math.pi, 0.0]], dtype=complex)
+    GROW_DT = math.sqrt(8.0 + 2e-7) / (2.0 * math.pi)
+
+    def grow_config(self, steps):
+        return EvolutionConfig(0.0, steps * self.GROW_DT, self.GROW_DT, renormalize=False)
+
+    def test_rows_past_a_runs_end_copy_its_last_record(self):
+        # every step recorded, so the doubling fills the records themselves
+        # past the short run's end, where it would drift past the 1e-3 gate
+        # by the long run's end; the call passes, as its padding copies the
+        # short run's last record
+        calm, start = rabi_hamiltonian(0.5), StateVector.basis(2, 0)
+        cfgs = [self.grow_config(5), EvolutionConfig(0.0, 30.0, 0.001, renormalize=False)]
+        transfer = evolve_module._constant_transfer(-1j * self.GROW, self.GROW_DT)
+        assert abs(np.linalg.norm(np.linalg.matrix_power(transfer, 30_000)[:, 0]) - 1.0) > evolve_module.MAX_NORM_DRIFT
+        result = evolve_schrodinger(np.stack([self.GROW, calm]), start, cfgs)
+        assert result.counts.tolist() == [len(cfg.record_steps) for cfg in cfgs] == [6, 30_001]
+        single = evolve_schrodinger(self.GROW, start, cfgs[0])
+        assert np.max(np.abs(result.states[0, :6] - single.amplitudes)) < 1e-12
+        for padded in (result.states, result.norms, result.populations):
+            assert np.array_equal(padded[0, 6:], np.broadcast_to(padded[0, 5], padded[0, 6:].shape))
+        assert not result.states.flags.writeable
+
+    def test_recorded_gate_names_the_runs_index_in_the_call(self):
+        # unrenormalised runs within the 1e-3 drift gate: a grown run's
+        # recorded norm fails the 1e-6 gate, in the third of four blocks
+        calm, start = rabi_hamiltonian(0.5), StateVector.basis(2, 0)
+        short, long = (EvolutionConfig(0.0, span, 0.001, renormalize=False) for span in (0.05, 0.2))
+        cfgs = [short, long, self.grow_config(100), long]
+        with pytest.raises(NumericalError, match=r"^run 2: recorded norm drifted by 8\.89e-06 \(> 1e-06\)") as err:
+            evolve_schrodinger(np.stack([calm, calm, self.GROW, calm]), start, cfgs)
+        assert err.value.member == 2
+        # two failing runs: the lower is named, though the higher drifts further
+        cfgs[3] = self.grow_config(1000)
+        with pytest.raises(NumericalError, match=r"^run 2: recorded norm drifted by 8\.89e-06") as err:
+            evolve_schrodinger(np.stack([calm, calm, self.GROW, self.GROW]), start, cfgs)
+        assert err.value.member == 2
+        # the norm check comes first: run 3's drift is named before run 0's
+        # negative population, which is named once the norms pass
+        cfgs[2:] = [long, short]
+        good = evolve_schrodinger(calm, start, cfgs)
+        pops = good.populations.copy()
+        pops[0, 1, 0] = -1e-3
+        drifted = good.states.copy()
+        drifted[3] *= 1.0 + 1e-5
+        out = (good.counts, drifted, good.norms, pops)
+        with pytest.raises(NumericalError, match=r"^run 3: recorded norm drifted"):
+            evolve_module._result(out, cfgs, "amplitudes", (2,))
+        with pytest.raises(NumericalError, match=r"^run 0: recorded population fell to -0\.001") as err:
+            evolve_module._result(out[:1] + (good.states,) + out[2:], cfgs, "amplitudes", (2,))
         assert err.value.member == 0
 
     @pytest.mark.parametrize("stride", [1, 5000])
@@ -778,12 +830,11 @@ def test_random_ragged_runs_match_per_run_calls(case, seed, configs, every_step,
     runs = sum(repeats for *_, repeats in configs)
     hs = [random_hamiltonian(rng, dim) for _ in range(runs if stacked else 1)]
     base = 0.02 / max(float(np.max(np.abs(h))) for h in hs)
-    cfgs, blocks = [], []
+    cfgs = []
     for n_steps, stride, renormalize, repeats in configs:
         t0 = rng.uniform(-1.0, 1.0)
         t1 = t0 + n_steps * base * rng.uniform(0.5, 1.0)
         cfg = EvolutionConfig(t0, t1, (t1 - t0) / n_steps, 1 if every_step else stride, renormalize)
-        blocks.append((len(cfgs), len(cfgs) + repeats))
         cfgs += [cfg] * repeats
     psis = [StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim)) for _ in cfgs]
     lindblad = kind == "lindblad"
@@ -798,16 +849,9 @@ def test_random_ragged_runs_match_per_run_calls(case, seed, configs, every_step,
         if small_budget:
             patch.setattr(evolve_module, "MAX_CHUNK_STEPS", 5)
             patch.setattr(evolve_module, "TRANSFER_CHUNK_BYTES", 1)
-        trajs = run(np.stack(hs) if stacked else hs[0], starts, cfgs)
-        assert len(trajs) == len(blocks)
-        for traj, (lo, hi) in zip(trajs, blocks):
-            assert getattr(traj, field).shape[0] == hi - lo
-            for b, r in enumerate(range(lo, hi)):
-                single = run(hs[r if stacked else 0], singles[r], cfgs[r])
-                assert np.max(np.abs(traj.times - single.times)) < 1e-12
-                assert np.max(np.abs(getattr(traj, field)[b] - getattr(single, field))) < 1e-12
-                assert np.max(np.abs(traj.norms[b] - single.norms)) < 1e-12
-                assert np.max(np.abs(traj.populations[b] - single.populations)) < 1e-12
+        result = run(np.stack(hs) if stacked else hs[0], starts, cfgs)
+        per_run = [run(hs[r if stacked else 0], y0, cfg) for r, (y0, cfg) in enumerate(zip(singles, cfgs))]
+        assert_matches_per_run_calls(result, per_run, field)
 
 
 def six_product_transfers(a1, a2, a3, dt):
