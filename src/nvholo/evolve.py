@@ -7,25 +7,26 @@ step is a transfer matrix T. _integrate has three parts:
 - A plan. Each EvolutionConfig plans its own steps once, when it is built:
   the requested dt is snapped to n_steps steps of step_us spanning exactly
   [t_start, t_end], with the records at record_steps. The call cuts the
-  steps into chunks within a byte budget. In each chunk, a run is checked
-  at its records and its last step, and only those states are materialised.
-- Two producers of the checked states, both with T as one polynomial. For
-  a constant H, T is built once per run, in Horner form, and the states
-  come from powers of T by doubling, run-major. When every step is
-  recorded, they are written into the records. For a time-dependent
+  steps into chunks within a byte budget. A chunk materialises only a run's
+  records and its own last state, which it carries on raw.
+- Two producers of the records, both with T as one polynomial. For a
+  constant H, T is built once per run, in Horner form, and the states come
+  from powers of T by doubling, run-major. When every step is recorded,
+  they are written into the records. For a time-dependent
   H = sum_k c_k(t) B_k, T is a fixed polynomial in the coefficients at the
-  step's start, middle and end, its matrices built once per call. One
-  workspace serves every chunk, its views bound once per chunk length: the
-  transfers are one product of the chunk's monomial columns with the
-  polynomial, plus I, and the states cross each record interval in one
-  product. The coefficients and monomials hold the step axis last, so each
-  multiply that fills them runs over the chunk's steps; the buffers of
-  interval products hold what the product rounds write, about three
-  quarters of a chunk's transfers and none at stride 1. The byte budget
-  counts exactly what the call holds. A source of more terms than the
-  polynomial pays for takes the stage form over its frames instead.
-- One checkpoint per block of runs. It measures the checked states once,
-  checks the norm drift, renormalises and stores the records.
+  step's start, middle and end, its matrices and I built once per call.
+  One workspace serves every chunk, its views bound once per chunk length:
+  the transfers are one product of the chunk's monomial columns and a row
+  of ones with the polynomial, and the states cross each record interval
+  in one product. The coefficients and monomials hold the step axis last,
+  so each multiply that fills them runs over the chunk's steps; the
+  buffers of interval products hold what the product rounds write, about
+  three quarters of a chunk's transfers and none at stride 1. The byte
+  budget counts exactly what the call holds. A source of more terms than
+  the polynomial pays for takes the stage form over its frames instead.
+- One gate per block of runs, after the last chunk. It measures the
+  block's records once, checks the norm drift, renormalises them and pads
+  the rows past each run's end.
 
 A Hamiltonian is one of three kinds: a constant matrix (ndarray or
 OperatorMatrix), a (runs, dim, dim) stack of constant matrices, one per run,
@@ -193,11 +194,15 @@ class NoiseModel:
         """Time-independent dissipative part of the master equation, acting
         on row-major vectorized density matrices; cached, so read-only."""
         eye = np.eye(dim)
+
+        def kron(a, b):  # np.kron's products, as one broadcast multiply
+            return (a[:, None, :, None] * b[None, :, None, :]).reshape(dim * dim, dim * dim)
+
         total = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
         for op in self.lindblad_operators(dim):
             ldl = op.conj().T @ op
-            total += np.kron(op, op.conj())
-            total -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+            total += kron(op, op.conj())
+            total -= 0.5 * (kron(ldl, eye) + kron(eye, ldl.T))
         total.setflags(write=False)
         return total
 
@@ -336,15 +341,15 @@ def _product_buffers(chunk: int, stride: int) -> tuple[int, int]:
 
 def _workspace_bytes(y_dim: int, runs: int, n_terms: int, chunk: int, stride: int) -> int:
     """The bytes a terms source of n_terms terms holds for chunks of at most
-    chunk steps: its polynomial (N matrices, _monomials) or, in the stage
-    form, its scaled basis, and the workspace that _workspace allocates. A
-    real form (_real_form) matrix takes twice the bytes of its complex
-    one."""
+    chunk steps: its scaled basis and the workspace that _workspace
+    allocates, with its polynomial (N + 1 matrices, _monomials and
+    _rk4_polynomial) unless it takes the stage form. A real form
+    (_real_form) matrix takes twice the bytes of its complex one."""
     real = y_dim <= REAL_FORM_MAX_DIM
     columns = _monomials(n_terms, 2 * y_dim if real else y_dim)
-    if columns:  # the polynomial, the transfers and the interval products
-        matrices = columns + chunk + sum(_product_buffers(chunk, stride))
-        floats = (n_terms * (n_terms + 1) // 2 + columns) * chunk
+    if columns:  # the polynomial with I, the transfers and the interval products
+        matrices = n_terms + columns + 1 + chunk + sum(_product_buffers(chunk, stride))
+        floats = (n_terms * (n_terms + 1) // 2 + columns + 1) * chunk
     else:  # the basis, the end frames, the transfers and the two stages
         matrices, floats = n_terms + chunk + 1 + 3 * chunk, 0
     floats += n_terms * (2 * chunk + 1)  # the coefficients
@@ -356,10 +361,10 @@ def _chunk_steps(y_dim: int, runs: int = 1, n_terms: int = 0, stride: int = 1) -
     """Steps per chunk within TRANSFER_CHUNK_BYTES, at least 16 and at most
     MAX_CHUNK_STEPS. A constant H or a stack of them (n_terms 0) builds no
     per-step matrices: a step holds one complex state per run, in a chunk's
-    fill buffer or in the checkpoint's working arrays when the records are
-    the buffer. A terms source of n_terms terms, in record intervals of
-    stride steps, takes the most steps whose bytes (_workspace_bytes) fit;
-    they grow with the steps, so a bisection finds them."""
+    fill buffer or in the records when they are the buffer. A terms source
+    of n_terms terms, in record intervals of stride steps, takes the most
+    steps whose bytes (_workspace_bytes) fit; they grow with the steps, so a
+    bisection finds them."""
     if not n_terms:
         return int(min(MAX_CHUNK_STEPS, max(16, TRANSFER_CHUNK_BYTES // (16 * y_dim * runs))))
     lo, hi = 16, max(16, MAX_CHUNK_STEPS)
@@ -436,7 +441,8 @@ def _middle_columns(n_terms: int) -> np.ndarray:
 def _rk4_polynomial(p: np.ndarray) -> np.ndarray:
     """The RK4 transfer of y' = A(t) y as a polynomial in A's coefficients.
     p holds the K prescaled terms of F = dt/2 A = sum_k c_k p_k, c_0 = 1;
-    the result is the (K, K(K+1)/2, K, s, s) matrices M with
+    the result is the (N + 1, s, s) stack of the N = K^2 K(K+1)/2 matrices
+    M[d, q, a] in row order, then I, with
     T = I + sum M[d, q, a] c_d(start) mid_q c_a(end) over a step, mid_q the
     middle monomials (_middle_columns).
 
@@ -447,14 +453,17 @@ def _rk4_polynomial(p: np.ndarray) -> np.ndarray:
     F2 F2 F1, F3 F2 F2 and F3 F2 F2 F1. Every word is a sum over its terms'
     products, each of which lands on the monomial of its coefficients. A
     step is affine in its coefficients, so this is exact for any K
-    (Hairer, Norsett and Wanner, Solving ODEs I, sec. II.1). I stays out of
-    M: added after the product, it leaves the transfers at stage-form
-    rounding."""
+    (Hairer, Norsett and Wanner, Solving ODEs I, sec. II.1). I is a matrix
+    of its own, against a row of ones among the monomial columns, and not
+    folded into M[0, 0, 0]: last in the product's sums, it is added once to
+    their total, which leaves the transfers at stage-form rounding."""
     k, middle = np.arange(p.shape[0]), _middle_columns(p.shape[0])
     pp = p[:, None] @ p  # pp[a, b] = p_a p_b
     ppp = p[:, None, None] @ pp
     pppp = p[:, None, None, None] @ ppp
-    m = np.zeros((k.size, middle.max() + 1, k.size) + p.shape[1:], p.dtype)
+    stack = np.zeros((k.size**2 * (middle.max() + 1) + 1,) + p.shape[1:], p.dtype)
+    stack[-1] = np.eye(p.shape[-1])
+    m = stack[:-1].reshape((k.size, middle.max() + 1, k.size) + p.shape[1:])
     words = [  # weight, products, the (start, middle, end) index of each
         (1.0 / 3.0, p, (k, 0, 0)),  # F1
         (1.0 / 3.0, p, (0, 0, k)),  # F3
@@ -468,7 +477,7 @@ def _rk4_polynomial(p: np.ndarray) -> np.ndarray:
     ]
     for weight, products, at in words:
         np.add.at(m, at, weight * products)
-    return m
+    return stack
 
 
 def _transfer_stack(f1, f2, f3, g2, g3) -> np.ndarray:
@@ -532,21 +541,23 @@ def _fill_by_doubling(states: np.ndarray, powers: list, m: int):
 
 
 class _Workspace(NamedTuple):
-    """The buffers of a terms source's chunks, allocated once per call for
-    the longest chunk of n steps and reused by every chunk. For the call's
-    polynomial (_rk4_polynomial) of K terms, the coefficients at the steps'
-    ends and middles (K rows of 2n + 1), the middle monomials (W rows) and
-    the monomial columns (N rows) hold the step axis last, so that every
-    multiply that fills them runs over a row of contiguous steps; frames is
-    empty. In the stage form, the coefficients are 2n + 1 rows of K and
-    frames holds the frames at the steps' ends (n + 1, _transfer_stack);
-    middle and columns are empty. These three are flat, so that a shorter
-    chunk takes contiguous rows too. Then come the transfers (n) and two
-    buffers of interval products, as many as the rounds write into each
+    """What a terms source's chunks hold, allocated once per call for the
+    longest chunk of n steps and reused by every chunk. For its polynomial
+    of K terms (_rk4_polynomial, N matrices and I), the coefficients at the
+    steps' ends and middles (K rows of 2n + 1), the middle monomials (W
+    rows) and the monomial columns (N rows and one of ones) hold the step
+    axis last, so that every multiply that fills them runs over a row of
+    contiguous steps; frames is empty. In the stage form, polynomial is
+    empty, the coefficients are 2n + 1 rows of K and frames holds the frames
+    at the steps' ends (n + 1, _transfer_stack); middle and columns are
+    empty. These three are flat, so that a shorter chunk takes
+    contiguous rows too. Then come the transfers (n) and two buffers of
+    interval products, as many as the rounds write into each
     (_product_buffers; n each in the stage form, whose stages they hold),
-    all matrices C-contiguous in the basis dtype; and the crossing's complex
-    rows, one per checked step of a chunk and run."""
+    all matrices C-contiguous in the basis dtype; and the crossing's
+    complex rows, one per interval or piece a chunk crosses, per run."""
 
+    polynomial: np.ndarray
     coefficients: np.ndarray
     middle: np.ndarray
     columns: np.ndarray
@@ -559,37 +570,44 @@ class _Workspace(NamedTuple):
 
 def _workspace(matrices: np.ndarray, chunk: int, stride: int, carry: np.ndarray) -> _Workspace:
     """The workspace of a terms source's chunks of at most chunk steps in
-    record intervals of stride steps, for its polynomial (_rk4_polynomial)
-    or, in the stage form, its scaled basis (matrices, _transfer_calls), and
-    for its runs' states, carry. _workspace_bytes counts its bytes."""
-    polynomial = matrices.ndim == 5
-    n_terms, width, shape = matrices.shape[0], matrices.shape[1] if polynomial else 0, matrices.shape[-2:]
-    frames, products = (0, _product_buffers(chunk, stride)) if polynomial else (chunk + 1, (chunk, chunk))
+    record intervals of stride steps, for its basis scaled by dt/2
+    (matrices), whose polynomial it builds unless that has more monomials
+    than pay (_monomials), and for its runs' states, carry.
+    _workspace_bytes counts its bytes with those of the basis."""
+    n_terms, shape = matrices.shape[0], matrices.shape[-2:]
+    if _monomials(n_terms, shape[-1]):
+        polynomial, width = _rk4_polynomial(matrices), n_terms * (n_terms + 1) // 2
+        frames, products = 0, _product_buffers(chunk, stride)
+    else:
+        polynomial, width = np.empty((0,) + shape, matrices.dtype), 0
+        frames, products = chunk + 1, (chunk, chunk)
     return _Workspace(
+        polynomial,
         np.empty(n_terms * (2 * chunk + 1)),
         np.empty(width * chunk),
-        np.empty(n_terms * width * n_terms * chunk),
+        np.empty(len(polynomial) * chunk),
         *(np.empty((size,) + shape, matrices.dtype) for size in (frames, chunk, *products)),
         np.empty((len(carry), -(-chunk // stride), carry.shape[1]), np.complex128),
     )
 
 
 def _transfer_calls(ws: _Workspace, n: int, matrices: np.ndarray) -> tuple:
-    """(coefficients, calls) of a chunk of n steps: the (2n + 1, K) view of
-    the workspace that takes its coefficients, and calls bound to views of
-    the workspace that make its transfers from them. For the call's
-    polynomial (_rk4_polynomial), they fill the N monomial columns (start,
-    middle of degree <= 2, end), each a row of n steps, and make the
-    transfers as one (n, N) @ (N, s*s) product of their transpose with it,
-    which BLAS takes as it is, adding I after. For the basis scaled by dt/2
-    (a source with too many monomials, _monomials), the frames at the steps'
-    ends and middles are one product each of rows of coefficients with it,
-    and _transfer_stack builds the transfers over the middle ones. The
-    products take the float64 views of complex matrices, as the
+    """(coefficients, calls) of a chunk of n steps of a source whose basis
+    scaled by dt/2 is matrices: the (2n + 1, K) view of the workspace that
+    takes its coefficients, and calls bound to views of the workspace that
+    make its transfers from them. For the call's polynomial
+    (_rk4_polynomial), they fill the N monomial columns (start, middle of
+    degree <= 2, end), each a row of n steps, and the row of ones of I, and
+    make the transfers as one (n, N + 1) @ (N + 1, s*s) product of their
+    transpose with it, which BLAS takes as it is. In the stage form (a
+    source with too many monomials, _monomials), the frames at the steps'
+    ends and middles are one product each of rows of coefficients with the
+    scaled basis, and _transfer_stack builds the transfers over the middle
+    ones. The products take the float64 views of complex matrices, as the
     coefficients are real."""
     n_terms, transfers = matrices.shape[0], ws.transfers[:n]
     flat, c = transfers.reshape(n, -1).view(np.float64), ws.coefficients[: n_terms * (2 * n + 1)]
-    if matrices.ndim == 3:  # the stage form: the middle frames in the transfers' buffer
+    if not len(ws.polynomial):  # the stage form: the middle frames in the transfers' buffer
         c = c.reshape(2 * n + 1, n_terms)
         basis, ends = matrices.reshape(n_terms, -1).view(np.float64), ws.frames[: n + 1]
         return c, [
@@ -598,24 +616,23 @@ def _transfer_calls(ws: _Workspace, n: int, matrices: np.ndarray) -> tuple:
             functools.partial(_transfer_stack, ends[:-1], transfers, ends[1:], ws.products[:n], ws.spare[:n]),
         ]
     c = c.reshape(n_terms, 2 * n + 1)
-    start, mid, end, width = c[:, 0:-1:2], c[:, 1::2], c[:, 2::2], matrices.shape[1]
+    start, mid, end, width = c[:, 0:-1:2], c[:, 1::2], c[:, 2::2], n_terms * (n_terms + 1) // 2
     middle = ws.middle[: width * n].reshape(width, n)
-    columns = ws.columns[: n_terms * width * n_terms * n].reshape(-1, n)
-    grid, polynomial = columns.reshape(n_terms, width, n_terms, n), matrices.reshape(columns.shape[0], -1)
+    columns = ws.columns[: ws.polynomial.shape[0] * n].reshape(-1, n)
+    grid, polynomial = columns[:-1].reshape(n_terms, width, n_terms, n), ws.polynomial.reshape(columns.shape[0], -1)
     calls = [functools.partial(np.copyto, middle[:n_terms], mid)]
     for i, lo in enumerate(_middle_columns(n_terms).diagonal()[1:], start=1):  # c_i c_j, j >= i
         calls.append(functools.partial(np.multiply, mid[i], mid[i:], out=middle[lo : lo + n_terms - i]))
     # numpy's ufuncs allocate iterator buffers as large as the operands for a
-    # broadcast or a strided 2-D view, so the grid takes einsum (one product
-    # per entry, the same bits) and I goes on one diagonal entry at a time,
-    # each a 1-D view over the steps
-    diagonal = transfers.reshape(n, -1)[:, :: transfers.shape[-1] + 1].T
+    # broadcast, so the grid takes einsum (one product per entry, the same
+    # bits); the row of ones is rewritten every chunk, as a chunk of another
+    # length lays its rows over it
     return c.T, calls + [
         # c_0 = 1 (checked): start monomial 1's columns are middle times end
         functools.partial(np.einsum, "qn,an->qan", middle, end, out=grid[0]),
         functools.partial(np.einsum, "dn,qan->dqan", start[1:], grid[0], out=grid[1:]),
+        functools.partial(columns[-1].fill, 1.0),
         functools.partial(np.matmul, columns.T, polynomial.view(np.float64), out=flat),
-        *(functools.partial(np.add, entry, 1.0, out=entry) for entry in diagonal),
     ]
 
 
@@ -623,9 +640,10 @@ def _chunk_calls(ws: _Workspace, n: int, stride: int, carry: np.ndarray, matrice
     """(coefficients, calls, rows) of a chunk of n steps: the view that takes
     its coefficients, and calls bound to views of the workspace that make its
     transfers (_transfer_calls), multiply those of each record interval into
-    one matrix (product_rounds) and carry the states across it into rows, the
-    checked states, as a row times P^T; real transfers (_real_form) take the
-    float64 view of a row."""
+    one matrix (product_rounds) and carry the states across it into rows, as
+    a row times P^T: the states at the chunk's record steps or, in a piece
+    of a longer interval, at its last step. Real transfers (_real_form) take
+    the float64 view of a row."""
     transfers = ws.transfers[:n]
     coefficients, calls = _transfer_calls(ws, n, matrices)
     whole, shape = n // stride, transfers.shape[1:]
@@ -656,65 +674,54 @@ def _blocks(cfgs: tuple, runs: int) -> list:
     return [_Block(lo, hi, cfgs[lo]) for lo, hi in zip([0] + cuts, his)]
 
 
-def _checks(blocks: list, ends: list):
-    """Per chunk k0..k1 of ends, (k0, k1, plan), the plan a list of
-    (block, first, new, steps) for each block whose runs reach past k0: steps
-    the block's record steps in (k0, end] followed by end = min(k1, n_steps)
-    unless that is a record step, first the index of the first of those
-    records and new their count. One search per block finds every chunk's."""
-    cuts = [0] + ends
-    bounds = [b.cfg.record_steps.searchsorted(np.minimum(cuts, b.cfg.n_steps), "right").tolist() for b in blocks]
-    for i, (k0, k1) in enumerate(zip(cuts, ends)):
-        plan = []
-        for b, bound in zip(blocks, bounds):
-            if b.cfg.n_steps > k0:
-                first, last = bound[i], bound[i + 1]
-                steps, end = b.cfg.record_steps[first:last], min(k1, b.cfg.n_steps)
-                if first == last or steps[-1] != end:
-                    steps = np.append(steps, end)
-                plan.append((b, first, last - first, steps))
-        yield k0, k1, plan
+def _record_bounds(cfg: EvolutionConfig, ends: list) -> list:
+    """Per chunk cut (0, then ends), one past the index of the last record
+    of cfg's run at or before it: chunk i writes its records
+    bounds[i]..bounds[i + 1] - 1, none once the run has ended."""
+    return cfg.record_steps.searchsorted(np.minimum([0] + ends, cfg.n_steps), "right").tolist()
 
 
-def _checkpoint(measure, rows, steps, renorm: bool, n_records: int, out):
-    """Measure a block's checked rows (runs, M, y), at steps, once, their
-    populations into out unless it is None; return the drift failure (step, run,
-    reported norm) or None, the largest drift, and the reported norms and
-    populations of the first n_records rows, which are records. With renorm
-    the rows are renormalised in place (their populations later, by
-    _integrate), and a last row off the record grid keeps the scale of the
-    record before it."""
-    raw, found = measure(rows, out)
+def _gate_block(measure, rows, out, cfg: EvolutionConfig):
+    """Gate a block's records once, after its last chunk: measure the rows
+    (runs, records, y) at cfg's record steps, their populations into out,
+    and return the drift failure (step, run, reported norm) or None, the
+    largest drift and the reported norms. Unrenormalised, these are the raw
+    norms. Renormalised, record k >= 2 reports raw_k / raw_(k-1), as a
+    scalar commutes with the linear map, and the records after the start
+    and their populations are renormalised in place, the populations by
+    their sums."""
+    raw, _ = measure(rows, out)
+    renorm = cfg.renormalize
     reported = raw.copy() if renorm else raw
     if renorm:
-        reported[:, 1:] /= raw[:, :-1]
+        reported[:, 2:] /= raw[:, 1:-1]
     # the largest |reported - 1| from the extremes; a NaN is both, and fails
     largest = max(float(reported.max()) - 1.0, 1.0 - float(reported.min()))
     if not largest <= MAX_NORM_DRIFT:
         failed = ~(np.abs(reported - 1.0) <= MAX_NORM_DRIFT)
         col = int(np.argmax(failed.any(axis=0)))
         run = int(np.argmax(failed[:, col]))
-        return (int(steps[col]), run, float(reported[run, col])), 0.0, None, None
+        return (int(cfg.record_steps[col]), run, float(reported[run, col])), 0.0, None
     if renorm:
-        if n_records < raw.shape[1]:
-            raw[:, -1] = raw[:, -2] if n_records else 1.0
         # times reciprocals, as numpy divides a complex by a real; the
         # float64 view takes them without a complex copy of the scales
-        view = rows.view(np.float64)
-        view *= (1.0 / raw)[..., None]
-    return None, largest, reported[:, :n_records], found[:, :n_records]
+        view = rows[:, 1:].view(np.float64)
+        view *= (1.0 / raw[:, 1:])[..., None]
+        found = out[:, 1:]
+        found *= (1.0 / last_axis_sum(found))[..., None]
+    return None, largest, reported
 
 
-def _doubling_chunks(a, blocks: list, ends: list, chunk: int, carry, records):
-    """The checked rows of a constant A or a stack of them (one per run): per
-    chunk, one iterable of (block, first, new, steps, rows) in _checks order.
-    Each run has one RK4 transfer matrix T (one for all when they share A),
-    and the chunk's states come from the carried states and powers of T by
+def _doubling_fill(a, blocks: list, ends: list, chunk: int, records, direct: bool):
+    """Fill the records of a constant A or a stack of them (one per run)
+    from their start states, records[:, 0], chunk by chunk. Each run has one
+    RK4 transfer matrix T (one for all when they share A), and the chunk's
+    states come from the raw states at the chunk's start and powers of T by
     doubling (_fill_by_doubling) into a run-major buffer. When every step of
-    every run is recorded, records is that buffer and a block's rows are a
-    view of it; else records is None and the rows are gathered.
-    Ragged runs are filled to the longest, each checked to its own end."""
-    runs, y_dim = carry.shape
+    every run is recorded (direct), records is that buffer; else each
+    block's records are gathered from it. Ragged runs are filled to the
+    longest, each recorded to its own end."""
+    runs, _, y_dim = records.shape
     dt = blocks[0].cfg.step_us
     if len(blocks) > 1:  # a transfer per run, each with its own step
         dt = np.repeat([b.cfg.step_us for b in blocks], [b.hi - b.lo for b in blocks])[:, None, None]
@@ -723,40 +730,46 @@ def _doubling_chunks(a, blocks: list, ends: list, chunk: int, carry, records):
     powers = [np.ascontiguousarray(np.swapaxes(_constant_transfer(a, dt), -1, -2))]
     while (1 << len(powers)) <= chunk:
         powers.append(powers[-1] @ powers[-1])
-    if records is None:
+    if not direct:
         states = np.empty((runs, chunk + 1, y_dim), dtype=np.complex128)
-    for k0, k1, plan in _checks(blocks, ends):
-        if records is not None:
+        states[:, 0] = records[:, 0]
+        bounds = [_record_bounds(b.cfg, ends) for b in blocks]
+    n = 0
+    for i, (k0, k1) in enumerate(zip([0] + ends, ends)):
+        if direct:  # row k0 holds the last chunk's end
             states = records[:, k0 : k1 + 1]
-        states[:, 0] = carry
-        _fill_by_doubling(states.view(powers[0].dtype), powers, k1 - k0)
-        yield [  # given records: their view [b.lo:b.hi, first:first + new]
-            (b, first, new, steps, states[b.lo : b.hi, steps - k0 if records is None else slice(1, new + 1)])
-            for b, first, new, steps in plan
-        ]
+        else:  # the last chunk's end, row n, starts this one
+            states[:, 0] = states[:, n]
+        n = k1 - k0
+        _fill_by_doubling(states.view(powers[0].dtype), powers, n)
+        if not direct:
+            for b, bound in zip(blocks, bounds):
+                first, last = bound[i], bound[i + 1]
+                records[b.lo : b.hi, first:last] = states[b.lo : b.hi, b.cfg.record_steps[first:last] - k0]
 
 
-def _crossing_chunks(terms, basis, block: _Block, ends: list, chunk: int, stride: int, carry):
-    """The checked rows of a terms source, one block, per chunk as in
-    _doubling_chunks. The call builds the RK4 transfer's polynomial in the
-    coefficients once (_rk4_polynomial) from the lifted basis scaled by
-    dt/2, unless it has more monomials than pay (_monomials): then the
-    scaled basis gives each chunk's frames for the stage form. A chunk
-    holds whole record intervals (_chunk_ends) in one workspace (_Workspace)
-    for the longest chunk, worked through calls bound to its views once per
-    chunk length (_chunk_calls), so a chunk does only its arithmetic: its
-    real coefficients must be finite (a failure names the chunk's first
-    frame time) and have c_0 = 1; copied into the workspace, they give the
-    transfers, and the calls run."""
-    n_terms, dt = basis.shape[0], block.cfg.step_us
+def _crossing_fill(terms, basis, cfg: EvolutionConfig, ends: list, chunk: int, stride: int, records):
+    """Fill the records of a terms source, one block, from their start
+    states, records[:, 0], chunk by chunk. The call builds the RK4
+    transfer's polynomial in the coefficients once (_rk4_polynomial) from
+    the lifted basis scaled by dt/2, unless it has more monomials than pay
+    (_monomials): then the scaled basis gives each chunk's frames for the
+    stage form. A chunk holds whole record intervals (_chunk_ends) in one
+    workspace (_Workspace) for the longest chunk, worked through calls bound
+    to its views once per chunk length (_chunk_calls), so a chunk does only
+    its arithmetic: its real coefficients must be finite (a failure names
+    the chunk's first frame time) and have c_0 = 1; copied into the
+    workspace, they give the transfers, and the calls run. Its records go
+    into records, and its last row is carried on raw."""
+    n_terms, dt = basis.shape[0], cfg.step_us
     matrices = basis * (dt / 2.0)
-    if _monomials(n_terms, basis.shape[-1]):
-        matrices = _rk4_polynomial(matrices)
+    carry = records[:, 0].copy()
     ws, built = _workspace(matrices, chunk, stride, carry), {}
-    for k0, k1, plan in _checks([block], ends):
+    bounds = _record_bounds(cfg, ends)
+    for k0, k1, first, last in zip([0] + ends, ends, bounds, bounds[1:]):
         # a real combination of Hermitian matrices is Hermitian, so a chunk
         # checks only its coefficients
-        times = block.cfg.t_start_us + (dt / 2.0) * np.arange(2 * k0, 2 * k1 + 1)
+        times = cfg.t_start_us + (dt / 2.0) * np.arange(2 * k0, 2 * k1 + 1)
         c = np.asarray(terms.coefficients(times))
         if c.shape != (times.shape[0], n_terms) or np.iscomplexobj(c):
             raise ConfigError(
@@ -776,7 +789,8 @@ def _crossing_chunks(terms, basis, block: _Block, ends: list, chunk: int, stride
         np.copyto(coefficients, c)
         for call in calls:
             call()
-        yield [(b, first, new, steps, rows) for b, first, new, steps in plan]
+        records[:, first:last] = rows[:, : last - first]
+        carry[:] = rows[:, -1]
 
 
 def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
@@ -804,17 +818,17 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
 
     Each block of runs (_Block) reads its steps, step size and record steps
     from its config, planned when the config was built. The call cuts the
-    longest block's steps into chunks of at most _chunk_steps (_chunk_ends);
-    in each chunk, a block checks its records and its last step there
-    (_checks). A producer gives each block's checked rows, chunk by chunk:
-    _doubling_chunks for a constant H or a stack, _crossing_chunks for a terms
-    source. One loop runs _checkpoint on each block's rows, stores the records,
-    their norms and populations (renormalised once, at the end), and carries
-    the chunk end on. No state is renormalised inside a chunk; a scalar
-    commutes with the linear map, so each reported norm is the ratio of its
-    raw norm to that of the record before it, as a step-by-step
-    renormalising loop would report it. A drift failure names the earliest
-    failing step and, in a batch, the lowest run that fails there.
+    longest block's steps into chunks of at most _chunk_steps (_chunk_ends).
+    A producer fills the records chunk by chunk, carrying each chunk's raw
+    end state on: _doubling_fill for a constant H or a stack, _crossing_fill
+    for a terms source. No state is renormalised before the last chunk, so
+    a run whose raw states overflow fails the gate, closed, on a NaN or an
+    Inf. Then each block's records are gated once (_gate_block): measured,
+    checked for norm drift, renormalised and padded. A scalar commutes with
+    the linear map, so each reported norm is the ratio of its raw norm to
+    that of the record before it, as a step-by-step renormalising loop would
+    report it. A drift failure names the earliest failing record step and,
+    in a batch, the lowest run that fails there.
     """
     entries, terms = _as_source(h_of_t)
     constant = terms is None
@@ -854,49 +868,35 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     norms = np.empty((runs, n_records), dtype=float)
     pops = np.empty((runs, n_records, dim_protect), dtype=float)
     records[:, 0] = y0
-    norms[:, 0], pops[:, 0] = measure(records[:, 0])
-    carry = records[:, 0].copy()
-    max_drift = float(np.max(np.abs(norms[:, 0] - 1.0)))
-    # every step of every run recorded: the doubling fills the records themselves
-    direct = constant and all(b.cfg.record_steps.shape[0] == b.cfg.n_steps + 1 for b in blocks)
 
-    # transfers and states may overflow; the drift check rejects NaN and Inf
+    # transfers and states may overflow; the drift gate rejects NaN and Inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if constant:
-            chunks = _doubling_chunks(basis[0], blocks, ends, chunk, carry, records if direct else None)
+            # every step of every run recorded: the doubling fills the records themselves
+            direct = all(b.cfg.record_steps.shape[0] == b.cfg.n_steps + 1 for b in blocks)
+            _doubling_fill(basis[0], blocks, ends, chunk, records, direct)
         else:
-            chunks = _crossing_chunks(terms, basis, blocks[0], ends, chunk, stride, carry)
-        for checks in chunks:
-            failures = []
-            for b, first, new, steps, rows in checks:
-                at = (slice(b.lo, b.hi), slice(first, first + new))
-                out = pops[at] if rows.shape[1] == new else None  # rows that are all records
-                failure, drift, reported, found = _checkpoint(measure, rows, steps, b.cfg.renormalize, new, out)
-                if failure is not None:
-                    failures.append((failure[0], failure[1] + b.lo, failure[2]))
-                    continue
-                max_drift = max(max_drift, drift)
-                if not direct:
-                    records[at] = rows[:, :new]
-                if out is None:
-                    pops[at] = found
-                norms[at] = reported
-                carry[b.lo : b.hi] = rows[:, -1]
-            if failures:
-                step, run, value = min(failures)
-                b = next(b for b in blocks if b.lo <= run < b.hi)
-                raise NumericalError(
-                    f"norm drifted to {value:.6g} at step {step} "
-                    f"(t={b.cfg.t_start_us + step * b.cfg.step_us:.6g} us); reduce dt",
-                    member=run if runs > 1 else None,
-                )
-        for b in blocks:  # the populations of renormalised records, by their sums
+            _crossing_fill(terms, basis, cfgs[0], ends, chunk, stride, records)
+        failures, max_drift = [], 0.0
+        for b in blocks:
             count = b.cfg.record_steps.shape[0]
-            if b.cfg.renormalize:
-                found = pops[b.lo : b.hi, 1:count]
-                found *= (1.0 / last_axis_sum(found))[..., None]
+            at = (slice(b.lo, b.hi), slice(0, count))
+            failure, drift, reported = _gate_block(measure, records[at], pops[at], b.cfg)
+            if failure is not None:
+                failures.append((failure[0], failure[1] + b.lo, failure[2]))
+                continue
+            max_drift = max(max_drift, drift)
+            norms[at] = reported
             for a in (records, norms, pops):  # the rows past the runs' end copy their last record
                 a[b.lo : b.hi, count:] = a[b.lo : b.hi, count - 1, None]
+        if failures:
+            step, run, value = min(failures)
+            b = next(b for b in blocks if b.lo <= run < b.hi)
+            raise NumericalError(
+                f"norm drifted to {value:.6g} at step {step} "
+                f"(t={b.cfg.t_start_us + step * b.cfg.step_us:.6g} us); reduce dt",
+                member=run if runs > 1 else None,
+            )
 
     LOG.debug(
         "integrated %d runs of up to %d steps in %d blocks, %d chunks of up to %d steps; "

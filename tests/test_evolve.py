@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import nvholo.evolve as evolve_module
@@ -128,7 +128,7 @@ def assert_reports_its_plan(times, cfg):
     assert np.array_equal(times, cfg.t_start_us + cfg.step_us * steps)
 
 
-@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@settings(max_examples=30, derandomize=True, database=None, deadline=None, phases=(Phase.explicit, Phase.generate))
 @given(plan=PLANS, ragged=st.lists(PLANS, min_size=2, max_size=3))
 def test_trajectory_times_are_the_configs_plan(plan, ragged):
     # a slow drive: the times do not depend on H, and the drift gate passes
@@ -362,22 +362,19 @@ class TestConstantPropagation:
             t_start_us=0.0, t_end_us=2.0, dt_us=dt, record_stride=stride, renormalize=False
         )
         transfer = evolve_module._constant_transfer(-1j * h, dt)
-        for name, wrap in SOURCES.items():
-            # the constant fill cuts plain chunks, the terms path chunks of
-            # whole record intervals, so the checked steps differ
-            terms = name == "terms"
-            step_stride = stride if terms else 1
-            chunk = evolve_module._chunk_steps(2, 1, int(terms), step_stride)  # Terms([h]) has one term
-            ends = evolve_module._chunk_ends(250, step_stride, chunk)
-            y = np.array([1.0, 0.0], dtype=complex)
-            first = None
-            for step in range(1, 251):
-                y = transfer @ y
-                checked = step % stride == 0 or step in ends
-                if checked and abs(np.linalg.norm(y) - 1.0) > evolve_module.MAX_NORM_DRIFT:
-                    first = step
-                    break
-            assert first is not None
+        # only records are checked, so the chunks (plain ones for the
+        # constant fill, whole record intervals on the terms path) do not
+        # move the named step
+        y = np.array([1.0, 0.0], dtype=complex)
+        first = None
+        for step in range(1, 251):
+            y = transfer @ y
+            checked = step % stride == 0 or step == 250
+            if checked and abs(np.linalg.norm(y) - 1.0) > evolve_module.MAX_NORM_DRIFT:
+                first = step
+                break
+        assert first is not None
+        for wrap in SOURCES.values():
             with pytest.raises(NumericalError, match=f"at step {first} "):
                 evolve_schrodinger(wrap(h), StateVector.basis(2, 0), cfg)
 
@@ -389,11 +386,13 @@ class TestConstantPropagation:
         with pytest.raises(NumericalError, match="at step 5000 "):
             evolve_schrodinger(h, StateVector.basis(2, 0), cfg)
 
-    def test_overflow_inside_a_chunk_raises_at_its_boundary(self, monkeypatch):
+    def test_overflow_inside_a_chunk_raises_at_the_next_record(self, monkeypatch):
+        # 300-step chunks: the state overflows in the first, and the gate
+        # names the record at step 5000 as it does in one chunk
         monkeypatch.setattr(evolve_module, "MAX_CHUNK_STEPS", 300)
         h = 1000.0 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         cfg = EvolutionConfig(t_start_us=0.0, t_end_us=50.0, dt_us=0.01, record_stride=5000)
-        with pytest.raises(NumericalError, match="at step 300 "):
+        with pytest.raises(NumericalError, match=r"drifted to (nan|inf) at step 5000 \(t=50 us\)"):
             evolve_schrodinger(h, StateVector.basis(2, 0), cfg)
 
     def test_overflow_raises_for_lindblad(self):
@@ -538,10 +537,10 @@ class TestBatchedPropagation:
     def test_chunk_budget_counts_the_batch(self):
         # a step holds a complex state per run and, for a terms source of K
         # terms, its share of the workspace that _workspace allocates for the
-        # chunk, in real form up to REAL_FORM_MAX_DIM; the polynomial, or in
-        # the stage form the scaled basis, is held once. Only the 16-step
-        # floor may exceed the budget. K = 3 takes the stage form at the
-        # smaller sizes and the polynomial at the larger
+        # chunk, in real form up to REAL_FORM_MAX_DIM; the scaled basis and
+        # the polynomial, unless it takes the stage form, are held once. Only
+        # the 16-step floor may exceed the budget. K = 3 takes the stage form
+        # at the smaller sizes and the polynomial at the larger
         budget = evolve_module.TRANSFER_CHUNK_BYTES
         forms = set()
         for y_dim in (2, 4, 16, 64):
@@ -552,11 +551,8 @@ class TestBatchedPropagation:
                     steps = evolve_module._chunk_steps(y_dim, batch, n_terms, 1)
                     held = steps * batch * y_dim * 16
                     if n_terms:
-                        polynomial = evolve_module._monomials(n_terms, side) > 0
-                        forms.add((n_terms, polynomial))
-                        width = n_terms * (n_terms + 1) // 2
-                        shape = (n_terms, width, n_terms) if polynomial else (n_terms,)
-                        matrices = np.empty(shape + (side, side), dtype)
+                        forms.add((n_terms, evolve_module._monomials(n_terms, side) > 0))
+                        matrices = np.zeros((n_terms, side, side), dtype)
                         ws = evolve_module._workspace(matrices, steps, 1, np.empty((batch, y_dim), complex))
                         held = matrices.nbytes + sum(a.nbytes for a in ws)
                     assert held <= budget or steps == 16
@@ -807,7 +803,7 @@ class TestRaggedPropagation:
 RAGGED_CASES = [("schrodinger", 2), ("schrodinger", 4), ("lindblad", 2)]
 
 
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@settings(max_examples=40, derandomize=True, database=None, deadline=None, phases=(Phase.explicit, Phase.generate))
 @given(
     case=st.sampled_from(RAGGED_CASES),
     seed=st.integers(0, 2**16),
@@ -897,13 +893,16 @@ def end_byte(a):
     return a.__array_interface__["data"][0] + sum((n - 1) * s for n, s in zip(a.shape, a.strides)) + a.itemsize
 
 
-def chunk_transfers(matrices, c, n_steps):
+def chunk_transfers(p, c, n_steps, polynomial):
     """The transfers of n_steps steps whose coefficients at the start, middle
-    and end are c's rows, as a chunk of a terms source makes them from
-    matrices: its polynomial, or its scaled basis in the stage form."""
-    carry = np.zeros((1, matrices.shape[-1]), dtype=matrices.dtype).view(complex)  # a real form's states
-    ws = evolve_module._workspace(matrices, n_steps, n_steps, carry)
-    coefficients, calls, _ = evolve_module._chunk_calls(ws, n_steps, n_steps, carry, matrices)
+    and end are c's rows, as a chunk of a terms source makes them from its
+    basis scaled by dt/2, p: through its polynomial, or in the stage form."""
+    carry = np.zeros((1, p.shape[-1]), dtype=p.dtype).view(complex)  # a real form's states
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evolve_module, "_monomials", lambda n_terms, side: polynomial)
+        ws = evolve_module._workspace(p, n_steps, n_steps, carry)
+    assert bool(len(ws.polynomial)) == polynomial
+    coefficients, calls, _ = evolve_module._chunk_calls(ws, n_steps, n_steps, carry, p)
     np.copyto(coefficients, c)
     for call in calls:
         call()
@@ -931,13 +930,15 @@ class TestRK4Polynomial:
             terms, theirs = evolve_module._real_form(terms), evolve_module._real_form(theirs)
         p = (dt / 2.0) * terms
         polynomial = evolve_module._rk4_polynomial(p)
-        # (1 + m)^2 (1 + m + m(m + 1)/2) monomials in the m = K - 1 coefficients after c_0
+        # (1 + m)^2 (1 + m + m(m + 1)/2) monomials in the m = K - 1
+        # coefficients after c_0, then I
         m = n_terms - 1
-        assert math.prod(polynomial.shape[:3]) == (1 + m) ** 2 * (1 + m + m * (m + 1) // 2)
+        assert polynomial.shape[0] == (1 + m) ** 2 * (1 + m + m * (m + 1) // 2) + 1
+        assert np.array_equal(polynomial[-1], np.eye(p.shape[-1]))
         # the polynomial at any K, and the stage form that takes a source
         # whose polynomial has more monomials than pay
-        for matrices in (polynomial, p):
-            ours = chunk_transfers(matrices, c, n)
+        for form in (True, False):
+            ours = chunk_transfers(p, c, n, form)
             assert np.max(np.abs(ours - theirs)) <= 1e-15 * np.max(np.abs(theirs))
 
     @pytest.mark.parametrize("dim", [2, 4, 8])
@@ -1084,6 +1085,88 @@ class TestTimeDependentPropagation:
             evolve_schrodinger(step, StateVector.basis(2, 0), cfg)
 
 
+class TestRecordGate:
+    """Each block of a call gates its records once, after its last chunk
+    (_gate_block), whatever the chunk count; a failure names the earliest
+    failing record step, its time and, in a batch, the lowest failing run."""
+
+    @staticmethod
+    def spy_on_gates(monkeypatch):
+        gates = []
+        gate = evolve_module._gate_block
+        monkeypatch.setattr(evolve_module, "_gate_block", lambda *args: gates.append(args[1].shape) or gate(*args))
+        return gates
+
+    def test_default_two_qubit_pi2_gates_once(self, monkeypatch, caplog):
+        from nvholo import scenarios
+        from nvholo.config import ScenarioConfig
+
+        gates = self.spy_on_gates(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="nvholo.evolve"):
+            scenarios.run_two_qubit_pi2(ScenarioConfig(scenario_id="two-qubit-pi2"))
+        (chunks,) = [int(n) for n in re.findall(r"(\d+) chunks of up to", caplog.text)]
+        assert chunks == 52
+        assert len(gates) == 1
+
+    def test_ragged_call_gates_each_block_once(self, monkeypatch):
+        # three blocks of 5-step chunks, the longest run 40 steps; the
+        # records match per-run calls, which gate once each
+        monkeypatch.setattr(evolve_module, "MAX_CHUNK_STEPS", 5)
+        monkeypatch.setattr(evolve_module, "TRANSFER_CHUNK_BYTES", 1)
+        h, start = rabi_hamiltonian(1.0), StateVector.basis(2, 0)
+        cfgs = [EvolutionConfig(0.0, span, 0.01, record_stride=stride) for span, stride in ((0.2, 3), (0.4, 1), (0.3, 7))]
+        cfgs = [cfgs[0], cfgs[1], cfgs[1], cfgs[2]]
+        gates = self.spy_on_gates(monkeypatch)
+        result = evolve_schrodinger(h, np.stack([start.amps] * 4), cfgs)
+        assert gates == [(1, 8, 2), (2, 41, 2), (1, 6, 2)]  # (runs, records, y) per block
+        singles = [evolve_schrodinger(h, start, cfg) for cfg in cfgs]
+        assert len(gates) == 7
+        assert_matches_per_run_calls(result, singles, "amplitudes")
+
+    def test_ragged_second_block_failure_names_its_run(self, monkeypatch):
+        # runs 0-1 and 2-3 are two blocks of 5-step chunks; run 3 drifts
+        # past the 1e-3 gate, at the step where it does alone
+        monkeypatch.setattr(evolve_module, "MAX_CHUNK_STEPS", 5)
+        monkeypatch.setattr(evolve_module, "TRANSFER_CHUNK_BYTES", 1)
+        start = StateVector.basis(2, 0)
+        calm, drifting = rabi_hamiltonian(1.0), rabi_hamiltonian(15.0)
+        short, long = (EvolutionConfig(0.0, span, 0.008, renormalize=False) for span in (0.5, 2.0))
+        with pytest.raises(NumericalError) as single:
+            evolve_schrodinger(drifting, start, long)
+        assert single.value.member is None
+        detail = re.search(r"norm drifted to [0-9.]+ at step \d+ \(t=[0-9.]+ us\)", str(single.value)).group(0)
+        gates = self.spy_on_gates(monkeypatch)
+        with pytest.raises(NumericalError, match=f"^run 3: {re.escape(detail)}") as err:
+            evolve_schrodinger(np.stack([calm, calm, calm, drifting]), start, [short, short, long, long])
+        assert err.value.member == 3
+        assert len(gates) == 2
+
+    def test_driven_blowup_names_the_earliest_failing_record(self, monkeypatch):
+        # a drive switched on at t = 0.3 us takes |lambda| dt = 50, where
+        # each RK4 step grows the state by about 2.6e5: in 15-step chunks at
+        # stride 5 it overflows to inf and NaN well before the run's end,
+        # and the gate names the first record whose norm, reported against
+        # the record before it, is out of the 1e-3 gate
+        monkeypatch.setattr(evolve_module, "TRANSFER_CHUNK_BYTES", 1)
+        w = 5000.0
+        source = Terms(
+            [np.diag([1.0, -1.0]), [[0.0, w], [w, 0.0]]], constant_and(lambda times: 1.0 * (times > 0.3))
+        )
+        cfg = EvolutionConfig(0.0, 1.0, 0.01, record_stride=5)
+        y0 = np.array([1.0, 0.0], dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            transfers = stepwise_transfers("schrodinger", source, cfg.step_us, cfg.n_steps)
+            _, norms = sequential_reference(transfers, y0, 5, True, np.linalg.norm)
+            _, raw = sequential_reference(transfers, y0, 5, False, np.linalg.norm)
+        failing = ~(np.abs(norms - 1.0) <= evolve_module.MAX_NORM_DRIFT)
+        first = int(cfg.record_steps[np.argmax(failing)])
+        assert first == 35 and not np.isfinite(raw[-1])
+        gates = self.spy_on_gates(monkeypatch)
+        with pytest.raises(NumericalError, match=rf"^norm drifted to [0-9.e+]+ at step {first} \(t=0\.35 us\); reduce dt"):
+            evolve_schrodinger(source, StateVector.basis(2, 0), cfg)
+        assert len(gates) == 1
+
+
 class TestChunkPlan:
     """A terms source's chunks, read from its coefficients calls (one per
     chunk, 2 n + 1 frames from the chunk's first step): they tile the run,
@@ -1147,8 +1230,8 @@ class TestChunkPlan:
         # the two-qubit source (K = 2 at y_dim 4), a batch of it, a dim-4
         # Lindblad source with the polynomial in complex form and a K = 3
         # source in the stage form. _chunk_steps charges exactly the bytes
-        # of the polynomial or basis and of the workspace, as many steps as
-        # fit. The calls of every chunk the plan cuts reach the end of each
+        # of the scaled basis and of the workspace with its polynomial, as
+        # many steps as fit. The calls of every chunk the plan cuts reach the end of each
         # buffer of interval products and nothing past it (the stage form's
         # stages take n each). At stride 5000 a chunk is a piece of one
         # interval
@@ -1157,8 +1240,7 @@ class TestChunkPlan:
         side, dtype = (2 * y_dim, float) if real else (y_dim, complex)
         polynomial = evolve_module._monomials(n_terms, side) > 0
         assert polynomial == (n_terms == 2)
-        width = n_terms * (n_terms + 1) // 2
-        matrices = np.zeros(((n_terms, width, n_terms) if polynomial else (n_terms,)) + (side, side), dtype)
+        matrices = np.zeros((n_terms, side, side), dtype)  # the scaled basis
         carry = np.zeros((runs, y_dim), complex)
         steps = evolve_module._chunk_steps(y_dim, runs, n_terms, stride)
         assert evolve_module._workspace_bytes(y_dim, runs, n_terms, steps, stride) <= budget
@@ -1189,7 +1271,7 @@ class TestChunkPlan:
 DRIVEN_CASES = [("schrodinger", 2), ("schrodinger", 4), ("schrodinger", 8), ("lindblad", 2)]
 
 
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@settings(max_examples=40, derandomize=True, database=None, deadline=None, phases=(Phase.explicit, Phase.generate))
 @given(
     case=st.sampled_from(DRIVEN_CASES),
     n_terms=st.integers(1, 3),

@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from nvholo import evolve as evolve_module
@@ -760,7 +760,7 @@ def kronecker_loop_sweep(grid, d2, d3):
     return reference, actual, phase_from_discrepancy(reference, actual, level=0)
 
 
-@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@settings(max_examples=30, derandomize=True, database=None, deadline=None, phases=(Phase.explicit, Phase.generate))
 @given(
     start=st.floats(-1000.0, 1000.0),
     step=st.floats(0.5, 60.0),
@@ -915,7 +915,7 @@ def test_compare_resonant_fidelity_is_two_single_triple_loops():
     assert isinstance(off, float)
 
 
-@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@settings(max_examples=15, derandomize=True, database=None, deadline=None, phases=(Phase.explicit, Phase.generate))
 @given(
     deltas=st.tuples(*[st.floats(-1000.0, 1000.0, allow_nan=False)] * 3),
     t1_us=st.floats(1.0, 1000.0),
