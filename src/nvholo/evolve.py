@@ -24,9 +24,9 @@ step is a transfer matrix T. _integrate has three parts:
   three quarters of a chunk's transfers and none at stride 1. The byte
   budget counts exactly what the call holds. A source of more terms than
   the polynomial pays for takes the stage form over its frames instead.
-- One gate per block of runs, after the last chunk. It measures the
-  block's records once, checks the norm drift, renormalises them and pads
-  the rows past each run's end.
+- One gate per call, after the last chunk, over the padded records of all
+  its runs. It pads the rows past each run's end, measures the records
+  once, checks the norm drift and renormalises the runs that ask for it.
 
 A Hamiltonian is one of three kinds: a constant matrix (ndarray or
 OperatorMatrix), a (runs, dim, dim) stack of constant matrices, one per run,
@@ -258,11 +258,12 @@ class Trajectory:
 
 
 class RaggedResult(NamedTuple):
-    """A ragged call's records (one EvolutionConfig per run), read-only and
-    gated once (_check_records): padded (runs, records, ...) arrays of the
-    states, their norms before renormalisation and their populations. Run
-    r's records are its first counts[r] rows, and the rows after them copy
-    its last, so states[:, -1] holds every run's final state."""
+    """A ragged call's records (one EvolutionConfig per run), read-only:
+    padded (runs, records, ...) arrays of the states, their norms before
+    renormalisation and their populations, gated in one pass by the
+    integrator (_gate) and once more when built (_check_records). Run r's
+    records are its first counts[r] rows, and the rows after them copy its
+    last, so states[:, -1] holds every run's final state."""
 
     states: np.ndarray
     norms: np.ndarray
@@ -660,20 +661,6 @@ def _chunk_calls(ws: _Workspace, n: int, stride: int, carry: np.ndarray, matrice
     return coefficients, calls, ws.rows[:, :k]
 
 
-class _Block(NamedTuple):
-    """Consecutive runs lo..hi-1 of a call that share one EvolutionConfig."""
-
-    lo: int
-    hi: int
-    cfg: EvolutionConfig
-
-
-def _blocks(cfgs: tuple, runs: int) -> list:
-    cuts = [r for r in range(1, len(cfgs)) if cfgs[r] != cfgs[r - 1]]
-    his = cuts + [len(cfgs) if len(cfgs) > 1 else runs]
-    return [_Block(lo, hi, cfgs[lo]) for lo, hi in zip([0] + cuts, his)]
-
-
 def _record_bounds(cfg: EvolutionConfig, ends: list) -> list:
     """Per chunk cut (0, then ends), one past the index of the last record
     of cfg's run at or before it: chunk i writes its records
@@ -681,50 +668,65 @@ def _record_bounds(cfg: EvolutionConfig, ends: list) -> list:
     return cfg.record_steps.searchsorted(np.minimum([0] + ends, cfg.n_steps), "right").tolist()
 
 
-def _gate_block(measure, rows, out, cfg: EvolutionConfig):
-    """Gate a block's records once, after its last chunk: measure the rows
-    (runs, records, y) at cfg's record steps, their populations into out,
-    and return the drift failure (step, run, reported norm) or None, the
-    largest drift and the reported norms. Unrenormalised, these are the raw
-    norms. Renormalised, record k >= 2 reports raw_k / raw_(k-1), as a
-    scalar commutes with the linear map, and the records after the start
-    and their populations are renormalised in place, the populations by
-    their sums."""
-    raw, _ = measure(rows, out)
-    renorm = cfg.renormalize
-    reported = raw.copy() if renorm else raw
-    if renorm:
+def _gate(measure, records, pops, counts: list, renorm: list):
+    """Gate a call's padded records (runs, records, y) once, after its last
+    chunk. counts and renorm hold each run's record count and whether it
+    renormalises, or one entry for all runs. The rows past each run's count
+    copy its last record; one measure gives the raw norms and the
+    populations, into pops. Unrenormalised, a run reports its raw norms;
+    renormalised, record k >= 2 reports raw_k / raw_(k-1), as a scalar
+    commutes with the linear map. Return the reported norms and the largest
+    drift |reported - 1|. Past MAX_NORM_DRIFT (a NaN is past it) nothing is
+    renormalised. Else the records after the start of the runs that
+    renormalise, and their populations, are divided in place by their raw
+    norms and by their sums, every other run scaled by exactly 1, and a row
+    past a run's count reports its run's last reported norm."""
+    n_records = records.shape[1]
+    padded = [(r, count) for r, count in enumerate(counts) if count < n_records]
+    for r, count in padded:
+        records[r, count:] = records[r, count - 1]
+    raw, _ = measure(records, pops)
+    reported = raw
+    if any(renorm):
+        # in a mixed call, keep marks the runs that do not renormalise
+        keep = None if all(renorm) else ~np.array(renorm)
+        reported = raw.copy()
         reported[:, 2:] /= raw[:, 1:-1]
+        if keep is not None:
+            reported[keep] = raw[keep]
     # the largest |reported - 1| from the extremes; a NaN is both, and fails
     largest = max(float(reported.max()) - 1.0, 1.0 - float(reported.min()))
     if not largest <= MAX_NORM_DRIFT:
-        failed = ~(np.abs(reported - 1.0) <= MAX_NORM_DRIFT)
-        col = int(np.argmax(failed.any(axis=0)))
-        run = int(np.argmax(failed[:, col]))
-        return (int(cfg.record_steps[col]), run, float(reported[run, col])), 0.0, None
-    if renorm:
+        return reported, largest
+    if any(renorm):
         # times reciprocals, as numpy divides a complex by a real; the
         # float64 view takes them without a complex copy of the scales
-        view = rows[:, 1:].view(np.float64)
-        view *= (1.0 / raw[:, 1:])[..., None]
-        found = out[:, 1:]
-        found *= (1.0 / last_axis_sum(found))[..., None]
-    return None, largest, reported
+        scales = (records[:, 1:].view(np.float64), 1.0 / raw[:, 1:]), (pops[:, 1:], 1.0 / last_axis_sum(pops[:, 1:]))
+        for rows, scale in scales:
+            if keep is not None:
+                scale[keep] = 1.0
+            rows *= scale[..., None]
+    for r, count in padded:
+        reported[r, count:] = reported[r, count - 1]
+    return reported, largest
 
 
-def _doubling_fill(a, blocks: list, ends: list, chunk: int, records, direct: bool):
+def _doubling_fill(a, cfgs: tuple, ends: list, chunk: int, records, direct: bool):
     """Fill the records of a constant A or a stack of them (one per run)
-    from their start states, records[:, 0], chunk by chunk. Each run has one
-    RK4 transfer matrix T (one for all when they share A), and the chunk's
-    states come from the raw states at the chunk's start and powers of T by
-    doubling (_fill_by_doubling) into a run-major buffer. When every step of
-    every run is recorded (direct), records is that buffer; else each
-    block's records are gathered from it. Ragged runs are filled to the
-    longest, each recorded to its own end."""
+    from their start states, records[:, 0], chunk by chunk. cfgs holds one
+    EvolutionConfig for every run, or one per run. Each run has one RK4
+    transfer matrix T (one for all when they share A and the step), and
+    the chunk's states come from the raw states at the chunk's start and
+    powers of T by doubling (_fill_by_doubling) into a run-major buffer.
+    When every step of every run is recorded (direct), records is that
+    buffer; else each run's records are gathered from it, all runs' at once
+    under one config. Ragged runs are filled to the longest, each recorded
+    to its own end."""
     runs, _, y_dim = records.shape
-    dt = blocks[0].cfg.step_us
-    if len(blocks) > 1:  # a transfer per run, each with its own step
-        dt = np.repeat([b.cfg.step_us for b in blocks], [b.hi - b.lo for b in blocks])[:, None, None]
+    steps = [c.step_us for c in cfgs]
+    dt = steps[0]
+    if len(set(steps)) > 1:  # a transfer per run, each with its own step
+        dt = np.array(steps)[:, None, None]
         a = np.broadcast_to(a, (runs,) + a.shape[-2:])
     # T, T^2, T^4, ... in row form; a stack per run
     powers = [np.ascontiguousarray(np.swapaxes(_constant_transfer(a, dt), -1, -2))]
@@ -733,7 +735,8 @@ def _doubling_fill(a, blocks: list, ends: list, chunk: int, records, direct: boo
     if not direct:
         states = np.empty((runs, chunk + 1, y_dim), dtype=np.complex128)
         states[:, 0] = records[:, 0]
-        bounds = [_record_bounds(b.cfg, ends) for b in blocks]
+        rows = range(runs) if len(cfgs) > 1 else [slice(None)]
+        gathers = [(r, c, _record_bounds(c, ends)) for r, c in zip(rows, cfgs)]
     n = 0
     for i, (k0, k1) in enumerate(zip([0] + ends, ends)):
         if direct:  # row k0 holds the last chunk's end
@@ -743,9 +746,9 @@ def _doubling_fill(a, blocks: list, ends: list, chunk: int, records, direct: boo
         n = k1 - k0
         _fill_by_doubling(states.view(powers[0].dtype), powers, n)
         if not direct:
-            for b, bound in zip(blocks, bounds):
+            for r, c, bound in gathers:
                 first, last = bound[i], bound[i + 1]
-                records[b.lo : b.hi, first:last] = states[b.lo : b.hi, b.cfg.record_steps[first:last] - k0]
+                records[r, first:last] = states[r, c.record_steps[first:last] - k0]
 
 
 def _crossing_fill(terms, basis, cfg: EvolutionConfig, ends: list, chunk: int, stride: int, records):
@@ -816,19 +819,19 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     a constant H whole, with the offset, and a terms source's basis with the
     offset on B_0 alone, each channel term taking the linear part only.
 
-    Each block of runs (_Block) reads its steps, step size and record steps
-    from its config, planned when the config was built. The call cuts the
-    longest block's steps into chunks of at most _chunk_steps (_chunk_ends).
-    A producer fills the records chunk by chunk, carrying each chunk's raw
-    end state on: _doubling_fill for a constant H or a stack, _crossing_fill
-    for a terms source. No state is renormalised before the last chunk, so
-    a run whose raw states overflow fails the gate, closed, on a NaN or an
-    Inf. Then each block's records are gated once (_gate_block): measured,
-    checked for norm drift, renormalised and padded. A scalar commutes with
-    the linear map, so each reported norm is the ratio of its raw norm to
-    that of the record before it, as a step-by-step renormalising loop would
-    report it. A drift failure names the earliest failing record step and,
-    in a batch, the lowest run that fails there.
+    Each run reads its steps, step size and record steps from its config,
+    planned when the config was built. The call cuts the longest run's steps
+    into chunks of at most _chunk_steps (_chunk_ends). A producer fills the
+    records chunk by chunk, carrying each chunk's raw end state on:
+    _doubling_fill for a constant H or a stack, _crossing_fill for a terms
+    source. No state is renormalised before the last chunk, so a run whose
+    raw states overflow fails the gate, closed, on a NaN or an Inf. Then the
+    call's padded records are gated once (_gate): padded, measured, checked
+    for norm drift and renormalised. A scalar commutes with the linear map,
+    so each reported norm is the ratio of its raw norm to that of the record
+    before it, as a step-by-step renormalising loop would report it. A drift
+    failure names the earliest failing record step and, in a batch, the
+    lowest run that fails there.
     """
     entries, terms = _as_source(h_of_t)
     constant = terms is None
@@ -843,11 +846,10 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     batched = y0.ndim == 2 or stacked
     y0 = y0.reshape(-1, y0.shape[-1])
     y_dim = y0.shape[1]
-    counts = (y0.shape[0], entries.shape[0] if stacked else 1, len(cfgs))
-    runs = max(counts)
-    if not set(counts) <= {1, runs}:
-        raise ConfigError(f"{counts[0]} start states, {counts[1]} H's and {counts[2]} configs in one batch")
-    blocks = _blocks(cfgs, runs)
+    sizes = (y0.shape[0], entries.shape[0] if stacked else 1, len(cfgs))
+    runs = max(sizes)
+    if not set(sizes) <= {1, runs}:
+        raise ConfigError(f"{sizes[0]} start states, {sizes[1]} H's and {sizes[2]} configs in one batch")
 
     # a constant H as a one-term basis: term 0 takes the offset either way
     basis = entries[None] if constant else np.asarray(terms.terms(), dtype=np.complex128)
@@ -858,53 +860,43 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     if y_dim <= REAL_FORM_MAX_DIM:
         basis = _real_form(basis)
 
-    n_max = max(b.cfg.n_steps for b in blocks)
+    n_max = max(c.n_steps for c in cfgs)
     stride = 1 if constant else int(cfgs[0].record_stride)
     ends = _chunk_ends(n_max, stride, _chunk_steps(y_dim, runs, 0 if constant else basis.shape[0], stride))
     chunk = max(k1 - k0 for k0, k1 in zip([0] + ends, ends))
 
-    n_records = max(b.cfg.record_steps.shape[0] for b in blocks)
-    records = np.empty((runs, n_records, y_dim), dtype=np.complex128)
-    norms = np.empty((runs, n_records), dtype=float)
-    pops = np.empty((runs, n_records, dim_protect), dtype=float)
+    counts = [c.record_steps.shape[0] for c in cfgs]
+    records = np.empty((runs, max(counts), y_dim), dtype=np.complex128)
+    pops = np.empty((runs, max(counts), dim_protect), dtype=float)
     records[:, 0] = y0
 
     # transfers and states may overflow; the drift gate rejects NaN and Inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if constant:
             # every step of every run recorded: the doubling fills the records themselves
-            direct = all(b.cfg.record_steps.shape[0] == b.cfg.n_steps + 1 for b in blocks)
-            _doubling_fill(basis[0], blocks, ends, chunk, records, direct)
+            direct = all(count == c.n_steps + 1 for count, c in zip(counts, cfgs))
+            _doubling_fill(basis[0], cfgs, ends, chunk, records, direct)
         else:
             _crossing_fill(terms, basis, cfgs[0], ends, chunk, stride, records)
-        failures, max_drift = [], 0.0
-        for b in blocks:
-            count = b.cfg.record_steps.shape[0]
-            at = (slice(b.lo, b.hi), slice(0, count))
-            failure, drift, reported = _gate_block(measure, records[at], pops[at], b.cfg)
-            if failure is not None:
-                failures.append((failure[0], failure[1] + b.lo, failure[2]))
-                continue
-            max_drift = max(max_drift, drift)
-            norms[at] = reported
-            for a in (records, norms, pops):  # the rows past the runs' end copy their last record
-                a[b.lo : b.hi, count:] = a[b.lo : b.hi, count - 1, None]
-        if failures:
-            step, run, value = min(failures)
-            b = next(b for b in blocks if b.lo <= run < b.hi)
+        norms, drift = _gate(measure, records, pops, counts, [c.renormalize for c in cfgs])
+        if not drift <= MAX_NORM_DRIFT:
+            # the earliest failing record step, then the lowest run failing there
+            failed = ~(np.abs(norms - 1.0) <= MAX_NORM_DRIFT)
+            each = cfgs if len(cfgs) == runs else cfgs * runs
+            firsts = [(int(r), int(np.argmax(failed[r]))) for r in np.flatnonzero(failed.any(axis=1))]
+            step, run, k = min((int(each[r].record_steps[k]), r, k) for r, k in firsts)
             raise NumericalError(
-                f"norm drifted to {value:.6g} at step {step} "
-                f"(t={b.cfg.t_start_us + step * b.cfg.step_us:.6g} us); reduce dt",
+                f"norm drifted to {norms[run, k]:.6g} at step {step} "
+                f"(t={each[run].t_start_us + step * each[run].step_us:.6g} us); reduce dt",
                 member=run if runs > 1 else None,
             )
 
     LOG.debug(
-        "integrated %d runs of up to %d steps in %d blocks, %d chunks of up to %d steps; "
-        "max norm drift %.3e",
-        runs, n_max, len(blocks), len(ends), chunk, max_drift,
+        "integrated %d runs of up to %d steps, %d chunks of up to %d steps; max norm drift %.3e",
+        runs, n_max, len(ends), chunk, drift,
     )
     if ragged:
-        return np.repeat([b.cfg.record_steps.shape[0] for b in blocks], [b.hi - b.lo for b in blocks]), records, norms, pops
+        return np.full(runs, counts), records, norms, pops
     times = cfg.t_start_us + cfg.step_us * cfg.record_steps.astype(float)
     return (times, records, norms, pops) if batched else (times, records[0], norms[0], pops[0])
 

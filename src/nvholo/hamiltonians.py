@@ -25,19 +25,6 @@ HERMITIZED = "hermitized"
 HERMITICITY_MODES = (LITERAL, HERMITIZED)
 
 
-@dataclass(frozen=True)
-class EnvelopeShape:
-    """Dimensionless pulse envelope, valued in [0, 1] everywhere."""
-
-    kind: str = "gaussian"
-
-    def __post_init__(self):
-        if self.kind not in ENVELOPE_KINDS:
-            raise ConfigError(
-                f"unknown envelope kind {self.kind!r}, expected one of {ENVELOPE_KINDS}"
-            )
-
-
 def gaussian_width_ok(width_us: float) -> bool:
     """Whether a Gaussian of this width evaluates without dividing by 0 or
     overflowing: its square is > 0 and, times GAUSSIAN_CUTOFF_WIDTHS^2 (the
@@ -46,16 +33,16 @@ def gaussian_width_ok(width_us: float) -> bool:
     return square > 0.0 and math.isfinite(GAUSSIAN_CUTOFF_WIDTHS**2 * square)
 
 
-def envelope_values(envelope, times, t_center_us: float, t_width_us: float) -> np.ndarray:
-    """Vectorized envelope evaluation at the given times.
+def envelope_values(kind: str, times, t_center_us: float, t_width_us: float) -> np.ndarray:
+    """Vectorized evaluation at the given times of the dimensionless
+    envelope of kind (one of ENVELOPE_KINDS), valued in [0, 1] everywhere.
 
     constant is 1 on [t_center - width/2, t_center + width/2] and 0 outside;
     gaussian is exp(-(t-t_center)^2 / (2 width^2)) truncated at 4 widths;
     sin_squared spans one width centered on t_center.
     """
-    kind = envelope.kind if isinstance(envelope, EnvelopeShape) else envelope
     if kind not in ENVELOPE_KINDS:
-        raise ConfigError(f"unknown envelope kind {kind!r}")
+        raise ConfigError(f"unknown envelope kind {kind!r}, expected one of {ENVELOPE_KINDS}")
     if t_width_us <= 0:
         raise ConfigError("envelope width must be > 0")
     if kind == "gaussian" and not gaussian_width_ok(t_width_us):
@@ -72,11 +59,12 @@ def envelope_values(envelope, times, t_center_us: float, t_width_us: float) -> n
 
 @dataclass(frozen=True)
 class PulseChannel:
-    """One drive tone: Rabi amplitude, carrier, envelope, timing, phase."""
+    """One drive tone: Rabi amplitude, carrier, envelope (one of
+    ENVELOPE_KINDS), timing, phase."""
 
     rabi_mhz: float
     carrier_mhz: float = 0.0
-    envelope: EnvelopeShape = EnvelopeShape("gaussian")
+    envelope: str = "gaussian"
     t_center_us: float = 0.0
     t_width_us: float = 1.0
     phase_rad: float = 0.0
@@ -93,9 +81,8 @@ class PulseChannel:
             raise ConfigError("pulse channel contains non-finite values")
         if self.rabi_mhz < 0:
             raise ConfigError("rabi amplitude must be >= 0")
-        if isinstance(self.envelope, str):
-            object.__setattr__(self, "envelope", EnvelopeShape(self.envelope))
-        # an evaluation at no times checks the width: > 0, and gaussian_width_ok for a Gaussian
+        # an evaluation at no times checks the kind and the width: > 0, and
+        # gaussian_width_ok for a Gaussian
         envelope_values(self.envelope, (), self.t_center_us, self.t_width_us)
 
     def amplitudes(self, times) -> np.ndarray:
@@ -107,7 +94,7 @@ class PulseChannel:
 
 def silent_channel() -> PulseChannel:
     """A zero-amplitude placeholder for unused drive slots."""
-    return PulseChannel(rabi_mhz=0.0, envelope=EnvelopeShape("constant"))
+    return PulseChannel(rabi_mhz=0.0, envelope="constant")
 
 
 @dataclass(frozen=True)

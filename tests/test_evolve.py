@@ -590,7 +590,7 @@ def assert_matches_per_run_calls(result, singles, field):
 class TestRaggedPropagation:
     """A stack of constant Hamiltonians (or one shared by every run) with one
     EvolutionConfig per run, against one unbatched call per run. Runs 1 and 2
-    share a config, so the integrator takes three blocks of runs."""
+    share a config, and one gate takes every run's records."""
 
     STEPS = (23, 40, 40, 9)
     STARTS_US = (0.0, 0.3, 0.3, -0.1)
@@ -1086,15 +1086,16 @@ class TestTimeDependentPropagation:
 
 
 class TestRecordGate:
-    """Each block of a call gates its records once, after its last chunk
-    (_gate_block), whatever the chunk count; a failure names the earliest
-    failing record step, its time and, in a batch, the lowest failing run."""
+    """A call gates its padded records once, after its last chunk (_gate),
+    whatever its chunk count and however its runs' configs differ; a failure
+    names the earliest failing record step, its time and, in a batch, the
+    lowest failing run."""
 
     @staticmethod
     def spy_on_gates(monkeypatch):
         gates = []
-        gate = evolve_module._gate_block
-        monkeypatch.setattr(evolve_module, "_gate_block", lambda *args: gates.append(args[1].shape) or gate(*args))
+        gate = evolve_module._gate
+        monkeypatch.setattr(evolve_module, "_gate", lambda *args: gates.append(args[1].shape) or gate(*args))
         return gates
 
     def test_default_two_qubit_pi2_gates_once(self, monkeypatch, caplog):
@@ -1108,9 +1109,21 @@ class TestRecordGate:
         assert chunks == 52
         assert len(gates) == 1
 
-    def test_ragged_call_gates_each_block_once(self, monkeypatch):
-        # three blocks of 5-step chunks, the longest run 40 steps; the
-        # records match per-run calls, which gate once each
+    def test_default_composite_gates_once_per_call(self, monkeypatch):
+        from nvholo import scenarios
+        from nvholo.cli import DEFAULT_CONFIGS
+        from nvholo.config import parse_config
+
+        calls = []
+        integrate = evolve_module._integrate
+        monkeypatch.setattr(evolve_module, "_integrate", lambda *args: calls.append(1) or integrate(*args))
+        gates = self.spy_on_gates(monkeypatch)
+        scenarios.run_composite_gate_scenario(parse_config(DEFAULT_CONFIGS["composite"]))
+        assert len(calls) == len(gates) == 24
+
+    def test_ragged_call_gates_once(self, monkeypatch):
+        # runs of three configs in 5-step chunks, the longest run 40 steps;
+        # the records match per-run calls, which gate once each
         monkeypatch.setattr(evolve_module, "MAX_CHUNK_STEPS", 5)
         monkeypatch.setattr(evolve_module, "TRANSFER_CHUNK_BYTES", 1)
         h, start = rabi_hamiltonian(1.0), StateVector.basis(2, 0)
@@ -1118,13 +1131,13 @@ class TestRecordGate:
         cfgs = [cfgs[0], cfgs[1], cfgs[1], cfgs[2]]
         gates = self.spy_on_gates(monkeypatch)
         result = evolve_schrodinger(h, np.stack([start.amps] * 4), cfgs)
-        assert gates == [(1, 8, 2), (2, 41, 2), (1, 6, 2)]  # (runs, records, y) per block
+        assert gates == [(4, 41, 2)]  # (runs, records, y), padded to the longest run
         singles = [evolve_schrodinger(h, start, cfg) for cfg in cfgs]
-        assert len(gates) == 7
+        assert len(gates) == 5
         assert_matches_per_run_calls(result, singles, "amplitudes")
 
-    def test_ragged_second_block_failure_names_its_run(self, monkeypatch):
-        # runs 0-1 and 2-3 are two blocks of 5-step chunks; run 3 drifts
+    def test_ragged_failure_names_its_run(self, monkeypatch):
+        # runs 0-1 and 2-3 share two configs, in 5-step chunks; run 3 drifts
         # past the 1e-3 gate, at the step where it does alone
         monkeypatch.setattr(evolve_module, "MAX_CHUNK_STEPS", 5)
         monkeypatch.setattr(evolve_module, "TRANSFER_CHUNK_BYTES", 1)
@@ -1139,7 +1152,7 @@ class TestRecordGate:
         with pytest.raises(NumericalError, match=f"^run 3: {re.escape(detail)}") as err:
             evolve_schrodinger(np.stack([calm, calm, calm, drifting]), start, [short, short, long, long])
         assert err.value.member == 3
-        assert len(gates) == 2
+        assert len(gates) == 1
 
     def test_driven_blowup_names_the_earliest_failing_record(self, monkeypatch):
         # a drive switched on at t = 0.3 us takes |lambda| dt = 50, where

@@ -6,7 +6,6 @@ from nvholo.hamiltonians import (
     ENVELOPE_KINDS,
     HERMITIZED,
     LITERAL,
-    EnvelopeShape,
     LevelSpec,
     PulseChannel,
     PulsedHamiltonian,
@@ -20,9 +19,9 @@ from nvholo.hamiltonians import (
 
 EXP_MINUS_HALF = 0.6065306597126334
 
-GAUSS = EnvelopeShape("gaussian")
-CONST = EnvelopeShape("constant")
-SIN2 = EnvelopeShape("sin_squared")
+GAUSS = "gaussian"
+CONST = "constant"
+SIN2 = "sin_squared"
 
 
 def constant_channel(rabi, carrier=0.0, width=10.0, phase=0.0):
@@ -48,7 +47,7 @@ def random_channel(rng):
     return PulseChannel(
         rabi_mhz=float(rng.uniform(0.0, 20.0)),
         carrier_mhz=float(rng.uniform(-50.0, 50.0)),
-        envelope=EnvelopeShape(str(rng.choice(ENVELOPE_KINDS))),
+        envelope=str(rng.choice(ENVELOPE_KINDS)),
         t_center_us=float(rng.uniform(-1.0, 1.0)),
         t_width_us=float(rng.uniform(0.05, 2.0)),
         phase_rad=float(rng.uniform(-np.pi, np.pi)),
@@ -79,12 +78,12 @@ class TestEnvelopes:
         rng = np.random.default_rng(31)
         times = rng.uniform(-10, 10, size=500)
         for kind in ENVELOPE_KINDS:
-            values = envelope_values(EnvelopeShape(kind), times, 0.3, 0.7)
+            values = envelope_values(kind, times, 0.3, 0.7)
             assert np.all((0.0 <= values) & (values <= 1.0))
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ConfigError):
-            EnvelopeShape("triangle")
+            PulseChannel(1.0, envelope="triangle")
         with pytest.raises(ConfigError):
             envelope_values("triangle", [0.0], 0.0, 1.0)
 
