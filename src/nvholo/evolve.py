@@ -22,8 +22,9 @@ step is a transfer matrix T. _integrate has three parts:
   so each multiply that fills them runs over the chunk's steps; the
   buffers of interval products hold what the product rounds write, about
   three quarters of a chunk's transfers and none at stride 1. The byte
-  budget counts exactly what the call holds. A source of more terms than
-  the polynomial pays for takes the stage form over its frames instead.
+  budget counts exactly what the call holds. A source whose polynomial
+  would hold more than POLYNOMIAL_MAX_BYTES is a ConfigError, raised before
+  any of it is built.
 - One gate per call, after the last chunk, over the padded records of all
   its runs. It pads the rows past each run's end, measures the records
   once, checks the norm drift and renormalises the runs that ask for it.
@@ -81,6 +82,9 @@ ATOL_SAMPLE_HERMITIAN = 1e-10
 MAX_NORM_DRIFT = 1e-3
 ATOL_RECORDED_NORM = 1e-6
 TRANSFER_CHUNK_BYTES = 1_000_000
+# the most a terms source's RK4 polynomial may hold (_polynomial_bytes): a
+# cap of its own, as a smaller chunk budget only cuts shorter chunks
+POLYNOMIAL_MAX_BYTES = 1_000_000
 MAX_CHUNK_STEPS = 8192
 REAL_FORM_MAX_DIM = 8
 # the most steps one run may take: far above the runs in use (376,991 at
@@ -317,16 +321,19 @@ def _as_source(h_of_t):
     )
 
 
-def _monomials(n_terms: int, side: int) -> int:
+def _monomials(n_terms: int) -> int:
     """The count N = K^2 K(K+1)/2 of monomials of the RK4 polynomial
-    (_rk4_polynomial) of a source of K terms, or 0 where its one
-    (n, N) @ (N, side^2) product takes more multiply-adds per step than the
-    stage form's three products of side x side matrices (N > 3 side;
-    _transfer_stack). N grows as K^4: at K = 11 and side 64, a dim-8
-    Lindblad source with five carrier channels, the polynomial alone would
-    hold 523 MB."""
-    count = n_terms**3 * (n_terms + 1) // 2
-    return count if count <= 3 * side else 0
+    (_rk4_polynomial) of a source of K terms. N grows as K^4, so
+    POLYNOMIAL_MAX_BYTES caps it (_polynomial_bytes)."""
+    return n_terms**3 * (n_terms + 1) // 2
+
+
+def _polynomial_bytes(y_dim: int, n_terms: int) -> int:
+    """The bytes of the RK4 polynomial of a source of n_terms terms on states
+    of y_dim entries: N + 1 matrices (_monomials), each in real form
+    (_real_form, twice its complex bytes) up to REAL_FORM_MAX_DIM. At K = 11,
+    a dim-8 Lindblad source with five carrier channels, it would hold 523 MB."""
+    return (_monomials(n_terms) + 1) * 16 * y_dim**2 * (2 if y_dim <= REAL_FORM_MAX_DIM else 1)
 
 
 def _product_buffers(chunk: int, stride: int) -> tuple[int, int]:
@@ -343,19 +350,16 @@ def _product_buffers(chunk: int, stride: int) -> tuple[int, int]:
 def _workspace_bytes(y_dim: int, runs: int, n_terms: int, chunk: int, stride: int) -> int:
     """The bytes a terms source of n_terms terms holds for chunks of at most
     chunk steps: its scaled basis and the workspace that _workspace
-    allocates, with its polynomial (N + 1 matrices, _monomials and
-    _rk4_polynomial) unless it takes the stage form. A real form
+    allocates, with its polynomial (_polynomial_bytes). A real form
     (_real_form) matrix takes twice the bytes of its complex one."""
-    real = y_dim <= REAL_FORM_MAX_DIM
-    columns = _monomials(n_terms, 2 * y_dim if real else y_dim)
-    if columns:  # the polynomial with I, the transfers and the interval products
-        matrices = n_terms + columns + 1 + chunk + sum(_product_buffers(chunk, stride))
-        floats = (n_terms * (n_terms + 1) // 2 + columns + 1) * chunk
-    else:  # the basis, the end frames, the transfers and the two stages
-        matrices, floats = n_terms + chunk + 1 + 3 * chunk, 0
-    floats += n_terms * (2 * chunk + 1)  # the coefficients
+    columns = _monomials(n_terms)
+    # the basis, the transfers and the interval products, then the
+    # coefficients, the middle monomials and the monomial columns
+    matrices = n_terms + chunk + sum(_product_buffers(chunk, stride))
+    floats = n_terms * (2 * chunk + 1) + (n_terms * (n_terms + 1) // 2 + columns + 1) * chunk
     rows = -(-chunk // stride) * runs
-    return 16 * y_dim**2 * (2 if real else 1) * matrices + 8 * floats + 16 * y_dim * rows
+    matrix = 16 * y_dim**2 * (2 if y_dim <= REAL_FORM_MAX_DIM else 1)
+    return _polynomial_bytes(y_dim, n_terms) + matrix * matrices + 8 * floats + 16 * y_dim * rows
 
 
 def _chunk_steps(y_dim: int, runs: int = 1, n_terms: int = 0, stride: int = 1) -> int:
@@ -448,7 +452,7 @@ def _rk4_polynomial(p: np.ndarray) -> np.ndarray:
     middle monomials (_middle_columns).
 
     With F1, F2 and F3 the frames at the step's start, middle and end, the
-    stage form T = I + (F1 + F3)/3 + 2/3 (G2 + G3 + F3 G3), G2 = F2 + F2 F1,
+    RK4 step T = I + (F1 + F3)/3 + 2/3 (G2 + G3 + F3 G3), G2 = F2 + F2 F1,
     G3 = F2 + F2 G2 (dt/2 times the stages K), expands into nine weighted
     words: 1/3 F1, 1/3 F3, 4/3 F2 and 2/3 each of F2 F1, F2 F2, F3 F2,
     F2 F2 F1, F3 F2 F2 and F3 F2 F2 F1. Every word is a sum over its terms'
@@ -457,7 +461,7 @@ def _rk4_polynomial(p: np.ndarray) -> np.ndarray:
     (Hairer, Norsett and Wanner, Solving ODEs I, sec. II.1). I is a matrix
     of its own, against a row of ones among the monomial columns, and not
     folded into M[0, 0, 0]: last in the product's sums, it is added once to
-    their total, which leaves the transfers at stage-form rounding."""
+    their total, which leaves the transfers at the rounding of the stages."""
     k, middle = np.arange(p.shape[0]), _middle_columns(p.shape[0])
     pp = p[:, None] @ p  # pp[a, b] = p_a p_b
     ppp = p[:, None, None] @ pp
@@ -479,31 +483,6 @@ def _rk4_polynomial(p: np.ndarray) -> np.ndarray:
     for weight, products, at in words:
         np.add.at(m, at, weight * products)
     return stack
-
-
-def _transfer_stack(f1, f2, f3, g2, g3) -> np.ndarray:
-    """Exact RK4 update matrices for y' = A(t) y from the frames F = dt/2 A
-    at each step's start, middle and end, written over f2: the stage form of
-    _rk4_polynomial's words, G2 = F2 + F2 F1, G3 = F2 + F2 G2 and
-    T = I + (F1 + F3)/3 + 2/3 (G2 + G3 + F3 G3), which is
-    T = I + dt/6 (K1 + 2 K2 + 2 K3 + K4): three batched products and eight
-    passes, all updated in place. g2 and g3 are buffers of f2's shape for the
-    stages; f2 must share no memory with the others, while f1 and f3 may
-    overlap (consecutive frames of one stack)."""
-    np.matmul(f2, f1, out=g2)
-    g2 += f2
-    np.matmul(f2, g2, out=g3)
-    g3 += f2
-    g2 += g3
-    np.matmul(f3, g3, out=f2)  # F2 is spent: F3 G3 takes its buffer
-    f2 += g2
-    np.add(f1, f3, out=g3)
-    g3 *= 0.5
-    f2 += g3
-    f2 *= 2.0 / 3.0
-    diagonal = np.einsum("...ii->...i", f2)  # a writable view
-    diagonal += 1.0
-    return f2
 
 
 def _constant_transfer(a: np.ndarray, dt) -> np.ndarray:
@@ -543,26 +522,22 @@ def _fill_by_doubling(states: np.ndarray, powers: list, m: int):
 
 class _Workspace(NamedTuple):
     """What a terms source's chunks hold, allocated once per call for the
-    longest chunk of n steps and reused by every chunk. For its polynomial
-    of K terms (_rk4_polynomial, N matrices and I), the coefficients at the
+    longest chunk of n steps and reused by every chunk: its polynomial of K
+    terms (_rk4_polynomial, N matrices and I), then the coefficients at the
     steps' ends and middles (K rows of 2n + 1), the middle monomials (W
-    rows) and the monomial columns (N rows and one of ones) hold the step
-    axis last, so that every multiply that fills them runs over a row of
-    contiguous steps; frames is empty. In the stage form, polynomial is
-    empty, the coefficients are 2n + 1 rows of K and frames holds the frames
-    at the steps' ends (n + 1, _transfer_stack); middle and columns are
-    empty. These three are flat, so that a shorter chunk takes
+    rows) and the monomial columns (N rows and one of ones), which hold the
+    step axis last, so that every multiply that fills them runs over a row
+    of contiguous steps. These three are flat, so that a shorter chunk takes
     contiguous rows too. Then come the transfers (n) and two buffers of
     interval products, as many as the rounds write into each
-    (_product_buffers; n each in the stage form, whose stages they hold),
-    all matrices C-contiguous in the basis dtype; and the crossing's
-    complex rows, one per interval or piece a chunk crosses, per run."""
+    (_product_buffers), all matrices C-contiguous in the basis dtype; and
+    the crossing's complex rows, one per interval or piece a chunk crosses,
+    per run."""
 
     polynomial: np.ndarray
     coefficients: np.ndarray
     middle: np.ndarray
     columns: np.ndarray
-    frames: np.ndarray
     transfers: np.ndarray
     products: np.ndarray
     spare: np.ndarray
@@ -572,22 +547,16 @@ class _Workspace(NamedTuple):
 def _workspace(matrices: np.ndarray, chunk: int, stride: int, carry: np.ndarray) -> _Workspace:
     """The workspace of a terms source's chunks of at most chunk steps in
     record intervals of stride steps, for its basis scaled by dt/2
-    (matrices), whose polynomial it builds unless that has more monomials
-    than pay (_monomials), and for its runs' states, carry.
+    (matrices), whose polynomial it builds, and for its runs' states, carry.
     _workspace_bytes counts its bytes with those of the basis."""
     n_terms, shape = matrices.shape[0], matrices.shape[-2:]
-    if _monomials(n_terms, shape[-1]):
-        polynomial, width = _rk4_polynomial(matrices), n_terms * (n_terms + 1) // 2
-        frames, products = 0, _product_buffers(chunk, stride)
-    else:
-        polynomial, width = np.empty((0,) + shape, matrices.dtype), 0
-        frames, products = chunk + 1, (chunk, chunk)
+    polynomial = _rk4_polynomial(matrices)
     return _Workspace(
         polynomial,
         np.empty(n_terms * (2 * chunk + 1)),
-        np.empty(width * chunk),
+        np.empty(n_terms * (n_terms + 1) // 2 * chunk),
         np.empty(len(polynomial) * chunk),
-        *(np.empty((size,) + shape, matrices.dtype) for size in (frames, chunk, *products)),
+        *(np.empty((size,) + shape, matrices.dtype) for size in (chunk, *_product_buffers(chunk, stride))),
         np.empty((len(carry), -(-chunk // stride), carry.shape[1]), np.complex128),
     )
 
@@ -596,27 +565,15 @@ def _transfer_calls(ws: _Workspace, n: int, matrices: np.ndarray) -> tuple:
     """(coefficients, calls) of a chunk of n steps of a source whose basis
     scaled by dt/2 is matrices: the (2n + 1, K) view of the workspace that
     takes its coefficients, and calls bound to views of the workspace that
-    make its transfers from them. For the call's polynomial
-    (_rk4_polynomial), they fill the N monomial columns (start, middle of
-    degree <= 2, end), each a row of n steps, and the row of ones of I, and
-    make the transfers as one (n, N + 1) @ (N + 1, s*s) product of their
-    transpose with it, which BLAS takes as it is. In the stage form (a
-    source with too many monomials, _monomials), the frames at the steps'
-    ends and middles are one product each of rows of coefficients with the
-    scaled basis, and _transfer_stack builds the transfers over the middle
-    ones. The products take the float64 views of complex matrices, as the
+    make its transfers from them: they fill the N monomial columns (start,
+    middle of degree <= 2, end), each a row of n steps, and the row of ones
+    of I, and make the transfers as one (n, N + 1) @ (N + 1, s*s) product
+    of their transpose with the call's polynomial (_rk4_polynomial), which
+    BLAS takes as it is, in the float64 view of complex matrices, as the
     coefficients are real."""
-    n_terms, transfers = matrices.shape[0], ws.transfers[:n]
-    flat, c = transfers.reshape(n, -1).view(np.float64), ws.coefficients[: n_terms * (2 * n + 1)]
-    if not len(ws.polynomial):  # the stage form: the middle frames in the transfers' buffer
-        c = c.reshape(2 * n + 1, n_terms)
-        basis, ends = matrices.reshape(n_terms, -1).view(np.float64), ws.frames[: n + 1]
-        return c, [
-            functools.partial(np.matmul, c[0::2], basis, out=ends.reshape(n + 1, -1).view(np.float64)),
-            functools.partial(np.matmul, c[1::2], basis, out=flat),
-            functools.partial(_transfer_stack, ends[:-1], transfers, ends[1:], ws.products[:n], ws.spare[:n]),
-        ]
-    c = c.reshape(n_terms, 2 * n + 1)
+    n_terms = matrices.shape[0]
+    flat = ws.transfers[:n].reshape(n, -1).view(np.float64)
+    c = ws.coefficients[: n_terms * (2 * n + 1)].reshape(n_terms, 2 * n + 1)
     start, mid, end, width = c[:, 0:-1:2], c[:, 1::2], c[:, 2::2], n_terms * (n_terms + 1) // 2
     middle = ws.middle[: width * n].reshape(width, n)
     columns = ws.columns[: ws.polynomial.shape[0] * n].reshape(-1, n)
@@ -755,15 +712,14 @@ def _crossing_fill(terms, basis, cfg: EvolutionConfig, ends: list, chunk: int, s
     """Fill the records of a terms source, one block, from their start
     states, records[:, 0], chunk by chunk. The call builds the RK4
     transfer's polynomial in the coefficients once (_rk4_polynomial) from
-    the lifted basis scaled by dt/2, unless it has more monomials than pay
-    (_monomials): then the scaled basis gives each chunk's frames for the
-    stage form. A chunk holds whole record intervals (_chunk_ends) in one
-    workspace (_Workspace) for the longest chunk, worked through calls bound
-    to its views once per chunk length (_chunk_calls), so a chunk does only
-    its arithmetic: its real coefficients must be finite (a failure names
-    the chunk's first frame time) and have c_0 = 1; copied into the
-    workspace, they give the transfers, and the calls run. Its records go
-    into records, and its last row is carried on raw."""
+    the lifted basis scaled by dt/2. A chunk holds whole record intervals
+    (_chunk_ends) in one workspace (_Workspace) for the longest chunk,
+    worked through calls bound to its views once per chunk length
+    (_chunk_calls), so a chunk does only its arithmetic: its real
+    coefficients must be finite (a failure names the chunk's first frame
+    time) and have c_0 = 1; copied into the workspace, they give the
+    transfers, and the calls run. Its records go into records, and its last
+    row is carried on raw."""
     n_terms, dt = basis.shape[0], cfg.step_us
     matrices = basis * (dt / 2.0)
     carry = records[:, 0].copy()
@@ -814,7 +770,8 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     renormalisation, and times gives way to each run's record count, its
     rows past that count copies of its last record.
 
-    The Hamiltonian is checked by _check_samples, lifted and, when y_dim is
+    The Hamiltonian is checked by _check_samples (a terms source's
+    polynomial against POLYNOMIAL_MAX_BYTES too), lifted and, when y_dim is
     at most REAL_FORM_MAX_DIM, put in real form (_real_form) once per call:
     a constant H whole, with the offset, and a terms source's basis with the
     offset on B_0 alone, each channel term taking the linear part only.
@@ -854,6 +811,11 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     # a constant H as a one-term basis: term 0 takes the offset either way
     basis = entries[None] if constant else np.asarray(terms.terms(), dtype=np.complex128)
     _check_samples(basis, dim_protect, "matrix" if constant else "basis")
+    if not constant and (held := _polynomial_bytes(y_dim, basis.shape[0])) > POLYNOMIAL_MAX_BYTES:
+        raise ConfigError(
+            f"a terms source of K = {basis.shape[0]} terms on states of {y_dim} entries needs an RK4 "
+            f"polynomial of {held:,} B, over POLYNOMIAL_MAX_BYTES = {POLYNOMIAL_MAX_BYTES:,} B"
+        )
     basis = lift(basis)
     if offset is not None:
         basis[0] += offset

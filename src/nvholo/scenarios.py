@@ -591,9 +591,10 @@ def run_composite_gate_scenario(cfg: ScenarioConfig) -> SweepResult:
         for name, a, b in (("composite", ideal, noisy), ("single", ideal_single, noisy_single)):
             if b is not None:  # the largest gap in the first start's ground population
                 values[f"discrepancy_{name}"] = [np.max(np.abs(i[:, 0] - n[:, 0])) for i, n in zip(a.pops, b.pops)]
-        if noisy is not None:  # each cardinal start's noisy final density against its ideal final state
+        if noisy is not None:  # each cardinal start's noisy final density against its ideal final state, in one call
             psi = ideal.final[:, 1:] / np.linalg.norm(ideal.final[:, 1:], axis=-1, keepdims=True)
-            values["fidelity_cardinal"] = [np.mean(state_density_fidelity(i, n)) for i, n in zip(psi, noisy.final[:, 1:])]
+            fidelity = state_density_fidelity(psi.reshape(-1, 2), noisy.final[:, 1:].reshape(-1, 2, 2))
+            values["fidelity_cardinal"] = fidelity.reshape(psi.shape[:2]).mean(axis=-1)
         return values
 
     columns = _run_pulses(cfg, axis, label, sequences, passes, starts, reduce)

@@ -3,6 +3,7 @@ import functools
 import logging
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -538,26 +539,29 @@ class TestBatchedPropagation:
         # a step holds a complex state per run and, for a terms source of K
         # terms, its share of the workspace that _workspace allocates for the
         # chunk, in real form up to REAL_FORM_MAX_DIM; the scaled basis and
-        # the polynomial, unless it takes the stage form, are held once. Only
-        # the 16-step floor may exceed the budget. K = 3 takes the stage form
-        # at the smaller sizes and the polynomial at the larger
+        # the polynomial are held once. Only the 16-step floor may exceed the
+        # budget. A source whose polynomial is over POLYNOMIAL_MAX_BYTES, here
+        # K = 3 at y_dim 64 (a dim-8 Lindblad source), is refused before any
+        # workspace is built
         budget = evolve_module.TRANSFER_CHUNK_BYTES
-        forms = set()
+        refused = set()
         for y_dim in (2, 4, 16, 64):
             real = y_dim <= evolve_module.REAL_FORM_MAX_DIM
             side, dtype = (2 * y_dim, float) if real else (y_dim, complex)
             for batch in (1, 7, 32):
                 for n_terms in (0, 1, 2, 3):
+                    if n_terms and evolve_module._polynomial_bytes(y_dim, n_terms) > evolve_module.POLYNOMIAL_MAX_BYTES:
+                        refused.add((y_dim, n_terms))
+                        continue
                     steps = evolve_module._chunk_steps(y_dim, batch, n_terms, 1)
                     held = steps * batch * y_dim * 16
                     if n_terms:
-                        forms.add((n_terms, evolve_module._monomials(n_terms, side) > 0))
                         matrices = np.zeros((n_terms, side, side), dtype)
                         ws = evolve_module._workspace(matrices, steps, 1, np.empty((batch, y_dim), complex))
                         held = matrices.nbytes + sum(a.nbytes for a in ws)
                     assert held <= budget or steps == 16
                     assert steps <= evolve_module._chunk_steps(y_dim, 1, n_terms, 1)
-        assert {(3, False), (3, True), (2, True)} <= forms
+        assert refused == {(64, 3)}
 
 
 def schrodinger_parts():
@@ -893,15 +897,12 @@ def end_byte(a):
     return a.__array_interface__["data"][0] + sum((n - 1) * s for n, s in zip(a.shape, a.strides)) + a.itemsize
 
 
-def chunk_transfers(p, c, n_steps, polynomial):
+def chunk_transfers(p, c, n_steps):
     """The transfers of n_steps steps whose coefficients at the start, middle
-    and end are c's rows, as a chunk of a terms source makes them from its
-    basis scaled by dt/2, p: through its polynomial, or in the stage form."""
+    and end are c's rows, as a chunk of a terms source makes them through
+    the polynomial of its basis scaled by dt/2, p."""
     carry = np.zeros((1, p.shape[-1]), dtype=p.dtype).view(complex)  # a real form's states
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(evolve_module, "_monomials", lambda n_terms, side: polynomial)
-        ws = evolve_module._workspace(p, n_steps, n_steps, carry)
-    assert bool(len(ws.polynomial)) == polynomial
+    ws = evolve_module._workspace(p, n_steps, n_steps, carry)
     coefficients, calls, _ = evolve_module._chunk_calls(ws, n_steps, n_steps, carry, p)
     np.copyto(coefficients, c)
     for call in calls:
@@ -935,11 +936,8 @@ class TestRK4Polynomial:
         m = n_terms - 1
         assert polynomial.shape[0] == (1 + m) ** 2 * (1 + m + m * (m + 1) // 2) + 1
         assert np.array_equal(polynomial[-1], np.eye(p.shape[-1]))
-        # the polynomial at any K, and the stage form that takes a source
-        # whose polynomial has more monomials than pay
-        for form in (True, False):
-            ours = chunk_transfers(p, c, n, form)
-            assert np.max(np.abs(ours - theirs)) <= 1e-15 * np.max(np.abs(theirs))
+        ours = chunk_transfers(p, c, n)
+        assert np.max(np.abs(ours - theirs)) <= 1e-15 * np.max(np.abs(theirs))
 
     @pytest.mark.parametrize("dim", [2, 4, 8])
     @pytest.mark.parametrize("kind", ["schrodinger", "lindblad"])
@@ -1242,17 +1240,15 @@ class TestChunkPlan:
     def test_workspace_is_what_the_chunks_write(self, y_dim, runs, n_terms, stride):
         # the two-qubit source (K = 2 at y_dim 4), a batch of it, a dim-4
         # Lindblad source with the polynomial in complex form and a K = 3
-        # source in the stage form. _chunk_steps charges exactly the bytes
-        # of the scaled basis and of the workspace with its polynomial, as
-        # many steps as fit. The calls of every chunk the plan cuts reach the end of each
-        # buffer of interval products and nothing past it (the stage form's
-        # stages take n each). At stride 5000 a chunk is a piece of one
-        # interval
+        # source, all under POLYNOMIAL_MAX_BYTES. _chunk_steps charges
+        # exactly the bytes of the scaled basis and of the workspace with its
+        # polynomial, as many steps as fit. The calls of every chunk the plan
+        # cuts reach the end of each buffer of interval products and nothing
+        # past it. At stride 5000 a chunk is a piece of one interval
         budget = evolve_module.TRANSFER_CHUNK_BYTES
         real = y_dim <= evolve_module.REAL_FORM_MAX_DIM
         side, dtype = (2 * y_dim, float) if real else (y_dim, complex)
-        polynomial = evolve_module._monomials(n_terms, side) > 0
-        assert polynomial == (n_terms == 2)
+        assert evolve_module._polynomial_bytes(y_dim, n_terms) <= evolve_module.POLYNOMIAL_MAX_BYTES
         matrices = np.zeros((n_terms, side, side), dtype)  # the scaled basis
         carry = np.zeros((runs, y_dim), complex)
         steps = evolve_module._chunk_steps(y_dim, runs, n_terms, stride)
@@ -1274,9 +1270,7 @@ class TestChunkPlan:
                     if buffer.size and np.shares_memory(a, buffer):
                         reached[name] = max(reached[name], end_byte(a) - end_byte(buffer) + buffer.nbytes)
         assert reached == {"products": ws.products.nbytes, "spare": ws.spare.nbytes}
-        if not polynomial:
-            assert ws.products.shape[0] == ws.spare.shape[0] == max(lengths)
-        elif stride < 3:  # stride 1 takes no round, stride 2 one per interval
+        if stride < 3:  # stride 1 takes no round, stride 2 one per interval
             assert (ws.products.shape[0], ws.spare.shape[0]) == (max(lengths) // 2 if stride == 2 else 0, 0)
 
 
@@ -1354,35 +1348,44 @@ def cos_terms(basis, nan_after=math.inf):
     return Terms(basis, coefficients)
 
 
-def pulsed_hamiltonian(dim):
-    """Distinct pump and Stokes tones with carriers and phases, one Stokes
-    slot silent."""
+def pulsed_hamiltonian(dim, carriers, plain=0):
+    """Distinct tones with phases, the first carriers of them with a carrier
+    (two terms each) and the next plain ones without (one term each), on
+    pump and Stokes slots in turn from pump 1 and Stokes 2: K = 1 +
+    2 carriers + plain terms. Stokes 1 and any slot left over stay silent."""
     rng = np.random.default_rng(40 + dim)
     spec = LevelSpec(dim=dim, energies_mhz=tuple(rng.uniform(-5.0, 5.0, size=dim)))
 
-    def tone():
+    def tone(carrier):
         return PulseChannel(
             rabi_mhz=float(rng.uniform(1.0, 4.0)),
-            carrier_mhz=float(rng.uniform(-3.0, 3.0)),
+            carrier_mhz=float(rng.uniform(-3.0, 3.0)) if carrier else 0.0,
             t_center_us=0.1,
             t_width_us=0.04,
             phase_rad=float(rng.uniform(-np.pi, np.pi)),
         )
 
     pairs = dim // 4 + 1
-    pump = tuple(tone() for _ in range(pairs))
-    stokes = (PulseChannel(0.0),) + tuple(tone() for _ in range(pairs - 1))
-    return PulsedHamiltonian(spec, PulseSet(pump, stokes))
+    tones = [tone(k < carriers) for k in range(carriers + plain)]
+    tones += [PulseChannel(0.0)] * (2 * pairs - 1 - len(tones))
+    return PulsedHamiltonian(spec, PulseSet(tuple(tones[0::2]), (PulseChannel(0.0),) + tuple(tones[1::2])))
+
+
+# (carriers, plain) of a pulsed source of each (kind, dim) under
+# POLYNOMIAL_MAX_BYTES: K = 7, 5, 4 and 2 terms
+UNDER_CAP = {("schrodinger", 4): (3, 0), ("schrodinger", 8): (1, 2), ("lindblad", 4): (1, 1), ("lindblad", 8): (0, 1)}
 
 
 class TestTermsPath:
-    """A terms source builds each chunk's frames as one product of its
-    coefficients with the basis, checked and lifted once per call."""
+    """A terms source's basis is checked and lifted once per call, and its
+    RK4 polynomial capped at POLYNOMIAL_MAX_BYTES."""
 
     @pytest.mark.parametrize("kind", ["schrodinger", "lindblad"])
     @pytest.mark.parametrize("dim", [4, 8])
     def test_pulsed_hamiltonian_matches_stepwise_loop(self, monkeypatch, kind, dim):
-        ham = pulsed_hamiltonian(dim)
+        # as many terms as the cap admits, a carrier among them where K
+        # leaves room for its two
+        ham = pulsed_hamiltonian(dim, *UNDER_CAP[kind, dim])
         checks = []
         check = evolve_module._check_samples
         monkeypatch.setattr(
@@ -1423,6 +1426,36 @@ class TestTermsPath:
             assert np.max(np.abs(recorded[run] - records)) < 1e-12
             assert np.max(np.abs(traj.populations[run] - populations(records))) < 1e-12
             assert np.max(np.abs(traj.norms[run] - norms)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "kind, dim, n_terms, y_dim, held",
+        [("lindblad", 4, 7, 16, "5,623,808"), ("schrodinger", 8, 11, 8, "16,357,376"), ("lindblad", 8, 11, 64, "523,436,032")],
+        ids=["lindblad-4", "schrodinger-8", "lindblad-8"],
+    )
+    def test_refuses_a_polynomial_over_the_cap(self, monkeypatch, kind, dim, n_terms, y_dim, held):
+        # carriers on every slot but the silent Stokes one; the refusal comes
+        # before the polynomial or the workspace is built, so the call's heap
+        # peak stays far below the polynomial's bytes
+        ham = pulsed_hamiltonian(dim, carriers=(n_terms - 1) // 2)
+        assert len(ham.terms()) == n_terms
+        built = []
+        for name in ("_rk4_polynomial", "_workspace"):
+            monkeypatch.setattr(evolve_module, name, lambda *args, name=name: built.append(name))
+        cfg = EvolutionConfig(t_start_us=0.0, t_end_us=0.2, dt_us=2e-3)
+        start = StateVector.basis(dim, 0)
+        message = rf"K = {n_terms} terms on states of {y_dim} entries needs an RK4 polynomial of {held} B"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=message):
+                if kind == "schrodinger":
+                    evolve_schrodinger(ham, start, cfg)
+                else:
+                    evolve_lindblad(ham, DensityMatrix.from_state(start), NOISE, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built == []
+        assert peak < 1_000_000
 
     BASIS = np.array([np.diag([1.0, -1.0]), [[0.0, 2.0], [2.0, 0.0]]], dtype=complex)
 
