@@ -239,7 +239,10 @@ def _dispatch(args) -> int:
     cfg = _load_config(args)
     started = time.monotonic()
     columns, summary = TABLE_BUILDERS[args.command](cfg)
-    table = CsvTable(tuple(columns), tuple(columns.values()))
+    try:
+        table = CsvTable(tuple(columns), tuple(columns.values()))
+    except NumericalError as err:  # a non-finite cell, named under its scenario
+        raise NumericalError(f"{args.command}: {err}") from err
     elapsed = time.monotonic() - started
 
     os.makedirs(args.out, exist_ok=True)

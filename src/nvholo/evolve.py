@@ -46,7 +46,10 @@ or a stack of constant H's, one per run. An unbatched call is a batch of
 one. Every run keeps its own drift gate and renormalisation. Runs share one
 time grid, except that constant-H runs may each take their own
 EvolutionConfig (a ragged batch), returned as one RaggedResult of padded
-records. Fixed steps keep runs bit-for-bit reproducible.
+records. A ragged run may chain legs, a constant H and an EvolutionConfig
+(or None, no pulse) per leg: the call fills leg after leg and each run's
+records follow on from its last. Fixed steps keep runs bit-for-bit
+reproducible.
 """
 
 from __future__ import annotations
@@ -299,8 +302,9 @@ def _check_records(pops: np.ndarray, amplitudes=None, densities=None):
 
 def _as_source(h_of_t):
     """(entries, terms), exactly one of them None: entries is the complex
-    (dim, dim) matrix of a constant H or the (runs, dim, dim) stack of one
-    per run; terms is a terms source, an object with terms(),
+    (dim, dim) matrix of a constant H, the (runs, dim, dim) stack of one per
+    run or the (runs, legs, dim, dim) stack of chained runs, one per leg;
+    terms is a terms source, an object with terms(),
     coefficients(times) and sample(times) that gives
     H(t) = sum_k c_k(t) B_k with c_0 = 1, as PulsedHamiltonian does. Any
     other input raises ConfigError, callables of t and objects with .sample
@@ -309,7 +313,7 @@ def _as_source(h_of_t):
         h_of_t = h_of_t.entries
     if isinstance(h_of_t, np.ndarray):
         entries = np.asarray(h_of_t, dtype=np.complex128)
-        if entries.ndim not in (2, 3) or entries.shape[-1] != entries.shape[-2]:
+        if entries.ndim not in (2, 3, 4) or entries.shape[-1] != entries.shape[-2]:
             raise ConfigError("constant Hamiltonian must be a square matrix or a stack of them")
         return entries, None
     if all(hasattr(h_of_t, name) for name in ("terms", "coefficients", "sample")):
@@ -398,6 +402,13 @@ def _chunk_ends(n_steps: int, stride: int, budget: int) -> list:
     return ends[ends < n_steps].tolist() + [n_steps]
 
 
+def _chunks(n_steps: int, y_dim: int, runs: int, n_terms: int = 0, stride: int = 1) -> tuple:
+    """(ends, chunk): the chunk ends of a call of n_steps steps within
+    _chunk_steps (_chunk_ends) and the steps of its longest chunk."""
+    ends = _chunk_ends(n_steps, stride, _chunk_steps(y_dim, runs, n_terms, stride))
+    return ends, max(k1 - k0 for k0, k1 in zip([0] + ends, ends))
+
+
 def _check_samples(stack: np.ndarray, dim: int, what: str):
     """Shape, finite entries and Hermiticity of a constant H or a basis."""
     if stack.shape[-2:] != (dim, dim):
@@ -465,7 +476,6 @@ def _rk4_polynomial(p: np.ndarray) -> np.ndarray:
     k, middle = np.arange(p.shape[0]), _middle_columns(p.shape[0])
     pp = p[:, None] @ p  # pp[a, b] = p_a p_b
     ppp = p[:, None, None] @ pp
-    pppp = p[:, None, None, None] @ ppp
     stack = np.zeros((k.size**2 * (middle.max() + 1) + 1,) + p.shape[1:], p.dtype)
     stack[-1] = np.eye(p.shape[-1])
     m = stack[:-1].reshape((k.size, middle.max() + 1, k.size) + p.shape[1:])
@@ -478,10 +488,16 @@ def _rk4_polynomial(p: np.ndarray) -> np.ndarray:
         (2.0 / 3.0, pp, (0, k, k[:, None])),  # F3 F2: pp[a, b]
         (2.0 / 3.0, ppp, (k, middle[:, :, None], 0)),  # F2 F2 F1: ppp[b, c, d]
         (2.0 / 3.0, ppp, (0, middle, k[:, None, None])),  # F3 F2 F2: ppp[a, b, c]
-        (2.0 / 3.0, pppp, (k, middle[:, :, None], k[:, None, None, None])),  # F3 F2 F2 F1
     ]
     for weight, products, at in words:
         np.add.at(m, at, weight * products)
+    # F3 F2 F2 F1 one end index a at a time, p_a ppp[b, c, d] in one reused
+    # buffer: its K^4 products are never held at once
+    word = np.empty_like(ppp)
+    for a in k:
+        np.matmul(p[a], ppp, out=word)
+        word *= 2.0 / 3.0
+        np.add.at(m, (k, middle[:, :, None], a), word)
     return stack
 
 
@@ -657,9 +673,11 @@ def _gate(measure, records, pops, counts: list, renorm: list):
         return reported, largest
     if any(renorm):
         # times reciprocals, as numpy divides a complex by a real; the
-        # float64 view takes them without a complex copy of the scales
-        scales = (records[:, 1:].view(np.float64), 1.0 / raw[:, 1:]), (pops[:, 1:], 1.0 / last_axis_sum(pops[:, 1:]))
-        for rows, scale in scales:
+        # float64 view takes them without a complex copy of the scales, and
+        # each scale is made in place in turn (raw is spent by now)
+        for rows, scale in (records[:, 1:].view(np.float64), raw[:, 1:]), (pops[:, 1:], None):
+            scale = last_axis_sum(rows) if scale is None else scale
+            np.reciprocal(scale, out=scale)
             if keep is not None:
                 scale[keep] = 1.0
             rows *= scale[..., None]
@@ -668,9 +686,10 @@ def _gate(measure, records, pops, counts: list, renorm: list):
     return reported, largest
 
 
-def _doubling_fill(a, cfgs: tuple, ends: list, chunk: int, records, direct: bool):
+def _doubling_fill(a, cfgs: tuple, records) -> tuple:
     """Fill the records of a constant A or a stack of them (one per run)
-    from their start states, records[:, 0], chunk by chunk. cfgs holds one
+    from their start states, records[:, 0], chunk by chunk (_chunks), and
+    return the chunk count and the longest chunk. cfgs holds one
     EvolutionConfig for every run, or one per run. Each run has one RK4
     transfer matrix T (one for all when they share A and the step), and
     the chunk's states come from the raw states at the chunk's start and
@@ -678,8 +697,11 @@ def _doubling_fill(a, cfgs: tuple, ends: list, chunk: int, records, direct: bool
     When every step of every run is recorded (direct), records is that
     buffer; else each run's records are gathered from it, all runs' at once
     under one config. Ragged runs are filled to the longest, each recorded
-    to its own end."""
+    to its own end. Each leg of chained runs is one such fill
+    (_chained_fill), its records a buffer or a slice of the call's."""
     runs, _, y_dim = records.shape
+    ends, chunk = _chunks(max(c.n_steps for c in cfgs), y_dim, runs)
+    direct = all(c.record_steps.shape[0] == c.n_steps + 1 for c in cfgs)
     steps = [c.step_us for c in cfgs]
     dt = steps[0]
     if len(set(steps)) > 1:  # a transfer per run, each with its own step
@@ -706,11 +728,79 @@ def _doubling_fill(a, cfgs: tuple, ends: list, chunk: int, records, direct: bool
             for r, c, bound in gathers:
                 first, last = bound[i], bound[i + 1]
                 records[r, first:last] = states[r, c.record_steps[first:last] - k0]
+    return len(ends), chunk
 
 
-def _crossing_fill(terms, basis, cfg: EvolutionConfig, ends: list, chunk: int, stride: int, records):
+def _chained_fill(a, plans: list, records, measure, renorm: np.ndarray) -> tuple:
+    """Fill the records of chained runs from their start states,
+    records[:, 0], leg after leg, and return the chunk count and the longest
+    chunk. Run r's legs are plans[r], an EvolutionConfig or None (no pulse)
+    each, leg l under the constant A a[r, l]. A leg fills the runs that have
+    it with one doubling fill (_doubling_fill), from each run's last record,
+    raw, or normalised (measure) where the run does not renormalise, as a
+    run of its own would start. Each run's records follow on from its last
+    one: a leg's first record is the previous leg's last, written once. The
+    first legs of consecutive runs fill the records themselves (a start
+    that is normalised is normalised there); any other leg fills a buffer
+    whose rows after the first are copied on, one slice per group of
+    consecutive runs at one offset and count."""
+    last = np.zeros(len(plans), dtype=np.intp)  # each run's last written record
+    chunks, longest = 0, 0
+    for leg in range(a.shape[1]):
+        runs, cfgs = [r for r, legs in enumerate(plans) if legs[leg]], [legs[leg] for legs in plans if legs[leg]]
+        if not runs:
+            continue
+        runs, counts = np.array(runs), np.array([c.record_steps.shape[0] for c in cfgs])
+        at = last[runs]
+        inplace = not at.any() and runs[-1] - runs[0] < runs.size
+        if inplace:  # consecutive runs' first legs, from their starts
+            states = records[runs[0] : runs[-1] + 1]
+        else:
+            states = np.empty((runs.size, counts.max(), records.shape[2]), dtype=np.complex128)
+            states[:, 0] = records[runs, at]
+        keep = ~renorm[runs]
+        if keep.any():
+            states[keep, 0] /= measure(states[keep, 0])[0][:, None]
+        n, chunk = _doubling_fill(a[runs, leg], cfgs, states)
+        chunks, longest = chunks + n, max(longest, chunk)
+        if not inplace:  # one slice copy per group of consecutive runs at one offset and count
+            steps = np.diff(np.stack([runs, at, counts]), axis=1)
+            cuts = (np.flatnonzero((steps != [[1], [0], [0]]).any(axis=0)) + 1).tolist()
+            for i0, i1 in zip([0, *cuts], [*cuts, runs.size]):
+                r, o, count = runs[i0], at[i0], counts[i0]
+                records[r : r + i1 - i0, o + 1 : o + count] = states[i0:i1, 1:count]
+        last[runs] += counts - 1
+    return chunks, longest
+
+
+def _chain(plan, n_legs: int) -> tuple:
+    """(record count, renormalises) of a chained run's plan, a tuple of
+    n_legs EvolutionConfigs or None (a leg without a pulse), whose legs must
+    agree on renormalize; a run with no leg keeps its start alone."""
+    if not (isinstance(plan, tuple) and len(plan) == n_legs and all(c is None or isinstance(c, EvolutionConfig) for c in plan)):
+        raise ConfigError("a (runs, legs, dim, dim) stack needs a tuple of one EvolutionConfig or None per leg for each run")
+    legs = [c for c in plan if c]
+    if len({c.renormalize for c in legs}) > 1:
+        raise ConfigError("the legs of a chained run must agree on renormalize")
+    return 1 + sum(c.record_steps.shape[0] - 1 for c in legs), any(c.renormalize for c in legs)
+
+
+def _leg_step(plan, k: int) -> tuple:
+    """(leg, config, step) of record k of a run: its config's record step,
+    or, for a chained run (a tuple of leg configs and None), the record step
+    in the leg that wrote it."""
+    if isinstance(plan, EvolutionConfig):
+        return 0, plan, int(plan.record_steps[k])
+    for leg, c in enumerate(plan):
+        if c and k < c.record_steps.shape[0]:
+            return leg, c, int(c.record_steps[k])
+        k -= c.record_steps.shape[0] - 1 if c else 0
+
+
+def _crossing_fill(terms, basis, cfg: EvolutionConfig, records) -> tuple:
     """Fill the records of a terms source, one block, from their start
-    states, records[:, 0], chunk by chunk. The call builds the RK4
+    states, records[:, 0], chunk by chunk, and return the chunk count and
+    the longest chunk. The call builds the RK4
     transfer's polynomial in the coefficients once (_rk4_polynomial) from
     the lifted basis scaled by dt/2. A chunk holds whole record intervals
     (_chunk_ends) in one workspace (_Workspace) for the longest chunk,
@@ -720,7 +810,8 @@ def _crossing_fill(terms, basis, cfg: EvolutionConfig, ends: list, chunk: int, s
     time) and have c_0 = 1; copied into the workspace, they give the
     transfers, and the calls run. Its records go into records, and its last
     row is carried on raw."""
-    n_terms, dt = basis.shape[0], cfg.step_us
+    n_terms, dt, stride = basis.shape[0], cfg.step_us, int(cfg.record_stride)
+    ends, chunk = _chunks(cfg.n_steps, records.shape[2], records.shape[0], n_terms, stride)
     matrices = basis * (dt / 2.0)
     carry = records[:, 0].copy()
     ws, built = _workspace(matrices, chunk, stride, carry), {}
@@ -750,6 +841,7 @@ def _crossing_fill(terms, basis, cfg: EvolutionConfig, ends: list, chunk: int, s
             call()
         records[:, first:last] = rows[:, : last - first]
         carry[:] = rows[:, -1]
+    return len(ends), chunk
 
 
 def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
@@ -768,7 +860,11 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     EvolutionConfig, or, for a constant H or a stack of them, a sequence of
     one per run: the runs then differ in span, step, record stride and
     renormalisation, and times gives way to each run's record count, its
-    rows past that count copies of its last record.
+    rows past that count copies of its last record. A (runs, legs, dim, dim)
+    stack chains each run's legs: its cfg is then a tuple of one
+    EvolutionConfig or None (no pulse) per leg, the legs agreeing on
+    renormalisation, and its records run on across its legs (_chained_fill).
+    Plain EvolutionConfigs take one doubling fill, with no leg bookkeeping.
 
     The Hamiltonian is checked by _check_samples (a terms source's
     polynomial against POLYNOMIAL_MAX_BYTES too), lifted and, when y_dim is
@@ -780,26 +876,29 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     planned when the config was built. The call cuts the longest run's steps
     into chunks of at most _chunk_steps (_chunk_ends). A producer fills the
     records chunk by chunk, carrying each chunk's raw end state on:
-    _doubling_fill for a constant H or a stack, _crossing_fill for a terms
-    source. No state is renormalised before the last chunk, so a run whose
+    _doubling_fill for a constant H or a stack, one per leg for chained
+    runs (_chained_fill), _crossing_fill for a terms source. No state is
+    renormalised before the last chunk, so a run whose
     raw states overflow fails the gate, closed, on a NaN or an Inf. Then the
     call's padded records are gated once (_gate): padded, measured, checked
     for norm drift and renormalised. A scalar commutes with the linear map,
     so each reported norm is the ratio of its raw norm to that of the record
     before it, as a step-by-step renormalising loop would report it. A drift
-    failure names the earliest failing record step and, in a batch, the
-    lowest run that fails there.
+    failure names the earliest failing record step (in a chained run, the
+    earliest leg first, and the leg) and, in a batch, the lowest run that
+    fails there.
     """
     entries, terms = _as_source(h_of_t)
     constant = terms is None
     ragged = not isinstance(cfg, EvolutionConfig)
     cfgs = tuple(cfg) if ragged else (cfg,)
-    if not cfgs or not all(isinstance(c, EvolutionConfig) for c in cfgs):
+    chained = constant and entries.ndim == 4
+    if not cfgs or not chained and not all(isinstance(c, EvolutionConfig) for c in cfgs):
         raise ConfigError("cfg must be an EvolutionConfig or a sequence of them, one per run")
     if ragged and not constant:
         raise ConfigError("per-run configs need a constant Hamiltonian or a stack of them")
     y0 = np.asarray(y0, dtype=np.complex128)
-    stacked = constant and entries.ndim == 3
+    stacked = constant and entries.ndim >= 3
     batched = y0.ndim == 2 or stacked
     y0 = y0.reshape(-1, y0.shape[-1])
     y_dim = y0.shape[1]
@@ -807,6 +906,16 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     runs = max(sizes)
     if not set(sizes) <= {1, runs}:
         raise ConfigError(f"{sizes[0]} start states, {sizes[1]} H's and {sizes[2]} configs in one batch")
+    if chained:
+        cfgs = cfgs if len(cfgs) == runs else cfgs * runs
+        known = {}  # each distinct plan once: the starts of a sweep point share theirs
+        for plan in cfgs:
+            if id(plan) not in known:
+                known[id(plan)] = _chain(plan, entries.shape[1])
+        counts, renorm = zip(*(known[id(plan)] for plan in cfgs))
+    else:
+        renorm = [c.renormalize for c in cfgs]
+        counts = [c.record_steps.shape[0] for c in cfgs]
 
     # a constant H as a one-term basis: term 0 takes the offset either way
     basis = entries[None] if constant else np.asarray(terms.terms(), dtype=np.complex128)
@@ -822,41 +931,34 @@ def _integrate(h_of_t, lift, y0, cfg, dim_protect, measure, offset=None):
     if y_dim <= REAL_FORM_MAX_DIM:
         basis = _real_form(basis)
 
-    n_max = max(c.n_steps for c in cfgs)
-    stride = 1 if constant else int(cfgs[0].record_stride)
-    ends = _chunk_ends(n_max, stride, _chunk_steps(y_dim, runs, 0 if constant else basis.shape[0], stride))
-    chunk = max(k1 - k0 for k0, k1 in zip([0] + ends, ends))
-
-    counts = [c.record_steps.shape[0] for c in cfgs]
     records = np.empty((runs, max(counts), y_dim), dtype=np.complex128)
     pops = np.empty((runs, max(counts), dim_protect), dtype=float)
     records[:, 0] = y0
 
     # transfers and states may overflow; the drift gate rejects NaN and Inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if constant:
-            # every step of every run recorded: the doubling fills the records themselves
-            direct = all(count == c.n_steps + 1 for count, c in zip(counts, cfgs))
-            _doubling_fill(basis[0], cfgs, ends, chunk, records, direct)
+        if chained:
+            a = np.broadcast_to(basis[0], (runs,) + basis.shape[2:])
+            chunks, chunk = _chained_fill(a, cfgs, records, measure, np.array(renorm))
+        elif constant:
+            chunks, chunk = _doubling_fill(basis[0], cfgs, records)
         else:
-            _crossing_fill(terms, basis, cfgs[0], ends, chunk, stride, records)
-        norms, drift = _gate(measure, records, pops, counts, [c.renormalize for c in cfgs])
+            chunks, chunk = _crossing_fill(terms, basis, cfgs[0], records)
+        norms, drift = _gate(measure, records, pops, counts, renorm)
         if not drift <= MAX_NORM_DRIFT:
-            # the earliest failing record step, then the lowest run failing there
+            # the earliest failing record step (by leg in a chained run), then
+            # the lowest run failing there
             failed = ~(np.abs(norms - 1.0) <= MAX_NORM_DRIFT)
             each = cfgs if len(cfgs) == runs else cfgs * runs
             firsts = [(int(r), int(np.argmax(failed[r]))) for r in np.flatnonzero(failed.any(axis=1))]
-            step, run, k = min((int(each[r].record_steps[k]), r, k) for r, k in firsts)
+            (leg, step, run, k), c = min(((leg, step, r, k), c) for r, k in firsts for leg, c, step in [_leg_step(each[r], k)])
             raise NumericalError(
-                f"norm drifted to {norms[run, k]:.6g} at step {step} "
-                f"(t={each[run].t_start_us + step * each[run].step_us:.6g} us); reduce dt",
+                f"norm drifted to {norms[run, k]:.6g} at step {step}{f' of leg {leg + 1}' if chained else ''} "
+                f"(t={c.t_start_us + step * c.step_us:.6g} us); reduce dt",
                 member=run if runs > 1 else None,
             )
 
-    LOG.debug(
-        "integrated %d runs of up to %d steps, %d chunks of up to %d steps; max norm drift %.3e",
-        runs, n_max, len(ends), chunk, drift,
-    )
+    LOG.debug("integrated %d runs, %d chunks of up to %d steps; max norm drift %.3e", runs, chunks, chunk, drift)
     if ragged:
         return np.full(runs, counts), records, norms, pops
     times = cfg.t_start_us + cfg.step_us * cfg.record_steps.astype(float)
@@ -884,7 +986,9 @@ def evolve_schrodinger(h_of_t, psi0, cfg: EvolutionConfig) -> Trajectory | Ragge
     batched call returns a Trajectory with a leading run axis. For a constant
     H or a stack of them, cfg may be a sequence of one EvolutionConfig per
     run; the call then returns one RaggedResult, whose gate names a failing
-    run by its index in the call.
+    run by its index in the call. With a (runs, legs, dim, dim) stack, each
+    run's cfg is a tuple of one EvolutionConfig or None per leg, and the
+    run's legs are chained (_integrate).
     """
     y0 = psi0.amps if isinstance(psi0, StateVector) else checked_amplitudes(psi0, 2)
     dim = y0.shape[-1]

@@ -116,8 +116,8 @@ LOOP_BLOCK_BYTES = 128 * 1024
 FIDELITY_PIECE_SLICES = LOOP_BLOCK_BYTES // (2 * 3 * 16 * 8)
 # the 2-level pulse runner (_run_pulses) integrates blocks of points whose
 # largest integrations hold at most this many bytes of records. Noisy heap
-# peaks under tracemalloc: 2.9 MB for the default 33-point composite (blocks
-# of 16, 10 and 7), 1.7 MB for 121 detune points (blocks of 18)
+# peaks under tracemalloc: 1.5 MB for the default 33-point composite (10
+# blocks of 9 to 1), 1.7 MB for 121 detune points (blocks of 18)
 PULSE_BLOCK_BYTES = 1024 * 1024
 
 MIN_SEGMENT_STEPS = 16
@@ -405,15 +405,14 @@ def _initial_state(initial_state, dim: int) -> StateVector:
     return StateVector.basis(dim, int(value))
 
 
-def _drive_matrix(rabi_mhz: float, delta_mhz: float) -> np.ndarray:
-    two_pi = 2.0 * math.pi
-    return np.array(
-        [
-            [0.0, two_pi * rabi_mhz / 2.0],
-            [two_pi * rabi_mhz / 2.0, two_pi * delta_mhz],
-        ],
-        dtype=np.complex128,
-    )
+def _drive_matrix(rabi_mhz, delta_mhz) -> np.ndarray:
+    """The x drive [[0, pi rabi], [pi rabi, 2 pi delta]] in rad/us, or a
+    stack of them over arrays of rabi and delta in MHz."""
+    rabi, delta = np.broadcast_arrays(rabi_mhz, delta_mhz)
+    h = np.zeros(rabi.shape + (2, 2), dtype=np.complex128)
+    h[..., 0, 1] = h[..., 1, 0] = math.pi * rabi
+    h[..., 1, 1] = 2.0 * math.pi * delta
+    return h
 
 
 def _gate_time_us(theta: float, rabi_mhz: float) -> float:
@@ -631,12 +630,12 @@ class _Stitched(NamedTuple):
 
 def _kick(state: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """z kick of each run by its angle, Rz = diag(e^(-i a/2), e^(i a/2)), on
-    rows of amplitudes (runs, 2) or of densities (runs, 2, 2); a zero
-    angle's phases are exactly 1."""
+    amplitudes (..., 2) or on densities or Hamiltonians (..., 2, 2), one
+    angle per leading index; a zero angle's phases are exactly 1."""
     phases = np.exp(np.multiply.outer(angles, [-0.5j, 0.5j]))
-    if state.ndim == 2:
+    if state.ndim == phases.ndim:
         return state * phases
-    return state * phases[:, :, None] * phases.conj()[:, None, :]
+    return state * phases[..., :, None] * phases.conj()[..., None, :]
 
 
 def _run_pulses(cfg, axis, label: str, sequences, passes, starts, reduce, evo=None, records=None, name_starts=True) -> dict:
@@ -648,14 +647,16 @@ def _run_pulses(cfg, axis, label: str, sequences, passes, starts, reduce, evo=No
     sequence k from the first n rows of starts, through the master equation
     if noisy. The caller gives the step rule: evo for every pulse, or else
     _pulse_config at the _pulse_dt of its resonant drive sign, with about
-    records records. A point's size is the record bytes (a state, a norm and
-    2 populations each) of its largest integration. A ragged call pads every
-    run to its longest run's records, so a block holds consecutive points
-    while their count times their largest size fits PULSE_BLOCK_BYTES. Each
-    block runs every pass (_run_pass); reduce(*stitched), one _Stitched per
-    pass, gives its columns {name: per-point values} before the next block
-    is planned. A failure names the scenario, the point and, with
-    name_starts, the start (START_NAMES)."""
+    records records. The passes of one equation share one integration per
+    block (_run_pass). A ragged call pads every run to its longest run's
+    records, so a point's size in a call is the record bytes (a state, a
+    norm and 2 populations each) of the runs it adds, each at the records of
+    its longest run over all of that run's legs, and a block holds
+    consecutive points while their count times their largest size in
+    either call fits PULSE_BLOCK_BYTES. reduce(*stitched), one _Stitched per
+    pass in order, gives the block's columns {name: per-point values} before
+    the next block is planned. A failure names the scenario, the point and,
+    with name_starts, the start (START_NAMES)."""
     spans = [_gate_time_us(np.abs(legs[..., 0]), cfg.rabi_mhz) for legs in sequences]
     dts = [np.zeros(span.shape) for span in spans]
     for legs, span, dt in zip(sequences, spans, dts):
@@ -663,6 +664,14 @@ def _run_pulses(cfg, axis, label: str, sequences, passes, starts, reduce, evo=No
             pick = (np.copysign(1.0, legs[..., 0]) == sign) & (span > 0.0)
             if pick.any():
                 dt[pick] = _pulse_dt(_drive_matrix(sign * cfg.rabi_mhz, 0.0), span[pick], cfg)
+    # one call per equation, ideal then noisy: its passes (indices into
+    # passes), their sequences, the runs they add per point and the bytes of
+    # a record
+    calls = []
+    for noisy in (False, True):
+        call = [i for i, (_, each, _) in enumerate(passes) if each == noisy]
+        if call:
+            calls.append((noisy, call, {passes[i][0] for i in call}, sum(passes[i][2] for i in call), 88 if noisy else 56))
     columns = {}
 
     def plan(p: int) -> list:
@@ -673,70 +682,95 @@ def _run_pulses(cfg, axis, label: str, sequences, passes, starts, reduce, evo=No
             for span, dt in zip(spans, dts)
         ]
 
+    def size(point: list) -> int:
+        counts = [1 + sum(e.record_steps.shape[0] - 1 for e in legs if e) for legs in point]
+        return max(runs * max(counts[k] for k in ks) * nbytes for _, _, ks, runs, nbytes in calls)
+
     def run(lo: int, plans: list):
         at = slice(lo, lo + len(plans))
         names = [label.format(x) for x in axis[at]]
-        stitched = [
-            _run_pass(cfg, names, sequences[k][at], [each[k] for each in plans], starts[:n], noisy, name_starts)
-            for k, noisy, n in passes
-        ]
+        stitched = [None] * len(passes)
+        for noisy, call, *_ in calls:
+            group = [(sequences[passes[i][0]][at], [each[passes[i][0]] for each in plans], passes[i][2]) for i in call]
+            for i, pulses in zip(call, _run_pass(cfg, names, group, starts, noisy, name_starts)):
+                stitched[i] = pulses
         for name, values in reduce(*stitched).items():
             columns.setdefault(name, []).append(np.array(values))
 
     lo, plans, largest = 0, [], 0
     for p in range(len(axis)):
         point = plan(p)
-        size = max([n * e.record_steps.shape[0] * (88 if noisy else 56) for k, noisy, n in passes for e in point[k] if e] or [0])
-        if plans and (len(plans) + 1) * max(largest, size) > PULSE_BLOCK_BYTES:
+        point_size = size(point)
+        if plans and (len(plans) + 1) * max(largest, point_size) > PULSE_BLOCK_BYTES:
             run(lo, plans)
             lo, plans, largest = p, [], 0
         plans.append(point)
-        largest = max(largest, size)
+        largest = max(largest, point_size)
     run(lo, plans)
     return {name: np.concatenate(parts) for name, parts in columns.items()}
 
 
-def _run_pass(cfg: ScenarioConfig, names, legs, plans, starts, noisy: bool, name_starts: bool) -> _Stitched:
-    """One pass of _run_pulses over a block of points: each leg position is
-    one ragged integration over the runs of the points whose pulse there has
-    a plan (plans[point][leg]), point by point with the starts within, read
-    by row: a point's first start up to its own count, every final state
-    from the last row. noisy carries the densities through the master
-    equation with cfg.noise; else the amplitudes, normalised before each
-    pulse, go through the Schrodinger equation."""
-    n_points, n_starts = legs.shape[0], starts.shape[0]
+def _run_pass(cfg: ScenarioConfig, names, group, starts, noisy: bool, name_starts: bool) -> list:
+    """The passes of one equation over a block of points as one ragged
+    integration, one _Stitched per pass. group holds each pass's (legs,
+    plans, n): its leg rows and leg plans per point and its start count. A
+    pass adds the runs of its points that have a pulse, point by point with
+    their first n starts within; the others keep their start. With more
+    than one leg in the call, a run chains its legs (its cfg a tuple of leg
+    plans, None past its pass's last leg), and its z kicks fold into each
+    leg's drive as the frame rotation H' = Rz(phi)^dag H Rz(phi), phi the
+    kicks before the leg's pulse (the T1/T2 dissipator is invariant under
+    it); every final state then takes the total kick (_kick). One leg is a
+    plain EvolutionConfig. A point's
+    records are read from its first start's row up to its own count, every
+    final state from the last row. noisy carries the densities through the
+    master equation with cfg.noise; else the amplitudes, normalised, go
+    through the Schrodinger equation."""
+    n_legs = max(legs.shape[1] for legs, _, _ in group)
     if noisy:
         state = starts[:, :, None] * starts[:, None, :].conj()
         pops0 = np.real(np.diagonal(state[0]))
     else:
-        state = starts.copy()
-        pops0 = np.abs(state[0]) ** 2
-    state = np.concatenate([state] * n_points)
-    pops = [[pops0[None]] for _ in range(n_points)]
-    for leg in range(legs.shape[1]):
-        state = _kick(state, np.repeat(legs[:, leg, 1], n_starts))
-        moving = [p for p in range(n_points) if plans[p][leg]]
+        state = starts / np.linalg.norm(starts, axis=1, keepdims=True)
+        pops0 = np.abs(starts[0]) ** 2
+    drives, evos, y0, runs, firsts = [], [], [], [], []
+    for legs, plans, n in group:
+        moving = [p for p, plan in enumerate(plans) if any(plan)]
+        firsts.append((len(evos), moving))
+        pulses = legs[moving]
+        h = np.zeros((len(moving), n_legs, 2, 2), dtype=np.complex128)
+        h[:, : legs.shape[1]] = _drive_matrix(np.copysign(cfg.rabi_mhz, pulses[..., 0]), pulses[..., 3])
+        if pulses[..., 1:3].any():  # the kicks before each leg's pulse: its pre-kick and all kicks before
+            phi = np.cumsum(pulses[..., 1:3].reshape(len(moving), 2 * legs.shape[1]), axis=1)[:, 0::2]
+            h[:, : legs.shape[1]] = _kick(h[:, : legs.shape[1]], -phi)
+        drives.append(np.repeat(h, n, axis=0))
+        after = (None,) * (n_legs - legs.shape[1])
+        # one plan per point, shared by its starts
+        evos += [plan for p in moving for plan in [tuple(plans[p]) + after if n_legs > 1 else plans[p][0]] * n]
+        y0 += [state[:n]] * len(moving)
+        runs += [f"{names[p]} start={name}" if name_starts else names[p] for p in moving for name in START_NAMES[:n]]
+    if runs:
+        drives = np.concatenate(drives) if n_legs > 1 else np.concatenate(drives)[:, 0]
+        with _naming(cfg.scenario_id, runs):
+            if noisy:
+                result = evolve_lindblad(drives, np.concatenate(y0), cfg.noise, evos)
+            else:
+                result = evolve_schrodinger(drives, np.concatenate(y0), evos)
+    stitched = []
+    for (legs, plans, n), (first, moving) in zip(group, firsts):
+        pops = [[pops0[None]] for _ in plans]
+        final = np.repeat(state[None, :n], len(plans), axis=0)
         if moving:
-            evos = [plans[p][leg] for p in moving for _ in range(n_starts)]
-            drives = [_drive_matrix(math.copysign(cfg.rabi_mhz, legs[p, leg, 0]), legs[p, leg, 3]) for p in moving]
-            drives = np.repeat(drives, n_starts, axis=0)
-            rows = (n_starts * np.array(moving)[:, None] + np.arange(n_starts)).ravel()
-            runs = [f"{names[p]} start={name}" if name_starts else names[p] for p in moving for name in START_NAMES[:n_starts]]
-            with _naming(cfg.scenario_id, runs):
-                if noisy:
-                    result = evolve_lindblad(drives, state[rows], cfg.noise, evos)
-                    rho = result.states[:, -1]
-                    state[rows] = 0.5 * (rho + np.swapaxes(rho, 1, 2).conj())
-                else:
-                    norms = np.linalg.norm(state[rows], axis=1, keepdims=True)
-                    result = evolve_schrodinger(drives, state[rows] / norms, evos)
-                    state[rows] = result.states[:, -1]
-            # only the first start's records are kept, as copies
-            for p, row in zip(moving, range(0, len(rows), n_starts)):
+            rows = range(first, first + n * len(moving), n)
+            final[moving] = result.states[first : first + n * len(moving), -1].reshape((len(moving), n) + state.shape[1:])
+            for p, row in zip(moving, rows):  # only the first start's records are kept, as copies
                 pops[p].append(result.populations[row, 1 : result.counts[row]].copy())
-            del result  # used up: the next leg is integrated without it
-        state = _kick(state, np.repeat(legs[:, leg, 2], n_starts))
-    return _Stitched([np.concatenate(parts) for parts in pops], state.reshape((n_points, n_starts) + state.shape[1:]))
+        if noisy:  # Hermitian to rounding, made exactly so for the fidelity's density check
+            final = 0.5 * (final + np.swapaxes(final, -1, -2).conj())
+        if legs[..., 1:3].any():
+            final = _kick(final, np.sum(legs[..., 1:3], axis=(1, 2))[:, None])
+        stitched.append(_Stitched([np.concatenate(parts) for parts in pops], final))
+    return stitched
 
 
 # ---------------------------------------------------------------------------

@@ -1043,6 +1043,23 @@ def test_cli_negative_noisy_population_exits_three(tmp_path, capsys):
     assert not (out / "result.csv").exists()
 
 
+def test_cli_non_finite_csv_cell_names_its_scenario(tmp_path, capsys, monkeypatch):
+    # one NaN injected past the scenario's own gates: the CSV table's gate
+    # fails closed, exit 3, nothing written, and the message leads with the
+    # scenario
+    import nvholo.cli as cli
+
+    monkeypatch.setattr(cli, "compare_resonant_fidelity", lambda cfg: (math.nan, 0.9))
+    config = tmp_path / "cfg"
+    config.write_text(DEFAULT_CONFIGS["fidelity-compare"])
+    out = tmp_path / "x"
+    assert run_cli(["fidelity-compare", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: fidelity-compare: csv row 0 column 'off_fidelity' is nan\n"
+    assert not (out / "result.csv").exists()
+    assert not (out / "manifest").exists()
+
+
 REFERENCES = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference")
 REFERENCE_CONFIGS = sorted(
     (name[: -len(".ini")], workload)

@@ -28,6 +28,7 @@ from nvholo.evolve import (
     recommended_dt,
 )
 from nvholo.hamiltonians import LevelSpec, PulseChannel, PulsedHamiltonian, PulseSet
+from nvholo.scenarios import _kick
 
 
 def rabi_hamiltonian(omega_mhz, delta_mhz=0.0):
@@ -854,6 +855,109 @@ def test_random_ragged_runs_match_per_run_calls(case, seed, configs, every_step,
         assert_matches_per_run_calls(result, per_run, field)
 
 
+# a leg of a chained run: a pulse (else an absent leg), the drive's sign,
+# Rabi frequency and detuning in MHz, the z kicks before and after it, its
+# steps and its record stride
+CHAIN_LEGS = st.tuples(
+    st.booleans(),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(5.0, 20.0),
+    st.floats(-10.0, 10.0),
+    st.floats(-math.pi, math.pi),
+    st.floats(-math.pi, math.pi),
+    st.integers(1, 60),
+    st.sampled_from([1, 1, 4]),
+)
+
+
+def kicked(state, angle):
+    """One state, amplitudes or a density, z-kicked as the pulse runner kicks it."""
+    return _kick(state[None], np.array([angle]))[0]
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None, phases=(Phase.explicit, Phase.generate))
+@given(
+    lindblad=st.booleans(),
+    seed=st.integers(0, 2**16),
+    runs=st.lists(st.tuples(st.booleans(), st.lists(CHAIN_LEGS, min_size=1, max_size=3)), min_size=1, max_size=4),
+)
+def test_random_chained_runs_match_sequential_legs(lindblad, seed, runs):
+    """Chained runs of 1 to 3 legs (absent ones among them, unequal spans
+    and strides) of 2-level drives in the frame of their z kicks, in one
+    call, against one call per leg with the kicks applied by _kick between
+    legs: every record's populations and, once kicked by the total, every
+    final state to 1e-12. A run that does not renormalise starts each leg
+    from its normalised state, as a run that does starts from its
+    renormalised one."""
+    rng = np.random.default_rng(seed)
+    n_legs = max(len(legs) for _, legs in runs)
+    hs = np.zeros((len(runs), n_legs, 2, 2), dtype=complex)
+    starts, plans, expected = [], [], []
+
+    def run(h, y0, cfg):
+        return evolve_lindblad(h, y0, NOISE, cfg) if lindblad else evolve_schrodinger(h, y0, cfg)
+
+    for r, (renormalize, legs) in enumerate(runs):
+        psi = StateVector.normalized(rng.normal(size=2) + 1j * rng.normal(size=2))
+        state = DensityMatrix.from_state(psi).entries if lindblad else psi.amps
+        starts.append(state)
+        pops, plan, phi = [np.real(np.diagonal(state)) if lindblad else np.abs(state) ** 2], [], 0.0
+        for leg, (pulse, sign, rabi, detuning, pre, post, steps, stride) in enumerate(legs):
+            h = rabi_hamiltonian(sign * rabi, detuning)
+            phi += pre
+            hs[r, leg] = kicked(h, -phi)  # Rz(phi)^dag H Rz(phi)
+            state = kicked(state, pre)
+            plan.append(None)
+            if pulse:
+                dt = 0.02 / float(np.max(np.abs(h)))
+                plan[-1] = EvolutionConfig(0.0, steps * dt, dt, stride, renormalize)
+                if lindblad:
+                    traj = run(h, DensityMatrix(0.5 * (state + state.conj().T) / np.trace(state).real), plan[-1])
+                else:
+                    traj = run(h, StateVector.normalized(state), plan[-1])
+                pops += list(traj.populations[1:])
+                state = np.asarray(traj.densities[-1] if lindblad else traj.amplitudes[-1])
+            phi += post
+            state = kicked(state, post)
+        plans.append(tuple(plan) + (None,) * (n_legs - len(plan)))
+        expected.append((np.array(pops), state, phi))
+    result = run(hs, np.stack(starts), plans)
+    for r, (pops, final, phi) in enumerate(expected):
+        assert result.counts[r] == len(pops)
+        assert np.max(np.abs(result.populations[r, : len(pops)] - pops)) < 1e-12
+        assert np.max(np.abs(kicked(result.states[r, -1], phi) - final)) < 1e-12
+
+
+class TestChainedPropagation:
+    """Chained runs: a (runs, legs, dim, dim) stack of constant H's with a
+    tuple of leg configs per run, integrated leg after leg in one call."""
+
+    def test_drift_failure_names_its_leg(self):
+        # run 1's second leg drifts past the 1e-3 gate at the step where it
+        # does alone, and the failure names that leg
+        start = StateVector.basis(2, 0)
+        calm, drifting = rabi_hamiltonian(1.0), rabi_hamiltonian(15.0)
+        short = EvolutionConfig(0.0, 0.1, 0.01, renormalize=False)
+        long = EvolutionConfig(0.0, 2.0, 0.008, renormalize=False)
+        with pytest.raises(NumericalError) as single:
+            evolve_schrodinger(drifting, start, long)
+        step = re.search(r"at step (\d+) ", str(single.value)).group(1)
+        hs = np.stack([[calm, calm], [calm, drifting]])
+        with pytest.raises(NumericalError, match=rf"^run 1: norm drifted to [0-9.]+ at step {step} of leg 2 ") as err:
+            evolve_schrodinger(hs, start, [(short, None), (short, long)])
+        assert err.value.member == 1
+
+    def test_rejects_plans_it_cannot_chain(self):
+        cfg = EvolutionConfig(0.0, 0.1, 0.01)
+        start = StateVector.basis(2, 0)
+        hs = np.stack([[rabi_hamiltonian(1.0)] * 2] * 2)
+        for plans in ([cfg, cfg], [(cfg,), (cfg,)], [(cfg, 1.0), (cfg, None)], [(cfg, dataclasses.replace(cfg, renormalize=False))] * 2):
+            with pytest.raises(ConfigError):
+                evolve_schrodinger(hs, start, plans)
+        with pytest.raises(ConfigError):  # a tuple of legs needs a stack with a leg axis
+            evolve_schrodinger(hs[:, 0], start, [(cfg, None)] * 2)
+
+
 def six_product_transfers(a1, a2, a3, dt):
     """RK4 transfer matrices for y' = A(t) y, expanded into six products."""
     m21 = a2 @ a1
@@ -938,6 +1042,27 @@ class TestRK4Polynomial:
         assert np.array_equal(polynomial[-1], np.eye(p.shape[-1]))
         ours = chunk_transfers(p, c, n)
         assert np.max(np.abs(ours - theirs)) <= 1e-15 * np.max(np.abs(theirs))
+
+    @pytest.mark.parametrize("y_dim, n_terms", [(4, 7), (64, 2)], ids=["schrodinger-4-K7", "lindblad-8-K2"])
+    def test_build_peak_stays_within_three_polynomials(self, y_dim, n_terms):
+        # the largest sources POLYNOMIAL_MAX_BYTES admits at dim-4
+        # Schrodinger (real form) and dim-8 Lindblad (complex form): the
+        # F3 F2 F2 F1 word is built one end index at a time, so its K^4
+        # products are never held at once (they took the peak to 4.9 and 4.4
+        # polynomials)
+        rng = np.random.default_rng(y_dim)
+        side, real = (2 * y_dim, True) if y_dim <= evolve_module.REAL_FORM_MAX_DIM else (y_dim, False)
+        p = rng.normal(size=(n_terms, side, side)) * (1.0 if real else 1.0 + 1j)
+        held = evolve_module._polynomial_bytes(y_dim, n_terms)
+        assert held <= evolve_module.POLYNOMIAL_MAX_BYTES
+        tracemalloc.start()
+        try:
+            polynomial = evolve_module._rk4_polynomial(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert polynomial.nbytes == held
+        assert peak <= 3 * held
 
     @pytest.mark.parametrize("dim", [2, 4, 8])
     @pytest.mark.parametrize("kind", ["schrodinger", "lindblad"])
@@ -1117,7 +1242,7 @@ class TestRecordGate:
         monkeypatch.setattr(evolve_module, "_integrate", lambda *args: calls.append(1) or integrate(*args))
         gates = self.spy_on_gates(monkeypatch)
         scenarios.run_composite_gate_scenario(parse_config(DEFAULT_CONFIGS["composite"]))
-        assert len(calls) == len(gates) == 24
+        assert len(calls) == len(gates) == 20
 
     def test_ragged_call_gates_once(self, monkeypatch):
         # runs of three configs in 5-step chunks, the longest run 40 steps;

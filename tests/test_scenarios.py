@@ -1265,12 +1265,14 @@ def count_integrate_calls(monkeypatch, runner, cfg) -> int:
     return len(calls)
 
 
-def test_sweeps_take_one_integration_per_leg(monkeypatch):
-    # the default composite: 3 legs ideal and noisy and the single gate's one
-    # each, per block of angles (16, 10 and 7 of them within
-    # PULSE_BLOCK_BYTES); the noisy theta sweep: one call for all its angles
+def test_sweeps_take_one_integration_per_equation(monkeypatch):
+    # the default composite: one ideal and one noisy call per block of
+    # angles, each chaining the 3 composite legs and the single gate's one
+    # (10 blocks of 9, 5, 4, 3, 3, 2, 2, 2, 2 and 1 angles within
+    # PULSE_BLOCK_BYTES, a run's records counted over all its legs); the
+    # noisy theta sweep: one call for all its angles
     composite = ScenarioConfig(scenario_id="composite", noise=NOISE)
-    assert count_integrate_calls(monkeypatch, run_composite_gate_scenario, composite) == 3 * 8
+    assert count_integrate_calls(monkeypatch, run_composite_gate_scenario, composite) == 10 * 2
     theta = ScenarioConfig(scenario_id="theta-sweep", noise=NOISE)
     assert count_integrate_calls(monkeypatch, run_single_qubit_theta_sweep, theta) == 1
 
