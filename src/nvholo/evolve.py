@@ -367,13 +367,12 @@ def _workspace_bytes(y_dim: int, runs: int, n_terms: int, chunk: int, stride: in
 
 
 def _chunk_steps(y_dim: int, runs: int = 1, n_terms: int = 0, stride: int = 1) -> int:
-    """Steps per chunk within TRANSFER_CHUNK_BYTES, at least 16 and at most
-    MAX_CHUNK_STEPS. A constant H or a stack of them (n_terms 0) builds no
-    per-step matrices: a step holds one complex state per run, in a chunk's
-    fill buffer or in the records when they are the buffer. A terms source
-    of n_terms terms, in record intervals of stride steps, takes the most
-    steps whose bytes (_workspace_bytes) fit; they grow with the steps, so a
-    bisection finds them."""
+    """Steps per chunk: the most within TRANSFER_CHUNK_BYTES, at least 16 and
+    at most MAX_CHUNK_STEPS, so the floor can exceed the budget (a K = 2
+    dim-8 Lindblad source holds 2,050,576 B there). A step of a constant H
+    or a stack of them (n_terms 0) holds one complex state per run, in a
+    chunk's fill buffer or in the records when they are the buffer; a terms
+    source takes the most steps whose bytes (_workspace_bytes) fit."""
     if not n_terms:
         return int(min(MAX_CHUNK_STEPS, max(16, TRANSFER_CHUNK_BYTES // (16 * y_dim * runs))))
     lo, hi = 16, max(16, MAX_CHUNK_STEPS)

@@ -211,7 +211,8 @@ def phase_probe(ref_series, ref_final, series, finals) -> tuple:
     act = series.reshape(-1, ref_series.shape[0])
     discrepancy = np.minimum(np.max(np.abs(ref_series - act), axis=1), 1.0)
     finals = finals.reshape(-1, ref_final.shape[0])
-    overlap = (finals @ ref_final.conj()) / np.linalg.norm(finals, axis=1)
+    with np.errstate(invalid="ignore"):  # a non-finite final reaches the caller's gate as nan
+        overlap = (finals @ ref_final.conj()) / np.linalg.norm(finals, axis=1)
     undefined = np.abs(overlap) < MIN_OVERLAP
     residue = PHASE_TIE_ULPS * np.finfo(float).eps * np.abs(overlap.real)
     tie = (overlap.real < 0.0) & (np.abs(overlap.imag) <= residue)

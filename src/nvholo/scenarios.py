@@ -818,21 +818,23 @@ def _diamond_azimuth(s: np.ndarray) -> np.ndarray:
     return np.where(s <= 0.5, 1.0 - np.abs(4.0 * s - 1.0), np.abs(4.0 * s - 3.0) - 1.0)
 
 
-def _loop_kets(qubit: int, chi, s_grid, phase) -> np.ndarray:
+def _loop_kets(qubit: int, chi, s_grid) -> np.ndarray:
     """First column (a, b) of one qubit's loop rotation seen from its
-    preparation frame, V^dag U V, times exp(i phase s), over the path
-    fractions s, one row per tilt: shape chi.shape + (len(s_grid), 2). The
-    whole rotation is [[a, -b*], [b, a*]].
+    preparation frame, V^dag U V, over the path fractions s, one row per
+    tilt: shape chi.shape + (len(s_grid), 2). The whole rotation is
+    [[a, -b*], [b, a*]].
 
     U turns by beta(s) about the tilted axis n, so a = cos(beta/2) -
     i n_z sin(beta/2) and b = (n_y - i n_x) sin(beta/2); the preparation
     rotation V = Rx(prep) carries n to Rx(-prep) n, since V^dag (n.sigma) V
     is the Pauli vector of that rotated axis. The kets are written through a
-    float64 view in real arithmetic, with no complex temporaries.
+    float64 view in real arithmetic, with no complex temporaries. They leave
+    out the frame phase exp(i phase s) of _qubit_kets, a global factor of
+    modulus 1 that no population, norm, Bloch map or fidelity reads.
     """
     s = np.atleast_1d(np.asarray(s_grid, dtype=float))
     chi = np.asarray(chi, dtype=float)[..., None]
-    beta = LOOP_SENSES[qubit] * LOOP_AREAS_RAD[qubit] * (1.0 / np.cos(chi)) * s
+    half = 0.5 * LOOP_SENSES[qubit] * LOOP_AREAS_RAD[qubit] * (1.0 / np.cos(chi)) * s  # beta / 2
     # the first two loops keep azimuth 0, so their axis is one per tilt
     azimuth = DIAMOND_HALF_RAD * _diamond_azimuth(s) if qubit == 2 else 0.0
     nx = np.cos(chi) * np.cos(azimuth)
@@ -840,42 +842,36 @@ def _loop_kets(qubit: int, chi, s_grid, phase) -> np.ndarray:
     nz = np.sin(chi)
     cp, sp = math.cos(LOOP_PREP_RAD[qubit]), math.sin(LOOP_PREP_RAD[qubit])
     ny, nz = ny * cp + nz * sp, nz * cp - ny * sp
-    c, d = np.cos(beta / 2.0), np.sin(beta / 2.0)
-    nz, ny, nx = nz * d, ny * d, nx * d  # a = c - i nz, b = ny - i nx from here
-    theta = np.asarray(phase, dtype=float)[..., None] * s
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    c, d = np.cos(half), np.sin(half)
     kets = np.empty(c.shape + (2,), dtype=np.complex128)
     parts = kets.view(np.float64)  # Re a, Im a, Re b, Im b
-    parts[..., 0] = c * cos_t + nz * sin_t
-    parts[..., 1] = c * sin_t - nz * cos_t
-    parts[..., 2] = ny * cos_t + nx * sin_t
-    parts[..., 3] = ny * sin_t - nx * cos_t
+    parts[..., 0], parts[..., 1] = c, -nz * d
+    parts[..., 2], parts[..., 3] = ny * d, -nx * d
     return kets
 
 
-def _dispersive_phase(qubit: int, chi) -> np.ndarray:
-    return -math.pi * (np.sin(chi) ** 2 - LOOP_SENSES[qubit] * np.sin(2.0 * chi) / 2.0)
-
-
-def _echo_offset(qubit: int, chi) -> np.ndarray:
-    """Kinematic phase each tilted loop would add on its own; echoed away."""
-    chi = np.asarray(chi, dtype=float)
-    ends = _loop_kets(qubit, np.append(0.0, chi), 1.0, 0.0)[:, 0]  # the untilted loop first
-    overlap = ends[0, 0].conj() * ends[1:, 0] + ends[0, 1].conj() * ends[1:, 1]
-    return np.where(np.abs(overlap) < 1e-12, 0.0, np.angle(overlap)).reshape(chi.shape)
-
-
-def _tilt(qubit: int, dtilde_mhz) -> tuple:
-    """Loop tilt chi and loop phase per differential detuning."""
+def _qubit_kets(qubit: int, dtilde_mhz, s_grid) -> tuple:
+    """The qubit's kets over the path from |0> without the frame phase
+    (_loop_kets on the tilts) and the frame phase per detuning: Phi less the
+    kinematic phase each tilted loop would add on its own, echoed away. That
+    is read off the kets at s = 1, the grid's last, against the untilted
+    loop's end (cos h, -i sin h), a turn by its area 2h about x."""
     chi = np.arctan2(dtilde_mhz, TILT_SCALE_MHZ)
-    return chi, _dispersive_phase(qubit, chi) - _echo_offset(qubit, chi)
+    kets = _loop_kets(qubit, chi, s_grid)
+    h = 0.5 * LOOP_SENSES[qubit] * LOOP_AREAS_RAD[qubit]
+    overlap = np.cos(h) * kets[..., -1, 0] + 1j * np.sin(h) * kets[..., -1, 1]
+    dispersive = -math.pi * (np.sin(chi) ** 2 - LOOP_SENSES[qubit] * np.sin(2.0 * chi) / 2.0)
+    return kets, dispersive - np.where(np.abs(overlap) < 1e-12, 0.0, np.angle(overlap))
 
 
-def _qubit_kets(qubit: int, dtilde_mhz, s_grid) -> np.ndarray:
-    """The qubit's state over the path from |0>, the first column of its
-    propagators: shape dtilde.shape + (len(s_grid), 2)."""
-    chi, phase = _tilt(qubit, dtilde_mhz)
-    return _loop_kets(qubit, chi, s_grid, phase)
+def _framed(kets: np.ndarray, phase, s_grid) -> np.ndarray:
+    """kets (..., samples, 2) at path fractions s_grid times exp(i phase s), a phase per row."""
+    theta = np.asarray(phase, dtype=float)[..., None] * s_grid
+    cos_t, sin_t = np.cos(theta)[..., None], np.sin(theta)[..., None]
+    out = np.empty_like(kets)
+    out.real = kets.real * cos_t - kets.imag * sin_t
+    out.imag = kets.real * sin_t + kets.imag * cos_t
+    return out
 
 
 def _common_mode(deltas) -> np.ndarray:
@@ -941,22 +937,26 @@ def run_three_qubit_detuning_sweep(cfg: ScenarioConfig) -> SweepResult:
         with _naming("three-qubit-sweep", points, name):
             return Trajectory(times=times, populations=np.square(kets.real) + np.square(kets.imag), amplitudes=kets)
 
-    held_p0 = gated(
-        _kron_kets(_qubit_kets(1, d2 - common, s_grid), _qubit_kets(2, d3 - common, s_grid)),
-        [f"held delta2={d2:g} MHz, delta3={d3:g} MHz"],
-    ).population_series(0)
+    held = [_qubit_kets(q, d - common, s_grid)[0] for q, d in ((1, d2), (2, d3))]
+    held_p0 = gated(_kron_kets(*held), [f"held delta2={d2:g} MHz, delta3={d3:g} MHz"]).population_series(0)
     # the same batched call and block code as the sweep points, so the
     # held-detuning point reproduces the reference bit for bit
-    reference = gated(_qubit_kets(0, np.array([common]) - common, s_grid)[0], [f"reference delta1={common:g} MHz"])
-    ref_series, ref_final = reference.population_series(0) * held_p0, reference.final_state.amps
+    ref_kets, ref_phase = _qubit_kets(0, np.array([common]) - common, s_grid)
+    reference = gated(ref_kets[0], [f"reference delta1={common:g} MHz"])
+    ref_series = reference.population_series(0) * held_p0
+    ref_final = _framed(reference.final_state.amps[None], ref_phase[0], 1.0)[0]  # overlaps read the frame phase
     p1_final = np.empty(n_time)
     found = []
     for lo in range(0, n_time, block):
         at = slice(lo, lo + block)
-        kets = gated(_qubit_kets(0, grid[at] - common, s_grid), grid[at], "delta1={:g} MHz")
-        level0 = kets.population_series(0) * held_p0
+        kets, phase = _qubit_kets(0, grid[at] - common, s_grid)
+        level0 = gated(kets, grid[at], "delta1={:g} MHz").population_series(0) * held_p0
         p1_final[at] = level0[:, -1]
-        found.append(phase_probe(ref_series, ref_final, level0, kets.amplitudes[:, -1]))
+        found.append(phase_probe(ref_series, ref_final, level0, _framed(kets[:, -1:], phase, 1.0)[:, 0]))
+        with _naming("three-qubit-sweep", grid[at], "delta1={:g} MHz"):  # the block's probe columns
+            for what, column in zip(("phase magnitude", "phase discrepancy"), found[-1]):
+                if not np.all(finite := np.isfinite(column)):
+                    raise NumericalError(f"{what} holds a non-finite value", member=int(np.argmin(finite)))
         del kets, level0  # used up: the next block is built without them
     series = {"p1_final": p1_final, "p1_reference": ref_series}
     return SweepResult(axis_values=grid, series=series, phases=tuple(map(np.concatenate, zip(*found))))
@@ -975,7 +975,7 @@ def run_three_qubit_time_evolution(cfg: ScenarioConfig) -> tuple:
     deltas = np.array([(common, common, common), *cfg.detuning_sets], dtype=float)
     s_grid = np.linspace(0.0, 1.0, TIME_EVOLUTION_SAMPLES)
     dtilde = _differential(deltas)
-    kets = [_qubit_kets(q, dtilde[:, q], s_grid) for q in range(3)]
+    kets = [_framed(*_qubit_kets(q, dtilde[:, q], s_grid), s_grid) for q in range(3)]
     amps = _kron_kets(_kron_kets(kets[0], kets[1]), kets[2])
     trajs = []
     for i, (triple, duration, a) in enumerate(zip(deltas, _loop_duration_us(deltas, base), amps)):
@@ -1141,7 +1141,7 @@ def _loop_fidelity(deltas, base_us: float, noise: NoiseModel, n_slices: int):
     triples = deltas.reshape(-1, 3)
     chi = np.arctan2(_differential(triples), TILT_SCALE_MHZ)
     s_grid = np.linspace(0.0, 1.0, n_slices + 1)
-    kets = np.stack([_loop_kets(q, chi[:, q], s_grid, 0.0) for q in range(3)])
+    kets = np.stack([_loop_kets(q, chi[:, q], s_grid) for q in range(3)])
     # [1, r] of |0> seen from the first and the last frame
     ends = _bloch_rotations(kets[..., [0, -1], :])
     rho, ideal = np.moveaxis(ends[..., 0] + ends[..., 3], -2, 0)

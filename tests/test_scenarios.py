@@ -751,8 +751,8 @@ def kronecker_loop_sweep(grid, d2, d3):
     reference first, scored by the Trajectory front end of the phase probe."""
     common = 0.5 * (d2 + d3)
     s = np.linspace(0.0, 1.0, grid.shape[0])
-    swept = scenarios._qubit_kets(0, np.append(common, grid) - common, s)
-    held = [scenarios._qubit_kets(q, d - common, s) for q, d in ((1, d2), (2, d3))]
+    swept = scenarios._framed(*scenarios._qubit_kets(0, np.append(common, grid) - common, s), s)
+    held = [scenarios._framed(*scenarios._qubit_kets(q, d - common, s), s) for q, d in ((1, d2), (2, d3))]
     amps = np.einsum("psi,sj,sk->psijk", swept, *held).reshape(swept.shape[:2] + (8,))
     reference, actual = (
         Trajectory(times=s * LOOP_DURATION_US, populations=np.abs(a) ** 2, amplitudes=a) for a in (amps[0], amps[1:])
@@ -1502,18 +1502,28 @@ def test_loop_sweep_builds_swept_kets_once_per_block(monkeypatch):
     # 121 points on a 121-sample grid: a block of swept-qubit kets holds 33
     # points (LOOP_BLOCK_BYTES of 2-entry kets), so the reference and 4
     # blocks; 8-point register blocks would take 16
-    calls = []
-    kets = scenarios._qubit_kets
+    cfg = loop_sweep_config(detunings=(SweepSpec(0.0, 600.0, 5.0), 450.0, 450.0))
+    calls, loops = [], []
+    kets, loop_kets = scenarios._qubit_kets, scenarios._loop_kets
 
     def spy(qubit, dtilde_mhz, s_grid):
         if qubit == 0:
             calls.append(np.asarray(dtilde_mhz).shape[0])
         return kets(qubit, dtilde_mhz, s_grid)
 
+    def loop_spy(qubit, chi, s_grid):
+        loops.append((qubit, np.shape(chi), len(s_grid)))
+        return loop_kets(qubit, chi, s_grid)
+
     monkeypatch.setattr(scenarios, "_qubit_kets", spy)
-    result = run_three_qubit_detuning_sweep(loop_sweep_config(detunings=(SweepSpec(0.0, 600.0, 5.0), 450.0, 450.0)))
+    monkeypatch.setattr(scenarios, "_loop_kets", loop_spy)
+    result = run_three_qubit_detuning_sweep(cfg)
     assert calls == [1, 33, 33, 33, 22]
     assert [column.shape for column in result.phases] == [(121,)] * 3
+    # one kernel call per held qubit, for the reference and per block: the
+    # echo reads the s = 1 column of each call, with no call of its own
+    held = [(1, (), 121), (2, (), 121)]
+    assert loops == held + [(0, (n,), 121) for n in (1, 33, 33, 33, 22)]
 
 
 def test_loop_sweep_builds_no_register_array(monkeypatch):
@@ -1577,16 +1587,60 @@ def test_qubit_kets_match_the_entrywise_formula(qubit):
     s_grid = np.linspace(0.0, 1.0, FIDELITY_SLICES + 1)
     dtilde = np.array([-1e6, -600.0, -201.22, -7.5, 0.0, 3.25, 150.0, 402.44, 1e6])
     want = entrywise_loop_propagators(qubit, dtilde, s_grid)
-    # the kets are the propagators' first column, scalar tilts included
-    kets = scenarios._qubit_kets(qubit, dtilde, s_grid)
+    # the framed kets are the propagators' first column, scalar tilts included
+    unframed, phase = scenarios._qubit_kets(qubit, dtilde, s_grid)
+    kets = scenarios._framed(unframed, phase, s_grid)
     assert kets.shape == (dtilde.shape[0], s_grid.shape[0], 2)
     assert np.max(np.abs(kets - want[..., 0])) <= 1e-15
-    assert np.array_equal(scenarios._qubit_kets(qubit, float(dtilde[2]), s_grid), kets[2])
-    # the unphased kets give the whole propagator as [[a, -b*], [b, a*]]
-    chi, phase = scenarios._tilt(qubit, dtilde)
-    got = su2(scenarios._loop_kets(qubit, chi, s_grid, 0.0)) * np.exp(1j * phase[:, None] * s_grid)[..., None, None]
+    scalar, scalar_phase = scenarios._qubit_kets(qubit, float(dtilde[2]), s_grid)
+    assert np.array_equal(scenarios._framed(scalar, scalar_phase, s_grid), kets[2])
+    # the kets without the frame phase give the whole propagator as [[a, -b*], [b, a*]]
+    got = su2(unframed) * np.exp(1j * phase[:, None] * s_grid)[..., None, None]
     assert np.max(np.abs(got - want)) <= 1e-15
     assert np.max(np.abs(got @ got.conj().swapaxes(-1, -2) - np.eye(2))) < 1e-14
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None, phases=(Phase.explicit, Phase.generate))
+@given(
+    qubit=st.integers(0, 2),
+    dtilde=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=199),
+)
+def test_loop_kernel_on_random_tilts_and_grids(qubit, dtilde, fractions):
+    """Random tilts on sorted grids of 2 to 200 path fractions ending at 1:
+    the kets without the frame phase, framed, are the entrywise propagators'
+    first column; every row is a unit ket; and the s = 1 column, which the
+    echo reads, is a one-sample s = 1 evaluation bit for bit."""
+    dtilde = np.array(dtilde)
+    s_grid = np.append(np.sort(fractions), 1.0)
+    unframed, phase = scenarios._qubit_kets(qubit, dtilde, s_grid)
+    want = entrywise_loop_propagators(qubit, dtilde, s_grid)[..., 0]
+    assert np.max(np.abs(scenarios._framed(unframed, phase, s_grid) - want)) <= 1e-12
+    assert np.max(np.abs(np.linalg.norm(unframed, axis=-1) - 1.0)) <= 1e-12
+    chi = np.arctan2(dtilde, TILT_SCALE_MHZ)
+    assert np.array_equal(unframed[:, -1], scenarios._loop_kets(qubit, chi, 1.0)[:, 0])
+
+
+def test_cli_loop_sweep_probe_failure_names_its_point(tmp_path, capsys, monkeypatch):
+    # a NaN frame phase at delta1 = 330 MHz (dtilde -120 MHz) poisons that
+    # point's final ket alone: the populations pass their gates, and the
+    # probe's gate of the block that holds the point names it
+    kets = scenarios._qubit_kets
+
+    def poisoned(qubit, dtilde_mhz, s_grid):
+        out, phase = kets(qubit, dtilde_mhz, s_grid)
+        if qubit == 0:
+            phase = np.where(np.asarray(dtilde_mhz) == -120.0, np.nan, phase)
+        return out, phase
+
+    monkeypatch.setattr(scenarios, "_qubit_kets", poisoned)
+    config = tmp_path / "cfg"
+    config.write_text(DEFAULT_CONFIGS["three-qubit-sweep"])
+    out = tmp_path / "x"
+    assert run_cli(["three-qubit-sweep", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: three-qubit-sweep delta1=330 MHz: phase magnitude holds a non-finite value\n"
+    assert not (out / "result.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -1611,10 +1665,10 @@ def test_register_gate_failure_names_its_point(runner, cfg, name, monkeypatch):
     kets = scenarios._qubit_kets
 
     def poisoned(qubit, dtilde_mhz, s_grid):
-        out = kets(qubit, dtilde_mhz, s_grid)
+        out, phase = kets(qubit, dtilde_mhz, s_grid)
         if qubit == 0:
             out[np.asarray(dtilde_mhz) == -120.0, 1] = np.nan
-        return out
+        return out, phase
 
     monkeypatch.setattr(scenarios, "_qubit_kets", poisoned)
     with pytest.raises(NumericalError, match=f"^{name}: recorded norm drifted by nan"):
@@ -1627,10 +1681,10 @@ def test_loop_sweep_held_pair_failure_names_the_held_detunings(monkeypatch):
     kets = scenarios._qubit_kets
 
     def poisoned(qubit, dtilde_mhz, s_grid):
-        out = kets(qubit, dtilde_mhz, s_grid)
+        out, phase = kets(qubit, dtilde_mhz, s_grid)
         if qubit == 1:
             out[..., 1, :] = np.nan
-        return out
+        return out, phase
 
     monkeypatch.setattr(scenarios, "_qubit_kets", poisoned)
     name = "three-qubit-sweep held delta2=450 MHz, delta3=450 MHz"
